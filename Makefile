@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-quick smoke faults check clean
+.PHONY: all build vet test test-race bench bench-quick smoke faults loc check clean
 
 all: build
 
@@ -44,6 +44,11 @@ smoke:
 # degradation on and asserts the degrade/shed/restore lifecycle end to end.
 faults:
 	sh scripts/faults.sh
+
+# Non-test, non-blank, non-comment Go lines per package: the measure of
+# the roadmap's net-negative-lines goal. Informational, never a gate.
+loc:
+	sh scripts/loc.sh
 
 check: build vet test test-race
 

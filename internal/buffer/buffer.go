@@ -19,14 +19,14 @@
 package buffer
 
 import (
-	"cmp"
 	"errors"
 	"math"
-	"slices"
 
 	"mzqos/internal/dist"
+	"mzqos/internal/fault"
 	"mzqos/internal/model"
 	"mzqos/internal/sim"
+	"mzqos/internal/sweep"
 )
 
 // ErrConfig is returned for invalid buffering configurations.
@@ -116,19 +116,13 @@ func Simulate(cfg SimConfig, rounds int, seed uint64) (SimResult, error) {
 	rng := dist.NewRand(seed, seed^0x62756666)
 	t := cfg.Sim.RoundLength
 	n := cfg.Sim.N
-	type req struct {
-		cyl  int
-		zone int
-		size float64
-	}
-	reqs := make([]req, n)
+	reqs := make([]sweep.Request, n)
 	var (
-		clock       float64
-		visible     int
-		rawLate     int
-		overrunSum  float64
-		overrunCnt  int
-		totalServed int
+		clock      float64
+		visible    int
+		rawLate    int
+		overrunSum float64
+		overrunCnt int
 	)
 	for r := 0; r < rounds; r++ {
 		roundStart := float64(r) * t
@@ -140,43 +134,33 @@ func Simulate(cfg SimConfig, rounds int, seed uint64) (SimResult, error) {
 				clock = roundStart
 			}
 		}
-		start := clock
+		sweepStart := clock
 		for i := range reqs {
 			loc := cfg.Sim.Disk.SampleLocation(rng)
-			reqs[i] = req{cyl: loc.Cylinder, zone: loc.Zone, size: cfg.Sim.Sizes.Sample(rng)}
+			reqs[i] = sweep.Request{Cylinder: loc.Cylinder, Zone: loc.Zone, Size: cfg.Sim.Sizes.Sample(rng), Ref: i}
 		}
-		slices.SortFunc(reqs, func(a, b req) int { return cmp.Compare(a.cyl, b.cyl) })
-		arm := 0
+		tot := sweep.Serve(cfg.Sim.Disk, fault.Identity(), rng, nil, reqs)
 		deadlineRaw := roundStart + t
 		deadlineVisible := roundStart + t*float64(1+cfg.SlackRounds)
-		for _, q := range reqs {
-			d := float64(q.cyl - arm)
-			if d < 0 {
-				d = -d
-			}
-			clock += cfg.Sim.Disk.Seek.Time(d)
-			clock += rng.Float64() * cfg.Sim.Disk.RotationTime
-			clock += cfg.Sim.Disk.TransferTime(q.size, q.zone)
-			arm = q.cyl
-			totalServed++
-			if clock > deadlineRaw {
+		for i := range reqs {
+			done := sweepStart + reqs[i].End
+			if done > deadlineRaw {
 				rawLate++
 			}
-			if clock > deadlineVisible {
+			if done > deadlineVisible {
 				visible++
 			}
 		}
+		clock = sweepStart + tot.Busy
 		if clock > deadlineRaw {
 			overrunSum += clock - deadlineRaw
 			overrunCnt++
 		}
-		_ = start
 	}
 	res := SimResult{Rounds: rounds}
-	if totalServed > 0 {
-		res.VisibleGlitchRate = float64(visible) / float64(totalServed)
-		res.RawLateRate = float64(rawLate) / float64(totalServed)
-	}
+	served := float64(n * rounds) // both validated ≥ 1 above
+	res.VisibleGlitchRate = float64(visible) / served
+	res.RawLateRate = float64(rawLate) / served
 	if overrunCnt > 0 {
 		res.MeanOverrun = overrunSum / float64(overrunCnt)
 	}

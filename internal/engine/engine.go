@@ -184,8 +184,6 @@ type DiskRoundReport struct {
 	Busy float64
 	// Seek, Rotation, and Transfer break Busy down by service phase.
 	// Rotation includes any extra revolutions paid for read-error retries.
-	// (The simulated engine reports Busy only; its phase split is
-	// available through the trace recorder instead.)
 	Seek, Rotation, Transfer float64
 	// Late is the number of requests that finished after the round end.
 	Late int

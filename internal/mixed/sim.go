@@ -7,6 +7,8 @@ import (
 	"slices"
 
 	"mzqos/internal/dist"
+	"mzqos/internal/fault"
+	"mzqos/internal/sweep"
 )
 
 // SimResult summarizes a mixed-workload simulation.
@@ -56,46 +58,32 @@ func Simulate(cfg Config, n, rounds int, seed uint64) (SimResult, error) {
 	budget := t * (1 - cfg.Reserve)
 
 	var (
-		queue        []discreteJob
-		responses    []float64
-		glitches     int
-		contRequests int
-		overruns     int
-		maxQueue     int
-		carryOver    float64 // discrete work running past the round end
+		queue     []discreteJob
+		responses []float64
+		glitches  int
+		overruns  int
+		maxQueue  int
+		carryOver float64 // discrete work running past the round end
 	)
-	type contReq struct {
-		cyl  int
-		zone int
-		size float64
-	}
-	reqs := make([]contReq, n)
+	reqs := make([]sweep.Request, n)
 	for r := 0; r < rounds; r++ {
 		roundStart := float64(r) * t
-		clock := roundStart + carryOver
+		sweepStart := roundStart + carryOver
 		carryOver = 0
 
-		// Continuous sweep (SCAN from the parked arm).
+		// Continuous sweep first, begun once the carried-over discrete
+		// work is done; its deadline is the round end.
 		for i := range reqs {
 			loc := cfg.Disk.SampleLocation(rng)
-			reqs[i] = contReq{cyl: loc.Cylinder, zone: loc.Zone, size: cfg.ContinuousSizes.Sample(rng)}
+			reqs[i] = sweep.Request{Cylinder: loc.Cylinder, Zone: loc.Zone, Size: cfg.ContinuousSizes.Sample(rng), Ref: i}
 		}
-		slices.SortFunc(reqs, func(a, b contReq) int { return cmp.Compare(a.cyl, b.cyl) })
-		arm := 0
-		for _, q := range reqs {
-			d := float64(q.cyl - arm)
-			if d < 0 {
-				d = -d
-			}
-			clock += cfg.Disk.Seek.Time(d)
-			clock += rng.Float64() * cfg.Disk.RotationTime
-			clock += cfg.Disk.TransferTime(q.size, q.zone)
-			arm = q.cyl
-			contRequests++
-			if clock > roundStart+t {
+		tot := sweep.Serve(cfg.Disk, fault.Identity(), rng, nil, reqs)
+		for i := range reqs {
+			if sweepStart+reqs[i].End > roundStart+t {
 				glitches++
 			}
 		}
+		clock := sweepStart + tot.Busy
 		if cfg.RoundTimes != nil {
 			cfg.RoundTimes.Observe(clock - roundStart)
 		}
@@ -150,8 +138,8 @@ func Simulate(cfg Config, n, rounds int, seed uint64) (SimResult, error) {
 		DiscreteServed:   len(responses),
 		DiscreteMaxQueue: maxQueue,
 	}
-	if contRequests > 0 {
-		res.ContinuousGlitchRate = float64(glitches) / float64(contRequests)
+	if n > 0 {
+		res.ContinuousGlitchRate = float64(glitches) / float64(n*rounds)
 	}
 	res.ContinuousOverrunRate = float64(overruns) / float64(rounds)
 	if len(responses) > 0 {

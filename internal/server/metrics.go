@@ -6,6 +6,7 @@ import (
 
 	"mzqos/internal/engine"
 	"mzqos/internal/slo"
+	"mzqos/internal/sweep"
 	"mzqos/internal/telemetry"
 )
 
@@ -220,28 +221,23 @@ func (t *Telemetry) PhaseTotals() telemetry.PhaseTotals { return t.recorder.Tota
 // concurrently with the round loop.
 func (s *Server) Telemetry() *Telemetry { return s.tel }
 
-// downRoundSentinel is the round-time (in round lengths) recorded for a
-// sweep that never happened because the disk was down. It lies beyond the
-// histogram's top finite bucket (8t), so a down round lands in the +Inf
-// bucket and counts against the empirical late tail with a finite sum —
-// the honest reading of "the deadline was missed by the whole round".
-const downRoundSentinel = 16
-
 // observeSweep records one disk's finished sweep into the metric set,
-// the phase recorder, and the SLO audit's window estimators. Called once
-// per loaded disk per round from Step.
-func (s *Server) observeSweep(d int, dr *DiskRoundReport) {
+// the phase recorder, and the SLO audit's window estimators, and returns
+// the round time it recorded: Busy, or for a sweep that never happened
+// because the disk was down the sentinel sweep.DownRoundLengths·t — the
+// honest reading of "the deadline was missed by the whole round". Called
+// once per loaded disk per round from Step.
+func (s *Server) observeSweep(d int, dr *DiskRoundReport) (observed float64) {
 	dt := &s.tel.disks[d]
-	late := dr.Down || dr.Busy > s.cfg.RoundLength
+	observed = dr.Busy
 	if dr.Down {
-		dt.roundTime.Observe(downRoundSentinel * s.cfg.RoundLength)
-		dt.lateRounds.Inc()
+		observed = sweep.DownRoundLengths * s.cfg.RoundLength
 		dt.downRounds.Inc()
-	} else {
-		dt.roundTime.Observe(dr.Busy)
-		if late {
-			dt.lateRounds.Inc()
-		}
+	}
+	dt.roundTime.Observe(observed)
+	late := observed > s.cfg.RoundLength
+	if late {
+		dt.lateRounds.Inc()
 	}
 	s.sloAud.ObserveDisk(d, true, late, dr.Requests, dr.Late+dr.Lost)
 	dt.fragments.Add(int64(dr.Requests))
@@ -263,6 +259,7 @@ func (s *Server) observeSweep(d int, dr *DiskRoundReport) {
 		Transfer: dr.Transfer,
 		Total:    dr.Busy,
 	})
+	return observed
 }
 
 // The bound-tightness vocabulary moved to internal/engine so the cluster

@@ -1,13 +1,12 @@
 package server
 
 import (
-	"cmp"
 	"slices"
 
 	"mzqos/internal/engine"
 	"mzqos/internal/fault"
 	"mzqos/internal/journal"
-	"mzqos/internal/trace"
+	"mzqos/internal/sweep"
 )
 
 // The round-report vocabulary is shared with every other engine through
@@ -21,12 +20,6 @@ type (
 	// RunSummary aggregates a multi-round execution.
 	RunSummary = engine.RunSummary
 )
-
-// diskRequest pairs a due stream with its current fragment for the sweep.
-type diskRequest struct {
-	st   *stream
-	frag fragment
-}
 
 // Step executes one round: every active stream whose start round has
 // arrived reads its next fragment from its disk of the round; each disk
@@ -74,123 +67,58 @@ func (s *Server) Step() RoundReport {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	perDisk := make([][]diskRequest, len(s.geoms))
+	s.due = s.due[:0]
+	for d := range s.reqs {
+		s.reqs[d] = s.reqs[d][:0]
+	}
 	for _, id := range ids {
 		st := s.active[id]
 		if s.round < st.start {
 			continue
 		}
 		d := mod(st.offset+s.round, len(s.geoms))
-		perDisk[d] = append(perDisk[d], diskRequest{st: st, frag: st.obj.frags[st.next]})
+		frag := st.obj.frags[st.next]
+		s.reqs[d] = append(s.reqs[d], sweep.Request{
+			Cylinder: frag.loc.Cylinder,
+			Zone:     frag.loc.Zone,
+			Size:     frag.size,
+			Ref:      len(s.due), // ascending with StreamID
+		})
+		s.due = append(s.due, st)
 	}
 
 	var done []*stream
-	for d, reqs := range perDisk {
+	for d, reqs := range s.reqs {
 		if len(reqs) == 0 {
 			continue
 		}
 		eff := effs[d]
 		dr := &rep.Disks[d]
 		dr.Requests = len(reqs)
-		if eff.Failed {
-			// Full disk failure: nothing is served, every due fragment is
-			// lost — a glitch for its stream (playback skips it, §2.3).
-			dr.Down = true
-			dr.Lost = len(reqs)
-			if tracing {
-				s.trcSpan.Requests = s.trcSpan.Requests[:0]
-			}
-			for _, r := range reqs {
-				st := r.st
-				st.served++
-				st.glitches++
-				rep.Glitches++
-				st.next++
-				if st.next >= len(st.obj.frags) {
-					done = append(done, st)
-				}
-				if tracing {
-					// No sweep happened: the event records only what was
-					// due (location, size) and that it was lost.
-					var ev *trace.RequestEvent
-					s.trcSpan.Requests, ev = trace.NextEvent(s.trcSpan.Requests)
-					ev.Stream = int64(st.id)
-					ev.Cylinder = r.frag.loc.Cylinder
-					ev.Zone = r.frag.loc.Zone
-					ev.SeekCylinders = 0
-					ev.Bytes = r.frag.size
-					ev.Start, ev.Seek, ev.Rotation, ev.Transfer = 0, 0, 0, 0
-					ev.Retries = 0
-					ev.Late = false
-					ev.Lost = true
-				}
-			}
-			s.observeSweep(d, dr)
-			if tracing {
-				s.commitSpan(d, dr, downRoundSentinel*s.cfg.RoundLength)
-				s.trc.Freeze("down_round", s.round)
-			}
-			continue
-		}
-		// SCAN: sort by cylinder (StreamID tiebreak keeps seeded runs
-		// reproducible), sweep from the parked arm at cylinder 0.
-		slices.SortFunc(reqs, func(a, b diskRequest) int {
-			if c := cmp.Compare(a.frag.loc.Cylinder, b.frag.loc.Cylinder); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.st.id, b.st.id)
-		})
-		arm := 0
-		var clock float64
-		g := s.geoms[d]
-		if tracing {
-			s.trcSpan.Requests = s.trcSpan.Requests[:0]
-		}
-		for i, r := range reqs {
-			seekCyl := r.frag.loc.Cylinder - arm
-			if seekCyl < 0 {
-				seekCyl = -seekCyl
-			}
-			seek := g.Seek.Time(float64(seekCyl)) * eff.LatencyScale
-			rot := s.rng.Float64() * g.RotationTime * eff.LatencyScale
-			trans := g.TransferTime(r.frag.size, r.frag.loc.Zone) * eff.LatencyScale / eff.RateScale
-			start := clock
-			clock += seek + rot + trans
-			dr.Seek += seek
-			dr.Rotation += rot
-			dr.Transfer += trans
-			arm = r.frag.loc.Cylinder
+		// Full disk failure: nothing is served, every due fragment is
+		// lost — a glitch for its stream (playback skips it, §2.3).
+		dr.Down = eff.Failed
+		tot := sweep.Serve(s.geoms[d], eff, s.rng, func(pos, attempt int) bool {
+			return s.inj.ReadError(d, s.round, pos, attempt)
+		}, reqs)
+		dr.Seek, dr.Rotation, dr.Transfer, dr.Busy = tot.Seek, tot.Rotation, tot.Transfer, tot.Busy
+		dr.Retries, dr.Lost = tot.Retries, tot.Lost
 
-			lost := false
-			retries := 0
-			if eff.ErrorProb > 0 {
-				for attempt := 0; s.inj.ReadError(d, s.round, i, attempt); attempt++ {
-					if attempt >= eff.Retries {
-						lost = true // retries exhausted: the fragment is lost
-						break
-					}
-					// Each retry re-reads after one full (inflated) revolution.
-					penalty := g.RotationTime * eff.LatencyScale
-					clock += penalty
-					dr.Rotation += penalty
-					rot += penalty
-					retries++
-					dr.Retries++
-				}
-			}
-
-			st := r.st
+		// The one place sweep outcomes become stream state and trace
+		// events, in service order.
+		s.trcSpan.Requests = s.trcSpan.Requests[:0]
+		for i := range reqs {
+			r := &reqs[i]
+			st := s.due[r.Ref]
 			st.served++
-			s.observed.Add(r.frag.size)
-			late := false
-			switch {
-			case lost:
-				dr.Lost++
-				st.glitches++
-				rep.Glitches++
-			case clock > s.cfg.RoundLength:
-				late = true
+			if !dr.Down { // nothing read, so no size observed for recalibration
+				s.observed.Add(r.Size)
+			}
+			late := !r.Lost && r.End > s.cfg.RoundLength
+			if late {
 				dr.Late++
+			}
+			if late || r.Lost {
 				st.glitches++
 				rep.Glitches++
 			}
@@ -199,26 +127,15 @@ func (s *Server) Step() RoundReport {
 				done = append(done, st)
 			}
 			if tracing {
-				var ev *trace.RequestEvent
-				s.trcSpan.Requests, ev = trace.NextEvent(s.trcSpan.Requests)
-				ev.Stream = int64(st.id)
-				ev.Cylinder = r.frag.loc.Cylinder
-				ev.Zone = r.frag.loc.Zone
-				ev.SeekCylinders = seekCyl
-				ev.Bytes = r.frag.size
-				ev.Start = start
-				ev.Seek = seek
-				ev.Rotation = rot
-				ev.Transfer = trans
-				ev.Retries = retries
-				ev.Late = late
-				ev.Lost = lost
+				s.trcSpan.Append(int64(st.id), r, late)
 			}
 		}
-		dr.Busy = clock
-		s.observeSweep(d, dr)
+		observed := s.observeSweep(d, dr)
 		if tracing {
-			s.commitSpan(d, dr, dr.Busy)
+			s.commitSpan(d, dr, observed)
+			if dr.Down {
+				s.trc.Freeze("down_round", s.round)
+			}
 		}
 	}
 	s.tel.rounds.Inc()

@@ -30,6 +30,7 @@ import (
 	"mzqos/internal/journal"
 	"mzqos/internal/model"
 	"mzqos/internal/slo"
+	"mzqos/internal/sweep"
 	"mzqos/internal/telemetry"
 	"mzqos/internal/trace"
 	"mzqos/internal/workload"
@@ -215,6 +216,11 @@ type Server struct {
 	deg      degradeState
 	log      *slog.Logger // nil = no structured logging
 
+	// Step scratch, reused across rounds: the due streams in ascending
+	// StreamID order and, per disk, their requests (Ref indexes due).
+	due  []*stream
+	reqs [][]sweep.Request
+
 	// Round-level tracing: the flight recorder plus a scratch span the
 	// Step loop fills and commits once per loaded disk (the recorder
 	// deep-copies, so one scratch serves every sweep).
@@ -319,6 +325,7 @@ func New(cfg Config) (*Server, error) {
 		active:     make(map[StreamID]*stream),
 		paused:     make(map[StreamID]*stream),
 		classes:    make([]int, len(geoms)),
+		reqs:       make([][]sweep.Request, len(geoms)),
 		tel:        tel,
 		finished:   make(map[StreamID]StreamStats),
 		retiredCap: retiredCap,

@@ -10,10 +10,10 @@ import "mzqos/internal/trace"
 func (s *Server) Trace() *trace.Recorder { return s.trc }
 
 // commitSpan finishes the scratch span with the sweep totals of dr and
-// commits it to the recorder. The Requests slice was filled by Step as
-// the sweep executed; observed is the value the round-time histogram
-// recorded for this sweep (Busy, or the down-round sentinel), so summed
-// span Observed reproduces the histogram sum exactly.
+// commits it to the recorder. The Requests slice was filled by Step from
+// the sweep's outcomes; observed is what observeSweep recorded into the
+// round-time histogram for this sweep (Busy, or the down-round sentinel),
+// so summed span Observed reproduces the histogram sum exactly.
 func (s *Server) commitSpan(d int, dr *DiskRoundReport, observed float64) {
 	sp := &s.trcSpan
 	sp.Round = s.round

@@ -9,6 +9,7 @@ import (
 	"mzqos/internal/disk"
 	"mzqos/internal/fault"
 	"mzqos/internal/model"
+	"mzqos/internal/sweep"
 	"mzqos/internal/trace"
 	"mzqos/internal/workload"
 )
@@ -43,7 +44,7 @@ func TestStepSpansDecomposeRounds(t *testing.T) {
 	const tol = 1e-9
 	for _, sp := range spans {
 		if sp.Down {
-			if sp.Busy != 0 || sp.Observed != downRoundSentinel*1.0 {
+			if sp.Busy != 0 || sp.Observed != sweep.DownRoundLengths*1.0 {
 				t.Fatalf("down span round %d: busy %v observed %v", sp.Round, sp.Busy, sp.Observed)
 			}
 			for _, e := range sp.Requests {
@@ -300,8 +301,8 @@ func TestDownRoundSentinelTailAccounting(t *testing.T) {
 	// The sentinel lies strictly beyond the top finite bucket, so every
 	// down round sits in the +Inf bucket.
 	top := hv.Bounds[len(hv.Bounds)-1]
-	if !(downRoundSentinel*1.0 > top) {
-		t.Fatalf("sentinel %v not beyond top bucket %v", downRoundSentinel*1.0, top)
+	if !(sweep.DownRoundLengths*1.0 > top) {
+		t.Fatalf("sentinel %v not beyond top bucket %v", sweep.DownRoundLengths*1.0, top)
 	}
 	if inf := hv.Counts[len(hv.Counts)-1]; inf < int64(down) {
 		t.Errorf("+Inf bucket holds %d, want >= %d down rounds", inf, down)
@@ -311,8 +312,8 @@ func TestDownRoundSentinelTailAccounting(t *testing.T) {
 	}
 	// Spans agree: down spans carry the sentinel as their Observed value.
 	for _, sp := range s.Trace().Live() {
-		if sp.Down && sp.Observed != downRoundSentinel*1.0 {
-			t.Errorf("down span round %d observed %v, want sentinel %v", sp.Round, sp.Observed, downRoundSentinel*1.0)
+		if sp.Down && sp.Observed != sweep.DownRoundLengths*1.0 {
+			t.Errorf("down span round %d observed %v, want sentinel %v", sp.Round, sp.Observed, sweep.DownRoundLengths*1.0)
 		}
 	}
 }
@@ -328,7 +329,7 @@ func TestSentinelBucketBoundaryEdges(t *testing.T) {
 	h.Observe(1.0)                  // exactly t: on time
 	h.Observe(math.Nextafter(1, 2)) // one ulp past t: late
 	h.Observe(8.0)                  // top finite bound: late but finite-bucketed
-	h.Observe(downRoundSentinel * 1.0)
+	h.Observe(sweep.DownRoundLengths * 1.0)
 	hv := h.SnapshotValues()
 	if got, want := hv.TailAbove(1), 3.0/4.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("TailAbove(t) = %v, want %v", got, want)

@@ -274,18 +274,13 @@ func (e *Engine) Step() engine.RoundReport {
 			e.lateFor = make([]bool, n)
 		}
 		late := e.lateFor[:n]
-		var readErr func(request, attempt int) bool
-		if eff.ErrorProb > 0 {
-			round := e.round
-			readErr = func(req, attempt int) bool {
-				return e.inj.ReadError(dd, round, req, attempt)
-			}
+		readErr := func(pos, attempt int) bool {
+			return e.inj.ReadError(dd, e.round, pos, attempt)
 		}
-		total, lost := simulateRound(cfg, eff, e.round, readErr, e.rng, &e.sc, late)
-		if !eff.Failed {
-			dr.Busy = total
-		}
-		dr.Lost = lost
+		_, tot := simulateRound(cfg, eff, e.round, readErr, e.rng, &e.sc, late)
+		dr.Busy = tot.Busy
+		dr.Seek, dr.Rotation, dr.Transfer = tot.Seek, tot.Rotation, tot.Transfer
+		dr.Retries, dr.Lost = tot.Retries, tot.Lost
 		glitched := 0
 		for i, id := range e.ids {
 			st := e.streams[id]
@@ -299,11 +294,9 @@ func (e *Engine) Step() engine.RoundReport {
 			}
 		}
 		rep.Glitches += glitched
-		// The kernel reports glitches (late ∪ lost) per stream and lost in
-		// aggregate; the late-only count is their difference.
-		if g := glitched - lost; g > 0 {
-			dr.Late = g
-		}
+		// Glitches are late ∪ lost per stream and the kernel totals the
+		// lost; the late-only count is their difference.
+		dr.Late = glitched - tot.Lost
 	}
 	for _, id := range done {
 		st := e.streams[id]

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -119,6 +120,42 @@ func TestEngineStepDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
 		t.Error("identical seeds produced different round reports")
+	}
+}
+
+// TestEngineStepPhaseSplit: the simulated engine reports the same
+// eq. 3.1.1 decomposition the live server does — every loaded disk's Busy
+// is its Seek + Rotation + Transfer, retry revolutions included.
+func TestEngineStepPhaseSplit(t *testing.T) {
+	plan := &fault.Plan{Seed: 5, Faults: []fault.Fault{
+		{Kind: fault.ReadError, Disk: 1, From: 0, Prob: 0.5, Retries: 2},
+	}}
+	e := testEngine(t, 3, 5, 99, plan)
+	if err := e.AddSyntheticObject("vod", 6); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 15; i++ {
+		if _, _, err := e.Open("vod"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retries := 0
+	for r := 0; r < 6; r++ {
+		for d, dr := range e.Step().Disks {
+			if dr.Requests == 0 {
+				t.Fatalf("round %d disk %d idle", r, d)
+			}
+			if !(dr.Seek > 0 && dr.Rotation > 0 && dr.Transfer > 0) {
+				t.Errorf("round %d disk %d: phases %v/%v/%v not all reported", r, d, dr.Seek, dr.Rotation, dr.Transfer)
+			}
+			if math.Abs(dr.Seek+dr.Rotation+dr.Transfer-dr.Busy) > 1e-9 {
+				t.Errorf("round %d disk %d: %v+%v+%v != busy %v", r, d, dr.Seek, dr.Rotation, dr.Transfer, dr.Busy)
+			}
+			retries += dr.Retries
+		}
+	}
+	if retries == 0 {
+		t.Error("no retry revolutions reported under a 50% read-error plan")
 	}
 }
 

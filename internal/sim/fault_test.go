@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"mzqos/internal/disk"
+	"mzqos/internal/dist"
 	"mzqos/internal/fault"
 	"mzqos/internal/workload"
 )
@@ -175,5 +177,52 @@ func TestStationaryEffectsResolveAtFaultRound(t *testing.T) {
 	}
 	if po.P > 0.05 {
 		t.Errorf("p_late outside the fault window = %v, want small", po.P)
+	}
+}
+
+// TestPositionBiasCountsLostReads is the regression for PositionBias's
+// private sweep, which ignored read errors: when every read fails and
+// there are no retries, every fragment is lost, so every SCAN position
+// glitches every time — even at a load that never misses the deadline.
+func TestPositionBiasCountsLostReads(t *testing.T) {
+	plan := &fault.Plan{Faults: []fault.Fault{
+		{Kind: fault.ReadError, Disk: 0, From: 0, Prob: 1, Retries: 0},
+	}}
+	bias, err := PositionBias(faultCfg(4, plan), 50, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos, e := range bias {
+		if e.P != 1 {
+			t.Errorf("position %d bias = %v with every read lost, want 1", pos, e.P)
+		}
+	}
+}
+
+// TestDeadlineIsStrict: a request completing exactly at the round length
+// is on time; one ulp later it is late (§2.3's "after the round end").
+func TestDeadlineIsStrict(t *testing.T) {
+	cfg := faultCfg(5, nil)
+	round := func(roundLength float64) (float64, []bool) {
+		cfg.RoundLength = roundLength
+		late := make([]bool, cfg.N)
+		var sc roundScratch
+		total, _ := simulateRound(cfg, fault.Identity(), 0, nil, dist.NewRand(4, 44), &sc, late)
+		return total, late
+	}
+	total, _ := round(1)
+	count := func(late []bool) (n int) {
+		for _, l := range late {
+			if l {
+				n++
+			}
+		}
+		return n
+	}
+	if _, late := round(total); count(late) != 0 {
+		t.Errorf("sweep ending exactly at the deadline %v marks %v late", total, late)
+	}
+	if _, late := round(math.Nextafter(total, 0)); count(late) != 1 {
+		t.Errorf("sweep ending one ulp past the deadline marks %v late, want only the last request", late)
 	}
 }

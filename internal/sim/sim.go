@@ -13,16 +13,15 @@
 package sim
 
 import (
-	"cmp"
 	"errors"
 	"math/rand/v2"
 	"runtime"
-	"slices"
 	"sync"
 
 	"mzqos/internal/disk"
 	"mzqos/internal/dist"
 	"mzqos/internal/fault"
+	"mzqos/internal/sweep"
 	"mzqos/internal/telemetry"
 	"mzqos/internal/trace"
 	"mzqos/internal/workload"
@@ -121,169 +120,81 @@ func (c Config) sampleLocation(rng *rand.Rand) disk.Location {
 	return c.Disk.SampleLocation(rng)
 }
 
-// request is one per-round disk request during simulation.
-type request struct {
-	stream   int
-	cylinder int
-	zone     int
-	size     float64
-}
-
 // roundScratch holds per-worker buffers so the hot loop does not allocate.
 type roundScratch struct {
-	reqs []request
+	reqs []sweep.Request
 	span trace.RoundSpan // trace scratch, reused across rounds
 }
 
-// downRoundSentinel is the round time (in round lengths) recorded for a
-// round whose disk was fully failed, mirroring the server's down-round
-// accounting: beyond the histogram's top finite bucket, so the round lands
-// in +Inf and counts against the empirical late tail with a finite sum.
-const downRoundSentinel = 16
+// drawRequests draws the round's N requests into the scratch slice, Ref
+// naming each request's stream. A failed disk draws nothing (its requests
+// keep zero locations and sizes), so a failure does not shift the
+// placements of the rounds that follow it.
+func (sc *roundScratch) drawRequests(cfg Config, eff fault.Effects, rng *rand.Rand) []sweep.Request {
+	if cap(sc.reqs) < cfg.N {
+		sc.reqs = make([]sweep.Request, cfg.N)
+	}
+	reqs := sc.reqs[:cfg.N]
+	for i := range reqs {
+		reqs[i] = sweep.Request{Ref: i}
+		if !eff.Failed {
+			loc := cfg.sampleLocation(rng)
+			reqs[i].Cylinder, reqs[i].Zone = loc.Cylinder, loc.Zone
+			reqs[i].Size = cfg.Sizes.Sample(rng)
+		}
+	}
+	return reqs
+}
 
 // simulateRound plays one round under the given fault effects: draws the N
-// requests, serves them in SCAN order starting from cylinder 0, and reports
-// the total service time plus the number of lost (undelivered) requests. If
-// lateFor is non-nil, it is filled with one bool per stream indicating
-// whether that stream's request glitched (finished late or was lost).
-// round labels the round in trace spans (it does not affect the service
-// draws).
+// requests, serves them through the sweep kernel, and reports the round
+// time (the down-round sentinel on a failed disk, where every request is
+// lost outright) beside the sweep's phase totals. If lateFor is non-nil, it
+// is filled with one bool per stream indicating whether that stream's
+// request glitched (finished late or was lost). round labels the round in
+// trace spans (it does not affect the service draws).
 //
 // readErr, when non-nil, decides read-error retries deterministically (the
 // timeline replay wires it to the plan's hash draws so a server run under
 // the same plan sees the identical error schedule); nil draws retries from
 // rng at eff.ErrorProb, which is what the Monte-Carlo estimators want.
-func simulateRound(cfg Config, eff fault.Effects, round int, readErr func(request, attempt int) bool, rng *rand.Rand, sc *roundScratch, lateFor []bool) (total float64, lost int) {
-	tracing := cfg.Trace.Enabled()
+func simulateRound(cfg Config, eff fault.Effects, round int, readErr func(pos, attempt int) bool, rng *rand.Rand, sc *roundScratch, lateFor []bool) (total float64, tot sweep.Totals) {
+	reqs := sc.drawRequests(cfg, eff, rng)
+	tot = sweep.Serve(cfg.Disk, eff, rng, readErr, reqs)
+	total = tot.Busy
 	if eff.Failed {
-		// A down disk serves nothing: every request is lost outright.
-		for i := range lateFor {
-			lateFor[i] = true
-		}
-		total = downRoundSentinel * cfg.RoundLength
-		if cfg.RoundTimes != nil {
-			cfg.RoundTimes.Observe(total)
-		}
-		if tracing {
-			sp := &sc.span
-			sp.Requests = sp.Requests[:0]
-			for i := 0; i < cfg.N; i++ {
-				sp.Requests = append(sp.Requests, trace.RequestEvent{Stream: int64(i), Lost: true})
-			}
-			*sp = trace.RoundSpan{
-				Round: round, Disk: cfg.FaultDisk, Requests: sp.Requests,
-				Observed: total, Lost: cfg.N, Faulty: true, Down: true,
-			}
-			cfg.Trace.Record(sp)
-		}
-		return total, cfg.N
-	}
-	if cap(sc.reqs) < cfg.N {
-		sc.reqs = make([]request, cfg.N)
-	}
-	reqs := sc.reqs[:cfg.N]
-	for i := range reqs {
-		loc := cfg.sampleLocation(rng)
-		reqs[i] = request{
-			stream:   i,
-			cylinder: loc.Cylinder,
-			zone:     loc.Zone,
-			size:     cfg.Sizes.Sample(rng),
-		}
-	}
-	// SCAN: one sweep in ascending cylinder order from the parked arm.
-	slices.SortFunc(reqs, func(a, b request) int { return cmp.Compare(a.cylinder, b.cylinder) })
-	if tracing {
-		sc.span = trace.RoundSpan{
-			Round: round, Disk: cfg.FaultDisk,
-			Requests: sc.span.Requests[:0],
-			Faulty:   eff.Active(),
-		}
-	}
-	arm := 0
-	var clock float64
-	for i := range reqs {
-		r := &reqs[i]
-		seekCyl := r.cylinder - arm
-		if seekCyl < 0 {
-			seekCyl = -seekCyl
-		}
-		seek := cfg.Disk.Seek.Time(float64(seekCyl)) * eff.LatencyScale
-		rot := rng.Float64() * cfg.Disk.RotationTime * eff.LatencyScale // rotational latency
-		trans := cfg.Disk.TransferTime(r.size, r.zone) * eff.LatencyScale / eff.RateScale
-		start := clock
-		clock += seek
-		clock += rot
-		clock += trans
-		arm = r.cylinder
-
-		isLost := false
-		retries := 0
-		if eff.ErrorProb > 0 {
-			for attempt := 0; ; attempt++ {
-				var fails bool
-				if readErr != nil {
-					fails = readErr(i, attempt)
-				} else {
-					fails = rng.Float64() < eff.ErrorProb
-				}
-				if !fails {
-					break
-				}
-				if attempt >= eff.Retries {
-					isLost = true // retries exhausted: the fragment is lost
-					break
-				}
-				// Each retry re-reads after one full (inflated) revolution.
-				penalty := cfg.Disk.RotationTime * eff.LatencyScale
-				clock += penalty
-				rot += penalty
-				retries++
-			}
-		}
-		if isLost {
-			lost++
-		}
-		if lateFor != nil {
-			lateFor[r.stream] = isLost || clock > cfg.RoundLength
-		}
-		if tracing {
-			sp := &sc.span
-			isLate := !isLost && clock > cfg.RoundLength
-			sp.Requests = append(sp.Requests, trace.RequestEvent{
-				Stream:        int64(r.stream),
-				Cylinder:      r.cylinder,
-				Zone:          r.zone,
-				SeekCylinders: seekCyl,
-				Bytes:         r.size,
-				Start:         start,
-				Seek:          seek,
-				Rotation:      rot,
-				Transfer:      trans,
-				Retries:       retries,
-				Late:          isLate,
-				Lost:          isLost,
-			})
-			sp.Seek += seek
-			sp.Rotation += rot
-			sp.Transfer += trans
-			sp.Retries += retries
-			if isLost {
-				sp.Lost++
-			} else if isLate {
-				sp.Late++
-			}
-		}
+		total = sweep.DownRoundLengths * cfg.RoundLength
 	}
 	if cfg.RoundTimes != nil {
-		cfg.RoundTimes.Observe(clock)
+		cfg.RoundTimes.Observe(total)
+	}
+	tracing := cfg.Trace.Enabled()
+	sp := &sc.span
+	if tracing {
+		*sp = trace.RoundSpan{
+			Round: round, Disk: cfg.FaultDisk, Requests: sp.Requests[:0],
+			Seek: tot.Seek, Rotation: tot.Rotation, Transfer: tot.Transfer, Busy: tot.Busy,
+			Observed: total, Lost: tot.Lost, Retries: tot.Retries,
+			Faulty: eff.Active(), Down: eff.Failed,
+		}
+	}
+	for i := range reqs {
+		r := &reqs[i]
+		late := !r.Lost && r.End > cfg.RoundLength
+		if lateFor != nil {
+			lateFor[r.Ref] = late || r.Lost
+		}
+		if tracing {
+			if late {
+				sp.Late++
+			}
+			sp.Append(int64(r.Ref), r, late)
+		}
 	}
 	if tracing {
-		sc.span.Busy = clock
-		sc.span.Observed = clock
-		cfg.Trace.Record(&sc.span)
+		cfg.Trace.Record(sp)
 	}
-	return clock, lost
+	return total, tot
 }
 
 // Estimate is a Monte-Carlo probability estimate with a 95% Wilson score
@@ -500,14 +411,6 @@ func PositionBias(cfg Config, trials int, seed uint64) ([]Estimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	if eff.Failed {
-		// Every position misses on a down disk; the sweep below never runs.
-		out := make([]Estimate, cfg.N)
-		for pos := range out {
-			out[pos] = newEstimate(int64(trials), int64(trials))
-		}
-		return out, nil
-	}
 	nw := cfg.workers()
 	var wg sync.WaitGroup
 	hits := make([][]int64, nw)
@@ -522,29 +425,11 @@ func PositionBias(cfg Config, trials int, seed uint64) ([]Estimate, error) {
 			defer wg.Done()
 			rng := dist.NewRand(seed^0xb1a5, uint64(w)*0x9e3779b97f4a7c15+1)
 			var sc roundScratch
-			if cap(sc.reqs) < cfg.N {
-				sc.reqs = make([]request, cfg.N)
-			}
 			for i := 0; i < share; i++ {
-				reqs := sc.reqs[:cfg.N]
-				for j := range reqs {
-					loc := cfg.sampleLocation(rng)
-					reqs[j] = request{cylinder: loc.Cylinder, zone: loc.Zone, size: cfg.Sizes.Sample(rng)}
-				}
-				slices.SortFunc(reqs, func(a, b request) int { return cmp.Compare(a.cylinder, b.cylinder) })
-				arm := 0
-				var clock float64
+				reqs := sc.drawRequests(cfg, eff, rng)
+				sweep.Serve(cfg.Disk, eff, rng, nil, reqs)
 				for pos := range reqs {
-					r := &reqs[pos]
-					d := float64(r.cylinder - arm)
-					if d < 0 {
-						d = -d
-					}
-					clock += cfg.Disk.Seek.Time(d) * eff.LatencyScale
-					clock += rng.Float64() * cfg.Disk.RotationTime * eff.LatencyScale
-					clock += cfg.Disk.TransferTime(r.size, r.zone) * eff.LatencyScale / eff.RateScale
-					arm = r.cylinder
-					if clock > cfg.RoundLength {
+					if reqs[pos].Lost || reqs[pos].End > cfg.RoundLength {
 						hits[w][pos]++
 					}
 				}
@@ -604,10 +489,10 @@ func ReplayRounds(cfg Config, rounds int, seed uint64) ([]RoundOutcome, error) {
 	out := make([]RoundOutcome, 0, rounds)
 	for r := 0; r < rounds; r++ {
 		eff := inj.EffectsAt(cfg.FaultDisk, r)
-		readErr := func(request, attempt int) bool {
-			return inj.ReadError(cfg.FaultDisk, r, request, attempt)
+		readErr := func(pos, attempt int) bool {
+			return inj.ReadError(cfg.FaultDisk, r, pos, attempt)
 		}
-		total, lost := simulateRound(cfg, eff, r, readErr, rng, &sc, late)
+		total, tot := simulateRound(cfg, eff, r, readErr, rng, &sc, late)
 		glitches := 0
 		for _, l := range late {
 			if l {
@@ -618,7 +503,7 @@ func ReplayRounds(cfg Config, rounds int, seed uint64) ([]RoundOutcome, error) {
 			Round:    r,
 			Total:    total,
 			Glitches: glitches,
-			Lost:     lost,
+			Lost:     tot.Lost,
 			Faulty:   eff.Active(),
 			Down:     eff.Failed,
 		})

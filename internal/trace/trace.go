@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"mzqos/internal/journal"
+	"mzqos/internal/sweep"
 )
 
 // DefaultSpans is the ring capacity (in sweep spans, i.e. round×disk
@@ -76,19 +77,32 @@ type RequestEvent struct {
 // End returns the request's service completion offset within the sweep.
 func (e RequestEvent) End() float64 { return e.Start + e.Seek + e.Rotation + e.Transfer }
 
-// NextEvent extends reqs by one element and returns the extended slice
-// together with a pointer to the new element for in-place filling. When
-// spare capacity is reused the element is NOT zeroed — emitters must
-// assign every field. This exists for the round hot paths: filling
-// through the pointer skips the construct-on-stack-then-copy an append of
-// a composite literal costs per request.
-func NextEvent(reqs []RequestEvent) ([]RequestEvent, *RequestEvent) {
-	if n := len(reqs); n < cap(reqs) {
-		reqs = reqs[:n+1]
-		return reqs, &reqs[n]
+// Append adds the event of one served request to the span: the single
+// place a sweep.Request outcome becomes a RequestEvent. stream labels the
+// event; late is the caller's deadline verdict (the sweep kernel knows no
+// deadline). Spare capacity left by Record's buffer swap is reused
+// without zeroing, so every field is assigned here; filling through the
+// pointer skips the construct-on-stack-then-copy that appending a
+// composite literal costs per request on the round hot path.
+func (sp *RoundSpan) Append(stream int64, r *sweep.Request, late bool) {
+	n := len(sp.Requests)
+	if n == cap(sp.Requests) {
+		sp.Requests = append(sp.Requests, RequestEvent{})
 	}
-	reqs = append(reqs, RequestEvent{})
-	return reqs, &reqs[len(reqs)-1]
+	sp.Requests = sp.Requests[:n+1]
+	ev := &sp.Requests[n]
+	ev.Stream = stream
+	ev.Cylinder = r.Cylinder
+	ev.Zone = r.Zone
+	ev.SeekCylinders = r.SeekCylinders
+	ev.Bytes = r.Size
+	ev.Start = r.Start
+	ev.Seek = r.Seek
+	ev.Rotation = r.Rotation
+	ev.Transfer = r.Transfer
+	ev.Retries = r.Retries
+	ev.Late = late
+	ev.Lost = r.Lost
 }
 
 // RoundSpan is one disk's SCAN sweep in one round, with its per-request
