@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"mzqos/internal/disk"
@@ -173,6 +174,233 @@ func TestStepGolden(t *testing.T) {
 			}
 			if got := spans.h.Sum64(); got != tc.spans {
 				t.Errorf("span digest = %#x, want %#x (%d spans)", got, tc.spans, len(live))
+			}
+		})
+	}
+}
+
+// lifecycle drives a server through seeded active-set mutations — every
+// way a stream enters or leaves the round loop — folding each outcome
+// into d.
+type lifecycle struct {
+	s       *Server
+	rng     *rand.Rand
+	d       digest
+	objects []string
+	paused  []StreamID // in Pause order
+	issued  StreamID   // highest id ever returned
+
+	// Coverage counters: what the schedule actually reached.
+	resumedOld, migrated, reimported int
+}
+
+const (
+	opOpen = iota
+	opClose
+	opPause
+	opResume
+	opMigrate
+	numOps
+)
+
+func newLifecycle(t testing.TB, seed uint64, plan *fault.Plan, traced bool) *lifecycle {
+	t.Helper()
+	s, err := New(Config{
+		Disk:        disk.QuantumViking21(),
+		NumDisks:    3,
+		RoundLength: 1,
+		Sizes:       workload.PaperSizes(),
+		Guarantee:   model.Guarantee{Threshold: 0.01},
+		Seed:        seed,
+		Faults:      plan,
+		Degrade:     DegradeConfig{Enabled: true, EvictOnFailure: true},
+		Trace:       trace.Config{Disabled: !traced},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := &lifecycle{s: s, rng: rand.New(rand.NewPCG(seed, 0x6c6966)), d: digest{fnv.New64a()}}
+	// Short clips of staggered length, so completions interleave with
+	// the scripted exits.
+	for i := 0; i < 16; i++ {
+		name := fmt.Sprintf("v%d", i)
+		if err := s.AddSyntheticObject(name, 30+7*i); err != nil {
+			t.Fatal(err)
+		}
+		lc.objects = append(lc.objects, name)
+	}
+	return lc
+}
+
+// lifecyclePlan degrades far enough to shed, changes shape inside the
+// degraded window, and fails a disk (EvictOnFailure sheds every stream).
+func lifecyclePlan() *fault.Plan {
+	return &fault.Plan{
+		Seed: 11,
+		Faults: []fault.Fault{
+			{Kind: fault.Latency, Disk: fault.AllDisks, From: 60, Until: 120, Factor: 1.6},
+			{Kind: fault.ZoneRate, Disk: 1, From: 90, Until: 120, Factor: 0.6},
+			{Kind: fault.ReadError, Disk: 0, From: 150, Until: 180, Prob: 0.2, Retries: 1},
+			{Kind: fault.Failure, Disk: 2, From: 220, Until: 226},
+		},
+	}
+}
+
+func (lc *lifecycle) note(id StreamID, delay int, err error) {
+	lc.d.int(int(id))
+	lc.d.int(delay)
+	lc.d.bool(err != nil)
+	if err == nil && id > lc.issued {
+		lc.issued = id
+	}
+}
+
+// pickActive returns a uniformly drawn active stream.
+func (lc *lifecycle) pickActive() (StreamID, bool) {
+	ids := lc.s.ActiveStreams()
+	if len(ids) == 0 {
+		return 0, false
+	}
+	return ids[lc.rng.IntN(len(ids))], true
+}
+
+// do performs one mutation of the given kind (a no-op when it has no
+// candidate stream).
+func (lc *lifecycle) do(op int) {
+	lc.d.int(op)
+	switch op {
+	case opOpen:
+		id, delay, err := lc.s.Open(lc.objects[lc.rng.IntN(len(lc.objects))])
+		lc.note(id, delay, err)
+	case opClose:
+		// One close in four targets a paused stream.
+		if len(lc.paused) > 0 && lc.rng.IntN(4) == 0 {
+			i := lc.rng.IntN(len(lc.paused))
+			lc.note(lc.paused[i], 0, lc.s.Close(lc.paused[i]))
+			lc.paused = append(lc.paused[:i], lc.paused[i+1:]...)
+		} else if id, ok := lc.pickActive(); ok {
+			lc.note(id, 0, lc.s.Close(id))
+		}
+	case opPause:
+		if id, ok := lc.pickActive(); ok {
+			lc.note(id, 0, lc.s.Pause(id))
+			lc.paused = append(lc.paused, id)
+		}
+	case opResume:
+		if len(lc.paused) == 0 {
+			return
+		}
+		i := lc.rng.IntN(len(lc.paused))
+		id := lc.paused[i]
+		delay, err := lc.s.Resume(id)
+		lc.note(id, delay, err)
+		if err != nil {
+			return // rejected: stays paused
+		}
+		lc.paused = append(lc.paused[:i], lc.paused[i+1:]...)
+		if ids := lc.s.ActiveStreams(); ids[len(ids)-1] > id {
+			lc.resumedOld++ // re-entered below newer active ids
+		}
+	case opMigrate:
+		if id, ok := lc.pickActive(); ok {
+			lc.migrate(id)
+			lc.migrated++
+		}
+	}
+}
+
+// migrate exports a stream and imports its state back into the same
+// server, as a coordinator would onto a sibling.
+func (lc *lifecycle) migrate(id StreamID) {
+	state, err := lc.s.ExportStream(id)
+	lc.note(id, state.Position, err)
+	if err != nil {
+		return
+	}
+	nid, delay, err := lc.s.ImportStream(state)
+	lc.note(nid, delay, err)
+}
+
+// step runs one round and folds in everything observable afterwards: the
+// report, the active set, and the stats of every id ever issued.
+func (lc *lifecycle) step() RoundReport {
+	rep := lc.s.Step()
+	lc.d.report(rep)
+	// A coordinator turns evictions into migrations: the first shed
+	// stream of the round is still exportable.
+	if len(rep.Evicted) > 0 {
+		lc.migrate(rep.Evicted[0])
+		lc.reimported++
+	}
+	lc.d.int(lc.s.Active())
+	lc.d.int(lc.s.Paused())
+	lc.d.int(lc.s.PerDiskLimit())
+	for _, id := range lc.s.ActiveStreams() {
+		lc.d.int(int(id))
+	}
+	for id := StreamID(1); id <= lc.issued; id++ {
+		st, err := lc.s.Stats(id)
+		lc.d.bool(err != nil)
+		lc.d.h.Write([]byte(st.Object))
+		lc.d.int(st.Served)
+		lc.d.int(st.Glitches)
+		lc.d.int(st.StartupDelay)
+		lc.d.bool(st.Done)
+	}
+	return rep
+}
+
+// TestStepGoldenLifecycle extends TestStepGolden from an open-only run to
+// the whole stream lifecycle: a seeded 300-round, 3-disk schedule that
+// interleaves Open, Close, Pause, Resume (of old ids while newer ones are
+// active), ExportStream + ImportStream, completions, and a degrade plan
+// that sheds. The digest covers every report field, the active set and
+// every issued id's stats after each round. The constants were computed
+// at the commit before the active map became an id-ordered slice.
+func TestStepGoldenLifecycle(t *testing.T) {
+	const rounds = 300
+	cases := []struct {
+		name          string
+		traced        bool
+		digest, spans uint64
+	}{
+		{"trace-on", true, 0x4cefb1b18fb04417, 0xdba97bc3b3ccf73b},
+		{"trace-off", false, 0x4cefb1b18fb04417, 0xcbf29ce484222325},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			lc := newLifecycle(t, 42, lifecyclePlan(), tc.traced)
+			for i := 0; i < lc.s.Capacity(); i++ {
+				lc.do(opOpen)
+			}
+			evicted, completed := 0, 0
+			for r := 0; r < rounds; r++ {
+				for k := lc.rng.IntN(6); k > 0; k-- {
+					// Opens outweigh the exits so the classes stay near
+					// their limit and the degraded limit has to shed.
+					op := opOpen
+					if lc.rng.IntN(2) == 0 {
+						op = lc.rng.IntN(numOps)
+					}
+					lc.do(op)
+				}
+				rep := lc.step()
+				evicted += len(rep.Evicted)
+				completed += len(rep.Completed)
+			}
+			if lc.resumedOld == 0 || lc.migrated == 0 || lc.reimported == 0 || evicted == 0 || completed == 0 {
+				t.Fatalf("schedule missed a path: resumedOld=%d migrated=%d reimported=%d evicted=%d completed=%d",
+					lc.resumedOld, lc.migrated, lc.reimported, evicted, completed)
+			}
+			if got := lc.d.h.Sum64(); got != tc.digest {
+				t.Errorf("lifecycle digest = %#x, want %#x", got, tc.digest)
+			}
+			spans := digest{fnv.New64a()}
+			for _, sp := range lc.s.Trace().Live() {
+				spans.span(sp)
+			}
+			if got := spans.h.Sum64(); got != tc.spans {
+				t.Errorf("span digest = %#x, want %#x", got, tc.spans)
 			}
 		})
 	}
