@@ -29,9 +29,9 @@ bench:
 	$(GO) run ./cmd/mzbench -v -out BENCH_admission.json
 
 # CI smoke for the round-path hot loops: runs the ClusterAdmit (with
-# migration enabled), ClusterMigrate, SLO-audit, JournalAppend, and
-# HistorySample benchmarks, gates each on its latency/0-alloc budget, and
-# validates the existing BENCH_admission.json trajectory against
+# migration enabled), ClusterMigrate, SLO-audit, JournalAppend,
+# HistorySample, and untraced ServerStep benchmarks, gates each on its
+# latency/allocation budget (Step on allocations alone), and validates the existing BENCH_admission.json trajectory against
 # BENCH_SCHEMA.md without appending a run.
 bench-quick:
 	$(GO) run ./cmd/mzbench -quick -v -out BENCH_admission.json

@@ -106,7 +106,7 @@ func main() {
 	out := flag.String("out", "BENCH_admission.json", "trajectory file to append this run to")
 	verbose := flag.Bool("v", false, "print each result as it is measured")
 	quick := flag.Bool("quick", false,
-		"smoke mode: run only the ClusterAdmit and SLO-audit benchmarks, gate them on their\nlatency/0-alloc budgets, validate the trajectory file against BENCH_SCHEMA.md, and exit without appending")
+		"smoke mode: run only the round-path benchmarks (ClusterAdmit, SLO audit, journal, history,\nServerStep), gate them on their latency/allocation budgets, validate the trajectory file against BENCH_SCHEMA.md, and exit without appending")
 	flag.Parse()
 
 	if *quick {
@@ -286,6 +286,14 @@ const (
 	historySampleBudgetNs = 500
 )
 
+// Step allocation budget the quick smoke gates on: an allocation count,
+// not a wall-clock figure, so it holds on any host. The one allocation
+// is RoundReport.Disks, which callers keep.
+const (
+	serverStepOp           = "ServerStep/paperLoad/trace-off"
+	serverStepBudgetAllocs = 1
+)
+
 // sloSummary pulls the v4 slo block out of the measured benchmark list;
 // nil when the suite no longer contains the audit ops.
 func sloSummary(benchmarks []opResult) *sloBlock {
@@ -310,23 +318,24 @@ func sloSummary(benchmarks []opResult) *sloBlock {
 }
 
 // quickSmoke is the CI `make bench-quick` entry: run just the
-// ClusterAdmit, ClusterMigrate, SLO-audit, JournalAppend, and
-// HistorySample benchmarks (seconds, not the full suite's minutes), fail
-// if the warm reservation path — measured with Migrate enabled — or the
-// audit's observe/evaluate paths or the per-round samplers blow their
-// latency or allocation budgets, then validate the recorded trajectory
+// ClusterAdmit, ClusterMigrate, SLO-audit, JournalAppend, HistorySample,
+// and untraced ServerStep benchmarks (seconds, not the full suite's
+// minutes), fail if the warm reservation path — measured with Migrate
+// enabled — or the audit's observe/evaluate paths or the per-round
+// samplers blow their latency or allocation budgets or Step its
+// allocation budget, then validate the recorded trajectory
 // file against BENCH_SCHEMA.md so schema drift fails the build instead of
 // corrupting the trajectory. ClusterMigrate has no 0-alloc budget (it
 // runs inside Step and allocates by design); it is here so a regression
 // that breaks failover placement fails the smoke. Nothing is appended to
 // the file.
 func quickSmoke(path string, verbose bool) error {
-	ranWarm, ranMigrate, ranObserve, ranEvaluate, ranJournal, ranHistory := false, false, false, false, false, false
+	ranWarm, ranMigrate, ranObserve, ranEvaluate, ranJournal, ranHistory, ranStep := false, false, false, false, false, false, false
 	for _, c := range benchcases.Suite() {
 		if !strings.HasPrefix(c.Name, "ClusterAdmit/") &&
 			!strings.HasPrefix(c.Name, "ClusterMigrate/") &&
 			c.Name != sloObserveOp && c.Name != sloEvaluateOp &&
-			c.Name != journalAppendOp && c.Name != historySampleOp {
+			c.Name != journalAppendOp && c.Name != historySampleOp && c.Name != serverStepOp {
 			continue
 		}
 		res := testing.Benchmark(c.Bench)
@@ -378,7 +387,15 @@ func quickSmoke(path string, verbose bool) error {
 			if res.AllocsPerOp() != 0 {
 				return fmt.Errorf("%s allocates %d/op, budget is 0", c.Name, res.AllocsPerOp())
 			}
+		case serverStepOp:
+			ranStep = true
+			if res.AllocsPerOp() > serverStepBudgetAllocs {
+				return fmt.Errorf("%s allocates %d/op, budget is %d", c.Name, res.AllocsPerOp(), serverStepBudgetAllocs)
+			}
 		}
+	}
+	if !ranStep {
+		return fmt.Errorf("suite no longer contains %s", serverStepOp)
 	}
 	if !ranWarm {
 		return fmt.Errorf("suite no longer contains %s", clusterWarmOp)
@@ -402,7 +419,7 @@ func quickSmoke(path string, verbose bool) error {
 	if err := validateRuns(runs); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	fmt.Printf("mzbench -quick: ClusterAdmit (migrate on), ClusterMigrate, SLO audit, JournalAppend, and HistorySample within budget; %s valid (%d runs)\n", path, len(runs))
+	fmt.Printf("mzbench -quick: ClusterAdmit (migrate on), ClusterMigrate, SLO audit, JournalAppend, HistorySample, and ServerStep within budget; %s valid (%d runs)\n", path, len(runs))
 	return nil
 }
 

@@ -20,7 +20,6 @@ package buffer
 
 import (
 	"errors"
-	"math"
 
 	"mzqos/internal/dist"
 	"mzqos/internal/fault"
@@ -126,13 +125,10 @@ func Simulate(cfg SimConfig, rounds int, seed uint64) (SimResult, error) {
 	)
 	for r := 0; r < rounds; r++ {
 		roundStart := float64(r) * t
-		if cfg.WorkConserving {
-			clock = math.Max(clock, roundStart)
-		} else {
+		if !cfg.WorkConserving && clock < roundStart {
 			// Gated: never start before the boundary; carry only overrun.
-			if clock < roundStart {
-				clock = roundStart
-			}
+			// Work-conserving starts at the previous completion instead.
+			clock = roundStart
 		}
 		sweepStart := clock
 		for i := range reqs {

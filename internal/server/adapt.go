@@ -66,7 +66,7 @@ func (s *Server) Recalibrate(minSamples int64) (oldLimit, newLimit int, err erro
 	s.cfg.Sizes = sizes
 	if s.deg.active {
 		s.deg.active = false
-		s.deg.appliedSig = ""
+		s.deg.applied = nil
 		s.deg.baseMdl, s.deg.baseMdls, s.deg.baseExplains = nil, nil, nil
 		s.tel.degraded.Set(0)
 		s.tel.degradeTransitions.Inc()

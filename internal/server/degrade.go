@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"slices"
 
 	"mzqos/internal/disk"
@@ -70,9 +69,9 @@ type degradeState struct {
 	policy         ShedPolicy
 	evictOnFailure bool
 
-	dirty, clean int    // consecutive faulty / healthy rounds seen
-	appliedSig   string // effect signature the current limits model
-	active       bool   // degraded limits are in force
+	dirty, clean int             // consecutive faulty / healthy rounds seen
+	applied      []fault.Effects // the effects the current limits model (a copy: Step reuses its own)
+	active       bool            // degraded limits are in force
 
 	// Healthy limits saved at the first degradation, restored on recovery.
 	baseMdl      *model.Model
@@ -129,11 +128,10 @@ func (s *Server) adaptToFaults(effs []fault.Effects) []StreamID {
 
 	switch {
 	case any && s.deg.dirty >= s.deg.after:
-		sig := fmt.Sprintf("%+v", effs)
-		if sig == s.deg.appliedSig {
+		if slices.Equal(effs, s.deg.applied) {
 			return nil
 		}
-		return s.applyDegraded(effs, sig)
+		return s.applyDegraded(effs)
 	case !any && s.deg.active && s.deg.clean >= s.deg.after:
 		s.restoreHealthy()
 	}
@@ -144,7 +142,7 @@ func (s *Server) adaptToFaults(effs []fault.Effects) []StreamID {
 // degraded geometries (inflated service-time moments) and sheds to the
 // new limit. On a modeling error the current limits are kept and the
 // controller retries next round.
-func (s *Server) applyDegraded(effs []fault.Effects, sig string) []StreamID {
+func (s *Server) applyDegraded(effs []fault.Effects) []StreamID {
 	geoms := make([]*disk.Geometry, len(s.geoms))
 	failed := false
 	for i, g := range s.geoms {
@@ -177,7 +175,7 @@ func (s *Server) applyDegraded(effs []fault.Effects, sig string) []StreamID {
 		s.tel.degradeTransitions.Inc()
 		s.tel.degraded.Set(1)
 	}
-	s.deg.appliedSig = sig
+	s.deg.applied = append(s.deg.applied[:0], effs...)
 	if failed {
 		s.tel.failed.Set(1)
 	} else {
@@ -221,20 +219,20 @@ func (s *Server) shedToLimit() []StreamID {
 			continue
 		}
 		ids := make([]StreamID, 0, s.classes[class])
-		for id, st := range s.active {
+		for _, st := range s.active { // ascending id, as ShedPolicy expects
 			if st.offset == class {
-				ids = append(ids, id)
+				ids = append(ids, st.id)
 			}
 		}
-		slices.Sort(ids)
 		for _, id := range s.deg.policy(class, ids, excess) {
-			st, ok := s.active[id]
-			if !ok || st.offset != class {
+			i, ok := s.find(id)
+			if !ok || s.active[i].offset != class {
 				continue
 			}
+			st := s.active[i]
 			s.journalEvict(st)
 			s.rememberEvicted(st)
-			s.retire(st, false)
+			s.retire(i, false)
 			s.tel.evictions.Inc()
 			evicted = append(evicted, id)
 		}
@@ -254,7 +252,7 @@ func (s *Server) restoreHealthy() {
 	s.publishLimits()
 	s.journalLimitChange(journal.KindRestore, s.bindDisk, oldLimit, s.nmax, "")
 	s.deg.active = false
-	s.deg.appliedSig = ""
+	s.deg.applied = nil
 	s.deg.baseMdl, s.deg.baseMdls, s.deg.baseExplains = nil, nil, nil
 	s.tel.degraded.Set(0)
 	s.tel.failed.Set(0)

@@ -213,6 +213,32 @@ func TestDegradationRestoresGuarantee(t *testing.T) {
 	}
 }
 
+// TestDegradeRederivesOnShapeChange: a second fault joining inside an
+// already degraded window changes the effects the limits must model, so
+// the controller re-derives them. The applied effects are compared by
+// value against Step's reused effects scratch; were they the same slice,
+// the change would compare equal to itself and go unseen.
+func TestDegradeRederivesOnShapeChange(t *testing.T) {
+	plan := &fault.Plan{Faults: []fault.Fault{
+		{Kind: fault.Latency, Disk: fault.AllDisks, From: 5, Until: 60, Factor: 1.3},
+		{Kind: fault.ZoneRate, Disk: 0, From: 30, Until: 60, Factor: 0.6},
+	}}
+	s := faultServer(t, 2, plan, DegradeConfig{Enabled: true})
+	s.Run(20)
+	first := s.PerDiskLimit()
+	if !s.Degraded() || first >= 26 {
+		t.Fatalf("after the latency fault: degraded=%v limit=%d, want degraded below 26", s.Degraded(), first)
+	}
+	s.Run(20) // the rate fault joins at round 30
+	if second := s.PerDiskLimit(); second >= first {
+		t.Errorf("limit stayed %d (was %d) after the fault changed shape", second, first)
+	}
+	s.Run(40) // both clear at 60
+	if s.Degraded() || s.PerDiskLimit() != 26 {
+		t.Errorf("after recovery: degraded=%v limit=%d, want healthy 26", s.Degraded(), s.PerDiskLimit())
+	}
+}
+
 // TestDiskFailureClosesAdmissionWithoutEviction: a full disk failure zeroes
 // the admission limit while it lasts, but by default running streams ride
 // out the outage (taking glitches) instead of being evicted.

@@ -1,0 +1,105 @@
+package server
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"mzqos/internal/fault"
+)
+
+// invariantsPlan keeps faults coming for as long as the random schedule
+// runs: every 120 rounds a latency fault deep enough to shed, every
+// fourth one joined mid-window by a disk failure (which, with
+// EvictOnFailure, sheds every stream).
+func invariantsPlan() *fault.Plan {
+	p := &fault.Plan{Seed: 3}
+	for k := 0; k < 40; k++ {
+		from := 40 + 120*k
+		p.Faults = append(p.Faults, fault.Fault{
+			Kind: fault.Latency, Disk: fault.AllDisks, From: from, Until: from + 50, Factor: 1.3 + 0.1*float64(k%5),
+		})
+		if k%4 == 3 {
+			p.Faults = append(p.Faults, fault.Fault{Kind: fault.Failure, Disk: k % 3, From: from + 20, Until: from + 26})
+		}
+	}
+	return p
+}
+
+// checkActiveSet verifies what every reader of the active set relies on:
+// strict id order (Step's gather order and the binary search), one count
+// told four ways, and by-id lookup that finds exactly the active streams.
+func checkActiveSet(lc *lifecycle) error {
+	s := lc.s
+	perClass := make([]int, len(s.classes))
+	for i, st := range s.active {
+		if i > 0 && s.active[i-1].id >= st.id {
+			return fmt.Errorf("active[%d].id = %d after %d: not strictly ascending", i, st.id, s.active[i-1].id)
+		}
+		if j, ok := s.find(st.id); !ok || j != i {
+			return fmt.Errorf("find(%d) = %d, %v; want %d, true", st.id, j, ok, i)
+		}
+		if _, paused := s.paused[st.id]; paused {
+			return fmt.Errorf("stream %d is both active and paused", st.id)
+		}
+		if _, finished := s.finished[st.id]; finished {
+			return fmt.Errorf("stream %d is both active and finished", st.id)
+		}
+		perClass[st.offset]++
+	}
+	if !slices.Equal(perClass, s.classes) {
+		return fmt.Errorf("classes = %v, active set has %v", s.classes, perClass)
+	}
+	if n := len(s.active); s.Active() != n || int(s.tel.active.Value()) != n {
+		return fmt.Errorf("len(active) = %d, Active() = %d, streams_active gauge = %v", n, s.Active(), s.tel.active.Value())
+	}
+	for _, id := range lc.paused {
+		if _, ok := s.find(id); ok {
+			return fmt.Errorf("paused stream %d found in the active set", id)
+		}
+	}
+	ids := s.ActiveStreams()
+	if !slices.EqualFunc(ids, s.active, func(id StreamID, st *stream) bool { return id == st.id }) {
+		return fmt.Errorf("ActiveStreams() = %v is not the active slice's ids", ids)
+	}
+	return nil
+}
+
+// TestActiveSetInvariants drives random interleavings of every operation
+// that touches the active set — Open, Close, Pause, Resume, Export +
+// Import, and Step with completions and degrade shedding — and checks the
+// set's invariants after each one. A failure names the seed and the op
+// count; -run 'TestActiveSetInvariants/seed=N' replays it.
+func TestActiveSetInvariants(t *testing.T) {
+	const opsPerSeed = 6000
+	for seed := uint64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			lc := newLifecycle(t, seed, invariantsPlan(), false)
+			evicted := 0
+			for n := 0; n < opsPerSeed; n++ {
+				// Opens outweigh the exits, so classes run full and a
+				// degraded limit has streams to shed.
+				switch op := lc.rng.IntN(numOps + 4); {
+				case op < numOps:
+					lc.do(op)
+				case op < numOps+2:
+					lc.do(opOpen)
+				default:
+					// Not lc.step: its per-round stats digest is the
+					// golden test's business and grows with every id.
+					rep := lc.s.Step()
+					evicted += len(rep.Evicted)
+					if len(rep.Evicted) > 0 {
+						lc.migrate(rep.Evicted[0])
+					}
+				}
+				if err := checkActiveSet(lc); err != nil {
+					t.Fatalf("after op %d: %v", n, err)
+				}
+			}
+			if evicted == 0 || lc.resumedOld == 0 || lc.migrated == 0 {
+				t.Errorf("schedule missed a path: evicted=%d resumedOld=%d migrated=%d", evicted, lc.resumedOld, lc.migrated)
+			}
+		})
+	}
+}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"slices"
 
 	"mzqos/internal/engine"
 	"mzqos/internal/journal"
@@ -62,12 +61,10 @@ func streamState(st *stream) engine.StreamState {
 // finished — it continues on another shard), and a recently evicted
 // stream's buffered state is surrendered.
 func (s *Server) ExportStream(id StreamID) (engine.StreamState, error) {
-	if st, ok := s.active[id]; ok {
+	if i, ok := s.find(id); ok {
+		st := s.active[i]
 		state := streamState(st)
-		delete(s.active, id)
-		s.classes[st.offset]--
-		s.syncClassesView()
-		s.tel.active.Set(float64(len(s.active)))
+		s.deactivate(i)
 		s.ledger.Suspend(s.shard, int64(id), journal.Delivered{
 			StartupDelay: st.delay,
 			Served:       st.served,
@@ -131,11 +128,8 @@ func (s *Server) ImportStream(state engine.StreamState) (StreamID, int, error) {
 		served:   state.Served,
 		glitches: state.Glitches,
 	}
-	s.active[st.id] = st
-	s.classes[class]++
-	s.syncClassesView()
+	s.activate(st)
 	s.tel.admitted.Inc()
-	s.tel.active.Set(float64(len(s.active)))
 	s.journalAdmit(st, true)
 	return st.id, bestDelay, nil
 }
@@ -144,10 +138,9 @@ func (s *Server) ImportStream(state engine.StreamState) (StreamID, int, error) {
 // coordinator walks when failing this shard's whole active set over to
 // sibling replicas.
 func (s *Server) ActiveStreams() []StreamID {
-	ids := make([]StreamID, 0, len(s.active))
-	for id := range s.active {
-		ids = append(ids, id)
+	ids := make([]StreamID, len(s.active))
+	for i, st := range s.active {
+		ids[i] = st.id
 	}
-	slices.Sort(ids)
 	return ids
 }

@@ -5,18 +5,15 @@ package server
 // (the paper's model covers steady playback only — VCR-style interactions
 // re-enter admission control, which is exactly what Resume does).
 func (s *Server) Pause(id StreamID) error {
-	st, ok := s.active[id]
+	i, ok := s.find(id)
 	if !ok {
 		if _, paused := s.paused[id]; paused {
 			return nil // idempotent
 		}
 		return ErrUnknownStream
 	}
-	delete(s.active, st.id)
-	s.classes[st.offset]--
-	s.syncClassesView()
-	s.paused[st.id] = st
-	s.tel.active.Set(float64(len(s.active)))
+	s.paused[id] = s.active[i]
+	s.deactivate(i)
 	s.tel.paused.Set(float64(len(s.paused)))
 	return nil
 }
@@ -30,7 +27,7 @@ func (s *Server) Pause(id StreamID) error {
 func (s *Server) Resume(id StreamID) (startupDelay int, err error) {
 	st, ok := s.paused[id]
 	if !ok {
-		if _, active := s.active[id]; active {
+		if _, active := s.find(id); active {
 			return 0, nil // idempotent
 		}
 		return 0, ErrUnknownStream
@@ -56,10 +53,7 @@ func (s *Server) Resume(id StreamID) (startupDelay int, err error) {
 	st.offset = class
 	st.start = s.round + bestDelay
 	st.delay += bestDelay
-	s.active[st.id] = st
-	s.classes[class]++
-	s.syncClassesView()
-	s.tel.active.Set(float64(len(s.active)))
+	s.activate(st)
 	s.tel.paused.Set(float64(len(s.paused)))
 	return bestDelay, nil
 }

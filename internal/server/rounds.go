@@ -34,15 +34,18 @@ type (
 // enabled the server reacts to sustained faults after the sweep — see
 // DegradeConfig.
 //
-// Determinism: requests are gathered in ascending StreamID order and SCAN
-// ties on a cylinder break by StreamID, so a given Config.Seed (plus fault
-// plan) reproduces byte-identical reports run after run.
+// Determinism: requests are gathered by walking the active slice, which
+// is in ascending StreamID order by construction — Open and ImportStream
+// issue monotone ids, which land at the end, and Resume does a sorted
+// insert — and SCAN ties on a cylinder break by that order, so a given
+// Config.Seed (plus fault plan) reproduces byte-identical reports run
+// after run.
 func (s *Server) Step() RoundReport {
 	rep := RoundReport{Round: s.round, Disks: make([]DiskRoundReport, len(s.geoms))}
 	tracing := s.trc.Enabled()
 
 	// Resolve this round's fault effects once per disk.
-	effs := make([]fault.Effects, len(s.geoms))
+	effs := s.effs
 	faulty := 0
 	for d := range effs {
 		effs[d] = s.inj.EffectsAt(d, s.round)
@@ -59,32 +62,29 @@ func (s *Server) Step() RoundReport {
 		fault.JournalTransitions(s.jnl, s.inj, s.shard, s.round, effs)
 	}
 
-	// Gather the due requests per disk in ascending StreamID order (map
-	// iteration order is randomized and would break seeded reproducibility
-	// of the rotational-latency draws below).
-	ids := make([]StreamID, 0, len(s.active))
-	for id := range s.active {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	s.due = s.due[:0]
+	// Gather the due requests per disk in one pass over active, which is
+	// already in ascending StreamID order. Ref is the stream's index in
+	// active, so active must not change until the last outcome loop ends.
 	for d := range s.reqs {
 		s.reqs[d] = s.reqs[d][:0]
 	}
-	for _, id := range ids {
-		st := s.active[id]
+	for i, st := range s.active {
 		if s.round < st.start {
 			continue
 		}
 		d := mod(st.offset+s.round, len(s.geoms))
-		frag := st.obj.frags[st.next]
-		s.reqs[d] = append(s.reqs[d], sweep.Request{
-			Cylinder: frag.loc.Cylinder,
-			Zone:     frag.loc.Zone,
-			Size:     frag.size,
-			Ref:      len(s.due), // ascending with StreamID
-		})
-		s.due = append(s.due, st)
+		reqs := s.reqs[d]
+		if len(reqs) < cap(reqs) {
+			reqs = reqs[:len(reqs)+1]
+		} else {
+			reqs = append(reqs, sweep.Request{})
+		}
+		s.reqs[d] = reqs
+		// Only the caller fields are written: sweep.Serve overwrites every
+		// outcome field, so whatever the slot held last round is dead.
+		frag := &st.obj.frags[st.next]
+		r := &reqs[len(reqs)-1]
+		r.Cylinder, r.Zone, r.Size, r.Ref = frag.loc.Cylinder, frag.loc.Zone, frag.size, i
 	}
 
 	var done []*stream
@@ -109,7 +109,7 @@ func (s *Server) Step() RoundReport {
 		s.trcSpan.Requests = s.trcSpan.Requests[:0]
 		for i := range reqs {
 			r := &reqs[i]
-			st := s.due[r.Ref]
+			st := s.active[r.Ref]
 			st.served++
 			if !dr.Down { // nothing read, so no size observed for recalibration
 				s.observed.Add(r.Size)
@@ -161,7 +161,8 @@ func (s *Server) Step() RoundReport {
 
 	for _, st := range done {
 		rep.Completed = append(rep.Completed, st.id)
-		s.retire(st, true)
+		i, _ := s.find(st.id)
+		s.retire(i, true)
 	}
 	slices.Sort(rep.Completed)
 	rep.Evicted = s.adaptToFaults(effs)

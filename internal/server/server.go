@@ -15,10 +15,12 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 
@@ -208,7 +210,7 @@ type Server struct {
 	nextID   StreamID
 	nextBase int
 	catalog  map[string]*object
-	active   map[StreamID]*stream
+	active   []*stream // ascending StreamID, the order Step gathers in
 	paused   map[StreamID]*stream
 	classes  []int // active streams per offset class
 	tel      *Telemetry
@@ -216,9 +218,9 @@ type Server struct {
 	deg      degradeState
 	log      *slog.Logger // nil = no structured logging
 
-	// Step scratch, reused across rounds: the due streams in ascending
-	// StreamID order and, per disk, their requests (Ref indexes due).
-	due  []*stream
+	// Step scratch, reused across rounds: the per-disk fault effects and
+	// requests (Ref indexes active).
+	effs []fault.Effects
 	reqs [][]sweep.Request
 
 	// Round-level tracing: the flight recorder plus a scratch span the
@@ -322,9 +324,9 @@ func New(cfg Config) (*Server, error) {
 		bindDisk:   ev.bindDisk,
 		rng:        dist.NewRand(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15),
 		catalog:    make(map[string]*object),
-		active:     make(map[StreamID]*stream),
 		paused:     make(map[StreamID]*stream),
 		classes:    make([]int, len(geoms)),
+		effs:       make([]fault.Effects, len(geoms)),
 		reqs:       make([][]sweep.Request, len(geoms)),
 		tel:        tel,
 		finished:   make(map[StreamID]StreamStats),
@@ -609,20 +611,43 @@ func (s *Server) Open(name string) (id StreamID, startupDelay int, err error) {
 		start:  s.round + bestDelay,
 		delay:  bestDelay,
 	}
-	s.active[st.id] = st
-	s.classes[class]++
-	s.syncClassesView()
+	s.activate(st)
 	s.tel.admitted.Inc()
-	s.tel.active.Set(float64(len(s.active)))
 	s.journalAdmit(st, false)
 	return st.id, bestDelay, nil
+}
+
+// find binary-searches the active slice for id.
+func (s *Server) find(id StreamID) (int, bool) {
+	return slices.BinarySearchFunc(s.active, id, func(st *stream, id StreamID) int {
+		return cmp.Compare(st.id, id)
+	})
+}
+
+// activate enters st into the active set and its offset class, keeping
+// active ascending by id. Open and ImportStream issue monotone ids and
+// land at the end; only Resume re-enters an old id below newer ones.
+func (s *Server) activate(st *stream) {
+	i, _ := s.find(st.id)
+	s.active = slices.Insert(s.active, i, st)
+	s.classes[st.offset]++
+	s.syncClassesView()
+	s.tel.active.Set(float64(len(s.active)))
+}
+
+// deactivate removes active[i] from the active set and its offset class.
+func (s *Server) deactivate(i int) {
+	s.classes[s.active[i].offset]--
+	s.active = slices.Delete(s.active, i, i+1)
+	s.syncClassesView()
+	s.tel.active.Set(float64(len(s.active)))
 }
 
 // Close stops a stream early (active or paused), releasing its admission
 // slot if held. Its stats move to the finished set.
 func (s *Server) Close(id StreamID) error {
-	if st, ok := s.active[id]; ok {
-		s.retire(st, false)
+	if i, ok := s.find(id); ok {
+		s.retire(i, false)
 		return nil
 	}
 	if st, ok := s.paused[id]; ok {
@@ -640,11 +665,10 @@ func (s *Server) Close(id StreamID) error {
 	return ErrUnknownStream
 }
 
-func (s *Server) retire(st *stream, done bool) {
-	delete(s.active, st.id)
-	s.classes[st.offset]--
-	s.syncClassesView()
-	s.tel.active.Set(float64(len(s.active)))
+// retire deactivates active[i] and files its stats as finished.
+func (s *Server) retire(i int, done bool) {
+	st := s.active[i]
+	s.deactivate(i)
 	s.rememberFinished(st.id, StreamStats{
 		Object:       st.obj.name,
 		Served:       st.served,
@@ -689,11 +713,11 @@ func (s *Server) RetainedFinished() int { return len(s.finished) }
 
 // Stats returns the stats of an active, paused, or finished stream.
 func (s *Server) Stats(id StreamID) (StreamStats, error) {
-	st, ok := s.active[id]
-	if !ok {
-		st, ok = s.paused[id]
+	st := s.paused[id]
+	if i, ok := s.find(id); ok {
+		st = s.active[i]
 	}
-	if ok {
+	if st != nil {
 		return StreamStats{
 			Object:       st.obj.name,
 			Served:       st.served,

@@ -23,6 +23,12 @@ import (
 // counts against the empirical late tail while the sum stays finite.
 const DownRoundLengths = 16
 
+// insertionMax is the largest sweep scanOrder sorts by straight insertion.
+// On fresh uniform cylinders each call, insertion measured 0.63 vs 0.98 µs
+// against the gapped passes at n = 26 and 5.4 vs 6.2 µs at n = 100; the
+// two cross near n = 130.
+const insertionMax = 100
+
 // Request is one fragment read of a sweep. The caller fills the first
 // four fields; Serve writes the rest in place.
 type Request struct {
@@ -138,9 +144,16 @@ func Serve(g *disk.Geometry, eff fault.Effects, rng *rand.Rand, readErr func(pos
 // 96-byte requests to its comparator by value and swap them whole, which
 // measured 6–10 % slower server rounds than sorting the 32-byte private
 // request structs the callers used to keep.
+//
+// Up to insertionMax requests — every sweep an admitted load produces
+// (N_max is 26 to 32 on the paper's disks) — the wide-gap passes cost
+// more than the disorder they remove, so the gap-1 pass runs alone.
 func scanOrder(reqs []Request) {
-	for gap := len(reqs); gap > 1; {
-		gap = max(gap*5/11, 1)
+	gap := 1
+	if len(reqs) > insertionMax {
+		gap = len(reqs) * 5 / 11
+	}
+	for ; ; gap = max(gap*5/11, 1) {
 		for i := gap; i < len(reqs); i++ {
 			cyl, zone, size, ref := reqs[i].Cylinder, reqs[i].Zone, reqs[i].Size, reqs[i].Ref
 			j := i
@@ -154,6 +167,9 @@ func scanOrder(reqs []Request) {
 			}
 			q := &reqs[j]
 			q.Cylinder, q.Zone, q.Size, q.Ref = cyl, zone, size, ref
+		}
+		if gap == 1 {
+			return
 		}
 	}
 }

@@ -235,7 +235,8 @@ func TestServeReusesSlice(t *testing.T) {
 func TestScanOrderMatchesReferenceSort(t *testing.T) {
 	g := disk.QuantumViking21()
 	rng := testRand()
-	for _, n := range []int{0, 1, 2, 3, 11, 12, 26, 100, 1000, 5000} {
+	// Both sides of scanOrder's straight-insertion threshold.
+	for _, n := range []int{0, 1, 2, 3, 11, 12, 26, insertionMax, insertionMax + 1, 1000, 5000} {
 		reqs := make([]Request, n)
 		for i := range reqs {
 			// Few distinct cylinders, so ties are common.
