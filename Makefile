@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-quick smoke faults loc check clean
+.PHONY: all build vet test test-race bench bench-quick smoke faults loc loc-diff check clean
 
 all: build
 
@@ -49,6 +49,12 @@ faults:
 # the roadmap's net-negative-lines goal. Informational, never a gate.
 loc:
 	sh scripts/loc.sh
+
+# The same count for BASE (any revision, measured in a temporary git
+# worktree) beside the working tree, with the per-package delta:
+#   make loc-diff BASE=origin/main
+loc-diff:
+	sh scripts/loc-diff.sh $(BASE)
 
 check: build vet test test-race
 

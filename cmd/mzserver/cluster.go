@@ -1,7 +1,6 @@
 package main
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"net/http"
@@ -265,71 +264,37 @@ type clusterAdmissionReport struct {
 	Admissions []cluster.AdmissionRecord `json:"admissions"`
 }
 
-// newClusterMux wires the cluster-mode observability endpoints:
+// newClusterMux wires the cluster-mode endpoints: everything buildMux
+// serves — /admission here lists recent admissions, each naming the shard
+// that admitted it — plus
 //
-//	/metrics     Prometheus text for the shared registry: every shard's
-//	             mzqos_server_* series (distinguished by the shard label),
-//	             the coordinator's mzqos_cluster_* series, and the model's
-//	             process-wide solver counters
 //	/cluster     shard health + placement summary (cluster.Status JSON)
-//	/admission   recent admissions, each naming the shard that admitted it
-//	/slo         the cluster guarantee audit: capacity-weighted error
-//	             budget roll-up plus each shard's alert state
-//	/report      per-shard bound-vs-measured tightness reports
-//	/timeline    the cluster-wide event journal (one sequence across every
-//	             shard plus the coordinator's migrate/failover events)
-//	/streams     the QoS ledger: promised-vs-delivered per stream, with
-//	             migration lineage across shards
-//	/debug/bundle one-shot incident snapshot of every surface above
-//	/query       the embedded metrics history: windowed trajectories of any
-//	             registry series across the whole cluster — only when hist
-//	             is non-nil
-//	/dashboard   the self-contained bound-tightness dashboard (inline SVG,
-//	             per-shard panels) — only when hist is non-nil
-//	/debug/vars  expvar JSON
-//	/healthz     readiness probe: 200 while any shard can admit, 503 with
-//	             a JSON cause once every shard is failure-closed or
-//	             degraded to zero
-//	/debug/pprof runtime profiling, only when withPprof is set
-//
-// Everything reads atomic or lock-guarded snapshots, so scraping is safe
-// while the round loop runs.
 func newClusterMux(coord *cluster.Coordinator, reg *telemetry.Registry, hist *history.Store, withPprof bool) *http.ServeMux {
-	model.RegisterTelemetry(reg)
-	telemetry.RegisterRuntimeMetrics(reg)
-	publishExpvar(reg)
-
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg.MetricsHandler())
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/cluster", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, coord.Status())
+	return buildMux(reg, hist, withPprof, surfaces{
+		title:       "mzqos cluster",
+		roundLength: 1, // cluster shards all run the canonical 1 s round
+		report:      func() (any, error) { return coord.TightnessReport(), nil },
+		admission: func() any {
+			return clusterAdmissionReport{Route: coord.Route(), Admissions: coord.Admissions()}
+		},
+		slo: func() any { return coord.SLOStatus() },
+		extra: map[string]http.HandlerFunc{
+			"/cluster": jsonHandler(func() any { return coord.Status() }),
+		},
+		bundle: func(b *debugBundle) {
+			st := coord.Status()
+			b.Kind = "cluster"
+			b.Round = coord.Round()
+			b.Config = bundleGeometry{
+				Shards:   coord.NumShards(),
+				Capacity: st.Capacity,
+				Route:    coord.Route(),
+			}
+			b.Cluster = st
+			b.Migration = coord.MigrationStats()
+		},
+		healthy: clusterHealthCheck(coord),
+		jnl:     coord.Journal(),
+		ledger:  coord.QoSLedger(),
 	})
-	mux.HandleFunc("/admission", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, clusterAdmissionReport{
-			Route:      coord.Route(),
-			Admissions: coord.Admissions(),
-		})
-	})
-	mux.HandleFunc("/slo", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, coord.SLOStatus())
-	})
-	mux.HandleFunc("/report", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, coord.TightnessReport())
-	})
-	mux.HandleFunc("/timeline", timelineHandler(coord.Journal()))
-	mux.HandleFunc("/streams", streamsHandler(coord.QoSLedger()))
-	mux.HandleFunc("/debug/bundle", clusterBundleHandler(coord, reg, hist))
-	if hist != nil {
-		mux.HandleFunc("/query", hist.QueryHandler())
-		mux.HandleFunc("/dashboard", hist.DashboardHandler(history.DashboardConfig{
-			Title:       "mzqos cluster",
-			RoundLength: 1, // cluster shards all run the canonical 1 s round
-		}))
-	}
-	mux.HandleFunc("/healthz", healthzHandler(clusterHealthCheck(coord)))
-	if withPprof {
-		registerPprof(mux)
-	}
-	return mux
 }

@@ -12,10 +12,8 @@ import (
 	"strconv"
 	"strings"
 
-	"mzqos/internal/cluster"
 	"mzqos/internal/history"
 	"mzqos/internal/journal"
-	"mzqos/internal/server"
 	"mzqos/internal/telemetry"
 )
 
@@ -166,73 +164,27 @@ type bundleGeometry struct {
 // bundleHistoryPoints bounds the per-series dump embedded in a bundle.
 const bundleHistoryPoints = 256
 
-// serverBundleHandler assembles the single-server /debug/bundle.
-func serverBundleHandler(srv *server.Server, reg *telemetry.Registry, hist *history.Store) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		jnl := srv.Journal()
+// bundleHandler assembles /debug/bundle: the payloads the mux already
+// serves one by one, the mode's own sections, then the timeline, ledger,
+// metrics and history every bundle ends with.
+func bundleHandler(reg *telemetry.Registry, hist *history.Store, s surfaces) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
 		b := debugBundle{
-			Schema: bundleSchema,
-			Kind:   "server",
-			Round:  int(mustCounter(reg, "mzqos_server_rounds_total")),
-			Config: bundleGeometry{
-				Disks:        srv.NumDisks(),
-				PerDiskLimit: srv.PerDiskLimit(),
-				Capacity:     srv.Capacity(),
-				Degraded:     srv.Degraded(),
-			},
-			Admission: srv.AdmissionStatus(),
-			SLO:       sloReport{Status: srv.SLOStatus(), Hints: srv.SLOHints()},
-			Faults:    faultStatus(srv),
-			Trace:     traceStatus(srv, url.Values{"source": {"frozen"}}),
+			Schema:    bundleSchema,
+			Admission: s.admission(),
+			SLO:       s.slo(),
 			Timeline: timelineReport{
-				Enabled: jnl != nil,
-				Stats:   jnl.Stats(),
+				Enabled: s.jnl != nil,
+				Stats:   s.jnl.Stats(),
 				Kinds:   journal.Kinds(),
-				Events:  jnl.Events(journal.MatchAll()),
+				Events:  s.jnl.Events(journal.MatchAll()),
 			},
-			Streams: srv.QoSLedger().Report(),
+			Streams: s.ledger.Report(),
 			Metrics: reg.ExpvarFunc()(),
 		}
-		if rep, err := srv.BoundTightness(); err == nil {
+		s.bundle(&b)
+		if rep, err := s.report(); err == nil {
 			b.Report = rep
-		}
-		if hist != nil {
-			b.History = hist.Dump(bundleHistoryPoints)
-		}
-		writeJSON(w, b)
-	}
-}
-
-// clusterBundleHandler assembles the cluster /debug/bundle.
-func clusterBundleHandler(coord *cluster.Coordinator, reg *telemetry.Registry, hist *history.Store) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		jnl := coord.Journal()
-		st := coord.Status()
-		b := debugBundle{
-			Schema: bundleSchema,
-			Kind:   "cluster",
-			Round:  coord.Round(),
-			Config: bundleGeometry{
-				Shards:   coord.NumShards(),
-				Capacity: st.Capacity,
-				Route:    coord.Route(),
-			},
-			Admission: clusterAdmissionReport{
-				Route:      coord.Route(),
-				Admissions: coord.Admissions(),
-			},
-			SLO:       coord.SLOStatus(),
-			Report:    coord.TightnessReport(),
-			Cluster:   st,
-			Migration: coord.MigrationStats(),
-			Timeline: timelineReport{
-				Enabled: jnl != nil,
-				Stats:   jnl.Stats(),
-				Kinds:   journal.Kinds(),
-				Events:  jnl.Events(journal.MatchAll()),
-			},
-			Streams: coord.QoSLedger().Report(),
-			Metrics: reg.ExpvarFunc()(),
 		}
 		if hist != nil {
 			b.History = hist.Dump(bundleHistoryPoints)

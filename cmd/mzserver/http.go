@@ -16,6 +16,7 @@ import (
 	"mzqos/internal/cluster"
 	"mzqos/internal/fault"
 	"mzqos/internal/history"
+	"mzqos/internal/journal"
 	"mzqos/internal/model"
 	"mzqos/internal/server"
 	"mzqos/internal/slo"
@@ -44,30 +45,47 @@ func publishExpvar(reg *telemetry.Registry) {
 	})
 }
 
-// newTelemetryMux wires the observability endpoints for a running server:
+// surfaces is what differs between the single-server and the cluster
+// mux; buildMux registers everything else once, for both.
+type surfaces struct {
+	// title heads the dashboard; roundLength scales its time axis.
+	title       string
+	roundLength float64
+	// report, admission and slo are the /report, /admission and /slo
+	// payloads, which /debug/bundle embeds as well.
+	report    func() (any, error)
+	admission func() any
+	slo       func() any
+	// extra holds the mode-specific endpoints by path.
+	extra map[string]http.HandlerFunc
+	// bundle fills the mode-specific sections of a /debug/bundle.
+	bundle func(*debugBundle)
+	// healthy is the /healthz readiness check.
+	healthy func() (cause string, ok bool)
+	jnl     *journal.Journal
+	ledger  *journal.Ledger
+}
+
+// buildMux wires the observability endpoints both modes serve:
 //
-//	/metrics     Prometheus text exposition (server + model series)
+//	/metrics     Prometheus text exposition (server, cluster and model
+//	             series; cluster shards are told apart by the shard label)
 //	/debug/vars  expvar JSON (the same snapshot under the "mzqos" key,
 //	             plus the stdlib memstats/cmdline vars)
-//	/report      the live bound-tightness report as JSON
-//	/sweeps      recent per-sweep phase breakdowns as JSON
-//	/faults      the fault plan and the latest round's per-disk effects
-//	/admission   the admission-explanation report: per-disk decision
-//	             traces (binding k, bound, θ, slack), class occupancy,
-//	             recent rejections and N_max evaluations
-//	/trace       the flight recorder: live span history or the frozen
-//	             trigger snapshot as JSON; ?format=chrome re-renders
-//	             either as Chrome trace-event JSON for Perfetto
+//	/report      the live bound-tightness report as JSON (per shard in
+//	             cluster mode)
+//	/admission   why streams were admitted or turned away (see the two
+//	             callers for what each mode reports)
 //	/slo         the guarantee audit: windowed bound-vs-measured tail
-//	             estimates, burn rates, alert states, transition history,
-//	             and any active recalibration hints
+//	             estimates, burn rates, alert states (rolled up by capacity
+//	             across shards in cluster mode)
 //	/timeline    the event journal: sequence-ordered admit/reject/evict/
-//	             fault/SLO/freeze events, filterable by since-seq, kind,
-//	             shard, disk, stream; ?format=ndjson for line-JSON export
+//	             fault/SLO/freeze/migrate events, filterable by since-seq,
+//	             kind, shard, disk, stream; ?format=ndjson for line-JSON
 //	/streams     the QoS ledger: promised-vs-delivered record per stream
 //	             with fleet-level delivered-tail percentiles
 //	/debug/bundle one-shot incident snapshot: timeline + metrics + slo +
-//	             admission + frozen trace + geometry + history in one JSON
+//	             admission + the mode's own sections + history in one JSON
 //	             document
 //	/query       the embedded metrics history: windowed trajectories of any
 //	             registry series (?series=&since_round=&step=&agg=), JSON or
@@ -78,10 +96,10 @@ func publishExpvar(reg *telemetry.Registry) {
 //	             503 with a JSON cause once it is failure-closed
 //	/debug/pprof runtime profiling, only when withPprof is set
 //
-// Everything served here reads atomic metrics or takes the model's
-// lock-free snapshot path, so scraping is safe while the round loop runs.
-func newTelemetryMux(srv *server.Server, hist *history.Store, withPprof bool) *http.ServeMux {
-	reg := srv.Telemetry().Registry()
+// plus the mode's own endpoints from s.extra. Everything served here reads
+// atomic metrics or lock-guarded snapshots, so scraping is safe while the
+// round loop runs.
+func buildMux(reg *telemetry.Registry, hist *history.Store, withPprof bool, s surfaces) *http.ServeMux {
 	model.RegisterTelemetry(reg)
 	telemetry.RegisterRuntimeMetrics(reg)
 	publishExpvar(reg)
@@ -90,49 +108,127 @@ func newTelemetryMux(srv *server.Server, hist *history.Store, withPprof bool) *h
 	mux.Handle("/metrics", reg.MetricsHandler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/report", func(w http.ResponseWriter, _ *http.Request) {
-		rep, err := srv.BoundTightness()
+		rep, err := s.report()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		writeJSON(w, rep)
 	})
-	mux.HandleFunc("/sweeps", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, srv.Telemetry().RecentSweeps())
-	})
-	mux.HandleFunc("/faults", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, faultStatus(srv))
-	})
-	mux.HandleFunc("/admission", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, srv.AdmissionStatus())
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, traceStatus(srv, r.URL.Query()))
-	})
-	mux.HandleFunc("/slo", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, sloReport{Status: srv.SLOStatus(), Hints: srv.SLOHints()})
-	})
-	mux.HandleFunc("/timeline", timelineHandler(srv.Journal()))
-	mux.HandleFunc("/streams", streamsHandler(srv.QoSLedger()))
-	mux.HandleFunc("/debug/bundle", serverBundleHandler(srv, reg, hist))
+	mux.HandleFunc("/admission", jsonHandler(s.admission))
+	mux.HandleFunc("/slo", jsonHandler(s.slo))
+	for path, h := range s.extra {
+		mux.HandleFunc(path, h)
+	}
+	mux.HandleFunc("/timeline", timelineHandler(s.jnl))
+	mux.HandleFunc("/streams", streamsHandler(s.ledger))
+	mux.HandleFunc("/debug/bundle", bundleHandler(reg, hist, s))
 	if hist != nil {
 		mux.HandleFunc("/query", hist.QueryHandler())
 		mux.HandleFunc("/dashboard", hist.DashboardHandler(history.DashboardConfig{
-			Title:       "mzqos server",
-			RoundLength: srv.RoundLength(),
+			Title:       s.title,
+			RoundLength: s.roundLength,
 		}))
 	}
-	mux.HandleFunc("/healthz", healthzHandler(func() (string, bool) {
-		h := srv.Health()
-		if h.Failed {
-			return "admission failure-closed (disk failure)", false
-		}
-		return "", true
-	}))
+	mux.HandleFunc("/healthz", healthzHandler(s.healthy))
 	if withPprof {
 		registerPprof(mux)
 	}
 	return mux
+}
+
+// jsonHandler serves whatever payload returns as indented JSON.
+func jsonHandler(payload func() any) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, payload()) }
+}
+
+// newTelemetryMux wires the single-server endpoints: everything buildMux
+// serves, with
+//
+//	/admission   the admission-explanation report: per-disk decision
+//	             traces (binding k, bound, θ, slack), class occupancy,
+//	             recent rejections and N_max evaluations
+//	/slo         also lists any active recalibration hints
+//
+// and three endpoints of its own:
+//
+//	/sweeps      recent per-sweep phase breakdowns as JSON: the flight
+//	             recorder's spans without their requests
+//	/faults      the fault plan and the latest round's per-disk effects
+//	/trace       the flight recorder: live span history or the frozen
+//	             trigger snapshot as JSON; ?format=chrome re-renders
+//	             either as Chrome trace-event JSON for Perfetto
+func newTelemetryMux(srv *server.Server, hist *history.Store, withPprof bool) *http.ServeMux {
+	reg := srv.Telemetry().Registry()
+	return buildMux(reg, hist, withPprof, surfaces{
+		title:       "mzqos server",
+		roundLength: srv.RoundLength(),
+		report:      func() (any, error) { return srv.BoundTightness() },
+		admission:   func() any { return srv.AdmissionStatus() },
+		slo:         func() any { return sloReport{Status: srv.SLOStatus(), Hints: srv.SLOHints()} },
+		extra: map[string]http.HandlerFunc{
+			"/sweeps": jsonHandler(func() any { return recentSweeps(srv.Trace()) }),
+			"/faults": jsonHandler(func() any { return faultStatus(srv) }),
+			"/trace": func(w http.ResponseWriter, r *http.Request) {
+				writeJSON(w, traceStatus(srv, r.URL.Query()))
+			},
+		},
+		bundle: func(b *debugBundle) {
+			b.Kind = "server"
+			b.Round = int(mustCounter(reg, "mzqos_server_rounds_total"))
+			b.Config = bundleGeometry{
+				Disks:        srv.NumDisks(),
+				PerDiskLimit: srv.PerDiskLimit(),
+				Capacity:     srv.Capacity(),
+				Degraded:     srv.Degraded(),
+			}
+			b.Faults = faultStatus(srv)
+			b.Trace = traceStatus(srv, url.Values{"source": {"frozen"}})
+		},
+		healthy: func() (string, bool) {
+			if srv.Health().Failed {
+				return "admission failure-closed (disk failure)", false
+			}
+			return "", true
+		},
+		jnl:    srv.Journal(),
+		ledger: srv.QoSLedger(),
+	})
+}
+
+// sweepEvent is one /sweeps row: a SCAN sweep broken down into the three
+// service phases of the paper's model (eq. 3.1.1). Total is their sum —
+// the realized T_N.
+type sweepEvent struct {
+	Round    int     `json:"round"`
+	Disk     int     `json:"disk"`
+	Requests int     `json:"requests"`
+	Late     int     `json:"late"`
+	Seek     float64 `json:"seek_s"`
+	Rotation float64 `json:"rotation_s"`
+	Transfer float64 `json:"transfer_s"`
+	Total    float64 `json:"total_s"`
+}
+
+// recentSweeps projects the flight recorder's live spans onto /sweeps
+// rows, oldest first. It follows the recorder: -trace-spans sizes it and
+// -no-trace empties it.
+func recentSweeps(trc *trace.Recorder) []sweepEvent {
+	spans := trc.Live()
+	out := make([]sweepEvent, len(spans))
+	for i, sp := range spans {
+		out[i] = sweepEvent{
+			Round:    sp.Round,
+			Disk:     sp.Disk,
+			Requests: len(sp.Requests),
+			Late:     sp.Late,
+			Seek:     sp.Seek,
+			Rotation: sp.Rotation,
+			Transfer: sp.Transfer,
+			Total:    sp.Busy,
+		}
+	}
+	return out
 }
 
 // healthzHandler turns a readiness check into the /healthz endpoint:

@@ -32,6 +32,7 @@ import (
 	"mzqos/internal/engine"
 	"mzqos/internal/history"
 	"mzqos/internal/journal"
+	"mzqos/internal/ring"
 	"mzqos/internal/slo"
 	"mzqos/internal/telemetry"
 )
@@ -67,8 +68,8 @@ const (
 	routeAffinity
 )
 
-// defaultRingSize bounds the admission explainability ring.
-const defaultRingSize = 256
+// admissionRingCap bounds the admission explainability ring.
+const admissionRingCap = 256
 
 // DefaultMigrateBudget is the per-round cap on migration re-admissions
 // when Config.MigrateBudget is zero. Bounding the per-round work turns a
@@ -101,8 +102,6 @@ type Config struct {
 	// Registry optionally receives cluster-level metrics
 	// (mzqos_cluster_*). Nil disables them.
 	Registry *telemetry.Registry
-	// RingSize bounds the admission explainability ring (0 means 256).
-	RingSize int
 	// Migrate turns eviction into migration: streams a shard sheds (and
 	// the active sets of failed shards) are exported and re-admitted on
 	// sibling replicas during Step, resuming at their playback position,
@@ -224,10 +223,9 @@ type Coordinator struct {
 	// round counts coordinator rounds (Step calls).
 	round atomic.Int64
 
-	// ring retains the last RingSize materialized admissions.
-	ringMu  sync.Mutex
-	ring    []AdmissionRecord
-	ringPos int
+	// admissions retains the last admissionRingCap materialized admissions.
+	ringMu     sync.Mutex
+	admissions ring.Buffer[AdmissionRecord]
 
 	// Migration state. pending is the queue of exported stream states
 	// awaiting re-admission; it is owned by the Step loop (single writer
@@ -389,13 +387,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if reps < 0 || reps > len(cfg.Engines) {
 		return nil, fmt.Errorf("%w: %d replicas over %d shards", ErrConfig, reps, len(cfg.Engines))
 	}
-	ringSize := cfg.RingSize
-	if ringSize == 0 {
-		ringSize = defaultRingSize
-	}
-	if ringSize < 0 {
-		return nil, ErrConfig
-	}
 	hb := cfg.HeartbeatEvery
 	if hb <= 0 {
 		hb = 1
@@ -424,7 +415,7 @@ func New(cfg Config) (*Coordinator, error) {
 		reps:       reps,
 		hbEach:     hb,
 		placement:  make(map[string][]int),
-		ring:       make([]AdmissionRecord, 0, ringSize),
+		admissions: ring.New[AdmissionRecord](admissionRingCap),
 		migrate:    cfg.Migrate,
 		migBudget:  budget,
 		jnl:        cfg.Journal,
@@ -669,16 +660,7 @@ func (c *Coordinator) Close(h Handle) error {
 // recordAdmission appends to the bounded explainability ring.
 func (c *Coordinator) recordAdmission(r AdmissionRecord) {
 	c.ringMu.Lock()
-	if cap(c.ring) == 0 {
-		c.ringMu.Unlock()
-		return
-	}
-	if len(c.ring) < cap(c.ring) {
-		c.ring = append(c.ring, r)
-	} else {
-		c.ring[c.ringPos] = r
-		c.ringPos = (c.ringPos + 1) % cap(c.ring)
-	}
+	*c.admissions.Next() = r
 	c.ringMu.Unlock()
 }
 
@@ -686,10 +668,7 @@ func (c *Coordinator) recordAdmission(r AdmissionRecord) {
 func (c *Coordinator) Admissions() []AdmissionRecord {
 	c.ringMu.Lock()
 	defer c.ringMu.Unlock()
-	out := make([]AdmissionRecord, 0, len(c.ring))
-	out = append(out, c.ring[c.ringPos:]...)
-	out = append(out, c.ring[:c.ringPos]...)
-	return out
+	return c.admissions.AppendTo(make([]AdmissionRecord, 0, c.admissions.Len()))
 }
 
 // ShardRoundReport is one shard's outcome of a cluster round.

@@ -65,6 +65,12 @@ type StreamState struct {
 	Glitches int `json:"glitches"`
 }
 
+// RetainedStreams bounds, per engine, how many recently shed streams stay
+// exportable after the round that evicted them and how many retired
+// streams keep their stats queryable. An eviction wave can never outrun it
+// by more than the coordinator's own per-round migration budget.
+const RetainedStreams = 1024
+
 // Engine is one admission-controlled round engine. Mutating operations
 // (AddObject, Open, Close, Step, Recalibrate) are not safe for concurrent
 // use; drive them from one goroutine per engine — the shard loop. The

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"sync"
 
+	"mzqos/internal/ring"
 	"mzqos/internal/telemetry"
 )
 
@@ -182,12 +183,8 @@ type Config struct {
 // concurrent use from every emitter (shard Step loops run in parallel);
 // Events and Stats may be called concurrently with appends.
 type Journal struct {
-	mu      sync.Mutex
-	ring    []Event
-	next    int
-	filled  bool
-	seq     uint64 // last assigned sequence number
-	dropped uint64 // events overwritten after the ring filled
+	mu     sync.Mutex
+	events ring.Buffer[Event] // Pushed is the last assigned sequence number
 
 	// Metric series pre-captured at construction so Append does no
 	// registry lookups (and no allocation). All nil when no Registry.
@@ -202,7 +199,7 @@ func New(cfg Config) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	j := &Journal{ring: make([]Event, capacity)}
+	j := &Journal{events: ring.New[Event](capacity)}
 	if reg := cfg.Registry; reg != nil {
 		for k := Kind(0); k < numKinds; k++ {
 			j.kindTotal[k] = reg.Counter("mzqos_journal_events_total",
@@ -225,18 +222,10 @@ func (j *Journal) Append(e Event) uint64 {
 		return 0
 	}
 	j.mu.Lock()
-	j.seq++
-	e.Seq = j.seq
-	overwrote := j.filled
-	if overwrote {
-		j.dropped++
-	}
-	j.ring[j.next] = e
-	j.next++
-	if j.next == len(j.ring) {
-		j.next = 0
-		j.filled = true
-	}
+	overwrote := j.events.Len() == j.events.Cap()
+	slot := j.events.Next()
+	e.Seq = j.events.Pushed()
+	*slot = e
 	j.mu.Unlock()
 	if int(e.Kind) < len(j.kindTotal) {
 		if c := j.kindTotal[e.Kind]; c != nil {
@@ -315,18 +304,10 @@ func (j *Journal) Events(f Filter) []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var out []Event
-	scan := func(evs []Event) {
-		for i := range evs {
-			if f.matches(&evs[i]) {
-				out = append(out, evs[i])
-			}
+	for i, n := 0, j.events.Len(); i < n; i++ {
+		if e := j.events.At(i); f.matches(e) {
+			out = append(out, *e)
 		}
-	}
-	if j.filled {
-		scan(j.ring[j.next:])
-		scan(j.ring[:j.next])
-	} else {
-		scan(j.ring[:j.next])
 	}
 	if f.Limit > 0 && len(out) > f.Limit {
 		out = out[len(out)-f.Limit:]
@@ -352,14 +333,10 @@ func (j *Journal) Stats() Stats {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	retained := j.next
-	if j.filled {
-		retained = len(j.ring)
-	}
 	return Stats{
-		Capacity: len(j.ring),
-		Retained: retained,
-		HeadSeq:  j.seq,
-		Dropped:  j.dropped,
+		Capacity: j.events.Cap(),
+		Retained: j.events.Len(),
+		HeadSeq:  j.events.Pushed(),
+		Dropped:  j.events.Pushed() - uint64(j.events.Len()),
 	}
 }

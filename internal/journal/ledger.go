@@ -17,6 +17,7 @@ import (
 	"sort"
 	"sync"
 
+	"mzqos/internal/ring"
 	"mzqos/internal/telemetry"
 )
 
@@ -107,10 +108,7 @@ type Ledger struct {
 	inflight        map[ledgerKey]*Record // suspended, awaiting re-admission
 	inflightEnabled bool
 
-	retired      []Record // ring, oldest at retPos when full
-	retPos       int
-	retLen       int
-	retiredTotal int64
+	retired ring.Buffer[Record] // Pushed is the lifetime retirement count
 
 	// Delivered-tail accumulators over every retirement (not just the
 	// retained ring): startup delay in rounds and lifetime glitch count.
@@ -129,7 +127,7 @@ func NewLedger(cfg LedgerConfig) *Ledger {
 	return &Ledger{
 		active:     make(map[ledgerKey]*Record),
 		inflight:   make(map[ledgerKey]*Record),
-		retired:    make([]Record, capacity),
+		retired:    ring.New[Record](capacity),
 		delayHist:  delayHist,
 		glitchHist: glitchHist,
 	}
@@ -271,15 +269,7 @@ func (l *Ledger) Abandon(shard int, id int64, round int) {
 // feeds the delivered-tail histograms. Caller holds l.mu.
 func (l *Ledger) finalizeLocked(rec *Record, round int) {
 	rec.RetiredRound = round
-	l.retired[l.retPos] = *rec
-	l.retPos++
-	if l.retPos == len(l.retired) {
-		l.retPos = 0
-	}
-	if l.retLen < len(l.retired) {
-		l.retLen++
-	}
-	l.retiredTotal++
+	*l.retired.Next() = *rec
 	l.delayHist.Observe(float64(rec.Delivered.StartupDelay))
 	l.glitchHist.Observe(float64(rec.Delivered.Glitches))
 }
@@ -338,20 +328,14 @@ func (l *Ledger) Report() Report {
 	rep := Report{
 		ActiveStreams:      len(l.active),
 		InflightMigrations: len(l.inflight),
-		RetiredTotal:       l.retiredTotal,
-		Retained:           l.retLen,
+		RetiredTotal:       int64(l.retired.Pushed()),
+		Retained:           l.retired.Len(),
 		StartupDelayRounds: tailOf(l.delayHist),
 		GlitchesPerStream:  tailOf(l.glitchHist),
 	}
-	rep.Retired = make([]Record, 0, l.retLen)
-	start := 0
-	if l.retLen == len(l.retired) {
-		start = l.retPos
-	}
-	for i := 0; i < l.retLen; i++ {
-		rec := l.retired[(start+i)%len(l.retired)]
-		rec.ShardsVisited = append([]int(nil), rec.ShardsVisited...)
-		rep.Retired = append(rep.Retired, rec)
+	rep.Retired = l.retired.AppendTo(make([]Record, 0, l.retired.Len()))
+	for i := range rep.Retired {
+		rep.Retired[i].ShardsVisited = append([]int(nil), rep.Retired[i].ShardsVisited...)
 	}
 	rep.Active = make([]Record, 0, len(l.active))
 	for _, rec := range l.active {

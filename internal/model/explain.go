@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"mzqos/internal/ring"
 )
 
 // AdmissionExplanation is the admission-decision trace of one NMax
@@ -158,24 +160,16 @@ const decisionRingCap = 512
 // counters it is global rather than per-Model: the question it answers —
 // what did this process decide, and why — spans every model instance the
 // server holds (one per distinct disk, plus recalibration refits).
-var decisions struct {
-	mu     sync.Mutex
-	buf    [decisionRingCap]AdmissionDecision
-	next   int
-	filled bool
-	seq    int64
-}
+var decisions = struct {
+	mu  sync.Mutex
+	buf ring.Buffer[AdmissionDecision] // Pushed is the next Seq
+}{buf: ring.New[AdmissionDecision](decisionRingCap)}
 
 // recordDecision appends one explanation to the ring.
 func recordDecision(exp AdmissionExplanation) {
 	decisions.mu.Lock()
-	decisions.buf[decisions.next] = AdmissionDecision{Seq: decisions.seq, AdmissionExplanation: exp}
-	decisions.seq++
-	decisions.next++
-	if decisions.next == decisionRingCap {
-		decisions.next = 0
-		decisions.filled = true
-	}
+	seq := int64(decisions.buf.Pushed())
+	*decisions.buf.Next() = AdmissionDecision{Seq: seq, AdmissionExplanation: exp}
 	decisions.mu.Unlock()
 	tel.admissionDecisions.Inc()
 }
@@ -184,20 +178,12 @@ func recordDecision(exp AdmissionExplanation) {
 func RecentDecisions() []AdmissionDecision {
 	decisions.mu.Lock()
 	defer decisions.mu.Unlock()
-	if !decisions.filled {
-		return append([]AdmissionDecision(nil), decisions.buf[:decisions.next]...)
-	}
-	out := make([]AdmissionDecision, 0, decisionRingCap)
-	out = append(out, decisions.buf[decisions.next:]...)
-	out = append(out, decisions.buf[:decisions.next]...)
-	return out
+	return decisions.buf.AppendTo(nil)
 }
 
 // ResetDecisions clears the decision ring (tests and per-run harnesses).
 func ResetDecisions() {
 	decisions.mu.Lock()
-	decisions.next = 0
-	decisions.filled = false
-	decisions.seq = 0
+	decisions.buf = ring.New[AdmissionDecision](decisionRingCap)
 	decisions.mu.Unlock()
 }

@@ -1,0 +1,119 @@
+// Package ring is the one bounded retention buffer of the repository:
+// "keep the last K of something, overwrite the oldest". Every observability
+// store that answers a question about a recent interval — trace spans,
+// journal events, retired ledger records, SLO transitions, rejections,
+// admissions, decisions, retired and evicted streams — holds its elements
+// in a Buffer (or a Keyed FIFO built on one), so "oldest first after the
+// buffer has wrapped" and "how many were dropped" are decided here once.
+//
+// Neither type is synchronized: each owner guards its buffer with the lock
+// it already holds around the write. Nothing allocates after construction.
+package ring
+
+// Buffer is a fixed-capacity ring that overwrites its oldest element once
+// full. The zero value has no capacity; build one with New.
+type Buffer[T any] struct {
+	buf    []T
+	next   int    // slot the next push writes
+	pushed uint64 // lifetime pushes
+}
+
+// New returns a Buffer retaining the last capacity elements (minimum 1).
+func New[T any](capacity int) Buffer[T] {
+	if capacity < 1 {
+		capacity = 1
+	}
+	return Buffer[T]{buf: make([]T, capacity)}
+}
+
+// Next pushes one element and returns its slot for the caller to fill.
+// The slot still holds what it held before: the zero value during the
+// first lap, afterwards the oldest element, which this push overwrites —
+// so a caller can salvage the evicted element's buffers before writing.
+func (b *Buffer[T]) Next() *T {
+	slot := &b.buf[b.next]
+	b.next++
+	if b.next == len(b.buf) {
+		b.next = 0
+	}
+	b.pushed++
+	return slot
+}
+
+// Cap returns the capacity.
+func (b *Buffer[T]) Cap() int { return len(b.buf) }
+
+// Pushed returns the lifetime push count; Pushed − Len elements have been
+// overwritten.
+func (b *Buffer[T]) Pushed() uint64 { return b.pushed }
+
+// Len returns the number of retained elements.
+func (b *Buffer[T]) Len() int {
+	if b.pushed < uint64(len(b.buf)) {
+		return int(b.pushed)
+	}
+	return len(b.buf)
+}
+
+// At returns the i-th retained element, oldest first (0 ≤ i < Len).
+func (b *Buffer[T]) At(i int) *T {
+	if b.pushed >= uint64(len(b.buf)) { // full: the oldest sits at the write cursor
+		i += b.next
+		if i >= len(b.buf) {
+			i -= len(b.buf)
+		}
+	}
+	return &b.buf[i]
+}
+
+// AppendTo appends the retained elements to dst, oldest first.
+func (b *Buffer[T]) AppendTo(dst []T) []T {
+	if b.pushed < uint64(len(b.buf)) {
+		return append(dst, b.buf[:b.next]...)
+	}
+	dst = append(dst, b.buf[b.next:]...)
+	return append(dst, b.buf[:b.next]...)
+}
+
+// Keyed is a bounded FIFO of key→value entries: the capacity+1-th Put
+// drops the oldest key's entry. Keys must not repeat while an earlier Put
+// of the same key is within the last capacity Puts (stream ids never do).
+type Keyed[K comparable, V any] struct {
+	order Buffer[K]
+	vals  map[K]V
+}
+
+// NewKeyed returns a Keyed retaining the last capacity keys (minimum 1).
+func NewKeyed[K comparable, V any](capacity int) Keyed[K, V] {
+	return Keyed[K, V]{order: New[K](capacity), vals: make(map[K]V)}
+}
+
+// Put stores v under key, dropping the entry put capacity Puts ago if it
+// is still there. An entry already removed by Take frees nothing early:
+// eviction goes by age alone, so no newer entry leaves in its place.
+func (k *Keyed[K, V]) Put(key K, v V) {
+	slot := k.order.Next()
+	if k.order.Pushed() > uint64(k.order.Cap()) {
+		delete(k.vals, *slot)
+	}
+	*slot = key
+	k.vals[key] = v
+}
+
+// Get returns the value stored under key.
+func (k *Keyed[K, V]) Get(key K) (V, bool) {
+	v, ok := k.vals[key]
+	return v, ok
+}
+
+// Take returns the value stored under key and removes it.
+func (k *Keyed[K, V]) Take(key K) (V, bool) {
+	v, ok := k.vals[key]
+	if ok {
+		delete(k.vals, key)
+	}
+	return v, ok
+}
+
+// Len returns the number of live entries.
+func (k *Keyed[K, V]) Len() int { return len(k.vals) }

@@ -1,0 +1,163 @@
+package ring
+
+import (
+	"math/rand/v2"
+	"slices"
+	"testing"
+)
+
+// TestBufferMatchesSliceModel pushes random counts clustered around the
+// wrap boundaries and compares every read with a plain slice that keeps
+// everything.
+func TestBufferMatchesSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, capacity := range []int{1, 2, 3, 7, 64} {
+		counts := []int{0, 1, capacity - 1, capacity, capacity + 1, 2 * capacity, 3 * capacity, 3*capacity + 1}
+		for i := 0; i < 8; i++ {
+			counts = append(counts, rng.IntN(4*capacity+1))
+		}
+		for _, n := range counts {
+			b := New[int](capacity)
+			var model []int
+			for v := 0; v < n; v++ {
+				*b.Next() = v
+				model = append(model, v)
+			}
+			want := model[max(0, n-capacity):]
+			if b.Cap() != capacity || b.Len() != len(want) || b.Pushed() != uint64(n) {
+				t.Fatalf("cap %d after %d pushes: Cap %d Len %d Pushed %d, want %d %d %d",
+					capacity, n, b.Cap(), b.Len(), b.Pushed(), capacity, len(want), n)
+			}
+			if dropped := b.Pushed() - uint64(b.Len()); dropped != uint64(n-len(want)) {
+				t.Fatalf("cap %d after %d pushes: Pushed-Len = %d, want %d overwritten", capacity, n, dropped, n-len(want))
+			}
+			for i, w := range want {
+				if got := *b.At(i); got != w {
+					t.Fatalf("cap %d after %d pushes: At(%d) = %d, want %d", capacity, n, i, got, w)
+				}
+			}
+			prefix := []int{-1}
+			if got := b.AppendTo(prefix); !slices.Equal(got[1:], want) || got[0] != -1 {
+				t.Fatalf("cap %d after %d pushes: AppendTo = %v, want -1 then %v", capacity, n, got, want)
+			}
+		}
+	}
+}
+
+// TestNextHandsOutTheEvictedSlot is the contract trace.Record's buffer
+// swap relies on: the slot Next returns still holds the element it is
+// about to overwrite, which is the oldest one.
+func TestNextHandsOutTheEvictedSlot(t *testing.T) {
+	b := New[[]byte](3)
+	for i := 0; i < 3; i++ {
+		slot := b.Next()
+		if *slot != nil {
+			t.Fatalf("first lap, push %d: slot holds %v, want the zero value", i, *slot)
+		}
+		*slot = make([]byte, 0, 10+i)
+	}
+	for i := 0; i < 7; i++ {
+		oldest := *b.At(0)
+		slot := b.Next()
+		if cap(*slot) != cap(oldest) {
+			t.Fatalf("push %d after wrap: slot holds cap %d, oldest had cap %d", i, cap(*slot), cap(oldest))
+		}
+		*slot = (*slot)[:0] // the salvaged buffer goes round again
+	}
+}
+
+func TestCapacityClampsToOne(t *testing.T) {
+	for _, c := range []int{0, -5} {
+		b := New[int](c)
+		*b.Next() = 1
+		*b.Next() = 2
+		if b.Cap() != 1 || b.Len() != 1 || *b.At(0) != 2 || b.Pushed() != 2 {
+			t.Fatalf("New(%d): Cap %d Len %d At(0) %d Pushed %d", c, b.Cap(), b.Len(), *b.At(0), b.Pushed())
+		}
+		k := NewKeyed[int, int](c)
+		k.Put(1, 10)
+		k.Put(2, 20)
+		if _, ok := k.Get(1); ok || k.Len() != 1 {
+			t.Fatalf("NewKeyed(%d) kept more than one entry", c)
+		}
+	}
+}
+
+func TestKeyedFIFO(t *testing.T) {
+	k := NewKeyed[int, string](3)
+	for i := 1; i <= 3; i++ {
+		k.Put(i, "v")
+	}
+	// A taken entry frees no slot early and costs no live entry later:
+	// the next Put overwrites the taken key's own position.
+	if v, ok := k.Take(1); !ok || v != "v" {
+		t.Fatalf("Take(1) = %q, %v", v, ok)
+	}
+	if _, ok := k.Take(1); ok {
+		t.Fatal("Take(1) succeeded twice")
+	}
+	if k.Len() != 2 {
+		t.Fatalf("Len after Take = %d, want 2 live keys", k.Len())
+	}
+	k.Put(4, "v")
+	for _, key := range []int{2, 3, 4} {
+		if _, ok := k.Get(key); !ok {
+			t.Fatalf("key %d evicted by a Put that only overflowed a taken key", key)
+		}
+	}
+	k.Put(5, "v") // now 2 is the oldest and goes
+	if _, ok := k.Get(2); ok {
+		t.Fatal("oldest key 2 survived overflow")
+	}
+	if _, ok := k.Get(3); !ok || k.Len() != 3 {
+		t.Fatalf("after overflow: key 3 present %v, Len %d, want true and 3", ok, k.Len())
+	}
+}
+
+// TestKeyedMatchesModel drives random Put/Take against a slice of the last
+// capacity keys plus a taken set.
+func TestKeyedMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	const capacity = 5
+	k := NewKeyed[int, int](capacity)
+	var order []int
+	taken := map[int]bool{}
+	for next := 0; next < 400; {
+		if rng.IntN(3) == 0 && next > 0 {
+			key := rng.IntN(next)
+			live := slices.Contains(order[max(0, len(order)-capacity):], key) && !taken[key]
+			if v, ok := k.Take(key); ok != live || (ok && v != key*10) {
+				t.Fatalf("Take(%d) = %d, %v; model says live=%v", key, v, ok, live)
+			}
+			taken[key] = true
+			continue
+		}
+		k.Put(next, next*10)
+		order = append(order, next)
+		next++
+		want := 0
+		for _, key := range order[max(0, len(order)-capacity):] {
+			if !taken[key] {
+				want++
+			}
+		}
+		if k.Len() != want {
+			t.Fatalf("after Put(%d): Len %d, model %d", next-1, k.Len(), want)
+		}
+	}
+}
+
+func TestNoAllocs(t *testing.T) {
+	b := New[[4]int](8)
+	if n := testing.AllocsPerRun(100, func() { b.Next()[0]++ }); n != 0 {
+		t.Errorf("Buffer.Next allocates %v per call", n)
+	}
+	k := NewKeyed[int, int](8)
+	key := 0
+	for ; key < 8; key++ {
+		k.Put(key, key)
+	}
+	if n := testing.AllocsPerRun(1000, func() { k.Put(key, key); key++ }); n != 0 {
+		t.Errorf("Keyed.Put at capacity allocates %v per call", n)
+	}
+}

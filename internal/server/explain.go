@@ -56,17 +56,8 @@ func (s *Server) recordRejection(object, reason string) {
 		Classes: append([]int(nil), s.classes...),
 	}
 	s.admMu.Lock()
-	ev.Seq = s.rejectSeq
-	s.rejectSeq++
-	if len(s.rejections) < rejectionRingCap {
-		s.rejections = append(s.rejections, ev)
-	} else {
-		s.rejections[s.rejectAt] = ev
-		s.rejectAt++
-		if s.rejectAt == rejectionRingCap {
-			s.rejectAt = 0
-		}
-	}
+	ev.Seq = int64(s.rejections.Pushed())
+	*s.rejections.Next() = ev
 	s.admMu.Unlock()
 	if s.jnl != nil {
 		s.jnl.Append(journal.Event{
@@ -96,9 +87,7 @@ func (s *Server) recordRejection(object, reason string) {
 func (s *Server) Rejections() []RejectionEvent {
 	s.admMu.Lock()
 	defer s.admMu.Unlock()
-	out := make([]RejectionEvent, 0, len(s.rejections))
-	out = append(out, s.rejections[s.rejectAt:]...)
-	out = append(out, s.rejections[:s.rejectAt]...)
+	out := s.rejections.AppendTo(make([]RejectionEvent, 0, s.rejections.Len()))
 	for i := range out {
 		out[i].Classes = append([]int(nil), out[i].Classes...)
 	}

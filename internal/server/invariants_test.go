@@ -42,7 +42,7 @@ func checkActiveSet(lc *lifecycle) error {
 		if _, paused := s.paused[st.id]; paused {
 			return fmt.Errorf("stream %d is both active and paused", st.id)
 		}
-		if _, finished := s.finished[st.id]; finished {
+		if _, finished := s.finished.Get(st.id); finished {
 			return fmt.Errorf("stream %d is both active and finished", st.id)
 		}
 		perClass[st.offset]++

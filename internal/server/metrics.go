@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sort"
 
 	"mzqos/internal/engine"
 	"mzqos/internal/slo"
@@ -12,13 +11,11 @@ import (
 
 // Telemetry is the server's live metrics surface: counters, gauges, and
 // per-disk round-time histograms registered under the documented
-// mzqos_server_* names, plus a bounded recorder of recent per-sweep phase
-// breakdowns. All of it is safe to read concurrently with the round loop
-// (every metric is atomic; the recorder takes its own short mutex), which
-// is what lets an HTTP exposition endpoint scrape a running server.
+// mzqos_server_* names. All of it is safe to read concurrently with the
+// round loop (every metric is atomic), which is what lets an HTTP
+// exposition endpoint scrape a running server.
 type Telemetry struct {
-	reg      *telemetry.Registry
-	recorder *telemetry.RoundRecorder
+	reg *telemetry.Registry
 
 	rounds      *telemetry.Counter
 	fragments   *telemetry.Counter
@@ -73,10 +70,6 @@ type diskTelemetry struct {
 	downRounds  *telemetry.Counter
 }
 
-// recorderCapacity bounds the recent-sweep ring: enough to reconstruct a
-// few hundred rounds of phase breakdown without unbounded growth.
-const recorderCapacity = 4096
-
 // newTelemetry registers the server metric set for `disks` drives and a
 // round length of t seconds. With reg nil a private registry is created;
 // instance labels (e.g. shard="3") are prepended to every series so
@@ -98,8 +91,7 @@ func newTelemetry(reg *telemetry.Registry, instance []telemetry.Label, disks int
 		return append(out, extra...)
 	}
 	tl := &Telemetry{
-		reg:      reg,
-		recorder: telemetry.NewRoundRecorder(recorderCapacity),
+		reg: reg,
 		rounds: reg.Counter("mzqos_server_rounds_total",
 			"Scheduling rounds executed.", labels()...),
 		fragments: reg.Counter("mzqos_server_fragments_total",
@@ -209,21 +201,13 @@ func (t *Telemetry) Registry() *telemetry.Registry { return t.reg }
 // Snapshot returns a typed copy of every server metric.
 func (t *Telemetry) Snapshot() telemetry.Snapshot { return t.reg.Snapshot() }
 
-// RecentSweeps returns the retained per-sweep phase breakdowns, oldest
-// first.
-func (t *Telemetry) RecentSweeps() []telemetry.RoundEvent { return t.recorder.Recent() }
-
-// PhaseTotals returns the accumulated seek/rotation/transfer seconds over
-// all recorded sweeps.
-func (t *Telemetry) PhaseTotals() telemetry.PhaseTotals { return t.recorder.Totals() }
-
 // Telemetry returns the server's metrics surface. Safe to call and use
 // concurrently with the round loop.
 func (s *Server) Telemetry() *Telemetry { return s.tel }
 
-// observeSweep records one disk's finished sweep into the metric set,
-// the phase recorder, and the SLO audit's window estimators, and returns
-// the round time it recorded: Busy, or for a sweep that never happened
+// observeSweep records one disk's finished sweep into the metric set and
+// the SLO audit's window estimators, and returns the round time it
+// recorded: Busy, or for a sweep that never happened
 // because the disk was down the sentinel sweep.DownRoundLengths·t — the
 // honest reading of "the deadline was missed by the whole round". Called
 // once per loaded disk per round from Step.
@@ -249,16 +233,6 @@ func (s *Server) observeSweep(d int, dr *DiskRoundReport) (observed float64) {
 	dt.retries.Add(int64(dr.Retries))
 	dt.lost.Add(int64(dr.Lost))
 	s.tel.fragments.Add(int64(dr.Requests))
-	s.tel.recorder.Record(telemetry.RoundEvent{
-		Round:    s.round,
-		Disk:     d,
-		Requests: dr.Requests,
-		Late:     dr.Late,
-		Seek:     dr.Seek,
-		Rotation: dr.Rotation,
-		Transfer: dr.Transfer,
-		Total:    dr.Busy,
-	})
 	return observed
 }
 
@@ -316,6 +290,5 @@ func (s *Server) BoundTightness() (TightnessReport, error) {
 		}
 		rep.Disks = append(rep.Disks, row)
 	}
-	sort.SliceStable(rep.Disks, func(i, j int) bool { return rep.Disks[i].Disk < rep.Disks[j].Disk })
 	return rep, nil
 }

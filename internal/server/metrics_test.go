@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mzqos/internal/disk"
+	"mzqos/internal/engine"
 	"mzqos/internal/model"
 	"mzqos/internal/telemetry"
 	"mzqos/internal/workload"
@@ -180,16 +181,27 @@ func TestSweepPhaseBreakdown(t *testing.T) {
 			}
 		}
 	}
-	events := s.Telemetry().RecentSweeps()
-	if len(events) != 20 {
-		t.Fatalf("recorder holds %d sweeps, want 20", len(events))
+	// The same decomposition, accumulated: the phase-seconds series sum to
+	// the round-time histogram's sum, over 20 sweeps of 8 requests.
+	snap := s.Telemetry().Snapshot()
+	disk0 := telemetry.L("disk", "0")
+	hv, ok := snap.Histogram("mzqos_server_round_time_seconds", disk0)
+	if !ok || hv.Count != 20 {
+		t.Fatalf("round-time histogram holds %d sweeps (ok=%v), want 20", hv.Count, ok)
 	}
-	tot := s.Telemetry().PhaseTotals()
-	if tot.Sweeps != 20 || tot.Requests != 20*8 {
-		t.Fatalf("phase totals: %+v", tot)
+	if got, _ := snap.Counter("mzqos_server_disk_fragments_total", disk0); got != 20*8 {
+		t.Fatalf("disk fragments = %d, want %d", got, 20*8)
 	}
-	if math.Abs(tot.Seek+tot.Rotation+tot.Transfer-tot.Total) > 1e-6 {
-		t.Fatalf("phase totals don't sum to total: %+v", tot)
+	var phases float64
+	for _, phase := range []string{"seek", "rotation", "transfer"} {
+		v, ok := snap.FloatCounter("mzqos_server_phase_seconds_total", disk0, telemetry.L("phase", phase))
+		if !ok || v <= 0 {
+			t.Fatalf("phase %s = %g (ok=%v), want > 0", phase, v, ok)
+		}
+		phases += v
+	}
+	if math.Abs(phases-hv.Sum) > 1e-6 {
+		t.Fatalf("phase seconds %g don't sum to the histogram's %g", phases, hv.Sum)
 	}
 }
 
@@ -198,13 +210,12 @@ func TestSweepPhaseBreakdown(t *testing.T) {
 // once it overflows.
 func TestRetiredStreamStats(t *testing.T) {
 	s, err := New(Config{
-		Disk:           disk.QuantumViking21(),
-		NumDisks:       1,
-		RoundLength:    1,
-		Sizes:          workload.PaperSizes(),
-		Guarantee:      model.Guarantee{Threshold: 0.01},
-		Seed:           3,
-		RetiredHistory: 4,
+		Disk:        disk.QuantumViking21(),
+		NumDisks:    1,
+		RoundLength: 1,
+		Sizes:       workload.PaperSizes(),
+		Guarantee:   model.Guarantee{Threshold: 0.01},
+		Seed:        3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,8 +224,9 @@ func TestRetiredStreamStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	const retired = engine.RetainedStreams + 3
 	var ids []StreamID
-	for i := 0; i < 7; i++ {
+	for i := 0; i < retired; i++ {
 		id, _, err := s.Open("v")
 		if err != nil {
 			t.Fatal(err)
@@ -226,10 +238,10 @@ func TestRetiredStreamStats(t *testing.T) {
 		ids = append(ids, id)
 	}
 
-	if got := s.RetainedFinished(); got != 4 {
-		t.Fatalf("RetainedFinished = %d, want 4", got)
+	if got := s.RetainedFinished(); got != engine.RetainedStreams {
+		t.Fatalf("RetainedFinished = %d, want %d", got, engine.RetainedStreams)
 	}
-	// Newest 4 still queryable, oldest 3 evicted.
+	// Newest RetainedStreams still queryable, oldest 3 evicted.
 	for _, id := range ids[3:] {
 		st, err := s.Stats(id)
 		if err != nil {
@@ -246,17 +258,8 @@ func TestRetiredStreamStats(t *testing.T) {
 	}
 
 	snap := s.Telemetry().Snapshot()
-	if got, _ := snap.Counter("mzqos_server_streams_retired_total"); got != 7 {
-		t.Errorf("retired counter = %d, want 7", got)
-	}
-}
-
-// TestRetiredDefaultCapacity checks the default retention bound kicks in
-// when the config leaves RetiredHistory zero.
-func TestRetiredDefaultCapacity(t *testing.T) {
-	s := paperServer(t, 1)
-	if s.retiredCap != DefaultRetiredHistory {
-		t.Fatalf("default retired cap = %d, want %d", s.retiredCap, DefaultRetiredHistory)
+	if got, _ := snap.Counter("mzqos_server_streams_retired_total"); got != retired {
+		t.Errorf("retired counter = %d, want %d", got, retired)
 	}
 }
 
@@ -338,7 +341,6 @@ func TestBoundTightnessConcurrentWithRounds(t *testing.T) {
 				return
 			}
 			s.Telemetry().Snapshot()
-			s.Telemetry().RecentSweeps()
 		}
 	}()
 	for r := 0; r < 50; r++ {

@@ -14,26 +14,10 @@ import (
 // replica, so the viewer pays at most the importing shard's slotting
 // delay instead of losing the stream.
 
-// exportCap bounds the evicted-stream state buffer: how many shed
-// streams stay exportable after the round that evicted them. Sized to the
-// retired-history default — an eviction wave can never outrun it by more
-// than the coordinator's own per-round migration budget.
-func (s *Server) exportCap() int { return s.retiredCap }
-
 // rememberEvicted buffers a shed stream's resumable state (bounded FIFO,
 // oldest dropped) so a coordinator can still export it after eviction.
 func (s *Server) rememberEvicted(st *stream) {
-	if len(s.evictedQ) == s.exportCap() {
-		delete(s.evictedStates, s.evictedQ[s.evictedAt])
-		s.evictedQ[s.evictedAt] = st.id
-		s.evictedAt++
-		if s.evictedAt == s.exportCap() {
-			s.evictedAt = 0
-		}
-	} else {
-		s.evictedQ = append(s.evictedQ, st.id)
-	}
-	s.evictedStates[st.id] = streamState(st)
+	s.evictedStates.Put(st.id, streamState(st))
 	// Detach the stream's ledger record with its delivered stats so far;
 	// with migration enabled it waits inflight for re-admission, otherwise
 	// the eviction finalizes it.
@@ -72,8 +56,7 @@ func (s *Server) ExportStream(id StreamID) (engine.StreamState, error) {
 		}, s.round)
 		return state, nil
 	}
-	if state, ok := s.evictedStates[id]; ok {
-		delete(s.evictedStates, id)
+	if state, ok := s.evictedStates.Take(id); ok {
 		return state, nil
 	}
 	return engine.StreamState{}, fmt.Errorf("%w: %d", ErrUnknownStream, id)

@@ -31,6 +31,7 @@ import (
 	"mzqos/internal/history"
 	"mzqos/internal/journal"
 	"mzqos/internal/model"
+	"mzqos/internal/ring"
 	"mzqos/internal/slo"
 	"mzqos/internal/sweep"
 	"mzqos/internal/telemetry"
@@ -81,12 +82,6 @@ type Config struct {
 	Guarantee model.Guarantee
 	// Seed makes fragment placement and service simulation reproducible.
 	Seed uint64
-	// RetiredHistory bounds how many recently retired streams keep their
-	// StreamStats queryable through Stats after Close or completion
-	// (0 selects DefaultRetiredHistory). Older entries are evicted, but
-	// their glitch and service counts survive in the aggregate telemetry
-	// counters.
-	RetiredHistory int
 	// Faults optionally schedules deterministic service faults (latency
 	// inflation, zone-rate degradation, transient read errors, disk
 	// failure) against the round timeline. Nil means a healthy array. The
@@ -143,10 +138,6 @@ type Config struct {
 	// per-round sample instead, so shard configs leave this nil.
 	History *history.Store
 }
-
-// DefaultRetiredHistory is the retired-stream stats retention used when
-// Config.RetiredHistory is zero.
-const DefaultRetiredHistory = 1024
 
 // StreamID identifies an open stream (shared with every other engine
 // through internal/engine; cluster-wide identity is the (shard, StreamID)
@@ -246,26 +237,21 @@ type Server struct {
 	// concurrently by the /admission endpoint, under its own mutex (Open
 	// runs on the loop thread, readers do not).
 	admMu       sync.Mutex
-	rejections  []RejectionEvent
-	rejectAt    int
-	rejectSeq   int64
-	classesView []int     // copy of classes for concurrent readers
-	sloHints    []SLOHint // active recalibration hints, one per firing target
+	rejections  ring.Buffer[RejectionEvent] // Pushed is the next Seq
+	classesView []int                       // copy of classes for concurrent readers
+	sloHints    []SLOHint                   // active recalibration hints, one per firing target
 
-	// Retired-stream stats: a bounded FIFO ring so glitch counts stay
-	// queryable after Close without the finished set growing forever.
-	finished   map[StreamID]StreamStats
-	finishedQ  []StreamID
-	finishedAt int
-	retiredCap int
+	// Retired-stream stats: the last engine.RetainedStreams retirements
+	// stay queryable through Stats after Close or completion. Older ones
+	// are dropped, but their glitch and service counts survive in the
+	// aggregate telemetry counters.
+	finished ring.Keyed[StreamID, StreamStats]
 
-	// Evicted-stream states: a bounded FIFO ring mirroring the retired
-	// ring, so a cluster coordinator can still ExportStream a stream the
-	// degraded-mode controller shed this round (turning the eviction into
-	// a migration instead of a dropped playback).
-	evictedStates map[StreamID]engine.StreamState
-	evictedQ      []StreamID
-	evictedAt     int
+	// Evicted-stream states, bounded the same way, so a cluster
+	// coordinator can still ExportStream a stream the degraded-mode
+	// controller shed this round (turning the eviction into a migration
+	// instead of a dropped playback).
+	evictedStates ring.Keyed[StreamID, engine.StreamState]
 
 	observed dist.Welford // served fragment sizes, for recalibration
 }
@@ -306,10 +292,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
-	retiredCap := cfg.RetiredHistory
-	if retiredCap <= 0 {
-		retiredCap = DefaultRetiredHistory
-	}
 	tel, err := newTelemetry(cfg.Registry, cfg.InstanceLabels, len(geoms), cfg.RoundLength)
 	if err != nil {
 		return nil, fmt.Errorf("server: building telemetry: %w", err)
@@ -329,10 +311,10 @@ func New(cfg Config) (*Server, error) {
 		effs:       make([]fault.Effects, len(geoms)),
 		reqs:       make([][]sweep.Request, len(geoms)),
 		tel:        tel,
-		finished:   make(map[StreamID]StreamStats),
-		retiredCap: retiredCap,
+		rejections: ring.New[RejectionEvent](rejectionRingCap),
+		finished:   ring.NewKeyed[StreamID, StreamStats](engine.RetainedStreams),
 
-		evictedStates: make(map[StreamID]engine.StreamState),
+		evictedStates: ring.NewKeyed[StreamID, engine.StreamState](engine.RetainedStreams),
 		inj:           inj,
 		log:           cfg.Logger,
 		jnl:           cfg.Journal,
@@ -678,9 +660,9 @@ func (s *Server) retire(i int, done bool) {
 	})
 }
 
-// rememberFinished stores a retired stream's stats in the bounded FIFO
-// ring, evicting the oldest entry once the ring is full. Aggregate counts
-// survive eviction in the telemetry counters. As the single site every
+// rememberFinished stores a retired stream's stats in the bounded FIFO,
+// which drops the oldest entry once full. Aggregate counts survive
+// eviction in the telemetry counters. As the single site every
 // retirement flows through (completion, Close, eviction), it also closes
 // the stream's QoS ledger record with the delivered totals.
 func (s *Server) rememberFinished(id StreamID, fs StreamStats) {
@@ -690,17 +672,7 @@ func (s *Server) rememberFinished(id StreamID, fs StreamStats) {
 		Glitches:     fs.Glitches,
 		Done:         fs.Done,
 	}, s.round)
-	if len(s.finishedQ) == s.retiredCap {
-		delete(s.finished, s.finishedQ[s.finishedAt])
-		s.finishedQ[s.finishedAt] = id
-		s.finishedAt++
-		if s.finishedAt == s.retiredCap {
-			s.finishedAt = 0
-		}
-	} else {
-		s.finishedQ = append(s.finishedQ, id)
-	}
-	s.finished[id] = fs
+	s.finished.Put(id, fs)
 	s.tel.retired.Inc()
 	if fs.Done {
 		s.tel.completed.Inc()
@@ -708,8 +680,8 @@ func (s *Server) rememberFinished(id StreamID, fs StreamStats) {
 }
 
 // RetainedFinished returns how many retired streams currently keep
-// queryable stats (at most Config.RetiredHistory).
-func (s *Server) RetainedFinished() int { return len(s.finished) }
+// queryable stats (at most engine.RetainedStreams).
+func (s *Server) RetainedFinished() int { return s.finished.Len() }
 
 // Stats returns the stats of an active, paused, or finished stream.
 func (s *Server) Stats(id StreamID) (StreamStats, error) {
@@ -725,7 +697,7 @@ func (s *Server) Stats(id StreamID) (StreamStats, error) {
 			StartupDelay: st.delay,
 		}, nil
 	}
-	if fs, ok := s.finished[id]; ok {
+	if fs, ok := s.finished.Get(id); ok {
 		return fs, nil
 	}
 	return StreamStats{}, ErrUnknownStream

@@ -9,6 +9,7 @@ import (
 	"mzqos/internal/dist"
 	"mzqos/internal/engine"
 	"mzqos/internal/fault"
+	"mzqos/internal/ring"
 	"mzqos/internal/workload"
 )
 
@@ -108,11 +109,9 @@ type Engine struct {
 	hDegraded atomic.Bool
 	hFailed   atomic.Bool
 
-	// Evicted-stream states: bounded FIFO ring so a coordinator can still
+	// Evicted-stream states: bounded FIFO so a coordinator can still
 	// export (and so migrate) a stream shed by ShedOnDegrade.
-	evicted   map[engine.StreamID]engine.StreamState
-	evictedQ  []engine.StreamID
-	evictedAt int
+	evicted ring.Keyed[engine.StreamID, engine.StreamState]
 
 	sc      roundScratch
 	lateFor []bool
@@ -140,7 +139,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		objects: make(map[string]int),
 		streams: make(map[engine.StreamID]*simStream),
 		classes: make([][]engine.StreamID, cfg.NumDisks),
-		evicted: make(map[engine.StreamID]engine.StreamState),
+		evicted: ring.NewKeyed[engine.StreamID, engine.StreamState](engine.RetainedStreams),
 	}
 	e.hLimit.Store(int64(cfg.PerDiskLimit))
 	return e, nil

@@ -11,11 +11,6 @@ import (
 // evict-to-migrate contract, mirroring internal/server's semantics so a
 // coordinator can exercise failover against cheap simulated fleets.
 
-// evictedCap bounds the evicted-stream state buffer (how many shed
-// streams stay exportable after the round that evicted them), matching
-// the live server's retired-history default.
-const evictedCap = 1024
-
 // shedToLimit evicts the newest streams of every offset class whose
 // occupancy exceeds the in-force limit, at the top of Step. No-op unless
 // EngineConfig.ShedOnDegrade is set. Evicted ids are returned ascending;
@@ -57,17 +52,7 @@ func (e *Engine) shedToLimit() []engine.StreamID {
 // rememberEvicted buffers a shed stream's resumable state (bounded FIFO,
 // oldest dropped).
 func (e *Engine) rememberEvicted(id engine.StreamID, st *simStream) {
-	if len(e.evictedQ) == evictedCap {
-		delete(e.evicted, e.evictedQ[e.evictedAt])
-		e.evictedQ[e.evictedAt] = id
-		e.evictedAt++
-		if e.evictedAt == evictedCap {
-			e.evictedAt = 0
-		}
-	} else {
-		e.evictedQ = append(e.evictedQ, id)
-	}
-	e.evicted[id] = simStreamState(st)
+	e.evicted.Put(id, simStreamState(st))
 }
 
 // simStreamState captures a stream's resumable state.
@@ -92,8 +77,7 @@ func (e *Engine) ExportStream(id engine.StreamID) (engine.StreamState, error) {
 		e.hActive.Store(int64(len(e.streams)))
 		return state, nil
 	}
-	if state, ok := e.evicted[id]; ok {
-		delete(e.evicted, id)
+	if state, ok := e.evicted.Take(id); ok {
 		return state, nil
 	}
 	return engine.StreamState{}, fmt.Errorf("%w: %d", ErrUnknownStream, id)

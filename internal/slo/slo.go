@@ -34,6 +34,7 @@ import (
 	"sync"
 
 	"mzqos/internal/journal"
+	"mzqos/internal/ring"
 )
 
 // Defaults used when the corresponding Config field is zero.
@@ -384,10 +385,7 @@ type Auditor struct {
 	machines [numTargets]machine
 	round    int // rounds observed (EndRound calls)
 
-	// history is a preallocated transition ring (oldest overwritten).
-	history []Transition
-	histPos int
-	histLen int
+	history ring.Buffer[Transition] // last cfg.History alert transitions
 
 	// jnl/shard mirror alert transitions into the cluster event journal;
 	// bindDisk/bindK/bindBound describe the binding admission constraint
@@ -413,7 +411,7 @@ func New(cfg Config, disks int) (*Auditor, error) {
 	a := &Auditor{
 		cfg:      cfg,
 		disks:    make([]diskWindows, disks),
-		history:  make([]Transition, cfg.History),
+		history:  ring.New[Transition](cfg.History),
 		bindDisk: -1,
 	}
 	for d := range a.disks {
@@ -556,7 +554,7 @@ func (a *Auditor) EndRound() Evaluation {
 		te.Transition = changed
 		te.From = from
 		if changed {
-			a.recordTransition(Transition{
+			*a.history.Next() = Transition{
 				Round:    round,
 				Target:   TargetName(i),
 				From:     from,
@@ -565,7 +563,7 @@ func (a *Auditor) EndRound() Evaluation {
 				BurnSlow: te.BurnSlow,
 				Measured: te.MeasuredFast,
 				Budget:   te.Budget,
-			})
+			}
 			a.journalTransition(round, i, from, te)
 		}
 	}
@@ -607,19 +605,6 @@ func (a *Auditor) journalTransition(round, idx int, from State, te *TargetEval) 
 		e.Detail = fmt.Sprintf("binding k=%d %s disk=%d", a.bindK, a.bindBound, a.bindDisk)
 	}
 	a.jnl.Append(e)
-}
-
-// recordTransition appends to the preallocated history ring (caller
-// holds the mutex).
-func (a *Auditor) recordTransition(t Transition) {
-	a.history[a.histPos] = t
-	a.histPos++
-	if a.histPos == len(a.history) {
-		a.histPos = 0
-	}
-	if a.histLen < len(a.history) {
-		a.histLen++
-	}
 }
 
 // Round returns the number of rounds observed.
@@ -752,12 +737,6 @@ func (a *Auditor) Status() Status {
 		}
 		st.Targets[i] = ts
 	}
-	st.History = make([]Transition, 0, a.histLen)
-	if a.histLen == len(a.history) {
-		st.History = append(st.History, a.history[a.histPos:]...)
-		st.History = append(st.History, a.history[:a.histPos]...)
-	} else {
-		st.History = append(st.History, a.history[:a.histLen]...)
-	}
+	st.History = a.history.AppendTo(make([]Transition, 0, a.history.Len()))
 	return st
 }

@@ -312,26 +312,3 @@ func TestRegistryReuseAndValidation(t *testing.T) {
 		reg.Counter("ok", "", L("le", "1"))
 	}()
 }
-
-func TestRoundRecorderRing(t *testing.T) {
-	r := NewRoundRecorder(3)
-	for i := 0; i < 5; i++ {
-		r.Record(RoundEvent{Round: i, Requests: 2, Late: i % 2, Seek: 1, Rotation: 0.5, Transfer: 0.25, Total: 1.75})
-	}
-	recent := r.Recent()
-	if len(recent) != 3 {
-		t.Fatalf("ring length: got %d, want 3", len(recent))
-	}
-	for i, ev := range recent {
-		if ev.Round != i+2 {
-			t.Fatalf("ring order: got rounds %v", recent)
-		}
-	}
-	tot := r.Totals()
-	if tot.Sweeps != 5 || tot.Requests != 10 || tot.Late != 2 {
-		t.Fatalf("totals: %+v", tot)
-	}
-	if math.Abs(tot.Seek-5) > 1e-12 || math.Abs(tot.Total-5*1.75) > 1e-12 {
-		t.Fatalf("phase totals: %+v", tot)
-	}
-}

@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"mzqos/internal/journal"
+	"mzqos/internal/ring"
 	"mzqos/internal/sweep"
 )
 
@@ -175,10 +176,7 @@ type Stats struct {
 // and records nothing, which is how tracing is disabled.
 type Recorder struct {
 	mu          sync.Mutex
-	ring        []RoundSpan
-	next        int
-	filled      bool
-	seq         uint64
+	spans       ring.Buffer[RoundSpan] // Pushed is the next commit sequence
 	roundLength float64
 
 	frozen   *Snapshot
@@ -200,7 +198,7 @@ func NewRecorder(cfg Config) *Recorder {
 	if !(t > 0) {
 		t = 1
 	}
-	return &Recorder{ring: make([]RoundSpan, n), roundLength: t}
+	return &Recorder{spans: ring.New[RoundSpan](n), roundLength: t}
 }
 
 // Enabled reports whether the recorder is live (false for nil).
@@ -227,34 +225,20 @@ func (r *Recorder) Record(sp *RoundSpan) {
 		return
 	}
 	r.mu.Lock()
-	slot := &r.ring[r.next]
+	seq := r.spans.Pushed()
+	slot := r.spans.Next()
 	scratch := slot.Requests[:0]
 	*slot = *sp
-	slot.Seq = r.seq
-	r.seq++
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.filled = true
-	}
+	slot.Seq = seq
 	r.mu.Unlock()
 	sp.Requests = scratch
 }
 
 // liveLocked copies the retained spans oldest-first. Caller holds r.mu.
 func (r *Recorder) liveLocked() []RoundSpan {
-	var src []RoundSpan
-	if r.filled {
-		src = make([]RoundSpan, 0, len(r.ring))
-		src = append(src, r.ring[r.next:]...)
-		src = append(src, r.ring[:r.next]...)
-	} else {
-		src = append([]RoundSpan(nil), r.ring[:r.next]...)
-	}
-	out := make([]RoundSpan, len(src))
-	for i := range src {
-		out[i] = src[i]
-		out[i].Requests = append([]RequestEvent(nil), src[i].Requests...)
+	out := r.spans.AppendTo(make([]RoundSpan, 0, r.spans.Len()))
+	for i := range out {
+		out[i].Requests = append([]RequestEvent(nil), out[i].Requests...)
 	}
 	return out
 }
@@ -286,8 +270,8 @@ func (r *Recorder) Freeze(reason string, round int) {
 		return
 	}
 	seq := uint64(0)
-	if r.seq > 0 {
-		seq = r.seq - 1
+	if n := r.spans.Pushed(); n > 0 {
+		seq = n - 1
 	}
 	r.frozen = &Snapshot{
 		Reason: reason,
@@ -355,8 +339,8 @@ func (r *Recorder) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return Stats{
-		Capacity: len(r.ring),
-		Recorded: int64(r.seq),
+		Capacity: r.spans.Cap(),
+		Recorded: int64(r.spans.Pushed()),
 		Triggers: r.triggers,
 		Frozen:   r.frozen != nil,
 	}

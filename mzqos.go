@@ -239,10 +239,6 @@ type (
 	// use; hand one to SimConfig.RoundTimes or MixedConfig.RoundTimes to
 	// collect comparable distributions from the simulators.
 	RoundHistogram = telemetry.Histogram
-	// SweepEvent is one recorded SCAN sweep with its per-phase breakdown.
-	SweepEvent = telemetry.RoundEvent
-	// SweepPhaseTotals accumulates phase seconds over recorded sweeps.
-	SweepPhaseTotals = telemetry.PhaseTotals
 	// SolverTelemetry reports the model package's process-wide solver
 	// counters (bound-chain cache hits, warm/cold Chernoff solves).
 	SolverTelemetry = model.TelemetrySnapshot
