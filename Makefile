@@ -1,10 +1,10 @@
 # Tier-1 verification plus the race and benchmark passes, one target each.
-# `make check` is what CI should run; `make bench` updates the
-# BENCH_admission.json performance trajectory.
+# `make check` is what CI should run; `make bench-system` appends to the
+# BENCH_system.json performance trajectory.
 
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-quick smoke faults loc loc-diff check clean
+.PHONY: all build vet test test-race bench bench-system smoke faults loc loc-diff check clean
 
 all: build
 
@@ -22,19 +22,20 @@ test:
 test-race:
 	$(GO) test -race -shuffle=on ./...
 
-# Runs the admission benchmark suite and appends the measurements
-# (op, ns/op, allocs/op, git rev, date, solver telemetry) to
-# BENCH_admission.json; the schema is documented in BENCH_SCHEMA.md.
+# Every go-test benchmark in the repo, for a look at one host; add
+# -cpuprofile per package to see where an op spends its time. The
+# host-independent halves (allocation counts, solver work) are tier-1
+# tests, and wall-clock claims go through bench-system.
 bench:
-	$(GO) run ./cmd/mzbench -v -out BENCH_admission.json
+	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# CI smoke for the round-path hot loops: runs the ClusterAdmit (with
-# migration enabled), ClusterMigrate, SLO-audit, JournalAppend,
-# HistorySample, and untraced ServerStep benchmarks, gates each on its
-# latency/allocation budget (Step on allocations alone), and validates the existing BENCH_admission.json trajectory against
-# BENCH_SCHEMA.md without appending a run.
-bench-quick:
-	$(GO) run ./cmd/mzbench -quick -v -out BENCH_admission.json
+# Appends two entries (seed 42, then the held-out 7) to BENCH_system.json:
+# benchmark/run.sh -all, then the four end-to-end metrics of every
+# workload out of the ignored benchmark/out/results.json, with quartiles,
+# sim_digest, GOMAXPROCS and the git revision. About three minutes;
+# earlier entries are never rewritten.
+bench-system:
+	sh scripts/bench-system.sh
 
 # Runs mzserver with -listen and curls the live telemetry endpoints.
 smoke:
@@ -45,13 +46,14 @@ smoke:
 faults:
 	sh scripts/faults.sh
 
-# Non-test, non-blank, non-comment Go lines per package: the measure of
-# the roadmap's net-negative-lines goal. Informational, never a gate.
+# Non-blank, non-comment Go lines per package, non-test beside _test.go:
+# the measure of the roadmap's net-negative-lines goal, with code moved
+# into test files showing as a move. Informational, never a gate.
 loc:
 	sh scripts/loc.sh
 
-# The same count for BASE (any revision, measured in a temporary git
-# worktree) beside the working tree, with the per-package delta:
+# The same counts for BASE (any revision, measured from a `git archive`
+# of it) beside the working tree, with the per-package deltas:
 #   make loc-diff BASE=origin/main
 loc-diff:
 	sh scripts/loc-diff.sh $(BASE)

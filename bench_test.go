@@ -1,9 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (see DESIGN.md's experiment index) plus micro-benchmarks of the hot
-// paths. Each BenchmarkTableX/BenchmarkFigureX measures one full
-// regeneration of that artifact; simulated variants use scaled trial
-// counts so an iteration stays in the tens of milliseconds. Run the mzexp
-// command for full paper-scale regeneration.
+// (see DESIGN.md's experiment index). Each BenchmarkTableX/BenchmarkFigureX
+// measures one full regeneration of that artifact; simulated variants use
+// scaled trial counts so an iteration stays in the tens of milliseconds.
+// Run the mzexp command for full paper-scale regeneration. The admission
+// and round-path micro-benchmarks live beside their packages under
+// internal/ (model, cluster, slo, journal, history, server).
 package mzqos_test
 
 import (
@@ -11,9 +12,7 @@ import (
 	"testing"
 
 	"mzqos"
-	"mzqos/internal/benchcases"
 	"mzqos/internal/experiments"
-	"mzqos/internal/model"
 	"mzqos/internal/sim"
 )
 
@@ -144,56 +143,7 @@ func BenchmarkExtGSS(b *testing.B) { runExperiment(b, "ext-gss") }
 // BenchmarkDiagPositionBias regenerates the SCAN position-bias diagnostic.
 func BenchmarkDiagPositionBias(b *testing.B) { runExperiment(b, "diag-positionbias") }
 
-// --- The admission-path suite (shared with cmd/mzbench) ---
-
-// BenchmarkAdmission runs the suite cmd/mzbench records into
-// BENCH_admission.json: optimized admission paths (warm-started solves,
-// prefix glitch sums, bisection searches, parallel table builds) raced
-// against the retained seed implementation in the same binary. Run
-// `go run ./cmd/mzbench` (or `make bench`) to persist the results.
-func BenchmarkAdmission(b *testing.B) {
-	for _, c := range benchcases.Suite() {
-		b.Run(c.Name, c.Bench)
-	}
-}
-
-// --- Micro-benchmarks of the hot paths ---
-
-// BenchmarkChernoffLateBound measures one uncached Chernoff optimization
-// (the admission-control inner loop).
-func BenchmarkChernoffLateBound(b *testing.B) {
-	cfg := mzqos.ModelConfig{
-		Disk:        mzqos.QuantumViking21(),
-		Sizes:       mzqos.PaperSizes(),
-		RoundLength: 1,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := mzqos.NewModel(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.LateBound(26); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAdmissionTable measures building the §5 lookup table.
-func BenchmarkAdmissionTable(b *testing.B) {
-	specs := []mzqos.Guarantee{
-		{Threshold: 0.001},
-		{Threshold: 0.01},
-		{Threshold: 0.05},
-		{Rounds: 1200, Glitches: 12, Threshold: 0.01},
-	}
-	for i := 0; i < b.N; i++ {
-		m := newPaperModel(b)
-		if _, err := model.BuildTable(m, specs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- Micro-benchmarks of the Monte-Carlo and trace generators ---
 
 // BenchmarkSimulatedRound measures one simulated SCAN round at N=26
 // (amortized over a 1000-round batch).
@@ -210,34 +160,6 @@ func BenchmarkSimulatedRound(b *testing.B) {
 		if _, err := sim.EstimatePLate(cfg, 1000, uint64(i+1)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkServerRound measures one full server round: 4 disks at the
-// admitted limit.
-func BenchmarkServerRound(b *testing.B) {
-	srv, err := mzqos.NewServer(mzqos.ServerConfig{
-		Disk:        mzqos.QuantumViking21(),
-		NumDisks:    4,
-		RoundLength: 1,
-		Sizes:       mzqos.PaperSizes(),
-		Guarantee:   mzqos.Guarantee{Threshold: 0.01},
-		Seed:        1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := srv.AddSyntheticObject("v", 1<<20); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < srv.Capacity(); i++ {
-		if _, _, err := srv.Open("v"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv.Step()
 	}
 }
 

@@ -240,8 +240,9 @@ func main() {
 	var glitchTotal, requestTotal, lostTotal int
 	var busy float64
 	wasDegraded := false
+	r := 0 // rounds executed: a signal leaves the loop short of -rounds
 loop:
-	for r := 0; r < *rounds; r++ {
+	for ; r < *rounds; r++ {
 		select {
 		case sig := <-sigCh:
 			fmt.Fprintf(os.Stderr, "mzserver: %v, stopping after round %d\n", sig, r)
@@ -303,7 +304,7 @@ loop:
 		fmt.Printf("faults: %d fragments lost, %d streams shed, degraded at exit: %v\n",
 			lostTotal, evictedStreams, srv.Degraded())
 	}
-	fmt.Printf("disk utilization %.1f%%\n", 100*busy/(float64(*rounds)*float64(*disks)))
+	fmt.Printf("disk utilization %.1f%%\n", 100*busy/(math.Max(1, float64(r))*float64(*disks)))
 	mean, sd, n := srv.ObservedSizeStats()
 	if n > 0 {
 		fmt.Printf("observed workload: mean %.0f KB, sd %.0f KB over %d fragments (drift %.0f%%)\n",

@@ -55,7 +55,7 @@ func checkTicketInvariant(t *testing.T, c *Coordinator, label string) {
 }
 
 // openN opens n streams of the object and returns their handles.
-func openN(t *testing.T, c *Coordinator, object string, n int) []Handle {
+func openN(t testing.TB, c *Coordinator, object string, n int) []Handle {
 	t.Helper()
 	hs := make([]Handle, 0, n)
 	for i := 0; i < n; i++ {

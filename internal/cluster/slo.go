@@ -44,21 +44,6 @@ type clusterSLORollup struct {
 	FiringShards  int
 }
 
-// clusterBurn mirrors slo's burn-rate capping for the weighted ratios.
-func clusterBurn(measured, budget float64) float64 {
-	if budget > 0 {
-		r := measured / budget
-		if r > slo.MaxBurn {
-			return slo.MaxBurn
-		}
-		return r
-	}
-	if measured > 0 {
-		return slo.MaxBurn
-	}
-	return 0
-}
-
 // rollupSLO computes the capacity-weighted cluster roll-up over shard
 // health snapshots. Shards without an enabled audit (cheap statistical
 // engines) or with zero capacity contribute nothing.
@@ -105,8 +90,8 @@ func rollupSLO(shards []engine.Health) clusterSLORollup {
 			t.Budget = wBudget[i] / wTotal
 			t.MeasuredFast = wMeasF[i] / wTotal
 			t.MeasuredSlow = wMeasS[i] / wTotal
-			t.BurnFast = clusterBurn(t.MeasuredFast, t.Budget)
-			t.BurnSlow = clusterBurn(t.MeasuredSlow, t.Budget)
+			t.BurnFast = slo.BurnRate(t.MeasuredFast, t.Budget)
+			t.BurnSlow = slo.BurnRate(t.MeasuredSlow, t.Budget)
 		}
 	}
 	return r

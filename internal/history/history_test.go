@@ -2,6 +2,7 @@ package history
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -290,6 +291,43 @@ func TestSampleZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Sample allocates %v per run, want 0", allocs)
+	}
+}
+
+// BenchmarkSample measures one per-round sample at a registry shaped like
+// a loaded single-server run (32 scalar series plus two per-disk
+// round-time histograms), warmed past the fine ring's wrap-around and
+// through several coarse blocks so the timed region is the steady state:
+// ring slots and coarse blocks recycling in place with no growth anywhere.
+func BenchmarkSample(b *testing.B) {
+	reg := telemetry.NewRegistry()
+	for i := 0; i < 16; i++ {
+		reg.Counter(fmt.Sprintf("bench_counter_%d_total", i), "bench counter").Add(int64(i))
+	}
+	for i := 0; i < 16; i++ {
+		reg.Gauge(fmt.Sprintf("bench_gauge_%d", i), "bench gauge").Set(float64(i))
+	}
+	bounds, err := telemetry.RoundTimeBuckets(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for d := 0; d < 2; d++ {
+		h, err := reg.Histogram("bench_round_time_seconds", "bench histogram",
+			bounds, telemetry.L("disk", fmt.Sprint(d)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Observe(0.8)
+	}
+	st := New(Config{Registry: reg, Rounds: 256})
+	warm := 256 + 2*DefaultCoarseBlock
+	for r := 0; r < warm; r++ {
+		st.Sample(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Sample(warm + i)
 	}
 }
 

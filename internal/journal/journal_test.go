@@ -161,3 +161,18 @@ func TestAppendAllocsZero(t *testing.T) {
 		t.Fatalf("Append allocates %v times per call, want 0", allocs)
 	}
 }
+
+// BenchmarkAppend measures one ring append at wrap-around steady state —
+// the call every emitter on the round path makes (admit, glitch, evict,
+// SLO transitions). The registry keeps it honest: production appends also
+// pay the per-kind counter and head-seq gauge updates.
+func BenchmarkAppend(b *testing.B) {
+	j := New(Config{Capacity: 4096, Registry: telemetry.NewRegistry()})
+	e := Event{Kind: KindGlitch, Disk: -1, From: -1, To: -1, Value: 3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Round = i
+		j.Append(e)
+	}
+}

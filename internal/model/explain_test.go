@@ -8,7 +8,7 @@ import (
 	"mzqos/internal/workload"
 )
 
-func paperModel(t *testing.T) *Model {
+func paperModel(t testing.TB) *Model {
 	t.Helper()
 	m, err := New(Config{
 		Disk:        disk.QuantumViking21(),

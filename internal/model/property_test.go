@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -222,6 +223,24 @@ func TestBisectionAgreesWithLinearScan(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Property: the parallel, bisecting table build returns the seed's serial
+// linear-scan table entry for entry over the benchmark grid, so the
+// seed-vs-fast benchmarks race two routes to the same answer.
+func TestBuildTableMatchesSeed(t *testing.T) {
+	grid := benchGrid()
+	fast, err := BuildTable(paperModel(t), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := SeedBuildTable(paperModel(t), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(fast.Entries(), seed.Entries()) {
+		t.Errorf("BuildTable %v, SeedBuildTable %v", fast.Entries(), seed.Entries())
 	}
 }
 

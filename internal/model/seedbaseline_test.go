@@ -10,9 +10,9 @@ import (
 // behaviour and cost profile: cold Brent minimizations over the full θ
 // interval, a coarse mutex around a per-N map, O(n) glitch re-summation on
 // every call (O(N²) across a linear scan), and linear N_max scans. It is
-// the baseline the benchmark harness (cmd/mzbench) races the fast path
-// against, so speedups are measured against real seed code in the same
-// binary rather than against a remembered number.
+// the oracle the property tests hold the fast path to, and the baseline
+// the seed-vs-fast benchmarks race it against in the same binary rather
+// than against a remembered number.
 
 // seedScan carries the seed code's memoization state: a flat bound map
 // behind one mutex, exactly as the original Model held it.

@@ -6,9 +6,8 @@ import "mzqos/internal/telemetry"
 // over every Model instance) because what they answer — how often the
 // admission path hits the memoized bound chain, how many Chernoff solves
 // ran warm-started versus cold, how many probes the bisection searches
-// spent — is a property of the running process, mirroring the PR-1
-// speedups that cmd/mzbench tracks. Counting is a single atomic add per
-// event, negligible next to the solves themselves.
+// spent — is a property of the running process. Counting is a single
+// atomic add per event, negligible next to the solves themselves.
 var tel struct {
 	chainHits       telemetry.Counter // bound reads served by the published chain
 	chainExtensions telemetry.Counter // reads that had to extend the chain
@@ -62,18 +61,6 @@ func Telemetry() TelemetrySnapshot {
 
 		AdmissionDecisions: tel.admissionDecisions.Value(),
 	}
-}
-
-// ResetTelemetry zeroes the solver counters (per-run harnesses such as
-// cmd/mzbench call it before a measured suite).
-func ResetTelemetry() {
-	tel.chainHits.Reset()
-	tel.chainExtensions.Reset()
-	tel.warmSolves.Reset()
-	tel.coldSolves.Reset()
-	tel.searchProbes.Reset()
-	tel.linearFallbacks.Reset()
-	tel.admissionDecisions.Reset()
 }
 
 // RegisterTelemetry adopts the solver counters into a registry under the

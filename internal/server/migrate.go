@@ -62,12 +62,12 @@ func (s *Server) ExportStream(id StreamID) (engine.StreamState, error) {
 	return engine.StreamState{}, fmt.Errorf("%w: %d", ErrUnknownStream, id)
 }
 
-// ImportStream re-admits a stream mid-playback. Admission control applies
-// exactly as in Open — the least-loaded admissible offset class within the
-// next D rounds, rejection when every class is at N_max — but the class
-// arithmetic accounts for the resume position: starting fragment P in
-// round r puts the stream in offset class (base+P−r) mod D, so the stream
-// reads fragment P from the disk that actually stores it. The returned
+// ImportStream re-admits a stream mid-playback. Admission control is
+// Open's (slot: the least-loaded admissible offset class within the next
+// D rounds, rejection when every class is at N_max) taken from the resume
+// position: starting fragment P in round r puts the stream in offset
+// class (base+P−r) mod D, so the stream reads fragment P from the disk
+// that actually stores it. The returned
 // startupDelay is only the additional slotting delay charged here; the
 // state's accumulated delay credit is carried into the stream's stats.
 func (s *Server) ImportStream(state engine.StreamState) (StreamID, int, error) {
@@ -84,37 +84,27 @@ func (s *Server) ImportStream(state engine.StreamState) (StreamID, int, error) {
 		s.recordRejection(state.Object, RejectOverload)
 		return 0, 0, ErrRejected
 	}
-	d := len(s.geoms)
-	bestDelay := -1
-	bestCount := s.nmax
-	for delay := 0; delay < d; delay++ {
-		class := mod(obj.base+state.Position-(s.round+delay), d)
-		if s.classes[class] < bestCount {
-			bestCount = s.classes[class]
-			bestDelay = delay
-		}
-	}
-	if bestDelay < 0 {
+	delay, class, ok := s.slot(obj.base + state.Position)
+	if !ok {
 		s.tel.rejected.Inc()
 		s.recordRejection(state.Object, RejectClassesFull)
 		return 0, 0, ErrRejected
 	}
-	class := mod(obj.base+state.Position-(s.round+bestDelay), d)
 	s.nextID++
 	st := &stream{
 		id:       s.nextID,
 		obj:      obj,
 		offset:   class,
 		next:     state.Position,
-		start:    s.round + bestDelay,
-		delay:    state.Delay + bestDelay,
+		start:    s.round + delay,
+		delay:    state.Delay + delay,
 		served:   state.Served,
 		glitches: state.Glitches,
 	}
 	s.activate(st)
 	s.tel.admitted.Inc()
 	s.journalAdmit(st, true)
-	return st.id, bestDelay, nil
+	return st.id, delay, nil
 }
 
 // ActiveStreams returns the open-stream ids, ascending — the drain list a

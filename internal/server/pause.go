@@ -32,30 +32,17 @@ func (s *Server) Resume(id StreamID) (startupDelay int, err error) {
 		}
 		return 0, ErrUnknownStream
 	}
-	if s.nmax == 0 {
+	delay, class, ok := s.slot(st.obj.base + st.next)
+	if !ok {
 		return 0, ErrRejected
 	}
-	d := len(s.geoms)
-	bestDelay := -1
-	bestCount := s.nmax
-	for delay := 0; delay < d; delay++ {
-		class := mod(st.obj.base+st.next-(s.round+delay), d)
-		if s.classes[class] < bestCount {
-			bestCount = s.classes[class]
-			bestDelay = delay
-		}
-	}
-	if bestDelay < 0 {
-		return 0, ErrRejected
-	}
-	class := mod(st.obj.base+st.next-(s.round+bestDelay), d)
 	delete(s.paused, st.id)
 	st.offset = class
-	st.start = s.round + bestDelay
-	st.delay += bestDelay
+	st.start = s.round + delay
+	st.delay += delay
 	s.activate(st)
 	s.tel.paused.Set(float64(len(s.paused)))
-	return bestDelay, nil
+	return delay, nil
 }
 
 // Paused returns the number of paused streams.

@@ -565,38 +565,45 @@ func (s *Server) Open(name string) (id StreamID, startupDelay int, err error) {
 		s.recordRejection(name, RejectOverload)
 		return 0, 0, ErrRejected
 	}
-	// Starting in round s.round+delay puts the stream in offset class
-	// (base − (round+delay)) mod D. Pick the least-loaded class (smallest
-	// delay on ties) so load stays balanced across disks; reject when even
-	// the emptiest class is at N_max.
-	d := len(s.geoms)
-	bestDelay := -1
-	bestCount := s.nmax
-	for delay := 0; delay < d; delay++ {
-		class := mod(obj.base-(s.round+delay), d)
-		if s.classes[class] < bestCount {
-			bestCount = s.classes[class]
-			bestDelay = delay
-		}
-	}
-	if bestDelay < 0 {
+	delay, class, ok := s.slot(obj.base)
+	if !ok {
 		s.tel.rejected.Inc()
 		s.recordRejection(name, RejectClassesFull)
 		return 0, 0, ErrRejected
 	}
-	class := mod(obj.base-(s.round+bestDelay), d)
 	s.nextID++
 	st := &stream{
 		id:     s.nextID,
 		obj:    obj,
 		offset: class,
-		start:  s.round + bestDelay,
-		delay:  bestDelay,
+		start:  s.round + delay,
+		delay:  delay,
 	}
 	s.activate(st)
 	s.tel.admitted.Inc()
 	s.journalAdmit(st, false)
-	return st.id, bestDelay, nil
+	return st.id, delay, nil
+}
+
+// slot picks the start slot for a stream whose first fragment to read
+// lives on disk first mod D (first = base + position). Starting in round
+// s.round+delay puts the stream in offset class (first − (round+delay))
+// mod D; the least-loaded class within the next D rounds wins (smallest
+// delay on ties) so load stays balanced across disks, and ok is false
+// when even the emptiest class is at N_max.
+func (s *Server) slot(first int) (delay, class int, ok bool) {
+	d := len(s.geoms)
+	bestDelay := -1
+	bestCount := s.nmax
+	for k := 0; k < d; k++ {
+		if n := s.classes[mod(first-(s.round+k), d)]; n < bestCount {
+			bestCount, bestDelay = n, k
+		}
+	}
+	if bestDelay < 0 {
+		return 0, 0, false
+	}
+	return bestDelay, mod(first-(s.round+bestDelay), d), true
 }
 
 // find binary-searches the active slice for id.

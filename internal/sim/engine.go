@@ -185,18 +185,7 @@ func (e *Engine) Open(name string) (id engine.StreamID, startupDelay int, err er
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownObject, name)
 	}
-	limit := int(e.hLimit.Load())
-	d := e.cfg.NumDisks
-	// Classes are statistically interchangeable here (placements are drawn
-	// fresh each round), so the admissible start slots are simply all D
-	// classes; pick the least loaded, lowest class index on ties.
-	bestClass, bestCount := -1, limit
-	for c := 0; c < d; c++ {
-		if n := len(e.classes[c]); n < bestCount {
-			bestCount = n
-			bestClass = c
-		}
-	}
+	bestClass := e.leastLoadedClass()
 	if bestClass < 0 {
 		return 0, 0, ErrRejected
 	}
@@ -208,6 +197,22 @@ func (e *Engine) Open(name string) (id engine.StreamID, startupDelay int, err er
 	e.classes[bestClass] = append(e.classes[bestClass], e.nextID)
 	e.hActive.Store(int64(len(e.streams)))
 	return e.nextID, 0, nil
+}
+
+// leastLoadedClass returns the offset class a new or imported stream
+// joins, or -1 when every class is at the admission limit. Classes are
+// statistically interchangeable here (placements are drawn fresh each
+// round), so the admissible start slots are simply all D classes: the
+// least loaded wins, lowest class index on ties.
+func (e *Engine) leastLoadedClass() int {
+	bestClass, bestCount := -1, int(e.hLimit.Load())
+	for c, ids := range e.classes {
+		if n := len(ids); n < bestCount {
+			bestCount = n
+			bestClass = c
+		}
+	}
+	return bestClass
 }
 
 // Close stops a stream early, releasing its admission slot.

@@ -50,8 +50,13 @@ func TestEngineAdmissionLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		if _, _, err := e.Open("vod"); err != nil {
+		id, _, err := e.Open("vod")
+		if err != nil {
 			t.Fatalf("open %d: %v", i, err)
+		}
+		// Least-loaded class, lowest index on ties: opens deal out in turn.
+		if c := e.streams[id].class; c != i%4 {
+			t.Fatalf("open %d joined class %d, want %d", i, c, i%4)
 		}
 	}
 	if _, _, err := e.Open("vod"); !errors.Is(err, engine.ErrRejected) {

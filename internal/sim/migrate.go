@@ -96,14 +96,7 @@ func (e *Engine) ImportStream(state engine.StreamState) (engine.StreamID, int, e
 		return 0, 0, fmt.Errorf("%w: import position %d outside %q (%d rounds)",
 			ErrConfig, state.Position, state.Object, length)
 	}
-	limit := int(e.hLimit.Load())
-	bestClass, bestCount := -1, limit
-	for c := 0; c < e.cfg.NumDisks; c++ {
-		if n := len(e.classes[c]); n < bestCount {
-			bestCount = n
-			bestClass = c
-		}
-	}
+	bestClass := e.leastLoadedClass()
 	if bestClass < 0 {
 		return 0, 0, ErrRejected
 	}

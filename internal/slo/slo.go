@@ -500,10 +500,10 @@ func ratio(num, den int64) float64 {
 	return float64(num) / float64(den)
 }
 
-// burnOf converts a measured rate and its budget into a burn rate,
+// BurnRate converts a measured rate and its budget into a burn rate,
 // capped at MaxBurn (a violation against a zero budget is "infinitely"
 // over budget, but JSON needs a finite number).
-func burnOf(measured, budget float64) float64 {
+func BurnRate(measured, budget float64) float64 {
 	if budget > 0 {
 		r := measured / budget
 		if r > MaxBurn {
@@ -547,8 +547,8 @@ func (a *Auditor) EndRound() Evaluation {
 			te.MeasuredFast = ratio(aggF.glitches, aggF.requests)
 			te.MeasuredSlow = ratio(aggS.glitches, aggS.requests)
 		}
-		te.BurnFast = burnOf(te.MeasuredFast, te.Budget)
-		te.BurnSlow = burnOf(te.MeasuredSlow, te.Budget)
+		te.BurnFast = BurnRate(te.MeasuredFast, te.Budget)
+		te.BurnSlow = BurnRate(te.MeasuredSlow, te.Budget)
 		from, changed := a.machines[i].step(round, te.BurnFast, te.BurnSlow, a.cfg)
 		te.State = a.machines[i].state
 		te.Transition = changed
@@ -731,9 +731,9 @@ func (a *Auditor) Status() Status {
 		mF, mS := ratio(vF, pF), ratio(vS, pS)
 		ts.Windows = []WindowEstimate{
 			{Window: "fast", Rounds: a.cfg.FastWindow, Violations: vF, Population: pF,
-				Measured: mF, Burn: burnOf(mF, ts.Budget)},
+				Measured: mF, Burn: BurnRate(mF, ts.Budget)},
 			{Window: "slow", Rounds: a.cfg.SlowWindow, Violations: vS, Population: pS,
-				Measured: mS, Burn: burnOf(mS, ts.Budget)},
+				Measured: mS, Burn: BurnRate(mS, ts.Budget)},
 		}
 		st.Targets[i] = ts
 	}

@@ -25,8 +25,7 @@ type Kind int
 const (
 	// KindCounter is a monotonically increasing integer.
 	KindCounter Kind = iota
-	// KindGauge is a float that can go up and down (also used for
-	// accumulated float totals such as per-phase service seconds).
+	// KindGauge is a float that can go up and down.
 	KindGauge
 	// KindHistogram is a fixed-bucket distribution.
 	KindHistogram

@@ -37,7 +37,7 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Reset zeroes the counter (for tests and per-run harnesses like mzbench).
+// Reset zeroes the counter (for tests and per-run harnesses).
 func (c *Counter) Reset() { c.v.Store(0) }
 
 // FloatCounter is a monotonically increasing float64 metric, for
@@ -79,8 +79,9 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add accumulates v (CAS loop; used for float totals such as per-phase
-// service seconds).
+// Add moves the level by v (CAS loop), for gauges maintained by deltas
+// such as the coordinator's held tickets. Monotone float totals belong in
+// a FloatCounter.
 func (g *Gauge) Add(v float64) {
 	for {
 		old := g.bits.Load()

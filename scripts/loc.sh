@@ -1,7 +1,9 @@
 #!/bin/sh
-# Prints non-test, non-blank, non-comment Go lines per package (directory),
-# with a subtotal for internal/ and a grand total. ROADMAP's north star
-# makes net-negative line counts a goal; this is the number it means.
+# Prints non-blank, non-comment Go lines per package (directory) in two
+# columns, non-test files and _test.go files, with a subtotal for
+# internal/ and a grand total. ROADMAP's north star makes net-negative
+# line counts a goal; the first column is the number it means, and the
+# second shows code moved into test files as a move, not a reduction.
 #
 #   scripts/loc.sh [ROOT]    ROOT defaults to the repository root, so a
 #                            checkout of another commit can be measured
@@ -9,7 +11,7 @@
 set -eu
 root="${1:-$(dirname "$0")/..}"
 cd "$root"
-find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/out/*' ! -path '*/.*/*' |
+find . -name '*.go' ! -path './benchmark/out/*' ! -path '*/.*/*' |
 	sort |
 	xargs awk '
 	FNR == 1 { inblock = 0 }
@@ -37,13 +39,16 @@ find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/out/*' ! -path '*/.
 		pkg = FILENAME
 		sub(/^\.\//, "", pkg)
 		if (!sub(/\/[^\/]*$/, "", pkg)) pkg = "."
-		n[pkg]++
-		total++
-		if (pkg ~ /^internal\//) internal++
+		t = FILENAME ~ /_test\.go$/
+		seen[pkg] = 1
+		n[pkg, t]++
+		total[t]++
+		if (pkg ~ /^internal\//) internal[t]++
 	}
 	END {
-		for (p in n) printf "%7d  %s\n", n[p], p | "sort -k2"
-		close("sort -k2")
-		printf "%7d  internal/ (subtotal)\n", internal
-		printf "%7d  total\n", total
+		printf "%7s %7s\n", "code", "test"
+		for (p in seen) printf "%7d %7d  %s\n", n[p, 0], n[p, 1], p | "sort -k3"
+		close("sort -k3")
+		printf "%7d %7d  internal/ (subtotal)\n", internal[0], internal[1]
+		printf "%7d %7d  total\n", total[0], total[1]
 	}'

@@ -228,4 +228,38 @@ if [ "$fail" -ne 0 ]; then
     echo "smoke: saved cluster SLO snapshot and debug bundle to $ARTDIR/" >&2
 fi
 
+kill "$PID" 2>/dev/null || true
+wait "$PID" 2>/dev/null || true
+
+# --- Interrupted run: the final utilization covers the rounds executed ---
+
+OUT="${TMPDIR:-/tmp}/mzserver-smoke-interrupt.out"
+"$BIN" -rounds 2000000 -arrivals 2 -report 10000 >"$OUT" 2>/dev/null &
+PID=$!
+i=0
+while [ "$i" -lt 100 ] && ! grep -q ' util ' "$OUT"; do
+    sleep 0.2
+    i=$((i + 1))
+done
+kill -INT "$PID" 2>/dev/null || true
+wait "$PID" 2>/dev/null || true
+# The last progress line and the final line average the same run, at most
+# one report interval apart, so they agree to within 2 points; dividing
+# by -rounds instead of the rounds executed reads several times lower.
+if awk '
+    / util /             { sub(/%/, "", $NF); last = $NF; seen = 1 }
+    /^disk utilization / { sub(/%/, "", $NF); final = $NF; done = 1 }
+    END {
+        d = final - last
+        if (d < 0) d = -d
+        if (!seen || !done || d > 2) exit 1
+        printf "smoke: ok   interrupted run reports %s%% utilization (last progress line %s%%)\n", final, last
+    }' "$OUT"; then
+    :
+else
+    echo "smoke: FAIL interrupted run: final utilization not within 2 points of the last progress line" >&2
+    tail -n 12 "$OUT" >&2
+    fail=1
+fi
+
 exit "$fail"
