@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"mzqos/internal/cluster"
@@ -13,6 +14,7 @@ import (
 	"mzqos/internal/dist"
 	"mzqos/internal/engine"
 	"mzqos/internal/fault"
+	"mzqos/internal/history"
 	"mzqos/internal/journal"
 	"mzqos/internal/model"
 	"mzqos/internal/server"
@@ -53,6 +55,15 @@ func jsonDigest(t *testing.T, v any) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// The goldens' run lengths, and the /query both endpoint goldens add: the
+// windowed p99 of every per-disk round-time histogram.
+const (
+	goldenServerRounds  = 400
+	goldenClusterRounds = 200
+	goldenShards        = 3
+	goldenQuery         = "/query?series=mzqos_server_round_time_seconds&agg=p99&step=64"
+)
+
 func checkGolden(t *testing.T, got, want map[string]string) {
 	t.Helper()
 	for path, w := range want {
@@ -76,12 +87,13 @@ func goldenArrivals(rate float64, clips int, rng interface {
 	}
 }
 
-// TestServerEndpointGolden drives one journaled, traced, degrading server
-// through a latency fault long enough to wrap the 256-slot rejection ring
-// and to fire and resolve an SLO alert, then pins every JSON surface.
-func TestServerEndpointGolden(t *testing.T) {
+// goldenServer is the endpoint goldens' seeded single server: journaled,
+// traced, degrading, driven through a latency fault long enough to wrap the
+// 256-slot rejection ring and to fire and resolve an SLO alert. beforeStep
+// (nil = none) runs each round after the arrivals and before Step.
+func goldenServer(t *testing.T, reg *telemetry.Registry, hist *history.Store, beforeStep func(r int, srv *server.Server)) (*server.Server, *journal.Journal, *journal.Ledger) {
+	t.Helper()
 	model.ResetDecisions() // recent_decisions is process-wide
-	reg := telemetry.NewRegistry()
 	// Journal, ledger and SLO history are sized so this run wraps them too.
 	jnl := journal.New(journal.Config{Capacity: 1024, Registry: reg})
 	led := journal.NewLedger(journal.LedgerConfig{Retired: 256})
@@ -101,6 +113,7 @@ func TestServerEndpointGolden(t *testing.T) {
 		Registry: reg,
 		Journal:  jnl,
 		Ledger:   led,
+		History:  hist,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,10 +125,22 @@ func TestServerEndpointGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for r := 0; r < 400; r++ {
+	for r := 0; r < goldenServerRounds; r++ {
 		goldenArrivals(3, clips, rng, func(name string) { _, _, _ = srv.Open(name) })
+		if beforeStep != nil {
+			beforeStep(r, srv)
+		}
 		srv.Step()
 	}
+	return srv, jnl, led
+}
+
+// TestServerEndpointGolden pins every JSON surface of the single-server
+// mux after goldenServer's run.
+func TestServerEndpointGolden(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	hist := history.New(history.Config{Registry: reg})
+	srv, jnl, led := goldenServer(t, reg, hist, nil)
 
 	// The run must exercise what the digests are there to pin.
 	if rej := srv.Rejections(); len(rej) != 256 || rej[0].Seq == 0 {
@@ -137,9 +162,9 @@ func TestServerEndpointGolden(t *testing.T) {
 		t.Fatalf("trace recorded %d spans in a %d ring: /sweeps and /trace must hold the same sweeps", st.Recorded, st.Capacity)
 	}
 
-	mux := newTelemetryMux(srv, nil, false)
+	mux := newTelemetryMux(srv, hist, false)
 	got := map[string]string{}
-	for _, path := range []string{"/sweeps", "/admission", "/slo", "/timeline", "/streams", "/trace", "/faults", "/report"} {
+	for _, path := range []string{"/sweeps", "/admission", "/slo", "/timeline", "/streams", "/trace", "/faults", "/report", goldenQuery} {
 		got[path] = bodyDigest(t, mux, path)
 	}
 	checkGolden(t, got, map[string]string{
@@ -151,21 +176,18 @@ func TestServerEndpointGolden(t *testing.T) {
 		"/trace":     "9771e82b2947c4f3",
 		"/faults":    "b9d3b256b3614e69",
 		"/report":    "5234f344ac0aa0cb",
+		goldenQuery:  "d2c66c8b0ed9c26d",
 	})
 }
 
-// TestClusterEndpointGolden pins the cluster mux after a 3-shard run in
-// which shard 0 fails and its streams migrate. Shards step in parallel
-// goroutines into one shared journal and ledger, so the order in which
-// two shards' events of the same round interleave is not fixed: /timeline
-// events and /streams retired records are digested per shard with the
-// journal sequence left out; everything else is byte for byte.
-func TestClusterEndpointGolden(t *testing.T) {
-	reg := telemetry.NewRegistry()
+// goldenCluster is the endpoint goldens' seeded 3-shard cluster, in which
+// shard 0 degrades, fails and its streams migrate. beforeStep (nil = none)
+// runs each round after the arrivals and before Step.
+func goldenCluster(t *testing.T, reg *telemetry.Registry, hist *history.Store, beforeStep func(r int, coord *cluster.Coordinator)) (*cluster.Coordinator, *journal.Journal) {
+	t.Helper()
 	jnl := journal.New(journal.Config{Registry: reg})
 	led := journal.NewLedger(journal.LedgerConfig{})
-	const shards = 3
-	engines := make([]engine.Engine, shards)
+	engines := make([]engine.Engine, goldenShards)
 	for i := range engines {
 		cfg := server.Config{
 			Disk:           disk.QuantumViking21(),
@@ -198,10 +220,11 @@ func TestClusterEndpointGolden(t *testing.T) {
 	coord, err := cluster.New(cluster.Config{
 		Engines:  engines,
 		Registry: reg,
-		Replicas: shards,
+		Replicas: goldenShards,
 		Migrate:  true,
 		Journal:  jnl,
 		Ledger:   led,
+		History:  hist,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,10 +240,27 @@ func TestClusterEndpointGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for r := 0; r < 200; r++ {
+	for r := 0; r < goldenClusterRounds; r++ {
 		goldenArrivals(4, clips, rng, func(name string) { _, _, _ = coord.Open(name) })
+		if beforeStep != nil {
+			beforeStep(r, coord)
+		}
 		coord.Step()
 	}
+	return coord, jnl
+}
+
+// TestClusterEndpointGolden pins the cluster mux after goldenCluster's run.
+// Shards step in parallel goroutines into one shared journal and ledger,
+// so the order in which two shards' events of the same round interleave is
+// not fixed: /timeline events and /streams retired records are digested
+// per shard with the journal sequence left out; everything else is byte
+// for byte.
+func TestClusterEndpointGolden(t *testing.T) {
+	const shards = goldenShards
+	reg := telemetry.NewRegistry()
+	hist := history.New(history.Config{Registry: reg})
+	coord, jnl := goldenCluster(t, reg, hist, nil)
 
 	adm := coord.Admissions()
 	if len(adm) != 256 {
@@ -233,9 +273,9 @@ func TestClusterEndpointGolden(t *testing.T) {
 		t.Fatalf("journal wrapped (%d dropped): which events survive would depend on shard interleaving", st.Dropped)
 	}
 
-	mux := newClusterMux(coord, reg, nil, false)
+	mux := newClusterMux(coord, reg, hist, false)
 	got := map[string]string{}
-	for _, path := range []string{"/cluster", "/admission", "/slo", "/report"} {
+	for _, path := range []string{"/cluster", "/admission", "/slo", "/report", goldenQuery} {
 		got[path] = bodyDigest(t, mux, path)
 	}
 
@@ -271,5 +311,146 @@ func TestClusterEndpointGolden(t *testing.T) {
 		"/report":    "8ec5f1faec3322e6",
 		"/timeline":  "0b2b7e5c7027967f",
 		"/streams":   "dd8bb734f63d35a7",
+		goldenQuery:  "73d2c5306a5f4863",
+	})
+}
+
+// goldenHistory builds the store TestHistoryOutputGolden reads: a fine
+// ring that is not a multiple of any storage tile and wraps several times
+// in both runs, under a coarse ring that reaches further back (160
+// rounds) and wraps too, so queries cross from coarse blocks into fine
+// points.
+func goldenHistory(reg *telemetry.Registry) *history.Store {
+	return history.New(history.Config{Registry: reg, Rounds: 50, CoarseBlock: 8, CoarseBlocks: 20})
+}
+
+// historyDisturber returns the beforeStep body of TestHistoryOutputGolden:
+// every path into the store besides the round loop's own Sample, at rounds
+// spread over the run so some survive in the fine ring, some only in the
+// coarse envelopes. Two gauges register mid-run (one early enough to wrap,
+// one inside the final fine retention, so its first point is its attach
+// round), SampleCurrent re-samples between arrivals and Step (the fold must
+// keep the overwritten value in min/max), and /metrics scrapes reach the
+// same path through the registry hook — the first of them builds the mux,
+// which registers the runtime and model series late.
+func historyDisturber(t *testing.T, reg *telemetry.Registry, hist *history.Store, rounds int) func(r int, mux func() *http.ServeMux) {
+	var early, late *telemetry.Gauge
+	var m *http.ServeMux
+	return func(r int, mux func() *http.ServeMux) {
+		if r == rounds/4 {
+			early = reg.Gauge("golden_early", "registered at a quarter of the run")
+		}
+		if r == rounds-30 {
+			late = reg.Gauge("golden_late", "registered inside the last fine retention")
+		}
+		if early != nil {
+			early.Set(float64(r % 11))
+		}
+		if late != nil {
+			late.Set(float64(r % 5))
+		}
+		if r%37 == 5 {
+			hist.SampleCurrent()
+		}
+		if r%53 == 11 {
+			if m == nil {
+				m = mux()
+			}
+			rec := httptest.NewRecorder()
+			m.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			if rec.Code != 200 {
+				t.Fatalf("GET /metrics at round %d: status %d", r, rec.Code)
+			}
+		}
+	}
+}
+
+// processWide reports the series left out of the history digest: runtime
+// and model-cache series describe the test process, not the seeded run.
+func processWide(name string) bool {
+	return strings.HasPrefix(name, "mzqos_go_") || strings.HasPrefix(name, "mzqos_model_")
+}
+
+// historyDigest digests everything a reader can get out of the store:
+// Query for every series name × every agg × step {1, 7, 64, 500} ×
+// since_round {0, coarse region, fine region}, TailTrajectory for every
+// id, and both Dump sizes.
+func historyDigest(t *testing.T, st *history.Store) string {
+	t.Helper()
+	h := fnv.New64a()
+	enc := json.NewEncoder(h)
+	put := func(v any) {
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := int64(st.LastRound())
+	for _, name := range st.SeriesNames() {
+		if processWide(name) {
+			continue
+		}
+		for _, agg := range []string{history.AggLast, history.AggRate, history.AggMin, history.AggMax, history.AggP50, history.AggP99, history.AggP999} {
+			for _, step := range []int{1, 7, 64, 500} {
+				for _, since := range []int64{0, last - 100, last - 20} {
+					res, err := st.Query(history.Query{Series: name, Agg: agg, Step: step, SinceRound: since})
+					if err != nil {
+						put(err.Error())
+						continue
+					}
+					put(res)
+				}
+			}
+		}
+	}
+	for _, id := range st.SeriesIDs() {
+		if processWide(id) {
+			continue
+		}
+		for _, step := range []int{1, 16} {
+			put(st.TailTrajectory(id, 1, 0, step))
+			put(st.TailTrajectory(id, 0.5, last-20, step))
+		}
+	}
+	for _, maxPoints := range []int{256, 0} {
+		d := st.Dump(maxPoints)
+		kept := d.Series[:0]
+		for _, sr := range d.Series {
+			if !processWide(sr.Name) {
+				kept = append(kept, sr)
+			}
+		}
+		d.Series = kept
+		put(d)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestHistoryOutputGolden pins what internal/history serves — /query,
+// the dashboard's tail trajectories and the bundle's dump — after the two
+// seeded runs above at a retention both rings wrap under, with every
+// write path into the store exercised. The constants were taken at the
+// per-series store's code and must not move with how samples are stored.
+func TestHistoryOutputGolden(t *testing.T) {
+	t.Run("server", func(t *testing.T) {
+		reg := telemetry.NewRegistry()
+		hist := goldenHistory(reg)
+		disturb := historyDisturber(t, reg, hist, goldenServerRounds)
+		goldenServer(t, reg, hist, func(r int, srv *server.Server) {
+			disturb(r, func() *http.ServeMux { return newTelemetryMux(srv, hist, false) })
+		})
+		if got, want := historyDigest(t, hist), "41b304130491cbc2"; got != want {
+			t.Errorf("history digest = %s, want %s", got, want)
+		}
+	})
+	t.Run("cluster", func(t *testing.T) {
+		reg := telemetry.NewRegistry()
+		hist := goldenHistory(reg)
+		disturb := historyDisturber(t, reg, hist, goldenClusterRounds)
+		goldenCluster(t, reg, hist, func(r int, coord *cluster.Coordinator) {
+			disturb(r, func() *http.ServeMux { return newClusterMux(coord, reg, hist, false) })
+		})
+		if got, want := historyDigest(t, hist), "59a1eb68818f2a6d"; got != want {
+			t.Errorf("history digest = %s, want %s", got, want)
+		}
 	})
 }
