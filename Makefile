@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-system smoke faults loc loc-diff check clean
+.PHONY: all build vet test test-race bench bench-system bench-pairs smoke faults loc loc-diff check clean
 
 all: build
 
@@ -36,6 +36,15 @@ bench:
 # earlier entries are never rewritten.
 bench-system:
 	sh scripts/bench-system.sh
+
+# Alternated parent/change pairs of benchmark/run.sh, BASE (any revision,
+# run from a `git archive` of it) against the working tree: per pair the
+# end-to-end metrics, their change/parent ratio and both sim_digests, then
+# medians and wins per (workload, seed). What a wall-clock claim cites.
+#   make bench-pairs BASE=HEAD~1 [PAIRS=3] [WORKLOADS="cluster-8x4"] [SEEDS="42 7"]
+#   TRACE=1 METRICS="history.sample_ns history.dump_ms" for the per-layer rows
+bench-pairs:
+	PAIRS="$(PAIRS)" WORKLOADS="$(WORKLOADS)" SEEDS="$(SEEDS)" TRACE="$(TRACE)" METRICS="$(METRICS)" sh scripts/bench-pairs.sh $(BASE)
 
 # Runs mzserver with -listen and curls the live telemetry endpoints.
 smoke:

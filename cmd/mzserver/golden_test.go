@@ -257,7 +257,6 @@ func goldenCluster(t *testing.T, reg *telemetry.Registry, hist *history.Store, b
 // per shard with the journal sequence left out; everything else is byte
 // for byte.
 func TestClusterEndpointGolden(t *testing.T) {
-	const shards = goldenShards
 	reg := telemetry.NewRegistry()
 	hist := history.New(history.Config{Registry: reg})
 	coord, jnl := goldenCluster(t, reg, hist, nil)
@@ -281,7 +280,7 @@ func TestClusterEndpointGolden(t *testing.T) {
 
 	var tl timelineReport
 	getJSON(t, mux, "/timeline", &tl)
-	perShard := make([][]journal.Event, shards)
+	perShard := make([][]journal.Event, goldenShards)
 	for _, e := range tl.Events {
 		e.Seq = 0
 		perShard[e.Shard] = append(perShard[e.Shard], e)
@@ -294,7 +293,7 @@ func TestClusterEndpointGolden(t *testing.T) {
 
 	var st journal.Report
 	getJSON(t, mux, "/streams", &st)
-	retired := make([][]journal.Record, shards)
+	retired := make([][]journal.Record, goldenShards)
 	for _, rec := range st.Retired {
 		retired[rec.Shard] = append(retired[rec.Shard], rec)
 	}

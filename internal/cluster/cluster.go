@@ -26,6 +26,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -243,6 +244,11 @@ type Coordinator struct {
 	hist       *history.Store // nil-safe: nil means no embedded history
 	staleAfter int
 	stale      []bool
+
+	// stepWG joins the workers of one round's shard fan-out. A field, not
+	// a local the worker closures would move to the heap every round;
+	// Step-owned like pending and stale.
+	stepWG sync.WaitGroup
 
 	tel *clusterTelemetry
 }
@@ -703,29 +709,24 @@ type RoundReport struct {
 // Step executes one round on every shard — shards sweep in parallel,
 // each under its own lock — then releases tickets for streams the round
 // retired (completed or shed by a degrading shard) and refreshes the
-// health view on the heartbeat cadence. Reports are assembled in shard
-// order, so a fixed per-shard seed set reproduces byte-identical cluster
-// reports regardless of sweep parallelism.
+// health view on the heartbeat cadence. The sweeps fan out over
+// min(GOMAXPROCS, shards) workers, the caller being the first: one P
+// spawns nothing, N Ps spawn N−1 goroutines. Reports are written by shard
+// index, so a fixed per-shard seed set reproduces byte-identical cluster
+// reports at any width. Step is the round loop's: one caller at a time.
 func (c *Coordinator) Step() RoundReport {
-	rep := RoundReport{
-		Round:  int(c.round.Load()),
-		Shards: make([]ShardRoundReport, len(c.shards)),
+	shards := make([]ShardRoundReport, len(c.shards))
+	workers := min(runtime.GOMAXPROCS(0), len(c.shards))
+	for w := 1; w < workers; w++ {
+		c.stepWG.Add(1)
+		go func(w int) {
+			defer c.stepWG.Done()
+			c.stepShards(w, workers, shards)
+		}(w)
 	}
-	var wg sync.WaitGroup
-	for i, s := range c.shards {
-		wg.Add(1)
-		go func(i int, s *shard) {
-			defer wg.Done()
-			s.mu.Lock()
-			r := s.eng.Step()
-			s.mu.Unlock()
-			rep.Shards[i] = ShardRoundReport{Shard: s.id, Report: r}
-			if retired := len(r.Completed) + len(r.Evicted); retired > 0 {
-				s.tickets.Add(-int64(retired))
-			}
-		}(i, s)
-	}
-	wg.Wait()
+	c.stepShards(0, workers, shards)
+	c.stepWG.Wait()
+	rep := RoundReport{Round: int(c.round.Load()), Shards: shards}
 	released := 0
 	for i := range rep.Shards {
 		r := &rep.Shards[i].Report
@@ -755,6 +756,22 @@ func (c *Coordinator) Step() RoundReport {
 	// staleness) has settled.
 	c.hist.Sample(int(round))
 	return rep
+}
+
+// stepShards is worker w of a round's fan-out: it steps shards w,
+// w+workers, … each under its own lock, writes their reports by shard
+// index and releases the retired streams' tickets.
+func (c *Coordinator) stepShards(w, workers int, out []ShardRoundReport) {
+	for i := w; i < len(c.shards); i += workers {
+		s := c.shards[i]
+		s.mu.Lock()
+		r := s.eng.Step()
+		s.mu.Unlock()
+		out[i] = ShardRoundReport{Shard: s.id, Report: r}
+		if retired := len(r.Completed) + len(r.Evicted); retired > 0 {
+			s.tickets.Add(-int64(retired))
+		}
+	}
 }
 
 // observeStaleness journals the rising edge of any shard's cached health

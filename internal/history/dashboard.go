@@ -60,7 +60,7 @@ func (st *Store) TailTrajectory(id string, threshold float64, sinceRound int64, 
 	defer st.mu.Unlock()
 	for _, rec := range st.series {
 		if rec.id == id {
-			return rec.tailTrajectory(sinceRound, int64(step), threshold, st.capacity)
+			return rec.tailTrajectory(sinceRound, int64(step), threshold)
 		}
 	}
 	return nil
@@ -68,7 +68,7 @@ func (st *Store) TailTrajectory(id string, threshold float64, sinceRound int64, 
 
 // tailTrajectory computes the per-window tail from bucket deltas between
 // window-endpoint samples. Runs under the store mutex.
-func (rec *seriesRec) tailTrajectory(since, step int64, threshold float64, capacity int) []Point {
+func (rec *seriesRec) tailTrajectory(since, step int64, threshold float64) []Point {
 	if rec.h == nil {
 		return nil
 	}
@@ -77,20 +77,19 @@ func (rec *seriesRec) tailTrajectory(since, step int64, threshold float64, capac
 		slot  int
 	}
 	var ends []endpoint
-	for k := 0; k < rec.n; k++ {
-		i := rec.head - rec.n + k
-		if i < 0 {
-			i += capacity
+	for k := 0; k < rec.co.fine.n; {
+		slot, rounds, _ := rec.co.fineRun(k, rec.col)
+		for j, round := range rounds {
+			if round < since {
+				continue
+			}
+			if len(ends) > 0 && ends[len(ends)-1].round/step == round/step {
+				ends[len(ends)-1] = endpoint{round, slot + j}
+				continue
+			}
+			ends = append(ends, endpoint{round, slot + j})
 		}
-		round := rec.fine[i].round
-		if round < since {
-			continue
-		}
-		if len(ends) > 0 && ends[len(ends)-1].round/step == round/step {
-			ends[len(ends)-1] = endpoint{round, i}
-			continue
-		}
-		ends = append(ends, endpoint{round, i})
+		k += len(rounds)
 	}
 	if len(ends) < 2 {
 		return nil

@@ -6,23 +6,32 @@
 // round), and this package lets the repo show its own guarantee as a
 // time series without an external Prometheus.
 //
-// Storage is three-tiered per series:
+// Storage is per cohort, not per series. The series attached by one
+// registry enumeration — the ones registered before New, everything else
+// on the first Sample, late registrations after — are sampled at exactly
+// the same rounds, so a cohort shares one round column and one ring cursor
+// per tier across all its k series:
 //
-//   - a fine ring of (round, value) points with configurable retention
-//     (DefaultRounds), overwritten in place when the same round is
-//     re-sampled (the on-scrape refresh path);
-//   - a coarse ring of min/max/last triples per DefaultCoarseBlock-round
-//     block, so queries reaching past the fine retention still resolve
-//     envelope and level at block granularity;
-//   - for histogram series, a flat ring of cumulative per-bucket counts
-//     aligned with the fine ring, so rate() and quantile-over-time
-//     (T_N p50/p99/p999 trajectories) are answerable after the fact from
-//     bucket deltas between any two retained samples.
+//   - a fine ring with configurable retention (DefaultRounds): one round
+//     per slot and one contiguous value block laid out in tiles — tile
+//     consecutive slots of one series adjacent, the tiles of the k series
+//     side by side — so a Sample writes one strided row into lines that
+//     stay hot for several rounds, while a single-series read walks its
+//     column a tile at a time. The newest slot is overwritten in place
+//     when its round is re-sampled (the on-scrape refresh path);
+//   - a coarse ring of DefaultCoarseBlock-round blocks: one start round
+//     per block and the k series' min/max/last envelopes in the same
+//     tiled layout, so queries reaching past the fine retention still
+//     resolve envelope and level at block granularity;
+//   - per histogram series, a flat ring of cumulative per-bucket counts
+//     aligned with its cohort's fine ring, so rate() and
+//     quantile-over-time (T_N p50/p99/p999 trajectories) are answerable
+//     after the fact from bucket deltas between any two retained samples.
 //
-// All rings are preallocated when a series attaches, so the per-round
-// Sample hot path allocates nothing: one atomic read per scalar series
-// and one bucket-count copy per histogram, under a single short mutex
-// shared with queries.
+// Everything is preallocated when a cohort attaches, so the per-round
+// Sample hot path allocates nothing: one pass of an atomic read, a tile
+// store and an envelope fold per scalar series, then one bucket-count
+// copy per histogram, under a single short mutex shared with queries.
 package history
 
 import (
@@ -73,6 +82,7 @@ type Store struct {
 	block    int64
 	blocks   int
 
+	cohorts  []*cohort
 	series   []*seriesRec
 	byName   map[string][]*seriesRec
 	attached int // registry entries enumerated so far
@@ -81,44 +91,100 @@ type Store struct {
 	samples   int64
 }
 
-// finePoint is one fine-ring sample. round and value sit in one struct
-// (rather than parallel slices) so a sample touches one cache line.
-type finePoint struct {
-	round int64
-	value float64
+// tile is how many consecutive ring slots of one series sit adjacent in a
+// cohort's tiled blocks (fine values by slot, envelopes by coarse block);
+// a power of two, so the index arithmetic is shifts and masks. 1 would be
+// plain row-major: the fastest Sample, and a stride of k entries per point
+// for every single-series read. Picked by measurement (CHANGES.md, PR 18).
+const tile = 16
+
+// cursor is a ring's write position: the next write goes to head, and n of
+// the size slots hold entries.
+type cursor struct {
+	head, n, size int
 }
 
-// coarseBlock is one coarse-ring envelope, keyed by its block start
-// round. One 32-byte struct per block keeps the steady-state fold — a
-// read-modify-write of the newest block every round — on a single line.
-type coarseBlock struct {
-	start          int64
+// newest returns the slot written last (meaningful once n > 0).
+func (c *cursor) newest() int {
+	if c.head == 0 {
+		return c.size - 1
+	}
+	return c.head - 1
+}
+
+// push returns the slot the next entry goes to and moves past it.
+func (c *cursor) push() int {
+	slot := c.head
+	if c.head++; c.head == c.size {
+		c.head = 0
+	}
+	if c.n < c.size {
+		c.n++
+	}
+	return slot
+}
+
+// run is the accessor every walk over a fine or coarse ring goes through.
+// For the k-th oldest retained entry (k = n-1 is the newest) it returns
+// the entry's slot and how many entries from it on sit in adjacent slots
+// of one tile: up to the end of the tile, of the ring, or of what is
+// retained. A walk handles one such run at a time, as plain slices.
+func (c *cursor) run(k int) (slot, run int) {
+	slot = c.head - c.n + k
+	if slot < 0 {
+		slot += c.size
+	}
+	return slot, min(tile-slot%tile, c.size-slot, c.n-k)
+}
+
+// envelope is one series' min/max/last over one coarse block.
+type envelope struct {
 	min, max, last float64
 }
 
-// seriesRec is one series' stored trajectory.
+// cohort is the shared storage of the series attached by one registry
+// enumeration. They are sampled at exactly the same rounds, so round
+// columns and ring cursors exist once per cohort and a series is a column
+// index.
+type cohort struct {
+	// srcs are the live handles in column order; hists the histogram
+	// series among them.
+	srcs  []telemetry.Series
+	hists []*seriesRec
+
+	// Fine ring: rounds[slot] is the round sampled into slot, and the
+	// value of column col at that slot is
+	// vals[((slot/tile)*k+col)*tile+slot%tile], k = len(srcs). Tiled
+	// blocks are padded to a whole number of tiles.
+	fine   cursor
+	rounds []int64
+	vals   []float64
+
+	// Coarse ring: starts[b] is block b's first round and env holds the
+	// envelopes, tiled like vals with the block index for the slot.
+	coarse cursor
+	starts []int64
+	env    []envelope
+}
+
+// seriesRec is one series: a column of its cohort plus, for a histogram,
+// the bucket ring only it needs.
 type seriesRec struct {
-	src telemetry.Series
 	id  string
-
-	// Fine ring of (round, value) points: next write at head, n valid,
-	// oldest at (head-n) mod cap.
-	fine []finePoint
-	head int
-	n    int
-
-	// Coarse ring of per-block envelopes.
-	cBlocks   []coarseBlock
-	cHead, cN int
+	co  *cohort
+	col int
 
 	// Histogram extension: cumulative per-bucket counts per fine sample,
-	// stored flat (sample at ring slot i occupies buckets[i*nb:(i+1)*nb]).
-	// Nil for scalar series.
+	// stored flat (the sample at fine slot i occupies
+	// buckets[i*nb:(i+1)*nb]). Nil for scalar series.
 	h       *telemetry.Histogram
 	nb      int
 	bounds  []float64
 	buckets []int64
 }
+
+// src returns the series' identity and live handle.
+func (rec *seriesRec) src() *telemetry.Series { return &rec.co.srcs[rec.col] }
 
 // New builds a store over cfg.Registry, attaches every currently
 // registered series, and installs the on-scrape refresh hook so a
@@ -159,34 +225,41 @@ func (st *Store) maybeRefreshLocked() {
 	}
 }
 
-// refreshLocked attaches registry entries added since the last
-// enumeration. Registration order is append-only, so only the tail is
+// refreshLocked attaches the registry entries added since the last
+// enumeration as one new cohort, preallocating its rings so sampling it
+// never allocates. Registration order is append-only, so only the tail is
 // new.
 func (st *Store) refreshLocked() {
 	all := st.reg.Series()
-	for _, s := range all[st.attached:] {
-		st.attachLocked(s)
-	}
+	srcs := append([]telemetry.Series(nil), all[st.attached:]...)
 	st.attached = len(all)
-}
-
-// attachLocked preallocates one series' rings so sampling it never
-// allocates.
-func (st *Store) attachLocked(s telemetry.Series) {
-	rec := &seriesRec{
-		src:     s,
-		id:      s.ID(),
-		fine:    make([]finePoint, st.capacity),
-		cBlocks: make([]coarseBlock, st.blocks),
+	k := len(srcs)
+	if k == 0 {
+		return
 	}
-	if h := s.Histogram(); h != nil {
-		rec.h = h
-		rec.nb = h.NumBuckets()
-		rec.bounds = h.Bounds()
-		rec.buckets = make([]int64, st.capacity*rec.nb)
+	co := &cohort{
+		srcs:   srcs,
+		fine:   cursor{size: st.capacity},
+		coarse: cursor{size: st.blocks},
+		rounds: make([]int64, st.capacity),
+		vals:   make([]float64, (st.capacity+tile-1)/tile*k*tile),
+		starts: make([]int64, st.blocks),
+		env:    make([]envelope, (st.blocks+tile-1)/tile*k*tile),
 	}
-	st.series = append(st.series, rec)
-	st.byName[s.Name] = append(st.byName[s.Name], rec)
+	for col := range srcs {
+		s := &srcs[col]
+		rec := &seriesRec{id: s.ID(), co: co, col: col}
+		if h := s.Histogram(); h != nil {
+			rec.h = h
+			rec.nb = h.NumBuckets()
+			rec.bounds = h.Bounds()
+			rec.buckets = make([]int64, st.capacity*rec.nb)
+			co.hists = append(co.hists, rec)
+		}
+		st.series = append(st.series, rec)
+		st.byName[s.Name] = append(st.byName[s.Name], rec)
+	}
+	st.cohorts = append(st.cohorts, co)
 }
 
 // Sample records one point per attached series at the given round.
@@ -196,114 +269,98 @@ func (st *Store) Sample(round int) {
 	if st == nil {
 		return
 	}
-	r := int64(round)
-	// The coarse block start depends only on the round, so the division
-	// happens once here rather than once per series on the hot path.
-	start := r - r%st.block
 	st.mu.Lock()
-	st.maybeRefreshLocked()
-	for _, rec := range st.series {
-		rec.push(r, start, rec.src.Read(), st.capacity, st.blocks)
-	}
-	if r > st.lastRound {
-		st.lastRound = r
-	}
-	st.samples++
+	st.sampleLocked(int64(round))
 	st.mu.Unlock()
 }
 
 // SampleCurrent re-samples at the most recent sampled round (round 0
 // before any) — the on-scrape refresh path, so a mid-round /metrics
-// scrape reads history that includes the moment of the scrape.
+// scrape reads history that includes the moment of the scrape. The round
+// is read and sampled under one lock acquisition: a round-loop Sample
+// slipping in between would leave this round stored after its successor.
 func (st *Store) SampleCurrent() {
 	if st == nil {
 		return
 	}
 	st.mu.Lock()
-	r := st.lastRound
+	st.sampleLocked(max(st.lastRound, 0))
 	st.mu.Unlock()
-	if r < 0 {
-		r = 0
-	}
-	st.Sample(int(r))
 }
 
-// push records one sample into the fine ring and folds it into the
-// current coarse block (start is the sample's precomputed block start
-// round). Allocation-free.
-func (rec *seriesRec) push(round, start int64, v float64, capacity, blocks int) {
-	if rec.n > 0 {
-		last := rec.head - 1
-		if last < 0 {
-			last += capacity
-		}
-		if rec.fine[last].round == round {
-			rec.fine[last].value = v
-			if rec.h != nil {
-				rec.h.CopyCounts(rec.buckets[last*rec.nb : (last+1)*rec.nb])
+func (st *Store) sampleLocked(r int64) {
+	st.maybeRefreshLocked()
+	// The coarse block start depends only on the round, so the division
+	// happens once here rather than once per cohort.
+	start := r - r%st.block
+	for _, co := range st.cohorts {
+		co.sample(r, start)
+	}
+	if r > st.lastRound {
+		st.lastRound = r
+	}
+	st.samples++
+}
+
+// fineRun returns the run of fine samples starting at the cohort's k-th
+// oldest: its first slot, the rounds, and column col's values.
+func (co *cohort) fineRun(k, col int) (slot int, rounds []int64, vals []float64) {
+	slot, run := co.fine.run(k)
+	return slot, co.rounds[slot : slot+run], co.vals[co.at(slot, col):][:run]
+}
+
+// coarseRun returns the run of coarse blocks starting at the k-th oldest:
+// their start rounds and column col's envelopes.
+func (co *cohort) coarseRun(k, col int) (starts []int64, env []envelope) {
+	slot, run := co.coarse.run(k)
+	return co.starts[slot : slot+run], co.env[co.at(slot, col):][:run]
+}
+
+// at returns the index of column col at a ring slot in a tiled block:
+// vals by fine slot, env by coarse block.
+func (co *cohort) at(slot, col int) int {
+	return ((slot/tile)*len(co.srcs)+col)*tile + slot%tile
+}
+
+// sample records one point per column at round r (start is its
+// precomputed coarse block start): the fine row of r's slot and the newest
+// coarse block's envelopes in one pass, then the histograms' bucket
+// counts. A repeat of the newest round overwrites its fine row and folds
+// into the open envelope, so min/max keep the value the refresh replaced;
+// a round whose block start differs from the newest block's opens a
+// block. Allocation-free.
+func (co *cohort) sample(r, start int64) {
+	slot := co.fine.newest()
+	if co.fine.n == 0 || co.rounds[slot] != r {
+		slot = co.fine.push()
+		co.rounds[slot] = r
+	}
+	block := co.coarse.newest()
+	opened := co.coarse.n == 0 || co.starts[block] != start
+	if opened {
+		block = co.coarse.push()
+		co.starts[block] = start
+	}
+	env := co.env[co.at(block, 0):]
+	row := co.vals[co.at(slot, 0):]
+	for j := range co.srcs {
+		v := co.srcs[j].Read()
+		row[j*tile] = v
+		if e := &env[j*tile]; opened {
+			*e = envelope{min: v, max: v, last: v}
+		} else {
+			if v < e.min {
+				e.min = v
 			}
-			rec.coarse(v, blocks)
-			return
+			if v > e.max {
+				e.max = v
+			}
+			e.last = v
 		}
 	}
-	rec.fine[rec.head] = finePoint{round: round, value: v}
-	if rec.h != nil {
-		rec.h.CopyCounts(rec.buckets[rec.head*rec.nb : (rec.head+1)*rec.nb])
+	for _, rec := range co.hists {
+		rec.h.CopyCounts(rec.buckets[slot*rec.nb : (slot+1)*rec.nb])
 	}
-	rec.head++
-	if rec.head == capacity {
-		rec.head = 0
-	}
-	if rec.n < capacity {
-		rec.n++
-	}
-	rec.coarseStart(start, v, blocks)
-}
-
-// coarseStart folds a sample into the coarse ring, opening a new block
-// when the sample's round crosses a block boundary.
-func (rec *seriesRec) coarseStart(start int64, v float64, blocks int) {
-	if rec.cN > 0 {
-		last := rec.cHead - 1
-		if last < 0 {
-			last += blocks
-		}
-		if b := &rec.cBlocks[last]; b.start == start {
-			b.fold(v)
-			return
-		}
-	}
-	rec.cBlocks[rec.cHead] = coarseBlock{start: start, min: v, max: v, last: v}
-	rec.cHead++
-	if rec.cHead == blocks {
-		rec.cHead = 0
-	}
-	if rec.cN < blocks {
-		rec.cN++
-	}
-}
-
-// coarse folds a re-sample of the latest round into the current block
-// (which necessarily exists: the fine point it refreshes opened it).
-func (rec *seriesRec) coarse(v float64, blocks int) {
-	if rec.cN == 0 {
-		return
-	}
-	last := rec.cHead - 1
-	if last < 0 {
-		last += blocks
-	}
-	rec.cBlocks[last].fold(v)
-}
-
-func (b *coarseBlock) fold(v float64) {
-	if v < b.min {
-		b.min = v
-	}
-	if v > b.max {
-		b.max = v
-	}
-	b.last = v
 }
 
 // LastRound returns the most recently sampled round (-1 before any).

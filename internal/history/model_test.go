@@ -1,0 +1,382 @@
+package history
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"reflect"
+	"sync"
+	"testing"
+
+	"mzqos/internal/telemetry"
+)
+
+// The reference the store is held to: every series keeps its own plain
+// slices of points and blocks, appended to and trimmed from the front — no
+// cohorts, no cursors, no tiles — and every read is recomputed from them
+// the long way.
+
+type refPoint struct {
+	round  int64
+	v      float64
+	counts []int64 // cumulative bucket counts, nil for a scalar series
+}
+
+type refBlock struct {
+	start          int64
+	min, max, last float64
+}
+
+type refSeries struct {
+	id, name string
+	read     func() float64
+	h        *telemetry.Histogram
+	bounds   []float64
+	fine     []refPoint
+	coarse   []refBlock
+}
+
+func (m *refSeries) sample(r, block int64, rounds, blocks int) {
+	p := refPoint{round: r, v: m.read()}
+	if m.h != nil {
+		p.counts = make([]int64, m.h.NumBuckets())
+		m.h.CopyCounts(p.counts)
+	}
+	fold := func(b *refBlock) {
+		b.min, b.max, b.last = math.Min(b.min, p.v), math.Max(b.max, p.v), p.v
+	}
+	if n := len(m.fine); n > 0 && m.fine[n-1].round == r {
+		m.fine[n-1] = p
+		fold(&m.coarse[len(m.coarse)-1])
+		return
+	}
+	if m.fine = append(m.fine, p); len(m.fine) > rounds {
+		m.fine = m.fine[1:]
+	}
+	start := r - r%block
+	if n := len(m.coarse); n > 0 && m.coarse[n-1].start == start {
+		fold(&m.coarse[n-1])
+		return
+	}
+	if m.coarse = append(m.coarse, refBlock{start, p.v, p.v, p.v}); len(m.coarse) > blocks {
+		m.coarse = m.coarse[1:]
+	}
+}
+
+// refWindow is one step window: its last sample, its envelope, and whether
+// only coarse blocks fed it.
+type refWindow struct {
+	round          int64
+	last, min, max float64
+	counts         []int64
+	coarse         bool
+}
+
+// windows coalesces the retained samples at or after since into step
+// windows: coarse blocks wholly older than the fine retention first, then
+// the fine points. withCoarse false leaves the blocks out (tail
+// trajectories are fine-only).
+func (m *refSeries) windows(since, step, block int64, withCoarse bool) []refWindow {
+	var in []refWindow
+	if withCoarse {
+		fineStart := int64(math.MaxInt64)
+		if len(m.fine) > 0 {
+			fineStart = m.fine[0].round
+		}
+		for _, b := range m.coarse {
+			if b.start >= since && b.start+block <= fineStart {
+				in = append(in, refWindow{b.start, b.last, b.min, b.max, nil, true})
+			}
+		}
+	}
+	for _, p := range m.fine {
+		if p.round >= since {
+			in = append(in, refWindow{p.round, p.v, p.v, p.v, p.counts, false})
+		}
+	}
+	var out []refWindow
+	for _, w := range in {
+		if n := len(out); n > 0 && out[n-1].round/step == w.round/step {
+			o := &out[n-1]
+			o.round, o.last, o.counts = w.round, w.last, w.counts
+			o.min, o.max = math.Min(o.min, w.min), math.Max(o.max, w.max)
+			o.coarse = o.coarse && w.coarse
+			continue
+		}
+		out = append(out, w)
+	}
+	return out
+}
+
+// deltas returns the per-bucket growth between two snapshots and its sum.
+func deltas(prev, cur []int64) ([]int64, int64) {
+	d := make([]int64, len(cur))
+	var total int64
+	for i := range cur {
+		d[i] = max(cur[i]-prev[i], 0)
+		total += d[i]
+	}
+	return d, total
+}
+
+func (m *refSeries) query(since, step int64, agg string, block int64) (pts []Point, coarse int) {
+	ws := m.windows(since, step, block, true)
+	pts = []Point{}
+	for i, w := range ws {
+		var v float64
+		switch agg {
+		case AggLast:
+			v = w.last
+		case AggMin:
+			v = w.min
+		case AggMax:
+			v = w.max
+		case AggRate:
+			if i == 0 || w.round <= ws[i-1].round {
+				continue
+			}
+			v = (w.last - ws[i-1].last) / float64(w.round-ws[i-1].round)
+		case AggP99:
+			if i == 0 || w.counts == nil || ws[i-1].counts == nil {
+				continue
+			}
+			d, total := deltas(ws[i-1].counts, w.counts)
+			if total == 0 {
+				continue
+			}
+			// The bound of the bucket holding the ⌈q·total⌉-th
+			// observation; the overflow bucket reports the last bound.
+			target, cum, at := int64(math.Ceil(0.99*float64(total))), int64(0), len(m.bounds)-1
+			for j := range d {
+				if cum += d[j]; cum >= target {
+					at = min(j, at)
+					break
+				}
+			}
+			pts = append(pts, Point{Round: w.round, Value: m.bounds[at]})
+			continue
+		}
+		pts = append(pts, Point{Round: w.round, Value: v})
+		if w.coarse {
+			coarse++
+		}
+	}
+	return pts, coarse
+}
+
+func (m *refSeries) tail(threshold float64, since, step int64) []Point {
+	ws := m.windows(since, step, 1, false)
+	if m.h == nil || len(ws) < 2 {
+		return nil
+	}
+	pts := []Point{}
+	for i := 1; i < len(ws); i++ {
+		d, total := deltas(ws[i-1].counts, ws[i].counts)
+		if total == 0 {
+			continue
+		}
+		above := total
+		for j, b := range m.bounds {
+			if b <= threshold {
+				above -= d[j]
+			}
+		}
+		pts = append(pts, Point{Round: ws[i].round, Value: float64(above) / float64(total)})
+	}
+	return pts
+}
+
+// modelRun drives a Store and the reference side by side.
+type modelRun struct {
+	t      *testing.T
+	rng    *rand.Rand
+	cfg    Config
+	reg    *telemetry.Registry
+	st     *Store
+	series []*refSeries
+	bump   []func() // one random mutation of a registered metric each
+	last   int64    // newest sampled round, -1 before any
+	round  int64    // the schedule's cursor
+}
+
+// register adds one series of a random kind to the registry and the
+// reference. Registered after New, it joins the store in a later cohort.
+func (m *modelRun) register() {
+	id := fmt.Sprintf("s%d", len(m.series))
+	rs := &refSeries{id: id, name: id}
+	switch m.rng.IntN(3) {
+	case 0:
+		g := m.reg.Gauge(id, "")
+		rs.read = g.Value
+		m.bump = append(m.bump, func() { g.Set(float64(m.rng.IntN(200) - 100)) })
+	case 1:
+		c := m.reg.Counter(id, "")
+		rs.read = func() float64 { return float64(c.Value()) }
+		m.bump = append(m.bump, func() { c.Add(int64(m.rng.IntN(5))) })
+	case 2:
+		h, err := m.reg.Histogram(id, "", []float64{1, 2, 4, 8})
+		if err != nil {
+			m.t.Fatal(err)
+		}
+		rs.h, rs.bounds = h, h.Bounds()
+		rs.read = func() float64 { return float64(h.Count()) }
+		m.bump = append(m.bump, func() { h.Observe(m.rng.Float64() * 12) })
+	}
+	m.series = append(m.series, rs)
+}
+
+func (m *modelRun) sample(current bool) {
+	r := m.round
+	if current {
+		r = max(m.last, 0)
+		m.st.SampleCurrent()
+	} else {
+		m.st.Sample(int(r))
+	}
+	for _, rs := range m.series {
+		rs.sample(r, int64(m.cfg.CoarseBlock), m.cfg.Rounds, m.cfg.CoarseBlocks)
+	}
+	m.last = max(m.last, r)
+}
+
+// check compares everything a reader can get out of the store with the
+// reference.
+func (m *modelRun) check(when string) {
+	m.t.Helper()
+	block := int64(m.cfg.CoarseBlock)
+	for _, rs := range m.series {
+		for _, agg := range []string{AggLast, AggMin, AggMax, AggRate, AggP99} {
+			if agg == AggP99 && rs.h == nil {
+				continue
+			}
+			for _, step := range []int{1, 3, 10} {
+				for _, since := range []int64{0, m.last - int64(m.cfg.Rounds)/2, m.last - 3*int64(m.cfg.Rounds)} {
+					res, err := m.st.Query(Query{Series: rs.name, Agg: agg, Step: step, SinceRound: since})
+					if err != nil {
+						m.t.Fatalf("%s: Query(%s %s step %d since %d): %v", when, rs.id, agg, step, since, err)
+					}
+					want, wantCoarse := rs.query(since, int64(step), agg, block)
+					if got := res.Series[0]; !reflect.DeepEqual(got.Points, want) || got.CoarsePoints != wantCoarse || res.LastRound != m.last {
+						m.t.Fatalf("%s: Query(%s %s step %d since %d)\n got %v (%d coarse, last round %d)\nwant %v (%d coarse, last round %d)",
+							when, rs.id, agg, step, since, got.Points, got.CoarsePoints, res.LastRound, want, wantCoarse, m.last)
+					}
+				}
+			}
+		}
+		for _, step := range []int{1, 4} {
+			got := m.st.TailTrajectory(rs.id, 2, m.last-int64(m.cfg.Rounds)/2, step)
+			if want := rs.tail(2, m.last-int64(m.cfg.Rounds)/2, int64(step)); !reflect.DeepEqual(got, want) {
+				m.t.Fatalf("%s: TailTrajectory(%s step %d)\n got %v\nwant %v", when, rs.id, step, got, want)
+			}
+		}
+	}
+	for _, maxPoints := range []int{0, 7} {
+		d := m.st.Dump(maxPoints)
+		if maxPoints == 0 {
+			maxPoints = 256
+		}
+		step := int64(1)
+		if m.last >= int64(maxPoints) {
+			step = (m.last + int64(maxPoints)) / int64(maxPoints)
+		}
+		if len(d.Series) != len(m.series) || int64(d.Step) != step {
+			m.t.Fatalf("%s: Dump(%d) has %d series at step %d, want %d at step %d", when, maxPoints, len(d.Series), d.Step, len(m.series), step)
+		}
+		for i, rs := range m.series {
+			want, wantCoarse := rs.query(0, step, AggLast, block)
+			if got := d.Series[i]; got.ID != rs.id || !reflect.DeepEqual(got.Points, want) || got.CoarsePoints != wantCoarse {
+				m.t.Fatalf("%s: Dump(%d) series %d\n got %s %v (%d coarse)\nwant %s %v (%d coarse)",
+					when, maxPoints, i, got.ID, got.Points, got.CoarsePoints, rs.id, want, wantCoarse)
+			}
+		}
+	}
+}
+
+// TestStoreMatchesPerSeriesModel runs random schedules — Sample with
+// repeats, gaps and the odd step backwards, SampleCurrent, registrations
+// that open new cohorts, metrics moving in between — at retentions that
+// are not tile multiples under coarse rings small enough to wrap, and
+// checks every read against the reference after every batch.
+func TestStoreMatchesPerSeriesModel(t *testing.T) {
+	for _, cfg := range []Config{
+		{Rounds: 5, CoarseBlock: 2, CoarseBlocks: 4},
+		{Rounds: 13, CoarseBlock: 4, CoarseBlocks: 6},
+		{Rounds: 100, CoarseBlock: 8, CoarseBlocks: 16},
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			m := &modelRun{t: t, rng: rand.New(rand.NewPCG(seed, uint64(cfg.Rounds))), cfg: cfg, reg: telemetry.NewRegistry(), last: -1}
+			for i := 0; i < 3; i++ {
+				m.register() // the cohort New attaches
+			}
+			m.cfg.Registry = m.reg
+			m.st = New(m.cfg)
+			for i := 0; i < 3; i++ {
+				m.register() // joins on the first Sample
+			}
+			for batch := 0; batch < 48; batch++ {
+				for op := m.rng.IntN(2 * cfg.Rounds); op >= 0; op-- {
+					for k := m.rng.IntN(4); k > 0; k-- {
+						m.bump[m.rng.IntN(len(m.bump))]()
+					}
+					switch p := m.rng.IntN(100); {
+					case p < 10:
+						m.sample(true)
+						continue
+					case p < 20: // the same round again
+					case p < 25:
+						m.round += int64(2 + m.rng.IntN(20))
+					case p < 27 && m.round > 3:
+						m.round -= 3
+					default:
+						m.round++
+					}
+					m.sample(false)
+				}
+				m.check(fmt.Sprintf("rounds %d seed %d batch %d", cfg.Rounds, seed, batch))
+				if batch%16 == 5 && len(m.series) < 12 {
+					m.register()
+				}
+			}
+		}
+	}
+}
+
+// TestSampleCurrentNeverReorders is the regression test of SampleCurrent
+// reading the latest round under the lock and sampling it after dropping
+// it: a round-loop Sample(r+1) in the gap left round r stored after r+1.
+// One goroutine spins the scrape path against the round loop; the stored
+// rounds must come back strictly increasing.
+func TestSampleCurrentNeverReorders(t *testing.T) {
+	const rounds = 60000
+	st, reg := testStore(t, rounds, 64, 8)
+	g := reg.Gauge("g", "")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				st.SampleCurrent()
+			}
+		}
+	}()
+	for r := 0; r < rounds; r++ {
+		g.Set(float64(r))
+		st.Sample(r)
+	}
+	close(stop)
+	wg.Wait()
+	pts := points(t, st, Query{Series: "g"})
+	if len(pts) != rounds {
+		t.Fatalf("%d points retained, want one per round (%d)", len(pts), rounds)
+	}
+	for i := 1; i < len(pts); i++ {
+		if pts[i].Round <= pts[i-1].Round {
+			t.Fatalf("point %d is round %d after round %d: SampleCurrent stored a stale round", i, pts[i].Round, pts[i-1].Round)
+		}
+	}
+}

@@ -136,21 +136,28 @@ func (st *Store) Query(q Query) (Result, error) {
 	for _, rec := range recs {
 		if isQuantile && rec.h == nil {
 			return Result{}, fmt.Errorf("%w: agg %q requires a histogram series, %s is a %s",
-				ErrBadQuery, agg, rec.id, kindName(rec.src.Kind))
+				ErrBadQuery, agg, rec.id, kindName(rec.src().Kind))
 		}
-		sr := SeriesResult{
-			ID:     rec.id,
-			Name:   rec.src.Name,
-			Labels: rec.src.Labels,
-			Kind:   kindName(rec.src.Kind),
-		}
-		sr.Points, sr.CoarsePoints = rec.evaluate(q.SinceRound, int64(step), agg, st.capacity, st.block, st.blocks)
-		if sr.Points == nil {
-			sr.Points = []Point{}
-		}
-		res.Series = append(res.Series, sr)
+		res.Series = append(res.Series, rec.result(q.SinceRound, int64(step), agg, st.block))
 	}
 	return res, nil
+}
+
+// result renders one series' windowed aggregation with its identity.
+// Runs under the store mutex.
+func (rec *seriesRec) result(since, step int64, agg string, block int64) SeriesResult {
+	src := rec.src()
+	sr := SeriesResult{
+		ID:     rec.id,
+		Name:   src.Name,
+		Labels: src.Labels,
+		Kind:   kindName(src.Kind),
+	}
+	sr.Points, sr.CoarsePoints = rec.evaluate(since, step, agg, block)
+	if sr.Points == nil {
+		sr.Points = []Point{}
+	}
+	return sr
 }
 
 // matchLocked resolves a selector to series records: by exact name, or —
@@ -183,19 +190,16 @@ type bucketAgg struct {
 
 // evaluate renders one series' windowed aggregation. Runs under the
 // store mutex.
-func (rec *seriesRec) evaluate(since, step int64, agg string, capacity int, block int64, blocks int) ([]Point, int) {
+func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Point, int) {
+	co, col := rec.co, rec.col
 	// Oldest retained fine round bounds the coarse contribution.
 	fineStart := int64(math.MaxInt64)
-	if rec.n > 0 {
-		oldest := rec.head - rec.n
-		if oldest < 0 {
-			oldest += capacity
-		}
-		fineStart = rec.fine[oldest].round
+	if co.fine.n > 0 {
+		_, rounds, _ := co.fineRun(0, col)
+		fineStart = rounds[0]
 	}
 
 	var windows []bucketAgg
-	coarseSamples := 0
 	fold := func(round int64, last, vmin, vmax float64, slot int, coarse bool) {
 		key := round / step
 		if len(windows) > 0 && windows[len(windows)-1].key == key {
@@ -220,29 +224,26 @@ func (rec *seriesRec) evaluate(since, step int64, agg string, capacity int, bloc
 	// block overlapping the fine retention is skipped — its rounds are
 	// already served at full resolution and folding it in would invent a
 	// phantom point at the block start.
-	for k := 0; k < rec.cN; k++ {
-		i := rec.cHead - rec.cN + k
-		if i < 0 {
-			i += blocks
+	for k := 0; k < co.coarse.n; {
+		starts, env := co.coarseRun(k, col)
+		for j, start := range starts {
+			if start < since || start+block > fineStart {
+				continue
+			}
+			e := &env[j]
+			fold(start, e.last, e.min, e.max, -1, true)
 		}
-		cb := &rec.cBlocks[i]
-		if cb.start < since || cb.start+block > fineStart {
-			continue
-		}
-		coarseSamples++
-		fold(cb.start, cb.last, cb.min, cb.max, -1, true)
+		k += len(starts)
 	}
 	// Fine samples, oldest first.
-	for k := 0; k < rec.n; k++ {
-		i := rec.head - rec.n + k
-		if i < 0 {
-			i += capacity
+	for k := 0; k < co.fine.n; {
+		slot, rounds, vals := co.fineRun(k, col)
+		for j, v := range vals {
+			if round := rounds[j]; round >= since {
+				fold(round, v, v, v, slot+j, false)
+			}
 		}
-		p := rec.fine[i]
-		if p.round < since {
-			continue
-		}
-		fold(p.round, p.value, p.value, p.value, i, false)
+		k += len(vals)
 	}
 	if len(windows) == 0 {
 		return nil, 0
@@ -383,17 +384,7 @@ func (st *Store) Dump(maxPoints int) Result {
 	}
 	res := Result{Agg: AggLast, Step: int(step), LastRound: st.lastRound}
 	for _, rec := range st.series {
-		sr := SeriesResult{
-			ID:     rec.id,
-			Name:   rec.src.Name,
-			Labels: rec.src.Labels,
-			Kind:   kindName(rec.src.Kind),
-		}
-		sr.Points, sr.CoarsePoints = rec.evaluate(0, step, AggLast, st.capacity, st.block, st.blocks)
-		if sr.Points == nil {
-			sr.Points = []Point{}
-		}
-		res.Series = append(res.Series, sr)
+		res.Series = append(res.Series, rec.result(0, step, AggLast, st.block))
 	}
 	return res
 }

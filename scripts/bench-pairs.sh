@@ -1,0 +1,117 @@
+#!/bin/sh
+# Alternated parent/change pairs of the system benchmark — the protocol a
+# wall-clock claim is made from (the host drifts by more than most gains
+# over minutes; the two runs of one pair sit side by side in time).
+#
+#   scripts/bench-pairs.sh BASE    BASE is any revision; a `git archive` of
+#                                  it is unpacked into a temporary directory
+#                                  and removed again. The change is this
+#                                  working tree.
+#
+# Each side runs its own benchmark/run.sh --workload W --seed S --seconds
+# <run_seconds of BENCHMARK.json> --trace $TRACE, the side that goes first
+# alternating pair by pair. Per pair it prints every metric of both sides
+# with the change/parent ratio and both sim_digests; per (workload, seed)
+# the medians and in how many pairs the change was the better side. Exits
+# non-zero on a sim_digest mismatch or a run that reports correct:false.
+#
+# Environment (make bench-pairs passes these through):
+#   PAIRS      pairs per (workload, seed)            default 3
+#   WORKLOADS  workload names                        default all of BENCHMARK.json
+#   SEEDS      seeds                                 default "42 7"
+#   TRACE      0 = end-to-end runs, 1 = traced runs  default 0
+#   METRICS    metric names to print                 default BENCHMARK.json's end_to_end
+set -eu
+base="${1:?usage: scripts/bench-pairs.sh BASE}"
+here="$(cd "$(dirname "$0")/.." && pwd)"
+pairs="${PAIRS:-3}"
+seeds="${SEEDS:-42 7}"
+trace="${TRACE:-0}"
+workloads="${WORKLOADS:-$(jq -r '.workloads[].name' "$here/BENCHMARK.json")}"
+metrics="${METRICS:-$(jq -r '.end_to_end[].name' "$here/BENCHMARK.json")}"
+seconds="$(jq .run_seconds "$here/BENCHMARK.json")"
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/parent"
+git -C "$here" archive "$base" | tar -x -C "$tmp/parent"
+
+# run SIDE DIR WORKLOAD SEED: one benchmark run; leaves its last stdout
+# line (the result object) in $tmp/SIDE.json and its digest in
+# $tmp/SIDE.digest.
+run() {
+	bash "$2/benchmark/run.sh" --workload "$3" --seed "$4" --seconds "$seconds" --trace "$trace" >"$tmp/$1.out"
+	tail -n 1 "$tmp/$1.out" >"$tmp/$1.json"
+	sed -n 's/.*sim_digest \([0-9a-f]*\).*/\1/p' "$tmp/$1.out" >"$tmp/$1.digest"
+	if [ "$(jq .correct "$tmp/$1.json")" != true ] || [ "$(jq .failed "$tmp/$1.json")" != 0 ]; then
+		echo "bench-pairs: $1 run of $3 seed $4 is not correct: $(cat "$tmp/$1.json")" >&2
+		exit 1
+	fi
+}
+
+: >"$tmp/rows.tsv"
+for w in $workloads; do
+	for s in $seeds; do
+		p=1
+		while [ "$p" -le "$pairs" ]; do
+			if [ $((p % 2)) -eq 1 ]; then
+				order="parent first"
+				run parent "$tmp/parent" "$w" "$s"
+				run change "$here" "$w" "$s"
+			else
+				order="change first"
+				run change "$here" "$w" "$s"
+				run parent "$tmp/parent" "$w" "$s"
+			fi
+			pd="$(cat "$tmp/parent.digest")"
+			cd="$(cat "$tmp/change.digest")"
+			echo "== $w seed $s pair $p ($order): sim_digest parent $pd change $cd"
+			if [ "$pd" != "$cd" ] || [ -z "$pd" ]; then
+				echo "bench-pairs: sim_digest mismatch on $w seed $s" >&2
+				exit 1
+			fi
+			for m in $metrics; do
+				pv="$(jq -r --arg m "$m" '.metrics[$m].value' "$tmp/parent.json")"
+				cv="$(jq -r --arg m "$m" '.metrics[$m].value' "$tmp/change.json")"
+				if [ "$pv" = null ] || [ "$cv" = null ]; then
+					echo "   $m is not a metric of a --trace $trace run" >&2
+					exit 2
+				fi
+				printf '%s\t%s\t%s\t%s\t%s\n' "$w" "$s" "$m" "$pv" "$cv" >>"$tmp/rows.tsv"
+				awk -v m="$m" -v p="$pv" -v c="$cv" 'BEGIN {
+					printf "   %-22s parent %-12.6g change %-12.6g ratio %s\n", m, p, c, (p != 0 ? sprintf("%.3f", c / p) : "-")
+				}'
+			done
+			p=$((p + 1))
+		done
+	done
+done
+
+# Medians and wins per (workload, seed, metric), in first-seen order.
+jq -r '(.end_to_end + .per_layer)[] | [.name, .better] | @tsv' "$here/BENCHMARK.json" >"$tmp/better.tsv"
+echo
+echo "== medians over $pairs pairs (ratio = change/parent; wins = pairs the change was the better side)"
+awk -F '\t' '
+	function median(a, n,    i, j, t) {
+		for (i = 2; i <= n; i++)
+			for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+		return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+	}
+	FILENAME == ARGV[1] { better[$1] = $2; next }
+	{
+		key = $1 "\t" $2 "\t" $3
+		if (!(key in n)) order[++keys] = key
+		i = ++n[key]
+		pv[key, i] = $4 + 0
+		cv[key, i] = $5 + 0
+		if ((better[$3] == "higher" && cv[key, i] > pv[key, i]) || (better[$3] != "higher" && cv[key, i] < pv[key, i])) wins[key]++
+	}
+	END {
+		for (k = 1; k <= keys; k++) {
+			key = order[k]
+			split(key, f, "\t")
+			for (i = 1; i <= n[key]; i++) { a[i] = pv[key, i]; b[i] = cv[key, i]; r[i] = (a[i] != 0 ? b[i] / a[i] : 0) }
+			printf "   %-12s seed %-3s %-22s parent %-12.6g change %-12.6g ratio %.3f  wins %d/%d\n",
+				f[1], f[2], f[3], median(a, n[key]), median(b, n[key]), median(r, n[key]), wins[key], n[key]
+		}
+	}' "$tmp/better.tsv" "$tmp/rows.tsv"
