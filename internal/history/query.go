@@ -220,6 +220,11 @@ func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Po
 		})
 	}
 
+	// The quantile aggregations read bucket rows by slot and never a
+	// value, so they walk the shared start and round columns alone and
+	// leave the series' tiles untouched.
+	_, quantile := quantileAggs[agg]
+
 	// Coarse blocks entirely older than the fine ring, oldest first. A
 	// block overlapping the fine retention is skipped — its rounds are
 	// already served at full resolution and folding it in would invent a
@@ -230,7 +235,10 @@ func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Po
 			if start < since || start+block > fineStart {
 				continue
 			}
-			e := &env[j]
+			var e envelope
+			if !quantile {
+				e = env[j]
+			}
 			fold(start, e.last, e.min, e.max, -1, true)
 		}
 		k += len(starts)
@@ -238,12 +246,17 @@ func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Po
 	// Fine samples, oldest first.
 	for k := 0; k < co.fine.n; {
 		slot, rounds, vals := co.fineRun(k, col)
-		for j, v := range vals {
-			if round := rounds[j]; round >= since {
-				fold(round, v, v, v, slot+j, false)
+		for j, round := range rounds {
+			if round < since {
+				continue
 			}
+			var v float64
+			if !quantile {
+				v = vals[j]
+			}
+			fold(round, v, v, v, slot+j, false)
 		}
-		k += len(vals)
+		k += len(rounds)
 	}
 	if len(windows) == 0 {
 		return nil, 0
