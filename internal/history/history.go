@@ -310,10 +310,10 @@ func (co *cohort) fineRun(k, col int) (slot int, rounds []int64, vals []float64)
 }
 
 // coarseRun returns the run of coarse blocks starting at the k-th oldest:
-// their start rounds and column col's envelopes.
-func (co *cohort) coarseRun(k, col int) (starts []int64, env []envelope) {
+// its first block's slot, the start rounds, and column col's envelopes.
+func (co *cohort) coarseRun(k, col int) (slot int, starts []int64, env []envelope) {
 	slot, run := co.coarse.run(k)
-	return co.starts[slot : slot+run], co.env[co.at(slot, col):][:run]
+	return slot, co.starts[slot : slot+run], co.env[co.at(slot, col):][:run]
 }
 
 // at returns the index of column col at a ring slot in a tiled block:

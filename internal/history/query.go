@@ -184,7 +184,7 @@ type bucketAgg struct {
 	round      int64 // round of the window's last sample
 	last       float64
 	min, max   float64
-	slot       int // fine ring slot of the last sample, -1 when coarse
+	slot       int // where the last sample lives: its fine ring slot, or -1-b for coarse block b
 	coarseOnly bool
 }
 
@@ -220,26 +220,28 @@ func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Po
 		})
 	}
 
-	// The quantile aggregations read bucket rows by slot and never a
-	// value, so they walk the shared start and round columns alone and
-	// leave the series' tiles untouched.
-	_, quantile := quantileAggs[agg]
+	// Only min and max need every sample's value. The others need a value
+	// at most at each window's last sample (quantiles not even there: they
+	// read bucket rows by slot), so their walk runs over the cohort's
+	// shared start and round columns alone, leaves the series' tiles
+	// untouched, and last is looked up per window afterwards.
+	envelopes := agg == AggMin || agg == AggMax
 
 	// Coarse blocks entirely older than the fine ring, oldest first. A
 	// block overlapping the fine retention is skipped — its rounds are
 	// already served at full resolution and folding it in would invent a
 	// phantom point at the block start.
 	for k := 0; k < co.coarse.n; {
-		starts, env := co.coarseRun(k, col)
+		b, starts, env := co.coarseRun(k, col)
 		for j, start := range starts {
 			if start < since || start+block > fineStart {
 				continue
 			}
 			var e envelope
-			if !quantile {
+			if envelopes {
 				e = env[j]
 			}
-			fold(start, e.last, e.min, e.max, -1, true)
+			fold(start, e.last, e.min, e.max, -1-(b+j), true)
 		}
 		k += len(starts)
 	}
@@ -251,12 +253,21 @@ func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Po
 				continue
 			}
 			var v float64
-			if !quantile {
+			if envelopes {
 				v = vals[j]
 			}
 			fold(round, v, v, v, slot+j, false)
 		}
 		k += len(rounds)
+	}
+	if agg == AggLast || agg == AggRate {
+		for i := range windows {
+			if w := &windows[i]; w.slot >= 0 {
+				w.last = co.vals[co.at(w.slot, col)]
+			} else {
+				w.last = co.env[co.at(-1-w.slot, col)].last
+			}
+		}
 	}
 	if len(windows) == 0 {
 		return nil, 0
