@@ -230,8 +230,11 @@ func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Po
 	// Coarse blocks entirely older than the fine ring, oldest first. A
 	// block overlapping the fine retention is skipped — its rounds are
 	// already served at full resolution and folding it in would invent a
-	// phantom point at the block start.
-	for k := 0; k < co.coarse.n; {
+	// phantom point at the block start. The quantile aggregations skip
+	// the tier: blocks carry no bucket snapshots, and their windows, all
+	// ahead of the first fine one, could only be passed over below.
+	_, quantile := quantileAggs[agg]
+	for k := 0; k < co.coarse.n && !quantile; {
 		b, starts, env := co.coarseRun(k, col)
 		for j, start := range starts {
 			if start < since || start+block > fineStart {
