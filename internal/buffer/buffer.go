@@ -115,6 +115,7 @@ func Simulate(cfg SimConfig, rounds int, seed uint64) (SimResult, error) {
 	rng := dist.NewRand(seed, seed^0x62756666)
 	t := cfg.Sim.RoundLength
 	n := cfg.Sim.N
+	frags := make([]sweep.Fragment, n)
 	reqs := make([]sweep.Request, n)
 	var (
 		clock      float64
@@ -131,11 +132,11 @@ func Simulate(cfg SimConfig, rounds int, seed uint64) (SimResult, error) {
 			clock = roundStart
 		}
 		sweepStart := clock
-		for i := range reqs {
+		for i := range frags {
 			loc := cfg.Sim.Disk.SampleLocation(rng)
-			reqs[i] = sweep.Request{Cylinder: loc.Cylinder, Zone: loc.Zone, Size: cfg.Sim.Sizes.Sample(rng), Ref: i}
+			frags[i] = sweep.Fragment{Cylinder: loc.Cylinder, Zone: loc.Zone, Size: cfg.Sim.Sizes.Sample(rng), Ref: i}
 		}
-		tot := sweep.Serve(cfg.Sim.Disk, fault.Identity(), rng, nil, reqs)
+		tot := sweep.Serve(cfg.Sim.Disk, fault.Identity(), rng, nil, frags, reqs)
 		deadlineRaw := roundStart + t
 		deadlineVisible := roundStart + t*float64(1+cfg.SlackRounds)
 		for i := range reqs {

@@ -37,19 +37,24 @@ func (w *Welford) Var() float64 {
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
 // Merge combines another accumulator into w (parallel reduction).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
+func (w *Welford) Merge(o Welford) { w.MergeMoments(o.n, o.mean, o.m2) }
+
+// MergeMoments combines a batch of n observations, given by its mean and
+// its sum of squared deviations from that mean, into w: the batch form of
+// Add, for callers that see their samples a group at a time.
+func (w *Welford) MergeMoments(n int64, mean, m2 float64) {
+	if n == 0 {
 		return
 	}
 	if w.n == 0 {
-		*w = o
+		w.n, w.mean, w.m2 = n, mean, m2
 		return
 	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.n = n
+	total := w.n + n
+	d := mean - w.mean
+	w.m2 += m2 + d*d*float64(w.n)*float64(n)/float64(total)
+	w.mean += d * float64(n) / float64(total)
+	w.n = total
 }
 
 // WilsonInterval returns the Wilson score interval for a binomial proportion

@@ -65,6 +65,7 @@ func Simulate(cfg Config, n, rounds int, seed uint64) (SimResult, error) {
 		maxQueue  int
 		carryOver float64 // discrete work running past the round end
 	)
+	frags := make([]sweep.Fragment, n)
 	reqs := make([]sweep.Request, n)
 	for r := 0; r < rounds; r++ {
 		roundStart := float64(r) * t
@@ -73,11 +74,11 @@ func Simulate(cfg Config, n, rounds int, seed uint64) (SimResult, error) {
 
 		// Continuous sweep first, begun once the carried-over discrete
 		// work is done; its deadline is the round end.
-		for i := range reqs {
+		for i := range frags {
 			loc := cfg.Disk.SampleLocation(rng)
-			reqs[i] = sweep.Request{Cylinder: loc.Cylinder, Zone: loc.Zone, Size: cfg.ContinuousSizes.Sample(rng), Ref: i}
+			frags[i] = sweep.Fragment{Cylinder: loc.Cylinder, Zone: loc.Zone, Size: cfg.ContinuousSizes.Sample(rng), Ref: i}
 		}
-		tot := sweep.Serve(cfg.Disk, fault.Identity(), rng, nil, reqs)
+		tot := sweep.Serve(cfg.Disk, fault.Identity(), rng, nil, frags, reqs)
 		for i := range reqs {
 			if sweepStart+reqs[i].End > roundStart+t {
 				glitches++

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mzqos/internal/disk"
@@ -48,12 +49,60 @@ func paperLoadStep(tb testing.TB, traceOff bool, warm int) func() {
 	return step
 }
 
-// An untraced round allocates RoundReport.Disks, which callers keep, and
-// nothing else: requests, effects and SCAN order are Step scratch.
+// An untraced round allocates nothing but RoundReport.Disks, which
+// callers keep, and that once per reportBlock rounds: requests, effects
+// and SCAN order are Step scratch. testing.AllocsPerRun rounds down to
+// whole objects, so the mean is taken from the allocator's own count.
 func TestStepAllocsUntraced(t *testing.T) {
 	step := paperLoadStep(t, true, 8)
-	if allocs := testing.AllocsPerRun(200, step); allocs > 1 {
-		t.Errorf("untraced Step allocates %v per round, want at most 1", allocs)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	if mean := float64(after.Mallocs-before.Mallocs) / rounds; mean >= 0.1 {
+		t.Errorf("untraced Step allocates %v objects per round, want fewer than 0.1", mean)
+	}
+}
+
+// TestReportRowsNeverShared: reports are the caller's to keep, so although
+// their Disks rows are cut from a shared block, no row is handed out
+// twice and no report can grow into the next one's rows.
+func TestReportRowsNeverShared(t *testing.T) {
+	s := paperServer(t, 4)
+	if err := s.AddSyntheticObject("v", 4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Open("v"); err != nil {
+		t.Fatal(err)
+	}
+	const kept = 3*reportBlock + 4 // across several block boundaries
+	reps := make([]RoundReport, kept)
+	for k := range reps {
+		reps[k] = s.Step()
+		if len(reps[k].Disks) != 4 || cap(reps[k].Disks) != 4 {
+			t.Fatalf("round %d: Disks has len %d cap %d, want 4 and 4", k, len(reps[k].Disks), cap(reps[k].Disks))
+		}
+	}
+	// Stamp every row of every report, then grow each report: any shared
+	// or reachable row shows as a stamp that is not its own.
+	for k := range reps {
+		for d := range reps[k].Disks {
+			reps[k].Disks[d].Requests = 1000*k + d
+		}
+	}
+	for k := range reps {
+		_ = append(reps[k].Disks, DiskRoundReport{Requests: -1})
+	}
+	for k := range reps {
+		for d, dr := range reps[k].Disks {
+			if dr.Requests != 1000*k+d {
+				t.Fatalf("report %d disk %d reads %d: its row is reachable from another report", k, d, dr.Requests)
+			}
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ type (
 // Config.Seed (plus fault plan) reproduces byte-identical reports run
 // after run.
 func (s *Server) Step() RoundReport {
-	rep := RoundReport{Round: s.round, Disks: make([]DiskRoundReport, len(s.geoms))}
+	rep := RoundReport{Round: s.round, Disks: s.diskRows()}
 	tracing := s.trc.Enabled()
 
 	// Resolve this round's fault effects once per disk.
@@ -62,36 +62,28 @@ func (s *Server) Step() RoundReport {
 		fault.JournalTransitions(s.jnl, s.inj, s.shard, s.round, effs)
 	}
 
-	// Gather the due requests per disk in one pass over active, which is
+	// Gather the due fragments per disk in one pass over active, which is
 	// already in ascending StreamID order. Ref is the stream's index in
 	// active, so active must not change until the last outcome loop ends.
-	for d := range s.reqs {
-		s.reqs[d] = s.reqs[d][:0]
+	for d := range s.frags {
+		s.frags[d] = s.frags[d][:0]
 	}
 	for i, st := range s.active {
 		if s.round < st.start {
 			continue
 		}
 		d := mod(st.offset+s.round, len(s.geoms))
-		reqs := s.reqs[d]
-		if len(reqs) < cap(reqs) {
-			reqs = reqs[:len(reqs)+1]
-		} else {
-			reqs = append(reqs, sweep.Request{})
-		}
-		s.reqs[d] = reqs
-		// Only the caller fields are written: sweep.Serve overwrites every
-		// outcome field, so whatever the slot held last round is dead.
 		frag := &st.obj.frags[st.next]
-		r := &reqs[len(reqs)-1]
-		r.Cylinder, r.Zone, r.Size, r.Ref = frag.loc.Cylinder, frag.loc.Zone, frag.size, i
+		s.frags[d] = append(s.frags[d], sweep.Fragment{Cylinder: int(frag.cyl), Zone: int(frag.zone), Size: frag.size, Ref: i})
 	}
 
 	var done []*stream
-	for d, reqs := range s.reqs {
-		if len(reqs) == 0 {
+	for d, frags := range s.frags {
+		if len(frags) == 0 {
 			continue
 		}
+		reqs := slices.Grow(s.reqs[d][:0], len(frags))[:len(frags)]
+		s.reqs[d] = reqs
 		eff := effs[d]
 		dr := &rep.Disks[d]
 		dr.Requests = len(reqs)
@@ -100,20 +92,19 @@ func (s *Server) Step() RoundReport {
 		dr.Down = eff.Failed
 		tot := sweep.Serve(s.geoms[d], eff, s.rng, func(pos, attempt int) bool {
 			return s.inj.ReadError(d, s.round, pos, attempt)
-		}, reqs)
+		}, frags, reqs)
 		dr.Seek, dr.Rotation, dr.Transfer, dr.Busy = tot.Seek, tot.Rotation, tot.Transfer, tot.Busy
 		dr.Retries, dr.Lost = tot.Retries, tot.Lost
 
 		// The one place sweep outcomes become stream state and trace
 		// events, in service order.
 		s.trcSpan.Requests = s.trcSpan.Requests[:0]
+		var bytes float64
 		for i := range reqs {
 			r := &reqs[i]
 			st := s.active[r.Ref]
 			st.served++
-			if !dr.Down { // nothing read, so no size observed for recalibration
-				s.observed.Add(r.Size)
-			}
+			bytes += r.Size
 			late := !r.Lost && r.End > s.cfg.RoundLength
 			if late {
 				dr.Late++
@@ -129,6 +120,9 @@ func (s *Server) Step() RoundReport {
 			if tracing {
 				s.trcSpan.Append(int64(st.id), r, late)
 			}
+		}
+		if !dr.Down { // nothing read, so no size observed for recalibration
+			s.observeSizes(reqs, bytes)
 		}
 		observed := s.observeSweep(d, dr)
 		if tracing {
@@ -174,6 +168,37 @@ func (s *Server) Step() RoundReport {
 	s.hist.Sample(s.round)
 	s.round++
 	return rep
+}
+
+// reportBlock is how many rounds' worth of RoundReport.Disks rows one
+// allocation holds.
+const reportBlock = 32
+
+// diskRows returns the zeroed per-disk rows of one round's report. Rows are
+// never reused — callers keep reports — but they are cut from a block of
+// reportBlock rounds' worth, so the allocator runs once per block. The cap
+// is clipped, so an append to one report's Disks cannot reach the next's.
+func (s *Server) diskRows() []DiskRoundReport {
+	d := len(s.geoms)
+	if len(s.rows) < d {
+		s.rows = make([]DiskRoundReport, reportBlock*d)
+	}
+	rows := s.rows[:d:d]
+	s.rows = s.rows[d:]
+	return rows
+}
+
+// observeSizes folds one sweep's fragment sizes, whose sum is bytes, into
+// the recalibration moments: a second pass for Σ(x − mean)² and one merge,
+// in place of a division-chained Welford step per fragment.
+func (s *Server) observeSizes(reqs []sweep.Request, bytes float64) {
+	mean := bytes / float64(len(reqs))
+	var m2 float64
+	for i := range reqs {
+		dev := reqs[i].Size - mean
+		m2 += dev * dev
+	}
+	s.observed.MergeMoments(int64(len(reqs)), mean, m2)
 }
 
 // Run executes n rounds and returns an aggregate summary.

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -147,9 +148,12 @@ type StreamID = engine.StreamID
 // fragment is one stored piece of an object: its size and its fixed
 // physical location on its disk (chosen uniformly at layout time, which is
 // what makes per-round glitch events independent across rounds, §3.3).
+// Step's gather reads one per due stream per round, mostly from cold
+// memory, so the location is narrowed to keep four fragments to a cache
+// line; New turns away a disk the narrow fields cannot address.
 type fragment struct {
-	size float64
-	loc  disk.Location
+	size      float64
+	cyl, zone int32
 }
 
 // object is a catalog entry. Fragment k lives on disk (base+k) mod D.
@@ -209,10 +213,14 @@ type Server struct {
 	deg      degradeState
 	log      *slog.Logger // nil = no structured logging
 
-	// Step scratch, reused across rounds: the per-disk fault effects and
-	// requests (Ref indexes active).
-	effs []fault.Effects
-	reqs [][]sweep.Request
+	// Step scratch, reused across rounds: the per-disk fault effects, the
+	// fragments gathered for each disk (Ref indexes active) and the
+	// requests its sweep served. rows is the unspent rest of the current
+	// block of report rows (see diskRows).
+	effs  []fault.Effects
+	frags [][]sweep.Fragment
+	reqs  [][]sweep.Request
+	rows  []DiskRoundReport
 
 	// Round-level tracing: the flight recorder plus a scratch span the
 	// Step loop fills and commits once per loaded disk (the recorder
@@ -280,6 +288,13 @@ func New(cfg Config) (*Server, error) {
 	if !(cfg.RoundLength > 0) || cfg.Sizes.Dist == nil {
 		return nil, ErrConfig
 	}
+	for d, g := range geoms {
+		// The catalog stores each fragment's cylinder and zone as int32.
+		if g.Cylinders() > math.MaxInt32 || g.ZoneCount() > math.MaxInt32 {
+			return nil, fmt.Errorf("%w: disk %d has %d cylinders in %d zones, more than the catalog can address",
+				ErrConfig, d, g.Cylinders(), g.ZoneCount())
+		}
+	}
 
 	ev, err := evaluateDisks(geoms, cfg.Sizes, cfg.RoundLength, cfg.Guarantee)
 	if err != nil {
@@ -309,6 +324,7 @@ func New(cfg Config) (*Server, error) {
 		paused:     make(map[StreamID]*stream),
 		classes:    make([]int, len(geoms)),
 		effs:       make([]fault.Effects, len(geoms)),
+		frags:      make([][]sweep.Fragment, len(geoms)),
 		reqs:       make([][]sweep.Request, len(geoms)),
 		tel:        tel,
 		rejections: ring.New[RejectionEvent](rejectionRingCap),
@@ -522,7 +538,8 @@ func (s *Server) AddObject(name string, sizes []float64) error {
 		// Fragment i lives on disk (base+i) mod D; place it uniformly
 		// within that disk's own geometry.
 		g := s.geoms[mod(base+i, len(s.geoms))]
-		frags[i] = fragment{size: sz, loc: g.SampleLocation(s.rng)}
+		loc := g.SampleLocation(s.rng)
+		frags[i] = fragment{size: sz, cyl: int32(loc.Cylinder), zone: int32(loc.Zone)}
 	}
 	s.catalog[name] = &object{name: name, base: base, frags: frags}
 	s.nextBase = (s.nextBase + 1) % len(s.geoms)

@@ -41,6 +41,29 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnaddressableDisk: the catalog keeps a fragment's cylinder
+// and zone as int32, so a disk with more of either than that is turned
+// away at construction, never truncated at layout.
+func TestNewRejectsUnaddressableDisk(t *testing.T) {
+	v := disk.QuantumViking21()
+	for _, tc := range []struct {
+		cylinders int
+		rejected  bool
+	}{{math.MaxInt32, false}, {math.MaxInt32 + 1, true}} {
+		wide, err := disk.New("wide", v.RotationTime, []disk.Zone{{Tracks: tc.cylinders, TrackCapacity: 1e5}}, v.Seek)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = New(Config{
+			Disks: []*disk.Geometry{v, wide}, RoundLength: 1, Sizes: workload.PaperSizes(),
+			Guarantee: model.Guarantee{Threshold: 0.01},
+		})
+		if errors.Is(err, ErrConfig) != tc.rejected {
+			t.Errorf("%d cylinders: New returned %v, want ErrConfig: %v", tc.cylinders, err, tc.rejected)
+		}
+	}
+}
+
 func TestPerDiskLimitMatchesModel(t *testing.T) {
 	s := paperServer(t, 4)
 	if s.PerDiskLimit() != 26 {

@@ -122,28 +122,31 @@ func (c Config) sampleLocation(rng *rand.Rand) disk.Location {
 
 // roundScratch holds per-worker buffers so the hot loop does not allocate.
 type roundScratch struct {
-	reqs []sweep.Request
-	span trace.RoundSpan // trace scratch, reused across rounds
+	frags []sweep.Fragment
+	reqs  []sweep.Request
+	span  trace.RoundSpan // trace scratch, reused across rounds
 }
 
-// drawRequests draws the round's N requests into the scratch slice, Ref
-// naming each request's stream. A failed disk draws nothing (its requests
-// keep zero locations and sizes), so a failure does not shift the
-// placements of the rounds that follow it.
-func (sc *roundScratch) drawRequests(cfg Config, eff fault.Effects, rng *rand.Rand) []sweep.Request {
-	if cap(sc.reqs) < cfg.N {
+// serve draws the round's N fragments, Ref naming each one's stream, and
+// serves them through the sweep kernel; the returned requests are in SCAN
+// order and live until the next call. A failed disk draws nothing (its
+// fragments keep zero locations and sizes), so a failure does not shift
+// the placements of the rounds that follow it.
+func (sc *roundScratch) serve(cfg Config, eff fault.Effects, readErr func(pos, attempt int) bool, rng *rand.Rand) ([]sweep.Request, sweep.Totals) {
+	if cap(sc.frags) < cfg.N {
+		sc.frags = make([]sweep.Fragment, cfg.N)
 		sc.reqs = make([]sweep.Request, cfg.N)
 	}
-	reqs := sc.reqs[:cfg.N]
-	for i := range reqs {
-		reqs[i] = sweep.Request{Ref: i}
+	frags, reqs := sc.frags[:cfg.N], sc.reqs[:cfg.N]
+	for i := range frags {
+		frags[i] = sweep.Fragment{Ref: i}
 		if !eff.Failed {
 			loc := cfg.sampleLocation(rng)
-			reqs[i].Cylinder, reqs[i].Zone = loc.Cylinder, loc.Zone
-			reqs[i].Size = cfg.Sizes.Sample(rng)
+			frags[i].Cylinder, frags[i].Zone = loc.Cylinder, loc.Zone
+			frags[i].Size = cfg.Sizes.Sample(rng)
 		}
 	}
-	return reqs
+	return reqs, sweep.Serve(cfg.Disk, eff, rng, readErr, frags, reqs)
 }
 
 // simulateRound plays one round under the given fault effects: draws the N
@@ -159,8 +162,7 @@ func (sc *roundScratch) drawRequests(cfg Config, eff fault.Effects, rng *rand.Ra
 // the same plan sees the identical error schedule); nil draws retries from
 // rng at eff.ErrorProb, which is what the Monte-Carlo estimators want.
 func simulateRound(cfg Config, eff fault.Effects, round int, readErr func(pos, attempt int) bool, rng *rand.Rand, sc *roundScratch, lateFor []bool) (total float64, tot sweep.Totals) {
-	reqs := sc.drawRequests(cfg, eff, rng)
-	tot = sweep.Serve(cfg.Disk, eff, rng, readErr, reqs)
+	reqs, tot := sc.serve(cfg, eff, readErr, rng)
 	total = tot.Busy
 	if eff.Failed {
 		total = sweep.DownRoundLengths * cfg.RoundLength
@@ -426,8 +428,7 @@ func PositionBias(cfg Config, trials int, seed uint64) ([]Estimate, error) {
 			rng := dist.NewRand(seed^0xb1a5, uint64(w)*0x9e3779b97f4a7c15+1)
 			var sc roundScratch
 			for i := 0; i < share; i++ {
-				reqs := sc.drawRequests(cfg, eff, rng)
-				sweep.Serve(cfg.Disk, eff, rng, nil, reqs)
+				reqs, _ := sc.serve(cfg, eff, nil, rng)
 				for pos := range reqs {
 					if reqs[pos].Lost || reqs[pos].End > cfg.RoundLength {
 						hits[w][pos]++

@@ -5,12 +5,18 @@
 // through. Every bound of the paper is a statement about this one random
 // variable, so it is drawn in exactly one place.
 //
-// The kernel knows nothing of streams, deadlines, or tracing: callers own
-// the request slice, read each request's outcome back from it in SCAN
-// order, and apply their own deadline to End.
+// The kernel knows nothing of streams, deadlines, or tracing. Callers own
+// two slices they reuse from round to round: the round's fragments, 32
+// bytes each, appended in whatever order the caller meets them, and as
+// many requests, which Serve fills in SCAN order with each fragment and
+// its outcome. Callers read the requests back in that order and apply
+// their own deadline to End. The cylinder order is new every round, so
+// the kernel settles it on 8-byte keys and touches each 96-byte request
+// once, to write it.
 package sweep
 
 import (
+	"encoding/binary"
 	"math/rand/v2"
 
 	"mzqos/internal/disk"
@@ -23,15 +29,19 @@ import (
 // counts against the empirical late tail while the sum stays finite.
 const DownRoundLengths = 16
 
-// insertionMax is the largest sweep scanOrder sorts by straight insertion.
-// On fresh uniform cylinders each call, insertion measured 0.63 vs 0.98 µs
-// against the gapped passes at n = 26 and 5.4 vs 6.2 µs at n = 100; the
-// two cross near n = 130.
-const insertionMax = 100
+// insertionMax is the size of the stack buffer Serve orders sort keys in,
+// and with it the largest sweep the key path takes: every sweep an
+// admitted load produces fits (N_max is 26 to 32 on the paper's disks).
+// Larger sweeps order the requests themselves in gapped passes, which
+// overtake straight insertion near n = 130.
+const insertionMax = 128
 
-// Request is one fragment read of a sweep. The caller fills the first
-// four fields; Serve writes the rest in place.
-type Request struct {
+// bands is how many equal cylinder bands the key path distributes a sweep
+// over before its insertion pass.
+const bands = 32
+
+// Fragment is one fragment read as the caller describes it.
+type Fragment struct {
 	// Cylinder and Zone locate the fragment; Size is its length in bytes.
 	Cylinder, Zone int
 	Size           float64
@@ -39,6 +49,12 @@ type Request struct {
 	// must be unique within a sweep: SCAN ties on a cylinder break by
 	// ascending Ref, which keeps seeded runs reproducible.
 	Ref int
+}
+
+// Request is one served fragment read: the caller's Fragment and the
+// outcome Serve wrote for it.
+type Request struct {
+	Fragment
 
 	// SeekCylinders is the arm travel from the previous request.
 	SeekCylinders int
@@ -61,9 +77,12 @@ type Totals struct {
 	Retries, Lost                  int
 }
 
-// Serve sorts reqs into SCAN order (ascending cylinder, then Ref) and
-// serves them in one sweep of disk g from an arm parked at cylinder 0,
-// under the fault effects eff. It allocates nothing.
+// Serve serves the fragments of in, given in any order, in one SCAN sweep
+// (ascending cylinder, then Ref) of disk g from an arm parked at cylinder
+// 0, under the fault effects eff. out, which must be as long as in, is
+// overwritten whole: out[j] is the j-th request served, its Fragment
+// copied from in and every outcome field written. in is only read, and
+// Serve allocates nothing.
 //
 // Draw-order contract (seeded callers depend on it): one rng.Float64()
 // per request, in SCAN order, for its rotational latency, immediately
@@ -74,21 +93,38 @@ type Totals struct {
 // revolution until eff.Retries are spent, after which the fragment is
 // lost. A failed disk serves nothing: every request is marked Lost with
 // zero times, in the order given, and rng is not touched.
-func Serve(g *disk.Geometry, eff fault.Effects, rng *rand.Rand, readErr func(pos, attempt int) bool, reqs []Request) Totals {
+//
+// Size split: up to insertionMax fragments, all on cylinders of g, are
+// ordered as 8-byte keys and out is filled from in as the sweep goes;
+// anything else is copied to out and ordered there. The order and the
+// outcomes are the same either way.
+func Serve(g *disk.Geometry, eff fault.Effects, rng *rand.Rand, readErr func(pos, attempt int) bool, in []Fragment, out []Request) Totals {
+	if len(out) != len(in) {
+		panic("sweep: Serve needs len(out) == len(in)")
+	}
 	var tot Totals
 	if eff.Failed {
-		for i := range reqs {
-			r := &reqs[i]
-			*r = Request{Cylinder: r.Cylinder, Zone: r.Zone, Size: r.Size, Ref: r.Ref, Lost: true}
+		for i := range out {
+			out[i] = Request{Fragment: in[i], Lost: true}
 		}
-		tot.Lost = len(reqs)
+		tot.Lost = len(in)
 		return tot
 	}
-	scanOrder(reqs)
+	var keys [insertionMax]uint64
+	keyed := orderKeys(&keys, in, g.Cylinders())
+	if !keyed {
+		for i := range out {
+			out[i].Fragment = in[i]
+		}
+		scanOrder(out)
+	}
 	arm := 0
 	var clock float64
-	for i := range reqs {
-		r := &reqs[i]
+	for i := range out {
+		r := &out[i]
+		if keyed {
+			r.Fragment = in[uint32(keys[i])]
+		}
 		seekCyl := r.Cylinder - arm
 		if seekCyl < 0 {
 			seekCyl = -seekCyl
@@ -137,17 +173,87 @@ func Serve(g *disk.Geometry, eff fault.Effects, rng *rand.Rand, readErr func(pos
 	return tot
 }
 
-// scanOrder is the ordering step of the sweep: ascending (Cylinder, Ref),
-// a total order, so any correct sort yields the same sweep. It is a Shell
-// sort that moves only the four caller-filled fields — the outcome fields
-// are dead until the sweep writes them. slices.SortFunc would pass both
-// 96-byte requests to its comparator by value and swap them whole, which
-// measured 6–10 % slower server rounds than sorting the 32-byte private
-// request structs the callers used to keep.
+// orderKeys is the ordering step of a sweep of admitted size. The
+// cylinder order is the one thing a round cannot carry over from the last
+// one, so it is paid for on the smallest thing that holds it: on return
+// keys[:len(in)] hold cylinder<<32 | index-into-in in ascending
+// (Cylinder, Ref) order. It reports false, with keys undefined, when in
+// does not fit the buffer or a cylinder lies outside [0, cylinders).
 //
-// Up to insertionMax requests — every sweep an admitted load produces
-// (N_max is 26 to 32 on the paper's disks) — the wide-gap passes cost
-// more than the disorder they remove, so the gap-1 pass runs alone.
+// Straight insertion over fresh uniform cylinders is bound by the
+// mispredicted exit of its inner loop, once per key, whatever the width of
+// what it moves. So the keys are first dealt into equal cylinder bands —
+// two branch-free counting passes — which leaves the insertion pass
+// comparing a key with the few others of its own band.
+func orderKeys(keys *[insertionMax]uint64, in []Fragment, cylinders int) bool {
+	n := len(in)
+	if n > insertionMax || uint64(cylinders) > 1<<32 {
+		return false // a cylinder would not fit the key's upper half
+	}
+	// band(c) = c·scale >> 32 is monotone in c and below bands for every
+	// c < cylinders, because c·scale ≤ c·(bands<<32)/cylinders.
+	scale := uint64(bands<<32) / uint64(cylinders)
+
+	// One counter per band in a byte lane; n ≤ 128 cannot overflow one.
+	var end [bands]uint8
+	for i := range in {
+		c := uint64(in[i].Cylinder)
+		if c >= uint64(cylinders) {
+			return false
+		}
+		end[c*scale>>32]++
+	}
+	// Inclusive prefix sums, eight lanes per multiply: lane k of w·0x01…01
+	// is the sum of lanes 0..k of w, and carry holds every earlier word.
+	const lanes = 0x0101010101010101
+	var carry uint64
+	for w := 0; w < bands; w += 8 {
+		sums := (binary.LittleEndian.Uint64(end[w:]) + carry) * lanes
+		binary.LittleEndian.PutUint64(end[w:], sums)
+		carry = sums >> 56
+	}
+	// Deal from the back, so a band's keys land in ascending index order.
+	for i := n - 1; i >= 0; i-- {
+		c := uint64(in[i].Cylinder)
+		b := c * scale >> 32
+		end[b]--
+		keys[end[b]] = c<<32 | uint64(i)
+	}
+	// The insertion pass sorts by (cylinder, index) whatever the bands did.
+	for i := 1; i < n; i++ {
+		k := keys[i]
+		j := i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
+	// Tie pass: equal cylinders are served by ascending Ref, not by index.
+	for i := 1; i < n; i++ {
+		k := keys[i]
+		if k>>32 != keys[i-1]>>32 {
+			continue
+		}
+		ref := in[uint32(k)].Ref
+		j := i
+		for ; j > 0 && keys[j-1]>>32 == k>>32 && in[uint32(keys[j-1])].Ref > ref; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
+	return true
+}
+
+// scanOrder orders a sweep the key path does not take, in place: ascending
+// (Cylinder, Ref), a total order, so any correct sort yields the same
+// sweep. It is a Shell sort that moves only the Fragment of each request —
+// the outcome fields are dead until the sweep writes them.
+// slices.SortFunc would pass both 96-byte requests to its comparator by
+// value and swap them whole.
+//
+// Past insertionMax requests it runs gapped passes before the gap-1 pass;
+// a smaller sweep is here only for a cylinder off the disk, and takes the
+// gap-1 pass alone.
 func scanOrder(reqs []Request) {
 	gap := 1
 	if len(reqs) > insertionMax {
@@ -155,18 +261,16 @@ func scanOrder(reqs []Request) {
 	}
 	for ; ; gap = max(gap*5/11, 1) {
 		for i := gap; i < len(reqs); i++ {
-			cyl, zone, size, ref := reqs[i].Cylinder, reqs[i].Zone, reqs[i].Size, reqs[i].Ref
+			f := reqs[i].Fragment
 			j := i
 			for ; j >= gap; j -= gap {
-				p := &reqs[j-gap]
-				if p.Cylinder < cyl || p.Cylinder == cyl && p.Ref < ref {
+				p := &reqs[j-gap].Fragment
+				if p.Cylinder < f.Cylinder || p.Cylinder == f.Cylinder && p.Ref < f.Ref {
 					break
 				}
-				q := &reqs[j]
-				q.Cylinder, q.Zone, q.Size, q.Ref = p.Cylinder, p.Zone, p.Size, p.Ref
+				reqs[j].Fragment = *p
 			}
-			q := &reqs[j]
-			q.Cylinder, q.Zone, q.Size, q.Ref = cyl, zone, size, ref
+			reqs[j].Fragment = f
 		}
 		if gap == 1 {
 			return
