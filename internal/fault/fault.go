@@ -23,6 +23,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"mzqos/internal/disk"
 )
@@ -176,21 +178,6 @@ func (p Plan) Validate(disks int) error {
 	return nil
 }
 
-// Horizon returns the first round from which the plan is permanently
-// inactive, or -1 if any fault is open-ended. An empty plan has horizon 0.
-func (p Plan) Horizon() int {
-	h := 0
-	for _, f := range p.Faults {
-		if f.Until == 0 {
-			return -1
-		}
-		if f.Until > h {
-			h = f.Until
-		}
-	}
-	return h
-}
-
 // Effects is the combined perturbation of one disk in one round.
 // Overlapping faults compose: scales multiply, error probabilities combine
 // as independent events, retries take the maximum, and any Failure wins.
@@ -214,6 +201,26 @@ func Identity() Effects { return Effects{LatencyScale: 1, RateScale: 1} }
 // Active reports whether the effects differ from a healthy disk.
 func (e Effects) Active() bool {
 	return e.Failed || e.LatencyScale != 1 || e.RateScale != 1 || e.ErrorProb > 0
+}
+
+// String names the active effect kinds compactly, e.g. "latency x10" or
+// "rate x0.5+errors p=0.2" (empty for a healthy disk): the detail of a
+// fault edge on the event timeline.
+func (e Effects) String() string {
+	var parts []string
+	if e.Failed {
+		parts = append(parts, "fail")
+	}
+	if e.LatencyScale != 1 {
+		parts = append(parts, "latency x"+strconv.FormatFloat(e.LatencyScale, 'g', 3, 64))
+	}
+	if e.RateScale != 1 {
+		parts = append(parts, "rate x"+strconv.FormatFloat(e.RateScale, 'g', 3, 64))
+	}
+	if e.ErrorProb > 0 {
+		parts = append(parts, "errors p="+strconv.FormatFloat(e.ErrorProb, 'g', 3, 64))
+	}
+	return strings.Join(parts, "+")
 }
 
 // ExpectedRetries returns the expected number of extra revolutions a read
@@ -280,22 +287,6 @@ func (in *Injector) EffectsAt(d, round int) Effects {
 		}
 	}
 	return e
-}
-
-// AnyAt reports whether any disk of a width-disks array is perturbed in
-// the given round.
-func (in *Injector) AnyAt(round, disks int) bool {
-	if in == nil {
-		return false
-	}
-	for _, f := range in.plan.Faults {
-		if f.Disk == AllDisks || f.Disk < disks {
-			if round >= f.From && (f.Until == 0 || round < f.Until) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // ReadError reports whether read attempt `attempt` (0-based) of request

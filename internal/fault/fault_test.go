@@ -69,8 +69,16 @@ func TestEffectsComposition(t *testing.T) {
 	if e := in.EffectsAt(2, 6); e.Failed {
 		t.Error("disk 2 should recover at round 6")
 	}
-	if !in.AnyAt(12, 3) || in.AnyAt(12, 0) {
-		t.Error("AnyAt should see the disk-0 fault only when the array includes disk 0")
+	for e, want := range map[Effects]string{
+		in.EffectsAt(0, 0):   "",
+		in.EffectsAt(1, 17):  "latency x1.5+errors p=0.75",
+		in.EffectsAt(1, 100): "errors p=0.75",
+		in.EffectsAt(2, 5):   "fail",
+		{LatencyScale: 2, RateScale: 0.5, ErrorProb: 0.2}: "latency x2+rate x0.5+errors p=0.2",
+	} {
+		if got := e.String(); got != want {
+			t.Errorf("%#v names itself %q, want %q", e, got, want)
+		}
 	}
 }
 
@@ -81,9 +89,6 @@ func TestNilInjectorIsHealthy(t *testing.T) {
 	}
 	if in.ReadError(0, 0, 0, 0) {
 		t.Error("nil injector should never fail reads")
-	}
-	if in.AnyAt(0, 8) {
-		t.Error("nil injector is never active")
 	}
 	if len(in.Plan().Faults) != 0 {
 		t.Error("nil injector plan should be empty")
@@ -168,23 +173,6 @@ func TestDegradeGeometry(t *testing.T) {
 	// Failed disks have no degraded description.
 	if _, err := DegradeGeometry(g, Effects{LatencyScale: 1, RateScale: 1, Failed: true}); err == nil {
 		t.Error("degrading a failed disk should error")
-	}
-}
-
-func TestHorizon(t *testing.T) {
-	if h := (Plan{}).Horizon(); h != 0 {
-		t.Errorf("empty plan horizon = %d", h)
-	}
-	p := Plan{Faults: []Fault{
-		{Kind: Latency, Disk: 0, From: 0, Until: 10, Factor: 2},
-		{Kind: Failure, Disk: 0, From: 5, Until: 30},
-	}}
-	if h := p.Horizon(); h != 30 {
-		t.Errorf("horizon = %d, want 30", h)
-	}
-	p.Faults = append(p.Faults, Fault{Kind: Latency, Disk: 0, From: 50, Factor: 2})
-	if h := p.Horizon(); h != -1 {
-		t.Errorf("open-ended plan horizon = %d, want -1", h)
 	}
 }
 

@@ -39,50 +39,44 @@ func (s *Server) Recalibrate(minSamples int64) (oldLimit, newLimit int, err erro
 	if minSamples < 2 {
 		minSamples = 2
 	}
+	cur := s.lim.Load()
 	if s.observed.N() < minSamples {
-		return s.nmax, s.nmax, fmt.Errorf("%w: have %d, need %d", ErrTooFewSamples, s.observed.N(), minSamples)
+		return cur.nmax, cur.nmax, fmt.Errorf("%w: have %d, need %d", ErrTooFewSamples, s.observed.N(), minSamples)
 	}
 	mean := s.observed.Mean()
 	sd := s.observed.Std()
 	if !(mean > 0) || !(sd > 0) {
-		return s.nmax, s.nmax, fmt.Errorf("%w: degenerate observed moments", ErrConfig)
+		return cur.nmax, cur.nmax, fmt.Errorf("%w: degenerate observed moments", ErrConfig)
 	}
 	sizes, err := workload.GammaSizes(mean, sd)
 	if err != nil {
-		return s.nmax, s.nmax, err
+		return cur.nmax, cur.nmax, err
 	}
 	// Refit per distinct disk; the binding constraint is the minimum.
-	ev, err := evaluateDisks(s.geoms, sizes, s.cfg.RoundLength, s.cfg.Guarantee)
+	next, err := evaluateDisks(s.geoms, sizes, s.cfg.RoundLength, s.cfg.Guarantee)
 	if err != nil {
-		return s.nmax, s.nmax, err
+		return cur.nmax, cur.nmax, err
 	}
-	oldLimit = s.nmax
-	s.limitMu.Lock()
-	s.mdl = ev.binding
-	s.mdls = ev.mdls
-	s.nmax = ev.nmax
-	s.explains, s.bindDisk = ev.explains, ev.bindDisk
-	s.limitMu.Unlock()
 	s.cfg.Sizes = sizes
-	if s.deg.active {
-		s.deg.active = false
-		s.deg.applied = nil
-		s.deg.baseMdl, s.deg.baseMdls, s.deg.baseExplains = nil, nil, nil
-		s.tel.degraded.Set(0)
+	if cur.degraded {
+		s.deg.base, s.deg.applied = nil, nil
 		s.tel.degradeTransitions.Inc()
 	}
-	s.publishLimits()
-	s.journalLimitChange(journal.KindRecalibrate, ev.bindDisk, oldLimit, ev.nmax, "")
+	// A disk that is down stays reported down: only the controller's next
+	// faulty round, or a restore, knows better.
+	next.failed = cur.failed
+	s.install(next)
+	s.journalLimitChange(journal.KindRecalibrate, next.bindDisk, cur.nmax, next.nmax, "")
 	if s.log != nil {
 		s.log.Info("recalibrated admission model",
-			"old_nmax", oldLimit,
-			"new_nmax", ev.nmax,
+			"old_nmax", cur.nmax,
+			"new_nmax", next.nmax,
 			"observed_mean_bytes", mean,
 			"observed_sd_bytes", sd,
 			"samples", s.observed.N(),
 		)
 	}
-	return oldLimit, ev.nmax, nil
+	return cur.nmax, next.nmax, nil
 }
 
 // SizeDrift returns the relative deviation of the observed mean fragment
@@ -99,11 +93,7 @@ func (s *Server) SizeDrift() float64 {
 	return math.Abs(s.observed.Mean()-declared) / declared
 }
 
-// resetObservation clears the running statistics (used after a
-// recalibration epoch if the caller wants drift measured against the new
-// fit; exported via RestartObservation).
-func (s *Server) resetObservation() { s.observed = dist.Welford{} }
-
 // RestartObservation clears the observed fragment-size statistics so a
-// new observation epoch begins.
-func (s *Server) RestartObservation() { s.resetObservation() }
+// new observation epoch begins (after a recalibration, say, when drift
+// should be measured against the new fit).
+func (s *Server) RestartObservation() { s.observed = dist.Welford{} }

@@ -6,7 +6,6 @@ import (
 	"mzqos/internal/disk"
 	"mzqos/internal/fault"
 	"mzqos/internal/journal"
-	"mzqos/internal/model"
 )
 
 // DefaultDegradeAfter is the number of consecutive faulty (or healthy)
@@ -71,19 +70,12 @@ type degradeState struct {
 
 	dirty, clean int             // consecutive faulty / healthy rounds seen
 	applied      []fault.Effects // the effects the current limits model (a copy: Step reuses its own)
-	active       bool            // degraded limits are in force
-
-	// Healthy limits saved at the first degradation, restored on recovery.
-	baseMdl      *model.Model
-	baseMdls     []*model.Model
-	baseNmax     int
-	baseExplains []model.AdmissionExplanation
-	baseBindDisk int
+	base         *limits         // healthy limits saved at the first degradation, installed again on recovery
 }
 
 // Degraded reports whether degraded admission limits are currently in
 // force.
-func (s *Server) Degraded() bool { return s.deg.active }
+func (s *Server) Degraded() bool { return s.lim.Load().degraded }
 
 // FaultPlan returns a copy of the configured fault schedule (empty when
 // no faults are configured).
@@ -132,7 +124,7 @@ func (s *Server) adaptToFaults(effs []fault.Effects) []StreamID {
 			return nil
 		}
 		return s.applyDegraded(effs)
-	case !any && s.deg.active && s.deg.clean >= s.deg.after:
+	case !any && s.lim.Load().degraded && s.deg.clean >= s.deg.after:
 		s.restoreHealthy()
 	}
 	return nil
@@ -159,45 +151,38 @@ func (s *Server) applyDegraded(effs []fault.Effects) []StreamID {
 		}
 		geoms[i] = dg
 	}
-	ev, err := evaluateDisks(geoms, s.cfg.Sizes, s.cfg.RoundLength, s.cfg.Guarantee)
+	next, err := evaluateDisks(geoms, s.cfg.Sizes, s.cfg.RoundLength, s.cfg.Guarantee)
 	if err != nil {
 		return nil
 	}
+	next.degraded, next.failed = true, failed
 	if failed {
 		// Round-robin striping routes every stream over every disk, so a
 		// failed disk leaves no admissible load.
-		ev.nmax = 0
+		next.nmax = 0
 	}
-	if !s.deg.active {
-		s.deg.baseMdl, s.deg.baseMdls, s.deg.baseNmax = s.mdl, s.mdls, s.nmax
-		s.deg.baseExplains, s.deg.baseBindDisk = s.explains, s.bindDisk
-		s.deg.active = true
+	cur := s.lim.Load()
+	if !cur.degraded {
+		// A copy, both because install completes the value it is handed and
+		// because a Recalibrate under a standing failure leaves failed set.
+		base := *cur
+		base.failed = false
+		s.deg.base = &base
 		s.tel.degradeTransitions.Inc()
-		s.tel.degraded.Set(1)
 	}
 	s.deg.applied = append(s.deg.applied[:0], effs...)
-	if failed {
-		s.tel.failed.Set(1)
-	} else {
-		s.tel.failed.Set(0)
-	}
-	oldLimit := s.nmax
-	s.limitMu.Lock()
-	s.mdl, s.mdls, s.nmax = ev.binding, ev.mdls, ev.nmax
-	s.explains, s.bindDisk = ev.explains, ev.bindDisk
-	s.limitMu.Unlock()
-	s.publishLimits()
-	s.trc.Freeze("degrade", s.round)
+	s.install(next)
+	s.freeze("degrade")
 	detail := ""
 	if failed {
 		detail = "disk_failed"
 	}
-	s.journalLimitChange(journal.KindDegrade, ev.bindDisk, oldLimit, ev.nmax, detail)
+	s.journalLimitChange(journal.KindDegrade, next.bindDisk, cur.nmax, next.nmax, detail)
 	if s.log != nil {
 		s.log.Warn("degraded admission limits applied",
 			"round", s.round,
-			"nmax", ev.nmax,
-			"binding_disk", ev.bindDisk,
+			"nmax", next.nmax,
+			"binding_disk", next.bindDisk,
 			"disk_failed", failed,
 		)
 	}
@@ -213,12 +198,14 @@ func (s *Server) applyDegraded(effs []fault.Effects) []StreamID {
 // streams retire un-done (their stats remain queryable like any close).
 func (s *Server) shedToLimit() []StreamID {
 	var evicted []StreamID
+	nmax := s.lim.Load().nmax
 	for class := range s.classes {
-		excess := s.classes[class] - s.nmax
+		n := int(s.classes[class].Load())
+		excess := n - nmax
 		if excess <= 0 {
 			continue
 		}
-		ids := make([]StreamID, 0, s.classes[class])
+		ids := make([]StreamID, 0, n)
 		for _, st := range s.active { // ascending id, as ShedPolicy expects
 			if st.offset == class {
 				ids = append(ids, st.id)
@@ -244,24 +231,17 @@ func (s *Server) shedToLimit() []StreamID {
 // restoreHealthy reinstates the limits saved at the first degradation
 // once the fault timeline has been clean for the debounce window.
 func (s *Server) restoreHealthy() {
-	oldLimit := s.nmax
-	s.limitMu.Lock()
-	s.mdl, s.mdls, s.nmax = s.deg.baseMdl, s.deg.baseMdls, s.deg.baseNmax
-	s.explains, s.bindDisk = s.deg.baseExplains, s.deg.baseBindDisk
-	s.limitMu.Unlock()
-	s.publishLimits()
-	s.journalLimitChange(journal.KindRestore, s.bindDisk, oldLimit, s.nmax, "")
-	s.deg.active = false
-	s.deg.applied = nil
-	s.deg.baseMdl, s.deg.baseMdls, s.deg.baseExplains = nil, nil, nil
-	s.tel.degraded.Set(0)
-	s.tel.failed.Set(0)
+	oldLimit := s.lim.Load().nmax
+	next := s.deg.base
+	s.deg.base, s.deg.applied = nil, nil
+	s.install(next)
+	s.journalLimitChange(journal.KindRestore, next.bindDisk, oldLimit, next.nmax, "")
 	s.tel.degradeTransitions.Inc()
-	s.trc.Freeze("restore", s.round)
+	s.freeze("restore")
 	if s.log != nil {
 		s.log.Info("healthy admission limits restored",
 			"round", s.round,
-			"nmax", s.nmax,
+			"nmax", next.nmax,
 		)
 	}
 }

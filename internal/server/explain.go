@@ -44,20 +44,21 @@ type RejectionEvent struct {
 	Classes []int `json:"classes"`
 }
 
-// recordRejection captures a rejection into the bounded ring. Runs on the
-// loop thread (Open); the ring mutex only orders it against concurrent
-// AdmissionStatus readers.
-func (s *Server) recordRejection(object, reason string) {
-	ev := RejectionEvent{
-		Round:   s.round,
-		Object:  object,
-		Reason:  reason,
-		NMax:    s.nmax,
-		Classes: append([]int(nil), s.classes...),
-	}
+// recordRejection captures a rejection into the bounded ring, filling the
+// slot the ring hands out in place: its Classes array is the lapped
+// entry's, reused, so a rejected Open allocates nothing (Rejections copies
+// on read). Runs on the loop thread (admit); the ring mutex only orders
+// it against concurrent AdmissionStatus readers.
+func (s *Server) recordRejection(object, reason string, nmax int) {
 	s.admMu.Lock()
-	ev.Seq = int64(s.rejections.Pushed())
-	*s.rejections.Next() = ev
+	seq := s.rejections.Pushed()
+	ev := s.rejections.Next()
+	ev.Seq = int64(seq)
+	ev.Round = s.round
+	ev.Object = object
+	ev.Reason = reason
+	ev.NMax = nmax
+	ev.Classes = s.occupancy(ev.Classes[:0])
 	s.admMu.Unlock()
 	if s.jnl != nil {
 		s.jnl.Append(journal.Event{
@@ -68,7 +69,7 @@ func (s *Server) recordRejection(object, reason string) {
 			Object: object,
 			From:   -1,
 			To:     -1,
-			Value:  float64(s.nmax),
+			Value:  float64(nmax),
 			Detail: reason,
 		})
 	}
@@ -77,7 +78,7 @@ func (s *Server) recordRejection(object, reason string) {
 			"object", object,
 			"reason", reason,
 			"round", s.round,
-			"nmax", s.nmax,
+			"nmax", nmax,
 		)
 	}
 }
@@ -92,15 +93,6 @@ func (s *Server) Rejections() []RejectionEvent {
 		out[i].Classes = append([]int(nil), out[i].Classes...)
 	}
 	return out
-}
-
-// syncClassesView republishes the per-class occupancy for concurrent
-// readers. Called on the loop thread whenever classes changes (admit,
-// retire, pause, resume); readers copy under the same mutex.
-func (s *Server) syncClassesView() {
-	s.admMu.Lock()
-	s.classesView = append(s.classesView[:0], s.classes...)
-	s.admMu.Unlock()
 }
 
 // AdmissionStatus is the server's admission-explanation surface: the
@@ -140,30 +132,24 @@ type AdmissionStatus struct {
 }
 
 // AdmissionStatus assembles the admission-explanation report. Safe to
-// call concurrently with the round loop: counters and gauges are atomic,
-// the model set and explanations are read under the limit lock, and the
-// occupancy/rejection state under the admission mutex.
+// call concurrently with the round loop: the limit, its explanations and
+// its degraded flag come from one load of the limits in force, counters,
+// gauges and class occupancy are atomic, and the rejection and hint
+// state is read under the admission mutex.
 func (s *Server) AdmissionStatus() AdmissionStatus {
-	s.limitMu.RLock()
-	nmax := s.nmax
-	bind := s.bindDisk
-	exps := append([]model.AdmissionExplanation(nil), s.explains...)
-	s.limitMu.RUnlock()
-	st := AdmissionStatus{
+	lim := s.lim.Load()
+	return AdmissionStatus{
 		Round:        int(s.tel.rounds.Value()),
 		Active:       int(s.tel.active.Value()),
-		NMax:         nmax,
-		Capacity:     nmax * len(s.geoms),
-		Degraded:     s.tel.degraded.Value() > 0,
+		NMax:         lim.nmax,
+		Capacity:     lim.nmax * len(s.geoms),
+		Degraded:     lim.degraded,
 		Guarantee:    s.cfg.Guarantee,
-		BindingDisk:  bind,
-		Explanations: exps,
+		BindingDisk:  lim.bindDisk,
+		Explanations: append([]model.AdmissionExplanation(nil), lim.explains...),
+		Classes:      s.occupancy(make([]int, 0, len(s.classes))),
 		Rejections:   s.Rejections(),
 		Decisions:    model.RecentDecisions(),
+		SLOHints:     s.SLOHints(),
 	}
-	s.admMu.Lock()
-	st.Classes = append([]int(nil), s.classesView...)
-	st.SLOHints = append([]SLOHint(nil), s.sloHints...)
-	s.admMu.Unlock()
-	return st
 }

@@ -47,8 +47,8 @@ func checkActiveSet(lc *lifecycle) error {
 		}
 		perClass[st.offset]++
 	}
-	if !slices.Equal(perClass, s.classes) {
-		return fmt.Errorf("classes = %v, active set has %v", s.classes, perClass)
+	if classes := s.occupancy(nil); !slices.Equal(perClass, classes) {
+		return fmt.Errorf("classes = %v, active set has %v", classes, perClass)
 	}
 	if n := len(s.active); s.Active() != n || int(s.tel.active.Value()) != n {
 		return fmt.Errorf("len(active) = %d, Active() = %d, streams_active gauge = %v", n, s.Active(), s.tel.active.Value())

@@ -251,15 +251,11 @@ type (
 // BoundTightness builds the live bound-vs-measured report: for each disk
 // the empirical late-round tail and glitch rate beside the analytic
 // b_late/b_glitch evaluated at the disk's peak observed load. Safe to
-// call concurrently with the round loop (metrics are atomic; the model
-// set is read under the recalibration lock).
+// call concurrently with the round loop (metrics are atomic; the limit
+// and the model set come from one load of the limits in force).
 func (s *Server) BoundTightness() (TightnessReport, error) {
-	s.limitMu.RLock()
-	mdls := s.mdls
-	nmax := s.nmax
-	s.limitMu.RUnlock()
-
-	rep := TightnessReport{RoundLength: s.cfg.RoundLength, PerDiskLimit: nmax}
+	lim := s.lim.Load()
+	rep := TightnessReport{RoundLength: s.cfg.RoundLength, PerDiskLimit: lim.nmax}
 	for d, dt := range s.tel.disks {
 		hv := dt.roundTime.SnapshotValues()
 		row := DiskTightness{
@@ -278,11 +274,11 @@ func (s *Server) BoundTightness() (TightnessReport, error) {
 			row.EmpiricalGlitchRate = float64(row.Glitches) / float64(row.Requests)
 		}
 		if row.PeakLoad > 0 {
-			bl, err := mdls[d].LateBound(row.PeakLoad)
+			bl, err := lim.mdls[d].LateBound(row.PeakLoad)
 			if err != nil {
 				return TightnessReport{}, err
 			}
-			bg, err := mdls[d].GlitchBound(row.PeakLoad)
+			bg, err := lim.mdls[d].GlitchBound(row.PeakLoad)
 			if err != nil {
 				return TightnessReport{}, err
 			}

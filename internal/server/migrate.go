@@ -62,49 +62,12 @@ func (s *Server) ExportStream(id StreamID) (engine.StreamState, error) {
 	return engine.StreamState{}, fmt.Errorf("%w: %d", ErrUnknownStream, id)
 }
 
-// ImportStream re-admits a stream mid-playback. Admission control is
-// Open's (slot: the least-loaded admissible offset class within the next
-// D rounds, rejection when every class is at N_max) taken from the resume
-// position: starting fragment P in round r puts the stream in offset
-// class (base+P−r) mod D, so the stream reads fragment P from the disk
-// that actually stores it. The returned
+// ImportStream re-admits a stream mid-playback under Open's admission
+// control (see admit), taken from the resume position. The returned
 // startupDelay is only the additional slotting delay charged here; the
 // state's accumulated delay credit is carried into the stream's stats.
 func (s *Server) ImportStream(state engine.StreamState) (StreamID, int, error) {
-	obj, ok := s.catalog[state.Object]
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownObject, state.Object)
-	}
-	if state.Position < 0 || state.Position >= len(obj.frags) {
-		return 0, 0, fmt.Errorf("%w: import position %d outside %q (%d fragments)",
-			ErrConfig, state.Position, state.Object, len(obj.frags))
-	}
-	if s.nmax == 0 {
-		s.tel.rejected.Inc()
-		s.recordRejection(state.Object, RejectOverload)
-		return 0, 0, ErrRejected
-	}
-	delay, class, ok := s.slot(obj.base + state.Position)
-	if !ok {
-		s.tel.rejected.Inc()
-		s.recordRejection(state.Object, RejectClassesFull)
-		return 0, 0, ErrRejected
-	}
-	s.nextID++
-	st := &stream{
-		id:       s.nextID,
-		obj:      obj,
-		offset:   class,
-		next:     state.Position,
-		start:    s.round + delay,
-		delay:    state.Delay + delay,
-		served:   state.Served,
-		glitches: state.Glitches,
-	}
-	s.activate(st)
-	s.tel.admitted.Inc()
-	s.journalAdmit(st, true)
-	return st.id, delay, nil
+	return s.admit(state, true)
 }
 
 // ActiveStreams returns the open-stream ids, ascending — the drain list a

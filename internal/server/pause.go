@@ -32,7 +32,7 @@ func (s *Server) Resume(id StreamID) (startupDelay int, err error) {
 		}
 		return 0, ErrUnknownStream
 	}
-	delay, class, ok := s.slot(st.obj.base + st.next)
+	delay, class, ok := s.slot(s.lim.Load().nmax, st.obj.base+st.next)
 	if !ok {
 		return 0, ErrRejected
 	}

@@ -235,9 +235,9 @@ func TestPauseManyInterleaved(t *testing.T) {
 		t.Errorf("active %d + paused %d != 30", s.Active(), s.Paused())
 	}
 	var classSum int
-	for _, c := range s.classes {
+	for _, c := range s.occupancy(nil) {
 		if c < 0 {
-			t.Fatalf("negative class count: %v", s.classes)
+			t.Fatalf("negative class count: %v", s.occupancy(nil))
 		}
 		classSum += c
 	}

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"mzqos/internal/engine"
-	"mzqos/internal/fault"
 	"mzqos/internal/journal"
 	"mzqos/internal/sweep"
 )
@@ -56,10 +55,8 @@ func (s *Server) Step() RoundReport {
 		}
 	}
 	s.tel.faultActive.Set(float64(faulty))
-	if s.jnl != nil {
-		// The injector is a pure function of (disk, round), so the
-		// inject/clear edges are computed statelessly each round.
-		fault.JournalTransitions(s.jnl, s.inj, s.shard, s.round, effs)
+	if s.jnl != nil && s.inj != nil {
+		s.journalFaultEdges(effs)
 	}
 
 	// Gather the due fragments per disk in one pass over active, which is
@@ -128,7 +125,7 @@ func (s *Server) Step() RoundReport {
 		if tracing {
 			s.commitSpan(d, dr, observed)
 			if dr.Down {
-				s.trc.Freeze("down_round", s.round)
+				s.freeze("down_round")
 			}
 		}
 	}
@@ -136,7 +133,7 @@ func (s *Server) Step() RoundReport {
 	s.tel.glitches.Add(int64(rep.Glitches))
 	if rep.Glitches > 0 {
 		if tracing {
-			s.trc.Freeze("glitch", s.round)
+			s.freeze("glitch")
 		}
 		if s.jnl != nil {
 			// One event per glitching round with the round's fragment

@@ -24,6 +24,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mzqos/internal/disk"
 	"mzqos/internal/dist"
@@ -195,11 +196,8 @@ type StreamStats struct {
 // endpoint does.
 type Server struct {
 	cfg      Config
-	geoms    []*disk.Geometry // one per disk (repeated for homogeneous arrays)
-	limitMu  sync.RWMutex     // guards mdl, mdls, nmax against concurrent report readers
-	mdl      *model.Model     // model of the binding (slowest) disk
-	mdls     []*model.Model   // one model per disk, index-aligned with geoms
-	nmax     int
+	geoms    []*disk.Geometry       // one per disk (repeated for homogeneous arrays)
+	lim      atomic.Pointer[limits] // the limits in force; replaced whole by install, never edited
 	rng      *rand.Rand
 	round    int
 	nextID   StreamID
@@ -207,7 +205,7 @@ type Server struct {
 	catalog  map[string]*object
 	active   []*stream // ascending StreamID, the order Step gathers in
 	paused   map[StreamID]*stream
-	classes  []int // active streams per offset class
+	classes  []atomic.Int64 // active streams per offset class; written by the loop, read by anyone
 	tel      *Telemetry
 	inj      *fault.Injector // nil-safe: a nil injector is a healthy array
 	deg      degradeState
@@ -225,17 +223,17 @@ type Server struct {
 	// Round-level tracing: the flight recorder plus a scratch span the
 	// Step loop fills and commits once per loaded disk (the recorder
 	// deep-copies, so one scratch serves every sweep).
-	trc      *trace.Recorder // nil-safe: nil means tracing disabled
-	trcSpan  trace.RoundSpan
-	explains []model.AdmissionExplanation // per-disk decision traces, under limitMu
-	bindDisk int                          // disk whose model binds nmax, under limitMu
+	trc     *trace.Recorder // nil-safe: nil means tracing disabled
+	trcSpan trace.RoundSpan
 
 	// SLO audit: sliding-window bound-vs-measured estimators plus
 	// burn-rate alerting (nil = disabled; see internal/slo).
 	sloAud *slo.Auditor
 
 	// Event journal and QoS ledger (both nil-safe; shared across shards
-	// in cluster mode). shard labels this server's events.
+	// in cluster mode). shard labels this server's events. The server is
+	// the only writer of its events: the audit, the recorder and the
+	// injector report facts, journal.go turns them into events.
 	jnl    *journal.Journal
 	ledger *journal.Ledger
 	shard  int
@@ -244,10 +242,9 @@ type Server struct {
 	// Admission rejection history: a small ring written by Open and read
 	// concurrently by the /admission endpoint, under its own mutex (Open
 	// runs on the loop thread, readers do not).
-	admMu       sync.Mutex
-	rejections  ring.Buffer[RejectionEvent] // Pushed is the next Seq
-	classesView []int                       // copy of classes for concurrent readers
-	sloHints    []SLOHint                   // active recalibration hints, one per firing target
+	admMu      sync.Mutex
+	rejections ring.Buffer[RejectionEvent] // Pushed is the next Seq
+	sloHints   []SLOHint                   // active recalibration hints, one per firing target
 
 	// Retired-stream stats: the last engine.RetainedStreams retirements
 	// stay queryable through Stats after Close or completion. Older ones
@@ -296,7 +293,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	ev, err := evaluateDisks(geoms, cfg.Sizes, cfg.RoundLength, cfg.Guarantee)
+	lim, err := evaluateDisks(geoms, cfg.Sizes, cfg.RoundLength, cfg.Guarantee)
 	if err != nil {
 		return nil, err
 	}
@@ -314,15 +311,10 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		geoms:      geoms,
-		mdl:        ev.binding,
-		mdls:       ev.mdls,
-		nmax:       ev.nmax,
-		explains:   ev.explains,
-		bindDisk:   ev.bindDisk,
 		rng:        dist.NewRand(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15),
 		catalog:    make(map[string]*object),
 		paused:     make(map[StreamID]*stream),
-		classes:    make([]int, len(geoms)),
+		classes:    make([]atomic.Int64, len(geoms)),
 		effs:       make([]fault.Effects, len(geoms)),
 		frags:      make([][]sweep.Fragment, len(geoms)),
 		reqs:       make([][]sweep.Request, len(geoms)),
@@ -342,13 +334,11 @@ func New(cfg Config) (*Server, error) {
 		tcfg := cfg.Trace
 		tcfg.RoundLength = cfg.RoundLength
 		s.trc = trace.NewRecorder(tcfg)
-		s.trc.SetJournal(s.jnl, s.shard)
 	}
 	s.sloAud, err = slo.New(cfg.SLO, len(geoms))
 	if err != nil {
 		return nil, fmt.Errorf("server: building slo audit: %w", err)
 	}
-	s.sloAud.SetJournal(s.jnl, s.shard)
 	s.deg = degradeState{
 		enabled:        cfg.Degrade.Enabled,
 		after:          cfg.Degrade.After,
@@ -361,114 +351,132 @@ func New(cfg Config) (*Server, error) {
 	if s.deg.policy == nil {
 		s.deg.policy = ShedNewest
 	}
-	s.publishLimits()
-	s.syncClassesView()
+	s.install(lim)
 	if s.log != nil {
 		s.log.Info("server configured",
 			"disks", len(geoms),
 			"round_length_s", cfg.RoundLength,
-			"nmax", ev.nmax,
-			"binding_disk", ev.bindDisk,
+			"nmax", lim.nmax,
+			"binding_disk", lim.bindDisk,
 			"tracing", s.trc.Enabled(),
 		)
 	}
 	return s, nil
 }
 
-// diskEval is the outcome of evaluating the admission model across the
-// array: the per-disk models and decision traces, plus the binding
-// (minimum-N_max) disk that sets the server-wide limit.
-type diskEval struct {
-	binding  *model.Model
-	mdls     []*model.Model
+// limits is the admission limit in force with everything quoted from it:
+// the per-disk models and decision traces, the binding (minimum-N_max)
+// disk that sets the server-wide limit, the two analytic bounds at that
+// limit — the ledger's promise and the SLO audit's budgets — and whether
+// the limit answers a fault. A value is complete before install publishes
+// it and is never written afterwards, so a reader that loads the pointer
+// once holds one consistent quote however the loop moves on.
+type limits struct {
+	binding  *model.Model   // model of the binding (slowest) disk
+	mdls     []*model.Model // one model per disk, index-aligned with geoms
 	nmax     int
-	explains []model.AdmissionExplanation
-	bindDisk int
+	explains []model.AdmissionExplanation // per-disk decision traces
+	bindDisk int                          // disk whose model binds nmax
+
+	boundLate, boundGlitch float64 // b_late and b_glitch at nmax, quoted by install
+
+	degraded bool // derived against faulty disks; degradeState.base holds the way back
+	failed   bool // a failed disk holds admission closed
 }
 
 // evaluateDisks builds one admission model per disk (sharing instances
 // across repeated geometries so homogeneous arrays evaluate once) and
-// returns the binding model, the minimum N_max, and the per-disk
-// admission explanations recording which constraint produced each limit.
-func evaluateDisks(geoms []*disk.Geometry, sizes workload.SizeModel, roundLength float64, g model.Guarantee) (ev diskEval, err error) {
-	ev.nmax = -1
+// returns the limits they set: the binding model, the minimum N_max, and
+// the per-disk admission explanations recording which constraint produced
+// each limit.
+func evaluateDisks(geoms []*disk.Geometry, sizes workload.SizeModel, roundLength float64, g model.Guarantee) (*limits, error) {
+	lim := &limits{
+		nmax:     -1,
+		mdls:     make([]*model.Model, 0, len(geoms)),
+		explains: make([]model.AdmissionExplanation, 0, len(geoms)),
+	}
 	type entry struct {
 		mdl *model.Model
 		exp model.AdmissionExplanation
 	}
 	cache := make(map[*disk.Geometry]entry)
-	ev.mdls = make([]*model.Model, 0, len(geoms))
-	ev.explains = make([]model.AdmissionExplanation, 0, len(geoms))
 	for i, geom := range geoms {
 		e, ok := cache[geom]
 		if !ok {
+			var err error
 			e.mdl, err = model.New(model.Config{
 				Disk:        geom,
 				Sizes:       sizes,
 				RoundLength: roundLength,
 			})
 			if err != nil {
-				return diskEval{}, fmt.Errorf("server: building admission model: %w", err)
+				return nil, fmt.Errorf("server: building admission model: %w", err)
 			}
 			e.exp, err = e.mdl.ExplainNMax(g)
 			if err != nil {
-				return diskEval{}, fmt.Errorf("server: evaluating guarantee: %w", err)
+				return nil, fmt.Errorf("server: evaluating guarantee: %w", err)
 			}
 			cache[geom] = e
 		}
-		ev.mdls = append(ev.mdls, e.mdl)
-		ev.explains = append(ev.explains, e.exp)
-		if ev.nmax < 0 || e.exp.NMax < ev.nmax {
-			ev.nmax = e.exp.NMax
-			ev.binding = e.mdl
-			ev.bindDisk = i
+		lim.mdls = append(lim.mdls, e.mdl)
+		lim.explains = append(lim.explains, e.exp)
+		if lim.nmax < 0 || e.exp.NMax < lim.nmax {
+			lim.nmax = e.exp.NMax
+			lim.binding = e.mdl
+			lim.bindDisk = i
 		}
 	}
-	return ev, nil
+	return lim, nil
 }
 
-// publishLimits refreshes the admission-limit gauges and the analytic
-// bounds at N_max from the binding model, and re-installs those bounds
-// as the SLO audit's error budgets — the single choke point every
-// limit change (New, Recalibrate, degrade, restore) flows through, so
-// the audit always measures against the guarantee currently quoted.
-func (s *Server) publishLimits() {
-	s.tel.nmax.Set(float64(s.nmax))
-	if s.nmax <= 0 {
-		s.tel.boundLate.Set(0)
-		s.tel.boundGlitch.Set(0)
-		s.sloAud.SetBudgets(0, 0)
-		return
+// install puts next in force — the single choke point every limit change
+// (New, Recalibrate, degrade, restore) flows through. It quotes the two
+// analytic bounds at next's N_max from its binding model, publishes the
+// value, and refreshes the limit gauges and the SLO audit's error budgets
+// from it, so the ledger, the audit and every report read the same quote.
+// next must not have been published before: install completes it.
+func (s *Server) install(next *limits) {
+	if next.nmax > 0 {
+		if bl, err := next.binding.LateBound(next.nmax); err == nil {
+			next.boundLate = bl
+		}
+		if bg, err := next.binding.GlitchBound(next.nmax); err == nil {
+			next.boundGlitch = bg
+		}
 	}
-	var budgetLate, budgetGlitch float64
-	if bl, err := s.mdl.LateBound(s.nmax); err == nil {
-		budgetLate = bl
-		s.tel.boundLate.Set(bl)
+	s.lim.Store(next)
+	s.tel.nmax.Set(float64(next.nmax))
+	s.tel.boundLate.Set(next.boundLate)
+	s.tel.boundGlitch.Set(next.boundGlitch)
+	s.tel.degraded.Set(gaugeBool(next.degraded))
+	s.tel.failed.Set(gaugeBool(next.failed))
+	s.sloAud.SetBudgets(next.boundLate, next.boundGlitch)
+	if next.nmax > 0 {
+		// With admission closed the budget gauges keep the round's values
+		// until auditSLO republishes them at its end.
+		s.tel.slo.budget[0].Set(next.boundLate)
+		s.tel.slo.budget[1].Set(next.boundGlitch)
 	}
-	if bg, err := s.mdl.GlitchBound(s.nmax); err == nil {
-		budgetGlitch = bg
-		s.tel.boundGlitch.Set(bg)
+}
+
+func gaugeBool(b bool) float64 {
+	if b {
+		return 1
 	}
-	s.sloAud.SetBudgets(budgetLate, budgetGlitch)
-	s.tel.slo.budget[0].Set(budgetLate)
-	s.tel.slo.budget[1].Set(budgetGlitch)
-	if s.bindDisk >= 0 && s.bindDisk < len(s.explains) {
-		exp := s.explains[s.bindDisk]
-		s.sloAud.SetBinding(s.bindDisk, exp.BindingK, exp.Bound)
-	}
+	return 0
 }
 
 // NumDisks returns the array width D.
 func (s *Server) NumDisks() int { return len(s.geoms) }
 
 // Model exposes the admission model (for reporting).
-func (s *Server) Model() *model.Model { return s.mdl }
+func (s *Server) Model() *model.Model { return s.lim.Load().binding }
 
 // PerDiskLimit returns N_max, the admitted streams allowed per disk.
-func (s *Server) PerDiskLimit() int { return s.nmax }
+func (s *Server) PerDiskLimit() int { return s.lim.Load().nmax }
 
 // Capacity returns the server-wide stream limit D·N_max.
-func (s *Server) Capacity() int { return s.nmax * len(s.geoms) }
+func (s *Server) Capacity() int { return s.lim.Load().nmax * len(s.geoms) }
 
 // Active returns the number of open streams.
 func (s *Server) Active() int { return len(s.active) }
@@ -481,18 +489,19 @@ func (s *Server) Round() int { return s.round }
 func (s *Server) RoundLength() float64 { return s.cfg.RoundLength }
 
 // Health returns the heartbeat snapshot a cluster coordinator caches:
-// load, limits, and degrade state. Unlike the plain accessors it reads
-// only atomic telemetry state, so it is safe to call concurrently with
-// the round loop — which is exactly what a heartbeat collector does.
+// load, limits, and degrade state. It reads the limits in force once and
+// otherwise only atomic telemetry state, so it is safe to call
+// concurrently with the round loop — which is exactly what a heartbeat
+// collector does.
 func (s *Server) Health() engine.Health {
-	nmax := int(s.tel.nmax.Value())
+	lim := s.lim.Load()
 	h := engine.Health{
 		Active:       int(s.tel.active.Value()),
-		PerDiskLimit: nmax,
-		Capacity:     nmax * len(s.geoms),
+		PerDiskLimit: lim.nmax,
+		Capacity:     lim.nmax * len(s.geoms),
 		Round:        int(s.tel.rounds.Value()),
-		Degraded:     s.tel.degraded.Value() > 0,
-		Failed:       s.tel.failed.Value() > 0,
+		Degraded:     lim.degraded,
+		Failed:       lim.failed,
 	}
 	if s.sloAud != nil {
 		// The SLO snapshot is mirrored from the audit's atomic gauges —
@@ -573,32 +582,48 @@ func (s *Server) Objects() []string {
 // when every admissible start slot within the next D rounds is full. The
 // startup delay is the number of rounds before the first fragment is read.
 func (s *Server) Open(name string) (id StreamID, startupDelay int, err error) {
-	obj, ok := s.catalog[name]
+	return s.admit(engine.StreamState{Object: name}, false)
+}
+
+// admit is admission control, written once: Open admits the zero state of
+// an object, ImportStream a stream mid-playback. Starting fragment P in
+// round r puts the stream in offset class (base+P−r) mod D, so it reads
+// fragment P from the disk that actually stores it; the returned delay is
+// the slotting delay charged here, on top of any the state carries.
+func (s *Server) admit(state engine.StreamState, imported bool) (StreamID, int, error) {
+	obj, ok := s.catalog[state.Object]
 	if !ok {
-		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownObject, name)
+		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownObject, state.Object)
 	}
-	if s.nmax == 0 {
-		s.tel.rejected.Inc()
-		s.recordRejection(name, RejectOverload)
-		return 0, 0, ErrRejected
+	if state.Position < 0 || state.Position >= len(obj.frags) {
+		return 0, 0, fmt.Errorf("%w: import position %d outside %q (%d fragments)",
+			ErrConfig, state.Position, state.Object, len(obj.frags))
 	}
-	delay, class, ok := s.slot(obj.base)
+	lim := s.lim.Load()
+	delay, class, ok := s.slot(lim.nmax, obj.base+state.Position)
 	if !ok {
+		reason := RejectClassesFull
+		if lim.nmax == 0 {
+			reason = RejectOverload
+		}
 		s.tel.rejected.Inc()
-		s.recordRejection(name, RejectClassesFull)
+		s.recordRejection(state.Object, reason, lim.nmax)
 		return 0, 0, ErrRejected
 	}
 	s.nextID++
 	st := &stream{
-		id:     s.nextID,
-		obj:    obj,
-		offset: class,
-		start:  s.round + delay,
-		delay:  delay,
+		id:       s.nextID,
+		obj:      obj,
+		offset:   class,
+		next:     state.Position,
+		start:    s.round + delay,
+		delay:    state.Delay + delay,
+		served:   state.Served,
+		glitches: state.Glitches,
 	}
 	s.activate(st)
 	s.tel.admitted.Inc()
-	s.journalAdmit(st, false)
+	s.journalAdmit(st, imported, lim)
 	return st.id, delay, nil
 }
 
@@ -607,13 +632,13 @@ func (s *Server) Open(name string) (id StreamID, startupDelay int, err error) {
 // s.round+delay puts the stream in offset class (first − (round+delay))
 // mod D; the least-loaded class within the next D rounds wins (smallest
 // delay on ties) so load stays balanced across disks, and ok is false
-// when even the emptiest class is at N_max.
-func (s *Server) slot(first int) (delay, class int, ok bool) {
+// when even the emptiest class is at nmax — always, when nmax is 0.
+func (s *Server) slot(nmax, first int) (delay, class int, ok bool) {
 	d := len(s.geoms)
 	bestDelay := -1
-	bestCount := s.nmax
+	bestCount := nmax
 	for k := 0; k < d; k++ {
-		if n := s.classes[mod(first-(s.round+k), d)]; n < bestCount {
+		if n := int(s.classes[mod(first-(s.round+k), d)].Load()); n < bestCount {
 			bestCount, bestDelay = n, k
 		}
 	}
@@ -621,6 +646,15 @@ func (s *Server) slot(first int) (delay, class int, ok bool) {
 		return 0, 0, false
 	}
 	return bestDelay, mod(first-(s.round+bestDelay), d), true
+}
+
+// occupancy appends the per-class stream counts to dst: the one read of
+// classes every report goes through.
+func (s *Server) occupancy(dst []int) []int {
+	for i := range s.classes {
+		dst = append(dst, int(s.classes[i].Load()))
+	}
+	return dst
 }
 
 // find binary-searches the active slice for id.
@@ -636,16 +670,14 @@ func (s *Server) find(id StreamID) (int, bool) {
 func (s *Server) activate(st *stream) {
 	i, _ := s.find(st.id)
 	s.active = slices.Insert(s.active, i, st)
-	s.classes[st.offset]++
-	s.syncClassesView()
+	s.classes[st.offset].Add(1)
 	s.tel.active.Set(float64(len(s.active)))
 }
 
 // deactivate removes active[i] from the active set and its offset class.
 func (s *Server) deactivate(i int) {
-	s.classes[s.active[i].offset]--
+	s.classes[s.active[i].offset].Add(-1)
 	s.active = slices.Delete(s.active, i, i+1)
-	s.syncClassesView()
 	s.tel.active.Set(float64(len(s.active)))
 }
 

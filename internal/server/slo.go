@@ -65,15 +65,18 @@ func (s *Server) SLOHints() []SLOHint {
 }
 
 // auditSLO closes the round for the audit: finalize every disk's window,
-// evaluate burn rates, update the mzqos_slo_* series, and react to alert
-// transitions. Runs on the loop thread at the end of Step; steady state
-// allocates nothing (gauge stores are atomic, transitions are rare).
+// evaluate burn rates, update the mzqos_slo_* series, and record and
+// react to alert transitions. Every slo event of the round reaches the
+// journal before any reaction to one does (a firing's freeze). Runs on
+// the loop thread at the end of Step; steady state allocates nothing
+// (gauge stores are atomic, transitions are rare).
 func (s *Server) auditSLO() {
 	if s.sloAud == nil {
 		return
 	}
 	ev := s.sloAud.EndRound()
-	for i, te := range ev.Targets() {
+	targets := [2]*slo.TargetEval{&ev.Late, &ev.Glitch}
+	for i, te := range targets {
 		st := &s.tel.slo
 		st.budget[i].Set(te.Budget)
 		st.measured[i][0].Set(te.MeasuredFast)
@@ -81,6 +84,16 @@ func (s *Server) auditSLO() {
 		st.burn[i][0].Set(te.BurnFast)
 		st.burn[i][1].Set(te.BurnSlow)
 		st.state[i].Set(float64(te.State))
+	}
+	if !ev.Late.Transition && !ev.Glitch.Transition {
+		return
+	}
+	for i, te := range targets {
+		if te.Transition {
+			s.journalSLO(i, te)
+		}
+	}
+	for i, te := range targets {
 		if te.Transition {
 			s.onSLOTransition(i, te)
 		}
@@ -89,7 +102,7 @@ func (s *Server) auditSLO() {
 
 // onSLOTransition reacts to one target's alert state change on the loop
 // thread.
-func (s *Server) onSLOTransition(idx int, te slo.TargetEval) {
+func (s *Server) onSLOTransition(idx int, te *slo.TargetEval) {
 	target := slo.TargetName(idx)
 	switch te.State {
 	case slo.Firing:
@@ -100,7 +113,7 @@ func (s *Server) onSLOTransition(idx int, te slo.TargetEval) {
 		if idx != 0 {
 			reason = freezeSLOGlitch
 		}
-		s.trc.Freeze(reason, s.round)
+		s.freeze(reason)
 		s.setSLOHint(s.buildSLOHint(target, te))
 		if s.log != nil {
 			s.log.Warn("slo alert firing",
@@ -135,10 +148,11 @@ func (s *Server) onSLOTransition(idx int, te slo.TargetEval) {
 	}
 }
 
-// buildSLOHint assembles the recalibration hint for a fired target. Runs
-// on the loop thread, which owns explains/bindDisk (limitMu only guards
-// them against concurrent readers).
-func (s *Server) buildSLOHint(target string, te slo.TargetEval) SLOHint {
+// buildSLOHint assembles the recalibration hint for a fired target from
+// the limits in force.
+func (s *Server) buildSLOHint(target string, te *slo.TargetEval) SLOHint {
+	lim := s.lim.Load()
+	exp := &lim.explains[lim.bindDisk]
 	h := SLOHint{
 		Target:       target,
 		Round:        s.round,
@@ -146,12 +160,9 @@ func (s *Server) buildSLOHint(target string, te slo.TargetEval) SLOHint {
 		Measured:     te.MeasuredFast,
 		Budget:       te.Budget,
 		Burn:         te.BurnFast,
-		BindingDisk:  s.bindDisk,
-	}
-	if s.bindDisk < len(s.explains) {
-		exp := s.explains[s.bindDisk]
-		h.BindingK = exp.BindingK
-		h.BindingBound = exp.Bound
+		BindingDisk:  lim.bindDisk,
+		BindingK:     exp.BindingK,
+		BindingBound: exp.Bound,
 	}
 	h.Message = fmt.Sprintf(
 		"measured %s rate %.3g exceeds analytic bound %.3g (burn %.3gx) over the last %d rounds; binding k=%d (%s bound, disk %d) — model may be miscalibrated, consider Recalibrate",

@@ -181,9 +181,20 @@ func (e *Engine) AddSyntheticObject(name string, rounds int) error {
 // server, the least-loaded class reachable within the next D rounds wins
 // (smallest delay on ties), so load stays balanced across disks.
 func (e *Engine) Open(name string) (id engine.StreamID, startupDelay int, err error) {
-	length, ok := e.objects[name]
+	return e.admit(engine.StreamState{Object: name})
+}
+
+// admit is the engine's one admission path: Open admits an object's zero
+// state, ImportStream a stream mid-playback. A position outside the
+// object is a configuration error; no admissible class is ErrRejected.
+func (e *Engine) admit(state engine.StreamState) (engine.StreamID, int, error) {
+	length, ok := e.objects[state.Object]
 	if !ok {
-		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownObject, name)
+		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownObject, state.Object)
+	}
+	if state.Position < 0 || state.Position >= length {
+		return 0, 0, fmt.Errorf("%w: import position %d outside %q (%d rounds)",
+			ErrConfig, state.Position, state.Object, length)
 	}
 	bestClass := e.leastLoadedClass()
 	if bestClass < 0 {
@@ -192,8 +203,15 @@ func (e *Engine) Open(name string) (id engine.StreamID, startupDelay int, err er
 	// The stream starts in the next round its class's disk comes around —
 	// immediately, since class c reads disk (c+round) mod D every round.
 	e.nextID++
-	st := &simStream{name: name, class: bestClass, start: e.round, length: length}
-	e.streams[e.nextID] = st
+	e.streams[e.nextID] = &simStream{
+		name:     state.Object,
+		class:    bestClass,
+		start:    e.round,
+		next:     state.Position,
+		length:   length,
+		delay:    state.Delay,
+		glitches: state.Glitches,
+	}
 	e.classes[bestClass] = append(e.classes[bestClass], e.nextID)
 	e.hActive.Store(int64(len(e.streams)))
 	return e.nextID, 0, nil

@@ -84,36 +84,9 @@ func (e *Engine) ExportStream(id engine.StreamID) (engine.StreamState, error) {
 }
 
 // ImportStream re-admits a stream mid-playback under the same admission
-// discipline as Open (least-loaded class, limit enforced), resuming at
-// state.Position. A finished or overrun position is rejected as a
-// configuration error; an import with no admissible class is ErrRejected.
+// discipline as Open (see admit), resuming at state.Position.
 func (e *Engine) ImportStream(state engine.StreamState) (engine.StreamID, int, error) {
-	length, ok := e.objects[state.Object]
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownObject, state.Object)
-	}
-	if state.Position < 0 || state.Position >= length {
-		return 0, 0, fmt.Errorf("%w: import position %d outside %q (%d rounds)",
-			ErrConfig, state.Position, state.Object, length)
-	}
-	bestClass := e.leastLoadedClass()
-	if bestClass < 0 {
-		return 0, 0, ErrRejected
-	}
-	e.nextID++
-	st := &simStream{
-		name:     state.Object,
-		class:    bestClass,
-		start:    e.round,
-		next:     state.Position,
-		length:   length,
-		delay:    state.Delay,
-		glitches: state.Glitches,
-	}
-	e.streams[e.nextID] = st
-	e.classes[bestClass] = append(e.classes[bestClass], e.nextID)
-	e.hActive.Store(int64(len(e.streams)))
-	return e.nextID, 0, nil
+	return e.admit(state)
 }
 
 // ActiveStreams returns the open-stream ids, ascending — the drain list

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"sync"
 
-	"mzqos/internal/journal"
 	"mzqos/internal/ring"
 )
 
@@ -386,16 +385,6 @@ type Auditor struct {
 	round    int // rounds observed (EndRound calls)
 
 	history ring.Buffer[Transition] // last cfg.History alert transitions
-
-	// jnl/shard mirror alert transitions into the cluster event journal;
-	// bindDisk/bindK/bindBound describe the binding admission constraint
-	// currently in force (from the server's published explanations), so a
-	// firing's journal event names the constraint that was violated.
-	jnl       *journal.Journal
-	shard     int
-	bindDisk  int
-	bindK     int
-	bindBound string
 }
 
 // New builds an Auditor for a `disks`-wide array. Zero Config fields take
@@ -409,10 +398,9 @@ func New(cfg Config, disks int) (*Auditor, error) {
 	}
 	cfg = cfg.withDefaults()
 	a := &Auditor{
-		cfg:      cfg,
-		disks:    make([]diskWindows, disks),
-		history:  ring.New[Transition](cfg.History),
-		bindDisk: -1,
+		cfg:     cfg,
+		disks:   make([]diskWindows, disks),
+		history: ring.New[Transition](cfg.History),
 	}
 	for d := range a.disks {
 		a.disks[d].ring = make([]slot, cfg.SlowWindow)
@@ -442,31 +430,6 @@ func (a *Auditor) SetBudgets(bLate, bGlitch float64) {
 	a.mu.Lock()
 	a.budgets[idxLate] = bLate
 	a.budgets[idxGlitch] = bGlitch
-	a.mu.Unlock()
-}
-
-// SetJournal mirrors alert transitions into the event journal, labelled
-// with the given shard id.
-func (a *Auditor) SetJournal(j *journal.Journal, shard int) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.jnl = j
-	a.shard = shard
-	a.mu.Unlock()
-}
-
-// SetBinding records the binding admission constraint in force (the disk
-// that set N_max, its binding load level k, and the bound family that went
-// tight). Journalled firings carry it so the timeline names the violated
-// constraint. Call alongside SetBudgets whenever limits change.
-func (a *Auditor) SetBinding(disk, k int, bound string) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.bindDisk, a.bindK, a.bindBound = disk, k, bound
 	a.mu.Unlock()
 }
 
@@ -564,47 +527,10 @@ func (a *Auditor) EndRound() Evaluation {
 				Measured: te.MeasuredFast,
 				Budget:   te.Budget,
 			}
-			a.journalTransition(round, i, from, te)
 		}
 	}
 	a.mu.Unlock()
 	return ev
-}
-
-// journalTransition mirrors a transition entering Pending, Firing, or
-// Resolved into the event journal (aging back to Inactive is not an
-// incident, so it stays off the timeline). Caller holds a.mu; the journal
-// has its own independent lock, so appending under it cannot deadlock.
-func (a *Auditor) journalTransition(round, idx int, from State, te *TargetEval) {
-	if a.jnl == nil {
-		return
-	}
-	var kind journal.Kind
-	switch te.State {
-	case Pending:
-		kind = journal.KindSLOPending
-	case Firing:
-		kind = journal.KindSLOFiring
-	case Resolved:
-		kind = journal.KindSLOResolved
-	default:
-		return
-	}
-	e := journal.Event{
-		Round:  round,
-		Kind:   kind,
-		Shard:  a.shard,
-		Disk:   a.bindDisk,
-		From:   int(from),
-		To:     int(te.State),
-		Target: TargetName(idx),
-		Value:  te.MeasuredFast,
-		Budget: te.Budget,
-	}
-	if kind == journal.KindSLOFiring {
-		e.Detail = fmt.Sprintf("binding k=%d %s disk=%d", a.bindK, a.bindBound, a.bindDisk)
-	}
-	a.jnl.Append(e)
 }
 
 // Round returns the number of rounds observed.

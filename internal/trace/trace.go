@@ -21,7 +21,6 @@ package trace
 import (
 	"sync"
 
-	"mzqos/internal/journal"
 	"mzqos/internal/ring"
 	"mzqos/internal/sweep"
 )
@@ -181,11 +180,6 @@ type Recorder struct {
 
 	frozen   *Snapshot
 	triggers int64
-
-	// jnl/shard mirror freeze latches into the cluster event journal,
-	// cross-linked by the span commit sequence at latch time.
-	jnl   *journal.Journal
-	shard int
 }
 
 // NewRecorder returns a Recorder sized by cfg.
@@ -258,18 +252,20 @@ func (r *Recorder) Live() []RoundSpan {
 // Freeze latches a snapshot of the current ring under the given trigger
 // reason, unless one is already held: the recorder preserves the history
 // leading up to the *first* trigger, and later triggers only bump the
-// Stats.Triggers count until Clear releases the latch. No-op on nil.
-func (r *Recorder) Freeze(reason string, round int) {
+// Stats.Triggers count until Clear releases the latch. It reports whether
+// this trigger latched and, if so, the commit sequence of the newest span
+// in the snapshot, so the caller can cross-link the incident it belongs
+// to. No-op on nil.
+func (r *Recorder) Freeze(reason string, round int) (seq uint64, latched bool) {
 	if r == nil {
-		return
+		return 0, false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.triggers++
 	if r.frozen != nil {
-		return
+		return 0, false
 	}
-	seq := uint64(0)
 	if n := r.spans.Pushed(); n > 0 {
 		seq = n - 1
 	}
@@ -279,31 +275,7 @@ func (r *Recorder) Freeze(reason string, round int) {
 		Seq:    seq,
 		Spans:  r.liveLocked(),
 	}
-	// Only the latching trigger reaches the journal: the timeline records
-	// which incident the frozen history belongs to, cross-linked by the
-	// span sequence. (The journal locks independently — no deadlock.)
-	r.jnl.Append(journal.Event{
-		Round:    round,
-		Kind:     journal.KindFreeze,
-		Shard:    r.shard,
-		Disk:     -1,
-		From:     -1,
-		To:       -1,
-		TraceSeq: seq,
-		Detail:   reason,
-	})
-}
-
-// SetJournal mirrors freeze latches into the event journal, labelled with
-// the given shard id. No-op on nil.
-func (r *Recorder) SetJournal(j *journal.Journal, shard int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.jnl = j
-	r.shard = shard
-	r.mu.Unlock()
+	return seq, true
 }
 
 // Frozen returns the latched snapshot, if any. The snapshot is immutable;
