@@ -1,8 +1,10 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mzqos/internal/disk"
@@ -65,6 +67,50 @@ func TestStepAllocsUntraced(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if mean := float64(after.Mallocs-before.Mallocs) / rounds; mean >= 0.1 {
 		t.Errorf("untraced Step allocates %v objects per round, want fewer than 0.1", mean)
+	}
+}
+
+// TestOpenRejectedAllocsZero: at twice the admissible load more than half
+// of all opens are rejections, so turning a stream away on a full,
+// journaled, ledgered server allocates nothing once the rejection ring has
+// lapped — the ring slot is filled in place and its Classes array reused —
+// while what the ring retains stays what Open saw.
+func TestOpenRejectedAllocsZero(t *testing.T) {
+	s, jnl, _ := journaledServer(t, 4, nil, DegradeConfig{})
+	if err := s.AddSyntheticObject("v", 600); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < s.Capacity(); i++ {
+		if _, _, err := s.Open("v"); err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+	}
+	reject := func() {
+		if _, _, err := s.Open("v"); !errors.Is(err, ErrRejected) {
+			t.Fatalf("open on a full server: %v", err)
+		}
+	}
+	for i := 0; i < rejectionRingCap; i++ {
+		reject()
+	}
+	if allocs := testing.AllocsPerRun(200, reject); allocs != 0 {
+		t.Errorf("a rejected Open allocates %v objects, want 0", allocs)
+	}
+	rejs := s.Rejections()
+	full := make([]int, s.NumDisks())
+	for c := range full {
+		full[c] = s.PerDiskLimit()
+	}
+	for i, r := range rejs {
+		if want := int64(s.tel.rejected.Value()) - int64(len(rejs)) + int64(i); r.Seq != want {
+			t.Fatalf("rejection %d has seq %d, want %d", i, r.Seq, want)
+		}
+		if r.Reason != RejectClassesFull || r.NMax != s.PerDiskLimit() || !slices.Equal(r.Classes, full) {
+			t.Fatalf("rejection %d = %+v, want classes_full at %v", i, r, full)
+		}
+	}
+	if got, want := jnl.Stats().HeadSeq, uint64(s.tel.admitted.Value()+s.tel.rejected.Value()); got != want {
+		t.Errorf("journal holds %d events, want one per admit and per reject: %d", got, want)
 	}
 }
 

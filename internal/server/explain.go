@@ -61,17 +61,9 @@ func (s *Server) recordRejection(object, reason string, nmax int) {
 	ev.Classes = s.occupancy(ev.Classes[:0])
 	s.admMu.Unlock()
 	if s.jnl != nil {
-		s.jnl.Append(journal.Event{
-			Round:  s.round,
-			Kind:   journal.KindReject,
-			Shard:  s.shard,
-			Disk:   -1,
-			Object: object,
-			From:   -1,
-			To:     -1,
-			Value:  float64(nmax),
-			Detail: reason,
-		})
+		e := s.event(journal.KindReject)
+		e.Object, e.Value, e.Detail = object, float64(nmax), reason
+		s.jnl.Append(e)
 	}
 	if s.log != nil {
 		s.log.Warn("stream rejected",

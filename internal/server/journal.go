@@ -25,6 +25,12 @@ func (s *Server) QoSLedger() *journal.Ledger { return s.ledger }
 // events with (0 standalone).
 func (s *Server) Shard() int { return s.shard }
 
+// event starts an event of this server's timeline: its round and shard
+// filled in, no disk and no transition pair.
+func (s *Server) event(kind journal.Kind) journal.Event {
+	return journal.Event{Round: s.round, Kind: kind, Shard: s.shard, Disk: -1, From: -1, To: -1}
+}
+
 // journalAdmit records an admission on the timeline and opens the
 // stream's ledger record with the guarantee quoted right now: the
 // analytic bounds of the limits in force plus the binding constraint from
@@ -33,21 +39,12 @@ func (s *Server) journalAdmit(st *stream, imported bool, lim *limits) {
 	if s.jnl == nil && s.ledger == nil {
 		return
 	}
-	detail := ""
+	e := s.event(journal.KindAdmit)
+	e.Stream, e.Object = int64(st.id), st.obj.name
 	if imported {
-		detail = "import"
+		e.Detail = "import"
 	}
-	seq := s.jnl.Append(journal.Event{
-		Round:  s.round,
-		Kind:   journal.KindAdmit,
-		Shard:  s.shard,
-		Disk:   -1,
-		Stream: int64(st.id),
-		Object: st.obj.name,
-		From:   -1,
-		To:     -1,
-		Detail: detail,
-	})
+	seq := s.jnl.Append(e)
 	if s.ledger == nil {
 		return
 	}
@@ -69,70 +66,40 @@ func (s *Server) journalAdmit(st *stream, imported bool, lim *limits) {
 // journalEvict records a degraded-mode shed on the timeline. The ledger
 // side happens in rememberEvicted (the suspend carries delivered stats).
 func (s *Server) journalEvict(st *stream) {
-	if s.jnl == nil {
-		return
-	}
-	s.jnl.Append(journal.Event{
-		Round:  s.round,
-		Kind:   journal.KindEvict,
-		Shard:  s.shard,
-		Disk:   -1,
-		Stream: int64(st.id),
-		Object: st.obj.name,
-		From:   -1,
-		To:     -1,
-	})
+	e := s.event(journal.KindEvict)
+	e.Stream, e.Object = int64(st.id), st.obj.name
+	s.jnl.Append(e)
 }
 
 // journalLimitChange records a degrade/restore/recalibrate transition of
 // the admission limit: From/To are the old and new N_max.
 func (s *Server) journalLimitChange(kind journal.Kind, disk, oldLimit, newLimit int, detail string) {
-	if s.jnl == nil {
-		return
-	}
-	s.jnl.Append(journal.Event{
-		Round:  s.round,
-		Kind:   kind,
-		Shard:  s.shard,
-		Disk:   disk,
-		From:   oldLimit,
-		To:     newLimit,
-		Detail: detail,
-	})
+	e := s.event(kind)
+	e.Disk, e.From, e.To, e.Detail = disk, oldLimit, newLimit, detail
+	s.jnl.Append(e)
 }
 
-// journalSLO records one target's alert transition entering Pending,
-// Firing or Resolved (aging back to Inactive is not an incident, so it
-// stays off the timeline). A firing names the binding admission
-// constraint in force: the quantity the measured tail just violated.
+// sloKinds maps the alert states that are incidents to their event kinds.
+// Aging back to Inactive is not one, so it stays off the timeline.
+var sloKinds = map[slo.State]journal.Kind{
+	slo.Pending:  journal.KindSLOPending,
+	slo.Firing:   journal.KindSLOFiring,
+	slo.Resolved: journal.KindSLOResolved,
+}
+
+// journalSLO records one target's alert transition. A firing names the
+// binding admission constraint in force: the quantity the measured tail
+// just violated.
 func (s *Server) journalSLO(idx int, te *slo.TargetEval) {
-	if s.jnl == nil {
-		return
-	}
-	var kind journal.Kind
-	switch te.State {
-	case slo.Pending:
-		kind = journal.KindSLOPending
-	case slo.Firing:
-		kind = journal.KindSLOFiring
-	case slo.Resolved:
-		kind = journal.KindSLOResolved
-	default:
+	kind, incident := sloKinds[te.State]
+	if s.jnl == nil || !incident {
 		return
 	}
 	lim := s.lim.Load()
-	e := journal.Event{
-		Round:  s.round,
-		Kind:   kind,
-		Shard:  s.shard,
-		Disk:   lim.bindDisk,
-		From:   int(te.From),
-		To:     int(te.State),
-		Target: slo.TargetName(idx),
-		Value:  te.MeasuredFast,
-		Budget: te.Budget,
-	}
-	if kind == journal.KindSLOFiring {
+	e := s.event(kind)
+	e.Disk, e.From, e.To = lim.bindDisk, int(te.From), int(te.State)
+	e.Target, e.Value, e.Budget = slo.TargetName(idx), te.MeasuredFast, te.Budget
+	if te.State == slo.Firing {
 		exp := &lim.explains[lim.bindDisk]
 		e.Detail = fmt.Sprintf("binding k=%d %s disk=%d", exp.BindingK, exp.Bound, lim.bindDisk)
 	}
@@ -147,16 +114,9 @@ func (s *Server) freeze(reason string) {
 	if !latched {
 		return
 	}
-	s.jnl.Append(journal.Event{
-		Round:    s.round,
-		Kind:     journal.KindFreeze,
-		Shard:    s.shard,
-		Disk:     -1,
-		From:     -1,
-		To:       -1,
-		TraceSeq: seq,
-		Detail:   reason,
-	})
+	e := s.event(journal.KindFreeze)
+	e.TraceSeq, e.Detail = seq, reason
+	s.jnl.Append(e)
 }
 
 // journalFaultEdges records a fault_inject or fault_clear for every disk
@@ -178,14 +138,8 @@ func (s *Server) journalFaultEdges(effs []fault.Effects) {
 		if was.Active() {
 			kind, shown = journal.KindFaultClear, was
 		}
-		s.jnl.Append(journal.Event{
-			Round:  s.round,
-			Kind:   kind,
-			Shard:  s.shard,
-			Disk:   d,
-			From:   -1,
-			To:     -1,
-			Detail: shown.String(),
-		})
+		e := s.event(kind)
+		e.Disk, e.Detail = d, shown.String()
+		s.jnl.Append(e)
 	}
 }

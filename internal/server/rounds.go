@@ -138,15 +138,9 @@ func (s *Server) Step() RoundReport {
 		if s.jnl != nil {
 			// One event per glitching round with the round's fragment
 			// total — per-stream glitch accounting lives in the ledger.
-			s.jnl.Append(journal.Event{
-				Round: s.round,
-				Kind:  journal.KindGlitch,
-				Shard: s.shard,
-				Disk:  -1,
-				From:  -1,
-				To:    -1,
-				Value: float64(rep.Glitches),
-			})
+			e := s.event(journal.KindGlitch)
+			e.Value = float64(rep.Glitches)
+			s.jnl.Append(e)
 		}
 	}
 

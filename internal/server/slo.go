@@ -14,12 +14,9 @@ import (
 // analytic bound means the model the limits were derived from no longer
 // matches the hardware or the workload.
 
-// Flight-recorder freeze reasons for SLO transitions (constants so the
-// trigger path stays allocation-free).
-const (
-	freezeSLOLate   = "slo_late"
-	freezeSLOGlitch = "slo_glitch"
-)
+// sloFreezeReasons are the flight-recorder freeze reasons of a firing, by
+// target index (constants so the trigger path stays allocation-free).
+var sloFreezeReasons = [2]string{"slo_late", "slo_glitch"}
 
 // SLOHint is a recalibration hint: one target's bound was violated over
 // an audit window, with the binding admission constraint alongside the
@@ -109,11 +106,7 @@ func (s *Server) onSLOTransition(idx int, te *slo.TargetEval) {
 		s.tel.slo.fired[idx].Inc()
 		// Preserve the rounds that violated the bound: freeze the flight
 		// recorder (first trigger latches; later triggers only count).
-		reason := freezeSLOLate
-		if idx != 0 {
-			reason = freezeSLOGlitch
-		}
-		s.freeze(reason)
+		s.freeze(sloFreezeReasons[idx])
 		s.setSLOHint(s.buildSLOHint(target, te))
 		if s.log != nil {
 			s.log.Warn("slo alert firing",
