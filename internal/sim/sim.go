@@ -229,49 +229,67 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// monteCarlo is the frame every estimator shares: check the configuration
+// (valid carries the estimator's own preconditions), resolve the
+// stationary fault effects, split n trials across the workers — the first
+// n mod workers take one more — and run share on each with its own
+// scratch and its own generator, stream w·φ+1 of seed. The per-worker
+// results come back in worker order, so merging them is reproducible for a
+// given worker count.
+func monteCarlo[T any](cfg Config, valid bool, n int, seed uint64, share func(n int, eff fault.Effects, rng *rand.Rand, sc *roundScratch) T) ([]T, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if !valid {
+		return nil, ErrConfig
+	}
+	eff, err := cfg.stationaryEffects()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, cfg.workers())
+	var wg sync.WaitGroup
+	for w := range out {
+		k := n / len(out)
+		if w < n%len(out) {
+			k++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc roundScratch
+			out[w] = share(k, eff, dist.NewRand(seed, uint64(w)*0x9e3779b97f4a7c15+1), &sc)
+		}()
+	}
+	wg.Wait()
+	return out, nil
+}
+
+func sum(xs []int64) (total int64) {
+	for _, x := range xs {
+		total += x
+	}
+	return total
+}
+
 // EstimatePLate estimates p_late(N, t): the probability that one round's
 // total service time exceeds the round length (the simulated curve of
 // Figure 1). trials rounds are split across parallel workers; seed makes
 // the result reproducible for a given worker count.
 func EstimatePLate(cfg Config, trials int, seed uint64) (Estimate, error) {
-	if err := cfg.validate(); err != nil {
-		return Estimate{}, err
-	}
-	if trials < 1 {
-		return Estimate{}, ErrConfig
-	}
-	eff, err := cfg.stationaryEffects()
-	if err != nil {
-		return Estimate{}, err
-	}
-	nw := cfg.workers()
-	var wg sync.WaitGroup
-	hits := make([]int64, nw)
-	for w := 0; w < nw; w++ {
-		share := trials / nw
-		if w < trials%nw {
-			share++
-		}
-		wg.Add(1)
-		go func(w, share int) {
-			defer wg.Done()
-			rng := dist.NewRand(seed, uint64(w)*0x9e3779b97f4a7c15+1)
-			var sc roundScratch
-			var h int64
-			for i := 0; i < share; i++ {
-				if total, _ := simulateRound(cfg, eff, cfg.FaultRound, nil, rng, &sc, nil); total > cfg.RoundLength {
+	hits, err := monteCarlo(cfg, trials >= 1, trials, seed,
+		func(n int, eff fault.Effects, rng *rand.Rand, sc *roundScratch) (h int64) {
+			for i := 0; i < n; i++ {
+				if total, _ := simulateRound(cfg, eff, cfg.FaultRound, nil, rng, sc, nil); total > cfg.RoundLength {
 					h++
 				}
 			}
-			hits[w] = h
-		}(w, share)
+			return h
+		})
+	if err != nil {
+		return Estimate{}, err
 	}
-	wg.Wait()
-	var total int64
-	for _, h := range hits {
-		total += h
-	}
-	return newEstimate(total, int64(trials)), nil
+	return newEstimate(sum(hits), int64(trials)), nil
 }
 
 // EstimatePError estimates p_error(N, t, M, g): the probability that one
@@ -280,38 +298,15 @@ func EstimatePLate(cfg Config, trials int, seed uint64) (Estimate, error) {
 // streams with fresh placements; every stream in every run is one
 // observation, so the estimate is over runs·N stream histories.
 func EstimatePError(cfg Config, rounds, glitches, runs int, seed uint64) (Estimate, error) {
-	if err := cfg.validate(); err != nil {
-		return Estimate{}, err
-	}
-	if rounds < 1 || glitches < 0 || glitches > rounds || runs < 1 {
-		return Estimate{}, ErrConfig
-	}
-	eff, err := cfg.stationaryEffects()
-	if err != nil {
-		return Estimate{}, err
-	}
-	nw := cfg.workers()
-	var wg sync.WaitGroup
-	hits := make([]int64, nw)
-	for w := 0; w < nw; w++ {
-		share := runs / nw
-		if w < runs%nw {
-			share++
-		}
-		wg.Add(1)
-		go func(w, share int) {
-			defer wg.Done()
-			rng := dist.NewRand(seed^0xabcdef, uint64(w)*0x9e3779b97f4a7c15+1)
-			var sc roundScratch
+	valid := rounds >= 1 && glitches >= 0 && glitches <= rounds && runs >= 1
+	hits, err := monteCarlo(cfg, valid, runs, seed^0xabcdef,
+		func(n int, eff fault.Effects, rng *rand.Rand, sc *roundScratch) (h int64) {
 			late := make([]bool, cfg.N)
 			counts := make([]int, cfg.N)
-			var h int64
-			for run := 0; run < share; run++ {
-				for i := range counts {
-					counts[i] = 0
-				}
+			for run := 0; run < n; run++ {
+				clear(counts)
 				for r := 0; r < rounds; r++ {
-					simulateRound(cfg, eff, r, nil, rng, &sc, late)
+					simulateRound(cfg, eff, r, nil, rng, sc, late)
 					for s, isLate := range late {
 						if isLate {
 							counts[s]++
@@ -324,15 +319,12 @@ func EstimatePError(cfg Config, rounds, glitches, runs int, seed uint64) (Estima
 					}
 				}
 			}
-			hits[w] = h
-		}(w, share)
+			return h
+		})
+	if err != nil {
+		return Estimate{}, err
 	}
-	wg.Wait()
-	var total int64
-	for _, h := range hits {
-		total += h
-	}
-	return newEstimate(total, int64(runs)*int64(cfg.N)), nil
+	return newEstimate(sum(hits), int64(runs)*int64(cfg.N)), nil
 }
 
 // RoundStats summarizes simulated round service times.
@@ -348,51 +340,34 @@ type RoundStats struct {
 // MeasureRounds simulates rounds and returns summary statistics, used to
 // cross-validate the analytic round moments.
 func MeasureRounds(cfg Config, trials int, seed uint64) (RoundStats, error) {
-	if err := cfg.validate(); err != nil {
-		return RoundStats{}, err
+	type part struct {
+		acc  dist.Welford
+		late int64
 	}
-	if trials < 1 {
-		return RoundStats{}, ErrConfig
-	}
-	eff, err := cfg.stationaryEffects()
+	parts, err := monteCarlo(cfg, trials >= 1, trials, seed^0x5eed,
+		func(n int, eff fault.Effects, rng *rand.Rand, sc *roundScratch) (p part) {
+			for i := 0; i < n; i++ {
+				total, _ := simulateRound(cfg, eff, cfg.FaultRound, nil, rng, sc, nil)
+				p.acc.Add(total)
+				if total > cfg.RoundLength {
+					p.late++
+				}
+			}
+			return p
+		})
 	if err != nil {
 		return RoundStats{}, err
 	}
-	nw := cfg.workers()
-	var wg sync.WaitGroup
-	accs := make([]dist.Welford, nw)
-	lates := make([]int64, nw)
-	for w := 0; w < nw; w++ {
-		share := trials / nw
-		if w < trials%nw {
-			share++
-		}
-		wg.Add(1)
-		go func(w, share int) {
-			defer wg.Done()
-			rng := dist.NewRand(seed^0x5eed, uint64(w)*0x9e3779b97f4a7c15+1)
-			var sc roundScratch
-			for i := 0; i < share; i++ {
-				total, _ := simulateRound(cfg, eff, cfg.FaultRound, nil, rng, &sc, nil)
-				accs[w].Add(total)
-				if total > cfg.RoundLength {
-					lates[w]++
-				}
-			}
-		}(w, share)
-	}
-	wg.Wait()
-	var acc dist.Welford
-	var late int64
-	for w := 0; w < nw; w++ {
-		acc.Merge(accs[w])
-		late += lates[w]
+	var all part
+	for _, p := range parts {
+		all.acc.Merge(p.acc)
+		all.late += p.late
 	}
 	return RoundStats{
-		Mean:   acc.Mean(),
-		Std:    acc.Std(),
-		PLate:  float64(late) / float64(acc.N()),
-		Trials: acc.N(),
+		Mean:   all.acc.Mean(),
+		Std:    all.acc.Std(),
+		PLate:  float64(all.late) / float64(all.acc.N()),
+		Trials: all.acc.N(),
 	}, nil
 }
 
@@ -403,46 +378,27 @@ func MeasureRounds(cfg Config, trials int, seed uint64) (RoundStats, error) {
 // turns this positional unfairness into a fair lottery over streams. The
 // returned slice has one estimate per sweep position (0 = first served).
 func PositionBias(cfg Config, trials int, seed uint64) ([]Estimate, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if trials < 1 {
-		return nil, ErrConfig
-	}
-	eff, err := cfg.stationaryEffects()
-	if err != nil {
-		return nil, err
-	}
-	nw := cfg.workers()
-	var wg sync.WaitGroup
-	hits := make([][]int64, nw)
-	for w := 0; w < nw; w++ {
-		share := trials / nw
-		if w < trials%nw {
-			share++
-		}
-		hits[w] = make([]int64, cfg.N)
-		wg.Add(1)
-		go func(w, share int) {
-			defer wg.Done()
-			rng := dist.NewRand(seed^0xb1a5, uint64(w)*0x9e3779b97f4a7c15+1)
-			var sc roundScratch
-			for i := 0; i < share; i++ {
+	hits, err := monteCarlo(cfg, trials >= 1, trials, seed^0xb1a5,
+		func(n int, eff fault.Effects, rng *rand.Rand, sc *roundScratch) []int64 {
+			h := make([]int64, cfg.N)
+			for i := 0; i < n; i++ {
 				reqs, _ := sc.serve(cfg, eff, nil, rng)
 				for pos := range reqs {
 					if reqs[pos].Lost || reqs[pos].End > cfg.RoundLength {
-						hits[w][pos]++
+						h[pos]++
 					}
 				}
 			}
-		}(w, share)
+			return h
+		})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	out := make([]Estimate, cfg.N)
-	for pos := 0; pos < cfg.N; pos++ {
+	for pos := range out {
 		var total int64
-		for w := 0; w < nw; w++ {
-			total += hits[w][pos]
+		for _, h := range hits {
+			total += h[pos]
 		}
 		out[pos] = newEstimate(total, int64(trials))
 	}
