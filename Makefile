@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-system bench-pairs smoke faults loc loc-diff check clean
+.PHONY: all build vet test test-race journal-owners bench bench-system bench-pairs smoke faults loc loc-diff check clean
 
 all: build
 
@@ -21,6 +21,13 @@ test:
 # dependencies surface under the same pass that catches data races.
 test-race:
 	$(GO) test -race -shuffle=on ./...
+
+# The journal is written by the layers that are handed one — server,
+# cluster, mzserver. The SLO audit, the flight recorder and the fault
+# injector report facts to those and must not reach the journal themselves.
+journal-owners:
+	@if $(GO) list -deps ./internal/slo ./internal/trace ./internal/fault | grep -x mzqos/internal/journal; then \
+		echo "internal/slo, internal/trace and internal/fault must not depend on internal/journal" >&2; exit 1; fi
 
 # Every go-test benchmark in the repo, for a look at one host; add
 # -cpuprofile per package to see where an op spends its time. The
@@ -67,7 +74,7 @@ loc:
 loc-diff:
 	sh scripts/loc-diff.sh $(BASE)
 
-check: build vet test test-race
+check: build vet journal-owners test test-race
 
 clean:
 	$(GO) clean ./...

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+
+	"mzqos/internal/telemetry"
 )
 
 // Series names the dashboard assembles its panels from. Panels whose
@@ -111,7 +113,7 @@ func (rec *seriesRec) tailTrajectory(since, step int64, threshold float64) []Poi
 		if total == 0 {
 			continue
 		}
-		pts = append(pts, Point{Round: ends[i].round, Value: tailAboveOf(rec.bounds, deltas, threshold)})
+		pts = append(pts, Point{Round: ends[i].round, Value: telemetry.HistogramValues{Bounds: rec.bounds, Counts: deltas, Count: total}.TailAbove(threshold)})
 	}
 	return pts
 }

@@ -336,61 +336,10 @@ func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Po
 			if total == 0 {
 				continue // no observations in this window
 			}
-			points = append(points, Point{Round: cur.round, Value: quantileOf(rec.bounds, deltas, total, q)})
+			points = append(points, Point{Round: cur.round, Value: telemetry.HistogramValues{Bounds: rec.bounds, Counts: deltas, Count: total}.Quantile(q)})
 		}
 	}
 	return points, coarsePoints
-}
-
-// quantileOf returns the bucket-resolved upper estimate of the
-// q-quantile of a bucket-delta window (mirrors HistogramValues.Quantile
-// on a delta set).
-func quantileOf(bounds []float64, deltas []int64, total int64, q float64) float64 {
-	if total <= 0 || len(bounds) == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, d := range deltas {
-		if d > 0 {
-			cum += d
-		}
-		if cum >= target {
-			if i < len(bounds) {
-				return bounds[i]
-			}
-			break
-		}
-	}
-	return bounds[len(bounds)-1]
-}
-
-// tailAboveOf returns the fraction of a bucket-delta window's
-// observations strictly greater than threshold (exact when threshold is
-// a bucket boundary, like HistogramValues.TailAbove).
-func tailAboveOf(bounds []float64, deltas []int64, threshold float64) float64 {
-	var total int64
-	for _, d := range deltas {
-		if d > 0 {
-			total += d
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	var below int64
-	for i, b := range bounds {
-		if b > threshold {
-			break
-		}
-		if deltas[i] > 0 {
-			below += deltas[i]
-		}
-	}
-	return float64(total-below) / float64(total)
 }
 
 // Dump snapshots every attached series with agg last, downsampled so no

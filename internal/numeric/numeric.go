@@ -1,6 +1,5 @@
 // Package numeric provides the one-dimensional numerical routines used by
-// the analytic model: root finding, function minimization, quadrature, and
-// numerical differentiation.
+// the analytic model: root finding, function minimization, and quadrature.
 //
 // The routines are deliberately simple, allocation-free, and deterministic.
 // They operate on plain func(float64) float64 values and report failures as

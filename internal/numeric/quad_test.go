@@ -90,14 +90,3 @@ func TestSimpsonAgreesWithGL(t *testing.T) {
 		t.Errorf("Simpson %v and CompositeGL %v disagree", s, g)
 	}
 }
-
-func TestDerivative(t *testing.T) {
-	d := Derivative(math.Sin, 1.2)
-	if math.Abs(d-math.Cos(1.2)) > 1e-8 {
-		t.Errorf("Derivative sin at 1.2 = %v, want %v", d, math.Cos(1.2))
-	}
-	d2 := SecondDerivative(math.Exp, 0.7)
-	if math.Abs(d2-math.Exp(0.7)) > 1e-5 {
-		t.Errorf("SecondDerivative exp at 0.7 = %v, want %v", d2, math.Exp(0.7))
-	}
-}

@@ -71,16 +71,10 @@ func NewRegistry() *Registry {
 	return &Registry{byID: make(map[string]int), hookKeys: make(map[string]bool)}
 }
 
-// OnScrape registers fn to run before every snapshot or exposition.
-func (r *Registry) OnScrape(fn func()) {
-	r.hookMu.Lock()
-	r.hooks = append(r.hooks, fn)
-	r.hookMu.Unlock()
-}
-
-// OnScrapeOnce registers fn under a dedup key: re-registering the same
-// key is a no-op, so idempotent setup paths (every mux construction
-// calling RegisterRuntimeMetrics) install one hook, not many.
+// OnScrapeOnce registers fn to run before every snapshot or exposition,
+// under a dedup key: re-registering the same key is a no-op, so
+// idempotent setup paths (every mux construction calling
+// RegisterRuntimeMetrics) install one hook, not many.
 func (r *Registry) OnScrapeOnce(key string, fn func()) {
 	r.hookMu.Lock()
 	defer r.hookMu.Unlock()
@@ -200,11 +194,6 @@ func (r *Registry) AdoptCounter(name, help string, c *Counter, labels ...Label) 
 	r.register(entry{name: name, help: help, labels: labels, kind: KindCounter, c: c})
 }
 
-// AdoptGauge registers an externally owned gauge.
-func (r *Registry) AdoptGauge(name, help string, g *Gauge, labels ...Label) {
-	r.register(entry{name: name, help: help, labels: labels, kind: KindGauge, g: g})
-}
-
 // AdoptHistogram registers an externally owned histogram.
 func (r *Registry) AdoptHistogram(name, help string, h *Histogram, labels ...Label) {
 	r.register(entry{name: name, help: help, labels: labels, kind: KindHistogram, h: h})
@@ -228,27 +217,12 @@ type Series struct {
 // per label in registration order (the registry's own identity format).
 func (s Series) ID() string { return seriesID(s.Name, s.Labels) }
 
-// Value reads the series' current scalar: the count of a counter, the
+// Read returns the series' current scalar: the count of a counter, the
 // level of a gauge, the total of a float counter, and the observation
-// count of a histogram. Lock-free and allocation-free.
-func (s Series) Value() float64 {
-	switch s.Kind {
-	case KindCounter:
-		return float64(s.c.Value())
-	case KindGauge:
-		return s.g.Value()
-	case KindFloatCounter:
-		return s.fc.Value()
-	case KindHistogram:
-		return float64(s.h.Count())
-	}
-	return 0
-}
-
-// Read is Value for samplers that keep the Series in a long-lived
-// record: the pointer receiver skips the struct copy (name, label slice,
-// four handles) Value's value receiver pays on every call, which matters
-// on a per-round, every-series hot path.
+// count of a histogram. Lock-free and allocation-free; the pointer
+// receiver lets a sampler that keeps the Series in a long-lived record
+// skip the struct copy (name, label slice, four handles) on its
+// per-round, every-series hot path.
 func (s *Series) Read() float64 {
 	switch s.Kind {
 	case KindCounter:

@@ -109,7 +109,7 @@ func TestOnScrapeHooks(t *testing.T) {
 	reg := NewRegistry()
 	g := reg.Gauge("hooked", "")
 	calls := 0
-	reg.OnScrape(func() { calls++; g.Set(float64(calls)) })
+	reg.OnScrapeOnce("hooked", func() { calls++; g.Set(float64(calls)) })
 	reg.OnScrapeOnce("k", func() {})
 	reg.OnScrapeOnce("k", func() { t.Fatal("dedup key re-registered") })
 
