@@ -12,6 +12,18 @@
 // stream count of each offset class by N_max, and the server can balance
 // classes by delaying a new stream's start by up to D−1 rounds (for D=1
 // this is the paper's "startup delay of up to one round", §2.3).
+//
+// Two facts have one owner each. The limit in force — N_max, the per-disk
+// models and explanations behind it, the two bounds quoted at it, whether
+// it answers a fault — is one immutable limits value behind an atomic
+// pointer: New, Recalibrate and the degrade controller build or pick a
+// value and hand it to install, the only writer, and every reader (admit,
+// the ledger's promise, the SLO budgets, Health, AdmissionStatus,
+// BoundTightness) loads it once and so holds one consistent quote. The
+// timeline of what happened inside this server is written here and only
+// here (journal.go): the SLO audit, the flight recorder and the fault
+// injector report a transition, a latch or an effect, and the round loop
+// records it with the round, the shard and the limits it alone knows.
 package server
 
 import (
