@@ -366,11 +366,6 @@ type Evaluation struct {
 	Late, Glitch TargetEval
 }
 
-// Targets returns the evaluations in target-index order.
-func (e *Evaluation) Targets() [numTargets]TargetEval {
-	return [numTargets]TargetEval{e.Late, e.Glitch}
-}
-
 // Auditor is the SLO audit engine for one shard: per-disk sliding-window
 // estimators, an aggregate across disks, and one alert state machine per
 // target. ObserveDisk and EndRound are driven from the round loop;
