@@ -39,8 +39,7 @@ type refSeries struct {
 func (m *refSeries) sample(r, block int64, rounds, blocks int) {
 	p := refPoint{round: r, v: m.read()}
 	if m.h != nil {
-		p.counts = make([]int64, m.h.NumBuckets())
-		m.h.CopyCounts(p.counts)
+		p.counts = m.h.SnapshotValues().Counts
 	}
 	fold := func(b *refBlock) {
 		b.min, b.max, b.last = math.Min(b.min, p.v), math.Max(b.max, p.v), p.v
@@ -199,30 +198,83 @@ type modelRun struct {
 	round  int64    // the schedule's cursor
 }
 
-// register adds one series of a random kind to the registry and the
-// reference. Registered after New, it joins the store in a later cohort.
-func (m *modelRun) register() {
+// The kinds of series the model registers. histRoundTime is the shape the
+// servers feed — telemetry.RoundTimeBuckets, 30 buckets and the overflow's
+// neighbours all reachable — and the one whose bumps are bulk folds.
+const (
+	kindGauge = iota
+	kindCounter
+	histSmall
+	histRoundTime
+	numKinds
+)
+
+// register adds one series of the given kind to the registry and the
+// reference. Registered after New, it joins the store in a later cohort —
+// and a histogram registered that late already holds counts when its cohort
+// attaches.
+func (m *modelRun) register(kind int) {
 	id := fmt.Sprintf("s%d", len(m.series))
 	rs := &refSeries{id: id, name: id}
-	switch m.rng.IntN(3) {
-	case 0:
+	var h *telemetry.Histogram
+	var bump func()
+	switch kind {
+	case kindGauge:
 		g := m.reg.Gauge(id, "")
 		rs.read = g.Value
-		m.bump = append(m.bump, func() { g.Set(float64(m.rng.IntN(200) - 100)) })
-	case 1:
+		bump = func() { g.Set(float64(m.rng.IntN(200) - 100)) }
+	case kindCounter:
 		c := m.reg.Counter(id, "")
 		rs.read = func() float64 { return float64(c.Value()) }
-		m.bump = append(m.bump, func() { c.Add(int64(m.rng.IntN(5))) })
-	case 2:
-		h, err := m.reg.Histogram(id, "", []float64{1, 2, 4, 8})
+		bump = func() { c.Add(int64(m.rng.IntN(5))) }
+	case histSmall:
+		h = m.histogram(id, []float64{1, 2, 4, 8})
+		bump = func() { h.Observe(m.rng.Float64() * 12) }
+	case histRoundTime:
+		bounds, err := telemetry.RoundTimeBuckets(1)
 		if err != nil {
 			m.t.Fatal(err)
 		}
+		h = m.histogram(id, bounds)
+		// One observation anywhere from below the first bound to past the
+		// last; the same in bulk, small and wider than 32 bits; and a burst
+		// that moves every bucket between two samples.
+		draw := func() float64 { return math.Exp2(m.rng.Float64()*9 - 5) }
+		bump = func() {
+			switch p := m.rng.IntN(10); {
+			case p < 5:
+				h.Observe(draw())
+			case p < 7:
+				h.ObserveN(draw(), 7)
+			case p < 8:
+				h.ObserveN(draw(), 1<<33)
+			default:
+				for _, b := range bounds {
+					h.Observe(b)
+				}
+				h.Observe(2 * bounds[len(bounds)-1])
+			}
+		}
+	}
+	if h != nil {
 		rs.h, rs.bounds = h, h.Bounds()
 		rs.read = func() float64 { return float64(h.Count()) }
-		m.bump = append(m.bump, func() { h.Observe(m.rng.Float64() * 12) })
+		if m.st != nil {
+			for k := 1 + m.rng.IntN(3); k > 0; k-- {
+				bump()
+			}
+		}
 	}
+	m.bump = append(m.bump, bump)
 	m.series = append(m.series, rs)
+}
+
+func (m *modelRun) histogram(id string, bounds []float64) *telemetry.Histogram {
+	h, err := m.reg.Histogram(id, "", bounds)
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	return h
 }
 
 func (m *modelRun) sample(current bool) {
@@ -292,51 +344,72 @@ func (m *modelRun) check(when string) {
 	}
 }
 
+// newModelRun registers one series of each kind, builds the store over them
+// (the cohort New attaches) and registers three more that join on the first
+// Sample.
+func newModelRun(t *testing.T, cfg Config, seed uint64) *modelRun {
+	m := &modelRun{t: t, rng: rand.New(rand.NewPCG(seed, uint64(cfg.Rounds))), cfg: cfg, reg: telemetry.NewRegistry(), last: -1}
+	for kind := 0; kind < numKinds; kind++ {
+		m.register(kind)
+	}
+	m.cfg.Registry = m.reg
+	m.st = New(m.cfg)
+	for i := 0; i < 3; i++ {
+		m.register(m.rng.IntN(numKinds))
+	}
+	return m
+}
+
+// run drives batches of random operations — metrics moving, then Sample
+// with repeats, gaps and the odd step backwards, or a SampleCurrent of the
+// newest round (so observations land between a round's Sample and its
+// re-sample) — checks every read against the reference after each batch,
+// and registers a late series now and then.
+func (m *modelRun) run(batches int) {
+	for batch := 0; batch < batches; batch++ {
+		for op := m.rng.IntN(2 * m.cfg.Rounds); op >= 0; op-- {
+			for k := m.rng.IntN(4); k > 0; k-- {
+				m.bump[m.rng.IntN(len(m.bump))]()
+			}
+			switch p := m.rng.IntN(100); {
+			case p < 10:
+				m.sample(true)
+				continue
+			case p < 20: // the same round again
+			case p < 25:
+				m.round += int64(2 + m.rng.IntN(20))
+			case p < 27 && m.round > 3:
+				m.round -= 3
+			default:
+				m.round++
+			}
+			m.sample(false)
+		}
+		m.check(fmt.Sprintf("rounds %d batch %d", m.cfg.Rounds, batch))
+		if batch%16 == 5 && len(m.series) < 14 {
+			m.register(m.rng.IntN(numKinds))
+		}
+	}
+}
+
 // TestStoreMatchesPerSeriesModel runs random schedules — Sample with
 // repeats, gaps and the odd step backwards, SampleCurrent, registrations
-// that open new cohorts, metrics moving in between — at retentions that
-// are not tile multiples under coarse rings small enough to wrap, and
-// checks every read against the reference after every batch.
+// that open new cohorts, metrics moving in between, histograms moving one
+// observation, one bulk fold or every bucket at a time — at retentions
+// that are not tile multiples (and at a retention of one sample) under
+// coarse rings small enough to wrap, and checks every read against the
+// reference after every batch.
 func TestStoreMatchesPerSeriesModel(t *testing.T) {
 	for _, cfg := range []Config{
+		{Rounds: 1, CoarseBlock: 2, CoarseBlocks: 3},
 		{Rounds: 5, CoarseBlock: 2, CoarseBlocks: 4},
 		{Rounds: 13, CoarseBlock: 4, CoarseBlocks: 6},
 		{Rounds: 100, CoarseBlock: 8, CoarseBlocks: 16},
 	} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			m := &modelRun{t: t, rng: rand.New(rand.NewPCG(seed, uint64(cfg.Rounds))), cfg: cfg, reg: telemetry.NewRegistry(), last: -1}
-			for i := 0; i < 3; i++ {
-				m.register() // the cohort New attaches
-			}
-			m.cfg.Registry = m.reg
-			m.st = New(m.cfg)
-			for i := 0; i < 3; i++ {
-				m.register() // joins on the first Sample
-			}
-			for batch := 0; batch < 48; batch++ {
-				for op := m.rng.IntN(2 * cfg.Rounds); op >= 0; op-- {
-					for k := m.rng.IntN(4); k > 0; k-- {
-						m.bump[m.rng.IntN(len(m.bump))]()
-					}
-					switch p := m.rng.IntN(100); {
-					case p < 10:
-						m.sample(true)
-						continue
-					case p < 20: // the same round again
-					case p < 25:
-						m.round += int64(2 + m.rng.IntN(20))
-					case p < 27 && m.round > 3:
-						m.round -= 3
-					default:
-						m.round++
-					}
-					m.sample(false)
-				}
-				m.check(fmt.Sprintf("rounds %d seed %d batch %d", cfg.Rounds, seed, batch))
-				if batch%16 == 5 && len(m.series) < 12 {
-					m.register()
-				}
-			}
+			t.Run(fmt.Sprintf("rounds %d seed %d", cfg.Rounds, seed), func(t *testing.T) {
+				newModelRun(t, cfg, seed).run(48)
+			})
 		}
 	}
 }
