@@ -99,17 +99,7 @@ func (rec *seriesRec) tailTrajectory(since, step int64, threshold float64) []Poi
 	deltas := make([]int64, rec.nb)
 	pts := make([]Point, 0, len(ends)-1)
 	for i := 1; i < len(ends); i++ {
-		pb := rec.buckets[ends[i-1].slot*rec.nb : (ends[i-1].slot+1)*rec.nb]
-		cb := rec.buckets[ends[i].slot*rec.nb : (ends[i].slot+1)*rec.nb]
-		var total int64
-		for j := range deltas {
-			d := cb[j] - pb[j]
-			if d < 0 {
-				d = 0
-			}
-			deltas[j] = d
-			total += d
-		}
+		total := rec.bucketDeltas(ends[i-1].slot, ends[i].slot, deltas)
 		if total == 0 {
 			continue
 		}

@@ -1,0 +1,17 @@
+package history
+
+// LogLens returns, per histogram series id, how many entries its increment
+// log has room for: the initial size until a retained window's changes did
+// not fit, then doubled. What the tests outside the package read log growth
+// through.
+func (st *Store) LogLens() map[string]int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	lens := make(map[string]int)
+	for _, rec := range st.series {
+		if rec.h != nil {
+			lens[rec.id] = len(rec.log)
+		}
+	}
+	return lens
+}

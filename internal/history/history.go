@@ -23,18 +23,30 @@
 //     per block and the k series' min/max/last envelopes in the same
 //     tiled layout, so queries reaching past the fine retention still
 //     resolve envelope and level at block granularity;
-//   - per histogram series, a flat ring of cumulative per-bucket counts
-//     aligned with its cohort's fine ring, so rate() and
-//     quantile-over-time (T_N p50/p99/p999 trajectories) are answerable
-//     after the fact from bucket deltas between any two retained samples.
+//   - per histogram series, a log of bucket increments: one entry per
+//     bucket that moved between two consecutive samples, and per fine slot
+//     the log position its sample's entries end at. Every read of a
+//     histogram is a difference — rate() and quantile-over-time (T_N
+//     p50/p99/p999 trajectories) over the bucket deltas between two
+//     retained samples — and that difference is the entries between the
+//     two samples' marks, so a histogram costs what it changed, not a copy
+//     of every bucket per sample.
 //
-// Everything is preallocated when a cohort attaches, so the per-round
-// Sample hot path allocates nothing: one pass of an atomic read, a tile
-// store and an envelope fold per scalar series, then one bucket-count
-// copy per histogram, under a single short mutex shared with queries.
+// The rings and marks are preallocated when a cohort attaches, and a log
+// starts at one entry per retained sample — what a histogram observed once
+// a round needs, recycled in place as samples leave the fine ring. So the
+// per-round Sample hot path allocates nothing: one pass of an atomic read,
+// a tile store and an envelope fold per scalar series, then per histogram
+// a compare of each live bucket with the count last seen, under a single
+// short mutex shared with queries. Only a log whose retained samples
+// changed more buckets than it has entries (bulk folds, every bucket
+// moving every sample) allocates: it doubles, never shrinks, and stops
+// within the dense size of one count per bucket per retained sample.
 package history
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -167,20 +179,35 @@ type cohort struct {
 	env    []envelope
 }
 
+// logEntry is one bucket's growth between two consecutive samples. A
+// growth wider than delta is split over several entries.
+type logEntry struct {
+	bucket, delta uint32
+}
+
 // seriesRec is one series: a column of its cohort plus, for a histogram,
-// the bucket ring only it needs.
+// the increment log only it needs.
 type seriesRec struct {
 	id  string
 	co  *cohort
 	col int
 
-	// Histogram extension: cumulative per-bucket counts per fine sample,
-	// stored flat (the sample at fine slot i occupies
-	// buckets[i*nb:(i+1)*nb]). Nil for scalar series.
-	h       *telemetry.Histogram
-	nb      int
-	bounds  []float64
-	buckets []int64
+	// Histogram extension, nil for scalar series. last holds the bucket
+	// counts as of the newest sample; log is a ring of what changed from
+	// one sample to the next, addressed by free-running positions (position
+	// p lives at log[p%len(log)], len(log) a power of two, positions wrap
+	// with uint32); ends[slot] is the position one past the entries of the
+	// sample at that fine slot, and head the position the next entry takes.
+	// The growth of every bucket between two retained samples is the
+	// entries in [ends[older], ends[newer]); what precedes the oldest
+	// retained sample's mark is free to be overwritten.
+	h      *telemetry.Histogram
+	nb     int
+	bounds []float64
+	last   []int64
+	ends   []uint32
+	log    []logEntry
+	head   uint32
 }
 
 // src returns the series' identity and live handle.
@@ -253,7 +280,9 @@ func (st *Store) refreshLocked() {
 			rec.h = h
 			rec.nb = h.NumBuckets()
 			rec.bounds = h.Bounds()
-			rec.buckets = make([]int64, st.capacity*rec.nb)
+			rec.last = make([]int64, rec.nb)
+			rec.ends = make([]uint32, st.capacity)
+			rec.log = make([]logEntry, 1<<bits.Len(uint(st.capacity-1)))
 			co.hists = append(co.hists, rec)
 		}
 		st.series = append(st.series, rec)
@@ -358,9 +387,66 @@ func (co *cohort) sample(r, start int64) {
 			e.last = v
 		}
 	}
+	oldest, _ := co.fine.run(0)
 	for _, rec := range co.hists {
-		rec.h.CopyCounts(rec.buckets[slot*rec.nb : (slot+1)*rec.nb])
+		rec.sample(slot, oldest)
 	}
+}
+
+// sample appends what each bucket gained since the newest sample to the
+// log and marks the end of fine slot's entries there: a new slot closes a
+// new segment, a re-sample of the newest extends its segment. oldest is
+// the slot of the oldest retained sample; entries before its mark are
+// released, and when it is slot itself no retained sample precedes this
+// one, so nothing is logged. Allocates only when the log must grow.
+func (rec *seriesRec) sample(slot, oldest int) {
+	if slot == oldest {
+		for j := range rec.last {
+			rec.last[j] = rec.h.BucketCount(j)
+		}
+		rec.ends[slot] = rec.head
+		return
+	}
+	tail := rec.ends[oldest]
+	for j := range rec.last {
+		c := rec.h.BucketCount(j)
+		for d := c - rec.last[j]; d > 0; {
+			if rec.head-tail == uint32(len(rec.log)) {
+				rec.grow(tail)
+			}
+			e := min(d, math.MaxUint32)
+			rec.log[rec.head&uint32(len(rec.log)-1)] = logEntry{bucket: uint32(j), delta: uint32(e)}
+			rec.head++
+			d -= e
+		}
+		rec.last[j] = c
+	}
+	rec.ends[slot] = rec.head
+}
+
+// grow doubles a log whose every entry, tail to head, is still retained.
+// Positions keep their meaning: an entry moves to its position modulo the
+// new length.
+func (rec *seriesRec) grow(tail uint32) {
+	log := make([]logEntry, 2*len(rec.log))
+	for p := tail; p != rec.head; p++ {
+		log[p&uint32(len(log)-1)] = rec.log[p&uint32(len(rec.log)-1)]
+	}
+	rec.log = log
+}
+
+// bucketDeltas fills deltas (nb long) with each bucket's growth between
+// the retained samples at fine slots prev and cur, prev the older, and
+// returns the sum: the log entries between the two end marks. The one
+// place bucket differences are computed.
+func (rec *seriesRec) bucketDeltas(prev, cur int, deltas []int64) (total int64) {
+	clear(deltas)
+	for p, end := rec.ends[prev], rec.ends[cur]; p != end; p++ {
+		e := rec.log[p&uint32(len(rec.log)-1)]
+		deltas[e.bucket] += int64(e.delta)
+		total += int64(e.delta)
+	}
+	return total
 }
 
 // LastRound returns the most recently sampled round (-1 before any).

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -269,7 +271,24 @@ func TestScrapeHookRefreshes(t *testing.T) {
 	_ = st2
 }
 
+// roundTimeHistograms registers n 30-bucket round-time histograms.
+func roundTimeHistograms(tb testing.TB, reg *telemetry.Registry, n int) []*telemetry.Histogram {
+	tb.Helper()
+	bounds, err := telemetry.RoundTimeBuckets(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hists := make([]*telemetry.Histogram, n)
+	for i := range hists {
+		if hists[i], err = reg.Histogram("round_time_seconds", "", bounds, telemetry.L("disk", fmt.Sprint(i))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return hists
+}
+
 func TestSampleZeroAlloc(t *testing.T) {
+	const rounds = 32
 	reg := telemetry.NewRegistry()
 	for i := 0; i < 24; i++ {
 		reg.Gauge("g", "", telemetry.Label{Key: "i", Value: string(rune('a' + i))})
@@ -279,55 +298,138 @@ func TestSampleZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Observe(1)
-	st := New(Config{Registry: reg, Rounds: 32, CoarseBlock: 8, CoarseBlocks: 8})
+	// What a server feeds: one observation per round, so one bucket of
+	// thirty moves per sample and the log recycles in place. And the
+	// opposite: every bucket moves every sample, so the log doubles until
+	// it holds a whole retention of that, then recycles too.
+	hists := roundTimeHistograms(t, reg, 2)
+	steady, burst := hists[0], hists[1]
+	bounds := burst.Bounds()
+	st := New(Config{Registry: reg, Rounds: rounds, CoarseBlock: 8, CoarseBlocks: 8})
 	round := 0
-	// Warm past the ring wrap so steady state is measured.
-	for ; round < 80; round++ {
-		st.Sample(round)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
+	sample := func() {
+		steady.Observe(float64(round%7) / 4)
+		for _, b := range bounds {
+			burst.Observe(b)
+		}
+		burst.Observe(2 * bounds[len(bounds)-1])
 		st.Sample(round)
 		round++
-	})
-	if allocs != 0 {
+	}
+	// Warm past the ring wrap so steady state is measured.
+	for round < 80 {
+		sample()
+	}
+	if allocs := testing.AllocsPerRun(3*rounds, sample); allocs != 0 {
 		t.Fatalf("Sample allocates %v per run, want 0", allocs)
+	}
+	for _, rec := range st.series {
+		switch rec.h {
+		case h, steady:
+			if len(rec.log) != rounds {
+				t.Errorf("%s: log holds %d entries, want the initial %d", rec.id, len(rec.log), rounds)
+			}
+		case burst:
+			// ⌈log₂ nb⌉ doublings hold (rounds-1)·nb entries.
+			if most := rounds << bits.Len(uint(rec.nb-1)); len(rec.log) < (rounds-1)*rec.nb || len(rec.log) > most {
+				t.Errorf("%s: log holds %d entries, want at least %d and at most %d", rec.id, len(rec.log), (rounds-1)*rec.nb, most)
+			}
+		}
 	}
 }
 
-// BenchmarkSample measures one per-round sample at a registry shaped like
-// a loaded single-server run (32 scalar series plus two per-disk
-// round-time histograms), warmed past the fine ring's wrap-around and
-// through several coarse blocks so the timed region is the steady state:
-// ring slots and coarse blocks recycling in place with no growth anywhere.
-func BenchmarkSample(b *testing.B) {
-	reg := telemetry.NewRegistry()
-	for i := 0; i < 16; i++ {
-		reg.Counter(fmt.Sprintf("bench_counter_%d_total", i), "bench counter").Add(int64(i))
-	}
-	for i := 0; i < 16; i++ {
-		reg.Gauge(fmt.Sprintf("bench_gauge_%d", i), "bench gauge").Set(float64(i))
-	}
-	bounds, err := telemetry.RoundTimeBuckets(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for d := 0; d < 2; d++ {
-		h, err := reg.Histogram("bench_round_time_seconds", "bench histogram",
-			bounds, telemetry.L("disk", fmt.Sprint(d)))
-		if err != nil {
-			b.Fatal(err)
+// TestHistogramFootprint holds what a histogram costs the store to a
+// tenth of one count per bucket per retained sample (30 × 4096 × 8 B =
+// 960 KiB): the bytes attaching 32 round-time histograms at the default
+// retention allocates, beyond what 32 gauges do.
+func TestHistogramFootprint(t *testing.T) {
+	const n = 32
+	attach := func(register func(reg *telemetry.Registry)) uint64 {
+		reg := telemetry.NewRegistry()
+		register(reg)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st := New(Config{Registry: reg})
+		runtime.ReadMemStats(&after)
+		if st.NumSeries() != n {
+			t.Fatalf("%d series attached, want %d", st.NumSeries(), n)
 		}
-		h.Observe(0.8)
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	st := New(Config{Registry: reg, Rounds: 256})
-	warm := 256 + 2*DefaultCoarseBlock
-	for r := 0; r < warm; r++ {
-		st.Sample(r)
+	gauges := attach(func(reg *telemetry.Registry) {
+		for i := 0; i < n; i++ {
+			reg.Gauge("g", "", telemetry.L("disk", fmt.Sprint(i)))
+		}
+	})
+	hists := attach(func(reg *telemetry.Registry) { roundTimeHistograms(t, reg, n) })
+	if per := (int64(hists) - int64(gauges)) / n; per >= 100<<10 {
+		t.Fatalf("a round-time histogram costs the store %d KiB at the default retention, want under 100", per>>10)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Sample(warm + i)
+}
+
+// TestLogPositionsWrap starts the histograms' logs three entries below
+// where their 32-bit positions wrap and runs the model across it, growth
+// included.
+func TestLogPositionsWrap(t *testing.T) {
+	m := newModelRun(t, Config{Rounds: 13, CoarseBlock: 4, CoarseBlocks: 6}, 1)
+	var hists []*seriesRec
+	for _, rec := range m.st.series {
+		if rec.h != nil {
+			rec.head = math.MaxUint32 - 2
+			hists = append(hists, rec)
+		}
+	}
+	m.run(6)
+	if len(hists) != 2 {
+		t.Fatalf("%d histograms attached before the first sample, want 2", len(hists))
+	}
+	for _, rec := range hists {
+		if rec.head > math.MaxUint32/2 {
+			t.Errorf("%s: log position %d has not wrapped", rec.id, rec.head)
+		}
+	}
+}
+
+// BenchmarkSample measures one per-round sample, every histogram observed
+// once per op as a round would, at a registry shaped like a loaded
+// single-server run (32 scalar series plus two per-disk round-time
+// histograms) and like the 8-shard cluster's (≈ 700 scalar series plus 33
+// histograms at the default retention), warmed past the fine ring's
+// wrap-around and through several coarse blocks so the timed region is the
+// steady state: ring slots, coarse blocks and log entries recycling in
+// place with no growth anywhere.
+func BenchmarkSample(b *testing.B) {
+	for _, shape := range []struct {
+		name                  string
+		scalars, hists, fines int
+	}{
+		{"server", 32, 2, 256},
+		{"cluster", 700, 33, DefaultRounds},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			reg := telemetry.NewRegistry()
+			for i := 0; i < shape.scalars/2; i++ {
+				reg.Counter(fmt.Sprintf("bench_counter_%d_total", i), "bench counter").Add(int64(i))
+				reg.Gauge(fmt.Sprintf("bench_gauge_%d", i), "bench gauge").Set(float64(i))
+			}
+			hists := roundTimeHistograms(b, reg, shape.hists)
+			st := New(Config{Registry: reg, Rounds: shape.fines})
+			sample := func(r int) {
+				for _, h := range hists {
+					h.Observe(float64(r%9) / 8)
+				}
+				st.Sample(r)
+			}
+			warm := shape.fines + 2*DefaultCoarseBlock
+			for r := 0; r < warm; r++ {
+				sample(r)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sample(warm + i)
+			}
+		})
 	}
 }
 

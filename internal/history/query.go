@@ -222,16 +222,16 @@ func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Po
 
 	// Only min and max need every sample's value. The others need a value
 	// at most at each window's last sample (quantiles not even there: they
-	// read bucket rows by slot), so their walk runs over the cohort's
-	// shared start and round columns alone, leaves the series' tiles
-	// untouched, and last is looked up per window afterwards.
+	// read the increment log between two slots' marks), so their walk runs
+	// over the cohort's shared start and round columns alone, leaves the
+	// series' tiles untouched, and last is looked up per window afterwards.
 	envelopes := agg == AggMin || agg == AggMax
 
 	// Coarse blocks entirely older than the fine ring, oldest first. A
 	// block overlapping the fine retention is skipped — its rounds are
 	// already served at full resolution and folding it in would invent a
 	// phantom point at the block start. The quantile aggregations skip
-	// the tier: blocks carry no bucket snapshots, and their windows, all
+	// the tier: blocks carry no bucket counts, and their windows, all
 	// ahead of the first fine one, could only be passed over below.
 	_, quantile := quantileAggs[agg]
 	for k := 0; k < co.coarse.n && !quantile; {
@@ -320,19 +320,9 @@ func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Po
 		for i := 1; i < len(windows); i++ {
 			prev, cur := &windows[i-1], &windows[i]
 			if prev.slot < 0 || cur.slot < 0 {
-				continue // coarse windows carry no bucket snapshots
+				continue // coarse windows carry no bucket counts
 			}
-			var total int64
-			pb := rec.buckets[prev.slot*rec.nb : (prev.slot+1)*rec.nb]
-			cb := rec.buckets[cur.slot*rec.nb : (cur.slot+1)*rec.nb]
-			for j := range deltas {
-				d := cb[j] - pb[j]
-				if d < 0 {
-					d = 0
-				}
-				deltas[j] = d
-				total += d
-			}
+			total := rec.bucketDeltas(prev.slot, cur.slot, deltas)
 			if total == 0 {
 				continue // no observations in this window
 			}

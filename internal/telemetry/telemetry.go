@@ -260,24 +260,12 @@ func (h *Histogram) NumBuckets() int { return len(h.counts) }
 // Bounds returns a copy of the finite upper bucket bounds.
 func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
-// CopyCounts copies the live per-bucket counts into dst — which should
-// hold NumBuckets() entries; extra buckets are dropped — and returns the
-// total. Allocation-free, for samplers that snapshot bucket state once
-// per round into preallocated rings. Like SnapshotValues the copy is not
-// atomic across buckets, which is harmless for monitoring.
-func (h *Histogram) CopyCounts(dst []int64) int64 {
-	n := len(h.counts)
-	if len(dst) < n {
-		n = len(dst)
-	}
-	var total int64
-	for i := 0; i < n; i++ {
-		c := h.counts[i].Load()
-		dst[i] = c
-		total += c
-	}
-	return total
-}
+// BucketCount returns the live count of bucket i, 0 ≤ i < NumBuckets()
+// (the last is the +Inf overflow): one atomic load, for a sampler that
+// keeps the counts it saw last and records only what moved. Like
+// SnapshotValues, a pass over the buckets is not atomic across them, which
+// is harmless for monitoring.
+func (h *Histogram) BucketCount(i int) int64 { return h.counts[i].Load() }
 
 // HistogramValues is an immutable histogram snapshot. Counts has one entry
 // per bound plus a final overflow bucket (> Bounds[len-1]).
