@@ -216,7 +216,9 @@ func (rec *seriesRec) src() *telemetry.Series { return &rec.co.srcs[rec.col] }
 // New builds a store over cfg.Registry, attaches every currently
 // registered series, and installs the on-scrape refresh hook so a
 // /metrics or snapshot scrape between rounds re-samples the latest
-// round before exposition.
+// round before exposition — after the hooks that refresh pull-model
+// series (runtime metrics), whenever those were installed, so the
+// re-sample records what the scrape exposes.
 func New(cfg Config) *Store {
 	st := &Store{
 		reg:       cfg.Registry,
@@ -239,7 +241,7 @@ func New(cfg Config) *Store {
 		st.mu.Lock()
 		st.refreshLocked()
 		st.mu.Unlock()
-		st.reg.OnScrapeOnce("mzqos_history_sample", st.SampleCurrent)
+		st.reg.OnScrapeLastOnce("mzqos_history_sample", st.SampleCurrent)
 	}
 	return st
 }

@@ -3,6 +3,7 @@ package history
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 	"net/http/httptest"
@@ -269,6 +270,38 @@ func TestScrapeHookRefreshes(t *testing.T) {
 	_ = st // New registered the hook; a second New must not double-register
 	st2 := New(Config{Registry: reg, Rounds: 8})
 	_ = st2
+}
+
+// TestScrapeSamplesAfterSources: the store's scrape hook is installed by
+// New, the runtime metrics' refresh hook by whoever builds the mux later,
+// and a scrape must still run them source first — or the history of the
+// one bulk-fed histogram trails /metrics by a scrape (for ever, once the
+// round loop has stopped and only scrapes sample).
+func TestScrapeSamplesAfterSources(t *testing.T) {
+	const pauses = "mzqos_go_gc_pause_seconds"
+	reg := telemetry.NewRegistry()
+	st := New(Config{Registry: reg, Rounds: 8})
+	telemetry.RegisterRuntimeMetrics(reg)
+	st.Sample(0)
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	if err := reg.WritePrometheus(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var live float64
+	for _, s := range reg.Series() {
+		if s.Name == pauses {
+			live = s.Read()
+		}
+	}
+	if live == 0 {
+		t.Fatal("three GC cycles folded no pause into the live histogram")
+	}
+	pts := points(t, st, Query{Series: pauses})
+	if got := pts[len(pts)-1].Value; got != live {
+		t.Fatalf("newest history point of %s counts %v pauses, the scrape exposed %v: the store re-sampled before the runtime metrics refreshed", pauses, got, live)
+	}
 }
 
 // roundTimeHistograms registers n 30-bucket round-time histograms.

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,6 +48,23 @@ func TestOnScrapeOnceConcurrentDedup(t *testing.T) {
 		if got := runs[k].Load() - before[k]; got != 1 {
 			t.Errorf("key-%d hook ran %d times per scrape, want 1 (dedup failed)", k, got)
 		}
+	}
+}
+
+// TestOnScrapeLastOnceRunsLast: a hook that reads the registry runs after
+// every hook that refreshes series, registered before it or after, and
+// shares their dedup keys.
+func TestOnScrapeLastOnceRunsLast(t *testing.T) {
+	reg := NewRegistry()
+	var order []string
+	record := func(name string) func() { return func() { order = append(order, name) } }
+	reg.OnScrapeOnce("a", record("a"))
+	reg.OnScrapeLastOnce("reader", record("reader"))
+	reg.OnScrapeOnce("b", record("b"))
+	reg.OnScrapeOnce("reader", record("reader again"))
+	reg.Snapshot()
+	if got := strings.Join(order, ", "); got != "a, b, reader" {
+		t.Fatalf("hooks ran as %q, want a, b, reader", got)
 	}
 }
 

@@ -58,12 +58,15 @@ type Registry struct {
 	count atomic.Int64
 
 	// Scrape hooks run before every Snapshot/WritePrometheus so
-	// pull-model sources (runtime stats) can refresh their series.
-	// Guarded by their own mutex and invoked outside both locks: a hook
-	// is free to touch registered metrics, never the registry itself.
-	hookMu   sync.Mutex
-	hooks    []func()
-	hookKeys map[string]bool
+	// pull-model sources (runtime stats) can refresh their series, and
+	// after all of them the hooks that read the registry itself (the
+	// history store's re-sample). Guarded by their own mutex and invoked
+	// outside both locks: a hook is free to touch registered metrics,
+	// never the registry itself.
+	hookMu    sync.Mutex
+	hooks     []func()
+	lastHooks []func()
+	hookKeys  map[string]bool
 }
 
 // NewRegistry returns an empty registry.
@@ -75,20 +78,28 @@ func NewRegistry() *Registry {
 // under a dedup key: re-registering the same key is a no-op, so
 // idempotent setup paths (every mux construction calling
 // RegisterRuntimeMetrics) install one hook, not many.
-func (r *Registry) OnScrapeOnce(key string, fn func()) {
+func (r *Registry) OnScrapeOnce(key string, fn func()) { r.addHook(&r.hooks, key, fn) }
+
+// OnScrapeLastOnce is OnScrapeOnce for a hook that reads the registry's
+// series rather than refreshing some: fn runs after every OnScrapeOnce
+// hook, whichever was registered first, so what it reads is what the
+// scrape is about to expose. The two share one key space.
+func (r *Registry) OnScrapeLastOnce(key string, fn func()) { r.addHook(&r.lastHooks, key, fn) }
+
+func (r *Registry) addHook(hooks *[]func(), key string, fn func()) {
 	r.hookMu.Lock()
 	defer r.hookMu.Unlock()
 	if r.hookKeys[key] {
 		return
 	}
 	r.hookKeys[key] = true
-	r.hooks = append(r.hooks, fn)
+	*hooks = append(*hooks, fn)
 }
 
 // runScrapeHooks invokes the registered hooks outside every lock.
 func (r *Registry) runScrapeHooks() {
 	r.hookMu.Lock()
-	hooks := append([]func(){}, r.hooks...)
+	hooks := append(append([]func(){}, r.hooks...), r.lastHooks...)
 	r.hookMu.Unlock()
 	for _, fn := range hooks {
 		fn()
