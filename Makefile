@@ -47,7 +47,10 @@ bench-system:
 # Alternated parent/change pairs of benchmark/run.sh, BASE (any revision,
 # run from a `git archive` of it) against the working tree: per pair the
 # end-to-end metrics, their change/parent ratio and both sim_digests, then
-# medians and wins per (workload, seed). What a wall-clock claim cites.
+# per (workload, seed) the medians, the parent's inter-quartile spread,
+# wins and a verdict (better / within bound / unresolved / WORSE, from
+# BENCHMARK.json's better and bound); fails on a WORSE end-to-end metric.
+# What a wall-clock claim cites.
 #   make bench-pairs BASE=HEAD~1 [PAIRS=3] [WORKLOADS="cluster-8x4"] [SEEDS="42 7"]
 #   TRACE=1 METRICS="history.sample_ns history.dump_ms" for the per-layer rows
 bench-pairs:

@@ -12,8 +12,23 @@
 # <run_seconds of BENCHMARK.json> --trace $TRACE, the side that goes first
 # alternating pair by pair. Per pair it prints every metric of both sides
 # with the change/parent ratio and both sim_digests; per (workload, seed)
-# the medians and in how many pairs the change was the better side. Exits
-# non-zero on a sim_digest mismatch or a run that reports correct:false.
+# the medians, the parent's own spread (the distance between the quartiles
+# of its runs), in how many pairs the change was the better side, and the
+# verdict the method gives (choosing-metrics section 8, ROADMAP's standing
+# rules), from BENCHMARK.json's `better` and `bound`:
+#   better        the change wins at least 9/10 of the pairs (ties count
+#                 for neither side) and the medians differ, the right way,
+#                 by more than the parent's spread
+#   unresolved    the parent's spread is wider than the metric's bound, so
+#                 neither "no worse" nor "worse" can be told from noise —
+#                 unless every run of the change beats every run of the
+#                 parent, which reads within bound
+#   WORSE         the change's median is worse than the parent's by more
+#                 than the bound
+#   within bound  none of the above; per-layer metrics fix no bound and
+#                 read "better" or "-"
+# Exits non-zero on a sim_digest mismatch, a run that reports
+# correct:false, or an end-to-end metric that is WORSE.
 #
 # Environment (make bench-pairs passes these through):
 #   PAIRS      pairs per (workload, seed)            default 3
@@ -87,17 +102,23 @@ for w in $workloads; do
 	done
 done
 
-# Medians and wins per (workload, seed, metric), in first-seen order.
-jq -r '(.end_to_end + .per_layer)[] | [.name, .better] | @tsv' "$here/BENCHMARK.json" >"$tmp/better.tsv"
+# Medians, parent spread, wins and verdict per (workload, seed, metric), in
+# first-seen order.
+jq -r '(.end_to_end + .per_layer)[] | [.name, .better, (.bound // "")] | @tsv' "$here/BENCHMARK.json" >"$tmp/better.tsv"
 echo
-echo "== medians over $pairs pairs (ratio = change/parent; wins = pairs the change was the better side)"
+echo "== medians over $pairs pairs (ratio = change/parent; iqr = parent Q3-Q1; wins = pairs the change was the better side)"
 awk -F '\t' '
-	function median(a, n,    i, j, t) {
+	function sort(a, n,    i, j, t) {
 		for (i = 2; i <= n; i++)
 			for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
-		return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
 	}
-	FILENAME == ARGV[1] { better[$1] = $2; next }
+	# quantile of sorted a[1..n], linear between the two nearest ranks
+	function quantile(a, n, q,    h, lo) {
+		h = 1 + (n - 1) * q
+		lo = int(h)
+		return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+	}
+	FILENAME == ARGV[1] { better[$1] = $2; bound[$1] = $3; next }
 	{
 		key = $1 "\t" $2 "\t" $3
 		if (!(key in n)) order[++keys] = key
@@ -110,8 +131,25 @@ awk -F '\t' '
 		for (k = 1; k <= keys; k++) {
 			key = order[k]
 			split(key, f, "\t")
-			for (i = 1; i <= n[key]; i++) { a[i] = pv[key, i]; b[i] = cv[key, i]; r[i] = (a[i] != 0 ? b[i] / a[i] : 0) }
-			printf "   %-12s seed %-3s %-22s parent %-12.6g change %-12.6g ratio %.3f  wins %d/%d\n",
-				f[1], f[2], f[3], median(a, n[key]), median(b, n[key]), median(r, n[key]), wins[key], n[key]
+			m = n[key]
+			sign = better[f[3]] == "higher" ? -1 : 1 # sign * (change - parent) > 0 is worse
+			for (i = 1; i <= m; i++) { a[i] = pv[key, i]; b[i] = cv[key, i]; r[i] = (a[i] != 0 ? b[i] / a[i] : 0) }
+			sort(a, m); sort(b, m); sort(r, m)
+			pm = quantile(a, m, 0.5); cm = quantile(b, m, 0.5)
+			iqr = quantile(a, m, 0.75) - quantile(a, m, 0.25)
+			worse = sign * (cm - pm)
+			# every run of the change better than every run of the parent
+			apart = sign > 0 ? b[m] < a[1] : b[1] > a[m]
+			if (wins[key] * 10 >= m * 9 && -worse > iqr) verdict = "better"
+			else if (bound[f[3]] == "") verdict = "-"
+			else if (iqr > bound[f[3]] * pm && !apart) verdict = "unresolved"
+			else if (worse > bound[f[3]] * pm) { verdict = "WORSE"; failed++ }
+			else verdict = "within bound"
+			printf "   %-12s seed %-3s %-22s parent %-12.6g change %-12.6g ratio %.3f  iqr %-10.4g wins %d/%d  %s\n",
+				f[1], f[2], f[3], pm, cm, quantile(r, m, 0.5), iqr, wins[key], m, verdict
+		}
+		if (failed) {
+			printf "bench-pairs: %d end-to-end metrics are WORSE than the parent by more than their bound\n", failed
+			exit 1
 		}
 	}' "$tmp/better.tsv" "$tmp/rows.tsv"
