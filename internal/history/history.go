@@ -395,35 +395,42 @@ func (co *cohort) sample(r, start int64) {
 	}
 }
 
-// sample appends what each bucket gained since the newest sample to the
-// log and marks the end of fine slot's entries there: a new slot closes a
-// new segment, a re-sample of the newest extends its segment. oldest is
-// the slot of the oldest retained sample; entries before its mark are
-// released, and when it is slot itself no retained sample precedes this
-// one, so nothing is logged. Allocates only when the log must grow.
+// at returns the entry at log position p.
+func (rec *seriesRec) at(p uint32) *logEntry { return &rec.log[p&uint32(len(rec.log)-1)] }
+
+// sample marks the end of fine slot's entries in the log after appending
+// what each bucket gained since the newest sample: a new slot closes a new
+// segment, a re-sample of the newest extends its segment. oldest is the
+// slot of the oldest retained sample; entries before its mark are released,
+// and when it is slot itself no retained sample precedes this one, so
+// nothing is logged. Allocates only when the log must grow.
 func (rec *seriesRec) sample(slot, oldest int) {
-	if slot == oldest {
-		for j := range rec.last {
-			rec.last[j] = rec.h.BucketCount(j)
+	h, last := rec.h, rec.last
+	for j := range last {
+		c := h.BucketCount(j)
+		if c == last[j] {
+			continue
 		}
-		rec.ends[slot] = rec.head
-		return
-	}
-	tail := rec.ends[oldest]
-	for j := range rec.last {
-		c := rec.h.BucketCount(j)
-		for d := c - rec.last[j]; d > 0; {
-			if rec.head-tail == uint32(len(rec.log)) {
-				rec.grow(tail)
-			}
-			e := min(d, math.MaxUint32)
-			rec.log[rec.head&uint32(len(rec.log)-1)] = logEntry{bucket: uint32(j), delta: uint32(e)}
-			rec.head++
-			d -= e
+		if slot != oldest {
+			rec.append(j, c-last[j], rec.ends[oldest])
 		}
-		rec.last[j] = c
+		last[j] = c
 	}
 	rec.ends[slot] = rec.head
+}
+
+// append logs growth d of bucket j, in as many entries as its width takes.
+// The entries from tail on are retained: when they fill the log, it grows.
+func (rec *seriesRec) append(j int, d int64, tail uint32) {
+	for d > 0 {
+		if rec.head-tail == uint32(len(rec.log)) {
+			rec.grow(tail)
+		}
+		e := min(d, math.MaxUint32)
+		*rec.at(rec.head) = logEntry{bucket: uint32(j), delta: uint32(e)}
+		rec.head++
+		d -= e
+	}
 }
 
 // grow doubles a log whose every entry, tail to head, is still retained.
@@ -432,7 +439,7 @@ func (rec *seriesRec) sample(slot, oldest int) {
 func (rec *seriesRec) grow(tail uint32) {
 	log := make([]logEntry, 2*len(rec.log))
 	for p := tail; p != rec.head; p++ {
-		log[p&uint32(len(log)-1)] = rec.log[p&uint32(len(rec.log)-1)]
+		log[p&uint32(len(log)-1)] = *rec.at(p)
 	}
 	rec.log = log
 }
@@ -444,7 +451,7 @@ func (rec *seriesRec) grow(tail uint32) {
 func (rec *seriesRec) bucketDeltas(prev, cur int, deltas []int64) (total int64) {
 	clear(deltas)
 	for p, end := rec.ends[prev], rec.ends[cur]; p != end; p++ {
-		e := rec.log[p&uint32(len(rec.log)-1)]
+		e := rec.at(p)
 		deltas[e.bucket] += int64(e.delta)
 		total += int64(e.delta)
 	}
