@@ -96,7 +96,7 @@ func (rec *seriesRec) tailTrajectory(since, step int64, threshold float64) []Poi
 	if len(ends) < 2 {
 		return nil
 	}
-	deltas := make([]int64, rec.nb)
+	deltas := make([]int64, len(rec.last))
 	pts := make([]Point, 0, len(ends)-1)
 	for i := 1; i < len(ends); i++ {
 		total := rec.bucketDeltas(ends[i-1].slot, ends[i].slot, deltas)

@@ -192,17 +192,17 @@ type seriesRec struct {
 	co  *cohort
 	col int
 
-	// Histogram extension, nil for scalar series. last holds the bucket
-	// counts as of the newest sample; log is a ring of what changed from
-	// one sample to the next, addressed by free-running positions (position
-	// p lives at log[p%len(log)], len(log) a power of two, positions wrap
-	// with uint32); ends[slot] is the position one past the entries of the
-	// sample at that fine slot, and head the position the next entry takes.
+	// Histogram extension, nil for scalar series. last holds the count of
+	// every bucket as of the newest sample; log is a ring of what changed
+	// from one sample to the next, addressed by free-running positions
+	// (position p lives at log[p%len(log)], len(log) a power of two,
+	// positions wrap with uint32); ends[slot] is the position one past the
+	// entries of the sample at that fine slot, and head the position the
+	// next entry takes.
 	// The growth of every bucket between two retained samples is the
 	// entries in [ends[older], ends[newer]); what precedes the oldest
 	// retained sample's mark is free to be overwritten.
 	h      *telemetry.Histogram
-	nb     int
 	bounds []float64
 	last   []int64
 	ends   []uint32
@@ -280,9 +280,8 @@ func (st *Store) refreshLocked() {
 		rec := &seriesRec{id: s.ID(), co: co, col: col}
 		if h := s.Histogram(); h != nil {
 			rec.h = h
-			rec.nb = h.NumBuckets()
 			rec.bounds = h.Bounds()
-			rec.last = make([]int64, rec.nb)
+			rec.last = make([]int64, h.NumBuckets())
 			rec.ends = make([]uint32, st.capacity)
 			rec.log = make([]logEntry, 1<<bits.Len(uint(st.capacity-1)))
 			co.hists = append(co.hists, rec)
@@ -444,7 +443,7 @@ func (rec *seriesRec) grow(tail uint32) {
 	rec.log = log
 }
 
-// bucketDeltas fills deltas (nb long) with each bucket's growth between
+// bucketDeltas fills deltas (one per bucket) with each bucket's growth between
 // the retained samples at fine slots prev and cur, prev the older, and
 // returns the sum: the log entries between the two end marks. The one
 // place bucket differences are computed.

@@ -364,8 +364,9 @@ func TestSampleZeroAlloc(t *testing.T) {
 			}
 		case burst:
 			// ⌈log₂ nb⌉ doublings hold (rounds-1)·nb entries.
-			if most := rounds << bits.Len(uint(rec.nb-1)); len(rec.log) < (rounds-1)*rec.nb || len(rec.log) > most {
-				t.Errorf("%s: log holds %d entries, want at least %d and at most %d", rec.id, len(rec.log), (rounds-1)*rec.nb, most)
+			nb := len(rec.last)
+			if most := rounds << bits.Len(uint(nb-1)); len(rec.log) < (rounds-1)*nb || len(rec.log) > most {
+				t.Errorf("%s: log holds %d entries, want at least %d and at most %d", rec.id, len(rec.log), (rounds-1)*nb, most)
 			}
 		}
 	}

@@ -26,9 +26,9 @@ import (
 // doubling every log.
 
 const (
-	logRounds      = 3 * history.DefaultRounds
-	resampleEvery  = 53
-	roundTimeShape = "mzqos_server_round_time_seconds"
+	logRounds       = 3 * history.DefaultRounds
+	resampleEvery   = 53
+	roundTimeSeries = "mzqos_server_round_time_seconds"
 )
 
 // faultyServer builds a 4-disk server on reg with the three fault kinds
@@ -68,7 +68,7 @@ func checkLogs(t *testing.T, hist *history.Store, want int) {
 	t.Helper()
 	n := 0
 	for id, got := range hist.LogLens() {
-		if !strings.HasPrefix(id, roundTimeShape) {
+		if !strings.HasPrefix(id, roundTimeSeries) {
 			continue
 		}
 		n++

@@ -316,7 +316,7 @@ func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Po
 		}
 	default: // quantile aggs, histogram-only (validated by Query)
 		q := quantileAggs[agg]
-		deltas := make([]int64, rec.nb)
+		deltas := make([]int64, len(rec.last))
 		for i := 1; i < len(windows); i++ {
 			prev, cur := &windows[i-1], &windows[i]
 			if prev.slot < 0 || cur.slot < 0 {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -99,7 +100,7 @@ func (r *Registry) addHook(hooks *[]func(), key string, fn func()) {
 // runScrapeHooks invokes the registered hooks outside every lock.
 func (r *Registry) runScrapeHooks() {
 	r.hookMu.Lock()
-	hooks := append(append([]func(){}, r.hooks...), r.lastHooks...)
+	hooks := slices.Concat(r.hooks, r.lastHooks)
 	r.hookMu.Unlock()
 	for _, fn := range hooks {
 		fn()
