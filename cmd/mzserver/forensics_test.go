@@ -209,12 +209,33 @@ func TestServerDebugBundle(t *testing.T) {
 		t.Fatalf("bundle streams %+v", b.Streams)
 	}
 	for name, raw := range map[string]json.RawMessage{
-		"admission": b.Admission, "slo": b.SLO, "metrics": b.Metrics,
+		"admission": b.Admission, "slo": b.SLO,
 	} {
 		if len(raw) == 0 || string(raw) == "null" {
 			t.Fatalf("bundle section %q missing", name)
 		}
 	}
+	// The metrics block is the registry's JSON rendering with live values.
+	if got := bundleRounds(t, b.Metrics); got != int64(b.Round) {
+		t.Fatalf("bundle metrics carry mzqos_server_rounds_total = %d, want the bundle's round %d", got, b.Round)
+	}
+}
+
+// bundleRounds decodes a bundle's metrics block as a telemetry.Snapshot and
+// sums mzqos_server_rounds_total over its series (one per shard).
+func bundleRounds(t *testing.T, metrics json.RawMessage) int64 {
+	t.Helper()
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(metrics, &snap); err != nil {
+		t.Fatalf("bundle metrics are not a snapshot: %v", err)
+	}
+	var rounds int64
+	for _, c := range snap.Counters {
+		if c.Name == "mzqos_server_rounds_total" {
+			rounds += c.Value
+		}
+	}
+	return rounds
 }
 
 // journaledTestCluster builds a 3-shard cluster sharing one journal and
@@ -408,10 +429,12 @@ func TestClusterIncidentArcFromTimeline(t *testing.T) {
 	var b struct {
 		Schema    string          `json:"schema"`
 		Kind      string          `json:"kind"`
+		Round     int             `json:"round"`
 		Config    bundleGeometry  `json:"config"`
 		Timeline  timelineReport  `json:"timeline"`
 		Cluster   json.RawMessage `json:"cluster"`
 		Migration json.RawMessage `json:"migration"`
+		Metrics   json.RawMessage `json:"metrics"`
 	}
 	getJSON(t, mux, "/debug/bundle", &b)
 	if b.Schema != bundleSchema || b.Kind != "cluster" {
@@ -422,5 +445,9 @@ func TestClusterIncidentArcFromTimeline(t *testing.T) {
 	}
 	if len(b.Timeline.Events) == 0 || len(b.Cluster) == 0 || len(b.Migration) == 0 {
 		t.Fatal("cluster bundle sections missing")
+	}
+	// Every shard steps once per coordinator round.
+	if got := bundleRounds(t, b.Metrics); b.Round != 80 || got != int64(shards*b.Round) {
+		t.Fatalf("bundle metrics carry mzqos_server_rounds_total = %d over %d shards at round %d", got, shards, b.Round)
 	}
 }

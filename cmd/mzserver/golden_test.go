@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -384,7 +386,14 @@ func historyDigest(t *testing.T, st *history.Store) string {
 		}
 	}
 	last := int64(st.LastRound())
-	for _, name := range st.SeriesNames() {
+	// The distinct metric names: every series id up to its label set.
+	var names []string
+	for _, id := range st.SeriesIDs() {
+		name, _, _ := strings.Cut(id, "{")
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range slices.Compact(names) {
 		if processWide(name) {
 			continue
 		}

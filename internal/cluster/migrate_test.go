@@ -251,7 +251,7 @@ func TestReleaseIdempotent(t *testing.T) {
 			t.Fatalf("tickets %d after admit, want 1", c.Tickets())
 		}
 		c.Release(&tk)
-		if !tk.Spent() {
+		if !tk.spent {
 			t.Error("release should latch the ticket spent")
 		}
 		c.Release(&tk) // the double release: must be a no-op

@@ -249,7 +249,7 @@ func TestQuantileCDFConsistency(t *testing.T) {
 }
 
 func TestStdHelper(t *testing.T) {
-	if Std(Normal{Mu: 0, Sigma: 3}) != 3 {
+	if Std(Gamma{Shape: 4, Rate: 2}) != 1 {
 		t.Error("Std wrong")
 	}
 	if Std(Deterministic{Value: 5}) != 0 {

@@ -62,15 +62,16 @@ func TestGammaPDFIntegratesToOne(t *testing.T) {
 }
 
 func TestGammaExponentialSpecialCase(t *testing.T) {
-	// Gamma(shape=1, rate=λ) is Exponential(λ).
-	g, _ := NewGamma(1, 3)
-	e, _ := NewExponential(3)
+	// Gamma(shape=1, rate=λ) is the exponential law: density λe^{-λx},
+	// distribution function 1 - e^{-λx}.
+	const lambda = 3.0
+	g, _ := NewGamma(1, lambda)
 	for _, x := range []float64{0.01, 0.1, 0.5, 1, 2} {
-		if math.Abs(g.PDF(x)-e.PDF(x)) > 1e-12 {
-			t.Errorf("PDF mismatch at %v: %v vs %v", x, g.PDF(x), e.PDF(x))
+		if pdf := lambda * math.Exp(-lambda*x); math.Abs(g.PDF(x)-pdf) > 1e-12 {
+			t.Errorf("PDF mismatch at %v: %v vs %v", x, g.PDF(x), pdf)
 		}
-		if math.Abs(g.CDF(x)-e.CDF(x)) > 1e-12 {
-			t.Errorf("CDF mismatch at %v: %v vs %v", x, g.CDF(x), e.CDF(x))
+		if cdf := -math.Expm1(-lambda * x); math.Abs(g.CDF(x)-cdf) > 1e-12 {
+			t.Errorf("CDF mismatch at %v: %v vs %v", x, g.CDF(x), cdf)
 		}
 	}
 }

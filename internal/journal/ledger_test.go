@@ -13,15 +13,15 @@ func promiseFor(object string, shard int) Promise {
 func TestLedgerAdmitRetire(t *testing.T) {
 	l := NewLedger(LedgerConfig{})
 	l.Admit(0, 1, promiseFor("clip-a", 0), 11)
-	rec, ok := l.Lookup(0, 1)
-	if !ok || rec.RetiredRound != -1 || rec.AdmitSeq != 11 {
-		t.Fatalf("active record: %+v (ok=%v)", rec, ok)
+	rep := l.Report()
+	if len(rep.Active) != 1 || rep.Active[0].Stream != 1 || rep.Active[0].RetiredRound != -1 || rep.Active[0].AdmitSeq != 11 {
+		t.Fatalf("active records: %+v", rep.Active)
 	}
 	l.Retire(0, 1, Delivered{StartupDelay: 2, Served: 40, Glitches: 3, Done: true}, 50)
-	if _, ok := l.Lookup(0, 1); ok {
-		t.Fatal("record still tracked after retire")
+	rep = l.Report()
+	if len(rep.Active) != 0 {
+		t.Fatalf("record still tracked after retire: %+v", rep.Active)
 	}
-	rep := l.Report()
 	if rep.RetiredTotal != 1 || len(rep.Retired) != 1 {
 		t.Fatalf("report: %+v", rep)
 	}
@@ -69,10 +69,11 @@ func TestLedgerMigrationMerge(t *testing.T) {
 	// Shard 2 re-admits it under a fresh id; the coordinator merges.
 	l.Admit(2, 9, promiseFor("clip-a", 2), 8)
 	l.Migrated(0, 1, 2, 9)
-	rec, ok := l.Lookup(2, 9)
-	if !ok {
-		t.Fatal("merged record not active on destination")
+	active := l.Report().Active
+	if len(active) != 1 || active[0].Shard != 2 || active[0].Stream != 9 {
+		t.Fatalf("merged record not active on destination: %+v", active)
 	}
+	rec := active[0]
 	if rec.Migrations != 1 {
 		t.Fatalf("migrations: got %d, want 1", rec.Migrations)
 	}
@@ -149,10 +150,7 @@ func TestNilLedgerIsDisabled(t *testing.T) {
 	l.Retire(0, 1, Delivered{}, 1)
 	l.Migrated(0, 1, 1, 2)
 	l.Abandon(0, 1, 1)
-	if rep := l.Report(); rep.RetiredTotal != 0 {
+	if rep := l.Report(); rep.RetiredTotal != 0 || len(rep.Active) != 0 {
 		t.Fatalf("nil report: %+v", rep)
-	}
-	if _, ok := l.Lookup(0, 1); ok {
-		t.Fatal("nil lookup succeeded")
 	}
 }

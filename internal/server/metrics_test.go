@@ -238,8 +238,8 @@ func TestRetiredStreamStats(t *testing.T) {
 		ids = append(ids, id)
 	}
 
-	if got := s.RetainedFinished(); got != engine.RetainedStreams {
-		t.Fatalf("RetainedFinished = %d, want %d", got, engine.RetainedStreams)
+	if got := s.finished.Len(); got != engine.RetainedStreams {
+		t.Fatalf("retained finished streams = %d, want %d", got, engine.RetainedStreams)
 	}
 	// Newest RetainedStreams still queryable, oldest 3 evicted.
 	for _, id := range ids[3:] {

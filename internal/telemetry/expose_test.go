@@ -129,11 +129,10 @@ func TestMetricsHandler(t *testing.T) {
 	}
 }
 
-func TestExpvarFuncMarshals(t *testing.T) {
+func TestSnapshotMarshals(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("c_total", "").Add(7)
-	f := reg.ExpvarFunc()
-	raw, err := json.Marshal(f())
+	raw, err := json.Marshal(reg.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
