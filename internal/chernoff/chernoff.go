@@ -252,16 +252,3 @@ func CLT(mean, variance, t float64) float64 {
 	}
 	return 1 - specfn.NormCDF((t-mean)/math.Sqrt(variance))
 }
-
-// Markov returns the Markov bound mean/t for t > 0 (clamped to 1), the
-// weakest of the moment bounds, included for the bound-comparison ablation.
-func Markov(mean, t float64) float64 {
-	if !(t > 0) || mean < 0 {
-		return 1
-	}
-	v := mean / t
-	if v > 1 {
-		return 1
-	}
-	return v
-}

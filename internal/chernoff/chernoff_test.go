@@ -261,18 +261,6 @@ func TestCLT(t *testing.T) {
 	}
 }
 
-func TestMarkov(t *testing.T) {
-	if Markov(2, 8) != 0.25 {
-		t.Error("Markov wrong")
-	}
-	if Markov(2, 1) != 1 {
-		t.Error("Markov should clamp to 1")
-	}
-	if Markov(2, 0) != 1 {
-		t.Error("Markov at t=0 should be 1")
-	}
-}
-
 // Property: for Gamma tails above the mean, Chernoff ≤ Cantelli-Chebyshev
 // is NOT always true pointwise, but both must dominate the true tail.
 func TestBoundsDominateTrueTailProperty(t *testing.T) {

@@ -172,9 +172,6 @@ type Ticket struct {
 	spent bool
 }
 
-// Spent reports whether the ticket has been redeemed or released.
-func (t *Ticket) Spent() bool { return t != nil && t.spent }
-
 // AdmissionRecord is one materialized admission, retained in a bounded
 // ring for explainability (the cluster /admission endpoint).
 type AdmissionRecord struct {

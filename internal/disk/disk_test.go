@@ -169,21 +169,6 @@ func TestZoneHitProbSumsToOne(t *testing.T) {
 	}
 }
 
-func TestRateCDF(t *testing.T) {
-	g := viking(t)
-	if g.RateCDF(0) != 0 {
-		t.Error("RateCDF below min rate should be 0")
-	}
-	if math.Abs(g.RateCDF(g.MaxRate())-1) > 1e-12 {
-		t.Errorf("RateCDF at max rate = %v", g.RateCDF(g.MaxRate()))
-	}
-	// First zone only.
-	want := g.ZoneHitProb(0)
-	if math.Abs(g.RateCDF(g.MinRate())-want) > 1e-12 {
-		t.Errorf("RateCDF at min rate = %v, want %v", g.RateCDF(g.MinRate()), want)
-	}
-}
-
 func TestInvRateMomentsAgainstSampling(t *testing.T) {
 	g := viking(t)
 	inv, inv2 := g.InvRateMoments()
@@ -215,10 +200,6 @@ func TestContinuousRateApproximation(t *testing.T) {
 	if math.Abs(sum-1) > 1e-6 {
 		t.Errorf("continuous rate PDF integrates to %v", sum)
 	}
-	// CDF endpoints.
-	if g.ContinuousRateCDF(rmin) != 0 || g.ContinuousRateCDF(rmax) != 1 {
-		t.Error("continuous CDF endpoints wrong")
-	}
 	// Discrete and continuous inverse-rate moments agree closely at Z=15.
 	di, di2 := g.InvRateMoments()
 	ci, ci2 := g.ContinuousInvRateMoments()
@@ -227,22 +208,6 @@ func TestContinuousRateApproximation(t *testing.T) {
 	}
 	if math.Abs(di2-ci2) > 0.02*di2 {
 		t.Errorf("E[1/R²]: discrete %v vs continuous %v", di2, ci2)
-	}
-}
-
-func TestContinuousCDFMonotone(t *testing.T) {
-	g := viking(t)
-	prop := func(a, b float64) bool {
-		rmin, rmax := g.MinRate(), g.MaxRate()
-		x := rmin + math.Abs(math.Mod(a, 1))*(rmax-rmin)
-		y := rmin + math.Abs(math.Mod(b, 1))*(rmax-rmin)
-		if x > y {
-			x, y = y, x
-		}
-		return g.ContinuousRateCDF(x) <= g.ContinuousRateCDF(y)+1e-12
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

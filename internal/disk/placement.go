@@ -125,15 +125,3 @@ func (g *Geometry) SampleLocationUnder(p AccessProfile, rng *rand.Rand) Location
 	}
 	return Location{Zone: zone, Cylinder: firstCyl + rng.IntN(g.Zones[zone].Tracks)}
 }
-
-// MeanSeekCenterUnder returns the expected cylinder of a request under the
-// profile (normalized to [0,1]), a diagnostic for seek locality.
-func (g *Geometry) MeanSeekCenterUnder(p AccessProfile) float64 {
-	var first, mean float64
-	for i, z := range g.Zones {
-		mid := first + float64(z.Tracks)/2
-		first += float64(z.Tracks)
-		mean += p[i] * mid
-	}
-	return mean / float64(g.Cylinders())
-}

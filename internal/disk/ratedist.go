@@ -10,18 +10,6 @@ func (g *Geometry) ZoneHitProb(zone int) float64 {
 	return float64(z.Tracks) * z.TrackCapacity / g.Capacity()
 }
 
-// RateCDF returns the exact discrete distribution function of the transfer
-// rate: P[R ≤ r] = Σ_{i: R_i ≤ r} ZoneHitProb(i) (eq. 3.2.1).
-func (g *Geometry) RateCDF(r float64) float64 {
-	var p float64
-	for i := range g.Zones {
-		if g.TransferRate(i) <= r {
-			p += g.ZoneHitProb(i)
-		}
-	}
-	return p
-}
-
 // InvRateMoments returns E[1/R] and E[1/R²] under the zone-hit
 // distribution. These are the only rate functionals the transfer-time
 // moment matching needs: for a request of size S independent of its rate,
@@ -58,23 +46,6 @@ func (g *Geometry) ContinuousRatePDF(r float64) float64 {
 		return 0
 	}
 	return 2 * r / (rmax*rmax - rmin*rmin)
-}
-
-// ContinuousRateCDF returns the continuous approximation of the rate CDF
-// (the fixed form of eq. 3.2.5): (r² − rmin²)/(rmax² − rmin²).
-func (g *Geometry) ContinuousRateCDF(r float64) float64 {
-	rmin, rmax := g.MinRate(), g.MaxRate()
-	switch {
-	case r <= rmin || rmax <= rmin:
-		if r >= rmax {
-			return 1
-		}
-		return 0
-	case r >= rmax:
-		return 1
-	default:
-		return (r*r - rmin*rmin) / (rmax*rmax - rmin*rmin)
-	}
 }
 
 // ContinuousInvRateMoments returns E[1/R] and E[1/R²] under the continuous

@@ -1,8 +1,8 @@
 // Package dist provides the probability distributions used throughout the
 // stochastic service model: fragment-size laws (Gamma, and the Lognormal
 // and Pareto alternatives the paper mentions), rotational latency (Uniform),
-// and supporting distributions for baselines and simulation (Normal,
-// Exponential, Deterministic, Empirical).
+// and supporting distributions for baselines and simulation
+// (Deterministic, Empirical).
 //
 // All distributions implement the Distribution interface with analytic
 // moments, PDF/CDF, quantiles, and sampling on a caller-supplied

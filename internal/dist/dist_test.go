@@ -80,46 +80,6 @@ func TestUniformSample(t *testing.T) {
 	}
 }
 
-func TestExponential(t *testing.T) {
-	e, err := NewExponential(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Mean() != 0.25 || e.Var() != 0.0625 {
-		t.Errorf("moments: %v %v", e.Mean(), e.Var())
-	}
-	q, err := e.Quantile(0.5)
-	if err != nil || math.Abs(q-math.Ln2/4) > 1e-14 {
-		t.Errorf("median = %v", q)
-	}
-	if math.Abs(e.CDF(q)-0.5) > 1e-14 {
-		t.Errorf("CDF(median) = %v", e.CDF(q))
-	}
-	if _, err := NewExponential(0); err != ErrParam {
-		t.Errorf("NewExponential(0) err = %v", err)
-	}
-}
-
-func TestNormal(t *testing.T) {
-	n, err := NewNormal(10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Mean() != 10 || n.Var() != 4 {
-		t.Errorf("moments: %v %v", n.Mean(), n.Var())
-	}
-	if math.Abs(n.CDF(10)-0.5) > 1e-14 {
-		t.Errorf("CDF(mean) = %v", n.CDF(10))
-	}
-	q, err := n.Quantile(0.975)
-	if err != nil || math.Abs(q-(10+2*1.959963984540054)) > 1e-8 {
-		t.Errorf("Quantile(0.975) = %v", q)
-	}
-	if _, err := NewNormal(0, 0); err != ErrParam {
-		t.Errorf("NewNormal sigma=0 err = %v", err)
-	}
-}
-
 func TestDeterministic(t *testing.T) {
 	d := Deterministic{Value: 0.10932}
 	if d.Mean() != 0.10932 || d.Var() != 0 {
@@ -222,8 +182,6 @@ func TestQuantileCDFConsistency(t *testing.T) {
 	dists := []Distribution{
 		Gamma{Shape: 4, Rate: 0.02},
 		Uniform{A: 0, B: 1},
-		Exponential{Rate: 2},
-		Normal{Mu: 0, Sigma: 1},
 		Lognormal{Mu: 0, Sigma: 1},
 		Pareto{Xm: 1, Alpha: 3},
 	}

@@ -49,51 +49,6 @@ func TestUniformPDF(t *testing.T) {
 	}
 }
 
-func TestExponentialEdges(t *testing.T) {
-	e, _ := NewExponential(2)
-	if e.PDF(-1) != 0 || e.CDF(-1) != 0 || e.CDF(0) != 0 {
-		t.Error("support edges wrong")
-	}
-	if math.Abs(e.PDF(0)-2) > 1e-15 {
-		t.Errorf("PDF(0) = %v", e.PDF(0))
-	}
-	if _, err := e.Quantile(1); err != ErrDomain {
-		t.Errorf("Quantile(1) err = %v", err)
-	}
-	rng := NewRand(1, 1)
-	var w Welford
-	for i := 0; i < 100000; i++ {
-		x := e.Sample(rng)
-		if x < 0 {
-			t.Fatal("negative exponential sample")
-		}
-		w.Add(x)
-	}
-	if math.Abs(w.Mean()-0.5) > 0.01 {
-		t.Errorf("sample mean = %v, want 0.5", w.Mean())
-	}
-}
-
-func TestNormalSamplePDF(t *testing.T) {
-	n, _ := NewNormal(10, 2)
-	// PDF peak at the mean: 1/(σ√(2π)).
-	want := 1 / (2 * math.Sqrt(2*math.Pi))
-	if math.Abs(n.PDF(10)-want) > 1e-12 {
-		t.Errorf("PDF(mean) = %v, want %v", n.PDF(10), want)
-	}
-	rng := NewRand(2, 2)
-	var w Welford
-	for i := 0; i < 100000; i++ {
-		w.Add(n.Sample(rng))
-	}
-	if math.Abs(w.Mean()-10) > 0.05 || math.Abs(w.Std()-2) > 0.05 {
-		t.Errorf("sample moments: %v, %v", w.Mean(), w.Std())
-	}
-	if _, err := n.Quantile(0); err != ErrDomain {
-		t.Errorf("Quantile(0) err = %v", err)
-	}
-}
-
 func TestLognormalParetoPDFs(t *testing.T) {
 	l, _ := NewLognormal(0, 1)
 	// Standard lognormal density at 1: 1/√(2π).

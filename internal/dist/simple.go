@@ -3,102 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand/v2"
-
-	"mzqos/internal/specfn"
 )
-
-// Exponential is the exponential distribution with the given Rate λ.
-type Exponential struct {
-	Rate float64
-}
-
-// NewExponential returns an Exponential distribution with rate λ.
-func NewExponential(rate float64) (Exponential, error) {
-	if !(rate > 0) || math.IsInf(rate, 1) {
-		return Exponential{}, ErrParam
-	}
-	return Exponential{Rate: rate}, nil
-}
-
-// Mean returns 1/λ.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
-// Var returns 1/λ².
-func (e Exponential) Var() float64 { return 1 / (e.Rate * e.Rate) }
-
-// PDF returns the density at x.
-func (e Exponential) PDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return e.Rate * math.Exp(-e.Rate*x)
-}
-
-// CDF returns P[X <= x].
-func (e Exponential) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return -math.Expm1(-e.Rate * x)
-}
-
-// Quantile returns the p-quantile.
-func (e Exponential) Quantile(p float64) (float64, error) {
-	if p <= 0 || p >= 1 {
-		return 0, ErrDomain
-	}
-	return -math.Log1p(-p) / e.Rate, nil
-}
-
-// Sample draws a variate.
-func (e Exponential) Sample(rng *rand.Rand) float64 {
-	return rng.ExpFloat64() / e.Rate
-}
-
-// Normal is the normal distribution with mean Mu and standard deviation
-// Sigma. Used by the CLT-based admission baseline (as in [CZ94, VGG94]).
-type Normal struct {
-	Mu, Sigma float64
-}
-
-// NewNormal returns a Normal distribution.
-func NewNormal(mu, sigma float64) (Normal, error) {
-	if !(sigma > 0) || math.IsNaN(mu) || math.IsInf(mu, 0) {
-		return Normal{}, ErrParam
-	}
-	return Normal{Mu: mu, Sigma: sigma}, nil
-}
-
-// Mean returns Mu.
-func (n Normal) Mean() float64 { return n.Mu }
-
-// Var returns Sigma².
-func (n Normal) Var() float64 { return n.Sigma * n.Sigma }
-
-// PDF returns the density at x.
-func (n Normal) PDF(x float64) float64 {
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-z*z/2) / (n.Sigma * math.Sqrt(2*math.Pi))
-}
-
-// CDF returns P[X <= x].
-func (n Normal) CDF(x float64) float64 {
-	return specfn.NormCDF((x - n.Mu) / n.Sigma)
-}
-
-// Quantile returns the p-quantile.
-func (n Normal) Quantile(p float64) (float64, error) {
-	z, err := specfn.NormQuantile(p)
-	if err != nil {
-		return 0, ErrDomain
-	}
-	return n.Mu + n.Sigma*z, nil
-}
-
-// Sample draws a variate.
-func (n Normal) Sample(rng *rand.Rand) float64 {
-	return n.Mu + n.Sigma*rng.NormFloat64()
-}
 
 // Deterministic is the degenerate distribution concentrated at Value. It
 // models the constant SEEK term of the round service time (§3.1).

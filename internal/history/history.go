@@ -513,19 +513,3 @@ func (st *Store) SeriesIDs() []string {
 	sort.Strings(ids)
 	return ids
 }
-
-// SeriesNames returns the distinct attached metric names, sorted.
-func (st *Store) SeriesNames() []string {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	st.maybeRefreshLocked()
-	names := make([]string, 0, len(st.byName))
-	for n := range st.byName {
-		names = append(names, n)
-	}
-	st.mu.Unlock()
-	sort.Strings(names)
-	return names
-}

@@ -673,8 +673,4 @@ func TestSeriesIDsSorted(t *testing.T) {
 	if len(ids) != 2 || ids[0] != "alpha" || ids[1] != "zeta" {
 		t.Fatalf("SeriesIDs = %v", ids)
 	}
-	names := st.SeriesNames()
-	if len(names) != 2 || names[0] != "alpha" {
-		t.Fatalf("SeriesNames = %v", names)
-	}
 }

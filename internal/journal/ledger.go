@@ -351,23 +351,3 @@ func (l *Ledger) Report() Report {
 	})
 	return rep
 }
-
-// Lookup returns the record currently tracked for (shard, id), searching
-// active then inflight. Mostly for tests.
-func (l *Ledger) Lookup(shard int, id int64) (Record, bool) {
-	if l == nil {
-		return Record{}, false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	k := ledgerKey{shard, id}
-	rec, ok := l.active[k]
-	if !ok {
-		if rec, ok = l.inflight[k]; !ok {
-			return Record{}, false
-		}
-	}
-	cp := *rec
-	cp.ShardsVisited = append([]int(nil), rec.ShardsVisited...)
-	return cp, true
-}

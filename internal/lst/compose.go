@@ -205,32 +205,3 @@ func (m Mixture) Var() float64 {
 	}
 	return second - mean*mean
 }
-
-// Scale is the transform of c·X for c > 0: T*(c·s).
-type Scale struct {
-	T Transform
-	C float64
-}
-
-// NewScale returns the transform of C·X.
-func NewScale(t Transform, c float64) (Scale, error) {
-	if !(c > 0) || t == nil {
-		return Scale{}, ErrParam
-	}
-	return Scale{T: t, C: c}, nil
-}
-
-// LogAt returns log T*(c·s).
-func (sc Scale) LogAt(s float64) float64 { return sc.T.LogAt(sc.C * s) }
-
-// At returns T*(c·s).
-func (sc Scale) At(s complex128) complex128 { return sc.T.At(complex(sc.C, 0) * s) }
-
-// MaxTheta returns MaxTheta(T)/c.
-func (sc Scale) MaxTheta() float64 { return sc.T.MaxTheta() / sc.C }
-
-// Mean returns c·E[X].
-func (sc Scale) Mean() float64 { return sc.C * sc.T.Mean() }
-
-// Var returns c²·Var[X].
-func (sc Scale) Var() float64 { return sc.C * sc.C * sc.T.Var() }

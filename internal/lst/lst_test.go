@@ -158,26 +158,6 @@ func TestMixtureMaxTheta(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	g, _ := NewGamma(3, 2)
-	sc, err := NewScale(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(sc.Mean(), 6, 1e-12) {
-		t.Errorf("Mean = %v, want 6", sc.Mean())
-	}
-	if !almost(sc.Var(), 12, 1e-12) {
-		t.Errorf("Var = %v, want 12", sc.Var())
-	}
-	if !almost(sc.MaxTheta(), 0.5, 1e-12) {
-		t.Errorf("MaxTheta = %v, want 0.5", sc.MaxTheta())
-	}
-	if _, err := NewScale(g, 0); err != ErrParam {
-		t.Errorf("zero scale err = %v", err)
-	}
-}
-
 // Property: every transform satisfies T*(0)=1 (log 0), is decreasing on
 // s >= 0, and bounded by 1 there.
 func TestTransformAxioms(t *testing.T) {

@@ -128,20 +128,10 @@ func (m *Model) discreteServiceMoments() error {
 	return nil
 }
 
-// Continuous returns the continuous-side model (round length already
-// shortened by the reserve), for guarantees and admission limits.
-func (m *Model) Continuous() *model.Model { return m.cont }
-
 // ContinuousNMax returns the admissible stream count under a per-round
 // lateness threshold, honouring the reserve.
 func (m *Model) ContinuousNMax(delta float64) (int, error) {
 	return m.cont.NMaxLate(delta)
-}
-
-// DiscreteServiceMoments returns the per-request service-time mean and
-// variance of the discrete class.
-func (m *Model) DiscreteServiceMoments() (mean, variance float64) {
-	return m.dMean, m.dVar
 }
 
 // DiscreteUtilization returns ρ_eff = λ·E[D] / reserve: the discrete
@@ -189,12 +179,6 @@ func (m *Model) DiscreteResponseEstimate() (float64, error) {
 	return wait + m.dMean, nil
 }
 
-// DiscretePerRoundCapacity returns the expected number of discrete
-// requests servable in one reserved period.
-func (m *Model) DiscretePerRoundCapacity() float64 {
-	return m.cfg.Reserve * m.cfg.RoundLength / m.dMean
-}
-
 // MaxDiscreteRate returns the highest stable Poisson arrival rate at the
 // configured reserve (ρ_eff < target, e.g. 0.8 for headroom).
 func (m *Model) MaxDiscreteRate(targetUtilization float64) (float64, error) {
@@ -202,29 +186,6 @@ func (m *Model) MaxDiscreteRate(targetUtilization float64) (float64, error) {
 		return 0, fmt.Errorf("%w: target utilization must be in (0,1)", ErrConfig)
 	}
 	return targetUtilization * m.cfg.Reserve / m.dMean, nil
-}
-
-// ReserveFor returns the smallest reserve fraction that keeps the discrete
-// class stable at the given rate and utilization target, holding service
-// moments fixed. Because the continuous admission shrinks with the
-// reserve, callers trade N_max against discrete responsiveness; the
-// TradeOff helper sweeps this.
-func ReserveFor(cfg Config, rate, targetUtilization float64) (float64, error) {
-	probe := cfg
-	probe.Reserve = 0
-	probe.DiscreteRate = rate
-	m, err := New(probe)
-	if err != nil {
-		return 0, err
-	}
-	if !(targetUtilization > 0 && targetUtilization < 1) {
-		return 0, fmt.Errorf("%w: target utilization must be in (0,1)", ErrConfig)
-	}
-	r := rate * m.dMean / targetUtilization
-	if r >= 1 {
-		return 0, ErrUnstable
-	}
-	return r, nil
 }
 
 // TradeOffPoint is one row of the reserve sweep.

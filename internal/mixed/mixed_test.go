@@ -98,10 +98,6 @@ func TestDiscreteUtilizationAndCapacity(t *testing.T) {
 	if math.Abs(rho-want) > 1e-12 {
 		t.Errorf("rho = %v, want %v", rho, want)
 	}
-	cap := m.DiscretePerRoundCapacity()
-	if math.Abs(cap-0.2/mean) > 1e-9 {
-		t.Errorf("per-round capacity = %v", cap)
-	}
 	rate, err := m.MaxDiscreteRate(0.8)
 	if err != nil {
 		t.Fatal(err)
@@ -143,34 +139,6 @@ func TestZeroReserveEdge(t *testing.T) {
 	}
 	if _, err := m2.DiscreteResponseEstimate(); !errors.Is(err, ErrUnstable) {
 		t.Errorf("response err = %v, want ErrUnstable", err)
-	}
-}
-
-func TestReserveFor(t *testing.T) {
-	cfg := testConfig(t)
-	r, err := ReserveFor(cfg, 5, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(r > 0 && r < 1) {
-		t.Fatalf("reserve = %v", r)
-	}
-	// Check the resulting config is stable at the target.
-	cfg.Reserve = r
-	cfg.DiscreteRate = 5
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rho := m.DiscreteUtilization(); math.Abs(rho-0.8) > 1e-9 {
-		t.Errorf("rho at computed reserve = %v, want 0.8", rho)
-	}
-	// Impossible rates are flagged.
-	if _, err := ReserveFor(cfg, 1e6, 0.8); !errors.Is(err, ErrUnstable) {
-		t.Errorf("huge rate err = %v", err)
-	}
-	if _, err := ReserveFor(cfg, 5, 0); err == nil {
-		t.Error("zero target should error")
 	}
 }
 

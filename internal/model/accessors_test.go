@@ -25,10 +25,6 @@ func TestAccessors(t *testing.T) {
 	if _, ok := ms.Sizes(); ok {
 		t.Error("moments-only model should report no size model")
 	}
-	g := m.TransferGamma()
-	if !(g.Shape > 0 && g.Rate > 0) {
-		t.Error("TransferGamma wrong")
-	}
 }
 
 func TestLateBoundAtErrors(t *testing.T) {

@@ -261,10 +261,6 @@ func (m *Model) TransferMoments() (mean, variance float64) {
 	return m.transMean, m.transVar
 }
 
-// TransferGamma returns the moment-matched Gamma transform of the transfer
-// time (eq. 3.2.10); its Shape and Rate are the paper's β and α.
-func (m *Model) TransferGamma() lst.Gamma { return m.transGam }
-
 // SeekBound returns SEEK(n), the Oyang worst-case total SCAN seek time.
 func (m *Model) SeekBound(n int) float64 { return m.cfg.Disk.SeekBound(n) }
 

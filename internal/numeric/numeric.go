@@ -1,5 +1,7 @@
 // Package numeric provides the one-dimensional numerical routines used by
-// the analytic model: root finding, function minimization, and quadrature.
+// the analytic model: function minimization and quadrature. The model only
+// ever minimizes (the Chernoff exponent, eq. 3.1.6) and integrates (the
+// transfer-time moments, eq. 3.2.7); it never solves for a root.
 //
 // The routines are deliberately simple, allocation-free, and deterministic.
 // They operate on plain func(float64) float64 values and report failures as
@@ -14,20 +16,12 @@ import (
 
 // Common errors returned by the routines in this package.
 var (
-	// ErrNoBracket is returned when the caller-supplied interval does not
-	// bracket a root (the function has the same sign at both ends).
-	ErrNoBracket = errors.New("numeric: interval does not bracket a root")
 	// ErrMaxIter is returned when an iteration limit is exhausted before
 	// the requested tolerance is reached.
 	ErrMaxIter = errors.New("numeric: maximum iterations exceeded")
 	// ErrInvalidInterval is returned when an interval is empty or contains
 	// non-finite endpoints.
 	ErrInvalidInterval = errors.New("numeric: invalid interval")
-)
-
-const (
-	defaultTol     = 1e-12
-	defaultMaxIter = 200
 )
 
 // isFinite reports whether x is neither NaN nor infinite.

@@ -747,10 +747,6 @@ func (s *Server) rememberFinished(id StreamID, fs StreamStats) {
 	}
 }
 
-// RetainedFinished returns how many retired streams currently keep
-// queryable stats (at most engine.RetainedStreams).
-func (s *Server) RetainedFinished() int { return s.finished.Len() }
-
 // Stats returns the stats of an active, paused, or finished stream.
 func (s *Server) Stats(id StreamID) (StreamStats, error) {
 	st := s.paused[id]

@@ -36,24 +36,6 @@ func GammaP(a, x float64) (float64, error) {
 	return 1 - gammaQContinued(a, x), nil
 }
 
-// GammaQ returns the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func GammaQ(a, x float64) (float64, error) {
-	if a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x) {
-		return 0, ErrDomain
-	}
-	if x == 0 {
-		return 1, nil
-	}
-	if math.IsInf(x, 1) {
-		return 0, nil
-	}
-	if x < a+1 {
-		return 1 - gammaPSeries(a, x), nil
-	}
-	return gammaQContinued(a, x), nil
-}
-
 // gammaPSeries evaluates P(a,x) by its power series, accurate for x < a+1.
 func gammaPSeries(a, x float64) float64 {
 	lg, _ := math.Lgamma(a)

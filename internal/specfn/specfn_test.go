@@ -46,21 +46,6 @@ func TestGammaPChiSquared(t *testing.T) {
 	}
 }
 
-func TestGammaPQComplement(t *testing.T) {
-	for _, a := range []float64{0.3, 1, 2.5, 4, 10, 50} {
-		for _, x := range []float64{0.01, 0.5, a, 2 * a, 5 * a} {
-			p, err1 := GammaP(a, x)
-			q, err2 := GammaQ(a, x)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("GammaP/Q(%v,%v): %v %v", a, x, err1, err2)
-			}
-			if math.Abs(p+q-1) > 1e-12 {
-				t.Errorf("P+Q(%v,%v) = %v, want 1", a, x, p+q)
-			}
-		}
-	}
-}
-
 func TestGammaPEdges(t *testing.T) {
 	if p, err := GammaP(2, 0); err != nil || p != 0 {
 		t.Errorf("GammaP(2,0) = %v,%v; want 0,nil", p, err)
@@ -68,14 +53,8 @@ func TestGammaPEdges(t *testing.T) {
 	if p, err := GammaP(2, math.Inf(1)); err != nil || p != 1 {
 		t.Errorf("GammaP(2,inf) = %v,%v; want 1,nil", p, err)
 	}
-	if q, err := GammaQ(2, 0); err != nil || q != 1 {
-		t.Errorf("GammaQ(2,0) = %v,%v; want 1,nil", q, err)
-	}
 	if _, err := GammaP(-1, 1); err != ErrDomain {
 		t.Errorf("GammaP(-1,1) err = %v, want ErrDomain", err)
-	}
-	if _, err := GammaQ(1, -1); err != ErrDomain {
-		t.Errorf("GammaQ(1,-1) err = %v, want ErrDomain", err)
 	}
 }
 

@@ -17,10 +17,6 @@ func TestFloatCounterMonotone(t *testing.T) {
 	if got := c.Value(); got != 1.75 {
 		t.Errorf("Value = %v, want 1.75", got)
 	}
-	c.Reset()
-	if got := c.Value(); got != 0 {
-		t.Errorf("Value after Reset = %v", got)
-	}
 }
 
 func TestFloatCounterConcurrent(t *testing.T) {
@@ -58,16 +54,6 @@ func TestFloatCounterRegistryAndExposition(t *testing.T) {
 	}
 	if _, ok := snap.FloatCounter("mz_phase_seconds_total", L("phase", "transfer")); ok {
 		t.Error("lookup with wrong labels should miss")
-	}
-	names := snap.Names()
-	found := false
-	for _, n := range names {
-		if n == "mz_phase_seconds_total" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Names() = %v, missing float counter", names)
 	}
 
 	var b strings.Builder

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -400,27 +399,4 @@ func (s Snapshot) Histogram(name string, labels ...Label) (HistogramPoint, bool)
 		}
 	}
 	return HistogramPoint{}, false
-}
-
-// Names returns the distinct metric names in the snapshot, sorted.
-func (s Snapshot) Names() []string {
-	seen := make(map[string]bool)
-	for _, c := range s.Counters {
-		seen[c.Name] = true
-	}
-	for _, g := range s.Gauges {
-		seen[g.Name] = true
-	}
-	for _, c := range s.FloatCounters {
-		seen[c.Name] = true
-	}
-	for _, h := range s.Histograms {
-		seen[h.Name] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

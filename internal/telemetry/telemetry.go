@@ -37,9 +37,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Reset zeroes the counter (for tests and per-run harnesses).
-func (c *Counter) Reset() { c.v.Store(0) }
-
 // FloatCounter is a monotonically increasing float64 metric, for
 // accumulated totals measured in continuous units (e.g. per-phase service
 // seconds). Unlike a Gauge it can only go up, so it is exposed with
@@ -66,9 +63,6 @@ func (c *FloatCounter) Add(v float64) {
 
 // Value returns the accumulated total.
 func (c *FloatCounter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
-
-// Reset zeroes the counter (for tests and per-run harnesses).
-func (c *FloatCounter) Reset() { c.bits.Store(0) }
 
 // Gauge is a float64 metric that can go up and down. The zero value is
 // ready to use; all methods are safe for concurrent use.
@@ -108,9 +102,6 @@ func (g *Gauge) SetMax(v float64) {
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Reset zeroes the gauge.
-func (g *Gauge) Reset() { g.bits.Store(0) }
 
 // Histogram is a fixed-bucket histogram with Prometheus "le" semantics:
 // bucket i counts observations v with bounds[i-1] < v ≤ bounds[i], and one
