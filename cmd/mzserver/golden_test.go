@@ -95,7 +95,6 @@ func goldenArrivals(rate float64, clips int, rng interface {
 // (nil = none) runs each round after the arrivals and before Step.
 func goldenServer(t *testing.T, reg *telemetry.Registry, hist *history.Store, beforeStep func(r int, srv *server.Server)) (*server.Server, *journal.Journal, *journal.Ledger) {
 	t.Helper()
-	model.ResetDecisions() // recent_decisions is process-wide
 	// Journal, ledger and SLO history are sized so this run wraps them too.
 	jnl := journal.New(journal.Config{Capacity: 1024, Registry: reg})
 	led := journal.NewLedger(journal.LedgerConfig{Retired: 256})
@@ -171,7 +170,7 @@ func TestServerEndpointGolden(t *testing.T) {
 	}
 	checkGolden(t, got, map[string]string{
 		"/sweeps":    "3e6504f91364721d",
-		"/admission": "cd8baf2e46446363",
+		"/admission": "d5c5925f33a285b7",
 		"/slo":       "ab97ac43ef3e323a",
 		"/timeline":  "f404468c84198ab0",
 		"/streams":   "215f3e9c01754ddb",

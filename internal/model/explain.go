@@ -3,9 +3,6 @@ package model
 import (
 	"errors"
 	"fmt"
-	"sync"
-
-	"mzqos/internal/ring"
 )
 
 // AdmissionExplanation is the admission-decision trace of one NMax
@@ -131,7 +128,7 @@ func (m *Model) ExplainNMax(g Guarantee) (AdmissionExplanation, error) {
 			return AdmissionExplanation{}, err
 		}
 	}
-	recordDecision(exp)
+	tel.admissionDecisions.Inc()
 	return exp, nil
 }
 
@@ -141,49 +138,4 @@ func (m *Model) nMaxCompute(g Guarantee) (int, error) {
 		return m.NMaxLate(g.Threshold)
 	}
 	return m.NMaxError(g.Rounds, g.Glitches, g.Threshold)
-}
-
-// AdmissionDecision is one recorded NMax evaluation, in process-wide
-// evaluation order.
-type AdmissionDecision struct {
-	// Seq is the process-wide evaluation sequence number (0-based).
-	Seq int64 `json:"seq"`
-	AdmissionExplanation
-}
-
-// decisionRingCap bounds the process-wide decision history. 512 covers
-// every table build plus recalibrations of a long-running server without
-// unbounded growth.
-const decisionRingCap = 512
-
-// decisions is the process-wide admission-decision ring. Like the solver
-// counters it is global rather than per-Model: the question it answers —
-// what did this process decide, and why — spans every model instance the
-// server holds (one per distinct disk, plus recalibration refits).
-var decisions = struct {
-	mu  sync.Mutex
-	buf ring.Buffer[AdmissionDecision] // Pushed is the next Seq
-}{buf: ring.New[AdmissionDecision](decisionRingCap)}
-
-// recordDecision appends one explanation to the ring.
-func recordDecision(exp AdmissionExplanation) {
-	decisions.mu.Lock()
-	seq := int64(decisions.buf.Pushed())
-	*decisions.buf.Next() = AdmissionDecision{Seq: seq, AdmissionExplanation: exp}
-	decisions.mu.Unlock()
-	tel.admissionDecisions.Inc()
-}
-
-// RecentDecisions returns the retained admission decisions, oldest first.
-func RecentDecisions() []AdmissionDecision {
-	decisions.mu.Lock()
-	defer decisions.mu.Unlock()
-	return decisions.buf.AppendTo(nil)
-}
-
-// ResetDecisions clears the decision ring (tests and per-run harnesses).
-func ResetDecisions() {
-	decisions.mu.Lock()
-	decisions.buf = ring.New[AdmissionDecision](decisionRingCap)
-	decisions.mu.Unlock()
 }

@@ -125,37 +125,3 @@ func TestExplainNMaxOverload(t *testing.T) {
 		t.Errorf("String() = %q", exp.String())
 	}
 }
-
-func TestDecisionRingRecordsEvaluations(t *testing.T) {
-	ResetDecisions()
-	m := paperModel(t)
-	specs := []Guarantee{
-		{Threshold: 0.01},
-		{Threshold: 0.05},
-		{Rounds: 1200, Glitches: 12, Threshold: 0.01},
-	}
-	for _, g := range specs {
-		if _, err := m.NMaxFor(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recent := RecentDecisions()
-	if len(recent) != len(specs) {
-		t.Fatalf("recorded %d decisions, want %d", len(recent), len(specs))
-	}
-	for i, d := range recent {
-		if d.Seq != int64(i) {
-			t.Errorf("decision %d has seq %d", i, d.Seq)
-		}
-		if d.Guarantee != specs[i] {
-			t.Errorf("decision %d guarantee = %+v, want %+v", i, d.Guarantee, specs[i])
-		}
-		if d.BindingK == 0 || d.Bound == "" || !(d.Theta > 0) {
-			t.Errorf("decision %d lacks a binding tuple: %+v", i, d.AdmissionExplanation)
-		}
-	}
-	ResetDecisions()
-	if got := RecentDecisions(); len(got) != 0 {
-		t.Errorf("ring not cleared: %d entries", len(got))
-	}
-}

@@ -2,12 +2,16 @@ package model
 
 import "mzqos/internal/telemetry"
 
-// Package-wide solver telemetry. The counters are process-global (summed
-// over every Model instance) because what they answer — how often the
-// admission path hits the memoized bound chain, how many Chernoff solves
-// ran warm-started versus cold, how many probes the bisection searches
-// spent — is a property of the running process. Counting is a single
-// atomic add per event, negligible next to the solves themselves.
+// Package-wide solver telemetry, the one piece of mutable state this
+// repository keeps per process rather than per server. The counters are
+// summed over every Model instance because what they answer — how often
+// the admission path hits the memoized bound chain, how many Chernoff
+// solves ran warm-started versus cold, how many probes the bisection
+// searches spent — is a property of the running process, and both readers
+// mean exactly that: benchmark/ brackets its traced run with Telemetry()
+// and every registry (mzserver's, the benchmark's) adopts the same
+// counters with RegisterTelemetry. Counting is a single atomic add per
+// event, negligible next to the solves themselves.
 var tel struct {
 	chainHits       telemetry.Counter // bound reads served by the published chain
 	chainExtensions telemetry.Counter // reads that had to extend the chain

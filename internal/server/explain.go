@@ -113,9 +113,6 @@ type AdmissionStatus struct {
 	Classes []int `json:"classes"`
 	// Rejections is the retained rejection history, oldest first.
 	Rejections []RejectionEvent `json:"rejections"`
-	// Decisions is the process-wide ring of recent N_max evaluations
-	// (shared across models — see model.RecentDecisions).
-	Decisions []model.AdmissionDecision `json:"recent_decisions"`
 	// SLOHints lists the active recalibration hints: one per SLO target
 	// currently Firing, naming the violated bound, the measured-vs-
 	// analytic numbers, and the binding admission constraint. Empty when
@@ -141,7 +138,6 @@ func (s *Server) AdmissionStatus() AdmissionStatus {
 		Explanations: append([]model.AdmissionExplanation(nil), lim.explains...),
 		Classes:      s.occupancy(make([]int, 0, len(s.classes))),
 		Rejections:   s.Rejections(),
-		Decisions:    model.RecentDecisions(),
 		SLOHints:     s.SLOHints(),
 	}
 }

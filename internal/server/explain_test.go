@@ -16,7 +16,6 @@ import (
 // AND that the per-disk explanation carries the binding (k, bound, θ,
 // slack) tuple deriving the limit the rejection ran into.
 func TestEveryRejectionIsExplained(t *testing.T) {
-	model.ResetDecisions()
 	s := paperServer(t, 2)
 	cap := s.Capacity()
 	for i := 0; i < cap+3; i++ {
@@ -96,10 +95,6 @@ func TestEveryRejectionIsExplained(t *testing.T) {
 		if occ != st.NMax {
 			t.Errorf("live class %d occupancy %d, want %d (full server)", c, occ, st.NMax)
 		}
-	}
-	// The process-wide decision ring saw the N_max evaluations too.
-	if len(st.Decisions) == 0 {
-		t.Error("no admission decisions recorded")
 	}
 }
 

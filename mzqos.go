@@ -273,8 +273,6 @@ type (
 	// constraint: the first inadmissible k, which bound binds, the
 	// solved Chernoff θ, and the slack to the guarantee threshold.
 	AdmissionExplanation = model.AdmissionExplanation
-	// AdmissionDecision is one logged Admit/NMax evaluation.
-	AdmissionDecision = model.AdmissionDecision
 	// RejectionEvent is one admission rejection with its cause.
 	RejectionEvent = server.RejectionEvent
 )
@@ -294,10 +292,6 @@ func NewFlightRecorder(cfg RoundTraceConfig) *FlightRecorder { return trace.NewR
 func ChromeTrace(spans []RoundSpan, roundLength float64) ChromeTraceFile {
 	return trace.ChromeTrace(spans, roundLength)
 }
-
-// RecentAdmissionDecisions returns the process-wide ring of logged
-// admission evaluations, oldest first.
-func RecentAdmissionDecisions() []AdmissionDecision { return model.RecentDecisions() }
 
 // NewRoundTimeHistogram builds a histogram whose buckets are log-spaced
 // around the round length t, with t itself an exact boundary so the
