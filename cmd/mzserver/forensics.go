@@ -180,7 +180,7 @@ func bundleHandler(reg *telemetry.Registry, hist *history.Store, s surfaces) htt
 				Events:  s.jnl.Events(journal.MatchAll()),
 			},
 			Streams: s.ledger.Report(),
-			Metrics: reg.ExpvarFunc()(),
+			Metrics: reg.Snapshot(),
 		}
 		s.bundle(&b)
 		if rep, err := s.report(); err == nil {

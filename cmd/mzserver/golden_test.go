@@ -29,8 +29,8 @@ import (
 // after a seeded faulted run. They pin every retention buffer behind an
 // endpoint — what it keeps, in which order, after it has wrapped — so a
 // change to how those buffers are stored cannot move a byte of what an
-// operator reads. /metrics, /debug/vars and the bundle's metrics block
-// carry runtime series (GC, goroutines) and are left out.
+// operator reads. /metrics and the bundle's metrics block carry runtime
+// series (GC, goroutines) and are left out.
 
 // bodyDigest returns the FNV-1a digest of a GET's response body.
 func bodyDigest(t *testing.T, mux *http.ServeMux, path string) string {

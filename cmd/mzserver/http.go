@@ -3,14 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mzqos/internal/cluster"
@@ -23,27 +20,6 @@ import (
 	"mzqos/internal/telemetry"
 	"mzqos/internal/trace"
 )
-
-// publishOnce guards the process-global expvar namespace: expvar panics on
-// duplicate names, and tests build more than one mux per process. The
-// published var reads publishedReg through an atomic pointer so the
-// "mzqos" key always snapshots the registry of the most recently built
-// mux (in production there is exactly one), not whichever mux happened
-// to be constructed first.
-var (
-	publishOnce  sync.Once
-	publishedReg atomic.Pointer[telemetry.Registry]
-)
-
-// publishExpvar points the process-global "mzqos" expvar at reg.
-func publishExpvar(reg *telemetry.Registry) {
-	publishedReg.Store(reg)
-	publishOnce.Do(func() {
-		expvar.Publish("mzqos", expvar.Func(func() any {
-			return publishedReg.Load().ExpvarFunc()()
-		}))
-	})
-}
 
 // surfaces is what differs between the single-server and the cluster
 // mux; buildMux registers everything else once, for both.
@@ -70,8 +46,6 @@ type surfaces struct {
 //
 //	/metrics     Prometheus text exposition (server, cluster and model
 //	             series; cluster shards are told apart by the shard label)
-//	/debug/vars  expvar JSON (the same snapshot under the "mzqos" key,
-//	             plus the stdlib memstats/cmdline vars)
 //	/report      the live bound-tightness report as JSON (per shard in
 //	             cluster mode)
 //	/admission   why streams were admitted or turned away (see the two
@@ -102,11 +76,9 @@ type surfaces struct {
 func buildMux(reg *telemetry.Registry, hist *history.Store, withPprof bool, s surfaces) *http.ServeMux {
 	model.RegisterTelemetry(reg)
 	telemetry.RegisterRuntimeMetrics(reg)
-	publishExpvar(reg)
 
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.MetricsHandler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/report", func(w http.ResponseWriter, _ *http.Request) {
 		rep, err := s.report()
 		if err != nil {

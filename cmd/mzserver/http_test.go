@@ -82,41 +82,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestExpvarEndpoint(t *testing.T) {
-	mux := newTelemetryMux(testServer(t), nil, false)
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/debug/vars status %d", rec.Code)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	raw, ok := vars["mzqos"]
-	if !ok {
-		t.Fatalf("/debug/vars lacks the mzqos key (have %d keys)", len(vars))
-	}
-	var snap struct {
-		Counters []struct {
-			Name  string `json:"name"`
-			Value int64  `json:"value"`
-		} `json:"counters"`
-	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("mzqos var is not a snapshot: %v", err)
-	}
-	found := false
-	for _, c := range snap.Counters {
-		if c.Name == "mzqos_server_rounds_total" && c.Value == 20 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("mzqos snapshot lacks mzqos_server_rounds_total = 20")
-	}
-}
-
 func TestReportAndSweepsEndpoints(t *testing.T) {
 	mux := newTelemetryMux(testServer(t), nil, false)
 

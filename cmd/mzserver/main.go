@@ -27,9 +27,9 @@
 // which is how a scripted full shard failure is staged.
 //
 // With -listen the process serves live telemetry while the rounds run:
-// Prometheus text on /metrics, expvar JSON on /debug/vars, the
-// bound-vs-measured tightness report on /report, recent per-sweep phase
-// breakdowns on /sweeps, the fault plan and current effects on /faults,
+// Prometheus text on /metrics, the bound-vs-measured tightness report on
+// /report, recent per-sweep phase breakdowns on /sweeps, the fault plan
+// and current effects on /faults,
 // the guarantee audit (windowed tail estimates, burn rates, alert state)
 // on /slo, and (with -pprof) the runtime profiler under /debug/pprof.
 // -slo-fast/-slo-slow/-slo-burn tune the audit's windows and alert
@@ -218,7 +218,7 @@ func main() {
 	if *listen != "" {
 		endpoint = startTelemetry(*listen, newTelemetryMux(srv, hist, *withPprof))
 		defer shutdownTelemetry(endpoint)
-		fmt.Printf("telemetry: http://%s/metrics (prometheus), /debug/vars (expvar), /report (bound tightness), /slo (guarantee audit), /query + /dashboard (history)\n", *listen)
+		fmt.Printf("telemetry: http://%s/metrics (prometheus), /report (bound tightness), /slo (guarantee audit), /query + /dashboard (history)\n", *listen)
 	}
 
 	// Build the catalog with the *actual* workload.

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -141,15 +140,4 @@ func (r *Registry) MetricsHandler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
-}
-
-// ExpvarFunc returns an expvar.Func rendering the registry snapshot, for
-// publication under a single JSON key on /debug/vars:
-//
-//	expvar.Publish("mzqos", reg.ExpvarFunc())
-//
-// Publication itself is left to the caller because expvar names are
-// process-global and re-publishing a name panics.
-func (r *Registry) ExpvarFunc() expvar.Func {
-	return func() any { return r.Snapshot() }
 }

@@ -2,7 +2,7 @@
 // repository: counters, gauges, and fixed-bucket histograms that are safe
 // for any number of concurrent writers, allocation-free on the hot path,
 // and exposable both as a typed Snapshot (for tests and the mzqos facade)
-// and as Prometheus text / expvar JSON (for the mzserver endpoint).
+// and as Prometheus text (for the mzserver endpoint).
 //
 // The histogram buckets are log-spaced and anchored at the scheduling
 // round length t (see RoundTimeBuckets), so the paper's tail event

@@ -42,7 +42,6 @@ expect /metrics '^mzqos_server_rounds_total ' "server round counter"
 expect /metrics '^mzqos_server_round_time_seconds_bucket{disk="0",le="1"}' "round-time histogram with t boundary"
 expect /metrics '^mzqos_server_phase_seconds_total{disk="0",phase="seek"}' "phase breakdown"
 expect /metrics '^mzqos_model_chain_hits_total ' "model solver counters"
-expect /debug/vars '"mzqos"' "expvar snapshot key"
 expect /report '"bound_p_late"' "bound-tightness report"
 expect /sweeps '"rotation_s"' "sweep phase events"
 expect /admission '"explanations"' "admission explanation list"
