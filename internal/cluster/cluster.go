@@ -44,8 +44,6 @@ var (
 	ErrConfig = errors.New("cluster: invalid configuration")
 	// ErrRejected is returned when every candidate shard is at capacity.
 	ErrRejected = fmt.Errorf("cluster: %w", engine.ErrRejected)
-	// ErrUnknownObject is returned for opens of objects never placed.
-	ErrUnknownObject = fmt.Errorf("cluster: %w", engine.ErrUnknownObject)
 )
 
 // Routing policy names accepted by Config.Route.
@@ -592,7 +590,10 @@ func (c *Coordinator) Release(t *Ticket) {
 // reservation followed by an engine Open on the reserved shard. When the
 // engine itself rejects (its class slots can fill unevenly before the
 // view refreshes), the ticket moves to the next candidate shard before
-// the open fails cluster-wide.
+// the open fails cluster-wide. Any other engine error ends the open with
+// its ticket released; an object no shard holds is such an error, reported
+// by the engine that was asked, so it matches engine.ErrUnknownObject (the
+// coordinator has no sentinel of its own for it).
 func (c *Coordinator) Open(object string) (Handle, int, error) {
 	for attempt := 0; attempt < len(c.shards); attempt++ {
 		t, err := c.Admit(object)
@@ -620,7 +621,8 @@ func (c *Coordinator) Open(object string) (Handle, int, error) {
 // object on the reserved shard. The ticket is spent either way — on
 // error its slot is released, on success the slot now belongs to the
 // stream (returned by Close or the retiring Step) — so a subsequent
-// Release of the same ticket is a no-op.
+// Release of the same ticket is a no-op. The engine's error comes back
+// wrapped with the shard: match engine.ErrRejected, engine.ErrUnknownObject.
 func (c *Coordinator) OpenReserved(t *Ticket, object string) (Handle, int, error) {
 	if t == nil || t.Shard < 0 || t.Shard >= len(c.shards) {
 		return Handle{Shard: -1}, 0, ErrConfig

@@ -428,4 +428,7 @@ func TestOpenUnknownObjectFailsCleanly(t *testing.T) {
 	if got := c.Tickets(); got != 0 {
 		t.Fatalf("failed open leaked %d tickets", got)
 	}
+	if got := c.Admissions(); len(got) != 0 {
+		t.Fatalf("failed open recorded admissions: %+v", got)
+	}
 }

@@ -43,9 +43,8 @@ func (g Guarantee) validate() error {
 }
 
 // NMaxFor returns the maximum admissible number of concurrent streams per
-// disk under the given guarantee. Every evaluation leaves an
-// admission-decision trace in the process-wide ring (RecentDecisions)
-// recording the binding constraint — see ExplainNMax for the full tuple.
+// disk under the given guarantee. It is ExplainNMax without the trace,
+// and with an unattainable guarantee reported as ErrOverload.
 func (m *Model) NMaxFor(g Guarantee) (int, error) {
 	exp, err := m.ExplainNMax(g)
 	if err != nil {

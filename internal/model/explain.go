@@ -89,9 +89,8 @@ func (m *Model) lateTheta(k int) (float64, error) {
 
 // ExplainNMax evaluates the admission limit for g and returns the full
 // decision trace: N_max plus the binding constraint tuple (k, bound, θ,
-// slack). The extra work over NMaxFor is two memoized bound reads, so
-// explaining is safe on the admission path. Every call is also recorded
-// in the process-wide decision ring (RecentDecisions). Unlike NMaxFor, an
+// slack). The extra work over the bare search is two memoized bound reads, so
+// explaining is safe on the admission path. Unlike NMaxFor, an
 // unattainable guarantee is not an error here: it returns Overload=true
 // with NMax 0, since "why zero" is exactly what an explanation is for.
 func (m *Model) ExplainNMax(g Guarantee) (AdmissionExplanation, error) {

@@ -20,7 +20,7 @@ var tel struct {
 	searchProbes    telemetry.Counter // exceeds() evaluations in N_max searches
 	linearFallbacks telemetry.Counter // searches re-run by the linear-scan fallback
 
-	admissionDecisions telemetry.Counter // NMax evaluations traced into the decision ring
+	admissionDecisions telemetry.Counter // N_max evaluations explained (ExplainNMax calls)
 }
 
 // TelemetrySnapshot reports the process-wide solver counters.
@@ -37,8 +37,8 @@ type TelemetrySnapshot struct {
 	// LinearFallbacks counts searches that re-ran as a linear scan after
 	// a non-monotone bound step was recorded.
 	LinearFallbacks int64
-	// AdmissionDecisions counts NMax evaluations traced into the
-	// process-wide decision ring (RecentDecisions).
+	// AdmissionDecisions counts the N_max evaluations explained: every
+	// ExplainNMax call, NMaxFor's included.
 	AdmissionDecisions int64
 }
 
@@ -84,5 +84,5 @@ func RegisterTelemetry(reg *telemetry.Registry) {
 	reg.AdoptCounter("mzqos_model_search_linear_fallbacks_total",
 		"N_max searches re-run by the linear-scan fallback.", &tel.linearFallbacks)
 	reg.AdoptCounter("mzqos_model_admission_decisions_total",
-		"NMax evaluations traced into the admission-decision ring.", &tel.admissionDecisions)
+		"N_max evaluations explained.", &tel.admissionDecisions)
 }
