@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race journal-owners bench bench-system bench-pairs smoke faults loc loc-diff check clean
+.PHONY: all build vet test test-race journal-owners dead-exports bench bench-system bench-pairs smoke faults loc loc-diff check clean
 
 all: build
 
@@ -28,6 +28,14 @@ test-race:
 journal-owners:
 	@if $(GO) list -deps ./internal/slo ./internal/trace ./internal/fault | grep -x mzqos/internal/journal; then \
 		echo "internal/slo, internal/trace and internal/fault must not depend on internal/journal" >&2; exit 1; fi
+
+# Nothing under internal/ without a caller or a named reason: every exported
+# function and method there is mentioned by some non-test file of the module
+# or listed, with why it stays, in scripts/deadexports/allow.txt. The match
+# is by name, so it can miss a dead export behind a shared name and never
+# accuses a live one; an allowlist line that names nothing dead also fails.
+dead-exports:
+	$(GO) run ./scripts/deadexports
 
 # Every go-test benchmark in the repo, for a look at one host; add
 # -cpuprofile per package to see where an op spends its time. The
@@ -77,7 +85,7 @@ loc:
 loc-diff:
 	sh scripts/loc-diff.sh $(BASE)
 
-check: build vet journal-owners test test-race
+check: build vet journal-owners dead-exports test test-race
 
 clean:
 	$(GO) clean ./...
