@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -391,7 +390,7 @@ func historyDigest(t *testing.T, st *history.Store) string {
 		name, _, _ := strings.Cut(id, "{")
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range slices.Compact(names) {
 		if processWide(name) {
 			continue

@@ -69,7 +69,6 @@ func run(root string, w io.Writer) (int, error) {
 	}
 	fset := token.NewFileSet()
 	var exports []export
-	decl := map[*ast.Ident]bool{}
 	mentioned := map[string]bool{}
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -90,6 +89,7 @@ func run(root string, w io.Writer) (int, error) {
 			return err
 		}
 		internal := strings.HasPrefix(filepath.ToSlash(rel), "internal/")
+		decl := map[*ast.Ident]bool{} // the names being declared are not mentions
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok {
