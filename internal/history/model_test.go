@@ -42,7 +42,7 @@ func (m *refSeries) sample(r, block int64, rounds, blocks int) {
 		p.counts = m.h.SnapshotValues().Counts
 	}
 	fold := func(b *refBlock) {
-		b.min, b.max, b.last = math.Min(b.min, p.v), math.Max(b.max, p.v), p.v
+		b.min, b.max, b.last = lower(b.min, p.v), upper(b.max, p.v), p.v
 	}
 	if n := len(m.fine); n > 0 && m.fine[n-1].round == r {
 		m.fine[n-1] = p
@@ -60,6 +60,24 @@ func (m *refSeries) sample(r, block int64, rounds, blocks int) {
 	if m.coarse = append(m.coarse, refBlock{start, p.v, p.v, p.v}); len(m.coarse) > blocks {
 		m.coarse = m.coarse[1:]
 	}
+}
+
+// lower and upper widen an envelope by one value: the value replaces the
+// bound it is strictly beyond, so one that compares with nothing (NaN)
+// replaces nothing, a bound that is NaN stays, and -0 does not displace 0.
+// math.Min and math.Max answer all three differently.
+func lower(bound, v float64) float64 {
+	if v < bound {
+		return v
+	}
+	return bound
+}
+
+func upper(bound, v float64) float64 {
+	if v > bound {
+		return v
+	}
+	return bound
 }
 
 // refWindow is one step window: its last sample, its envelope, and whether
@@ -98,7 +116,7 @@ func (m *refSeries) windows(since, step, block int64, withCoarse bool) []refWind
 		if n := len(out); n > 0 && out[n-1].round/step == w.round/step {
 			o := &out[n-1]
 			o.round, o.last, o.counts = w.round, w.last, w.counts
-			o.min, o.max = math.Min(o.min, w.min), math.Max(o.max, w.max)
+			o.min, o.max = lower(o.min, w.min), upper(o.max, w.max)
 			o.coarse = o.coarse && w.coarse
 			continue
 		}
@@ -187,15 +205,32 @@ func (m *refSeries) tail(threshold float64, since, step int64) []Point {
 
 // modelRun drives a Store and the reference side by side.
 type modelRun struct {
-	t      *testing.T
-	rng    *rand.Rand
-	cfg    Config
-	reg    *telemetry.Registry
-	st     *Store
-	series []*refSeries
-	bump   []func() // one random mutation of a registered metric each
-	last   int64    // newest sampled round, -1 before any
-	round  int64    // the schedule's cursor
+	t       *testing.T
+	rng     *rand.Rand
+	cfg     Config
+	reg     *telemetry.Registry
+	st      *Store
+	series  []*refSeries
+	bump    []func() // one random mutation of a registered metric each
+	resting []*sleeper
+	last    int64 // newest sampled round, -1 before any
+	prev    int64 // round of the most recent sample, -1 before any
+	slots   int   // samples that took a new fine slot rather than re-sampling the newest
+	round   int64 // the schedule's cursor
+}
+
+// sleeper is a gauge that holds the value it was registered with until its
+// first move is due, if it ever is.
+type sleeper struct {
+	g *telemetry.Gauge
+	// due reports whether the first move happens before the sample about
+	// to be taken (current: a SampleCurrent). nil for a gauge that never
+	// moves.
+	due func(current bool) bool
+	// first is the value of the first move; a gauge that keeps moving
+	// joins the random bumps after it, one that does not stays there.
+	first       float64
+	keepsMoving bool
 }
 
 // The kinds of series the model registers. histRoundTime is the shape the
@@ -269,6 +304,70 @@ func (m *modelRun) register(kind int) {
 	m.series = append(m.series, rs)
 }
 
+// rest registers a gauge that sits at init — through both ring wraps if its
+// first move comes that late, or for the whole run.
+func (m *modelRun) rest(init float64, sl sleeper) {
+	id := fmt.Sprintf("s%d", len(m.series))
+	sl.g = m.reg.Gauge(id, "")
+	if math.Float64bits(init) != 0 {
+		sl.g.Set(init)
+	}
+	m.series = append(m.series, &refSeries{id: id, name: id, read: sl.g.Value})
+	if sl.due != nil {
+		m.resting = append(m.resting, &sl)
+	}
+}
+
+// The first moves the model draws. Each is counted from now, so a series
+// registered late rests as long as one registered before New.
+
+// afterSlots is due once the fine ring has taken at least lo and fewer than
+// lo+spread more slots.
+func (m *modelRun) afterSlots(lo, spread int) func(bool) bool {
+	at := m.slots + lo + m.rng.IntN(spread)
+	return func(bool) bool { return m.slots >= at }
+}
+
+// pastFineWrap is due after every fine slot retained now has been
+// overwritten.
+func (m *modelRun) pastFineWrap() func(bool) bool {
+	return m.afterSlots(m.cfg.Rounds+1, m.cfg.Rounds)
+}
+
+// pastCoarseWrap is due past the fine wrap and after the schedule has moved
+// on by more rounds than the coarse ring covers.
+func (m *modelRun) pastCoarseWrap() func(bool) bool {
+	span := int64(m.cfg.CoarseBlock * m.cfg.CoarseBlocks)
+	at, fine := m.round+span+1+m.rng.Int64N(span), m.pastFineWrap()
+	return func(current bool) bool { return m.round >= at && fine(current) }
+}
+
+// onResample is due between a round's Sample and a SampleCurrent that
+// re-samples it in place.
+func (m *modelRun) onResample(lo, spread int) func(bool) bool {
+	after := m.afterSlots(lo, spread)
+	return func(current bool) bool { return current && m.prev >= 0 && m.prev == m.last && after(current) }
+}
+
+// stir makes the first move of every resting gauge that is due and reports
+// whether there was one.
+func (m *modelRun) stir(current bool) (moved bool) {
+	still := m.resting[:0]
+	for _, sl := range m.resting {
+		if !sl.due(current) {
+			still = append(still, sl)
+			continue
+		}
+		moved = true
+		sl.g.Set(sl.first)
+		if g := sl.g; sl.keepsMoving {
+			m.bump = append(m.bump, func() { g.Set(float64(m.rng.IntN(200) - 100)) })
+		}
+	}
+	m.resting = still
+	return moved
+}
+
 func (m *modelRun) histogram(id string, bounds []float64) *telemetry.Histogram {
 	h, err := m.reg.Histogram(id, "", bounds)
 	if err != nil {
@@ -288,7 +387,24 @@ func (m *modelRun) sample(current bool) {
 	for _, rs := range m.series {
 		rs.sample(r, int64(m.cfg.CoarseBlock), m.cfg.Rounds, m.cfg.CoarseBlocks)
 	}
-	m.last = max(m.last, r)
+	if r != m.prev {
+		m.slots++
+	}
+	m.prev, m.last = r, max(m.last, r)
+}
+
+// samePoints compares two trajectories value bits for value bits: a series
+// resting at NaN equals itself, and -0 is not 0.
+func samePoints(a, b []Point) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		if a[i].Round != b[i].Round || math.Float64bits(a[i].Value) != math.Float64bits(b[i].Value) {
+			return false
+		}
+	}
+	return true
 }
 
 // check compares everything a reader can get out of the store with the
@@ -308,7 +424,7 @@ func (m *modelRun) check(when string) {
 						m.t.Fatalf("%s: Query(%s %s step %d since %d): %v", when, rs.id, agg, step, since, err)
 					}
 					want, wantCoarse := rs.query(since, int64(step), agg, block)
-					if got := res.Series[0]; !reflect.DeepEqual(got.Points, want) || got.CoarsePoints != wantCoarse || res.LastRound != m.last {
+					if got := res.Series[0]; !samePoints(got.Points, want) || got.CoarsePoints != wantCoarse || res.LastRound != m.last {
 						m.t.Fatalf("%s: Query(%s %s step %d since %d)\n got %v (%d coarse, last round %d)\nwant %v (%d coarse, last round %d)",
 							when, rs.id, agg, step, since, got.Points, got.CoarsePoints, res.LastRound, want, wantCoarse, m.last)
 					}
@@ -336,7 +452,7 @@ func (m *modelRun) check(when string) {
 		}
 		for i, rs := range m.series {
 			want, wantCoarse := rs.query(0, step, AggLast, block)
-			if got := d.Series[i]; got.ID != rs.id || !reflect.DeepEqual(got.Points, want) || got.CoarsePoints != wantCoarse {
+			if got := d.Series[i]; got.ID != rs.id || !samePoints(got.Points, want) || got.CoarsePoints != wantCoarse {
 				m.t.Fatalf("%s: Dump(%d) series %d\n got %s %v (%d coarse)\nwant %s %v (%d coarse)",
 					when, maxPoints, i, got.ID, got.Points, got.CoarsePoints, rs.id, want, wantCoarse)
 			}
@@ -344,38 +460,63 @@ func (m *modelRun) check(when string) {
 	}
 }
 
-// newModelRun registers one series of each kind, builds the store over them
-// (the cohort New attaches) and registers three more that join on the first
-// Sample.
+// idle registers one series of the given kind that nothing moves after
+// registration: its scalar column rests for the whole run.
+func (m *modelRun) idle(kind int) {
+	m.register(kind)
+	m.bump = m.bump[:len(m.bump)-1]
+}
+
+// newModelRun registers one series of each kind and the gauges that rest —
+// for good at 0, NaN, +Inf and -0, or until a first move past the fine
+// wrap, past the coarse wrap, or between a round's Sample and its re-sample
+// — builds the store over them (the cohort New attaches) and registers five
+// more that join on the first Sample.
 func newModelRun(t *testing.T, cfg Config, seed uint64) *modelRun {
-	m := &modelRun{t: t, rng: rand.New(rand.NewPCG(seed, uint64(cfg.Rounds))), cfg: cfg, reg: telemetry.NewRegistry(), last: -1}
+	m := &modelRun{t: t, rng: rand.New(rand.NewPCG(seed, uint64(cfg.Rounds))), cfg: cfg, reg: telemetry.NewRegistry(), last: -1, prev: -1}
 	for kind := 0; kind < numKinds; kind++ {
 		m.register(kind)
 	}
+	negZero := math.Copysign(0, -1)
+	for _, v := range []float64{0, math.NaN(), math.Inf(1), negZero} {
+		m.rest(v, sleeper{})
+	}
+	m.idle(kindCounter)
+	m.rest(math.NaN(), sleeper{due: m.pastFineWrap(), first: 3, keepsMoving: true})
+	m.rest(math.Inf(1), sleeper{due: m.pastCoarseWrap(), first: -5, keepsMoving: true})
+	m.rest(7, sleeper{due: m.onResample(1, 2), first: 1e6, keepsMoving: true})
+	m.rest(7, sleeper{due: m.onResample(cfg.Rounds+1, cfg.Rounds), first: -1e6, keepsMoving: true})
+	// A first move that == does not see, and nothing after it to hide a
+	// store that missed it.
+	m.rest(negZero, sleeper{due: m.afterSlots(1, cfg.Rounds+2), first: 0})
+	m.rest(0, sleeper{due: m.afterSlots(1, cfg.Rounds+2), first: negZero})
 	m.cfg.Registry = m.reg
 	m.st = New(m.cfg)
 	for i := 0; i < 3; i++ {
 		m.register(m.rng.IntN(numKinds))
 	}
+	m.idle(histRoundTime) // holds counts when it attaches, observes nothing after
+	m.rest(11, sleeper{due: m.pastFineWrap(), first: 12, keepsMoving: true})
 	return m
 }
 
 // run drives batches of random operations — metrics moving, then Sample
 // with repeats, gaps and the odd step backwards, or a SampleCurrent of the
 // newest round (so observations land between a round's Sample and its
-// re-sample) — checks every read against the reference after each batch,
-// and registers a late series now and then.
+// re-sample) — checks every read against the reference after each batch and
+// after every sample a resting gauge first moved before, and registers late
+// series now and then: one that moves, one that rests, one that rests past
+// the fine wrap.
 func (m *modelRun) run(batches int) {
 	for batch := 0; batch < batches; batch++ {
 		for op := m.rng.IntN(2 * m.cfg.Rounds); op >= 0; op-- {
 			for k := m.rng.IntN(4); k > 0; k-- {
 				m.bump[m.rng.IntN(len(m.bump))]()
 			}
-			switch p := m.rng.IntN(100); {
-			case p < 10:
-				m.sample(true)
-				continue
-			case p < 20: // the same round again
+			p := m.rng.IntN(100)
+			current := p < 10
+			switch {
+			case p < 20: // the newest round again, or the same round again
 			case p < 25:
 				m.round += int64(2 + m.rng.IntN(20))
 			case p < 27 && m.round > 3:
@@ -383,11 +524,17 @@ func (m *modelRun) run(batches int) {
 			default:
 				m.round++
 			}
-			m.sample(false)
+			woke := m.stir(current)
+			m.sample(current)
+			if woke {
+				m.check(fmt.Sprintf("rounds %d batch %d, after a first move", m.cfg.Rounds, batch))
+			}
 		}
 		m.check(fmt.Sprintf("rounds %d batch %d", m.cfg.Rounds, batch))
-		if batch%16 == 5 && len(m.series) < 14 {
+		if batch%16 == 5 {
 			m.register(m.rng.IntN(numKinds))
+			m.rest(13, sleeper{})
+			m.rest(17, sleeper{due: m.pastFineWrap(), first: 19, keepsMoving: true})
 		}
 	}
 }
@@ -395,20 +542,28 @@ func (m *modelRun) run(batches int) {
 // TestStoreMatchesPerSeriesModel runs random schedules — Sample with
 // repeats, gaps and the odd step backwards, SampleCurrent, registrations
 // that open new cohorts, metrics moving in between, histograms moving one
-// observation, one bulk fold or every bucket at a time — at retentions
-// that are not tile multiples (and at a retention of one sample) under
-// coarse rings small enough to wrap, and checks every read against the
-// reference after every batch.
+// observation, one bulk fold or every bucket at a time, gauges that never
+// move or first move many samples in — at retentions that are not tile
+// multiples (and at a retention of one sample) under coarse rings small
+// enough to wrap, and at one whose coarse ring outlasts the fine ring by
+// many batches, so a block written around a first move is read back from
+// the coarse tier; and checks every read against the reference after every
+// batch.
 func TestStoreMatchesPerSeriesModel(t *testing.T) {
 	for _, cfg := range []Config{
 		{Rounds: 1, CoarseBlock: 2, CoarseBlocks: 3},
 		{Rounds: 5, CoarseBlock: 2, CoarseBlocks: 4},
+		{Rounds: 7, CoarseBlock: 3, CoarseBlocks: 64},
 		{Rounds: 13, CoarseBlock: 4, CoarseBlocks: 6},
 		{Rounds: 100, CoarseBlock: 8, CoarseBlocks: 16},
 	} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("rounds %d seed %d", cfg.Rounds, seed), func(t *testing.T) {
-				newModelRun(t, cfg, seed).run(48)
+				m := newModelRun(t, cfg, seed)
+				m.run(48)
+				if n := len(m.resting); n > 0 {
+					t.Fatalf("%d first moves were never due: the schedule is too short for the cases it draws", n)
+				}
 			})
 		}
 	}
