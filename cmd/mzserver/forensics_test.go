@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"mzqos/internal/disk"
 	"mzqos/internal/engine"
 	"mzqos/internal/fault"
+	"mzqos/internal/history"
 	"mzqos/internal/journal"
 	"mzqos/internal/model"
 	"mzqos/internal/server"
@@ -304,6 +306,45 @@ func journaledTestCluster(t *testing.T) (*cluster.Coordinator, *telemetry.Regist
 // fault_clear, restore, SLO resolution — purely from /timeline, in strict
 // sequence order, with valid migration endpoints and the binding bound
 // quoted on every firing.
+// TestBundleNonFiniteFailsClosed is TestQueryNonFiniteFailsClosed's twin
+// for the mux's own writeJSON: one gauge at +Inf (which /metrics prints)
+// must not turn the incident bundle into 200 with an empty body.
+func TestBundleNonFiniteFailsClosed(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	hist := history.New(history.Config{Registry: reg, Rounds: 64})
+	srv, err := server.New(server.Config{
+		Disk:        disk.QuantumViking21(),
+		NumDisks:    2,
+		RoundLength: 1,
+		Sizes:       workload.PaperSizes(),
+		Guarantee:   model.Guarantee{Threshold: 0.01},
+		Seed:        42,
+		Registry:    reg,
+		History:     hist,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := newTelemetryMux(srv, hist, false)
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec
+	}
+	srv.Step()
+	if rec := get("/debug/bundle"); rec.Code != 200 || !json.Valid(rec.Body.Bytes()) {
+		t.Fatalf("/debug/bundle of a finite registry: status %d, valid JSON %v", rec.Code, json.Valid(rec.Body.Bytes()))
+	}
+	reg.Gauge("mzqos_test_unbounded", "").Set(math.Inf(1))
+	srv.Step()
+	if rec := get("/metrics"); rec.Code != 200 || !strings.Contains(rec.Body.String(), "mzqos_test_unbounded +Inf") {
+		t.Fatalf("/metrics does not print the +Inf gauge: status %d", rec.Code)
+	}
+	if rec := get("/debug/bundle"); rec.Code != 500 || !strings.Contains(rec.Body.String(), "unsupported value") {
+		t.Errorf("/debug/bundle over a +Inf gauge: status %d, body %q; want 500 and the encoder's message", rec.Code, rec.Body.String())
+	}
+}
+
 func TestClusterIncidentArcFromTimeline(t *testing.T) {
 	coord, reg := journaledTestCluster(t)
 

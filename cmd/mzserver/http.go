@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -368,9 +369,19 @@ type sloReport struct {
 	Hints []server.SLOHint `json:"hints,omitempty"`
 }
 
+// writeJSON answers with v, or with 500 and the encoder's message when v
+// has no JSON rendering (a gauge at NaN or ±Inf in a snapshot or a history
+// dump): the body is encoded before the status goes out, so no answer is
+// ever 200 with part of one. internal/history's /query follows the same
+// rule.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	_, _ = w.Write(body.Bytes()) // the client hanging up is its own report
 }

@@ -610,6 +610,33 @@ func TestQueryHandler(t *testing.T) {
 	}
 }
 
+// TestQueryNonFiniteFailsClosed: encoding/json has no rendering for NaN or
+// ±Inf, and a gauge may hold either (/metrics prints them). The handler
+// answers 500 with the encoder's message, never 200 with an empty body or
+// with some of the lines.
+func TestQueryNonFiniteFailsClosed(t *testing.T) {
+	st, reg := testStore(t, 16, 4, 8)
+	g := reg.Gauge("mz_g", "")
+	for r, v := range []float64{1, math.NaN(), math.Inf(1), 4} {
+		g.Set(v)
+		st.Sample(r)
+	}
+	h := st.QueryHandler()
+	for _, url := range []string{"/query?series=mz_g", "/query?series=mz_g&format=ndjson"} {
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest("GET", url, nil))
+		if rec.Code != 500 || !strings.Contains(rec.Body.String(), "unsupported value") {
+			t.Errorf("%s over a NaN point: status %d, body %q; want 500 and the encoder's message", url, rec.Code, rec.Body.String())
+		}
+	}
+	// The finite part of the same series still answers.
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest("GET", "/query?series=mz_g&since_round=3&format=ndjson", nil))
+	if rec.Code != 200 || strings.Count(rec.Body.String(), "\n") != 1 {
+		t.Errorf("finite window: status %d, body %q; want 200 and one line", rec.Code, rec.Body.String())
+	}
+}
+
 func TestDashboardHandler(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	st := New(Config{Registry: reg, Rounds: 256})

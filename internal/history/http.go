@@ -1,6 +1,7 @@
 package history
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -75,31 +76,40 @@ func (st *Store) QueryHandler() http.HandlerFunc {
 			return
 		}
 		if qs.Get("format") == "ndjson" {
-			w.Header().Set("Content-Type", "application/x-ndjson")
 			type row struct {
 				ID    string  `json:"id"`
 				Round int64   `json:"round"`
 				Value float64 `json:"value"`
 			}
+			var body bytes.Buffer
+			enc := json.NewEncoder(&body)
 			for _, sr := range res.Series {
 				for _, p := range sr.Points {
-					line, err := json.Marshal(row{ID: sr.ID, Round: p.Round, Value: p.Value})
-					if err != nil {
-						continue
+					if err := enc.Encode(row{ID: sr.ID, Round: p.Round, Value: p.Value}); err != nil {
+						http.Error(w, err.Error(), http.StatusInternalServerError)
+						return
 					}
-					_, _ = w.Write(line)
-					_, _ = w.Write([]byte{'\n'})
 				}
 			}
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			_, _ = w.Write(body.Bytes()) // the client hanging up is its own report
 			return
 		}
 		writeJSON(w, res)
 	}
 }
 
+// writeJSON answers with v, or with 500 and the encoder's message when v
+// has no JSON rendering (a NaN or ±Inf point): the body is encoded before
+// the status goes out, so no answer is ever 200 with part of one.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	_, _ = w.Write(body.Bytes()) // the client hanging up is its own report
 }
