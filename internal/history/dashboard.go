@@ -80,7 +80,7 @@ func (rec *seriesRec) tailTrajectory(since, step int64, threshold float64) []Poi
 	}
 	var ends []endpoint
 	for k := 0; k < rec.co.fine.n; {
-		slot, rounds, _ := rec.co.fineRun(k, rec.col)
+		slot, rounds, _ := rec.fineRun(k)
 		for j, round := range rounds {
 			if round < since {
 				continue

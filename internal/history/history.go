@@ -6,23 +6,35 @@
 // round), and this package lets the repo show its own guarantee as a
 // time series without an external Prometheus.
 //
-// Storage is per cohort, not per series. The series attached by one
-// registry enumeration — the ones registered before New, everything else
-// on the first Sample, late registrations after — are sampled at exactly
-// the same rounds, so a cohort shares one round column and one ring cursor
-// per tier across all its k series:
+// Storage is per cohort and, within a cohort, per wake group. The series
+// attached by one registry enumeration — the ones registered before New,
+// everything else on the first Sample, late registrations after — are
+// sampled at exactly the same rounds, so a cohort shares one round column,
+// one column of block starts and one ring cursor per tier across all its
+// series. What a series stores of its own depends on whether it has moved:
 //
-//   - a fine ring with configurable retention (DefaultRounds): one round
-//     per slot and one contiguous value block laid out in tiles — tile
-//     consecutive slots of one series adjacent, the tiles of the k series
-//     side by side — so a Sample writes one strided row into lines that
-//     stay hot for several rounds, while a single-series read walks its
-//     column a tile at a time. The newest slot is overwritten in place
-//     when its round is re-sampled (the on-scrape refresh path);
-//   - a coarse ring of DefaultCoarseBlock-round blocks: one start round
-//     per block and the k series' min/max/last envelopes in the same
-//     tiled layout, so queries reaching past the fine retention still
-//     resolve envelope and level at block granularity;
+//   - a series attaches at rest: it holds the one value it read then and no
+//     column. Each Sample reads it and compares the bits with the value held
+//     (the bits, so NaN equals itself and -0 is not 0); while they agree,
+//     every retained sample and every coarse envelope of the series is that
+//     value, and saying so takes one tile of each, not a ring. The counters
+//     of things that do not happen to a healthy server and the quantities
+//     the model solves once per configuration (N_max, both bounds, the SLO
+//     budgets) spend the whole run here;
+//   - the series of a cohort whose values first differ in the same Sample
+//     wake together into one group: a fine block with configurable retention
+//     (DefaultRounds), one round per slot, laid out in tiles — tile
+//     consecutive slots of one series adjacent, the tiles of the group's k
+//     series side by side — so a Sample writes one strided row into lines
+//     that stay hot for several rounds, while a single-series read walks its
+//     column a tile at a time; and a coarse block of min/max/last envelopes
+//     over DefaultCoarseBlock-round blocks in the same tiled layout, so
+//     queries reaching past the fine retention still resolve envelope and
+//     level at block granularity. Both are filled with the value the series
+//     rested at, which is what every retained sample read, and then the
+//     group takes the sample that woke it like any other. The newest slot is
+//     overwritten in place when its round is re-sampled (the on-scrape
+//     refresh path). A series never goes back to rest;
 //   - per histogram series, a log of bucket increments: one entry per
 //     bucket that moved between two consecutive samples, and per fine slot
 //     the log position its sample's entries end at. Every read of a
@@ -32,16 +44,23 @@
 //     two samples' marks, so a histogram costs what it changed, not a copy
 //     of every bucket per sample.
 //
-// The rings and marks are preallocated when a cohort attaches, and a log
-// starts at one entry per retained sample — what a histogram observed once
-// a round needs, recycled in place as samples leave the fine ring. So the
-// per-round Sample hot path allocates nothing: one pass of an atomic read,
-// a tile store and an envelope fold per scalar series, then per histogram
-// a compare of each live bucket with the count last seen, under a single
-// short mutex shared with queries. Only a log whose retained samples
-// changed more buckets than it has entries (bulk folds, every bucket
-// moving every sample) allocates: it doubles, never shrinks, and stops
-// within the dense size of one count per bucket per retained sample.
+// Reads have one path: every walk over a series goes through its fineRun
+// and coarseRun, which hand out a resting series' tile and a woken series'
+// column as the same plain slices.
+//
+// The shared columns and the marks are allocated when a cohort attaches,
+// and a log starts at one entry per retained sample — what a histogram
+// observed once a round needs, recycled in place as samples leave the fine
+// ring. So the per-round Sample hot path allocates nothing: a read and a
+// compare per resting series, an atomic read, a tile store and an envelope
+// fold per woken one, then per histogram a compare of each live bucket with
+// the count last seen, under a single short mutex shared with queries. Two
+// things allocate, each only when it must: a series' first move, which
+// allocates its group's two blocks (56 KiB per series at the default
+// retention, once per series), and a log whose retained samples changed
+// more buckets than it has entries (bulk folds, every bucket moving every
+// sample): it doubles, never shrinks, and stops within the dense size of
+// one count per bucket per retained sample.
 package history
 
 import (
@@ -104,7 +123,7 @@ type Store struct {
 }
 
 // tile is how many consecutive ring slots of one series sit adjacent in a
-// cohort's tiled blocks (fine values by slot, envelopes by coarse block);
+// group's tiled blocks (fine values by slot, envelopes by coarse block);
 // a power of two, so the index arithmetic is shifts and masks. 1 would be
 // plain row-major: the fastest Sample, and a stride of k entries per point
 // for every single-series read. Picked by measurement (CHANGES.md, PR 18).
@@ -154,29 +173,58 @@ type envelope struct {
 	min, max, last float64
 }
 
-// cohort is the shared storage of the series attached by one registry
-// enumeration. They are sampled at exactly the same rounds, so round
-// columns and ring cursors exist once per cohort and a series is a column
-// index.
+// cohort is what the series attached by one registry enumeration share.
+// They are sampled at exactly the same rounds, so the round column, the
+// block starts and both ring cursors exist once per cohort; the values live
+// with the series — one value each for those at rest, a column of a wake
+// group for those that have moved.
 type cohort struct {
-	// srcs are the live handles in column order; hists the histogram
+	// srcs are the live handles in attach order; hists the histogram
 	// series among them.
 	srcs  []telemetry.Series
 	hists []*seriesRec
 
-	// Fine ring: rounds[slot] is the round sampled into slot, and the
-	// value of column col at that slot is
-	// vals[((slot/tile)*k+col)*tile+slot%tile], k = len(srcs). Tiled
-	// blocks are padded to a whole number of tiles.
+	// Fine ring: rounds[slot] is the round sampled into slot.
 	fine   cursor
 	rounds []int64
-	vals   []float64
 
-	// Coarse ring: starts[b] is block b's first round and env holds the
-	// envelopes, tiled like vals with the block index for the slot.
+	// Coarse ring: starts[b] is block b's first round.
 	coarse cursor
 	starts []int64
-	env    []envelope
+
+	// resting are the series that have read one value since they attached,
+	// in attach order; groups the blocks of those that have read a second,
+	// one per sample some series first moved in.
+	resting []*rest
+	groups  []*group
+}
+
+// rest is a series that has not moved since it attached: the one value it
+// has read, laid out as one tile of fine values and one of envelopes so a
+// ring walk reads it run by run the way it reads a column. Dropped when the
+// series wakes.
+type rest struct {
+	rec  *seriesRec
+	src  *telemetry.Series
+	vals [tile]float64
+	env  [tile]envelope
+}
+
+// group is the tiled storage of the k series that first moved in the same
+// sample. The value of column col at fine slot s is
+// vals[((s/tile)*k+col)*tile+s%tile], and env holds the envelopes the same
+// way with the coarse block index for the slot; both are padded to a whole
+// number of tiles.
+type group struct {
+	srcs []*telemetry.Series // live handles in column order
+	vals []float64
+	env  []envelope
+}
+
+// at returns the index of column col at a ring slot in a tiled block:
+// vals by fine slot, env by coarse block.
+func (g *group) at(slot, col int) int {
+	return ((slot/tile)*len(g.srcs)+col)*tile + slot%tile
 }
 
 // logEntry is one bucket's growth between two consecutive samples. A
@@ -185,12 +233,18 @@ type logEntry struct {
 	bucket, delta uint32
 }
 
-// seriesRec is one series: a column of its cohort plus, for a histogram,
-// the increment log only it needs.
+// seriesRec is one series: its place in its cohort — at rest, or column col
+// of a wake group — plus, for a histogram, the increment log only it needs.
 type seriesRec struct {
 	id  string
 	co  *cohort
-	col int
+	src *telemetry.Series // identity and live handle, in co.srcs
+
+	// Exactly one of rest and grp is set. col is the column in grp; -1 at
+	// rest.
+	rest *rest
+	grp  *group
+	col  int
 
 	// Histogram extension, nil for scalar series. last holds the count of
 	// every bucket as of the newest sample; log is a ring of what changed
@@ -209,9 +263,6 @@ type seriesRec struct {
 	log    []logEntry
 	head   uint32
 }
-
-// src returns the series' identity and live handle.
-func (rec *seriesRec) src() *telemetry.Series { return &rec.co.srcs[rec.col] }
 
 // New builds a store over cfg.Registry, attaches every currently
 // registered series, and installs the on-scrape refresh hook so a
@@ -255,9 +306,8 @@ func (st *Store) maybeRefreshLocked() {
 }
 
 // refreshLocked attaches the registry entries added since the last
-// enumeration as one new cohort, preallocating its rings so sampling it
-// never allocates. Registration order is append-only, so only the tail is
-// new.
+// enumeration as one new cohort, every series at rest at the value it reads
+// now. Registration order is append-only, so only the tail is new.
 func (st *Store) refreshLocked() {
 	all := st.reg.Series()
 	srcs := append([]telemetry.Series(nil), all[st.attached:]...)
@@ -267,17 +317,19 @@ func (st *Store) refreshLocked() {
 		return
 	}
 	co := &cohort{
-		srcs:   srcs,
-		fine:   cursor{size: st.capacity},
-		coarse: cursor{size: st.blocks},
-		rounds: make([]int64, st.capacity),
-		vals:   make([]float64, (st.capacity+tile-1)/tile*k*tile),
-		starts: make([]int64, st.blocks),
-		env:    make([]envelope, (st.blocks+tile-1)/tile*k*tile),
+		srcs:    srcs,
+		fine:    cursor{size: st.capacity},
+		coarse:  cursor{size: st.blocks},
+		rounds:  make([]int64, st.capacity),
+		starts:  make([]int64, st.blocks),
+		resting: make([]*rest, k),
 	}
-	for col := range srcs {
-		s := &srcs[col]
-		rec := &seriesRec{id: s.ID(), co: co, col: col}
+	for idx := range srcs {
+		s := &srcs[idx]
+		rec := &seriesRec{id: s.ID(), co: co, src: s, col: -1}
+		rec.rest = &rest{rec: rec, src: s}
+		rec.rest.fill(s.Read())
+		co.resting[idx] = rec.rest
 		if h := s.Histogram(); h != nil {
 			rec.h = h
 			rec.bounds = h.Bounds()
@@ -294,7 +346,8 @@ func (st *Store) refreshLocked() {
 
 // Sample records one point per attached series at the given round.
 // Re-sampling the latest round overwrites its point in place. Steady
-// state (no new registrations) allocates nothing.
+// state (no new registrations, no series moving for the first time)
+// allocates nothing.
 func (st *Store) Sample(round int) {
 	if st == nil {
 		return
@@ -332,33 +385,61 @@ func (st *Store) sampleLocked(r int64) {
 	st.samples++
 }
 
+// fill sets the value the series rests at.
+func (r *rest) fill(v float64) {
+	for i := range r.vals {
+		r.vals[i], r.env[i] = v, envelope{min: v, max: v, last: v}
+	}
+}
+
 // fineRun returns the run of fine samples starting at the cohort's k-th
-// oldest: its first slot, the rounds, and column col's values.
-func (co *cohort) fineRun(k, col int) (slot int, rounds []int64, vals []float64) {
-	slot, run := co.fine.run(k)
-	return slot, co.rounds[slot : slot+run], co.vals[co.at(slot, col):][:run]
+// oldest: its first slot, the rounds, and the series' values. A run never
+// spans more than a tile, which is what a resting series has.
+func (rec *seriesRec) fineRun(k int) (slot int, rounds []int64, vals []float64) {
+	slot, run := rec.co.fine.run(k)
+	rounds = rec.co.rounds[slot : slot+run]
+	if rec.rest != nil {
+		return slot, rounds, rec.rest.vals[:run]
+	}
+	return slot, rounds, rec.grp.vals[rec.grp.at(slot, rec.col):][:run]
 }
 
 // coarseRun returns the run of coarse blocks starting at the k-th oldest:
-// its first block's slot, the start rounds, and column col's envelopes.
-func (co *cohort) coarseRun(k, col int) (slot int, starts []int64, env []envelope) {
-	slot, run := co.coarse.run(k)
-	return slot, co.starts[slot : slot+run], co.env[co.at(slot, col):][:run]
+// its first block's slot, the start rounds, and the series' envelopes.
+func (rec *seriesRec) coarseRun(k int) (slot int, starts []int64, env []envelope) {
+	slot, run := rec.co.coarse.run(k)
+	starts = rec.co.starts[slot : slot+run]
+	if rec.rest != nil {
+		return slot, starts, rec.rest.env[:run]
+	}
+	return slot, starts, rec.grp.env[rec.grp.at(slot, rec.col):][:run]
 }
 
-// at returns the index of column col at a ring slot in a tiled block:
-// vals by fine slot, env by coarse block.
-func (co *cohort) at(slot, col int) int {
-	return ((slot/tile)*len(co.srcs)+col)*tile + slot%tile
+// fineAt returns the series' value at one fine slot.
+func (rec *seriesRec) fineAt(slot int) float64 {
+	if rec.rest != nil {
+		return rec.rest.vals[0]
+	}
+	return rec.grp.vals[rec.grp.at(slot, rec.col)]
 }
 
-// sample records one point per column at round r (start is its
-// precomputed coarse block start): the fine row of r's slot and the newest
-// coarse block's envelopes in one pass, then the histograms' bucket
-// counts. A repeat of the newest round overwrites its fine row and folds
-// into the open envelope, so min/max keep the value the refresh replaced;
-// a round whose block start differs from the newest block's opens a
-// block. Allocation-free.
+// coarseAt returns the series' envelope over one coarse block.
+func (rec *seriesRec) coarseAt(block int) envelope {
+	if rec.rest != nil {
+		return rec.rest.env[0]
+	}
+	return rec.grp.env[rec.grp.at(block, rec.col)]
+}
+
+// sample records one point per series at round r (start is its precomputed
+// coarse block start). A resting series is read and compared with the value
+// it holds; those that differ wake into one new group. Then every group
+// takes the fine row of r's slot and the newest coarse block's envelopes in
+// one pass, and the histograms their bucket counts. A repeat of the newest
+// round overwrites its fine row and folds into the open envelope, so
+// min/max keep the value the refresh replaced; a round whose block start
+// differs from the newest block's opens a block. Allocates only in a sample
+// some series first moves in.
 func (co *cohort) sample(r, start int64) {
 	slot := co.fine.newest()
 	if co.fine.n == 0 || co.rounds[slot] != r {
@@ -371,27 +452,77 @@ func (co *cohort) sample(r, start int64) {
 		block = co.coarse.push()
 		co.starts[block] = start
 	}
-	env := co.env[co.at(block, 0):]
-	row := co.vals[co.at(slot, 0):]
-	for j := range co.srcs {
-		v := co.srcs[j].Read()
-		row[j*tile] = v
-		if e := &env[j*tile]; opened {
-			*e = envelope{min: v, max: v, last: v}
-		} else {
-			if v < e.min {
-				e.min = v
+	// The bits, not ==: a series resting at NaN must not wake every time it
+	// is read, and one that goes from 0 to -0 has moved in what is printed.
+	woken := 0
+	for _, rs := range co.resting {
+		if math.Float64bits(rs.src.Read()) != math.Float64bits(rs.vals[0]) {
+			rs.rec.col = woken
+			woken++
+		}
+	}
+	if woken > 0 {
+		co.wake(woken)
+	}
+	for _, g := range co.groups {
+		env := g.env[g.at(block, 0):]
+		row := g.vals[g.at(slot, 0):]
+		for j, src := range g.srcs {
+			v := src.Read()
+			row[j*tile] = v
+			if e := &env[j*tile]; opened {
+				*e = envelope{min: v, max: v, last: v}
+			} else {
+				if v < e.min {
+					e.min = v
+				}
+				if v > e.max {
+					e.max = v
+				}
+				e.last = v
 			}
-			if v > e.max {
-				e.max = v
-			}
-			e.last = v
 		}
 	}
 	oldest, _ := co.fine.run(0)
 	for _, rec := range co.hists {
 		rec.sample(slot, oldest)
 	}
+}
+
+// wake moves the k resting series that sample has given a column into one
+// new group: every fine slot and coarse block of a column is filled with
+// the value its series rested at, which is what each retained sample read,
+// so the group then takes the sample that woke it like any other — a wake
+// on a re-sample folds into an open envelope that already holds the old
+// value. The one place value and envelope blocks are allocated: 56 KiB per
+// series at the default retention, once, and a series never goes back to
+// rest — a gauge that moved once is expected to move again, and a column
+// handed back would only be allocated a second time.
+func (co *cohort) wake(k int) {
+	g := &group{
+		srcs: make([]*telemetry.Series, k),
+		vals: make([]float64, (co.fine.size+tile-1)/tile*k*tile),
+		env:  make([]envelope, (co.coarse.size+tile-1)/tile*k*tile),
+	}
+	still := co.resting[:0]
+	for _, rs := range co.resting {
+		rec := rs.rec
+		if rec.col < 0 {
+			still = append(still, rs)
+			continue
+		}
+		g.srcs[rec.col] = rs.src
+		for i := rec.col * tile; i < len(g.vals); i += k * tile {
+			copy(g.vals[i:], rs.vals[:])
+		}
+		for i := rec.col * tile; i < len(g.env); i += k * tile {
+			copy(g.env[i:], rs.env[:])
+		}
+		rec.grp, rec.rest = g, nil
+	}
+	clear(co.resting[len(still):])
+	co.resting = still
+	co.groups = append(co.groups, g)
 }
 
 // at returns the entry at log position p.

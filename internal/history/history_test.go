@@ -425,7 +425,8 @@ func TestLogPositionsWrap(t *testing.T) {
 }
 
 // BenchmarkSample measures one per-round sample, every histogram observed
-// once per op as a round would, at a registry shaped like a loaded
+// once and every counter moved per op as a round would while the gauges
+// rest, at a registry shaped like a loaded
 // single-server run (32 scalar series plus two per-disk round-time
 // histograms) and like the 8-shard cluster's (≈ 700 scalar series plus 33
 // histograms at the default retention), warmed past the fine ring's
@@ -442,13 +443,17 @@ func BenchmarkSample(b *testing.B) {
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			reg := telemetry.NewRegistry()
-			for i := 0; i < shape.scalars/2; i++ {
-				reg.Counter(fmt.Sprintf("bench_counter_%d_total", i), "bench counter").Add(int64(i))
+			counters := make([]*telemetry.Counter, shape.scalars/2)
+			for i := range counters {
+				counters[i] = reg.Counter(fmt.Sprintf("bench_counter_%d_total", i), "bench counter")
 				reg.Gauge(fmt.Sprintf("bench_gauge_%d", i), "bench gauge").Set(float64(i))
 			}
 			hists := roundTimeHistograms(b, reg, shape.hists)
 			st := New(Config{Registry: reg, Rounds: shape.fines})
 			sample := func(r int) {
+				for _, c := range counters {
+					c.Add(1)
+				}
 				for _, h := range hists {
 					h.Observe(float64(r%9) / 8)
 				}

@@ -136,7 +136,7 @@ func (st *Store) Query(q Query) (Result, error) {
 	for _, rec := range recs {
 		if isQuantile && rec.h == nil {
 			return Result{}, fmt.Errorf("%w: agg %q requires a histogram series, %s is a %s",
-				ErrBadQuery, agg, rec.id, kindName(rec.src().Kind))
+				ErrBadQuery, agg, rec.id, kindName(rec.src.Kind))
 		}
 		res.Series = append(res.Series, rec.result(q.SinceRound, int64(step), agg, st.block))
 	}
@@ -146,7 +146,7 @@ func (st *Store) Query(q Query) (Result, error) {
 // result renders one series' windowed aggregation with its identity.
 // Runs under the store mutex.
 func (rec *seriesRec) result(since, step int64, agg string, block int64) SeriesResult {
-	src := rec.src()
+	src := rec.src
 	sr := SeriesResult{
 		ID:     rec.id,
 		Name:   src.Name,
@@ -191,11 +191,11 @@ type bucketAgg struct {
 // evaluate renders one series' windowed aggregation. Runs under the
 // store mutex.
 func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Point, int) {
-	co, col := rec.co, rec.col
+	co := rec.co
 	// Oldest retained fine round bounds the coarse contribution.
 	fineStart := int64(math.MaxInt64)
 	if co.fine.n > 0 {
-		_, rounds, _ := co.fineRun(0, col)
+		_, rounds, _ := rec.fineRun(0)
 		fineStart = rounds[0]
 	}
 
@@ -235,7 +235,7 @@ func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Po
 	// ahead of the first fine one, could only be passed over below.
 	_, quantile := quantileAggs[agg]
 	for k := 0; k < co.coarse.n && !quantile; {
-		b, starts, env := co.coarseRun(k, col)
+		b, starts, env := rec.coarseRun(k)
 		for j, start := range starts {
 			if start < since || start+block > fineStart {
 				continue
@@ -250,7 +250,7 @@ func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Po
 	}
 	// Fine samples, oldest first.
 	for k := 0; k < co.fine.n; {
-		slot, rounds, vals := co.fineRun(k, col)
+		slot, rounds, vals := rec.fineRun(k)
 		for j, round := range rounds {
 			if round < since {
 				continue
@@ -266,9 +266,9 @@ func (rec *seriesRec) evaluate(since, step int64, agg string, block int64) ([]Po
 	if agg == AggLast || agg == AggRate {
 		for i := range windows {
 			if w := &windows[i]; w.slot >= 0 {
-				w.last = co.vals[co.at(w.slot, col)]
+				w.last = rec.fineAt(w.slot)
 			} else {
-				w.last = co.env[co.at(-1-w.slot, col)].last
+				w.last = rec.coarseAt(-1 - w.slot).last
 			}
 		}
 	}
