@@ -15,3 +15,15 @@ func (st *Store) LogLens() map[string]int {
 	}
 	return lens
 }
+
+// AtRest returns, per series id, whether the series still holds the one
+// value it attached with and no column.
+func (st *Store) AtRest() map[string]bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	atRest := make(map[string]bool, len(st.series))
+	for _, rec := range st.series {
+		atRest[rec.id] = rec.rest != nil
+	}
+	return atRest
+}

@@ -324,7 +324,10 @@ func TestSampleZeroAlloc(t *testing.T) {
 	const rounds = 32
 	reg := telemetry.NewRegistry()
 	for i := 0; i < 24; i++ {
-		reg.Gauge("g", "", telemetry.Label{Key: "i", Value: string(rune('a' + i))})
+		g := reg.Gauge("g", "", telemetry.Label{Key: "i", Value: string(rune('a' + i))})
+		if i == 0 {
+			g.Set(math.NaN()) // equal to itself sample after sample, by its bits
+		}
 	}
 	h, err := reg.Histogram("h", "", []float64{1, 2, 4})
 	if err != nil {
@@ -357,6 +360,9 @@ func TestSampleZeroAlloc(t *testing.T) {
 		t.Fatalf("Sample allocates %v per run, want 0", allocs)
 	}
 	for _, rec := range st.series {
+		if rec.h == nil && rec.rest == nil {
+			t.Errorf("%s never moved and holds a column", rec.id)
+		}
 		switch rec.h {
 		case h, steady:
 			if len(rec.log) != rounds {
