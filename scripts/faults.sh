@@ -118,8 +118,12 @@ expect /streams '"retired_total"' "ledger retirement roll-up"
 # The embedded history must reproduce the same arc after the fact: the
 # alert-state trajectory on /query reaches firing (2) mid-run and is back
 # to inactive (0) by the final round. -g stops curl from glob-expanding
-# the {target=late} selector.
+# the {target=late} selector. The series sat at 0 with no column of its own
+# until the alert first moved it, so its history must still start where the
+# round counter's does, at 0: the rounds it rested through are served.
 if command -v python3 >/dev/null 2>&1; then
+    first=$(curl -sf "http://$ADDR/query?series=mzqos_server_rounds_total&agg=max&step=4" |
+        python3 -c 'import json, sys; print(json.load(sys.stdin)["series"][0]["points"][0]["round"])' || echo none)
     if curl -sfg "http://$ADDR/query?series=mzqos_slo_alert_state{target=late}&agg=max&step=4" | python3 -c '
 import json, sys
 res = json.load(sys.stdin)
@@ -129,8 +133,9 @@ assert len(pts) >= 2, f"history kept {len(pts)} points, want >= 2"
 peak = max(p["value"] for p in pts)
 assert peak >= 2, f"alert-state history never reached firing: peak {peak}"
 assert pts[-1]["value"] == 0, f"alert-state history did not return to inactive: {pts[-1]}"
-print(f"faults: ok   /query alert-state history replays the fire->resolve arc over {len(pts)} points")
-'; then
+assert str(pts[0]["round"]) == sys.argv[1] and pts[0]["value"] == 0, f"alert-state history starts at {pts[0]}, the round counter at round {sys.argv[1]}"
+print(f"faults: ok   /query alert-state history replays the fire->resolve arc over {len(pts)} points, from round {sys.argv[1]}")
+' "$first"; then
         :
     else
         echo "faults: FAIL /query alert-state history does not replay the fire->resolve arc" >&2

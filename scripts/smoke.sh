@@ -102,6 +102,23 @@ print(f"smoke: ok   /query serves {len(pts)} history points for the round counte
         echo "smoke: FAIL /query lacks a >=2-point history for the round counter" >&2
         fail=1
     fi
+    # A series that never moves holds one value in the store and no column;
+    # read end to end it is still a full trajectory: a healthy server is
+    # not degraded in any round the round counter has a point for.
+    rounds=$(curl -sf "http://$ADDR/query?series=mzqos_server_rounds_total&agg=max" |
+        python3 -c 'import json, sys; print(len(json.load(sys.stdin)["series"][0]["points"]))' || echo none)
+    if curl -sf "http://$ADDR/query?series=mzqos_server_degraded&agg=max" | python3 -c '
+import json, sys
+pts = json.load(sys.stdin)["series"][0]["points"]
+assert str(len(pts)) == sys.argv[1], f"{len(pts)} points for the degraded gauge, {sys.argv[1]} for the round counter"
+assert all(p["value"] == 0 for p in pts), "a healthy server reads degraded in its history"
+print(f"smoke: ok   /query serves {len(pts)} points, all 0, for a gauge that never moved")
+' "$rounds"; then
+        :
+    else
+        echo "smoke: FAIL /query does not serve the degraded gauge at rest as a full trajectory" >&2
+        fail=1
+    fi
 fi
 
 # On failure, preserve the flight recorder (frozen snapshot if latched,
