@@ -205,7 +205,7 @@ type cohort struct {
 // series wakes.
 type rest struct {
 	rec  *seriesRec
-	src  *telemetry.Series
+	src  *telemetry.Series // rec.src, where Sample's compare finds it beside the value
 	vals [tile]float64
 	env  [tile]envelope
 }

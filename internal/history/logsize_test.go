@@ -33,18 +33,9 @@ const (
 	roundTimeSeries = "mzqos_server_round_time_seconds"
 )
 
-// threeFaults spreads the three fault kinds over logRounds.
-func threeFaults() *fault.Plan {
-	return &fault.Plan{Seed: 5, Faults: []fault.Fault{
-		{Kind: fault.Latency, Disk: 0, From: 1000, Until: 1400, Factor: 2},
-		{Kind: fault.ReadError, Disk: fault.AllDisks, From: 5000, Until: 5300, Prob: 0.02, Retries: 1},
-		{Kind: fault.Failure, Disk: 2, From: 9000, Until: 9100},
-	}}
-}
-
-// newServer builds a 4-disk server on reg under the given fault plan (nil:
-// a healthy one).
-func newServer(t *testing.T, reg *telemetry.Registry, hist *history.Store, shard int, faults *fault.Plan) *server.Server {
+// newServer builds a 4-disk server on reg: a healthy one, or a faulty one
+// with the three fault kinds spread over logRounds.
+func newServer(t *testing.T, reg *telemetry.Registry, hist *history.Store, shard int, faulty bool) *server.Server {
 	t.Helper()
 	cfg := server.Config{
 		Disk:        disk.QuantumViking21(),
@@ -53,10 +44,16 @@ func newServer(t *testing.T, reg *telemetry.Registry, hist *history.Store, shard
 		Sizes:       workload.PaperSizes(),
 		Guarantee:   model.Guarantee{Threshold: 0.01},
 		Seed:        42 + uint64(shard),
-		Faults:      faults,
 		Registry:    reg,
 		History:     hist,
 		Shard:       shard,
+	}
+	if faulty {
+		cfg.Faults = &fault.Plan{Seed: 5, Faults: []fault.Fault{
+			{Kind: fault.Latency, Disk: 0, From: 1000, Until: 1400, Factor: 2},
+			{Kind: fault.ReadError, Disk: fault.AllDisks, From: 5000, Until: 5300, Prob: 0.02, Retries: 1},
+			{Kind: fault.Failure, Disk: 2, From: 9000, Until: 9100},
+		}}
 	}
 	if hist == nil { // a shard: the coordinator owns the store
 		cfg.InstanceLabels = []telemetry.Label{telemetry.L("shard", fmt.Sprint(shard))}
@@ -91,7 +88,6 @@ func checkLogs(t *testing.T, hist *history.Store, want int) {
 // loaded is one full-load run of logRounds rounds, with a SampleCurrent
 // every resampleEvery as a scrape would.
 type loaded struct {
-	reg  *telemetry.Registry
 	hist *history.Store
 	// spare is a gauge of the test's own, registered before the store was
 	// built and never set during the run.
@@ -99,15 +95,18 @@ type loaded struct {
 	srv   *server.Server // nil for a cluster run
 }
 
-const clips = 64
+const (
+	clips  = 64
+	shards = 3
+)
 
 // runServer drives one server at full load for logRounds rounds.
-func runServer(t *testing.T, faults *fault.Plan) loaded {
+func runServer(t *testing.T, faulty bool) loaded {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	spare := reg.Gauge("test_spare", "")
 	hist := history.New(history.Config{Registry: reg})
-	srv := newServer(t, reg, hist, 0, faults)
+	srv := newServer(t, reg, hist, 0, faulty)
 	for i := 0; i < clips; i++ {
 		if err := srv.AddSyntheticObject(fmt.Sprintf("clip-%d", i), 600+i); err != nil {
 			t.Fatal(err)
@@ -125,19 +124,19 @@ func runServer(t *testing.T, faults *fault.Plan) loaded {
 			hist.SampleCurrent()
 		}
 	}
-	return loaded{reg: reg, hist: hist, spare: spare, srv: srv}
+	return loaded{hist: hist, spare: spare, srv: srv}
 }
 
 // runCluster drives a 3-shard coordinator at full load for logRounds
 // rounds.
-func runCluster(t *testing.T, faults func() *fault.Plan) loaded {
+func runCluster(t *testing.T, faulty bool) loaded {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	spare := reg.Gauge("test_spare", "")
 	hist := history.New(history.Config{Registry: reg})
 	engines := make([]engine.Engine, shards)
 	for i := range engines {
-		engines[i] = newServer(t, reg, nil, i, faults())
+		engines[i] = newServer(t, reg, nil, i, faulty)
 	}
 	coord, err := cluster.New(cluster.Config{Engines: engines, Registry: reg, Replicas: shards, History: hist})
 	if err != nil {
@@ -164,21 +163,19 @@ func runCluster(t *testing.T, faults func() *fault.Plan) loaded {
 			hist.SampleCurrent()
 		}
 	}
-	return loaded{reg: reg, hist: hist, spare: spare}
+	return loaded{hist: hist, spare: spare}
 }
-
-const shards = 3
 
 func TestRoundTimeLogsKeepInitialSize(t *testing.T) {
 	t.Run("server", func(t *testing.T) {
-		run := runServer(t, threeFaults())
+		run := runServer(t, true)
 		if tel := run.srv.Telemetry().Snapshot(); counter(t, tel, "mzqos_server_fault_retries_total") == 0 || counter(t, tel, "mzqos_server_down_rounds_total") == 0 {
 			t.Fatal("the run saw no retry or no down round: the fault plan did not reach the histograms")
 		}
 		checkLogs(t, run.hist, 4)
 	})
 	t.Run("cluster", func(t *testing.T) {
-		checkLogs(t, runCluster(t, threeFaults).hist, 4*shards)
+		checkLogs(t, runCluster(t, true).hist, 4*shards)
 	})
 }
 
@@ -259,10 +256,10 @@ func checkResting(t *testing.T, run loaded, perName int) {
 
 func TestHealthySeriesStayAtRest(t *testing.T) {
 	t.Run("server", func(t *testing.T) {
-		checkResting(t, runServer(t, nil), 1)
+		checkResting(t, runServer(t, false), 1)
 	})
 	t.Run("cluster", func(t *testing.T) {
-		checkResting(t, runCluster(t, func() *fault.Plan { return nil }), shards)
+		checkResting(t, runCluster(t, false), shards)
 	})
 }
 
