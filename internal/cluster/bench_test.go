@@ -3,17 +3,18 @@ package cluster
 import (
 	"testing"
 
-	"mzqos/internal/sim"
+	"mzqos/internal/fault"
+	"mzqos/internal/server"
 )
 
-// admitCoordinator builds a 16-shard simulated fleet with one warm
+// admitCoordinator builds a 16-shard server fleet with one warm
 // admission behind it, so the view and the routing cursor are primed.
 // Migrate is on to pin that migration support adds nothing to the
 // admission fast path: all of its work happens inside Step, never under
 // Admit/Release.
 func admitCoordinator(tb testing.TB, route string) *Coordinator {
 	tb.Helper()
-	c := newCoordinator(tb, Config{Engines: simFleet(tb, 16, 4, 64), Route: route, Migrate: true})
+	c := newCoordinator(tb, Config{Engines: fleet(tb, 16, 4, nil), Route: route, Migrate: true})
 	admitRelease(tb, c)
 	return c
 }
@@ -69,46 +70,58 @@ func BenchmarkAdmit(b *testing.B) {
 	})
 }
 
-// BenchmarkMigrateFailover measures a full failover round: one shard of a
-// 2-shard fleet fails, Step drains its whole active set (32 streams) and
-// re-admits every stream on the sibling, and Recalibrate restores the
-// failed shard for the next lap. Laps ping-pong the fleet between the two
-// shards so each iteration migrates the same population. This path runs
-// inside Step and is allowed to allocate.
+// BenchmarkMigrateFailover measures a full failover lap on a 2-shard
+// fleet: in its first round one shard's disks all fail, the shard installs
+// its failed limits and Step drains its whole active set (32 streams)
+// onto the sibling; in its second the disks are back, and the shard
+// installs its healthy limits again. Laps alternate which shard fails, so
+// each one migrates the same population. The fault plans are written for a
+// fixed number of laps, after which a fresh fleet is built off the clock.
+// This path runs inside Step and is allowed to allocate.
 func BenchmarkMigrateFailover(b *testing.B) {
-	const streams = 32
-	engines := simFleet(b, 2, 2, 64)
-	c := newCoordinator(b, Config{
-		Engines:       engines,
-		Route:         RouteLeastLoaded,
-		Replicas:      2,
-		Migrate:       true,
-		MigrateBudget: streams,
-	})
-	// One object long enough that no stream completes inside the horizon.
-	sizes := make([]float64, 1<<20)
-	for i := range sizes {
-		sizes[i] = 1
+	const streams, laps = 32, 64
+	// Shard s fails in the first round of laps ≡ s (mod 2); lap 0 is the
+	// warm lap that parks the whole population on shard 1.
+	plans := [2]*fault.Plan{{}, {}}
+	for lap := 0; lap <= laps; lap++ {
+		p := plans[lap%2]
+		p.Faults = append(p.Faults, fault.Fault{Kind: fault.Failure, Disk: fault.AllDisks, From: 2 * lap, Until: 2*lap + 1})
 	}
-	if err := c.AddObject("vod", sizes); err != nil {
-		b.Fatal(err)
-	}
-	openN(b, c, "vod", streams)
-	failover := func(shard int) {
-		engines[shard].(*sim.Engine).SetFailed(true)
-		c.Step()
-		if _, err := c.Recalibrate(0); err != nil {
+	build := func() *Coordinator {
+		c := newCoordinator(b, Config{
+			Engines:       fleet(b, 2, 2, func(i int, c *server.Config) { c.Faults = plans[i] }),
+			Route:         RouteLeastLoaded,
+			Replicas:      2,
+			Migrate:       true,
+			MigrateBudget: streams,
+		})
+		// One object long enough that no stream completes inside the laps.
+		if err := c.AddObject("vod", unitClip(2*laps+8)); err != nil {
 			b.Fatal(err)
 		}
+		openN(b, c, "vod", streams)
+		c.Run(2)
+		return c
 	}
-	failover(0) // warm lap parks the whole population on shard 1
+	var c *Coordinator
+	check := func() {
+		if ms := c.MigrationStats(); ms.Failed > 0 || ms.Pending > 0 || ms.Succeeded == 0 {
+			b.Fatalf("migration stats %+v: failover laps must place every stream", ms)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		failover(1 - i%2)
+		if i%laps == 0 {
+			b.StopTimer()
+			if c != nil {
+				check()
+			}
+			c = build()
+			b.StartTimer()
+		}
+		c.Run(2)
 	}
 	b.StopTimer()
-	if ms := c.MigrationStats(); ms.Failed > 0 || ms.Pending > 0 {
-		b.Fatalf("migration stats %+v: failover laps must place every stream", ms)
-	}
+	check()
 }

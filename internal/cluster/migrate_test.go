@@ -5,36 +5,11 @@ import (
 	"sync"
 	"testing"
 
-	"mzqos/internal/disk"
 	"mzqos/internal/engine"
-	"mzqos/internal/sim"
+	"mzqos/internal/fault"
+	"mzqos/internal/server"
 	"mzqos/internal/telemetry"
-	"mzqos/internal/workload"
 )
-
-// shedFleet builds n simulated shard engines that evict to the in-force
-// limit on degrade (the live server's ShedNewest behavior), which is what
-// exercises the evict-to-migrate path.
-func shedFleet(t testing.TB, n, numDisks, perDisk int) []engine.Engine {
-	t.Helper()
-	engines := make([]engine.Engine, n)
-	for i := range engines {
-		e, err := sim.NewEngine(sim.EngineConfig{
-			Disk:          disk.QuantumViking21(),
-			NumDisks:      numDisks,
-			Sizes:         workload.PaperSizes(),
-			RoundLength:   1,
-			PerDiskLimit:  perDisk,
-			Seed:          1000 + uint64(i),
-			ShedOnDegrade: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = e
-	}
-	return engines
-}
 
 // checkTicketInvariant asserts tickets == active streams, per shard and
 // cluster-wide — the accounting invariant migration must preserve.
@@ -71,9 +46,11 @@ func openN(t testing.TB, c *Coordinator, object string, n int) []Handle {
 // TestMigrationOnDegradeEvict is the tentpole scenario at eviction scale:
 // a shard degrades, sheds streams, and the coordinator resumes every one
 // of them on the sibling replica in the same Step — at their playback
-// position, recorded in the admission ring, with exact ticket accounting.
+// position, with their startup-delay credit, service and glitch counts,
+// recorded in the admission ring, with exact ticket accounting.
 func TestMigrationOnDegradeEvict(t *testing.T) {
-	engines := shedFleet(t, 2, 2, 8) // capacity 16/shard
+	// Shard 0's disks run three times slower from round 3 on: N_max 26 → 6.
+	engines := fleet(t, 2, 2, onShard(0, slowdown(3, 3, 0)))
 	c := newCoordinator(t, Config{
 		Engines:  engines,
 		Route:    RouteLeastLoaded,
@@ -81,27 +58,18 @@ func TestMigrationOnDegradeEvict(t *testing.T) {
 		Migrate:  true,
 		Registry: telemetry.NewRegistry(),
 	})
-	sizes := make([]float64, 200)
-	for i := range sizes {
-		sizes[i] = 1
-	}
-	if err := c.AddObject("clip", sizes); err != nil {
+	if err := c.AddObject("clip", unitClip(200)); err != nil {
 		t.Fatal(err)
 	}
 
-	openN(t, c, "clip", 12) // 6 per shard under least-loaded, room to spare
+	openN(t, c, "clip", 40) // 20 a shard under least-loaded, 10 an offset class
 	c.Run(3)                // playback advances past fragment 0
 	checkTicketInvariant(t, c, "pre-degrade")
-	before := make([]int, 2)
-	for i, e := range engines {
-		before[i] = e.Active()
-	}
-	if before[0] == 0 {
+	if engines[0].Active() == 0 {
 		t.Fatal("shard 0 got no streams; routing assumption broken")
 	}
 
-	engines[0].(*sim.Engine).Degrade(1) // limit 1/disk: most of shard 0 must shed
-	rep := c.Step()
+	rep := c.Step() // shard 0 degrades at the end of round 3 and sheds the newest
 	if rep.Evicted == 0 {
 		t.Fatal("degrade shed nothing; test needs evictions to migrate")
 	}
@@ -111,11 +79,16 @@ func TestMigrationOnDegradeEvict(t *testing.T) {
 	if rep.MigrationFailed != 0 {
 		t.Fatalf("%d migrations failed with a roomy sibling", rep.MigrationFailed)
 	}
+	if got, want := engines[0].Active(), engines[0].Health().Capacity; got > want {
+		t.Errorf("degraded shard 0 keeps %d streams over its capacity %d", got, want)
+	}
 	checkTicketInvariant(t, c, "post-migrate")
 
 	// Every migration is in the admission ring: kind migrate, source
 	// shard 0, resuming past fragment 0 (playback had advanced).
 	migrations := 0
+	src, dst := engines[0].(*server.Server), engines[1].(*server.Server)
+	var carried, resumed server.StreamStats
 	for _, r := range c.Admissions() {
 		if r.Kind == "" {
 			continue
@@ -127,9 +100,35 @@ func TestMigrationOnDegradeEvict(t *testing.T) {
 		if r.Position == 0 {
 			t.Errorf("migration record %+v resumed at fragment 0, want mid-playback", r)
 		}
+		st, err := dst.Stats(r.Stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed.StartupDelay += st.StartupDelay - r.Delay
+		resumed.Served += st.Served
+		resumed.Glitches += st.Glitches
 	}
 	if migrations != rep.Migrated {
 		t.Errorf("ring records %d migrations, round reported %d", migrations, rep.Migrated)
+	}
+	// What the evicted streams had delivered is what their resumed selves
+	// carry: delay credit beyond the importing shard's own slotting delay,
+	// fragments served, glitches.
+	for _, id := range rep.Shards[0].Report.Evicted {
+		st, err := src.Stats(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		carried.StartupDelay += st.StartupDelay
+		carried.Served += st.Served
+		carried.Glitches += st.Glitches
+	}
+	if carried.StartupDelay == 0 || carried.Served == 0 {
+		t.Fatalf("evicted streams carry %+v: the check needs delay credit and service to carry", carried)
+	}
+	if resumed != carried {
+		t.Errorf("resumed streams carry delay %d, served %d, glitches %d; evicted ones had %d, %d, %d",
+			resumed.StartupDelay, resumed.Served, resumed.Glitches, carried.StartupDelay, carried.Served, carried.Glitches)
 	}
 
 	ms := c.MigrationStats()
@@ -139,10 +138,10 @@ func TestMigrationOnDegradeEvict(t *testing.T) {
 }
 
 // TestFailoverDrainsFailedShard covers multipath failover: a full shard
-// failure moves the entire active set to the sibling within the budget,
+// failure moves the entire active set to the siblings within the budget,
 // releasing the source tickets as it drains.
 func TestFailoverDrainsFailedShard(t *testing.T) {
-	engines := shedFleet(t, 3, 2, 8)
+	engines := fleet(t, 3, 2, onShard(0, outage(2, 0)))
 	c := newCoordinator(t, Config{
 		Engines:  engines,
 		Route:    RouteLeastLoaded,
@@ -150,11 +149,7 @@ func TestFailoverDrainsFailedShard(t *testing.T) {
 		Migrate:  true,
 		Registry: telemetry.NewRegistry(),
 	})
-	sizes := make([]float64, 300)
-	for i := range sizes {
-		sizes[i] = 1
-	}
-	if err := c.AddObject("clip", sizes); err != nil {
+	if err := c.AddObject("clip", unitClip(300)); err != nil {
 		t.Fatal(err)
 	}
 	openN(t, c, "clip", 24)
@@ -165,8 +160,10 @@ func TestFailoverDrainsFailedShard(t *testing.T) {
 	}
 	survivors := engines[1].Active() + engines[2].Active()
 
-	engines[0].(*sim.Engine).SetFailed(true)
-	rep := c.Step()
+	rep := c.Step() // every disk of shard 0 fails in round 2
+	if !engines[0].Health().Failed {
+		t.Fatal("shard 0 does not report the outage as a failure")
+	}
 	if rep.FailedOver != failedActive {
 		t.Fatalf("failed over %d streams, want shard 0's whole active set %d", rep.FailedOver, failedActive)
 	}
@@ -176,8 +173,8 @@ func TestFailoverDrainsFailedShard(t *testing.T) {
 	if got := engines[0].Active(); got != 0 {
 		t.Errorf("failed shard still has %d active streams", got)
 	}
-	// The sibling population grew by exactly the drained set (minus any
-	// that completed this round, which Run kept short enough to exclude).
+	// The sibling population grew by exactly the drained set (none can
+	// have completed: the clip outlasts the run).
 	if got := engines[1].Active() + engines[2].Active(); got != survivors+failedActive {
 		t.Errorf("siblings hold %d streams, want %d", got, survivors+failedActive)
 	}
@@ -197,7 +194,7 @@ func TestFailoverDrainsFailedShard(t *testing.T) {
 // than the failed shard's active set, each round drains at most budget
 // streams and the rest follow in later rounds.
 func TestFailoverRespectsBudget(t *testing.T) {
-	engines := shedFleet(t, 2, 2, 16)
+	engines := fleet(t, 2, 2, onShard(0, outage(0, 0)))
 	c := newCoordinator(t, Config{
 		Engines:       engines,
 		Route:         RouteLeastLoaded,
@@ -205,11 +202,7 @@ func TestFailoverRespectsBudget(t *testing.T) {
 		Migrate:       true,
 		MigrateBudget: 4,
 	})
-	sizes := make([]float64, 300)
-	for i := range sizes {
-		sizes[i] = 1
-	}
-	if err := c.AddObject("clip", sizes); err != nil {
+	if err := c.AddObject("clip", unitClip(300)); err != nil {
 		t.Fatal(err)
 	}
 	openN(t, c, "clip", 24)
@@ -218,7 +211,6 @@ func TestFailoverRespectsBudget(t *testing.T) {
 		t.Fatalf("shard 0 has %d streams, want more than two budget rounds' worth", failedActive)
 	}
 
-	engines[0].(*sim.Engine).SetFailed(true)
 	drained := 0
 	for round := 0; engines[0].Active() > 0; round++ {
 		if round > failedActive {
@@ -240,7 +232,7 @@ func TestFailoverRespectsBudget(t *testing.T) {
 // released (or redeemed) exactly once, so caller retry loops with
 // deferred cleanup cannot drive the shard ticket count negative.
 func TestReleaseIdempotent(t *testing.T) {
-	c := newCoordinator(t, Config{Engines: simFleet(t, 1, 2, 4)})
+	c := newCoordinator(t, Config{Engines: fleet(t, 1, 2, nil)})
 
 	t.Run("double-release", func(t *testing.T) {
 		tk, err := c.Admit("x")
@@ -279,8 +271,7 @@ func TestReleaseIdempotent(t *testing.T) {
 	})
 
 	t.Run("release-after-redeem", func(t *testing.T) {
-		e := c.shards[0].eng.(*sim.Engine)
-		if err := e.AddSyntheticObject("vod", 50); err != nil {
+		if err := c.AddObject("vod", unitClip(50)); err != nil {
 			t.Fatal(err)
 		}
 		tk, err := c.Admit("vod")
@@ -314,7 +305,7 @@ func TestReleaseIdempotent(t *testing.T) {
 func TestTicketsGaugeMatchesTotal(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := newCoordinator(t, Config{
-		Engines:  simFleet(t, 4, 2, 256),
+		Engines:  fleet(t, 4, 4, nil), // 104 a shard: most of the 8×32 held tickets fit
 		Registry: reg,
 	})
 
@@ -358,18 +349,21 @@ func TestTicketsGaugeMatchesTotal(t *testing.T) {
 // streams ride out the fault in place (no failover drain) while new load
 // sheds to siblings — and the restore heartbeat returns traffic to it.
 func TestDegradeToZeroThenRestoreRouting(t *testing.T) {
-	engines := shedFleet(t, 2, 2, 8)
+	// Shard 0 runs twentyfold slow over rounds [0, 3), which leaves it
+	// N_max 0, and sheds nobody: its streams ride the fault out.
+	engines := fleet(t, 2, 2, func(i int, c *server.Config) {
+		if i == 0 {
+			c.Faults = slowdown(20, 0, 3)
+			c.Degrade.Policy = server.ShedNone
+		}
+	})
 	c := newCoordinator(t, Config{
 		Engines:  engines,
 		Route:    RouteLeastLoaded,
 		Replicas: 2,
 		Migrate:  true, // migration enabled, yet zero-capacity must not drain
 	})
-	sizes := make([]float64, 300)
-	for i := range sizes {
-		sizes[i] = 1
-	}
-	if err := c.AddObject("clip", sizes); err != nil {
+	if err := c.AddObject("clip", unitClip(300)); err != nil {
 		t.Fatal(err)
 	}
 	openN(t, c, "clip", 12)
@@ -378,15 +372,17 @@ func TestDegradeToZeroThenRestoreRouting(t *testing.T) {
 		t.Fatal("shard 0 got no streams")
 	}
 
-	// Degrade to zero capacity — NOT failed. No Step runs before the
-	// restore, so the shard's streams stay in place riding out the fault;
-	// only the admission view sees the zero.
-	engines[0].(*sim.Engine).Degrade(0)
-	c.Heartbeat()
+	// Degrade to zero capacity — NOT failed. The round's migration pass
+	// must leave the shard's streams in place; only admission sees the 0.
+	rep := c.Step()
 	v := c.view.Load()
 	if v.shards[0].Capacity != 0 || v.shards[0].Failed {
-		t.Fatalf("view after Degrade(0): capacity %d failed %v, want 0/false",
+		t.Fatalf("view after the slowdown: capacity %d failed %v, want 0/false",
 			v.shards[0].Capacity, v.shards[0].Failed)
+	}
+	if rep.Evicted != 0 || rep.FailedOver != 0 || engines[0].Active() != riding {
+		t.Fatalf("zero-capacity round evicted %d, failed over %d, left %d of %d streams: want 0, 0, all",
+			rep.Evicted, rep.FailedOver, engines[0].Active(), riding)
 	}
 
 	// New admissions shed to the sibling while shard 0 shows zero
@@ -400,10 +396,15 @@ func TestDegradeToZeroThenRestoreRouting(t *testing.T) {
 	}
 	c.Release(&tk)
 
-	// Restore: Recalibrate clears the degrade and the next view reopens
-	// the shard to new admissions — the bug left it dead forever.
-	if _, err := c.Recalibrate(0); err != nil {
-		t.Fatal(err)
+	// Restore: the slowdown ends with round 2, and the clean round 3
+	// puts the healthy limits back; the next view reopens the shard to
+	// new admissions — the bug left it dead forever.
+	c.Run(3)
+	if h := engines[0].Health(); h.Degraded || h.Capacity == 0 {
+		t.Fatalf("shard 0 after the slowdown: %+v, want healthy limits restored", h)
+	}
+	if got := engines[0].Active(); got != riding {
+		t.Errorf("shard 0 holds %d streams after riding out the fault, want %d", got, riding)
 	}
 	admittedTo := map[int]bool{}
 	for i := 0; i < 8; i++ {
@@ -420,11 +421,15 @@ func TestDegradeToZeroThenRestoreRouting(t *testing.T) {
 }
 
 // TestTicketsMatchActiveAcrossFullCycle walks the complete degrade →
-// evict → migrate → fail → failover → restore cycle asserting the
-// tickets == active invariant with exact per-shard accounting at every
-// phase boundary.
+// evict → migrate → restore, fail → failover → restore cycle asserting
+// the tickets == active invariant with exact per-shard accounting at
+// every phase boundary.
 func TestTicketsMatchActiveAcrossFullCycle(t *testing.T) {
-	engines := shedFleet(t, 3, 2, 8)
+	// Shard 0 slows threefold over rounds [2, 4); shard 1 fails over
+	// rounds [5, 8).
+	engines := fleet(t, 3, 2, func(i int, c *server.Config) {
+		c.Faults = map[int]*fault.Plan{0: slowdown(3, 2, 4), 1: outage(5, 8)}[i]
+	})
 	c := newCoordinator(t, Config{
 		Engines:  engines,
 		Route:    RouteLeastLoaded,
@@ -432,29 +437,23 @@ func TestTicketsMatchActiveAcrossFullCycle(t *testing.T) {
 		Migrate:  true,
 		Registry: telemetry.NewRegistry(),
 	})
-	sizes := make([]float64, 400)
-	for i := range sizes {
-		sizes[i] = 1
-	}
-	if err := c.AddObject("clip", sizes); err != nil {
+	if err := c.AddObject("clip", unitClip(400)); err != nil {
 		t.Fatal(err)
 	}
-	openN(t, c, "clip", 15)
+	openN(t, c, "clip", 60)
 	c.Run(2)
 	checkTicketInvariant(t, c, "steady state")
 	population := engines[0].Active() + engines[1].Active() + engines[2].Active()
 
 	// Degrade → evict → migrate.
-	engines[0].(*sim.Engine).Degrade(2)
 	rep := c.Step()
 	if rep.Evicted == 0 || rep.Migrated != rep.Evicted {
 		t.Fatalf("degrade round: evicted %d migrated %d, want all evictions migrated", rep.Evicted, rep.Migrated)
 	}
 	checkTicketInvariant(t, c, "after evict+migrate")
 
-	// Fail → failover.
-	engines[1].(*sim.Engine).SetFailed(true)
-	for rounds := 0; engines[1].Active() > 0; rounds++ {
+	// Restore shard 0 (round 4), then fail shard 1 → failover (round 5).
+	for rounds := 0; engines[1].Active() > 0 || !engines[1].Health().Failed; rounds++ {
 		if rounds > 30 {
 			t.Fatalf("failover stalled with %d streams on the failed shard", engines[1].Active())
 		}
@@ -462,12 +461,13 @@ func TestTicketsMatchActiveAcrossFullCycle(t *testing.T) {
 	}
 	checkTicketInvariant(t, c, "after failover")
 
-	// Restore both and keep serving.
-	if _, err := c.Recalibrate(0); err != nil {
-		t.Fatal(err)
+	// Shard 1 comes back (round 8) and everything keeps serving.
+	c.Run(4)
+	for i, e := range engines {
+		if h := e.Health(); h.Degraded || h.Failed {
+			t.Errorf("shard %d not restored after its fault window: %+v", i, h)
+		}
 	}
-	engines[1].(*sim.Engine).SetFailed(false)
-	c.Run(3)
 	checkTicketInvariant(t, c, "after restore")
 
 	// Conservation: nothing was dropped anywhere in the cycle — every

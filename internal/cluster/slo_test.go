@@ -4,39 +4,21 @@ import (
 	"fmt"
 	"testing"
 
-	"mzqos/internal/disk"
 	"mzqos/internal/engine"
-	"mzqos/internal/model"
 	"mzqos/internal/server"
 	"mzqos/internal/slo"
 	"mzqos/internal/telemetry"
-	"mzqos/internal/workload"
 )
 
-// serverFleet builds n real server shards on a shared registry (shard
-// instance labels keep the series distinct), the way cluster mode runs.
-func serverFleet(t testing.TB, n int, reg *telemetry.Registry) []engine.Engine {
-	t.Helper()
-	engines := make([]engine.Engine, n)
-	for i := range engines {
-		srv, err := server.New(server.Config{
-			Disk:        disk.QuantumViking21(),
-			NumDisks:    2,
-			RoundLength: 1,
-			Sizes:       workload.PaperSizes(),
-			Guarantee:   model.Guarantee{Threshold: 0.01},
-			Seed:        uint64(i) + 1,
-			Registry:    reg,
-			InstanceLabels: []telemetry.Label{
-				telemetry.L("shard", fmt.Sprintf("%d", i)),
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = srv
+// audited turns a fleet's SLO audits on and puts its shards on one shared
+// registry (shard instance labels keep the series distinct), the way
+// cluster mode runs.
+func audited(reg *telemetry.Registry) func(int, *server.Config) {
+	return func(i int, c *server.Config) {
+		c.SLO.Disabled = false
+		c.Registry = reg
+		c.InstanceLabels = []telemetry.Label{telemetry.L("shard", fmt.Sprint(i))}
 	}
-	return engines
 }
 
 // sloHealth builds a shard health snapshot for roll-up tests.
@@ -61,7 +43,7 @@ func TestRollupSLOCapacityWeighting(t *testing.T) {
 	shards := []engine.Health{
 		sloHealth(10, 0.01, 0.00, 0.00, slo.Inactive),
 		sloHealth(30, 0.02, 0.04, 0.02, slo.Firing),
-		{Capacity: 50}, // unaudited (e.g. a statistical engine): no weight
+		{Capacity: 50}, // unaudited (a shard with its audit off): no weight
 	}
 	r := rollupSLO(shards)
 	if r.AuditedShards != 2 || r.FiringShards != 1 {
@@ -109,7 +91,7 @@ func TestRollupSLOZeroBudgetCapsBurn(t *testing.T) {
 // mzqos_cluster_slo_* and view-age series.
 func TestClusterSLOStatusOverServerShards(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	engines := serverFleet(t, 2, reg)
+	engines := fleet(t, 2, 2, audited(reg))
 	c := newCoordinator(t, Config{Engines: engines, Registry: reg})
 	c.Run(10)
 
@@ -159,14 +141,18 @@ func TestClusterSLOStatusOverServerShards(t *testing.T) {
 	}
 }
 
+// untightEngine hides its engine's BoundTightness: a shard that tracks no
+// empirical tails, as a decorator that forwards only engine.Engine is.
+type untightEngine struct{ engine.Engine }
+
 // TestClusterTightnessReportMixedFleet: TightnessReport audits every
 // shard whose engine can report bound tightness and marks the rest
-// unaudited, so the exit table and /report work with -shards across
-// engine kinds.
+// unaudited, so the exit table and /report work with -shards whatever
+// wraps a shard's engine.
 func TestClusterTightnessReportMixedFleet(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	engines := serverFleet(t, 2, reg)
-	engines = append(engines, simFleet(t, 1, 2, 4)...)
+	engines := fleet(t, 3, 2, audited(reg))
+	engines[2] = untightEngine{engines[2]}
 	c := newCoordinator(t, Config{Engines: engines, Registry: reg})
 
 	// Load the server shards and run sweeps so the tightness report has
@@ -204,7 +190,7 @@ func TestClusterTightnessReportMixedFleet(t *testing.T) {
 // zero. This is what makes admission-view staleness observable.
 func TestViewAgeTracksHeartbeatCadence(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := newCoordinator(t, Config{Engines: simFleet(t, 2, 2, 4), Registry: reg, HeartbeatEvery: 100})
+	c := newCoordinator(t, Config{Engines: fleet(t, 2, 2, nil), Registry: reg, HeartbeatEvery: 100})
 
 	c.Run(5) // well under the heartbeat cadence
 	if got := c.Status().ViewAgeRounds; got != 5 {
@@ -227,7 +213,7 @@ func TestViewAgeTracksHeartbeatCadence(t *testing.T) {
 		t.Errorf("view-age gauge after heartbeat = %v, want 0", v)
 	}
 
-	// Shard lag: every sim shard stepped every round, so its view entry
+	// Shard lag: every shard stepped every round, so its view entry
 	// trails the coordinator by exactly the view age.
 	for _, row := range c.Status().Shards {
 		if row.LagRounds != 0 {

@@ -37,7 +37,7 @@ func staleEvents(j *journal.Journal) []journal.Event {
 func TestStalenessQuietOnSlowHeartbeat(t *testing.T) {
 	jnl := journal.New(journal.Config{Capacity: 64})
 	c := newCoordinator(t, Config{
-		Engines:        simFleet(t, 2, 2, 4),
+		Engines:        fleet(t, 2, 2, nil),
 		HeartbeatEvery: 10, // > DefaultStaleAfter (8)
 		Journal:        jnl,
 	})
@@ -51,7 +51,7 @@ func TestStalenessQuietOnSlowHeartbeat(t *testing.T) {
 // health round pinned while the coordinator advances — still trips the
 // threshold, exactly once on the rising edge, and names the right shard.
 func TestStalenessFiresOnFrozenShard(t *testing.T) {
-	engines := simFleet(t, 2, 2, 4)
+	engines := fleet(t, 2, 2, nil)
 	wedged := &frozenHealthEngine{Engine: engines[1]}
 	engines[1] = wedged
 	jnl := journal.New(journal.Config{Capacity: 64})

@@ -116,7 +116,7 @@ type (
 // Cluster types (see README "Cluster serving" and DESIGN.md §7).
 type (
 	// Engine is the round-engine contract a cluster shard satisfies;
-	// both *Server and the statistical sim engine implement it.
+	// *Server implements it, and decorators wrap it.
 	Engine = engine.Engine
 	// EngineHealth is one shard's cached health row: active streams,
 	// per-disk limit, capacity, round, degraded flag.
@@ -152,19 +152,6 @@ const (
 
 // NewCluster builds a coordinator over pre-built shard engines.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
-
-// NewSimEngine builds a statistical shard engine: the detailed
-// simulator's service-time law behind the Engine contract, cheap enough
-// to fan out into large simulated fleets.
-func NewSimEngine(cfg SimEngineConfig) (*SimEngine, error) { return sim.NewEngine(cfg) }
-
-// SimEngine types (simulated shards for cluster experiments).
-type (
-	// SimEngine is the simulator-backed Engine implementation.
-	SimEngine = sim.Engine
-	// SimEngineConfig configures a SimEngine.
-	SimEngineConfig = sim.EngineConfig
-)
 
 // Fault-injection and degraded-mode types (see README "Fault injection
 // & degraded mode").
