@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race journal-owners dead-exports bench bench-system bench-pairs smoke faults loc loc-diff check clean
+.PHONY: all build vet test test-race journal-owners dead-exports mutants bench bench-system bench-pairs smoke faults loc loc-diff check clean
 
 all: build
 
@@ -36,6 +36,14 @@ journal-owners:
 # accuses a live one; an allowlist line that names nothing dead also fails.
 dead-exports:
 	$(GO) run ./scripts/deadexports
+
+# Every testdata/mutants/*.patch, applied to a `git archive` of REV (default
+# HEAD), must build and be caught by the tests its header names; prints
+# what killed each. Outside check: a run builds one copy of the tree per
+# mutant. RUN=. asks the whole named package instead.
+#   make mutants [REV=HEAD~1] [RUN=.]
+mutants:
+	RUN="$(RUN)" sh scripts/mutants.sh $(REV)
 
 # Every go-test benchmark in the repo, for a look at one host; add
 # -cpuprofile per package to see where an op spends its time. The
