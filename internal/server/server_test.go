@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"mzqos/internal/disk"
@@ -123,6 +124,25 @@ func TestCatalog(t *testing.T) {
 	names := s.Objects()
 	if len(names) != 2 || names[0] != "a" || names[1] != "d" {
 		t.Errorf("Objects = %v", names)
+	}
+}
+
+// TestRejectedAddObjectDrawsNothing: an object turned away for a bad
+// fragment size leaves no trace in the placement stream — the next object
+// lands exactly where it would on a server that never saw the call.
+func TestRejectedAddObjectDrawsNothing(t *testing.T) {
+	clean, probed := paperServer(t, 2), paperServer(t, 2)
+	if err := probed.AddObject("bad", []float64{1e5, 2e5, -1}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("negative fragment err = %v", err)
+	}
+	for _, s := range []*Server{clean, probed} {
+		if err := s.AddObject("a", []float64{1e5, 2e5, 3e5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := probed.catalog["a"], clean.catalog["a"]; !reflect.DeepEqual(got, want) {
+		t.Errorf("after a rejected AddObject the next object is placed at %+v, on a server that never saw the call at %+v",
+			got, want)
 	}
 }
 
