@@ -45,8 +45,8 @@ type clusterSLORollup struct {
 }
 
 // rollupSLO computes the capacity-weighted cluster roll-up over shard
-// health snapshots. Shards without an enabled audit (cheap statistical
-// engines) or with zero capacity contribute nothing.
+// health snapshots. Shards without an enabled audit (SLO.Disabled) or
+// with zero capacity contribute nothing.
 func rollupSLO(shards []engine.Health) clusterSLORollup {
 	var r clusterSLORollup
 	r.Targets[0].Target = slo.TargetLate
@@ -151,8 +151,8 @@ func (c *Coordinator) SLOStatus() ClusterSLO {
 // ShardTightness is one shard's bound-vs-measured report.
 type ShardTightness struct {
 	// Shard is the shard id. Audited is false when the shard's engine
-	// tracks no empirical tails (statistical engines); Report is then
-	// zero and Err empty.
+	// offers no BoundTightness (a decorator that does not forward it);
+	// Report is then zero and Err empty.
 	Shard   int                    `json:"shard"`
 	Audited bool                   `json:"audited"`
 	Report  engine.TightnessReport `json:"report"`

@@ -1,17 +1,16 @@
-// Package engine defines the round-engine contract shared by the live
-// striped server (internal/server) and the stepping simulator
-// (internal/sim): a component that owns a catalog of continuous objects,
-// admits streams under the analytic N_max discipline, and executes
-// round-based SCAN scheduling one Step at a time.
+// Package engine defines the round-engine contract of a cluster shard: a
+// component that owns a catalog of continuous objects, admits streams
+// under the analytic N_max discipline, and executes round-based SCAN
+// scheduling one Step at a time.
 //
-// The abstraction exists for the cluster layer (internal/cluster): a
-// shard is just an Engine plus placement metadata, so a coordinator can
-// stripe objects and route streams across many server shards — or many
-// cheap simulated shards when exercising fleet-scale admission — without
-// caring which implementation serves the rounds. The report types
-// (RoundReport, RunSummary) live here so both implementations, and every
-// layer above them, speak the same vocabulary; internal/server aliases
-// them under its historical names.
+// There is one engine, the striped server (internal/server). The
+// interface exists for what sits around it: the cluster coordinator
+// (internal/cluster), to which a shard is an Engine plus placement
+// metadata, and decorators that wrap a shard's engine to observe it, such
+// as the benchmark's timing wrapper. The report types (RoundReport,
+// RunSummary) live here so the server and every layer above it speak the
+// same vocabulary; internal/server aliases them under its historical
+// names.
 package engine
 
 import (

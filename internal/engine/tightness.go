@@ -66,8 +66,8 @@ func (r TightnessReport) WithinBounds() bool {
 }
 
 // TightnessReporter is the optional engine capability behind cluster
-// tightness aggregation: engines that track per-disk empirical tails
-// (the live server) implement it; cheap statistical engines need not.
+// tightness aggregation: the server implements it, and a decorator that
+// wraps a shard's engine forwards it or leaves the shard unaudited.
 // Implementations must be safe to call concurrently with the engine
 // loop, like Health.
 type TightnessReporter interface {
