@@ -103,3 +103,40 @@ func TestActiveSetInvariants(t *testing.T) {
 		})
 	}
 }
+
+// TestHealthMirrorsTheLoop holds Health, a coordinator's only view of a
+// shard's load, to the loop's own state. Its Active and Round are read from
+// the telemetry gauges the loop sets, not from len(active) and round, so
+// after every op of a seeded faulted schedule with degrade on, the two must
+// agree.
+func TestHealthMirrorsTheLoop(t *testing.T) {
+	lc := newLifecycle(t, 5, invariantsPlan(), false)
+	degraded, failed := 0, 0
+	for n := 0; n < 6000; n++ {
+		switch op := lc.rng.IntN(numOps + 4); {
+		case op < numOps:
+			lc.do(op)
+		case op < numOps+2:
+			lc.do(opOpen)
+		default:
+			if rep := lc.s.Step(); len(rep.Evicted) > 0 {
+				lc.migrate(rep.Evicted[0])
+			}
+		}
+		s, h := lc.s, lc.s.Health()
+		if h.Active != s.Active() || h.Round != s.Round() || h.Capacity != s.Capacity() ||
+			h.PerDiskLimit != s.PerDiskLimit() || h.Degraded != s.Degraded() {
+			t.Fatalf("after op %d: Health() = %+v; the loop has active %d, round %d, capacity %d, N_max %d, degraded %v",
+				n, h, s.Active(), s.Round(), s.Capacity(), s.PerDiskLimit(), s.Degraded())
+		}
+		if h.Degraded {
+			degraded++
+		}
+		if h.Failed {
+			failed++
+		}
+	}
+	if degraded == 0 || failed == 0 {
+		t.Errorf("schedule missed a path: %d ops degraded, %d failed", degraded, failed)
+	}
+}
