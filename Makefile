@@ -29,11 +29,15 @@ journal-owners:
 	@if $(GO) list -deps ./internal/slo ./internal/trace ./internal/fault | grep -x mzqos/internal/journal; then \
 		echo "internal/slo, internal/trace and internal/fault must not depend on internal/journal" >&2; exit 1; fi
 
-# Nothing under internal/ without a caller or a named reason: every exported
-# function and method there is mentioned by some non-test file of the module
-# or listed, with why it stays, in scripts/deadexports/allow.txt. The match
-# is by name, so it can miss a dead export behind a shared name and never
-# accuses a live one; an allowlist line that names nothing dead also fails.
+# Nothing under internal/ without a caller or a named reason: every func,
+# method, type, const and var declared there, exported or not, is reached
+# from the program's roots (main packages, the facade's exported API, init
+# and var initialisers) or listed, with why it stays, in
+# scripts/deadexports/allow.txt. Reachability is by type-checked object, not
+# by name: a method is live when called, or when its live type implements an
+# interface method live code calls through (the standard library's count as
+# called). An interface method nothing calls through is reported too, and
+# an allowlist line that names nothing dead fails the run.
 dead-exports:
 	$(GO) run ./scripts/deadexports
 
