@@ -42,7 +42,7 @@ func TestBoundTrivialBelowMean(t *testing.T) {
 func TestBoundDominatesTrueTail(t *testing.T) {
 	// The Chernoff bound must upper-bound the true tail of a Gamma.
 	g, _ := lst.NewGamma(4, 0.02)
-	d, _ := dist.NewGamma(4, 0.02)
+	d := dist.Gamma{Shape: 4, Rate: 0.02}
 	for _, tt := range []float64{250, 300, 400, 600, 1000} {
 		res, err := Bound(g, tt)
 		if err != nil {
@@ -264,7 +264,7 @@ func TestCLT(t *testing.T) {
 // Property: for Gamma tails above the mean, Chernoff ≤ Cantelli-Chebyshev
 // is NOT always true pointwise, but both must dominate the true tail.
 func TestBoundsDominateTrueTailProperty(t *testing.T) {
-	d, _ := dist.NewGamma(4, 1) // mean 4, var 4
+	d := dist.Gamma{Shape: 4, Rate: 1} // mean 4, var 4
 	g, _ := lst.NewGamma(4, 1)
 	prop := func(raw float64) bool {
 		tt := 4 + math.Abs(math.Mod(raw, 20)) + 0.1

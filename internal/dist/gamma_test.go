@@ -7,10 +7,7 @@ import (
 )
 
 func TestGammaMoments(t *testing.T) {
-	g, err := NewGamma(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := Gamma{Shape: 4, Rate: 2}
 	if g.Mean() != 2 {
 		t.Errorf("Mean = %v, want 2", g.Mean())
 	}
@@ -37,19 +34,13 @@ func TestGammaFromMeanVar(t *testing.T) {
 }
 
 func TestGammaBadParams(t *testing.T) {
-	if _, err := NewGamma(0, 1); err != ErrParam {
-		t.Errorf("NewGamma(0,1) err = %v, want ErrParam", err)
-	}
-	if _, err := NewGamma(1, -1); err != ErrParam {
-		t.Errorf("NewGamma(1,-1) err = %v, want ErrParam", err)
-	}
 	if _, err := GammaFromMeanVar(-1, 1); err != ErrParam {
 		t.Errorf("GammaFromMeanVar(-1,1) err = %v, want ErrParam", err)
 	}
 }
 
 func TestGammaPDFIntegratesToOne(t *testing.T) {
-	g, _ := NewGamma(4, 0.02)
+	g := Gamma{Shape: 4, Rate: 0.02}
 	// Riemann sum over a wide range.
 	var sum float64
 	dx := 0.5
@@ -65,7 +56,7 @@ func TestGammaExponentialSpecialCase(t *testing.T) {
 	// Gamma(shape=1, rate=λ) is the exponential law: density λe^{-λx},
 	// distribution function 1 - e^{-λx}.
 	const lambda = 3.0
-	g, _ := NewGamma(1, lambda)
+	g := Gamma{Shape: 1, Rate: lambda}
 	for _, x := range []float64{0.01, 0.1, 0.5, 1, 2} {
 		if pdf := lambda * math.Exp(-lambda*x); math.Abs(g.PDF(x)-pdf) > 1e-12 {
 			t.Errorf("PDF mismatch at %v: %v vs %v", x, g.PDF(x), pdf)
@@ -77,7 +68,7 @@ func TestGammaExponentialSpecialCase(t *testing.T) {
 }
 
 func TestGammaQuantileRoundTrip(t *testing.T) {
-	g, _ := NewGamma(4, 0.02)
+	g := Gamma{Shape: 4, Rate: 0.02}
 	for _, p := range []float64{0.01, 0.1, 0.5, 0.9, 0.95, 0.99} {
 		x, err := g.Quantile(p)
 		if err != nil {
@@ -91,7 +82,7 @@ func TestGammaQuantileRoundTrip(t *testing.T) {
 
 func TestGamma99Percentile(t *testing.T) {
 	// Shape 4: the 0.99 quantile of Gamma(4, 1) is chi2(8df,0.99)/2 ≈ 10.045.
-	g, _ := NewGamma(4, 1)
+	g := Gamma{Shape: 4, Rate: 1}
 	q, err := g.Quantile(0.99)
 	if err != nil {
 		t.Fatal(err)
@@ -114,23 +105,6 @@ func TestGammaSampleMoments(t *testing.T) {
 		if math.Abs(w.Var()-g.Var()) > 0.06*g.Var() {
 			t.Errorf("shape %v: sample var %v vs %v", g.Shape, w.Var(), g.Var())
 		}
-	}
-}
-
-func TestGammaLogMGF(t *testing.T) {
-	g, _ := NewGamma(4, 2)
-	// MGF of Gamma(shape β, rate α) at s is (α/(α-s))^β.
-	for _, s := range []float64{-3, -1, 0, 0.5, 1.5} {
-		want := 4 * math.Log(2/(2-s))
-		if math.Abs(g.LogMGF(s)-want) > 1e-12 {
-			t.Errorf("LogMGF(%v) = %v, want %v", s, g.LogMGF(s), want)
-		}
-	}
-	if !math.IsInf(g.LogMGF(2), 1) {
-		t.Errorf("LogMGF at rate should be +Inf")
-	}
-	if !math.IsInf(g.LogMGF(5), 1) {
-		t.Errorf("LogMGF beyond rate should be +Inf")
 	}
 }
 

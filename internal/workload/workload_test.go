@@ -13,8 +13,8 @@ func TestPaperSizes(t *testing.T) {
 	if math.Abs(m.Mean()-200*KB) > 1e-6 {
 		t.Errorf("Mean = %v, want %v", m.Mean(), 200*KB)
 	}
-	if math.Abs(dist.Std(m.Dist)-100*KB) > 1e-6 {
-		t.Errorf("Std = %v, want %v", dist.Std(m.Dist), 100*KB)
+	if math.Abs(math.Sqrt(m.Var())-100*KB) > 1e-6 {
+		t.Errorf("Std = %v, want %v", math.Sqrt(m.Var()), 100*KB)
 	}
 }
 
@@ -270,7 +270,7 @@ func TestTraceFragmentsMatchPaperScale(t *testing.T) {
 	if math.Abs(m.Mean()-200*KB) > 0.15*200*KB {
 		t.Errorf("trace fragment mean = %v KB", m.Mean()/KB)
 	}
-	cv := dist.Std(m.Dist) / m.Mean()
+	cv := math.Sqrt(m.Var()) / m.Mean()
 	if cv < 0.1 {
 		t.Errorf("trace fragments suspiciously uniform: cv = %v", cv)
 	}
