@@ -17,21 +17,13 @@ func (d Deterministic) Mean() float64 { return d.Value }
 // Var returns 0.
 func (d Deterministic) Var() float64 { return 0 }
 
-// PDF returns +Inf at the atom and 0 elsewhere (the density does not exist;
-// callers needing masses should use CDF).
+// PDF returns +Inf at the atom and 0 elsewhere (the density does not
+// exist).
 func (d Deterministic) PDF(x float64) float64 {
 	if x == d.Value {
 		return math.Inf(1)
 	}
 	return 0
-}
-
-// CDF returns the step function at Value.
-func (d Deterministic) CDF(x float64) float64 {
-	if x < d.Value {
-		return 0
-	}
-	return 1
 }
 
 // Quantile returns Value for all p in (0,1).
