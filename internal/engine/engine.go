@@ -13,11 +13,7 @@
 // names.
 package engine
 
-import (
-	"errors"
-
-	"mzqos/internal/fault"
-)
+import "errors"
 
 // Shared error conditions. Engine implementations wrap these with their
 // own package prefix, so callers (the cluster coordinator in particular)
@@ -89,21 +85,11 @@ type Engine interface {
 	// Recalibrate re-derives the admission limit from observed workload
 	// statistics (§5) and reports the old and new per-disk limits.
 	Recalibrate(minSamples int64) (oldLimit, newLimit int, err error)
-	// NumDisks returns the array width D; PerDiskLimit the admission
-	// limit N_max per disk; Capacity the engine-wide limit D·N_max.
-	NumDisks() int
+	// PerDiskLimit returns the admission limit N_max per disk in force.
 	PerDiskLimit() int
-	Capacity() int
-	// Active returns the open-stream count; Round the next round index.
-	Active() int
-	Round() int
-	// Degraded reports whether fault-degraded admission limits are in
-	// force; FaultEffectsAt resolves the configured fault plan at a round
-	// (identity effects when no plan is configured).
-	Degraded() bool
-	FaultEffectsAt(round int) []fault.Effects
 	// Health returns a concurrent-safe load/limit snapshot for heartbeat
-	// collectors (read from atomic state, never the loop's own fields).
+	// collectors (read from atomic state, never the loop's own fields):
+	// the coordinator's only view of a shard's load.
 	Health() Health
 
 	// ExportStream captures a stream's resumable state and removes the
