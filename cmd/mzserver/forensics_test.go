@@ -367,7 +367,9 @@ func TestClusterIncidentArcFromTimeline(t *testing.T) {
 	if opened < 60 {
 		t.Fatalf("only %d of 90 opens admitted; cluster too small for the arc", opened)
 	}
-	coord.Run(80)
+	for range 80 {
+		coord.Step()
+	}
 
 	mux := newClusterMux(coord, reg, nil, false)
 	var rep timelineReport

@@ -388,7 +388,9 @@ func testCluster(t *testing.T) (*cluster.Coordinator, *telemetry.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord.Run(10)
+	for range 10 {
+		coord.Step()
+	}
 	return coord, reg
 }
 
@@ -548,7 +550,9 @@ func TestClusterHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed.Run(6) // past the degrade threshold; the view refreshes every round
+	for range 6 { // past the degrade threshold; the view refreshes every round
+		failed.Step()
+	}
 	mux = newClusterMux(failed, reg2, nil, false)
 	rec = httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))

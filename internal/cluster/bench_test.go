@@ -100,7 +100,7 @@ func BenchmarkMigrateFailover(b *testing.B) {
 			b.Fatal(err)
 		}
 		openN(b, c, "vod", streams)
-		c.Run(2)
+		steps(c, 2)
 		return c
 	}
 	var c *Coordinator
@@ -120,7 +120,7 @@ func BenchmarkMigrateFailover(b *testing.B) {
 			c = build()
 			b.StartTimer()
 		}
-		c.Run(2)
+		steps(c, 2)
 	}
 	b.StopTimer()
 	check()

@@ -827,15 +827,6 @@ func (c *Coordinator) Journal() *journal.Journal { return c.jnl }
 // when disabled).
 func (c *Coordinator) QoSLedger() *journal.Ledger { return c.ledger }
 
-// Run executes n cluster rounds and returns the last round's report.
-func (c *Coordinator) Run(n int) RoundReport {
-	var rep RoundReport
-	for i := 0; i < n; i++ {
-		rep = c.Step()
-	}
-	return rep
-}
-
 // Recalibrate re-derives every shard's admission limit from its observed
 // workload (§5) and publishes a fresh view. Shards that decline (too few
 // samples yet, degenerate moments) keep their current limits rather than

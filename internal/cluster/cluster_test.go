@@ -98,6 +98,13 @@ func newCoordinator(t testing.TB, cfg Config) *Coordinator {
 	return c
 }
 
+// steps runs n coordinator rounds.
+func steps(c *Coordinator, n int) {
+	for range n {
+		c.Step()
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config should error")
@@ -350,7 +357,7 @@ func TestFailedShardShedsLoadToSiblings(t *testing.T) {
 
 	// Recovery: the slowdown ends with round 1, the clean round 2
 	// restores the healthy limits, and the view reopens the shard.
-	c.Run(2)
+	steps(c, 2)
 	if _, err := c.Admit("x"); err != nil {
 		t.Fatalf("admit after recovery: %v", err)
 	}

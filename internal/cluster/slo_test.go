@@ -93,7 +93,7 @@ func TestClusterSLOStatusOverServerShards(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	engines := fleet(t, 2, 2, audited(reg))
 	c := newCoordinator(t, Config{Engines: engines, Registry: reg})
-	c.Run(10)
+	steps(c, 10)
 
 	st := c.SLOStatus()
 	if st.AuditedShards != 2 || st.FiringShards != 0 {
@@ -165,7 +165,7 @@ func TestClusterTightnessReportMixedFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Run(5)
+	steps(c, 5)
 
 	rep := c.TightnessReport()
 	if len(rep.Shards) != 3 || rep.AuditedShards != 2 {
@@ -192,7 +192,7 @@ func TestViewAgeTracksHeartbeatCadence(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := newCoordinator(t, Config{Engines: fleet(t, 2, 2, nil), Registry: reg, HeartbeatEvery: 100})
 
-	c.Run(5) // well under the heartbeat cadence
+	steps(c, 5) // well under the heartbeat cadence
 	if got := c.Status().ViewAgeRounds; got != 5 {
 		t.Errorf("view age after 5 rounds = %d, want 5", got)
 	}

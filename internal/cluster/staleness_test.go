@@ -41,7 +41,7 @@ func TestStalenessQuietOnSlowHeartbeat(t *testing.T) {
 		HeartbeatEvery: 10, // > DefaultStaleAfter (8)
 		Journal:        jnl,
 	})
-	c.Run(60)
+	steps(c, 60)
 	if evs := staleEvents(jnl); len(evs) != 0 {
 		t.Fatalf("healthy shards journaled %d heartbeat_stale events: %+v", len(evs), evs)
 	}
@@ -61,7 +61,7 @@ func TestStalenessFiresOnFrozenShard(t *testing.T) {
 		Journal:        jnl,
 	})
 	wedged.frozen = true
-	c.Run(60)
+	steps(c, 60)
 	evs := staleEvents(jnl)
 	if len(evs) != 1 {
 		t.Fatalf("wedged shard journaled %d heartbeat_stale events, want 1 rising edge: %+v", len(evs), evs)
