@@ -10,20 +10,8 @@ import (
 
 func TestAccessors(t *testing.T) {
 	m := paperMultiZoneModel(t)
-	if m.Disk() == nil || m.Disk().Name != "Quantum Viking 2.1" {
-		t.Error("Disk accessor wrong")
-	}
 	if m.RoundLength() != 1 {
 		t.Error("RoundLength accessor wrong")
-	}
-	sz, ok := m.Sizes()
-	if !ok || sz.Dist == nil {
-		t.Error("Sizes accessor wrong")
-	}
-	// A moments-only model reports no size model.
-	ms := paperSingleZoneModel(t)
-	if _, ok := ms.Sizes(); ok {
-		t.Error("moments-only model should report no size model")
 	}
 }
 

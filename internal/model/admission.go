@@ -171,6 +171,3 @@ func (t *Table) Entries() []TableEntry {
 	copy(out, t.entries)
 	return out
 }
-
-// Len returns the number of rows.
-func (t *Table) Len() int { return len(t.entries) }

@@ -247,14 +247,8 @@ func transferMoments(cfg Config) (mean, variance float64, err error) {
 	return mean, variance, nil
 }
 
-// Disk returns the configured geometry.
-func (m *Model) Disk() *disk.Geometry { return m.cfg.Disk }
-
 // RoundLength returns the configured round length t.
 func (m *Model) RoundLength() float64 { return m.cfg.RoundLength }
-
-// Sizes returns the fragment-size model and whether one is present.
-func (m *Model) Sizes() (workload.SizeModel, bool) { return m.cfg.Sizes, m.hasSizes }
 
 // TransferMoments returns the modeled E[T_trans] and Var[T_trans].
 func (m *Model) TransferMoments() (mean, variance float64) {

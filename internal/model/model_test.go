@@ -481,8 +481,8 @@ func TestAdmissionTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Len() != 3 {
-		t.Fatalf("table len = %d", tbl.Len())
+	if n := len(tbl.Entries()); n != 3 {
+		t.Fatalf("table len = %d", n)
 	}
 	n, ok := tbl.Lookup(Guarantee{Threshold: 0.01})
 	if !ok || n != 26 {

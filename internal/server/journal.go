@@ -21,10 +21,6 @@ func (s *Server) Journal() *journal.Journal { return s.jnl }
 // disabled).
 func (s *Server) QoSLedger() *journal.Ledger { return s.ledger }
 
-// Shard returns the cluster shard id this server labels its journal
-// events with (0 standalone).
-func (s *Server) Shard() int { return s.shard }
-
 // event starts an event of this server's timeline: its round and shard
 // filled in, no disk and no transition pair.
 func (s *Server) event(kind journal.Kind) journal.Event {

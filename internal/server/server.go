@@ -34,7 +34,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -579,16 +578,6 @@ func (s *Server) AddSyntheticObject(name string, rounds int) error {
 		sizes[i] = s.cfg.Sizes.Sample(s.rng)
 	}
 	return s.AddObject(name, sizes)
-}
-
-// Objects returns the catalog names, sorted.
-func (s *Server) Objects() []string {
-	names := make([]string, 0, len(s.catalog))
-	for n := range s.catalog {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Open admits a new stream on the named object, or returns ErrRejected

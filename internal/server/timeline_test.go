@@ -115,8 +115,8 @@ func TestTimelineOrderGolden(t *testing.T) {
 			s.SLOAuditor().SetBudgets(0, 0)
 			s.Trace().Clear()
 		}
-		if s.Round() != r || s.SLOAuditor().Round() != r {
-			t.Fatalf("round %d: server at %d, auditor at %d", r, s.Round(), s.SLOAuditor().Round())
+		if s.Round() != r || s.SLOAuditor().Status().Round != r {
+			t.Fatalf("round %d: server at %d, auditor at %d", r, s.Round(), s.SLOAuditor().Status().Round)
 		}
 		s.Step()
 	}

@@ -403,9 +403,6 @@ func New(cfg Config, disks int) (*Auditor, error) {
 	return a, nil
 }
 
-// Enabled reports whether the audit is running (false for nil).
-func (a *Auditor) Enabled() bool { return a != nil }
-
 // Config returns the effective (defaulted) configuration.
 func (a *Auditor) Config() Config {
 	if a == nil {
@@ -526,16 +523,6 @@ func (a *Auditor) EndRound() Evaluation {
 	}
 	a.mu.Unlock()
 	return ev
-}
-
-// Round returns the number of rounds observed.
-func (a *Auditor) Round() int {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.round
 }
 
 // WindowEstimate is one window's estimate for one target.

@@ -216,15 +216,6 @@ func (h *Histogram) Count() int64 { return h.total.Load() }
 // Sum returns the sum of observed values so far.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// TailAbove returns the fraction of observations strictly greater than
-// threshold, exact when threshold is a bucket boundary (0 when empty).
-// With RoundTimeBuckets(t) and threshold t, this is the measured
-// P̂[T > t] — the event the server counts as a late round, since a sweep
-// finishing exactly at the deadline is on time.
-func (h *Histogram) TailAbove(threshold float64) float64 {
-	return h.SnapshotValues().TailAbove(threshold)
-}
-
 // SnapshotValues returns an immutable copy of the histogram state. The
 // copy is not atomic with respect to concurrent Observe calls (counts may
 // be ahead of sum by in-flight observations), which is harmless for
@@ -284,14 +275,6 @@ func (v HistogramValues) TailAbove(threshold float64) float64 {
 		below += v.Counts[k]
 	}
 	return float64(v.Count-below) / float64(v.Count)
-}
-
-// Mean returns the sample mean (0 when empty).
-func (v HistogramValues) Mean() float64 {
-	if v.Count == 0 {
-		return 0
-	}
-	return v.Sum / float64(v.Count)
 }
 
 // Quantile returns a bucket-resolved upper estimate of the q-quantile: the

@@ -34,9 +34,6 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 	return &Zipf{s: s, cdf: cdf}, nil
 }
 
-// Len returns the catalog size.
-func (z *Zipf) Len() int { return len(z.cdf) }
-
 // Prob returns the probability of rank i.
 func (z *Zipf) Prob(i int) float64 {
 	if i < 0 || i >= len(z.cdf) {

@@ -66,8 +66,8 @@ func TestZipfSkew(t *testing.T) {
 	if z.TopShare(0) != 0 || math.Abs(z.TopShare(1000)-1) > 1e-12 {
 		t.Error("TopShare edges wrong")
 	}
-	if z.Len() != 100 {
-		t.Errorf("Len = %d", z.Len())
+	if len(z.cdf) != 100 {
+		t.Errorf("catalog size = %d", len(z.cdf))
 	}
 }
 
