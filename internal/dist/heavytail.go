@@ -15,23 +15,15 @@ type Lognormal struct {
 	Mu, Sigma float64
 }
 
-// NewLognormal returns a Lognormal distribution with log-mean mu and
-// log-standard-deviation sigma.
-func NewLognormal(mu, sigma float64) (Lognormal, error) {
-	if !(sigma > 0) || math.IsNaN(mu) || math.IsInf(mu, 0) {
-		return Lognormal{}, ErrParam
-	}
-	return Lognormal{Mu: mu, Sigma: sigma}, nil
-}
-
 // LognormalFromMeanVar returns the Lognormal whose first two moments match
 // the given mean and variance.
 func LognormalFromMeanVar(mean, variance float64) (Lognormal, error) {
-	if !(mean > 0) || !(variance > 0) {
+	s2 := math.Log(1 + variance/(mean*mean))
+	l := Lognormal{Mu: math.Log(mean) - s2/2, Sigma: math.Sqrt(s2)}
+	if !positive(mean, variance, l.Sigma) { // a finite Sigma makes Mu finite
 		return Lognormal{}, ErrParam
 	}
-	s2 := math.Log(1 + variance/(mean*mean))
-	return Lognormal{Mu: math.Log(mean) - s2/2, Sigma: math.Sqrt(s2)}, nil
+	return l, nil
 }
 
 // Mean returns exp(Mu + Sigma²/2).
@@ -80,25 +72,17 @@ type Pareto struct {
 	Xm, Alpha float64
 }
 
-// NewPareto returns a Pareto distribution.
-func NewPareto(xm, alpha float64) (Pareto, error) {
-	if !(xm > 0) || !(alpha > 0) {
-		return Pareto{}, ErrParam
-	}
-	return Pareto{Xm: xm, Alpha: alpha}, nil
-}
-
 // ParetoFromMeanVar returns the Pareto whose first two moments match the
 // given mean and variance. Requires alpha > 2, i.e. variance finite, which
 // holds whenever variance > 0 can be matched: the implied tail index is
 // alpha = 1 + sqrt(1 + mean²/variance).
 func ParetoFromMeanVar(mean, variance float64) (Pareto, error) {
-	if !(mean > 0) || !(variance > 0) {
+	alpha := 1 + math.Sqrt(1+mean*mean/variance)
+	p := Pareto{Xm: mean * (alpha - 1) / alpha, Alpha: alpha}
+	if !positive(mean, variance, p.Xm, p.Alpha) {
 		return Pareto{}, ErrParam
 	}
-	alpha := 1 + math.Sqrt(1+mean*mean/variance)
-	xm := mean * (alpha - 1) / alpha
-	return Pareto{Xm: xm, Alpha: alpha}, nil
+	return p, nil
 }
 
 // Mean returns α·Xm/(α-1) for α > 1, +Inf otherwise.
