@@ -1,6 +1,9 @@
 package journal
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func promiseFor(object string, shard int) Promise {
 	return Promise{
@@ -139,6 +142,65 @@ func TestLedgerRetiredRingBounds(t *testing.T) {
 	// Histograms keep counting past the ring.
 	if rep.GlitchesPerStream.Count != 3 {
 		t.Fatalf("tail count: got %d, want 3", rep.GlitchesPerStream.Count)
+	}
+}
+
+// TestLedgerRecycledRecordsStayPut: what the retired ring retains is the
+// record as it was at finalization, whatever later admissions and
+// migrations do to the ledger's other records — even once the ring has
+// lapped and every record has been through retirement more than once.
+func TestLedgerRecycledRecordsStayPut(t *testing.T) {
+	l := NewLedger(LedgerConfig{Retired: 3})
+	l.EnableInflight()
+	var next int64
+	admit := func(shard int) int64 {
+		next++
+		l.Admit(shard, next, promiseFor("clip", shard), uint64(next))
+		return next
+	}
+	// open admits a stream on the first shard of lineage and migrates it
+	// along the rest, returning its final id.
+	open := func(lineage ...int) int64 {
+		id := admit(lineage[0])
+		for i, to := range lineage[1:] {
+			l.Suspend(lineage[i], id, Delivered{Served: i + 1}, 0)
+			toID := admit(to)
+			l.Migrated(lineage[i], id, to, toID)
+			id = toID
+		}
+		return id
+	}
+	lineages := [][]int{{0, 1}, {0, 1, 2}, {1, 2}, {2, 0, 1}}
+	for k := 0; k < 7; k++ { // laps the three-slot ring twice
+		lin := lineages[k%len(lineages)]
+		l.Retire(lin[len(lin)-1], open(lin...), Delivered{Served: 10 + k, Done: true}, k)
+	}
+	snap := l.Report().Retired
+	if len(snap) != 3 || snap[2].RetiredRound != 6 || len(snap[1].ShardsVisited) != 3 {
+		t.Fatalf("retained after two laps: %+v", snap)
+	}
+
+	// Admissions and migrations elsewhere, and nothing retires.
+	open(5, 6, 7)
+	open(6, 5)
+	last := open(7, 5, 6)
+	if got := l.Report().Retired; !reflect.DeepEqual(got, snap) {
+		t.Fatalf("retained records moved without a retirement:\n got %+v\nwant %+v", got, snap)
+	}
+
+	// One more retirement pushes out the oldest and nothing else.
+	var rec Record
+	for _, a := range l.Report().Active {
+		if a.Shard == 6 && a.Stream == last {
+			rec = a
+		}
+	}
+	rec.Delivered = Delivered{Served: 99, Done: true}
+	rec.RetiredRound = 7
+	l.Retire(6, last, rec.Delivered, 7)
+	want := append(snap[1:len(snap):len(snap)], rec)
+	if got := l.Report().Retired; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after one more retirement:\n got %+v\nwant %+v", got, want)
 	}
 }
 
