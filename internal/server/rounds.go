@@ -74,7 +74,6 @@ func (s *Server) Step() RoundReport {
 		s.frags[d] = append(s.frags[d], sweep.Fragment{Cylinder: int(frag.cyl), Zone: int(frag.zone), Size: frag.size, Ref: i})
 	}
 
-	var done []*stream
 	for d, frags := range s.frags {
 		if len(frags) == 0 {
 			continue
@@ -112,7 +111,7 @@ func (s *Server) Step() RoundReport {
 			}
 			st.next++
 			if st.next >= len(st.obj.frags) {
-				done = append(done, st)
+				s.done = append(s.done, st)
 			}
 			if tracing {
 				s.trcSpan.Append(int64(st.id), r, late)
@@ -144,12 +143,7 @@ func (s *Server) Step() RoundReport {
 		}
 	}
 
-	for _, st := range done {
-		rep.Completed = append(rep.Completed, st.id)
-		i, _ := s.find(st.id)
-		s.retire(i, true)
-	}
-	slices.Sort(rep.Completed)
+	rep.Completed = s.retireDone()
 	rep.Evicted = s.adaptToFaults(effs)
 	// Close the round for the SLO audit after fault adaptation so a
 	// degraded round is already measured against its re-derived budgets,
@@ -159,6 +153,29 @@ func (s *Server) Step() RoundReport {
 	s.hist.Sample(s.round)
 	s.round++
 	return rep
+}
+
+// retireDone retires the round's completed streams and returns their ids
+// in ascending order, nil when none completed. Their stats are filed in
+// service order, the order the finished FIFO and the ledger's retired
+// ring record, and active is compacted once for all of them rather than
+// shifted once per stream.
+func (s *Server) retireDone() []StreamID {
+	if len(s.done) == 0 {
+		return nil
+	}
+	ids := make([]StreamID, len(s.done))
+	for i, st := range s.done {
+		ids[i] = st.id
+		s.classes[st.offset].Add(-1)
+		s.rememberFinished(st.id, st.stats(true))
+	}
+	s.active = slices.DeleteFunc(s.active, func(st *stream) bool { return st.next >= len(st.obj.frags) })
+	s.tel.active.Set(float64(len(s.active)))
+	clear(s.done) // keeps no retired stream alive
+	s.done = s.done[:0]
+	slices.Sort(ids)
+	return ids
 }
 
 // reportBlock is how many rounds' worth of RoundReport.Disks rows one
