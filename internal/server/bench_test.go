@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mzqos/internal/disk"
+	"mzqos/internal/journal"
 	"mzqos/internal/model"
 	"mzqos/internal/trace"
 	"mzqos/internal/workload"
@@ -51,9 +52,11 @@ func paperLoadStep(tb testing.TB, traceOff bool, warm int) func() {
 	return step
 }
 
-// An untraced round allocates nothing but RoundReport.Disks, which
-// callers keep, and that once per reportBlock rounds: requests, effects
-// and SCAN order are Step scratch. testing.AllocsPerRun rounds down to
+// An untraced round allocates nothing but what callers keep of its report:
+// RoundReport.Disks, cut once per reportBlock rounds, and Completed, once
+// in a round where streams complete — which this server's 4096-fragment
+// objects never do within the test. Requests, effects, SCAN order and the
+// completed streams are Step scratch. testing.AllocsPerRun rounds down to
 // whole objects, so the mean is taken from the allocator's own count.
 func TestStepAllocsUntraced(t *testing.T) {
 	step := paperLoadStep(t, true, 8)
@@ -67,6 +70,56 @@ func TestStepAllocsUntraced(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if mean := float64(after.Mallocs-before.Mallocs) / rounds; mean >= 0.1 {
 		t.Errorf("untraced Step allocates %v objects per round, want fewer than 0.1", mean)
+	}
+}
+
+// TestChurnAllocs holds a churning server — clips of one to four
+// fragments, journal and ledger on, every round opened until the first
+// rejection — to about one allocation per admitted stream: the stream
+// itself. Ledger records are recycled, Step retires its completions from
+// scratch, and the report's Completed is one allocation per round. The
+// warm-up laps the ledger's retired ring, whose slots keep their lineage
+// arrays from then on, and every other ring a round writes.
+func TestChurnAllocs(t *testing.T) {
+	s, _, _ := journaledServer(t, 4, nil, DegradeConfig{})
+	names := []string{"c1", "c2", "c3", "c4"}
+	for n, name := range names {
+		if err := s.AddSyntheticObject(name, n+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	admitted := 0
+	round := func() {
+		for {
+			_, _, err := s.Open(names[admitted%len(names)])
+			if errors.Is(err, ErrRejected) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			admitted++
+		}
+		s.Step()
+	}
+	// One rejection and a span per disk a round: the warm-up also laps the
+	// rejection ring and the flight recorder's span ring.
+	for s.tel.retired.Value() <= journal.DefaultRetired ||
+		s.Round() < max(rejectionRingCap, trace.DefaultSpans/s.NumDisks()) {
+		round()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds = 200
+	from := admitted
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / float64(admitted-from); per >= 1.5 {
+		t.Errorf("a churning round allocates %.2f objects per admitted stream (%d streams in %d rounds), want fewer than 1.5",
+			per, admitted-from, rounds)
 	}
 }
 
