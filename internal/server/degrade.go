@@ -219,7 +219,7 @@ func (s *Server) shedToLimit() []StreamID {
 			st := s.active[i]
 			s.journalEvict(st)
 			s.rememberEvicted(st)
-			s.retire(i, false)
+			s.retire(i)
 			s.tel.evictions.Inc()
 			evicted = append(evicted, id)
 		}
