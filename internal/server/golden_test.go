@@ -187,18 +187,15 @@ type lifecycle struct {
 	rng     *rand.Rand
 	d       digest
 	objects []string
-	paused  []StreamID // in Pause order
-	issued  StreamID   // highest id ever returned
+	issued  StreamID // highest id ever returned
 
 	// Coverage counters: what the schedule actually reached.
-	resumedOld, migrated, reimported int
+	migrated, reimported int
 }
 
 const (
 	opOpen = iota
 	opClose
-	opPause
-	opResume
 	opMigrate
 	numOps
 )
@@ -273,33 +270,8 @@ func (lc *lifecycle) do(op int) {
 		id, delay, err := lc.s.Open(lc.objects[lc.rng.IntN(len(lc.objects))])
 		lc.note(id, delay, err)
 	case opClose:
-		// One close in four targets a paused stream.
-		if len(lc.paused) > 0 && lc.rng.IntN(4) == 0 {
-			i := lc.rng.IntN(len(lc.paused))
-			lc.note(lc.paused[i], 0, lc.s.Close(lc.paused[i]))
-			lc.paused = append(lc.paused[:i], lc.paused[i+1:]...)
-		} else if id, ok := lc.pickActive(); ok {
-			lc.note(id, 0, lc.s.Close(id))
-		}
-	case opPause:
 		if id, ok := lc.pickActive(); ok {
-			lc.note(id, 0, lc.s.Pause(id))
-			lc.paused = append(lc.paused, id)
-		}
-	case opResume:
-		if len(lc.paused) == 0 {
-			return
-		}
-		i := lc.rng.IntN(len(lc.paused))
-		id := lc.paused[i]
-		delay, err := lc.s.Resume(id)
-		lc.note(id, delay, err)
-		if err != nil {
-			return // rejected: stays paused
-		}
-		lc.paused = append(lc.paused[:i], lc.paused[i+1:]...)
-		if ids := lc.s.ActiveStreams(); ids[len(ids)-1] > id {
-			lc.resumedOld++ // re-entered below newer active ids
+			lc.note(id, 0, lc.s.Close(id))
 		}
 	case opMigrate:
 		if id, ok := lc.pickActive(); ok {
@@ -333,7 +305,6 @@ func (lc *lifecycle) step() RoundReport {
 		lc.reimported++
 	}
 	lc.d.int(lc.s.Active())
-	lc.d.int(lc.s.Paused())
 	lc.d.int(lc.s.PerDiskLimit())
 	for _, id := range lc.s.ActiveStreams() {
 		lc.d.int(int(id))
@@ -352,11 +323,11 @@ func (lc *lifecycle) step() RoundReport {
 
 // TestStepGoldenLifecycle extends TestStepGolden from an open-only run to
 // the whole stream lifecycle: a seeded 300-round, 3-disk schedule that
-// interleaves Open, Close, Pause, Resume (of old ids while newer ones are
-// active), ExportStream + ImportStream, completions, and a degrade plan
-// that sheds. The digest covers every report field, the active set and
-// every issued id's stats after each round. The constants were computed
-// at the commit before the active map became an id-ordered slice.
+// interleaves Open, Close, ExportStream + ImportStream, completions, and a
+// degrade plan that sheds. The digest covers every report field, the
+// active set and every issued id's stats after each round. The constants
+// were computed at the commit before Pause and Resume were deleted, with
+// neither drawn.
 func TestStepGoldenLifecycle(t *testing.T) {
 	const rounds = 300
 	cases := []struct {
@@ -364,8 +335,8 @@ func TestStepGoldenLifecycle(t *testing.T) {
 		traced        bool
 		digest, spans uint64
 	}{
-		{"trace-on", true, 0x4cefb1b18fb04417, 0xdba97bc3b3ccf73b},
-		{"trace-off", false, 0x4cefb1b18fb04417, 0xcbf29ce484222325},
+		{"trace-on", true, 0xce53a5b51cc5b8ec, 0xf547ab1043b2c6c1},
+		{"trace-off", false, 0xce53a5b51cc5b8ec, 0xcbf29ce484222325},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -388,9 +359,9 @@ func TestStepGoldenLifecycle(t *testing.T) {
 				evicted += len(rep.Evicted)
 				completed += len(rep.Completed)
 			}
-			if lc.resumedOld == 0 || lc.migrated == 0 || lc.reimported == 0 || evicted == 0 || completed == 0 {
-				t.Fatalf("schedule missed a path: resumedOld=%d migrated=%d reimported=%d evicted=%d completed=%d",
-					lc.resumedOld, lc.migrated, lc.reimported, evicted, completed)
+			if lc.migrated == 0 || lc.reimported == 0 || evicted == 0 || completed == 0 {
+				t.Fatalf("schedule missed a path: migrated=%d reimported=%d evicted=%d completed=%d",
+					lc.migrated, lc.reimported, evicted, completed)
 			}
 			if got := lc.d.h.Sum64(); got != tc.digest {
 				t.Errorf("lifecycle digest = %#x, want %#x", got, tc.digest)
