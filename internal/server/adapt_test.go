@@ -142,8 +142,8 @@ func TestRecalibrateStoresRefitSizes(t *testing.T) {
 
 func TestRecalibrationShrinkUnderLoad(t *testing.T) {
 	// A shrink while over-occupied must not evict, must close admission
-	// (Open and Resume) until the class drains below the new limit, and
-	// must never let occupancy exceed the new limit afterwards.
+	// (Open and ImportStream) until the class drains below the new limit,
+	// and must never let occupancy exceed the new limit afterwards.
 	s := heavyServer(t)
 	limit := s.PerDiskLimit()
 	ids := make([]StreamID, 0, limit)
@@ -166,13 +166,14 @@ func TestRecalibrationShrinkUnderLoad(t *testing.T) {
 		t.Fatalf("shrink evicted streams: active = %d, want %d", s.Active(), limit)
 	}
 
-	// Pause one stream: Resume must be refused while the class is still
-	// over the new limit, exactly like a fresh Open.
-	if err := s.Pause(ids[0]); err != nil {
+	// Export one stream: re-entry mid-playback must be refused while the
+	// class is still over the new limit, exactly like a fresh Open.
+	state, err := s.ExportStream(ids[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Resume(ids[0]); !errors.Is(err, ErrRejected) {
-		t.Errorf("resume above new limit err = %v, want ErrRejected", err)
+	if _, _, err := s.ImportStream(state); !errors.Is(err, ErrRejected) {
+		t.Errorf("import above new limit err = %v, want ErrRejected", err)
 	}
 	if _, _, err := s.Open("h0"); !errors.Is(err, ErrRejected) {
 		t.Errorf("open above new limit err = %v, want ErrRejected", err)
@@ -192,15 +193,15 @@ func TestRecalibrationShrinkUnderLoad(t *testing.T) {
 	if _, _, err := s.Open("h0"); !errors.Is(err, ErrRejected) {
 		t.Errorf("open at new limit err = %v, want ErrRejected", err)
 	}
-	// ...one below: Resume gets the slot, then the class is full again.
+	// ...one below: the import gets the slot, then the class is full again.
 	if err := s.Close(ids[1]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Resume(ids[0]); err != nil {
-		t.Errorf("resume below new limit err = %v", err)
+	if _, _, err := s.ImportStream(state); err != nil {
+		t.Errorf("import below new limit err = %v", err)
 	}
 	if s.Active() != now {
-		t.Errorf("active = %d after resume, want %d", s.Active(), now)
+		t.Errorf("active = %d after import, want %d", s.Active(), now)
 	}
 	if _, _, err := s.Open("h0"); !errors.Is(err, ErrRejected) {
 		t.Errorf("open with class refilled err = %v, want ErrRejected", err)
