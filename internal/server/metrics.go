@@ -25,7 +25,6 @@ type Telemetry struct {
 	completed   *telemetry.Counter
 	retired     *telemetry.Counter
 	active      *telemetry.Gauge
-	paused      *telemetry.Gauge
 	nmax        *telemetry.Gauge
 	boundLate   *telemetry.Gauge
 	boundGlitch *telemetry.Gauge
@@ -108,8 +107,6 @@ func newTelemetry(reg *telemetry.Registry, instance []telemetry.Label, disks int
 			"Streams closed or completed (retired from the active set).", labels()...),
 		active: reg.Gauge("mzqos_server_streams_active",
 			"Streams currently open.", labels()...),
-		paused: reg.Gauge("mzqos_server_streams_paused",
-			"Streams currently paused.", labels()...),
 		nmax: reg.Gauge("mzqos_server_nmax",
 			"Admission limit N_max per disk (binding disk).", labels()...),
 		boundLate: reg.Gauge("mzqos_server_bound_late",

@@ -60,7 +60,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 // TestImportContinuityAcrossDisks: the imported stream must keep reading
 // consecutive fragments from the disks that actually store them — over D
-// rounds after import it touches each disk exactly once, like Resume.
+// rounds after import it touches each disk exactly once.
 func TestImportContinuityAcrossDisks(t *testing.T) {
 	s := paperServer(t, 3)
 	if err := s.AddSyntheticObject("v", 60); err != nil {

@@ -200,8 +200,8 @@ type StreamStats struct {
 }
 
 // Server is a striped continuous-media server. Mutating operations (Open,
-// Close, Step, Pause, Resume, Recalibrate, ...) are not safe for
-// concurrent use; drive them from one goroutine (the round loop). The
+// Close, Step, ExportStream, ImportStream, Recalibrate, ...) are not safe
+// for concurrent use; drive them from one goroutine (the round loop). The
 // observability surface — Telemetry() and BoundTightness() — is safe to
 // read concurrently with that loop, which is what the HTTP exposition
 // endpoint does.
@@ -214,8 +214,7 @@ type Server struct {
 	nextID   StreamID
 	nextBase int
 	catalog  map[string]*object
-	active   []*stream // ascending StreamID, the order Step gathers in
-	paused   map[StreamID]*stream
+	active   []*stream      // ascending StreamID, the order Step gathers in
 	classes  []atomic.Int64 // active streams per offset class; written by the loop, read by anyone
 	tel      *Telemetry
 	inj      *fault.Injector // nil-safe: a nil injector is a healthy array
@@ -326,7 +325,6 @@ func New(cfg Config) (*Server, error) {
 		geoms:      geoms,
 		rng:        dist.NewRand(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15),
 		catalog:    make(map[string]*object),
-		paused:     make(map[StreamID]*stream),
 		classes:    make([]atomic.Int64, len(geoms)),
 		effs:       make([]fault.Effects, len(geoms)),
 		frags:      make([][]sweep.Fragment, len(geoms)),
@@ -668,12 +666,11 @@ func (s *Server) find(id StreamID) (int, bool) {
 	})
 }
 
-// activate enters st into the active set and its offset class, keeping
-// active ascending by id. Open and ImportStream issue monotone ids and
-// land at the end; only Resume re-enters an old id below newer ones.
+// activate enters st into the active set and its offset class. Every
+// stream it is handed has a fresh id, above every active one (Open and
+// ImportStream both issue the next), so appending keeps active ascending.
 func (s *Server) activate(st *stream) {
-	i, _ := s.find(st.id)
-	s.active = slices.Insert(s.active, i, st)
+	s.active = append(s.active, st)
 	s.classes[st.offset].Add(1)
 	s.tel.active.Set(float64(len(s.active)))
 }
@@ -685,18 +682,11 @@ func (s *Server) deactivate(i int) {
 	s.tel.active.Set(float64(len(s.active)))
 }
 
-// Close stops a stream early (active or paused), releasing its admission
-// slot if held. Its stats move to the finished set.
+// Close stops an active stream early, releasing its admission slot. Its
+// stats move to the finished set.
 func (s *Server) Close(id StreamID) error {
 	if i, ok := s.find(id); ok {
 		s.retire(i)
-		return nil
-	}
-	if st, ok := s.paused[id]; ok {
-		// The slot was already released at Pause time.
-		delete(s.paused, id)
-		s.tel.paused.Set(float64(len(s.paused)))
-		s.rememberFinished(st.id, st.stats(false))
 		return nil
 	}
 	return ErrUnknownStream
@@ -741,14 +731,10 @@ func (s *Server) rememberFinished(id StreamID, fs StreamStats) {
 	}
 }
 
-// Stats returns the stats of an active, paused, or finished stream.
+// Stats returns the stats of an active or finished stream.
 func (s *Server) Stats(id StreamID) (StreamStats, error) {
-	st := s.paused[id]
 	if i, ok := s.find(id); ok {
-		st = s.active[i]
-	}
-	if st != nil {
-		return st.stats(false), nil
+		return s.active[i].stats(false), nil
 	}
 	if fs, ok := s.finished.Get(id); ok {
 		return fs, nil
