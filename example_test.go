@@ -124,3 +124,81 @@ func ExamplePlanRoundLength() {
 	// Output:
 	// 30 streams need rounds of about 1.7 s
 }
+
+// ExampleNewCluster puts two servers behind a coordinator. Open reserves a
+// ticket on a shard and starts the stream there, Step runs one round on
+// every shard, and Close stops the stream and hands its ticket back.
+func ExampleNewCluster() {
+	shards := make([]mzqos.Engine, 2)
+	for i := range shards {
+		srv, err := mzqos.NewServer(mzqos.ServerConfig{
+			Disk:        mzqos.QuantumViking21(),
+			NumDisks:    2,
+			RoundLength: 1.0,
+			Sizes:       mzqos.PaperSizes(),
+			Guarantee:   mzqos.Guarantee{Threshold: 0.01},
+			Seed:        uint64(i + 1),
+		})
+		if err != nil {
+			panic(err)
+		}
+		shards[i] = srv
+	}
+	cl, err := mzqos.NewCluster(mzqos.ClusterConfig{Engines: shards})
+	if err != nil {
+		panic(err)
+	}
+	sizes := make([]float64, 120)
+	for i := range sizes {
+		sizes[i] = 200 * mzqos.KB
+	}
+	if err := cl.AddObject("news", sizes); err != nil {
+		panic(err)
+	}
+	h, delay, err := cl.Open("news")
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("stream %d on shard %d with %d rounds startup delay\n", h.ID, h.Shard, delay)
+	rep := cl.Step()
+	fmt.Printf("round %d: %d glitches\n", rep.Round, rep.Glitches)
+	fmt.Printf("tickets before close: %d\n", cl.Tickets())
+	if err := cl.Close(h); err != nil {
+		panic(err)
+	}
+	fmt.Printf("tickets after close: %d\n", cl.Tickets())
+	// Output:
+	// stream 1 on shard 0 with 0 rounds startup delay
+	// round 0: 0 glitches
+	// tickets before close: 1
+	// tickets after close: 0
+}
+
+// ExampleParseFaultPlan slows both disks of a server 1.5-fold from round 5
+// on. With degradation enabled the server re-derives N_max against the
+// slower disks once the fault has lasted DegradeConfig.After rounds.
+func ExampleParseFaultPlan() {
+	plan, err := mzqos.ParseFaultPlan("latency:disk=all,from=5,factor=1.5", 1)
+	if err != nil {
+		panic(err)
+	}
+	srv, err := mzqos.NewServer(mzqos.ServerConfig{
+		Disk:        mzqos.QuantumViking21(),
+		NumDisks:    2,
+		RoundLength: 1.0,
+		Sizes:       mzqos.PaperSizes(),
+		Guarantee:   mzqos.Guarantee{Threshold: 0.01},
+		Seed:        1,
+		Faults:      &plan,
+		Degrade:     mzqos.DegradeConfig{Enabled: true, After: 3},
+	})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("N_max before the fault: %d\n", srv.PerDiskLimit())
+	srv.Run(10)
+	fmt.Printf("N_max inside the fault: %d (degraded: %v)\n", srv.PerDiskLimit(), srv.Degraded())
+	// Output:
+	// N_max before the fault: 26
+	// N_max inside the fault: 16 (degraded: true)
+}

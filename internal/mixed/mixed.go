@@ -52,8 +52,8 @@ type Config struct {
 	DiscreteRate float64
 	// RoundTimes optionally receives every simulated round's continuous
 	// sweep duration from Simulate — the mixed-workload counterpart of
-	// the server's round-time histogram. Build it with
-	// telemetry.NewRoundTimeHistogram(RoundLength) so both the full
+	// the server's round-time histogram. Build it with telemetry.NewHistogram
+	// over telemetry.RoundTimeBuckets(RoundLength) so both the full
 	// deadline t and (via TailAbove) the effective budget are resolvable.
 	RoundTimes *telemetry.Histogram
 }

@@ -49,8 +49,8 @@ type Config struct {
 	// RoundTimes optionally receives every simulated round's total
 	// service time T_N (EstimatePLate, EstimatePError, MeasureRounds, and
 	// the sweeps built on them). The histogram is concurrency-safe, so
-	// all parallel workers share it; build it with
-	// telemetry.NewRoundTimeHistogram(RoundLength) to make the round
+	// all parallel workers share it; build it with telemetry.NewHistogram
+	// over telemetry.RoundTimeBuckets(RoundLength) to make the round
 	// deadline an exact bucket boundary, which yields series directly
 	// comparable with the server's mzqos_server_round_time_seconds.
 	RoundTimes *telemetry.Histogram

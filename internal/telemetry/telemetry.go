@@ -164,15 +164,6 @@ func RoundTimeBuckets(t float64) ([]float64, error) {
 	return bounds, nil
 }
 
-// NewRoundTimeHistogram builds a histogram with RoundTimeBuckets(t).
-func NewRoundTimeHistogram(t float64) (*Histogram, error) {
-	bounds, err := RoundTimeBuckets(t)
-	if err != nil {
-		return nil, err
-	}
-	return NewHistogram(bounds)
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) {

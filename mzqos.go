@@ -164,10 +164,9 @@ type (
 	Fault = fault.Fault
 	// FaultKind selects the perturbation (latency, rate, errors, fail).
 	FaultKind = fault.Kind
-	// FaultEffects is the combined perturbation of one disk in one round.
+	// FaultEffects is the combined perturbation of one disk in one round,
+	// as Server.FaultEffectsAt reports it.
 	FaultEffects = fault.Effects
-	// FaultInjector resolves a plan to per-(disk, round) effects.
-	FaultInjector = fault.Injector
 	// DegradeConfig controls the server's reaction to sustained faults.
 	DegradeConfig = server.DegradeConfig
 	// ShedPolicy selects which streams to evict when the degraded limit
@@ -185,12 +184,6 @@ const (
 	FaultAllDisks = fault.AllDisks
 )
 
-// NewFaultInjector validates a plan against an array of `disks` drives
-// (0 skips the width check) and returns its injector.
-func NewFaultInjector(plan FaultPlan, disks int) (*FaultInjector, error) {
-	return fault.NewInjector(plan, disks)
-}
-
 // ParseFaultPlan parses the compact command-line fault-plan syntax, e.g.
 // "latency:disk=0,from=50,until=250,factor=2;errors:disk=all,from=0,prob=0.01,retries=2".
 func ParseFaultPlan(spec string, seed uint64) (FaultPlan, error) {
@@ -205,13 +198,6 @@ var (
 	ShedNone   ShedPolicy = server.ShedNone
 )
 
-// SimReplayRounds plays consecutive rounds through a fault plan's
-// timeline on the simulator (SimConfig.Faults), mirroring the schedule a
-// server under the same plan experiences.
-func SimReplayRounds(cfg SimConfig, rounds int, seed uint64) ([]sim.RoundOutcome, error) {
-	return sim.ReplayRounds(cfg, rounds, seed)
-}
-
 // Observability types (see README "Observability" and internal/telemetry).
 type (
 	// ServerTelemetry is a running server's live metrics surface.
@@ -223,12 +209,8 @@ type (
 	// MetricsSnapshot is an immutable copy of a metric registry.
 	MetricsSnapshot = telemetry.Snapshot
 	// RoundHistogram is the fixed-bucket histogram the round-time series
-	// use; hand one to SimConfig.RoundTimes or MixedConfig.RoundTimes to
-	// collect comparable distributions from the simulators.
+	// use, and the type of SimConfig.RoundTimes and MixedConfig.RoundTimes.
 	RoundHistogram = telemetry.Histogram
-	// SolverTelemetry reports the model package's process-wide solver
-	// counters (bound-chain cache hits, warm/cold Chernoff solves).
-	SolverTelemetry = model.TelemetrySnapshot
 )
 
 // Round-level tracing and admission explainability (see README
@@ -251,8 +233,6 @@ type (
 	TraceSnapshot = trace.Snapshot
 	// TraceStats is a recorder's lifetime accounting.
 	TraceStats = trace.Stats
-	// ChromeTraceFile is the Perfetto-loadable trace-event export.
-	ChromeTraceFile = trace.ChromeFile
 	// AdmissionStatus is the server's full admission explainability
 	// report: per-disk explanations, class occupancy, rejections.
 	AdmissionStatus = server.AdmissionStatus
@@ -269,26 +249,6 @@ const (
 	RejectOverload    = server.RejectOverload
 	RejectClassesFull = server.RejectClassesFull
 )
-
-// NewFlightRecorder builds a standalone recorder, e.g. to hand to
-// SimConfig.Trace for traced replays.
-func NewFlightRecorder(cfg RoundTraceConfig) *FlightRecorder { return trace.NewRecorder(cfg) }
-
-// ChromeTrace renders spans as Chrome trace-event JSON (Perfetto or
-// chrome://tracing), one round length of virtual time per round.
-func ChromeTrace(spans []RoundSpan, roundLength float64) ChromeTraceFile {
-	return trace.ChromeTrace(spans, roundLength)
-}
-
-// NewRoundTimeHistogram builds a histogram whose buckets are log-spaced
-// around the round length t, with t itself an exact boundary so the
-// deadline tail P[T_N > t] is exactly resolvable.
-func NewRoundTimeHistogram(t float64) (*RoundHistogram, error) {
-	return telemetry.NewRoundTimeHistogram(t)
-}
-
-// SolverStats returns the process-wide solver counters.
-func SolverStats() SolverTelemetry { return model.Telemetry() }
 
 // Errors surfaced through the facade.
 var (
@@ -309,10 +269,6 @@ func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 
 // QuantumViking21 returns the Table-1 disk profile.
 func QuantumViking21() *Geometry { return disk.QuantumViking21() }
-
-// Synthetic2000 returns a year-2000-class 10k RPM synthetic profile for
-// drive-generation sweeps.
-func Synthetic2000() *Geometry { return disk.Synthetic2000() }
 
 // NewGeometry builds a custom multi-zone geometry.
 func NewGeometry(name string, rotationTime float64, zones []Zone, seek SeekCurve) (*Geometry, error) {
@@ -364,25 +320,8 @@ func FragmentTrace(frames []float64, frameRate, displayTime float64) ([]float64,
 	return workload.Fragment(frames, frameRate, displayTime)
 }
 
-// SaveTraceFile writes a trace (frame or fragment sizes) to a plain-text
-// trace file.
-func SaveTraceFile(path string, sizes []float64) error {
-	return workload.SaveTraceFile(path, sizes)
-}
-
-// LoadTraceFile reads a trace written by SaveTraceFile.
-func LoadTraceFile(path string) ([]float64, error) {
-	return workload.LoadTraceFile(path)
-}
-
 // NewRand returns a reproducible random source.
 func NewRand(seed1, seed2 uint64) *rand.Rand { return dist.NewRand(seed1, seed2) }
-
-// Zipf models clip popularity over a catalog of n items.
-type Zipf = workload.Zipf
-
-// NewZipf returns a Zipf popularity law over n items with exponent s.
-func NewZipf(n int, s float64) (*Zipf, error) { return workload.NewZipf(n, s) }
 
 // PlanRoundLength finds the smallest round length in [tLo, tHi] that
 // admits targetN streams of the given bandwidth at threshold delta
