@@ -1,23 +1,29 @@
 // Command deadexports lists what the program does not reach: every func,
 // method, type, const and package-level var declared in a non-test file
-// under internal/, exported or not, that no root reaches, and every
-// interface method there that no call goes through. One finding per line,
+// under internal/, exported or not, and every func of the facade (the
+// package at the module root) that no root reaches, and every interface
+// method under internal/ that no call goes through. One finding per line,
 // `pkg.Type.Method file:line`; it exits non-zero if there are any. `make
 // dead-exports` runs it; ROADMAP's rule is that nothing under internal/ is
-// without a caller or a named reason.
+// without a caller or a named reason, and that the facade keeps only what a
+// program or a facade test runs.
 //
 //	go run ./scripts/deadexports [ROOT]    ROOT defaults to "."
 //
-// The module's non-test files are type-checked with go/types, the standard
-// library from its source (go/importer's "source" compiler), so the tool
-// needs nothing outside the standard library and no network. scripts/,
-// testdata and hidden directories are not part of the program. Reachability
-// follows objects (types.Info.Uses), never names:
+// The module's non-test files, and the module root's external test package
+// (package mzqos_test, its `_test.go` files), are type-checked with
+// go/types, the standard library from its source (go/importer's "source"
+// compiler), so the tool needs nothing outside the standard library and no
+// network. scripts/, testdata and hidden directories are not part of the
+// program. Reachability follows objects (types.Info.Uses), never names:
 //
 //   - the roots are the main function of every main package (cmd/,
-//     examples/, benchmark/), the facade's exported declarations and the
-//     exported methods declared in it, every init function, whatever a
-//     package-level var's initialiser uses, and every allowlisted name;
+//     examples/, benchmark/), every top-level func of the module root's
+//     external test package (its Examples, Tests and Benchmarks), the
+//     facade's exported types, consts and vars and the exported methods
+//     declared in it, every init function, whatever a package-level var's
+//     initialiser uses, and every allowlisted name. A facade func is not a
+//     root: a program or a facade test has to call it;
 //   - a declaration is live if a live declaration uses it;
 //   - a method is also live if its receiver type is live and it implements
 //     the method of an interface that live code calls through. Every
@@ -159,16 +165,14 @@ func load(root string) (*program, error) {
 		} else if err != nil {
 			return err
 		}
-		q := &pkg{}
-		for _, name := range bp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			q.files = append(q.files, f)
+		path := strings.TrimSuffix(p.mod+"/"+filepath.ToSlash(rel), "/.")
+		if p.pkgs[path], err = parse(fset, dir, bp.GoFiles); err != nil {
+			return err
 		}
-		p.pkgs[strings.TrimSuffix(p.mod+"/"+filepath.ToSlash(rel), "/.")] = q
-		return nil
+		if rel == "." && len(bp.XTestGoFiles) > 0 {
+			p.pkgs[p.mod+"_test"], err = parse(fset, dir, bp.XTestGoFiles)
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -209,6 +213,19 @@ func load(root string) (*program, error) {
 	return p, nil
 }
 
+// parse parses the named files of dir into one package.
+func parse(fset *token.FileSet, dir string, names []string) (*pkg, error) {
+	q := &pkg{}
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		q.files = append(q.files, f)
+	}
+	return q, nil
+}
+
 // Import type-checks the module's packages itself, once each, so that a use
 // in one package is the object another declares; the rest comes from the
 // source importer.
@@ -226,18 +243,21 @@ func (p *program) Import(path string) (*types.Package, error) {
 }
 
 // graph records what each top-level declaration of q uses, marks the roots
-// among them, and lists internal/'s declarations as what can be reported.
+// among them, and lists internal/'s declarations and the facade's funcs as
+// what can be reported. fn says the declaration is a func, not a method.
 func (p *program) graph(path string, q *pkg) {
 	main := q.types.Name() == "main"
 	facade := path == p.mod && !main
+	tests := path == p.mod+"_test"
 	internal := strings.HasPrefix(path, p.mod+"/internal/")
-	declare := func(id *ast.Ident, n ast.Node) types.Object {
+	declare := func(id *ast.Ident, n ast.Node, fn bool) types.Object {
 		o := q.info.Defs[id]
 		p.edges(q, n, o)
-		if internal && id.Name != "_" {
+		switch {
+		case id.Name == "_":
+		case internal || facade && fn:
 			p.decls = append(p.decls, o)
-		}
-		if facade && id.IsExported() || main && id.Name == "main" {
+		case facade && id.IsExported() || main && id.Name == "main" || tests && fn:
 			p.mark(o)
 		}
 		return o
@@ -249,20 +269,20 @@ func (p *program) graph(path string, q *pkg) {
 				if d.Recv == nil && d.Name.Name == "init" {
 					p.edges(q, d, nil)
 				} else {
-					declare(d.Name, d)
+					declare(d.Name, d, d.Recv == nil)
 				}
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
-						if it, ok := declare(s.Name, s).Type().Underlying().(*types.Interface); ok && internal {
+						if it, ok := declare(s.Name, s, false).Type().Underlying().(*types.Interface); ok && internal {
 							for i := 0; i < it.NumExplicitMethods(); i++ {
 								p.decls = append(p.decls, it.ExplicitMethod(i))
 							}
 						}
 					case *ast.ValueSpec:
 						for _, id := range s.Names {
-							o := declare(id, s)
+							o := declare(id, s, false)
 							// An implicitly repeated const names its type nowhere.
 							if t, ok := o.Type().(*types.Named); ok {
 								p.uses[o] = append(p.uses[o], t.Obj())

@@ -85,6 +85,24 @@ func walk(n int) int {
 }
 `
 
+// facade is the planted module's root package: its API, which is a root,
+// and two funcs, which are not.
+const facade = `package planted
+
+import "planted/internal/a"
+
+// Client is the facade's API.
+type Client struct{}
+
+func (Client) Fetch() { a.ViaFacade() }
+
+// Callerless is a facade func nothing calls: dead.
+func Callerless() {}
+
+// FromExample is called only by ExampleFromExample: live.
+func FromExample() {}
+`
+
 // TestReportsPlantedDeadExport runs the checker over a small module and
 // holds it to reporting exactly the dead declarations and the stale
 // allowlist lines. Each line it gets wrong is its own failure.
@@ -99,7 +117,8 @@ func TestReportsPlantedDeadExport(t *testing.T) {
 		"cmd/x/main.go": "package main\n\nimport (\n\t\"fmt\"\n\t\"sort\"\n\n\t\"planted/internal/a\"\n\t\"planted/internal/b\"\n)\n\n" +
 			"func main() {\n\tt := a.FromCmd()\n\tb.Do(t)\n\tfmt.Println(t)\n\tu := a.U{2, 1}\n\tsort.Sort(u)\n\tfmt.Println(u.Len())\n}\n",
 		"benchmark/main.go":    "package main\n\nimport \"planted/internal/a\"\n\nfunc main() { a.FromBench() }\n",
-		"planted.go":           "package planted\n\nimport \"planted/internal/a\"\n\n// Client is the facade's API.\ntype Client struct{}\n\nfunc (Client) Fetch() { a.ViaFacade() }\n",
+		"planted.go":           facade,
+		"example_test.go":      "package planted_test\n\nimport \"planted\"\n\nfunc ExampleFromExample() {\n\tplanted.FromExample()\n\t// Output:\n}\n",
 		"scripts/tool/main.go": "package main\n\nimport \"planted/internal/a\"\n\nfunc main() { a.OnlyTested() }\n",
 		allowFile:              "# comment\na.Oracle  the oracle for something that stays\na.FromCmd  has a caller\na.Gone  was deleted long ago\n",
 	} {
@@ -134,7 +153,9 @@ func TestReportsPlantedDeadExport(t *testing.T) {
 		line := strings.Count(planted[:strings.Index(planted, c[1])], "\n") + 1
 		want = append(want, fmt.Sprintf("%s internal/a/a.go:%d", c[0], line))
 	}
+	callerless := strings.Count(facade[:strings.Index(facade, "func Callerless")], "\n") + 1
 	want = append(want, "b.Doer.Undone internal/b/b.go:5",
+		fmt.Sprintf("planted.Callerless planted.go:%d", callerless),
 		"a.FromCmd "+allowFile+": allowlisted, but not dead",
 		"a.Gone "+allowFile+": allowlisted, but not dead")
 	got := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
