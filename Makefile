@@ -30,9 +30,10 @@ journal-owners:
 		echo "internal/slo, internal/trace and internal/fault must not depend on internal/journal" >&2; exit 1; fi
 
 # Nothing under internal/ without a caller or a named reason: every func,
-# method, type, const and var declared there, exported or not, is reached
-# from the program's roots (main packages, the facade's exported API, init
-# and var initialisers) or listed, with why it stays, in
+# method, type, const and var declared there, exported or not, and every
+# facade func is reached from the program's roots (main packages, the
+# facade's Examples, Tests and Benchmarks, its exported types, consts, vars
+# and methods, init and var initialisers) or listed, with why it stays, in
 # scripts/deadexports/allow.txt. Reachability is by type-checked object, not
 # by name: a method is live when called, or when its live type implements an
 # interface method live code calls through (the standard library's count as
