@@ -261,6 +261,43 @@ func TestRetiredStreamStats(t *testing.T) {
 	}
 }
 
+// TestRetiredStatsAllocsZero: asking for a retired stream's stats — the
+// newest, the oldest still retained, or one already dropped — allocates
+// nothing.
+func TestRetiredStatsAllocsZero(t *testing.T) {
+	s := paperServer(t, 2)
+	if err := s.AddSyntheticObject("v", 100); err != nil {
+		t.Fatal(err)
+	}
+	var ids []StreamID
+	for i := 0; i < engine.RetainedStreams+1; i++ {
+		id, _, err := s.Open("v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(id); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for _, c := range []struct {
+		name string
+		id   StreamID
+		err  error
+	}{
+		{"newest", ids[len(ids)-1], nil},
+		{"oldest retained", ids[1], nil},
+		{"dropped", ids[0], ErrUnknownStream},
+	} {
+		if _, err := s.Stats(c.id); !errors.Is(err, c.err) {
+			t.Fatalf("%s: Stats(%d) error = %v, want %v", c.name, c.id, err, c.err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = s.Stats(c.id) }); allocs != 0 {
+			t.Errorf("%s: Stats(%d) allocates %v objects, want 0", c.name, c.id, allocs)
+		}
+	}
+}
+
 // TestRecalibrateUpdatesPublishedLimits checks that a recalibration swaps
 // the gauges the tightness report and exposition endpoint read.
 func TestRecalibrateUpdatesPublishedLimits(t *testing.T) {
