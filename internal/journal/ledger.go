@@ -14,7 +14,8 @@
 package journal
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"mzqos/internal/ring"
@@ -82,11 +83,11 @@ type Record struct {
 	RetiredRound int `json:"retired_round"`
 }
 
-// ledgerKey identifies a stream while it is attached to a shard. Engine
-// ids are only unique per shard, hence the pair.
-type ledgerKey struct {
-	shard int
-	id    int64
+// Retirement is one stream's end on its shard: its engine id and the
+// service it was delivered.
+type Retirement struct {
+	ID        int64
+	Delivered Delivered
 }
 
 // DefaultRetired is the retired-ring capacity when LedgerConfig leaves it 0.
@@ -105,10 +106,15 @@ type LedgerConfig struct {
 // copies a record into the retired ring and hands it to a free list that
 // the next Admit draws from, so no caller may hold a record: Report
 // deep-copies what it returns.
+//
+// A stream is attached to a shard under its engine id, which is only
+// unique per shard, so each shard (a small non-negative index) has its own
+// maps keyed by the id alone. Retire takes a shard's whole round at once,
+// under one lock.
 type Ledger struct {
 	mu              sync.Mutex
-	active          map[ledgerKey]*Record
-	inflight        map[ledgerKey]*Record // suspended, awaiting re-admission
+	active          []map[int64]*Record // per shard
+	inflight        []map[int64]*Record // per shard; suspended, awaiting re-admission
 	inflightEnabled bool
 	free            []*Record // finalized or discarded, for Admit to reuse
 
@@ -131,8 +137,6 @@ func NewLedger(cfg LedgerConfig) *Ledger {
 	delayHist, _ := telemetry.NewHistogram([]float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128})
 	glitchHist, _ := telemetry.NewHistogram([]float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
 	return &Ledger{
-		active:     make(map[ledgerKey]*Record),
-		inflight:   make(map[ledgerKey]*Record),
 		retired:    ring.New[Record](capacity),
 		delayHist:  delayHist,
 		glitchHist: glitchHist,
@@ -150,6 +154,16 @@ func (l *Ledger) EnableInflight() {
 	l.mu.Lock()
 	l.inflightEnabled = true
 	l.mu.Unlock()
+}
+
+// shardLocked returns shard's active and inflight maps, adding maps for
+// every shard up to it on first use. Caller holds l.mu.
+func (l *Ledger) shardLocked(shard int) (active, inflight map[int64]*Record) {
+	for len(l.active) <= shard {
+		l.active = append(l.active, make(map[int64]*Record))
+		l.inflight = append(l.inflight, make(map[int64]*Record))
+	}
+	return l.active[shard], l.inflight[shard]
 }
 
 // Admit opens a ledger record for a newly admitted stream under the
@@ -174,7 +188,8 @@ func (l *Ledger) Admit(shard int, id int64, p Promise, admitSeq uint64) {
 		AdmitSeq:      admitSeq,
 		RetiredRound:  -1,
 	}
-	l.active[ledgerKey{shard, id}] = rec
+	active, _ := l.shardLocked(shard)
+	active[id] = rec
 	l.mu.Unlock()
 }
 
@@ -188,36 +203,41 @@ func (l *Ledger) Suspend(shard int, id int64, d Delivered, round int) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	k := ledgerKey{shard, id}
-	rec, ok := l.active[k]
+	active, inflight := l.shardLocked(shard)
+	rec, ok := active[id]
 	if !ok {
 		return
 	}
-	delete(l.active, k)
+	delete(active, id)
 	rec.Delivered = d
 	if l.inflightEnabled {
-		l.inflight[k] = rec
+		inflight[id] = rec
 		return
 	}
 	l.finalizeLocked(rec, round)
 }
 
-// Retire finalizes a stream that ended on its shard (completion or close).
-// A stream already suspended is not re-finalized.
-func (l *Ledger) Retire(shard int, id int64, d Delivered, round int) {
-	if l == nil {
+// Retire finalizes the streams that ended on shard in round (completion or
+// close), in the order rs lists them, which is the order the retired ring
+// keeps. A stream already suspended is not re-finalized. The ledger keeps
+// nothing of rs, so a caller can reuse it for its next round.
+func (l *Ledger) Retire(shard, round int, rs []Retirement) {
+	if l == nil || len(rs) == 0 {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	k := ledgerKey{shard, id}
-	rec, ok := l.active[k]
-	if !ok {
-		return
+	active, _ := l.shardLocked(shard)
+	for i := range rs {
+		r := &rs[i]
+		rec, ok := active[r.ID]
+		if !ok {
+			continue
+		}
+		delete(active, r.ID)
+		rec.Delivered = r.Delivered
+		l.finalizeLocked(rec, round)
 	}
-	delete(l.active, k)
-	rec.Delivered = d
-	l.finalizeLocked(rec, round)
 }
 
 // Migrated merges a suspended record into its re-admission: the stream
@@ -231,16 +251,16 @@ func (l *Ledger) Migrated(fromShard int, fromID int64, toShard int, toID int64) 
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	from := ledgerKey{fromShard, fromID}
-	to := ledgerKey{toShard, toID}
-	old, okOld := l.inflight[from]
-	cur, okCur := l.active[to]
+	_, fromInflight := l.shardLocked(fromShard)
+	toActive, _ := l.shardLocked(toShard)
+	old, okOld := fromInflight[fromID]
+	cur, okCur := toActive[toID]
 	if !okOld || !okCur {
 		// Without both halves there is nothing to merge; keep whichever
 		// exists (the destination Admit already opened a fresh record).
 		return
 	}
-	delete(l.inflight, from)
+	delete(fromInflight, fromID)
 	old.Stream = toID
 	old.Shard = toShard
 	old.Migrations++
@@ -252,7 +272,7 @@ func (l *Ledger) Migrated(fromShard int, fromID int64, toShard int, toID int64) 
 	// The destination server re-imports the carried state, so its stream
 	// resumes with the lifetime served/glitch totals; keep the merged
 	// record's delivered view interim until retirement.
-	l.active[to] = old
+	toActive[toID] = old
 	l.free = append(l.free, cur)
 }
 
@@ -264,16 +284,16 @@ func (l *Ledger) Abandon(shard int, id int64, round int) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	k := ledgerKey{shard, id}
-	rec, ok := l.inflight[k]
+	active, inflight := l.shardLocked(shard)
+	rec, ok := inflight[id]
 	if !ok {
 		// An export that failed before Suspend leaves the record active.
-		if rec, ok = l.active[k]; !ok {
+		if rec, ok = active[id]; !ok {
 			return
 		}
-		delete(l.active, k)
+		delete(active, id)
 	} else {
-		delete(l.inflight, k)
+		delete(inflight, id)
 	}
 	rec.Delivered.Abandoned = true
 	l.finalizeLocked(rec, round)
@@ -346,28 +366,28 @@ func (l *Ledger) Report() Report {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	rep := Report{
-		ActiveStreams:      len(l.active),
-		InflightMigrations: len(l.inflight),
 		RetiredTotal:       int64(l.retired.Pushed()),
 		Retained:           l.retired.Len(),
 		StartupDelayRounds: tailOf(l.delayHist),
 		GlitchesPerStream:  tailOf(l.glitchHist),
 	}
+	for shard := range l.active {
+		rep.ActiveStreams += len(l.active[shard])
+		rep.InflightMigrations += len(l.inflight[shard])
+	}
 	rep.Retired = l.retired.AppendTo(make([]Record, 0, l.retired.Len()))
 	for i := range rep.Retired {
 		rep.Retired[i].ShardsVisited = append([]int(nil), rep.Retired[i].ShardsVisited...)
 	}
-	rep.Active = make([]Record, 0, len(l.active))
-	for _, rec := range l.active {
-		cp := *rec
-		cp.ShardsVisited = append([]int(nil), rec.ShardsVisited...)
-		rep.Active = append(rep.Active, cp)
-	}
-	sort.Slice(rep.Active, func(i, j int) bool {
-		if rep.Active[i].Shard != rep.Active[j].Shard {
-			return rep.Active[i].Shard < rep.Active[j].Shard
+	rep.Active = make([]Record, 0, rep.ActiveStreams)
+	for _, active := range l.active { // shard order
+		from := len(rep.Active)
+		for _, rec := range active {
+			cp := *rec
+			cp.ShardsVisited = append([]int(nil), rec.ShardsVisited...)
+			rep.Active = append(rep.Active, cp)
 		}
-		return rep.Active[i].Stream < rep.Active[j].Stream
-	})
+		slices.SortFunc(rep.Active[from:], func(a, b Record) int { return cmp.Compare(a.Stream, b.Stream) })
+	}
 	return rep
 }

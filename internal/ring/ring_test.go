@@ -77,7 +77,7 @@ func TestCapacityClampsToOne(t *testing.T) {
 		k := NewKeyed[int, int](c)
 		k.Put(1, 10)
 		k.Put(2, 20)
-		if _, ok := k.Get(1); ok || len(k.vals) != 1 {
+		if _, ok := k.vals[1]; ok || len(k.vals) != 1 {
 			t.Fatalf("NewKeyed(%d) kept more than one entry", c)
 		}
 	}
@@ -101,15 +101,15 @@ func TestKeyedFIFO(t *testing.T) {
 	}
 	k.Put(4, "v")
 	for _, key := range []int{2, 3, 4} {
-		if _, ok := k.Get(key); !ok {
+		if _, ok := k.vals[key]; !ok {
 			t.Fatalf("key %d evicted by a Put that only overflowed a taken key", key)
 		}
 	}
 	k.Put(5, "v") // now 2 is the oldest and goes
-	if _, ok := k.Get(2); ok {
+	if _, ok := k.vals[2]; ok {
 		t.Fatal("oldest key 2 survived overflow")
 	}
-	if _, ok := k.Get(3); !ok || len(k.vals) != 3 {
+	if _, ok := k.vals[3]; !ok || len(k.vals) != 3 {
 		t.Fatalf("after overflow: key 3 present %v, Len %d, want true and 3", ok, len(k.vals))
 	}
 }

@@ -40,10 +40,13 @@ func checkActiveSet(lc *lifecycle) error {
 		if j, ok := s.find(st.id); !ok || j != i {
 			return fmt.Errorf("find(%d) = %d, %v; want %d, true", st.id, j, ok, i)
 		}
-		if _, finished := s.finished.Get(st.id); finished {
-			return fmt.Errorf("stream %d is both active and finished", st.id)
-		}
 		perClass[st.offset]++
+	}
+	for i := 0; i < s.finished.Len(); i++ {
+		id := s.finished.At(i).id
+		if _, active := s.find(id); active {
+			return fmt.Errorf("stream %d is both active and finished", id)
+		}
 	}
 	if classes := s.occupancy(nil); !slices.Equal(perClass, classes) {
 		return fmt.Errorf("classes = %v, active set has %v", classes, perClass)

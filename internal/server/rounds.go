@@ -156,24 +156,32 @@ func (s *Server) Step() RoundReport {
 
 // retireDone retires the round's completed streams and returns their ids
 // in ascending order, nil when none completed. Their stats are filed in
-// service order, the order the finished FIFO and the ledger's retired
-// ring record, and active is compacted once for all of them rather than
-// shifted once per stream.
+// service order, the order the finished ring and the ledger's retired
+// ring record; the ledger takes the whole round in one Retire, from
+// scratch reused across rounds. active is compacted once for all of them
+// rather than shifted once per stream, and since it is in ascending id
+// order, the ids it drops come out sorted.
 func (s *Server) retireDone() []StreamID {
 	if len(s.done) == 0 {
 		return nil
 	}
-	ids := make([]StreamID, len(s.done))
-	for i, st := range s.done {
-		ids[i] = st.id
+	for _, st := range s.done {
 		s.classes[st.offset].Add(-1)
-		s.rememberFinished(st.id, st.stats(true))
+		s.retiring = append(s.retiring, s.rememberFinished(st, true))
 	}
-	s.active = slices.DeleteFunc(s.active, func(st *stream) bool { return st.next >= len(st.obj.frags) })
+	s.ledger.Retire(s.shard, s.round, s.retiring)
+	s.retiring = s.retiring[:0]
+	ids := make([]StreamID, 0, len(s.done))
+	s.active = slices.DeleteFunc(s.active, func(st *stream) bool {
+		if st.next < len(st.obj.frags) {
+			return false
+		}
+		ids = append(ids, st.id)
+		return true
+	})
 	s.tel.active.Set(float64(len(s.active)))
 	clear(s.done) // keeps no retired stream alive
 	s.done = s.done[:0]
-	slices.Sort(ids)
 	return ids
 }
 

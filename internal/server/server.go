@@ -143,7 +143,8 @@ type Config struct {
 	// record. Like Journal it is shared across a cluster's shards.
 	Ledger *journal.Ledger
 	// Shard labels this server's journal events and ledger records with
-	// its cluster shard id (0 for a standalone server).
+	// its cluster shard id, a non-negative index (0 for a standalone
+	// server).
 	Shard int
 	// History optionally records every registry series once per round
 	// into the embedded time-series store (see internal/history). Nil
@@ -226,11 +227,12 @@ type Server struct {
 	// its sweep served and the streams that completed, in service order
 	// (cleared once retired). rows is the unspent rest of the current
 	// block of report rows (see diskRows).
-	effs  []fault.Effects
-	frags [][]sweep.Fragment
-	reqs  [][]sweep.Request
-	done  []*stream
-	rows  []DiskRoundReport
+	effs     []fault.Effects
+	frags    [][]sweep.Fragment
+	reqs     [][]sweep.Request
+	done     []*stream
+	retiring []journal.Retirement // done's ledger retirements, in service order
+	rows     []DiskRoundReport
 
 	// Round-level tracing: the flight recorder plus a scratch span the
 	// Step loop fills and commits once per loaded disk (the recorder
@@ -261,8 +263,9 @@ type Server struct {
 	// Retired-stream stats: the last engine.RetainedStreams retirements
 	// stay queryable through Stats after Close or completion. Older ones
 	// are dropped, but their glitch and service counts survive in the
-	// aggregate telemetry counters.
-	finished ring.Keyed[StreamID, StreamStats]
+	// aggregate telemetry counters. Retiring hashes nothing; Stats, a
+	// cold path, scans.
+	finished ring.Buffer[finishedStream]
 
 	// Evicted-stream states, bounded the same way, so a cluster
 	// coordinator can still ExportStream a stream the degraded-mode
@@ -296,6 +299,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if !(cfg.RoundLength > 0) || cfg.Sizes.Dist == nil {
 		return nil, ErrConfig
+	}
+	if cfg.Shard < 0 {
+		return nil, fmt.Errorf("%w: shard %d is negative", ErrConfig, cfg.Shard)
 	}
 	for d, g := range geoms {
 		// The catalog stores each fragment's cylinder and zone as int32.
@@ -331,7 +337,7 @@ func New(cfg Config) (*Server, error) {
 		reqs:       make([][]sweep.Request, len(geoms)),
 		tel:        tel,
 		rejections: ring.New[RejectionEvent](rejectionRingCap),
-		finished:   ring.NewKeyed[StreamID, StreamStats](engine.RetainedStreams),
+		finished:   ring.New[finishedStream](engine.RetainedStreams),
 
 		evictedStates: ring.NewKeyed[StreamID, engine.StreamState](engine.RetainedStreams),
 		inj:           inj,
@@ -693,12 +699,12 @@ func (s *Server) Close(id StreamID) error {
 }
 
 // retire deactivates active[i], which stopped before its last fragment,
-// and files its stats as finished. Step retires its completions itself,
-// all at once (see retireDone).
+// files its stats as finished and closes its ledger record. Step retires
+// its completions itself, all at once (see retireDone).
 func (s *Server) retire(i int) {
 	st := s.active[i]
 	s.deactivate(i)
-	s.rememberFinished(st.id, st.stats(false))
+	s.ledger.Retire(s.shard, s.round, []journal.Retirement{s.rememberFinished(st, false)})
 }
 
 // stats reports the service st has had so far.
@@ -712,32 +718,43 @@ func (st *stream) stats(done bool) StreamStats {
 	}
 }
 
-// rememberFinished stores a retired stream's stats in the bounded FIFO,
-// which drops the oldest entry once full. Aggregate counts survive
-// eviction in the telemetry counters. As the single site every
-// retirement flows through (completion, Close, eviction), it also closes
-// the stream's QoS ledger record with the delivered totals.
-func (s *Server) rememberFinished(id StreamID, fs StreamStats) {
-	s.ledger.Retire(s.shard, int64(id), journal.Delivered{
+// finishedStream is one retired stream's entry in the finished ring.
+type finishedStream struct {
+	id    StreamID
+	stats StreamStats
+}
+
+// rememberFinished files a retired stream's stats in the finished ring,
+// which overwrites the oldest entry once full, and counts the retirement;
+// aggregate counts survive the overwrite in the telemetry counters. Every
+// retirement flows through it (completion, Close, eviction). It returns
+// the delivered totals that close the stream's QoS ledger record, for the
+// caller to hand to Ledger.Retire with the rest of its batch.
+func (s *Server) rememberFinished(st *stream, done bool) journal.Retirement {
+	fs := st.stats(done)
+	*s.finished.Next() = finishedStream{id: st.id, stats: fs}
+	s.tel.retired.Inc()
+	if done {
+		s.tel.completed.Inc()
+	}
+	return journal.Retirement{ID: int64(st.id), Delivered: journal.Delivered{
 		StartupDelay: fs.StartupDelay,
 		Served:       fs.Served,
 		Glitches:     fs.Glitches,
-		Done:         fs.Done,
-	}, s.round)
-	s.finished.Put(id, fs)
-	s.tel.retired.Inc()
-	if fs.Done {
-		s.tel.completed.Inc()
-	}
+		Done:         done,
+	}}
 }
 
-// Stats returns the stats of an active or finished stream.
+// Stats returns the stats of an active or finished stream. A finished one
+// is found by scanning the finished ring, newest first.
 func (s *Server) Stats(id StreamID) (StreamStats, error) {
 	if i, ok := s.find(id); ok {
 		return s.active[i].stats(false), nil
 	}
-	if fs, ok := s.finished.Get(id); ok {
-		return fs, nil
+	for i := s.finished.Len() - 1; i >= 0; i-- {
+		if f := s.finished.At(i); f.id == id {
+			return f.stats, nil
+		}
 	}
 	return StreamStats{}, ErrUnknownStream
 }

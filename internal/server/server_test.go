@@ -40,6 +40,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Disk: disk.QuantumViking21(), NumDisks: 1, RoundLength: 1, Sizes: workload.PaperSizes(), Guarantee: model.Guarantee{Threshold: 2}}); err == nil {
 		t.Error("invalid guarantee should error")
 	}
+	// The ledger keeps one set of maps per shard index.
+	if _, err := New(Config{Disk: disk.QuantumViking21(), NumDisks: 1, RoundLength: 1, Sizes: workload.PaperSizes(), Guarantee: model.Guarantee{Threshold: 0.01}, Shard: -1}); !errors.Is(err, ErrConfig) {
+		t.Errorf("negative shard: err = %v, want ErrConfig", err)
+	}
 }
 
 // TestNewRejectsUnaddressableDisk: the catalog keeps a fragment's cylinder
