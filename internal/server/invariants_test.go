@@ -10,8 +10,8 @@ import (
 
 // invariantsPlan keeps faults coming for as long as the random schedule
 // runs: every 120 rounds a latency fault deep enough to shed, every
-// fourth one joined mid-window by a disk failure (which, with
-// EvictOnFailure, sheds every stream).
+// fourth one joined mid-window by a disk failure (which closes admission
+// while the streams ride it out).
 func invariantsPlan() *fault.Plan {
 	p := &fault.Plan{Seed: 3}
 	for k := 0; k < 40; k++ {
