@@ -349,23 +349,19 @@ func TestTicketsGaugeMatchesTotal(t *testing.T) {
 }
 
 // TestDegradeToZeroThenRestoreRouting is the Failed-vs-zero-capacity
-// regression: a shard degraded to zero capacity is not failed — its
-// streams ride out the fault in place (no failover drain) while new load
-// sheds to siblings — and the restore heartbeat returns traffic to it.
+// regression: a shard degraded to zero capacity is not failed — it sheds
+// its streams, which migrate to a sibling as evictions, not as a failover
+// drain — while new load goes to siblings, and the restore heartbeat
+// returns traffic to it.
 func TestDegradeToZeroThenRestoreRouting(t *testing.T) {
 	// Shard 0 runs twentyfold slow over rounds [0, 3), which leaves it
-	// N_max 0, and sheds nobody: its streams ride the fault out.
-	engines := fleet(t, 2, 2, func(i int, c *server.Config) {
-		if i == 0 {
-			c.Faults = slowdown(20, 0, 3)
-			c.Degrade.Policy = server.ShedNone
-		}
-	})
+	// N_max 0.
+	engines := fleet(t, 2, 2, onShard(0, slowdown(20, 0, 3)))
 	c := newCoordinator(t, Config{
 		Engines:  engines,
 		Route:    RouteLeastLoaded,
 		Replicas: 2,
-		Migrate:  true, // migration enabled, yet zero-capacity must not drain
+		Migrate:  true,
 	})
 	if err := c.AddObject("clip", unitClip(300)); err != nil {
 		t.Fatal(err)
@@ -376,17 +372,20 @@ func TestDegradeToZeroThenRestoreRouting(t *testing.T) {
 		t.Fatal("shard 0 got no streams")
 	}
 
-	// Degrade to zero capacity — NOT failed. The round's migration pass
-	// must leave the shard's streams in place; only admission sees the 0.
+	// Degrade to zero capacity — NOT failed. The shard sheds every stream
+	// and each one migrates to the sibling; none is drained as a failover.
 	rep := c.Step()
 	v := c.view.Load()
 	if v.shards[0].Capacity != 0 || v.shards[0].Failed {
 		t.Fatalf("view after the slowdown: capacity %d failed %v, want 0/false",
 			v.shards[0].Capacity, v.shards[0].Failed)
 	}
-	if rep.Evicted != 0 || rep.FailedOver != 0 || activeOn(engines[0]) != riding {
-		t.Fatalf("zero-capacity round evicted %d, failed over %d, left %d of %d streams: want 0, 0, all",
-			rep.Evicted, rep.FailedOver, activeOn(engines[0]), riding)
+	if rep.Evicted != riding || rep.Migrated != riding || rep.FailedOver != 0 || activeOn(engines[0]) != 0 {
+		t.Fatalf("zero-capacity round evicted %d, migrated %d, failed over %d, left %d of %d streams: want %d, %d, 0, 0",
+			rep.Evicted, rep.Migrated, rep.FailedOver, activeOn(engines[0]), riding, riding, riding)
+	}
+	if ms := c.MigrationStats(); ms.FailoverStreams != 0 {
+		t.Fatalf("zero capacity drained %d streams as a failover, want 0", ms.FailoverStreams)
 	}
 
 	// New admissions shed to the sibling while shard 0 shows zero
@@ -406,9 +405,6 @@ func TestDegradeToZeroThenRestoreRouting(t *testing.T) {
 	steps(c, 3)
 	if h := engines[0].Health(); h.Degraded || h.Capacity == 0 {
 		t.Fatalf("shard 0 after the slowdown: %+v, want healthy limits restored", h)
-	}
-	if got := activeOn(engines[0]); got != riding {
-		t.Errorf("shard 0 holds %d streams after riding out the fault, want %d", got, riding)
 	}
 	admittedTo := map[int]bool{}
 	for i := 0; i < 8; i++ {
