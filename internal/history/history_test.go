@@ -675,7 +675,7 @@ func TestDashboardHandler(t *testing.T) {
 		st.Sample(r)
 	}
 	rec := httptest.NewRecorder()
-	st.DashboardHandler(DashboardConfig{Title: "test", RoundLength: 1, Window: 16})(rec, httptest.NewRequest("GET", "/dashboard", nil))
+	st.DashboardHandler(DashboardConfig{Title: "test", RoundLength: 1})(rec, httptest.NewRequest("GET", "/dashboard?window=16", nil))
 	if rec.Code != 200 {
 		t.Fatalf("dashboard status = %d", rec.Code)
 	}
