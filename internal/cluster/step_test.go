@@ -101,16 +101,52 @@ func TestStepIdenticalAcrossProcs(t *testing.T) {
 	}
 }
 
+// TestViewFreshAfterEveryStep: the coordinator is every shard's single
+// writer and refreshes its admission view at the end of every Step, so the
+// health it admits on is never behind the engines. A 4-shard fleet, one
+// shard degrading and one failing, must show after every round exactly
+// the health each engine reports.
+func TestViewFreshAfterEveryStep(t *testing.T) {
+	plans := map[int]*fault.Plan{1: slowdown(3, 10, 40), 2: outage(20, 50)}
+	engines := fleet(t, 4, 2, func(i int, c *server.Config) { c.Faults = plans[i] })
+	c := newCoordinator(t, Config{Engines: engines, Replicas: 4, Migrate: true})
+	if err := c.AddObject("clip", unitClip(60)); err != nil {
+		t.Fatal(err)
+	}
+	degraded, failed := 0, 0
+	for r := 0; r < 80; r++ {
+		for k := 0; k < 6; k++ {
+			_, _, _ = c.Open("clip")
+		}
+		c.Step()
+		for i, row := range c.Status().Shards {
+			if h := engines[i].Health(); row.Health != h {
+				t.Fatalf("round %d: shard %d's view row %+v, its engine reports %+v", r, i, row.Health, h)
+			}
+			if row.Health.Degraded {
+				degraded++
+			}
+			if row.Health.Failed {
+				failed++
+			}
+		}
+	}
+	if degraded == 0 || failed == 0 {
+		t.Fatalf("the plans never showed in the view: %d degraded, %d failed shard-rounds", degraded, failed)
+	}
+}
+
 // TestStepAllocsOnlyReportSlice: at one P the coordinator's round spawns
 // nothing and shares nothing, so it allocates exactly what its shards' own
-// Steps do plus the report's Shards slice: one object a round over these 8
-// bare servers, whose Steps allocate nothing per round, where the
-// goroutine-per-shard fan-out this replaced measured 27 (the escaping
-// report and WaitGroup, and a closure and a goroutine start per shard).
-// Both fleets are measured after a warm-up of one round per disk, in which
-// each disk grows its sweep scratch to its largest offset class, and over
-// enough rounds that a server's report-row block (once per 32 rounds)
-// stays well below one object a round.
+// Steps do plus three objects: the report's Shards slice, and the view the
+// round publishes with its health rows. That is three objects a round over
+// these 8 bare servers, whose Steps allocate nothing per round, where the
+// goroutine-per-shard fan-out this replaced measured 27 beside the view
+// (the escaping report and WaitGroup, and a closure and a goroutine start
+// per shard). Both fleets are measured after a warm-up of one round per
+// disk, in which each disk grows its sweep scratch to its largest offset
+// class, and over enough rounds that a server's report-row block (once per
+// 32 rounds) stays well below one object a round.
 func TestStepAllocsOnlyReportSlice(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const shards, perShard, disks, runs = 8, 8, 4, 1000
@@ -138,11 +174,8 @@ func TestStepAllocsOnlyReportSlice(t *testing.T) {
 	}
 	shardAllocs := testing.AllocsPerRun(runs, stepBare)
 
-	// Heartbeats off the measured rounds: a view refresh allocates its
-	// snapshot (2 objects) on its own cadence, whatever the fan-out does.
 	c := newCoordinator(t, Config{
-		Engines: fleet(t, shards, disks, nil), Route: RouteRoundRobin, Replicas: shards,
-		Migrate: true, HeartbeatEvery: 1 << 30,
+		Engines: fleet(t, shards, disks, nil), Route: RouteRoundRobin, Replicas: shards, Migrate: true,
 	})
 	if err := c.AddObject("vod", sizes); err != nil {
 		t.Fatal(err)
@@ -155,8 +188,8 @@ func TestStepAllocsOnlyReportSlice(t *testing.T) {
 	}
 	steps(c, disks)
 	stepAllocs := testing.AllocsPerRun(runs, func() { c.Step() })
-	if stepAllocs != shardAllocs+1 {
-		t.Fatalf("Coordinator.Step allocates %v per round over shards that allocate %v: want exactly one more, the Shards slice",
+	if stepAllocs != shardAllocs+3 {
+		t.Fatalf("Coordinator.Step allocates %v per round over shards that allocate %v: want exactly three more, the Shards slice, the view and its rows",
 			stepAllocs, shardAllocs)
 	}
 }
