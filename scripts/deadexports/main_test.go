@@ -73,6 +73,34 @@ func (o *Orphan) Last() *Orphan {
 	return o.next.Last()
 }
 
+// Opts is built by cmd, which reads every field through Use: a field is
+// live only where live code writes it.
+type Opts struct {
+	// TestOnly is set only by the test: dead.
+	TestOnly int
+	// Never is set by nobody: dead.
+	Never int
+	// FromExample is set only by the facade's Example: live.
+	FromExample int
+	// Counted is written only by an increment: live.
+	Counted int
+	// Addressed is written only through its address: live.
+	Addressed int
+	// Nested is written only through its own field: live, and so is G.
+	Nested Inner
+}
+
+type Inner struct{ G int }
+
+func Use(o Opts) int { return o.TestOnly + o.Never + o.FromExample + o.Counted + o.Addressed + o.Nested.G }
+
+func Bump(o *Opts) {
+	o.Counted++
+	p := &o.Addressed
+	*p = 1
+	o.Nested.G = 2
+}
+
 // Chained is called only by walk, which nothing but itself calls.
 func Chained() {}
 
@@ -94,6 +122,9 @@ import "planted/internal/a"
 // Client is the facade's API.
 type Client struct{}
 
+// Opts re-exports a.Opts.
+type Opts = a.Opts
+
 func (Client) Fetch() { a.ViaFacade() }
 
 // Callerless is a facade func nothing calls: dead.
@@ -112,13 +143,14 @@ func TestReportsPlantedDeadExport(t *testing.T) {
 		"go.mod":          "module planted\n\ngo 1.22\n",
 		"internal/a/a.go": planted,
 		"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\n" +
-			"func TestOnlyTested(t *testing.T) { OnlyTested(); Oracle(); unexported(); walk(1); _ = T{}.Len() }\n",
+			"func TestOnlyTested(t *testing.T) { OnlyTested(); Oracle(); unexported(); walk(1); _ = T{}.Len(); _ = Opts{TestOnly: 1} }\n",
 		"internal/b/b.go": "package b\n\ntype Doer interface {\n\tViaInterface()\n\tUndone()\n}\n\nfunc Do(d Doer) { d.ViaInterface() }\n",
 		"cmd/x/main.go": "package main\n\nimport (\n\t\"fmt\"\n\t\"sort\"\n\n\t\"planted/internal/a\"\n\t\"planted/internal/b\"\n)\n\n" +
-			"func main() {\n\tt := a.FromCmd()\n\tb.Do(t)\n\tfmt.Println(t)\n\tu := a.U{2, 1}\n\tsort.Sort(u)\n\tfmt.Println(u.Len())\n}\n",
+			"func main() {\n\tt := a.FromCmd()\n\tb.Do(t)\n\tfmt.Println(t)\n\tu := a.U{2, 1}\n\tsort.Sort(u)\n\tfmt.Println(u.Len())\n" +
+			"\tvar o a.Opts\n\ta.Bump(&o)\n\tfmt.Println(a.Use(o))\n}\n",
 		"benchmark/main.go":    "package main\n\nimport \"planted/internal/a\"\n\nfunc main() { a.FromBench() }\n",
 		"planted.go":           facade,
-		"example_test.go":      "package planted_test\n\nimport \"planted\"\n\nfunc ExampleFromExample() {\n\tplanted.FromExample()\n\t// Output:\n}\n",
+		"example_test.go":      "package planted_test\n\nimport \"planted\"\n\nfunc ExampleFromExample() {\n\tplanted.FromExample()\n\t_ = planted.Opts{FromExample: 1}\n\t// Output:\n}\n",
 		"scripts/tool/main.go": "package main\n\nimport \"planted/internal/a\"\n\nfunc main() { a.OnlyTested() }\n",
 		allowFile:              "# comment\na.Oracle  the oracle for something that stays\na.FromCmd  has a caller\na.Gone  was deleted long ago\n",
 	} {
@@ -143,6 +175,8 @@ func TestReportsPlantedDeadExport(t *testing.T) {
 		{"a.Default", "var Default"},
 		{"a.Limit", "const Limit"},
 		{"a.OnlyTested", "func OnlyTested"},
+		{"a.Opts.Never", "Never int"},
+		{"a.Opts.TestOnly", "TestOnly int"},
 		{"a.Orphan", "type Orphan"},
 		{"a.Orphan.Last", "func (o *Orphan) Last"},
 		{"a.T.Len", "func (T) Len"},
