@@ -425,31 +425,11 @@ func TestClusterSLOAndReportEndpoints(t *testing.T) {
 		t.Errorf("report audited=%d within=%v, want 2/true", rep.AuditedShards, rep.WithinBounds)
 	}
 
-	// /cluster gained the staleness fields.
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/cluster", nil))
-	var cs struct {
-		ViewAgeRounds *int `json:"view_age_rounds"`
-		Shards        []struct {
-			LagRounds *int `json:"lag_rounds"`
-		} `json:"shards"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &cs); err != nil {
-		t.Fatalf("/cluster is not JSON: %v", err)
-	}
-	if cs.ViewAgeRounds == nil {
-		t.Error("/cluster lacks view_age_rounds")
-	}
-	if len(cs.Shards) != 2 || cs.Shards[0].LagRounds == nil {
-		t.Error("/cluster shard rows lack lag_rounds")
-	}
-
-	// Cluster metric surface: view age and the SLO roll-up series.
+	// Cluster metric surface: the SLO roll-up series.
 	rec = httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, name := range []string{
-		"mzqos_cluster_view_age_rounds",
 		`mzqos_cluster_slo_budget{target="late"}`,
 		`mzqos_cluster_slo_burn_rate{target="late",window="fast"}`,
 		"mzqos_cluster_slo_firing_shards 0",

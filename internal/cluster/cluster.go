@@ -15,12 +15,13 @@
 //     that shard's own mutex (engines are single-writer by contract).
 //
 // A heartbeat refreshes the view from each engine's atomic Health
-// snapshot — run automatically every Config.HeartbeatEvery coordinator
-// rounds and on demand via Heartbeat. When a shard degrades (PR 3's
-// fault-degradation machinery shrinking N_max), the next view publishes
-// its reduced capacity and Admit routes new load to sibling shards
-// instead of closing cluster admission; streams the shard itself sheds
-// come back as Evicted in Step reports and release their tickets.
+// snapshot. Step runs one at the end of every coordinator round: the
+// coordinator is every shard's single writer and steps them in lockstep,
+// so the view it admits on is never behind the engines. When a shard
+// degrades (the fault-degradation machinery shrinking N_max), the next
+// view publishes its reduced capacity and Admit routes new load to sibling
+// shards instead of closing cluster admission; streams the shard itself
+// sheds come back as Evicted in Step reports and release their tickets.
 package cluster
 
 import (
@@ -95,9 +96,6 @@ type Config struct {
 	// round-robin from a moving cursor); 0 means 1. Opens route among the
 	// object's replica shards only.
 	Replicas int
-	// HeartbeatEvery refreshes the admission view every that many
-	// coordinator rounds (0 means every round). Heartbeat forces one.
-	HeartbeatEvery int
 	// Registry optionally receives cluster-level metrics
 	// (mzqos_cluster_*). Nil disables them.
 	Registry *telemetry.Registry
@@ -110,20 +108,13 @@ type Config struct {
 	// DefaultMigrateBudget); overflow queues for following rounds.
 	MigrateBudget int
 	// Journal optionally receives cluster-level timeline events (migrate,
-	// failover, heartbeat-staleness). Shards share the same journal via
+	// failover). Shards share the same journal via
 	// their own server configs, so one ring orders the whole cluster.
 	Journal *journal.Journal
 	// Ledger is the shared promised-vs-delivered stream ledger. With
 	// Migrate set the coordinator enables its inflight stage so a
 	// suspended stream's record merges into its sibling re-admission.
 	Ledger *journal.Ledger
-	// StaleAfter is the heartbeat-staleness threshold in coordinator
-	// rounds: a shard whose cached health lags by at least this many
-	// rounds gets a heartbeat_stale event on the rising edge
-	// (0 = DefaultStaleAfter). Clamped to HeartbeatEvery+1, since the
-	// view legitimately lags up to HeartbeatEvery-1 rounds between
-	// refreshes.
-	StaleAfter int
 	// History optionally records every registry series once per
 	// coordinator round into the embedded time-series store. The
 	// coordinator owns the cluster's single per-round sample — shard
@@ -131,10 +122,6 @@ type Config struct {
 	// are not re-sampled once per shard.
 	History *history.Store
 }
-
-// DefaultStaleAfter is the heartbeat-staleness threshold used when
-// Config.StaleAfter is zero.
-const DefaultStaleAfter = 8
 
 // shard pairs an engine with its reservation state.
 type shard struct {
@@ -204,7 +191,6 @@ type Coordinator struct {
 	route  int
 	routeN string
 	reps   int
-	hbEach int
 
 	view atomic.Pointer[view]
 	rr   atomic.Uint64 // round-robin cursor
@@ -237,17 +223,14 @@ type Coordinator struct {
 	pending   []migration
 	migStats  migrationStats
 
-	// Event journal / QoS ledger (nil-safe). stale tracks which shards
-	// are past the staleness threshold, Step-owned like pending.
-	jnl        *journal.Journal
-	ledger     *journal.Ledger
-	hist       *history.Store // nil-safe: nil means no embedded history
-	staleAfter int
-	stale      []bool
+	// Event journal / QoS ledger (nil-safe).
+	jnl    *journal.Journal
+	ledger *journal.Ledger
+	hist   *history.Store // nil-safe: nil means no embedded history
 
 	// stepWG joins the workers of one round's shard fan-out. A field, not
 	// a local the worker closures would move to the heap every round;
-	// Step-owned like pending and stale.
+	// Step-owned like pending.
 	stepWG sync.WaitGroup
 
 	tel *clusterTelemetry
@@ -295,7 +278,6 @@ type clusterTelemetry struct {
 	tickets    *telemetry.Gauge
 	capacity   *telemetry.Gauge
 	degraded   *telemetry.Gauge
-	viewAge    *telemetry.Gauge
 
 	migAttempted *telemetry.Counter
 	migSucceeded *telemetry.Counter
@@ -329,8 +311,6 @@ func newClusterTelemetry(reg *telemetry.Registry) *clusterTelemetry {
 			"Cluster-wide admission capacity in the current view (Σ D·N_max)."),
 		degraded: reg.Gauge("mzqos_cluster_degraded_shards",
 			"Shards degraded in the current view."),
-		viewAge: reg.Gauge("mzqos_cluster_view_age_rounds",
-			"Staleness of the admission view: coordinator rounds since the last heartbeat published it."),
 		migAttempted: reg.Counter("mzqos_cluster_migrations_attempted_total",
 			"Migration re-admission attempts (budgeted per round)."),
 		migSucceeded: reg.Counter("mzqos_cluster_migrations_succeeded_total",
@@ -393,10 +373,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if reps < 0 || reps > len(cfg.Engines) {
 		return nil, fmt.Errorf("%w: %d replicas over %d shards", ErrConfig, reps, len(cfg.Engines))
 	}
-	hb := cfg.HeartbeatEvery
-	if hb <= 0 {
-		hb = 1
-	}
 	budget := cfg.MigrateBudget
 	if budget == 0 {
 		budget = DefaultMigrateBudget
@@ -404,22 +380,10 @@ func New(cfg Config) (*Coordinator, error) {
 	if budget < 0 {
 		return nil, fmt.Errorf("%w: migrate budget %d", ErrConfig, cfg.MigrateBudget)
 	}
-	staleAfter := cfg.StaleAfter
-	if staleAfter <= 0 {
-		staleAfter = DefaultStaleAfter
-	}
-	// The cached view legitimately lags up to hb-1 rounds between
-	// refreshes; a threshold at or below that would flag healthy shards
-	// every refresh cycle, so the effective threshold always clears the
-	// heartbeat cadence.
-	if staleAfter <= hb {
-		staleAfter = hb + 1
-	}
 	c := &Coordinator{
 		route:      route,
 		routeN:     name,
 		reps:       reps,
-		hbEach:     hb,
 		placement:  make(map[string][]int),
 		admissions: ring.New[AdmissionRecord](admissionRingCap),
 		migrate:    cfg.Migrate,
@@ -427,8 +391,6 @@ func New(cfg Config) (*Coordinator, error) {
 		jnl:        cfg.Journal,
 		ledger:     cfg.Ledger,
 		hist:       cfg.History,
-		staleAfter: staleAfter,
-		stale:      make([]bool, len(cfg.Engines)),
 		tel:        newClusterTelemetry(cfg.Registry),
 	}
 	if cfg.Migrate {
@@ -719,7 +681,7 @@ type RoundReport struct {
 // Step executes one round on every shard — shards sweep in parallel,
 // each under its own lock — then releases tickets for streams the round
 // retired (completed or shed by a degrading shard) and refreshes the
-// health view on the heartbeat cadence. The sweeps fan out over
+// health view. The sweeps fan out over
 // min(GOMAXPROCS, shards) workers, the caller being the first: one P
 // spawns nothing, N Ps spawn N−1 goroutines. Reports are written by shard
 // index, so a fixed per-shard seed set reproduces byte-identical cluster
@@ -753,17 +715,10 @@ func (c *Coordinator) Step() RoundReport {
 		rep.Migrated, rep.MigrationFailed, rep.FailedOver = c.migrateRound(&rep)
 	}
 	round := c.round.Add(1)
-	if int(round)%c.hbEach == 0 {
-		c.refreshView()
-	} else if c.tel != nil {
-		if v := c.view.Load(); v != nil {
-			c.tel.viewAge.Set(float64(int(round) - v.round))
-		}
-	}
-	c.observeStaleness(int(round))
+	c.refreshView()
 	// Record the round into the embedded history after every gauge of
-	// this round (shard steps, ticket release, migration, view refresh,
-	// staleness) has settled.
+	// this round (shard steps, ticket release, migration, view refresh)
+	// has settled.
 	c.hist.Sample(int(round))
 	return rep
 }
@@ -781,42 +736,6 @@ func (c *Coordinator) stepShards(w, workers int, out []ShardRoundReport) {
 		if retired := len(r.Completed) + len(r.Evicted); retired > 0 {
 			s.tickets.Add(-int64(retired))
 		}
-	}
-}
-
-// observeStaleness journals the rising edge of any shard's cached health
-// falling staleAfter+ rounds behind the coordinator — the dead-shard
-// smell a heartbeat collector watches for. Runs on the Step loop (stale
-// is Step-owned).
-func (c *Coordinator) observeStaleness(round int) {
-	if c.jnl == nil {
-		return
-	}
-	v := c.view.Load()
-	if v == nil {
-		return
-	}
-	for i := range v.shards {
-		if i >= len(c.stale) {
-			break
-		}
-		lag := round - v.shards[i].Round
-		if lag < 0 {
-			lag = 0
-		}
-		stale := lag >= c.staleAfter
-		if stale && !c.stale[i] {
-			c.jnl.Append(journal.Event{
-				Round: round,
-				Kind:  journal.KindHeartbeatStale,
-				Shard: i,
-				Disk:  -1,
-				From:  -1,
-				To:    -1,
-				Value: float64(lag),
-			})
-		}
-		c.stale[i] = stale
 	}
 }
 

@@ -111,8 +111,6 @@ type ShardSLO struct {
 // payload): the capacity-weighted roll-up plus each shard's snapshot,
 // all from the current heartbeat view.
 type ClusterSLO struct {
-	// ViewAgeRounds is the staleness of the view the report reflects.
-	ViewAgeRounds int `json:"view_age_rounds"`
 	// AuditedShards counts shards running an audit; FiringShards those
 	// with at least one alert Firing.
 	AuditedShards int `json:"audited_shards"`
@@ -132,7 +130,6 @@ func (c *Coordinator) SLOStatus() ClusterSLO {
 	if v == nil {
 		return st
 	}
-	st.ViewAgeRounds = int(c.round.Load()) - v.round
 	st.AuditedShards = v.slo.AuditedShards
 	st.FiringShards = v.slo.FiringShards
 	st.Targets = append(st.Targets, v.slo.Targets[:]...)

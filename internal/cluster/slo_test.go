@@ -116,9 +116,6 @@ func TestClusterSLOStatusOverServerShards(t *testing.T) {
 	if !(st.Targets[0].Budget > 0) {
 		t.Errorf("cluster late budget = %v, want > 0 (capacity-weighted)", st.Targets[0].Budget)
 	}
-	if st.ViewAgeRounds < 0 {
-		t.Errorf("view age = %d", st.ViewAgeRounds)
-	}
 
 	snap := reg.Snapshot()
 	if v, ok := snap.Gauge("mzqos_cluster_slo_budget", telemetry.L("target", "late")); !ok || !(v > 0) {
@@ -130,9 +127,6 @@ func TestClusterSLOStatusOverServerShards(t *testing.T) {
 	}
 	if v, ok := snap.Gauge("mzqos_cluster_slo_firing_shards"); !ok || v != 0 {
 		t.Errorf("firing-shards gauge = %v (%v), want 0", v, ok)
-	}
-	if _, ok := snap.Gauge("mzqos_cluster_view_age_rounds"); !ok {
-		t.Error("view-age gauge missing")
 	}
 	// The per-shard series carry the shard instance label.
 	if v, ok := snap.Gauge("mzqos_slo_budget",
@@ -181,43 +175,6 @@ func TestClusterTightnessReportMixedFleet(t *testing.T) {
 	for _, row := range rep.Shards[:2] {
 		if len(row.Report.Disks) != 2 {
 			t.Errorf("shard %d report has %d disks, want 2", row.Shard, len(row.Report.Disks))
-		}
-	}
-}
-
-// TestViewAgeTracksHeartbeatCadence: between heartbeats the view-age
-// gauge and Status field grow round by round; a heartbeat resets both to
-// zero. This is what makes admission-view staleness observable.
-func TestViewAgeTracksHeartbeatCadence(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	c := newCoordinator(t, Config{Engines: fleet(t, 2, 2, nil), Registry: reg, HeartbeatEvery: 100})
-
-	steps(c, 5) // well under the heartbeat cadence
-	if got := c.Status().ViewAgeRounds; got != 5 {
-		t.Errorf("view age after 5 rounds = %d, want 5", got)
-	}
-	snap := reg.Snapshot()
-	if v, ok := snap.Gauge("mzqos_cluster_view_age_rounds"); !ok || v != 5 {
-		t.Errorf("view-age gauge = %v (%v), want 5", v, ok)
-	}
-	if got := c.SLOStatus().ViewAgeRounds; got != 5 {
-		t.Errorf("slo view age = %d, want 5", got)
-	}
-
-	c.Heartbeat()
-	if got := c.Status().ViewAgeRounds; got != 0 {
-		t.Errorf("view age after heartbeat = %d, want 0", got)
-	}
-	snap = reg.Snapshot()
-	if v, _ := snap.Gauge("mzqos_cluster_view_age_rounds"); v != 0 {
-		t.Errorf("view-age gauge after heartbeat = %v, want 0", v)
-	}
-
-	// Shard lag: every shard stepped every round, so its view entry
-	// trails the coordinator by exactly the view age.
-	for _, row := range c.Status().Shards {
-		if row.LagRounds != 0 {
-			t.Errorf("shard %d lag = %d after heartbeat, want 0", row.Shard, row.LagRounds)
 		}
 	}
 }

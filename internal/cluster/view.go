@@ -9,9 +9,6 @@ import "mzqos/internal/engine"
 // the analytic model uses for its cached bound chains.
 type view struct {
 	shards []engine.Health
-	// round is the coordinator round the view was published at; the gap
-	// to the current round is the view's staleness in rounds.
-	round int
 	// slo is the capacity-weighted cluster SLO roll-up over the shard
 	// snapshots, precomputed at publish time so readers share one copy.
 	slo clusterSLORollup
@@ -52,10 +49,7 @@ func (v *view) leastLoaded(shards []*shard, cands []int) int {
 // view (including the capacity-weighted SLO roll-up piggybacked on the
 // heartbeats) and publishes it.
 func (c *Coordinator) refreshView() {
-	v := &view{
-		shards: make([]engine.Health, len(c.shards)),
-		round:  int(c.round.Load()),
-	}
+	v := &view{shards: make([]engine.Health, len(c.shards))}
 	capacity, degraded := 0, 0
 	for i, s := range c.shards {
 		h := s.eng.Health()
@@ -74,14 +68,15 @@ func (c *Coordinator) refreshView() {
 		// The tickets gauge moves only by atomic deltas at each
 		// reserve/release — a Set-from-total here would race concurrent
 		// reservations and publish a stale sum the deltas never correct.
-		c.tel.viewAge.Set(0)
 		c.tel.publishSLO(&v.slo)
 	}
 }
 
-// Heartbeat forces a health-view refresh outside the Step cadence. Safe
-// to call concurrently with Admit and Step (heartbeat collectors own no
-// locks; they read atomic engine state and publish atomically).
+// Heartbeat refreshes the health view between Steps, which each end with
+// one: Open calls it when an engine turns away a reserved stream, so the
+// next reservation sees the capacity the engine really has. Safe to call
+// concurrently with Admit and Step (it takes no lock; it reads atomic
+// engine state and publishes atomically).
 func (c *Coordinator) Heartbeat() { c.refreshView() }
 
 // ShardStatus is one shard's row in the cluster status.
@@ -93,11 +88,6 @@ type ShardStatus struct {
 	Health engine.Health `json:"health"`
 	// Tickets is the shard's outstanding reserved slots.
 	Tickets int `json:"tickets"`
-	// LagRounds is how many coordinator rounds the shard's view entry
-	// trails the coordinator: view age for a healthy shard, and growing
-	// without bound for a wedged shard whose Round has stopped advancing
-	// even while heartbeats continue.
-	LagRounds int `json:"lag_rounds"`
 }
 
 // Status is the coordinator's externally visible state (the /cluster
@@ -116,10 +106,6 @@ type Status struct {
 	Capacity int `json:"capacity"`
 	Tickets  int `json:"tickets"`
 	Round    int `json:"round"`
-	// ViewAgeRounds is the staleness of the admission view: coordinator
-	// rounds since the last heartbeat published it. Admission decisions
-	// are made against a view this many rounds old.
-	ViewAgeRounds int `json:"view_age_rounds"`
 	// Migrate reports whether eviction-to-migration is enabled;
 	// Migrations the cumulative migration counters.
 	Migrate    bool           `json:"migrate"`
@@ -135,20 +121,13 @@ func (c *Coordinator) Status() Status {
 		Replicas: c.reps,
 		Round:    int(c.round.Load()),
 	}
-	if v != nil {
-		st.ViewAgeRounds = st.Round - v.round
-	}
 	for i, s := range c.shards {
 		var h engine.Health
 		if v != nil && i < len(v.shards) {
 			h = v.shards[i]
 		}
-		lag := st.Round - h.Round
-		if lag < 0 {
-			lag = 0
-		}
 		t := int(s.tickets.Load())
-		st.Shards[i] = ShardStatus{Shard: i, Health: h, Tickets: t, LagRounds: lag}
+		st.Shards[i] = ShardStatus{Shard: i, Health: h, Tickets: t}
 		st.Capacity += h.Capacity
 		st.Tickets += t
 	}

@@ -32,6 +32,14 @@ const (
 	seriesFailover    = "mzqos_cluster_failover_streams_total"
 )
 
+// The /dashboard page's defaults, which ?window=N and ?refresh=N
+// override per request: the trailing estimation window in rounds for
+// measured tails and rate panels, and the meta-refresh cadence in seconds.
+const (
+	dashboardWindow  = 64
+	dashboardRefresh = 5
+)
+
 // DashboardConfig parameterizes the /dashboard page.
 type DashboardConfig struct {
 	// Title heads the page (empty = "mzqos").
@@ -39,12 +47,6 @@ type DashboardConfig struct {
 	// RoundLength is the deadline t in seconds — the threshold of the
 	// measured-tail panels (0 = 1, the repo's canonical round length).
 	RoundLength float64
-	// Window is the trailing estimation window in rounds for measured
-	// tails and rate panels (0 = 64).
-	Window int
-	// Refresh is the meta-refresh cadence in seconds (0 = 5, negative =
-	// no auto-refresh).
-	Refresh int
 }
 
 // TailTrajectory returns the windowed measured tail of a histogram
@@ -326,18 +328,10 @@ func (st *Store) DashboardHandler(cfg DashboardConfig) http.HandlerFunc {
 	if t <= 0 {
 		t = 1
 	}
-	window := cfg.Window
-	if window <= 0 {
-		window = 64
-	}
-	refresh := cfg.Refresh
-	if refresh == 0 {
-		refresh = 5
-	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		// ?refresh=N and ?window=N override the configured cadence and
+		// ?refresh=N and ?window=N override the default cadence and
 		// tail-window width per request (refresh=0 stops auto-reload).
-		window, refresh := window, refresh
+		window, refresh := dashboardWindow, dashboardRefresh
 		q := r.URL.Query()
 		if v := q.Get("refresh"); v != "" {
 			if n, err := strconv.Atoi(v); err == nil && n >= 0 {

@@ -3,7 +3,7 @@
 // change a stream's fate — admission and rejection, evictions, per-round
 // glitch totals, degrade/restore/recalibrate limit changes, fault
 // inject/clear edges, SLO alert transitions, flight-recorder freezes,
-// and cross-shard migration/failover/heartbeat-staleness.
+// and cross-shard migration/failover.
 //
 // The paper quotes its guarantee per stream (P[T_N > t] ≤ b_late and the
 // §3.3 glitch bound), but after sharding and migration a stream's life is
@@ -78,9 +78,6 @@ const (
 	// migration queue (From is the failed shard; the later KindMigrate
 	// event names where it landed).
 	KindFailover
-	// KindHeartbeatStale records a shard's health lag crossing the
-	// staleness threshold (rising edge only); Value is the lag in rounds.
-	KindHeartbeatStale
 
 	numKinds
 )
@@ -90,7 +87,6 @@ var kindNames = [numKinds]string{
 	"admit", "reject", "evict", "glitch", "degrade", "restore",
 	"recalibrate", "fault_inject", "fault_clear", "slo_pending",
 	"slo_firing", "slo_resolved", "freeze", "migrate", "failover",
-	"heartbeat_stale",
 }
 
 // String names the kind (e.g. "fault_inject").
@@ -156,7 +152,7 @@ type Event struct {
 	// Target names the SLO target for slo_* events.
 	Target string `json:"target,omitempty"`
 	// Value and Budget carry per-kind numbers (glitch count, measured
-	// rate vs analytic bound, heartbeat lag).
+	// rate vs analytic bound).
 	Value  float64 `json:"value,omitempty"`
 	Budget float64 `json:"budget,omitempty"`
 	// TraceSeq cross-links freeze events to the flight recorder's span

@@ -22,7 +22,6 @@ import (
 
 	"mzqos/internal/disk"
 	"mzqos/internal/model"
-	"mzqos/internal/telemetry"
 	"mzqos/internal/workload"
 )
 
@@ -50,12 +49,6 @@ type Config struct {
 	// DiscreteRate is the Poisson arrival rate of discrete requests, in
 	// requests per second.
 	DiscreteRate float64
-	// RoundTimes optionally receives every simulated round's continuous
-	// sweep duration from Simulate — the mixed-workload counterpart of
-	// the server's round-time histogram. Build it with telemetry.NewHistogram
-	// over telemetry.RoundTimeBuckets(RoundLength) so both the full
-	// deadline t and (via TailAbove) the effective budget are resolvable.
-	RoundTimes *telemetry.Histogram
 }
 
 func (c Config) validate() error {

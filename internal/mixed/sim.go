@@ -85,9 +85,6 @@ func Simulate(cfg Config, n, rounds int, seed uint64) (SimResult, error) {
 			}
 		}
 		clock := sweepStart + tot.Busy
-		if cfg.RoundTimes != nil {
-			cfg.RoundTimes.Observe(clock - roundStart)
-		}
 		if clock > roundStart+budget {
 			overruns++
 		}

@@ -356,17 +356,9 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: building slo audit: %w", err)
 	}
-	s.deg = degradeState{
-		enabled:        cfg.Degrade.Enabled,
-		after:          cfg.Degrade.After,
-		policy:         cfg.Degrade.Policy,
-		evictOnFailure: cfg.Degrade.EvictOnFailure,
-	}
+	s.deg = degradeState{enabled: cfg.Degrade.Enabled, after: cfg.Degrade.After}
 	if s.deg.after <= 0 {
 		s.deg.after = DefaultDegradeAfter
-	}
-	if s.deg.policy == nil {
-		s.deg.policy = ShedNewest
 	}
 	s.install(lim)
 	if s.log != nil {

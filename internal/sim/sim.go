@@ -22,7 +22,6 @@ import (
 	"mzqos/internal/dist"
 	"mzqos/internal/fault"
 	"mzqos/internal/sweep"
-	"mzqos/internal/telemetry"
 	"mzqos/internal/trace"
 	"mzqos/internal/workload"
 )
@@ -46,14 +45,6 @@ type Config struct {
 	// Access optionally replaces uniform-over-sectors placement with a
 	// zone-aware access profile (must match the geometry when set).
 	Access disk.AccessProfile
-	// RoundTimes optionally receives every simulated round's total
-	// service time T_N (EstimatePLate, EstimatePError, MeasureRounds, and
-	// the sweeps built on them). The histogram is concurrency-safe, so
-	// all parallel workers share it; build it with telemetry.NewHistogram
-	// over telemetry.RoundTimeBuckets(RoundLength) to make the round
-	// deadline an exact bucket boundary, which yields series directly
-	// comparable with the server's mzqos_server_round_time_seconds.
-	RoundTimes *telemetry.Histogram
 	// Faults optionally perturbs the simulated service with the same
 	// deterministic plans the server consumes: an identical (Plan, disk,
 	// round) triple resolves to identical effects in both, so server runs
@@ -166,9 +157,6 @@ func simulateRound(cfg Config, eff fault.Effects, round int, readErr func(pos, a
 	total = tot.Busy
 	if eff.Failed {
 		total = sweep.DownRoundLengths * cfg.RoundLength
-	}
-	if cfg.RoundTimes != nil {
-		cfg.RoundTimes.Observe(total)
 	}
 	tracing := cfg.Trace.Enabled()
 	sp := &sc.span

@@ -169,9 +169,6 @@ type (
 	FaultEffects = fault.Effects
 	// DegradeConfig controls the server's reaction to sustained faults.
 	DegradeConfig = server.DegradeConfig
-	// ShedPolicy selects which streams to evict when the degraded limit
-	// drops below an offset class's occupancy.
-	ShedPolicy = server.ShedPolicy
 )
 
 // Fault kinds.
@@ -190,14 +187,6 @@ func ParseFaultPlan(spec string, seed uint64) (FaultPlan, error) {
 	return fault.ParsePlan(spec, seed)
 }
 
-// ShedNewest is the default shedding policy: evict the most recently
-// admitted streams first. ShedNone disables eviction (degraded limits
-// only close admission).
-var (
-	ShedNewest ShedPolicy = server.ShedNewest
-	ShedNone   ShedPolicy = server.ShedNone
-)
-
 // Observability types (see README "Observability" and internal/telemetry).
 type (
 	// ServerTelemetry is a running server's live metrics surface.
@@ -208,9 +197,6 @@ type (
 	DiskTightness   = server.DiskTightness
 	// MetricsSnapshot is an immutable copy of a metric registry.
 	MetricsSnapshot = telemetry.Snapshot
-	// RoundHistogram is the fixed-bucket histogram the round-time series
-	// use, and the type of SimConfig.RoundTimes and MixedConfig.RoundTimes.
-	RoundHistogram = telemetry.Histogram
 )
 
 // Round-level tracing and admission explainability (see README

@@ -176,12 +176,9 @@ cexpect /metrics '^mzqos_cluster_capacity ' "cluster capacity gauge"
 cexpect /cluster '"route": "least-loaded"' "routing policy"
 cexpect /cluster '"per_disk_limit"' "shard health rows"
 cexpect /cluster '"tickets"' "outstanding reservations"
-cexpect /cluster '"view_age_rounds"' "admission-view staleness"
-cexpect /cluster '"lag_rounds"' "per-shard heartbeat lag"
 cexpect /slo '"audited_shards": 3' "cluster audit covering all shards"
 cexpect /slo '"target": "late"' "cluster late-target roll-up"
 cexpect /report '"within_bounds"' "cluster bound-tightness verdict"
-cexpect /metrics '^mzqos_cluster_view_age_rounds ' "view-age gauge"
 cexpect /metrics '^mzqos_cluster_slo_budget{target="late"} ' "cluster SLO budget roll-up"
 cexpect /metrics '^mzqos_cluster_slo_firing_shards 0$' "no shard firing on a clean run"
 cexpect /metrics '^mzqos_slo_budget{shard="0",target="late"} ' "shard-labeled SLO budget"
