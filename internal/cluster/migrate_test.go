@@ -141,6 +141,56 @@ func TestMigrationOnDegradeEvict(t *testing.T) {
 	}
 }
 
+// TestStatusConcurrentWithMigration reads Status, as the /cluster and
+// /debug/bundle handlers do, beside a Step loop whose migration queue a
+// shed wave and a paced failover drain keep rewriting. Under -race it holds
+// every MigrationStats field to a read that does not touch the Step-owned
+// queue.
+func TestStatusConcurrentWithMigration(t *testing.T) {
+	// Shard 0 sheds from round 3 (×3: N_max 26 → 6) and fails from round 8.
+	plan := slowdown(3, 3, 0)
+	plan.Faults = append(plan.Faults, outage(8, 0).Faults...)
+	engines := fleet(t, 2, 2, onShard(0, plan))
+	c := newCoordinator(t, Config{
+		Engines:       engines,
+		Route:         RouteLeastLoaded,
+		Replicas:      2,
+		Migrate:       true,
+		MigrateBudget: 4,
+	})
+	if err := c.AddObject("clip", unitClip(200)); err != nil {
+		t.Fatal(err)
+	}
+	openN(t, c, "clip", 40)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				_ = c.Status()
+			}
+		}
+	}()
+	queued := false
+	for range 20 {
+		c.Step()
+		if c.MigrationStats().Pending > 0 {
+			queued = true
+		}
+	}
+	close(done)
+	wg.Wait()
+	if ms := c.MigrationStats(); !queued || ms.Succeeded == 0 || ms.FailoverStreams == 0 {
+		t.Fatalf("migrations %+v, queue seen non-empty %v: the run must queue, migrate and fail over", ms, queued)
+	}
+}
+
 // TestFailoverDrainsFailedShard covers multipath failover: a full shard
 // failure moves the entire active set to the siblings within the budget,
 // releasing the source tickets as it drains.
