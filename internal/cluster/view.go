@@ -61,15 +61,13 @@ func (c *Coordinator) refreshView() {
 	}
 	v.slo = rollupSLO(v.shards)
 	c.view.Store(v)
-	if c.tel != nil {
-		c.tel.heartbeats.Inc()
-		c.tel.capacity.Set(float64(capacity))
-		c.tel.degraded.Set(float64(degraded))
-		// The tickets gauge moves only by atomic deltas at each
-		// reserve/release — a Set-from-total here would race concurrent
-		// reservations and publish a stale sum the deltas never correct.
-		c.tel.publishSLO(&v.slo)
-	}
+	c.tel.heartbeats.Inc()
+	c.tel.capacity.Set(float64(capacity))
+	c.tel.degraded.Set(float64(degraded))
+	// The tickets gauge moves only by atomic deltas at each
+	// reserve/release — a Set-from-total here would race concurrent
+	// reservations and publish a stale sum the deltas never correct.
+	c.tel.publishSLO(&v.slo)
 }
 
 // Heartbeat refreshes the health view between Steps, which each end with

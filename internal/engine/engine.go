@@ -61,9 +61,10 @@ type StreamState struct {
 }
 
 // RetainedStreams bounds, per engine, how many recently shed streams stay
-// exportable after the round that evicted them and how many retired
-// streams keep their stats queryable. An eviction wave can never outrun it
-// by more than the coordinator's own per-round migration budget.
+// exportable after the round that evicted them. An eviction wave can never
+// outrun it by more than the coordinator's own per-round migration budget.
+// It also sizes the ledger a standalone server builds when handed none,
+// and so how many retired streams keep their stats queryable there.
 const RetainedStreams = 1024
 
 // Engine is one admission-controlled round engine. Mutating operations

@@ -277,16 +277,3 @@ func TestLedgerRecycledRecordsStayPut(t *testing.T) {
 		t.Fatalf("after one more retirement:\n got %+v\nwant %+v", got, want)
 	}
 }
-
-func TestNilLedgerIsDisabled(t *testing.T) {
-	var l *Ledger
-	l.EnableInflight()
-	l.Admit(0, 1, Promise{}, 1)
-	l.Suspend(0, 1, Delivered{}, 1)
-	l.Retire(0, 1, []Retirement{{ID: 1}})
-	l.Migrated(0, 1, 1, 2)
-	l.Abandon(0, 1, 1)
-	if rep := l.Report(); rep.RetiredTotal != 0 || len(rep.Active) != 0 {
-		t.Fatalf("nil report: %+v", rep)
-	}
-}

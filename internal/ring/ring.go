@@ -2,12 +2,12 @@
 // "keep the last K of something, overwrite the oldest". Every observability
 // store that answers a question about a recent interval — trace spans,
 // journal events, retired ledger records, SLO transitions, rejections,
-// admissions, retired and evicted streams — holds its elements in a Buffer,
-// so "oldest first after the buffer has wrapped" and "how many were
-// dropped" are decided here once. A store read by key only on a cold path
-// (the server's retired-stream stats) scans its Buffer, so a push hashes
-// nothing; Keyed, a FIFO built on a Buffer, is for entries taken out by
-// key (the server's evicted-stream states).
+// admissions, evicted streams — holds its elements in a Buffer, so "oldest
+// first after the buffer has wrapped" and "how many were dropped" are
+// decided here once. A store read by key only on a cold path (the ledger's
+// retired records, which a server's Stats looks up by shard and id) scans
+// its Buffer, so a push hashes nothing; Keyed, a FIFO built on a Buffer,
+// is for entries taken out by key (the server's evicted-stream states).
 //
 // Neither type is synchronized: each owner guards its buffer with the lock
 // it already holds around the write. Nothing allocates after construction.

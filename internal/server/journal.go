@@ -17,8 +17,8 @@ import (
 // journalling is disabled). In cluster mode every shard shares one.
 func (s *Server) Journal() *journal.Journal { return s.jnl }
 
-// QoSLedger returns the promised-vs-delivered stream ledger (nil when
-// disabled).
+// QoSLedger returns the promised-vs-delivered stream ledger: the one the
+// server was handed, or its own.
 func (s *Server) QoSLedger() *journal.Ledger { return s.ledger }
 
 // event starts an event of this server's timeline: its round and shard
@@ -32,18 +32,12 @@ func (s *Server) event(kind journal.Kind) journal.Event {
 // analytic bounds of the limits in force plus the binding constraint from
 // the admission explanation of the disk that set N_max.
 func (s *Server) journalAdmit(st *stream, imported bool, lim *limits) {
-	if s.jnl == nil && s.ledger == nil {
-		return
-	}
 	e := s.event(journal.KindAdmit)
 	e.Stream, e.Object = int64(st.id), st.obj.name
 	if imported {
 		e.Detail = "import"
 	}
 	seq := s.jnl.Append(e)
-	if s.ledger == nil {
-		return
-	}
 	exp := &lim.explains[lim.bindDisk]
 	s.ledger.Admit(s.shard, int64(st.id), journal.Promise{
 		Object:       st.obj.name,
@@ -88,7 +82,7 @@ var sloKinds = map[slo.State]journal.Kind{
 // just violated.
 func (s *Server) journalSLO(idx int, te *slo.TargetEval) {
 	kind, incident := sloKinds[te.State]
-	if s.jnl == nil || !incident {
+	if !incident {
 		return
 	}
 	lim := s.lim.Load()

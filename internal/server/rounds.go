@@ -155,9 +155,9 @@ func (s *Server) Step() RoundReport {
 }
 
 // retireDone retires the round's completed streams and returns their ids
-// in ascending order, nil when none completed. Their stats are filed in
-// service order, the order the finished ring and the ledger's retired
-// ring record; the ledger takes the whole round in one Retire, from
+// in ascending order, nil when none completed. Their ledger records
+// finalize in service order, the order the ledger's retired ring keeps;
+// the ledger takes the whole round in one Retire, from
 // scratch reused across rounds. active is compacted once for all of them
 // rather than shifted once per stream, and since it is in ascending id
 // order, the ids it drops come out sorted.
