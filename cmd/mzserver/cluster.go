@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"os"
@@ -24,7 +25,8 @@ import (
 	"mzqos/internal/workload"
 )
 
-// clusterOptions carries the subset of flags cluster mode consumes.
+// clusterOptions carries the subset of flags cluster mode consumes, and
+// the -log logger the round loop renders the shared journal to.
 type clusterOptions struct {
 	shards, disks, rounds        int
 	route                        string
@@ -49,6 +51,7 @@ type clusterOptions struct {
 	slo                          slo.Config
 	historyRounds                int
 	noHistory                    bool
+	log                          *slog.Logger // nil without -log: the journal is not read
 }
 
 // runCluster is the -shards N (N > 1) entry point: S server shards behind
@@ -147,6 +150,7 @@ func runCluster(o clusterOptions) {
 
 	var admitted, rejected, completed, evicted, glitches int
 	var migrated, migrateFailed, failedOver int
+	var logged uint64 // newest journal seq rendered to o.log
 loop:
 	for r := 0; r < o.rounds; r++ {
 		select {
@@ -189,6 +193,9 @@ loop:
 			}
 			fmt.Printf("round %4d: tickets %4d/%d  admitted %5d  rejected %4d  glitches %5d  degraded shards %d\n",
 				r+1, s.Tickets, s.Capacity, admitted, rejected, glitches, degraded)
+		}
+		if o.log != nil {
+			logged = logJournal(o.log, jnl, logged)
 		}
 	}
 

@@ -67,15 +67,6 @@ func (s *Server) Recalibrate(minSamples int64) (oldLimit, newLimit int, err erro
 	next.failed = cur.failed
 	s.install(next)
 	s.journalLimitChange(journal.KindRecalibrate, next.bindDisk, cur.nmax, next.nmax, "")
-	if s.log != nil {
-		s.log.Info("recalibrated admission model",
-			"old_nmax", cur.nmax,
-			"new_nmax", next.nmax,
-			"observed_mean_bytes", mean,
-			"observed_sd_bytes", sd,
-			"samples", s.observed.N(),
-		)
-	}
 	return cur.nmax, next.nmax, nil
 }
 

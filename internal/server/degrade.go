@@ -150,14 +150,6 @@ func (s *Server) applyDegraded(effs []fault.Effects) []StreamID {
 		detail = "disk_failed"
 	}
 	s.journalLimitChange(journal.KindDegrade, next.bindDisk, cur.nmax, next.nmax, detail)
-	if s.log != nil {
-		s.log.Warn("degraded admission limits applied",
-			"round", s.round,
-			"nmax", next.nmax,
-			"binding_disk", next.bindDisk,
-			"disk_failed", failed,
-		)
-	}
 
 	if failed {
 		return nil
@@ -208,10 +200,4 @@ func (s *Server) restoreHealthy() {
 	s.journalLimitChange(journal.KindRestore, next.bindDisk, oldLimit, next.nmax, "")
 	s.tel.degradeTransitions.Inc()
 	s.freeze("restore")
-	if s.log != nil {
-		s.log.Info("healthy admission limits restored",
-			"round", s.round,
-			"nmax", next.nmax,
-		)
-	}
 }

@@ -65,14 +65,6 @@ func (s *Server) recordRejection(object, reason string, nmax int) {
 		e.Object, e.Value, e.Detail = object, float64(nmax), reason
 		s.jnl.Append(e)
 	}
-	if s.log != nil {
-		s.log.Warn("stream rejected",
-			"object", object,
-			"reason", reason,
-			"round", s.round,
-			"nmax", nmax,
-		)
-	}
 }
 
 // Rejections returns the retained rejection history, oldest first. Safe

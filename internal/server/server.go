@@ -30,7 +30,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -118,11 +117,6 @@ type Config struct {
 	// recalibration hints. The zero value enables the audit at the
 	// package defaults; set SLO.Disabled to run without one.
 	SLO slo.Config
-	// Logger optionally receives structured lifecycle events (admission
-	// limits, degrade transitions, recalibrations, flight-recorder
-	// freezes) via log/slog. Nil disables logging; the round loop never
-	// logs per-request.
-	Logger *slog.Logger
 	// Registry optionally supplies a shared metric registry. Multi-engine
 	// processes (mzserver -shards) pass one registry to every shard so a
 	// single /metrics endpoint exposes the whole fleet; nil creates a
@@ -136,8 +130,10 @@ type Config struct {
 	InstanceLabels []telemetry.Label
 	// Journal optionally receives typed lifecycle events (admission,
 	// eviction, glitching rounds, limit changes, fault edges, SLO alert
-	// transitions, recorder freezes) on the cluster-wide timeline. Shards
-	// of one cluster share a single journal; nil disables journalling.
+	// transitions, recorder freezes) on the cluster-wide timeline. It is
+	// the server's one lifecycle record: /timeline and mzserver's -log
+	// are views of it, and no other sink is written. Shards of one
+	// cluster share a single journal; nil disables journalling.
 	Journal *journal.Journal
 	// Ledger tracks every stream's promised-vs-delivered QoS record, and
 	// Stats answers a retired stream from it. Like Journal it is shared
@@ -222,7 +218,6 @@ type Server struct {
 	tel      *Telemetry
 	inj      *fault.Injector // nil-safe: a nil injector is a healthy array
 	deg      degradeState
-	log      *slog.Logger // nil = no structured logging
 
 	// Step scratch, reused across rounds: the per-disk fault effects, the
 	// fragments gathered for each disk (Ref indexes active), the requests
@@ -340,7 +335,6 @@ func New(cfg Config) (*Server, error) {
 
 		evictedStates: ring.NewKeyed[StreamID, engine.StreamState](engine.RetainedStreams),
 		inj:           inj,
-		log:           cfg.Logger,
 		jnl:           cfg.Journal,
 		ledger:        ledger,
 		shard:         cfg.Shard,
@@ -360,15 +354,6 @@ func New(cfg Config) (*Server, error) {
 		s.deg.after = DefaultDegradeAfter
 	}
 	s.install(lim)
-	if s.log != nil {
-		s.log.Info("server configured",
-			"disks", len(geoms),
-			"round_length_s", cfg.RoundLength,
-			"nmax", lim.nmax,
-			"binding_disk", lim.bindDisk,
-			"tracing", s.trc.Enabled(),
-		)
-	}
 	return s, nil
 }
 

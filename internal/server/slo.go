@@ -108,36 +108,9 @@ func (s *Server) onSLOTransition(idx int, te *slo.TargetEval) {
 		// recorder (first trigger latches; later triggers only count).
 		s.freeze(sloFreezeReasons[idx])
 		s.setSLOHint(s.buildSLOHint(target, te))
-		if s.log != nil {
-			s.log.Warn("slo alert firing",
-				"target", target,
-				"round", s.round,
-				"measured_fast", te.MeasuredFast,
-				"budget", te.Budget,
-				"burn_fast", te.BurnFast,
-				"burn_slow", te.BurnSlow,
-			)
-		}
 	case slo.Resolved:
 		s.tel.slo.resolved[idx].Inc()
 		s.clearSLOHint(target)
-		if s.log != nil {
-			s.log.Info("slo alert resolved",
-				"target", target,
-				"round", s.round,
-				"burn_fast", te.BurnFast,
-				"burn_slow", te.BurnSlow,
-			)
-		}
-	case slo.Pending:
-		if s.log != nil {
-			s.log.Info("slo alert pending",
-				"target", target,
-				"round", s.round,
-				"burn_fast", te.BurnFast,
-				"burn_slow", te.BurnSlow,
-			)
-		}
 	}
 }
 

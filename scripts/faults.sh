@@ -5,17 +5,19 @@
 # slowdown (2x latency on disk 0 for rounds 100..300) with graceful
 # degradation enabled, then assert the degraded-mode lifecycle happened —
 # the limit dropped and was restored, streams were shed, and the fault
-# telemetry and /faults endpoint expose the schedule. The SLO audit rides
-# the same scenario: the late rounds before shedding kicks in must push
-# the b_late burn rate over threshold (alert fires), and the clean tail
-# of the run must resolve it. -degrade-after 8 holds shedding off long
-# enough for the fast window to see the violation.
+# telemetry and /faults endpoint expose the schedule. -log json renders
+# the journal to stderr, which must carry one degrade and one restore
+# record. The SLO audit rides the same scenario: the late rounds before
+# shedding kicks in must push the b_late burn rate over threshold (alert
+# fires), and the clean tail of the run must resolve it. -degrade-after 8
+# holds shedding off long enough for the fast window to see the violation.
 #
 # Phase 2 (cluster failover): run a 3-shard cluster with -migrate, fail
 # every disk of shard 0 mid-run (-fault-shard scopes the plan), and
 # assert the failed shard's streams resumed on its siblings — at least
 # 90% of migration attempts succeed, failover streams were drained, and
-# the SLO auditors on the surviving shards never fire.
+# the SLO auditors on the surviving shards never fire. The cluster's -log
+# json rendering of its journal must carry the failover.
 #
 # Exits non-zero on any miss.
 set -eu
@@ -25,13 +27,15 @@ CADDR="${FAULTS_CLUSTER_ADDR:-127.0.0.1:19099}"
 BIN="${TMPDIR:-/tmp}/mzserver-faults"
 LOG="${TMPDIR:-/tmp}/mzserver-faults.log"
 CLOG="${TMPDIR:-/tmp}/mzserver-faults-cluster.log"
+JLOG="${TMPDIR:-/tmp}/mzserver-faults-journal.log"
+CJLOG="${TMPDIR:-/tmp}/mzserver-faults-cluster-journal.log"
 
 go build -o "$BIN" ./cmd/mzserver
 
 "$BIN" -disks 2 -rounds 400 -arrivals 2 -report 0 \
     -faults "latency:disk=0,from=100,until=300,factor=2" -degrade \
-    -degrade-after 8 \
-    -listen "$ADDR" -linger 120s >"$LOG" &
+    -degrade-after 8 -log json \
+    -listen "$ADDR" -linger 120s >"$LOG" 2>"$JLOG" &
 PID=$!
 CPID=""
 trap 'kill "$PID" 2>/dev/null || true; [ -n "$CPID" ] && kill "$CPID" 2>/dev/null || true' EXIT INT TERM
@@ -95,6 +99,16 @@ expect /metrics '^mzqos_server_phase_seconds_total{disk="0",phase="seek"}' "phas
 expect_log 'entering degraded mode' "degraded-mode entry"
 expect_log 'healthy limit .*/disk restored' "healthy-limit restoration"
 expect_log 'shed [1-9][0-9]* streams' "stream shedding"
+# -log renders the journal: the one degrade and one restore of the arc.
+for kind in degrade restore; do
+    n=$(grep -c "\"msg\":\"$kind\"" "$JLOG" || true)
+    if [ "$n" -eq 1 ]; then
+        echo "faults: ok   -log shows one $kind record"
+    else
+        echo "faults: FAIL -log shows $n $kind records, want 1" >&2
+        fail=1
+    fi
+done
 
 # The guarantee audit saw the violation: the b_late alert fired while the
 # fault outran the bound, resolved on the clean tail, and the transition
@@ -184,7 +198,7 @@ trap '[ -n "$CPID" ] && kill "$CPID" 2>/dev/null || true' EXIT INT TERM
 "$BIN" -shards 3 -disks 2 -replicas 3 -rounds 400 -arrivals 1.2 -cliplen 60 \
     -report 0 -migrate -fault-shard 0 \
     -faults "failure:disk=all,from=100,until=250" \
-    -degrade -listen "$CADDR" -linger 120s >"$CLOG" &
+    -degrade -log json -listen "$CADDR" -linger 120s >"$CLOG" 2>"$CJLOG" &
 CPID=$!
 
 up=0
@@ -269,6 +283,9 @@ fi
 grep -q 'failed over' "$CLOG" \
     && echo "faults: ok   cluster log shows failover rounds" \
     || { echo "faults: FAIL cluster log lacks failover rounds" >&2; fail=1; }
+grep -q '"msg":"failover"' "$CJLOG" \
+    && echo "faults: ok   cluster -log shows failover records" \
+    || { echo "faults: FAIL cluster -log lacks failover records" >&2; fail=1; }
 
 # >= 90% of the failed shard's streams resumed on siblings: the acceptance
 # ratio read straight off the migration counters.
