@@ -1,43 +1,9 @@
 package workload
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
-
-// FuzzLoadTrace feeds arbitrary bytes to the trace parser: it must never
-// panic, and anything it accepts must survive a save/load round trip.
-func FuzzLoadTrace(f *testing.F) {
-	f.Add([]byte("# mzqos-trace v1\n100\n200\n"))
-	f.Add([]byte("# mzqos-trace v1\n# comment\n1.5e5\n"))
-	f.Add([]byte(""))
-	f.Add([]byte("garbage"))
-	f.Add([]byte("# mzqos-trace v1\n-1\n"))
-	f.Add([]byte("# mzqos-trace v1\nNaN\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sizes, err := LoadTrace(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		for _, s := range sizes {
-			if !(s > 0) {
-				t.Fatalf("accepted non-positive size %v", s)
-			}
-		}
-		var buf bytes.Buffer
-		if err := SaveTrace(&buf, sizes); err != nil {
-			t.Fatalf("save of accepted trace failed: %v", err)
-		}
-		back, err := LoadTrace(&buf)
-		if err != nil {
-			t.Fatalf("reload failed: %v", err)
-		}
-		if len(back) != len(sizes) {
-			t.Fatalf("round trip changed length: %d -> %d", len(sizes), len(back))
-		}
-	})
-}
 
 // FuzzFragment checks byte conservation for arbitrary frame vectors.
 func FuzzFragment(f *testing.F) {
