@@ -40,8 +40,9 @@ journal-owners:
 # called). An interface method nothing calls through is reported too, and
 # so is an exported field of a struct under internal/ that no live code
 # writes (a composite-literal key or position, a selector in an assignment's
-# or increment's left-hand chain, or &x.F; a read never counts), so a
-# Config field only tests set shows. An allowlist line that names nothing
+# or increment's left-hand chain, or &x.F; a read never counts, and nor does
+# a method storing constants into its own receiver, as a withDefaults does),
+# so a Config field only tests and the defaults set shows. An allowlist line that names nothing
 # dead fails the run.
 dead-exports:
 	$(GO) run ./scripts/deadexports

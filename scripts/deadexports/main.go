@@ -37,7 +37,11 @@
 //     assignment's or an increment's left-hand chain (x.F = , x.F.G = ,
 //     x.F[i] = , x.F++), or by taking its address (&x.F). Reading a field
 //     never makes it live, so a Config field only tests set is reported.
-//     Embedded fields are not reported.
+//     Nor does a method's plain assignment of constants only into fields
+//     of its own receiver (withDefaults' c.N = DefaultN): a default is the
+//     package's value, not a caller's setting. An increment, a compound
+//     assignment or a non-constant store there still writes. Embedded
+//     fields are not reported.
 //
 // A type the facade re-exports by alias is reached, but its methods are held
 // to the same rules as any other type's.
@@ -325,7 +329,8 @@ func (p *program) graph(path string, q *pkg) {
 // roots'. A method of a generic type is used as its origin. A struct field
 // is used only where n writes it: a composite-literal key or position, a
 // selector in an assignment's or an increment's left-hand chain, or an
-// address taken; reading a field does not use it.
+// address taken; reading a field does not use it, and neither does a
+// method storing constants into its own receiver (see defaulting).
 func (p *program) edges(q *pkg, n ast.Node, from types.Object) {
 	use := func(o types.Object) {
 		switch o := o.(type) {
@@ -356,6 +361,10 @@ func (p *program) edges(q *pkg, n ast.Node, from types.Object) {
 			}
 		}
 	}
+	var self types.Object // a method's receiver
+	if fd, ok := n.(*ast.FuncDecl); ok && fd.Recv != nil && len(fd.Recv.List[0].Names) > 0 {
+		self = q.info.Defs[fd.Recv.List[0].Names[0]]
+	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
@@ -363,6 +372,9 @@ func (p *program) edges(q *pkg, n ast.Node, from types.Object) {
 				use(q.info.Uses[n])
 			}
 		case *ast.AssignStmt:
+			if defaulting(q, n, self) {
+				break
+			}
 			for _, x := range n.Lhs {
 				write(x)
 			}
@@ -385,6 +397,35 @@ func (p *program) edges(q *pkg, n ast.Node, from types.Object) {
 		}
 		return true
 	})
+}
+
+// defaulting says a is a plain assignment of constants only into fields
+// of self, the enclosing method's receiver (withDefaults' c.N = DefaultN):
+// the value stored is the package's, not a caller's, so it does not make
+// a knob live. An increment, a compound assignment and a non-constant
+// store still write.
+func defaulting(q *pkg, a *ast.AssignStmt, self types.Object) bool {
+	if self == nil || a.Tok != token.ASSIGN {
+		return false
+	}
+	for _, r := range a.Rhs {
+		if q.info.Types[r].Value == nil {
+			return false
+		}
+	}
+	for _, x := range a.Lhs {
+		sel, ok := x.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		for inner, ok := sel.X.(*ast.SelectorExpr); ok; inner, ok = sel.X.(*ast.SelectorExpr) {
+			sel = inner
+		}
+		if id, ok := sel.X.(*ast.Ident); !ok || q.info.Uses[id] != self {
+			return false
+		}
+	}
+	return true
 }
 
 func (p *program) mark(o types.Object) {

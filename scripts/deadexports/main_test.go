@@ -101,6 +101,27 @@ func Bump(o *Opts) {
 	o.Nested.G = 2
 }
 
+// Config is defaulted by cmd through Defaults. withDefaults storing a
+// constant into its own receiver is no writer, so N, which otherwise only
+// the test sets, is dead; M takes a computed value there and is live.
+type Config struct{ N, M int }
+
+func (c Config) withDefaults() Config {
+	if c.N == 0 {
+		c.N = 4
+	}
+	c.M = 2 * c.N
+	return c
+}
+
+func Defaults(c Config) int { c = c.withDefaults(); return c.N + c.M }
+
+// Sum is added to by cmd: Count, incremented only in Sum's own method, is
+// live.
+type Sum struct{ Count int }
+
+func (s *Sum) Add() { s.Count++ }
+
 // Chained is called only by walk, which nothing but itself calls.
 func Chained() {}
 
@@ -143,11 +164,12 @@ func TestReportsPlantedDeadExport(t *testing.T) {
 		"go.mod":          "module planted\n\ngo 1.22\n",
 		"internal/a/a.go": planted,
 		"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\n" +
-			"func TestOnlyTested(t *testing.T) { OnlyTested(); Oracle(); unexported(); walk(1); _ = T{}.Len(); _ = Opts{TestOnly: 1} }\n",
+			"func TestOnlyTested(t *testing.T) { OnlyTested(); Oracle(); unexported(); walk(1); _ = T{}.Len(); _ = Opts{TestOnly: 1}; _ = Config{N: 1} }\n",
 		"internal/b/b.go": "package b\n\ntype Doer interface {\n\tViaInterface()\n\tUndone()\n}\n\nfunc Do(d Doer) { d.ViaInterface() }\n",
 		"cmd/x/main.go": "package main\n\nimport (\n\t\"fmt\"\n\t\"sort\"\n\n\t\"planted/internal/a\"\n\t\"planted/internal/b\"\n)\n\n" +
 			"func main() {\n\tt := a.FromCmd()\n\tb.Do(t)\n\tfmt.Println(t)\n\tu := a.U{2, 1}\n\tsort.Sort(u)\n\tfmt.Println(u.Len())\n" +
-			"\tvar o a.Opts\n\ta.Bump(&o)\n\tfmt.Println(a.Use(o))\n}\n",
+			"\tvar o a.Opts\n\ta.Bump(&o)\n\tfmt.Println(a.Use(o))\n" +
+			"\tvar s a.Sum\n\ts.Add()\n\tfmt.Println(s.Count, a.Defaults(a.Config{}))\n}\n",
 		"benchmark/main.go":    "package main\n\nimport \"planted/internal/a\"\n\nfunc main() { a.FromBench() }\n",
 		"planted.go":           facade,
 		"example_test.go":      "package planted_test\n\nimport \"planted\"\n\nfunc ExampleFromExample() {\n\tplanted.FromExample()\n\t_ = planted.Opts{FromExample: 1}\n\t// Output:\n}\n",
@@ -171,6 +193,7 @@ func TestReportsPlantedDeadExport(t *testing.T) {
 	var want []string
 	for _, c := range [][2]string{
 		{"a.Chained", "func Chained"},
+		{"a.Config.N", "Config struct{ N"},
 		{"a.Dead", "type Dead"},
 		{"a.Default", "var Default"},
 		{"a.Limit", "const Limit"},
