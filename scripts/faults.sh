@@ -299,6 +299,25 @@ else
     fail=1
 fi
 
+# Every ticket belongs to a stream a shard serves: once the run has ended
+# (its "lingering" line), the cluster's ticket count equals the active
+# streams summed over the shards — the failover drain handed each drained
+# stream's ticket back to the failed shard.
+i=0
+while [ "$i" -lt 50 ] && ! grep -q '^lingering' "$CLOG"; do
+    sleep 0.2
+    i=$((i + 1))
+done
+metrics=$(curl -sf "http://$CADDR/metrics")
+tickets=$(printf '%s\n' "$metrics" | awk '$1 == "mzqos_cluster_tickets" {print $2}')
+active=$(printf '%s\n' "$metrics" | awk '$1 ~ /^mzqos_server_streams_active[{]/ {n += $2} END {print n + 0}')
+if [ -n "$tickets" ] && [ "$tickets" = "$active" ]; then
+    echo "faults: ok   cluster tickets $tickets = active streams over the shards $active"
+else
+    echo "faults: FAIL cluster tickets ${tickets:-missing} != active streams over the shards $active" >&2
+    fail=1
+fi
+
 # The surviving shards absorbed the load without their guarantee audits
 # firing: no fired alerts and an inactive alert state on shards 1 and 2.
 cexpect_absent /metrics 'mzqos_slo_alerts_fired_total\{[^}]*shard="[12]"[^}]*\} [1-9]' "fired alerts on surviving shards"
