@@ -179,8 +179,8 @@ loop:
 				r+1, rep.Migrated, rep.FailedOver, rep.MigrationFailed)
 		}
 		if o.recalibrateEvery > 0 && (r+1)%o.recalibrateEvery == 0 {
-			if _, err := coord.Recalibrate(int64(o.minSamples)); err == nil {
-				fmt.Printf("round %4d: recalibrated all shards\n", r+1)
+			if n := coord.Recalibrate(int64(o.minSamples)); n > 0 {
+				fmt.Printf("round %4d: recalibrated the admission limits of %d of %d shards\n", r+1, n, coord.NumShards())
 			}
 		}
 		if o.report > 0 && (r+1)%o.report == 0 {

@@ -125,9 +125,10 @@ func ExamplePlanRoundLength() {
 	// 30 streams need rounds of about 1.7 s
 }
 
-// ExampleNewCluster puts two servers behind a coordinator. Open reserves a
-// ticket on a shard and starts the stream there, Step runs one round on
-// every shard, and Close stops the stream and hands its ticket back.
+// ExampleNewCluster puts two servers behind a coordinator. Open takes a
+// ticket on a shard with room and starts the stream there, Step runs one
+// round on every shard, and Close stops the stream and hands its ticket
+// back.
 func ExampleNewCluster() {
 	shards := make([]mzqos.Engine, 2)
 	for i := range shards {

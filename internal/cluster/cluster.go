@@ -2,24 +2,16 @@
 // controlled service: the scale-out of the paper's D-disk striped server
 // to S server shards behind a coordinator.
 //
-// The design splits admission into a microsecond-scale reservation and a
-// slower materialization, the same discipline that keeps the single
-// server's warm admission fast:
-//
-//   - Admit reserves a slot ("ticket") on a shard chosen by the routing
-//     policy. The hot path is lock-free: capacities come from an
-//     atomically published copy-on-write view of shard health, and the
-//     reservation itself is one CAS on the shard's ticket counter. No
-//     cross-shard locking, no allocation.
-//   - Open materializes the stream on the reserved shard's engine under
-//     that shard's own mutex (engines are single-writer by contract).
-//
-// A heartbeat refreshes the view from each engine's atomic Health
-// snapshot. Step runs one at the end of every coordinator round: the
-// coordinator is every shard's single writer and steps them in lockstep,
-// so the view it admits on is never behind the engines. When a shard
-// degrades (the fault-degradation machinery shrinking N_max), the next
-// view publishes its reduced capacity and Admit routes new load to sibling
+// Admission is the paper's §5 table test N + 1 ≤ N_max, made by the round
+// loop between sweeps and applied per shard: Open routes a stream to the
+// first candidate shard whose ticket count is below its capacity in the
+// coordinator's health view, takes a ticket there and opens the stream on
+// that shard's engine. The coordinator is every shard's single writer and
+// steps the shards in lockstep; the view is refreshed from each engine's
+// Health at the end of every round and after every Recalibrate, so the
+// view Open admits on is never behind the engines. When a shard degrades
+// (the fault-degradation machinery shrinking N_max), the next view
+// publishes its reduced capacity and Open routes new load to sibling
 // shards instead of closing cluster admission; streams the shard itself
 // sheds come back as Evicted in Step reports and release their tickets.
 package cluster
@@ -49,16 +41,15 @@ var (
 
 // Routing policy names accepted by Config.Route.
 const (
-	// RouteRoundRobin spreads admissions over candidate shards with an
-	// atomic cursor.
+	// RouteRoundRobin spreads admissions over candidate shards with a
+	// cursor.
 	RouteRoundRobin = "round-robin"
 	// RouteLeastLoaded picks the candidate with the lowest ticket/capacity
 	// load factor in the current view.
 	RouteLeastLoaded = "least-loaded"
 	// RouteAffinity hashes the object name to a sticky starting candidate,
 	// so repeat opens of one object land on the same shard while capacity
-	// lasts — a pure function of (name, view), which also makes placement
-	// deterministic under concurrent admission.
+	// lasts — a pure function of (name, view).
 	RouteAffinity = "affinity"
 )
 
@@ -126,16 +117,13 @@ type Config struct {
 	History *history.Store
 }
 
-// shard pairs an engine with its reservation state.
+// shard pairs an engine with its admission count.
 type shard struct {
 	id  int
 	eng engine.Engine
-	// mu serializes engine mutations (Open/Close/Step/Recalibrate);
-	// Health stays lock-free by the engine contract.
-	mu sync.Mutex
-	// tickets counts reserved admission slots: streams admitted (or being
-	// materialized) minus completed/evicted/closed. The admit hot path
-	// CASes this against the view's capacity.
+	// tickets counts the shard's streams: admitted minus completed,
+	// evicted, closed and drained. The loop writes it; it is atomic for
+	// the readers of Status and Tickets.
 	tickets atomic.Int64
 }
 
@@ -144,20 +132,6 @@ type shard struct {
 type Handle struct {
 	Shard int             `json:"shard"`
 	ID    engine.StreamID `json:"id"`
-}
-
-// Ticket is a reserved admission slot, redeemable with OpenReserved or
-// returnable with Release. A ticket is single-use: redeeming or releasing
-// it latches the spent flag, so a later Release — a retry loop's deferred
-// cleanup, say — is a no-op instead of a double decrement that would
-// drive the shard's ticket count below its active streams.
-type Ticket struct {
-	// Shard is the shard the slot was reserved on.
-	Shard int
-	// spent latches redemption/release. The flag lives on the ticket (not
-	// behind a pointer) so reserving stays allocation-free; pass the
-	// ticket by pointer to OpenReserved/Release so the latch sticks.
-	spent bool
 }
 
 // AdmissionRecord is one materialized admission, retained in a bounded
@@ -187,8 +161,10 @@ type AdmissionRecord struct {
 }
 
 // Coordinator owns S shards and serves cluster-wide admission over them.
-// Admit/Release/TryAdmit are safe for arbitrary concurrency and never
-// lock; Open/Close/AddObject/Step/Recalibrate serialize per shard.
+// It is the shards' single writer, under the engines' contract: one loop
+// drives AddObject, Open, Close, Step and Recalibrate, and other goroutines
+// only read the reports — Status, SLOStatus, TightnessReport, Admissions,
+// MigrationStats, Tickets and Round.
 type Coordinator struct {
 	shards []*shard
 	route  int
@@ -196,19 +172,15 @@ type Coordinator struct {
 	reps   int
 
 	view atomic.Pointer[view]
-	rr   atomic.Uint64 // round-robin cursor
+	rr   int // round-robin cursor
 
-	// placement maps object → candidate shard ids (ascending). The admit
-	// path takes only the read lock; the slice is immutable once stored.
+	// placement maps object → candidate shard ids (ascending); a slice is
+	// immutable once stored. AddObject alone writes it, so the loop reads
+	// it without pmu, which orders those writes with Status.
 	pmu       sync.RWMutex
 	placement map[string][]int
 	all       []int // every shard id, the no-placement candidate set
-
-	// addMu serializes AddObject, which alone moves the placement cursor:
-	// an object is placed only once every replica has stored it, without
-	// holding pmu over the replicas' catalog work.
-	addMu    sync.Mutex
-	placeCur int
+	placeCur  int   // placement cursor, moved only by AddObject
 
 	// round counts coordinator rounds (Step calls).
 	round atomic.Int64
@@ -417,7 +389,7 @@ func (c *Coordinator) Route() string { return c.routeN }
 // Round returns the number of coordinator rounds executed.
 func (c *Coordinator) Round() int { return int(c.round.Load()) }
 
-// Tickets returns the outstanding reserved slots across all shards.
+// Tickets returns the admitted streams across all shards.
 func (c *Coordinator) Tickets() int {
 	var n int64
 	for _, s := range c.shards {
@@ -435,9 +407,6 @@ func (c *Coordinator) Tickets() int {
 // catalog loaded into it out of band) is not placed either, but the
 // replicas before it keep their copy.
 func (c *Coordinator) AddObject(name string, sizes []float64) error {
-	c.addMu.Lock()
-	defer c.addMu.Unlock()
-	// Only AddObject writes placement, so under addMu a read needs no pmu.
 	if _, ok := c.placement[name]; ok {
 		return fmt.Errorf("cluster: %w: %q", engine.ErrDuplicateObject, name)
 	}
@@ -446,11 +415,7 @@ func (c *Coordinator) AddObject(name string, sizes []float64) error {
 		cands[i] = (c.placeCur + i) % len(c.shards)
 	}
 	for _, id := range cands {
-		s := c.shards[id]
-		s.mu.Lock()
-		err := s.eng.AddObject(name, sizes)
-		s.mu.Unlock()
-		if err != nil {
+		if err := c.shards[id].eng.AddObject(name, sizes); err != nil {
 			return fmt.Errorf("cluster: shard %d: %w", id, err)
 		}
 	}
@@ -464,31 +429,31 @@ func (c *Coordinator) AddObject(name string, sizes []float64) error {
 // candidates returns the admission candidate shard ids for an object:
 // its placement replicas, or every shard when the object was never
 // placed through the coordinator (a catalog loaded into the shards out of
-// band, or an Admit that only reserves a slot).
+// band).
 func (c *Coordinator) candidates(object string) []int {
-	c.pmu.RLock()
-	cands, ok := c.placement[object]
-	c.pmu.RUnlock()
-	if !ok {
-		return c.all
+	if cands, ok := c.placement[object]; ok {
+		return cands
 	}
-	return cands
+	return c.all
 }
 
-// Admit reserves an admission slot for one stream of the object on a
-// shard chosen by the routing policy, consulting only the locally cached
-// health view — no locks, no cross-shard coordination, no allocation.
-// The reservation is a ticket: redeem it with OpenReserved to
-// materialize the stream, or hand it back with Release. Safe for
-// arbitrary concurrency.
-func (c *Coordinator) Admit(object string) (Ticket, error) {
+// Open admits and materializes one stream of the object. The routing
+// policy picks where among the object's candidate shards to start; the
+// first candidate below its capacity in the current view takes a ticket,
+// and its engine opens the stream. When every candidate is full, Open
+// returns ErrRejected. An engine error ends the open with its ticket
+// returned; an object no shard holds is such an error, reported by the
+// engine that was asked, so it matches engine.ErrUnknownObject (the
+// coordinator has no sentinel of its own for it).
+func (c *Coordinator) Open(object string) (Handle, int, error) {
 	cands := c.candidates(object)
 	v := c.view.Load()
 	n := len(cands)
 	start := 0
 	switch c.route {
 	case routeRoundRobin:
-		start = int(c.rr.Add(1)-1) % n
+		start = c.rr % n
+		c.rr++
 	case routeLeastLoaded:
 		start = v.leastLoaded(c.shards, cands)
 	case routeAffinity:
@@ -496,116 +461,43 @@ func (c *Coordinator) Admit(object string) (Ticket, error) {
 	}
 	for i := 0; i < n; i++ {
 		id := cands[(start+i)%n]
-		if c.reserveOn(id, v) {
-			c.tel.admitted.Inc()
-			return Ticket{Shard: id}, nil
+		if !c.reserveOn(id, v) {
+			continue
 		}
-	}
-	c.tel.rejected.Inc()
-	return Ticket{Shard: -1}, ErrRejected
-}
-
-// reserveOn CASes one ticket onto a shard against the current view's
-// capacity. Lock-free and allocation-free — the admit hot path and the
-// migration engine share it. The tickets gauge moves by atomic delta
-// here (and in releaseShard), never by Set-from-total: recomputing the
-// total after the CAS races concurrent reservations and publishes stale
-// sums that the lost update never corrects.
-func (c *Coordinator) reserveOn(id int, v *view) bool {
-	capa := v.capacity(id)
-	if capa <= 0 {
-		return false // failed or unknown shard: shed to siblings
-	}
-	s := c.shards[id]
-	for {
-		cur := s.tickets.Load()
-		if cur >= capa {
-			return false // shard full in this view: try the next candidate
-		}
-		if s.tickets.CompareAndSwap(cur, cur+1) {
-			c.tel.tickets.Add(1)
-			return true
-		}
-	}
-}
-
-// releaseShard returns one reserved slot to a shard (the unconditional
-// inner decrement; public Release adds the single-use latch on top).
-func (c *Coordinator) releaseShard(id int) {
-	c.shards[id].tickets.Add(-1)
-	c.tel.released.Inc()
-	c.tel.tickets.Add(-1)
-}
-
-// Release returns an unredeemed ticket's slot. Idempotent: a ticket
-// already redeemed by OpenReserved (including its internal error-path
-// release) or already released is left alone, so caller retry loops with
-// deferred cleanup cannot drive a shard's ticket count below its active
-// streams.
-func (c *Coordinator) Release(t *Ticket) {
-	if t == nil || t.spent || t.Shard < 0 || t.Shard >= len(c.shards) {
-		return
-	}
-	t.spent = true
-	c.releaseShard(t.Shard)
-}
-
-// Open admits and materializes one stream of the object: a ticket
-// reservation followed by an engine Open on the reserved shard. When the
-// engine itself rejects (its class slots can fill unevenly before the
-// view refreshes), the ticket moves to the next candidate shard before
-// the open fails cluster-wide. Any other engine error ends the open with
-// its ticket released; an object no shard holds is such an error, reported
-// by the engine that was asked, so it matches engine.ErrUnknownObject (the
-// coordinator has no sentinel of its own for it).
-func (c *Coordinator) Open(object string) (Handle, int, error) {
-	for attempt := 0; attempt < len(c.shards); attempt++ {
-		t, err := c.Admit(object)
+		c.tel.admitted.Inc()
+		sid, delay, err := c.shards[id].eng.Open(object)
 		if err != nil {
-			return Handle{Shard: -1}, 0, err
+			c.releaseShard(id)
+			return Handle{Shard: -1}, 0, fmt.Errorf("cluster: shard %d: %w", id, err)
 		}
-		h, delay, err := c.OpenReserved(&t, object)
-		if err == nil {
-			return h, delay, nil
-		}
-		if !errors.Is(err, engine.ErrRejected) {
-			return Handle{Shard: -1}, 0, err
-		}
-		// The shard's engine is fuller than the view knew; refresh so the
-		// next reservation sees current capacity.
-		c.Heartbeat()
+		c.recordAdmission(AdmissionRecord{
+			Object: object, Shard: id, Stream: sid, Delay: delay,
+			Round: int(c.round.Load()), Route: c.routeN,
+		})
+		return Handle{Shard: id, ID: sid}, delay, nil
 	}
 	c.tel.rejected.Inc()
 	return Handle{Shard: -1}, 0, ErrRejected
 }
 
-// OpenReserved redeems a ticket: it materializes one stream of the
-// object on the reserved shard. The ticket is spent either way — on
-// error its slot is released, on success the slot now belongs to the
-// stream (returned by Close or the retiring Step) — so a subsequent
-// Release of the same ticket is a no-op. The engine's error comes back
-// wrapped with the shard: match engine.ErrRejected, engine.ErrUnknownObject.
-func (c *Coordinator) OpenReserved(t *Ticket, object string) (Handle, int, error) {
-	if t == nil || t.Shard < 0 || t.Shard >= len(c.shards) {
-		return Handle{Shard: -1}, 0, ErrConfig
+// reserveOn takes a ticket on a shard whose count is below its capacity
+// in the view — the §5 test N + 1 ≤ N_max, per shard. Open and the
+// migration engine share it.
+func (c *Coordinator) reserveOn(id int, v *view) bool {
+	s := c.shards[id]
+	if s.tickets.Load() >= v.capacity(id) {
+		return false // full, failed or unknown in this view: try the next candidate
 	}
-	if t.spent {
-		return Handle{Shard: -1}, 0, fmt.Errorf("%w: ticket already spent", ErrConfig)
-	}
-	s := c.shards[t.Shard]
-	s.mu.Lock()
-	id, delay, err := s.eng.Open(object)
-	s.mu.Unlock()
-	if err != nil {
-		c.Release(t)
-		return Handle{Shard: -1}, 0, fmt.Errorf("cluster: shard %d: %w", t.Shard, err)
-	}
-	t.spent = true
-	c.recordAdmission(AdmissionRecord{
-		Object: object, Shard: t.Shard, Stream: id, Delay: delay,
-		Round: int(c.round.Load()), Route: c.routeN,
-	})
-	return Handle{Shard: t.Shard, ID: id}, delay, nil
+	s.tickets.Add(1)
+	c.tel.tickets.Add(1)
+	return true
+}
+
+// releaseShard returns one ticket to a shard.
+func (c *Coordinator) releaseShard(id int) {
+	c.shards[id].tickets.Add(-1)
+	c.tel.released.Inc()
+	c.tel.tickets.Add(-1)
 }
 
 // Close stops a cluster stream early, releasing its slot.
@@ -613,11 +505,7 @@ func (c *Coordinator) Close(h Handle) error {
 	if h.Shard < 0 || h.Shard >= len(c.shards) {
 		return fmt.Errorf("cluster: %w: shard %d", engine.ErrUnknownStream, h.Shard)
 	}
-	s := c.shards[h.Shard]
-	s.mu.Lock()
-	err := s.eng.Close(h.ID)
-	s.mu.Unlock()
-	if err != nil {
+	if err := c.shards[h.Shard].eng.Close(h.ID); err != nil {
 		return fmt.Errorf("cluster: shard %d: %w", h.Shard, err)
 	}
 	c.releaseShard(h.Shard)
@@ -667,14 +555,15 @@ type RoundReport struct {
 	FailedOver      int
 }
 
-// Step executes one round on every shard — shards sweep in parallel,
-// each under its own lock — then releases tickets for streams the round
-// retired (completed or shed by a degrading shard) and refreshes the
-// health view. The sweeps fan out over
-// min(GOMAXPROCS, shards) workers, the caller being the first: one P
-// spawns nothing, N Ps spawn N−1 goroutines. Reports are written by shard
-// index, so a fixed per-shard seed set reproduces byte-identical cluster
-// reports at any width. Step is the round loop's: one caller at a time.
+// Step executes one round on every shard — shards sweep in parallel —
+// then releases tickets for streams the round retired (completed or shed
+// by a degrading shard) and refreshes the health view. The sweeps fan out
+// over min(GOMAXPROCS, shards) workers, the caller being the first: one P
+// spawns nothing, N Ps spawn N−1 goroutines. The go statements order each
+// shard's Step after the loop's Opens, and stepWG.Wait orders the loop's
+// next call after every Step. Reports are written by shard index, so a
+// fixed per-shard seed set reproduces byte-identical cluster reports at
+// any width.
 func (c *Coordinator) Step() RoundReport {
 	shards := make([]ShardRoundReport, len(c.shards))
 	workers := min(runtime.GOMAXPROCS(0), len(c.shards))
@@ -713,14 +602,12 @@ func (c *Coordinator) Step() RoundReport {
 }
 
 // stepShards is worker w of a round's fan-out: it steps shards w,
-// w+workers, … each under its own lock, writes their reports by shard
-// index and releases the retired streams' tickets.
+// w+workers, …, writes their reports by shard index and releases the
+// retired streams' tickets.
 func (c *Coordinator) stepShards(w, workers int, out []ShardRoundReport) {
 	for i := w; i < len(c.shards); i += workers {
 		s := c.shards[i]
-		s.mu.Lock()
 		r := s.eng.Step()
-		s.mu.Unlock()
 		out[i] = ShardRoundReport{Shard: s.id, Report: r}
 		if retired := len(r.Completed) + len(r.Evicted); retired > 0 {
 			s.tickets.Add(-int64(retired))
@@ -738,20 +625,16 @@ func (c *Coordinator) QoSLedger() *journal.Ledger { return c.ledger }
 // Recalibrate re-derives every shard's admission limit from its observed
 // workload (§5) and publishes a fresh view. Shards that decline (too few
 // samples yet, degenerate moments) keep their current limits rather than
-// failing the fleet. It returns the per-shard limits now in force.
-func (c *Coordinator) Recalibrate(minSamples int64) ([]int, error) {
-	limits := make([]int, len(c.shards))
-	for i, s := range c.shards {
-		s.mu.Lock()
-		_, newLimit, err := s.eng.Recalibrate(minSamples)
-		s.mu.Unlock()
-		if err != nil {
-			newLimit = s.eng.PerDiskLimit()
+// failing the fleet. It returns how many shards' limits moved.
+func (c *Coordinator) Recalibrate(minSamples int64) int {
+	moved := 0
+	for _, s := range c.shards {
+		if old, now, err := s.eng.Recalibrate(minSamples); err == nil && old != now {
+			moved++
 		}
-		limits[i] = newLimit
 	}
 	c.refreshView()
-	return limits, nil
+	return moved
 }
 
 // fnv1a hashes an object name (64-bit FNV-1a, allocation-free).

@@ -4,8 +4,8 @@ package cluster
 // migrations and failed shards into failover drains. Evicted streams are
 // exported from their shard (the engines buffer shed-stream state for
 // exactly this window) and re-admitted on a sibling replica through the
-// same lock-free ticket path as fresh admissions, resuming at their
-// playback position — the viewer pays at most one round of added delay
+// same ticket check as fresh admissions, resuming at their playback
+// position — the viewer pays at most one round of added delay
 // instead of losing the stream. Per-round work is capped by the migrate
 // budget so a mass failure drains at a configured pace.
 
@@ -28,7 +28,6 @@ func (c *Coordinator) migrateRound(rep *RoundReport) (migrated, failed, failedOv
 			continue
 		}
 		s := c.shards[sr.Shard]
-		s.mu.Lock()
 		for _, id := range sr.Report.Evicted {
 			st, err := s.eng.ExportStream(id)
 			if err != nil {
@@ -39,7 +38,6 @@ func (c *Coordinator) migrateRound(rep *RoundReport) (migrated, failed, failedOv
 			}
 			c.pending = append(c.pending, migration{state: st, from: s.id, id: id, kind: "migrate"})
 		}
-		s.mu.Unlock()
 	}
 
 	// Failover: drain failed shards. Each drained stream still holds its
@@ -55,7 +53,6 @@ func (c *Coordinator) migrateRound(rep *RoundReport) (migrated, failed, failedOv
 		if !s.eng.Health().Failed {
 			continue
 		}
-		s.mu.Lock()
 		ids := s.eng.ActiveStreams()
 		for _, id := range ids {
 			if room <= 0 {
@@ -82,7 +79,6 @@ func (c *Coordinator) migrateRound(rep *RoundReport) (migrated, failed, failedOv
 				})
 			}
 		}
-		s.mu.Unlock()
 	}
 	c.tel.migFailover.Add(int64(failedOver))
 
@@ -121,11 +117,11 @@ func (c *Coordinator) migrateRound(rep *RoundReport) (migrated, failed, failedOv
 	return migrated, failed, failedOver
 }
 
-// importOne re-admits one exported stream on a sibling replica: reserve
-// a ticket on each candidate shard in turn (the source shard excluded —
-// it just shed or lost the stream) and redeem it with ImportStream under
-// the shard's lock. An engine-side rejection returns the ticket and
-// moves on; success records the migration in the admission ring.
+// importOne re-admits one exported stream on a sibling replica: take a
+// ticket on each candidate shard in turn (the source shard excluded — it
+// just shed or lost the stream) and import the stream there. An
+// engine-side rejection returns the ticket and moves on; success records
+// the migration in the admission ring.
 func (c *Coordinator) importOne(m *migration, v *view) bool {
 	cands := c.candidates(m.state.Object)
 	for _, id := range cands {
@@ -135,10 +131,7 @@ func (c *Coordinator) importOne(m *migration, v *view) bool {
 		if !c.reserveOn(id, v) {
 			continue
 		}
-		s := c.shards[id]
-		s.mu.Lock()
-		sid, delay, err := s.eng.ImportStream(m.state)
-		s.mu.Unlock()
+		sid, delay, err := c.shards[id].eng.ImportStream(m.state)
 		if err != nil {
 			c.releaseShard(id) // class slots fuller than the view knew
 			continue

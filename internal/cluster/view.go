@@ -2,11 +2,10 @@ package cluster
 
 import "mzqos/internal/engine"
 
-// view is the copy-on-write admission view: an immutable snapshot of
-// every shard's health, published atomically by heartbeats. The admit
-// hot path loads the current view with one atomic pointer read and never
-// blocks a refresh (nor vice versa) — the same copy-on-write discipline
-// the analytic model uses for its cached bound chains.
+// view is the admission view: an immutable snapshot of every shard's
+// health, which the loop publishes with one atomic pointer store after
+// every round and every Recalibrate. Open admits on it, and the readers
+// (Status, SLOStatus, TightnessReport) load it without blocking the loop.
 type view struct {
 	shards []engine.Health
 	// slo is the capacity-weighted cluster SLO roll-up over the shard
@@ -45,9 +44,8 @@ func (v *view) leastLoaded(shards []*shard, cands []int) int {
 	return best
 }
 
-// refreshView collects every shard's atomic Health snapshot into a fresh
-// view (including the capacity-weighted SLO roll-up piggybacked on the
-// heartbeats) and publishes it.
+// refreshView collects every shard's Health snapshot into a fresh view
+// (with the capacity-weighted SLO roll-up over them) and publishes it.
 func (c *Coordinator) refreshView() {
 	v := &view{shards: make([]engine.Health, len(c.shards))}
 	capacity, degraded := 0, 0
@@ -64,18 +62,8 @@ func (c *Coordinator) refreshView() {
 	c.tel.heartbeats.Inc()
 	c.tel.capacity.Set(float64(capacity))
 	c.tel.degraded.Set(float64(degraded))
-	// The tickets gauge moves only by atomic deltas at each
-	// reserve/release — a Set-from-total here would race concurrent
-	// reservations and publish a stale sum the deltas never correct.
 	c.tel.publishSLO(&v.slo)
 }
-
-// Heartbeat refreshes the health view between Steps, which each end with
-// one: Open calls it when an engine turns away a reserved stream, so the
-// next reservation sees the capacity the engine really has. Safe to call
-// concurrently with Admit and Step (it takes no lock; it reads atomic
-// engine state and publishes atomically).
-func (c *Coordinator) Heartbeat() { c.refreshView() }
 
 // ShardStatus is one shard's row in the cluster status.
 type ShardStatus struct {
@@ -84,7 +72,7 @@ type ShardStatus struct {
 	// Health is the shard's view entry (the admission view's copy, not a
 	// fresh engine read).
 	Health engine.Health `json:"health"`
-	// Tickets is the shard's outstanding reserved slots.
+	// Tickets is the shard's admitted streams.
 	Tickets int `json:"tickets"`
 }
 
@@ -99,8 +87,7 @@ type Status struct {
 	Replicas int    `json:"replicas"`
 	Objects  int    `json:"objects"`
 	// Capacity sums shard capacities in the current view; Tickets the
-	// outstanding reservations against it; Round the coordinator rounds
-	// executed.
+	// admitted streams against it; Round the coordinator rounds executed.
 	Capacity int `json:"capacity"`
 	Tickets  int `json:"tickets"`
 	Round    int `json:"round"`
@@ -110,7 +97,7 @@ type Status struct {
 	Migrations MigrationStats `json:"migrations"`
 }
 
-// Status snapshots the current view, reservations, and placement counts.
+// Status snapshots the current view, tickets and placement counts.
 func (c *Coordinator) Status() Status {
 	v := c.view.Load()
 	st := Status{

@@ -86,8 +86,6 @@ type Engine interface {
 	// Recalibrate re-derives the admission limit from observed workload
 	// statistics (§5) and reports the old and new per-disk limits.
 	Recalibrate(minSamples int64) (oldLimit, newLimit int, err error)
-	// PerDiskLimit returns the admission limit N_max per disk in force.
-	PerDiskLimit() int
 	// Health returns a concurrent-safe load/limit snapshot for heartbeat
 	// collectors (read from atomic state, never the loop's own fields):
 	// the coordinator's only view of a shard's load.

@@ -28,7 +28,7 @@
 //     (internal/workload),
 //   - a detailed Monte-Carlo simulator for validation (internal/sim),
 //   - a runnable striped server with admission control (internal/server),
-//   - a sharded cluster coordinator with lock-free admission
+//   - a sharded cluster coordinator with per-shard admission
 //     (internal/cluster) over the shared round-engine contract
 //     (internal/engine).
 package mzqos
@@ -121,13 +121,11 @@ type (
 	// EngineHealth is one shard's cached health row: active streams,
 	// per-disk limit, capacity, round, degraded flag.
 	EngineHealth = engine.Health
-	// Cluster coordinates S shards: placement, routing, and a lock-free
-	// cluster-wide admission hot path over cached per-shard N_max views.
+	// Cluster coordinates S shards: placement, routing, and cluster-wide
+	// admission against each shard's D·N_max in its cached health view.
 	Cluster = cluster.Coordinator
 	// ClusterConfig configures a Cluster.
 	ClusterConfig = cluster.Config
-	// ClusterTicket is a reserved-but-unmaterialized admission slot.
-	ClusterTicket = cluster.Ticket
 	// ClusterHandle identifies an open stream by (shard, stream).
 	ClusterHandle = cluster.Handle
 	// ClusterStatus is the cluster-wide health + placement summary the
