@@ -175,7 +175,7 @@ cexpect /metrics '^mzqos_cluster_admitted_total ' "cluster admission counter"
 cexpect /metrics '^mzqos_cluster_capacity ' "cluster capacity gauge"
 cexpect /cluster '"route": "least-loaded"' "routing policy"
 cexpect /cluster '"per_disk_limit"' "shard health rows"
-cexpect /cluster '"tickets"' "outstanding reservations"
+cexpect /cluster '"tickets"' "per-shard and total ticket counts"
 cexpect /slo '"audited_shards": 3' "cluster audit covering all shards"
 cexpect /slo '"target": "late"' "cluster late-target roll-up"
 cexpect /report '"within_bounds"' "cluster bound-tightness verdict"
