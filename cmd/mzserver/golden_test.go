@@ -455,7 +455,7 @@ func TestHistoryOutputGolden(t *testing.T) {
 		goldenCluster(t, reg, hist, func(r int, coord *cluster.Coordinator) {
 			disturb(r, func() *http.ServeMux { return newClusterMux(coord, reg, hist, false) })
 		})
-		if got, want := historyDigest(t, hist), "ac83af00d203b320"; got != want {
+		if got, want := historyDigest(t, hist), "3d53bbccdac72d20"; got != want {
 			t.Errorf("history digest = %s, want %s", got, want)
 		}
 	})

@@ -240,7 +240,6 @@ type MigrationStats struct {
 type clusterTelemetry struct {
 	admitted   *telemetry.Counter
 	rejected   *telemetry.Counter
-	released   *telemetry.Counter
 	heartbeats *telemetry.Counter
 	tickets    *telemetry.Gauge
 	capacity   *telemetry.Gauge
@@ -265,15 +264,13 @@ func newClusterTelemetry(reg *telemetry.Registry) *clusterTelemetry {
 	}
 	tel := &clusterTelemetry{
 		admitted: reg.Counter("mzqos_cluster_admitted_total",
-			"Cluster admissions reserved (tickets granted)."),
+			"Cluster opens a shard had room for in the view (N + 1 ≤ N_max)."),
 		rejected: reg.Counter("mzqos_cluster_rejected_total",
 			"Cluster admissions turned away (every candidate shard full)."),
-		released: reg.Counter("mzqos_cluster_released_total",
-			"Tickets returned (streams completed, evicted, closed, or failed opens)."),
 		heartbeats: reg.Counter("mzqos_cluster_heartbeats_total",
 			"Shard-health view refreshes published."),
 		tickets: reg.Gauge("mzqos_cluster_tickets",
-			"Outstanding reserved admission slots across shards."),
+			"Open streams across shards (the sum of the shards' own counts)."),
 		capacity: reg.Gauge("mzqos_cluster_capacity",
 			"Cluster-wide admission capacity in the current view (Σ D·N_max)."),
 		degraded: reg.Gauge("mzqos_cluster_degraded_shards",
@@ -496,7 +493,6 @@ func (c *Coordinator) reserveOn(id int, v *view) bool {
 // releaseShard returns one ticket to a shard.
 func (c *Coordinator) releaseShard(id int) {
 	c.shards[id].tickets.Add(-1)
-	c.tel.released.Inc()
 	c.tel.tickets.Add(-1)
 }
 
@@ -586,7 +582,6 @@ func (c *Coordinator) Step() RoundReport {
 		released += len(r.Completed) + len(r.Evicted)
 	}
 	if released > 0 {
-		c.tel.released.Add(int64(released))
 		c.tel.tickets.Add(-float64(released))
 	}
 	if c.migrate {

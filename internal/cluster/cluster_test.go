@@ -149,12 +149,17 @@ func TestOpenFillsExactCapacity(t *testing.T) {
 	}
 	// The fleet is full: the next Open is rejected with the shared sentinel,
 	// by the coordinator's own capacity check — no engine was asked to take
-	// a stream past its capacity, so no ticket was ever handed back.
+	// a stream past its capacity, so no shard ever rejected one.
 	if _, _, err := c.Open("any"); !errors.Is(err, engine.ErrRejected) {
 		t.Fatalf("open past capacity: err = %v, want ErrRejected", err)
 	}
-	if rej, rel := c.tel.rejected.Value(), c.tel.released.Value(); rej != 1 || rel != 0 {
-		t.Fatalf("%d rejections and %d returned tickets over the fill, want 1 and 0", rej, rel)
+	if rej := c.tel.rejected.Value(); rej != 1 {
+		t.Fatalf("%d cluster rejections over the fill, want 1", rej)
+	}
+	for i, e := range engines {
+		if n := len(e.(*server.Server).Rejections()); n != 0 {
+			t.Fatalf("shard %d rejected %d opens over the fill, want 0", i, n)
+		}
 	}
 }
 
