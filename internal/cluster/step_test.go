@@ -16,8 +16,9 @@ import (
 
 // runFaultedCluster drives a seeded 8-shard journaled coordinator of real
 // servers — shard 0 slows down, degrades and sheds, shard 3 fails outright,
-// migration on — under Poisson arrivals, checking tickets == Σ active
-// after every round, and returns every round's report.
+// migration on — under Poisson arrivals, checking every shard's open
+// streams against its view capacity after every round, and returns every
+// round's report.
 func runFaultedCluster(t *testing.T) []RoundReport {
 	t.Helper()
 	const (
@@ -70,7 +71,7 @@ func runFaultedCluster(t *testing.T) []RoundReport {
 			_, _, _ = c.Open(fmt.Sprintf("clip-%02d", rng.IntN(clips)))
 		}
 		reports = append(reports, c.Step())
-		checkTicketInvariant(t, c, fmt.Sprintf("round %d", r))
+		checkCapacityInvariant(t, c, fmt.Sprintf("round %d", r))
 	}
 	if ms := c.MigrationStats(); ms.Succeeded == 0 {
 		t.Fatalf("no stream migrated (%+v): the run must exercise migrateRound", ms)
