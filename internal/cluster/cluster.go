@@ -4,16 +4,18 @@
 //
 // Admission is the paper's §5 table test N + 1 ≤ N_max, made by the round
 // loop between sweeps and applied per shard: Open routes a stream to the
-// first candidate shard whose ticket count is below its capacity in the
-// coordinator's health view, takes a ticket there and opens the stream on
-// that shard's engine. The coordinator is every shard's single writer and
-// steps the shards in lockstep; the view is refreshed from each engine's
-// Health at the end of every round and after every Recalibrate, so the
-// view Open admits on is never behind the engines. When a shard degrades
-// (the fault-degradation machinery shrinking N_max), the next view
-// publishes its reduced capacity and Open routes new load to sibling
-// shards instead of closing cluster admission; streams the shard itself
-// sheds come back as Evicted in Step reports and release their tickets.
+// first candidate shard whose own count of open streams is below its
+// capacity in the coordinator's health view and opens the stream on that
+// shard's engine. The coordinator keeps no count of its own: it is every
+// shard's single writer, so a shard's open streams are exactly what the
+// coordinator admitted there and has not seen leave. It steps the shards
+// in lockstep; the view is refreshed from each engine's Health at the end
+// of every round and after every Recalibrate, so the capacities Open
+// admits on are never behind the engines. When a shard degrades (the
+// fault-degradation machinery shrinking N_max), the next view publishes
+// its reduced capacity and Open routes new load to sibling shards instead
+// of closing cluster admission; streams the shard itself sheds come back
+// as Evicted in Step reports and leave its count.
 package cluster
 
 import (
@@ -78,7 +80,8 @@ const migrateMaxTries = 3
 type Config struct {
 	// Engines are the shard engines; shard i is Engines[i]. The
 	// coordinator becomes the engines' single writer: drive every
-	// AddObject/Open/Close/Step/Recalibrate through it.
+	// AddObject/Open/Close/Step/Recalibrate through it. It admits on each
+	// engine's own count of open streams (Active).
 	Engines []engine.Engine
 	// Route selects the routing policy (RouteRoundRobin, RouteLeastLoaded,
 	// RouteAffinity); empty means round-robin.
@@ -117,14 +120,10 @@ type Config struct {
 	History *history.Store
 }
 
-// shard pairs an engine with its admission count.
+// shard is one engine of the fleet and its id.
 type shard struct {
 	id  int
 	eng engine.Engine
-	// tickets counts the shard's streams: admitted minus completed,
-	// evicted, closed and drained. The loop writes it; it is atomic for
-	// the readers of Status and Tickets.
-	tickets atomic.Int64
 }
 
 // Handle identifies a cluster stream: the shard it lives on plus the
@@ -164,7 +163,9 @@ type AdmissionRecord struct {
 // It is the shards' single writer, under the engines' contract: one loop
 // drives AddObject, Open, Close, Step and Recalibrate, and other goroutines
 // only read the reports — Status, SLOStatus, TightnessReport, Admissions,
-// MigrationStats, Tickets and Round.
+// MigrationStats, Tickets and Round. It keeps no stream count of its own:
+// admission reads each shard's Active, and Tickets and Status read each
+// shard's Health mirror of it.
 type Coordinator struct {
 	shards []*shard
 	route  int
@@ -386,13 +387,25 @@ func (c *Coordinator) Route() string { return c.routeN }
 // Round returns the number of coordinator rounds executed.
 func (c *Coordinator) Round() int { return int(c.round.Load()) }
 
-// Tickets returns the admitted streams across all shards.
+// Tickets returns the open streams across all shards, summed from the
+// engines' Health mirrors, so readers off the loop may call it.
 func (c *Coordinator) Tickets() int {
-	var n int64
+	n := 0
 	for _, s := range c.shards {
-		n += s.tickets.Load()
+		n += s.eng.Health().Active
 	}
-	return int(n)
+	return n
+}
+
+// publishTickets sets the tickets gauge to the sum of the shards' own
+// counts. The loop calls it wherever it changes a population: after an
+// Open, a Close and a view refresh.
+func (c *Coordinator) publishTickets() {
+	n := 0
+	for _, s := range c.shards {
+		n += s.eng.Active()
+	}
+	c.tel.tickets.Set(float64(n))
 }
 
 // AddObject places an object on Replicas shards — striped round-robin
@@ -436,11 +449,10 @@ func (c *Coordinator) candidates(object string) []int {
 
 // Open admits and materializes one stream of the object. The routing
 // policy picks where among the object's candidate shards to start; the
-// first candidate below its capacity in the current view takes a ticket,
-// and its engine opens the stream. When every candidate is full, Open
-// returns ErrRejected. An engine error ends the open with its ticket
-// returned; an object no shard holds is such an error, reported by the
-// engine that was asked, so it matches engine.ErrUnknownObject (the
+// first candidate with room (hasRoom) opens the stream on its engine.
+// When every candidate is full, Open returns ErrRejected. An engine error
+// ends the open; an object no shard holds is such an error, reported by
+// the engine that was asked, so it matches engine.ErrUnknownObject (the
 // coordinator has no sentinel of its own for it).
 func (c *Coordinator) Open(object string) (Handle, int, error) {
 	cands := c.candidates(object)
@@ -458,15 +470,15 @@ func (c *Coordinator) Open(object string) (Handle, int, error) {
 	}
 	for i := 0; i < n; i++ {
 		id := cands[(start+i)%n]
-		if !c.reserveOn(id, v) {
+		if !c.hasRoom(id, v) {
 			continue
 		}
 		c.tel.admitted.Inc()
 		sid, delay, err := c.shards[id].eng.Open(object)
 		if err != nil {
-			c.releaseShard(id)
 			return Handle{Shard: -1}, 0, fmt.Errorf("cluster: shard %d: %w", id, err)
 		}
+		c.publishTickets()
 		c.recordAdmission(AdmissionRecord{
 			Object: object, Shard: id, Stream: sid, Delay: delay,
 			Round: int(c.round.Load()), Route: c.routeN,
@@ -477,23 +489,11 @@ func (c *Coordinator) Open(object string) (Handle, int, error) {
 	return Handle{Shard: -1}, 0, ErrRejected
 }
 
-// reserveOn takes a ticket on a shard whose count is below its capacity
-// in the view — the §5 test N + 1 ≤ N_max, per shard. Open and the
-// migration engine share it.
-func (c *Coordinator) reserveOn(id int, v *view) bool {
-	s := c.shards[id]
-	if s.tickets.Load() >= v.capacity(id) {
-		return false // full, failed or unknown in this view: try the next candidate
-	}
-	s.tickets.Add(1)
-	c.tel.tickets.Add(1)
-	return true
-}
-
-// releaseShard returns one ticket to a shard.
-func (c *Coordinator) releaseShard(id int) {
-	c.shards[id].tickets.Add(-1)
-	c.tel.tickets.Add(-1)
+// hasRoom reports whether a shard's own count of open streams is below
+// its capacity in the view — the §5 test N + 1 ≤ N_max, per shard. Open
+// and the migration engine share it.
+func (c *Coordinator) hasRoom(id int, v *view) bool {
+	return int64(c.shards[id].eng.Active()) < v.capacity(id)
 }
 
 // Close stops a cluster stream early, releasing its slot.
@@ -504,7 +504,7 @@ func (c *Coordinator) Close(h Handle) error {
 	if err := c.shards[h.Shard].eng.Close(h.ID); err != nil {
 		return fmt.Errorf("cluster: shard %d: %w", h.Shard, err)
 	}
-	c.releaseShard(h.Shard)
+	c.publishTickets()
 	return nil
 }
 
@@ -538,7 +538,7 @@ type RoundReport struct {
 	// Shards holds one report per shard, ascending by shard id.
 	Shards []ShardRoundReport
 	// Glitches totals late or lost fragments across shards; Completed and
-	// Evicted total retired streams (their tickets are released).
+	// Evicted total retired streams.
 	Glitches  int
 	Completed int
 	Evicted   int
@@ -552,8 +552,8 @@ type RoundReport struct {
 }
 
 // Step executes one round on every shard — shards sweep in parallel —
-// then releases tickets for streams the round retired (completed or shed
-// by a degrading shard) and refreshes the health view. The sweeps fan out
+// then, with Config.Migrate, re-admits what the round shed and what failed
+// shards hold, and refreshes the health view. The sweeps fan out
 // over min(GOMAXPROCS, shards) workers, the caller being the first: one P
 // spawns nothing, N Ps spawn N−1 goroutines. The go statements order each
 // shard's Step after the loop's Opens, and stepWG.Wait orders the loop's
@@ -573,16 +573,11 @@ func (c *Coordinator) Step() RoundReport {
 	c.stepShards(0, workers, shards)
 	c.stepWG.Wait()
 	rep := RoundReport{Round: int(c.round.Load()), Shards: shards}
-	released := 0
 	for i := range rep.Shards {
 		r := &rep.Shards[i].Report
 		rep.Glitches += r.Glitches
 		rep.Completed += len(r.Completed)
 		rep.Evicted += len(r.Evicted)
-		released += len(r.Completed) + len(r.Evicted)
-	}
-	if released > 0 {
-		c.tel.tickets.Add(-float64(released))
 	}
 	if c.migrate {
 		rep.Migrated, rep.MigrationFailed, rep.FailedOver = c.migrateRound(&rep)
@@ -590,23 +585,17 @@ func (c *Coordinator) Step() RoundReport {
 	round := c.round.Add(1)
 	c.refreshView()
 	// Record the round into the embedded history after every gauge of
-	// this round (shard steps, ticket release, migration, view refresh)
-	// has settled.
+	// this round (shard steps, migration, view refresh) has settled.
 	c.hist.Sample(int(round))
 	return rep
 }
 
 // stepShards is worker w of a round's fan-out: it steps shards w,
-// w+workers, …, writes their reports by shard index and releases the
-// retired streams' tickets.
+// w+workers, … and writes their reports by shard index.
 func (c *Coordinator) stepShards(w, workers int, out []ShardRoundReport) {
 	for i := w; i < len(c.shards); i += workers {
 		s := c.shards[i]
-		r := s.eng.Step()
-		out[i] = ShardRoundReport{Shard: s.id, Report: r}
-		if retired := len(r.Completed) + len(r.Evicted); retired > 0 {
-			s.tickets.Add(-int64(retired))
-		}
+		out[i] = ShardRoundReport{Shard: s.id, Report: s.eng.Step()}
 	}
 }
 

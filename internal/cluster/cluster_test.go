@@ -357,8 +357,8 @@ func TestOpenMaterializesAndCompletionReleasesTickets(t *testing.T) {
 			t.Errorf("record %d = %+v, want object short via round-robin", i, r)
 		}
 	}
-	// A two-fragment stream with startup delay k completes in round k+1;
-	// their tickets return.
+	// A two-fragment stream with startup delay k completes in round k+1
+	// and leaves its shard's count.
 	total := 0
 	for i := 0; i < 2+maxDelay; i++ {
 		rep := c.Step()

@@ -4,7 +4,7 @@ package cluster
 // migrations and failed shards into failover drains. Evicted streams are
 // exported from their shard (the engines buffer shed-stream state for
 // exactly this window) and re-admitted on a sibling replica through the
-// same ticket check as fresh admissions, resuming at their playback
+// same room check as fresh admissions, resuming at their playback
 // position — the viewer pays at most one round of added delay
 // instead of losing the stream. Per-round work is capped by the migrate
 // budget so a mass failure drains at a configured pace.
@@ -40,11 +40,10 @@ func (c *Coordinator) migrateRound(rep *RoundReport) (migrated, failed, failedOv
 		}
 	}
 
-	// Failover: drain failed shards. Each drained stream still holds its
-	// admission ticket (it was active, not retired by the sweep), so
-	// withdrawing it releases one slot on the source shard. Draining is
-	// bounded by the budget's room over the queue so one dead shard
-	// cannot grow the queue faster than it drains.
+	// Failover: drain failed shards. Exporting a drained stream withdraws
+	// it from the source shard's active set, which frees its slot there.
+	// Draining is bounded by the budget's room over the queue so one dead
+	// shard cannot grow the queue faster than it drains.
 	room := c.migBudget - len(c.pending)
 	for _, s := range c.shards {
 		if room <= 0 {
@@ -63,7 +62,6 @@ func (c *Coordinator) migrateRound(rep *RoundReport) (migrated, failed, failedOv
 				continue
 			}
 			c.pending = append(c.pending, migration{state: st, from: s.id, id: id, kind: "failover"})
-			c.releaseShard(s.id) // the drained stream's slot goes back
 			room--
 			failedOver++
 			if c.jnl != nil {
@@ -89,7 +87,7 @@ func (c *Coordinator) migrateRound(rep *RoundReport) (migrated, failed, failedOv
 
 	// Re-admission works against a fresh view: the evicting shard's
 	// shrunken capacity (and the failed shard's zero) must be visible so
-	// reservations land on siblings that can actually hold them.
+	// re-admissions land on siblings that can actually hold them.
 	c.refreshView()
 	v := c.view.Load()
 
@@ -117,24 +115,23 @@ func (c *Coordinator) migrateRound(rep *RoundReport) (migrated, failed, failedOv
 	return migrated, failed, failedOver
 }
 
-// importOne re-admits one exported stream on a sibling replica: take a
-// ticket on each candidate shard in turn (the source shard excluded — it
-// just shed or lost the stream) and import the stream there. An
-// engine-side rejection returns the ticket and moves on; success records
-// the migration in the admission ring.
+// importOne re-admits one exported stream on a sibling replica: try each
+// candidate shard with room in turn (the source shard excluded — it just
+// shed or lost the stream) and import the stream there. An engine-side
+// rejection moves on to the next; success records the migration in the
+// admission ring.
 func (c *Coordinator) importOne(m *migration, v *view) bool {
 	cands := c.candidates(m.state.Object)
 	for _, id := range cands {
 		if id == m.from {
 			continue
 		}
-		if !c.reserveOn(id, v) {
+		if !c.hasRoom(id, v) {
 			continue
 		}
 		sid, delay, err := c.shards[id].eng.ImportStream(m.state)
 		if err != nil {
-			c.releaseShard(id) // class slots fuller than the view knew
-			continue
+			continue // class slots fuller than the view knew
 		}
 		c.recordAdmission(AdmissionRecord{
 			Object: m.state.Object, Shard: id, Stream: sid, Delay: delay,

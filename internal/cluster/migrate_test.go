@@ -49,7 +49,7 @@ func openN(t testing.TB, c *Coordinator, object string, n int) []Handle {
 // a shard degrades, sheds streams, and the coordinator resumes every one
 // of them on the sibling replica in the same Step — at their playback
 // position, with their startup-delay credit, service and glitch counts,
-// recorded in the admission ring, with exact ticket accounting.
+// recorded in the admission ring, and within every shard's capacity.
 func TestMigrationOnDegradeEvict(t *testing.T) {
 	// Shard 0's disks run three times slower from round 3 on: N_max 26 → 6.
 	engines := fleet(t, 2, 2, onShard(0, slowdown(3, 3, 0)))
@@ -201,7 +201,7 @@ func TestStatusConcurrentWithMigration(t *testing.T) {
 
 // TestFailoverDrainsFailedShard covers multipath failover: a full shard
 // failure moves the entire active set to the siblings within the budget,
-// releasing the source tickets as it drains.
+// emptying the source shard as it drains.
 func TestFailoverDrainsFailedShard(t *testing.T) {
 	engines := fleet(t, 3, 2, onShard(0, outage(2, 0)))
 	c := newCoordinator(t, Config{
@@ -290,10 +290,11 @@ func TestFailoverRespectsBudget(t *testing.T) {
 	checkCapacityInvariant(t, c, "post-paced-failover")
 }
 
-// TestTicketsGaugeMatchesTotal: the mzqos_cluster_tickets gauge moves by
-// the same deltas as the shards' ticket counts, so over a loop of opens,
-// closes and rounds it equals Tickets() after every step, and both end at
-// zero once every stream is gone.
+// TestTicketsGaugeMatchesTotal: the loop republishes the
+// mzqos_cluster_tickets gauge from the shards' counts wherever it changes a
+// population, so over a loop of opens, closes and rounds it equals
+// Tickets() after every step, and both end at zero once every stream is
+// gone.
 func TestTicketsGaugeMatchesTotal(t *testing.T) {
 	c := newCoordinator(t, Config{
 		Engines:  fleet(t, 4, 4, nil), // 104 a shard: the fleet fills now and then

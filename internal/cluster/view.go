@@ -23,7 +23,7 @@ func (v *view) capacity(id int) int64 {
 }
 
 // leastLoaded returns the index into cands of the candidate with the
-// lowest ticket/capacity load factor in this view, skipping failed
+// lowest open-streams/capacity load factor in this view, skipping failed
 // shards. Load factors compare by cross-multiplication so the scan stays
 // in integers. Ties keep the earliest candidate.
 func (v *view) leastLoaded(shards []*shard, cands []int) int {
@@ -35,7 +35,7 @@ func (v *view) leastLoaded(shards []*shard, cands []int) int {
 		if capa <= 0 {
 			continue
 		}
-		t := shards[id].tickets.Load()
+		t := int64(shards[id].eng.Active())
 		if first || t*bestC < bestT*capa {
 			best, bestT, bestC = i, t, capa
 			first = false
@@ -59,6 +59,7 @@ func (c *Coordinator) refreshView() {
 	}
 	v.slo = rollupSLO(v.shards)
 	c.view.Store(v)
+	c.publishTickets()
 	c.tel.heartbeats.Inc()
 	c.tel.capacity.Set(float64(capacity))
 	c.tel.degraded.Set(float64(degraded))
@@ -72,7 +73,8 @@ type ShardStatus struct {
 	// Health is the shard's view entry (the admission view's copy, not a
 	// fresh engine read).
 	Health engine.Health `json:"health"`
-	// Tickets is the shard's admitted streams.
+	// Tickets is the shard's open streams: Health.Active, read from the
+	// engine when Status was called rather than from the view.
 	Tickets int `json:"tickets"`
 }
 
@@ -87,7 +89,7 @@ type Status struct {
 	Replicas int    `json:"replicas"`
 	Objects  int    `json:"objects"`
 	// Capacity sums shard capacities in the current view; Tickets the
-	// admitted streams against it; Round the coordinator rounds executed.
+	// open streams against it; Round the coordinator rounds executed.
 	Capacity int `json:"capacity"`
 	Tickets  int `json:"tickets"`
 	Round    int `json:"round"`
@@ -97,7 +99,8 @@ type Status struct {
 	Migrations MigrationStats `json:"migrations"`
 }
 
-// Status snapshots the current view, tickets and placement counts.
+// Status snapshots the current view, the shards' open streams and the
+// placement counts.
 func (c *Coordinator) Status() Status {
 	v := c.view.Load()
 	st := Status{
@@ -111,7 +114,7 @@ func (c *Coordinator) Status() Status {
 		if v != nil && i < len(v.shards) {
 			h = v.shards[i]
 		}
-		t := int(s.tickets.Load())
+		t := s.eng.Health().Active
 		st.Shards[i] = ShardStatus{Shard: i, Health: h, Tickets: t}
 		st.Capacity += h.Capacity
 		st.Tickets += t

@@ -6,7 +6,8 @@
 // There is one engine, the striped server (internal/server). The
 // interface exists for what sits around it: the cluster coordinator
 // (internal/cluster), to which a shard is an Engine plus placement
-// metadata, and decorators that wrap a shard's engine to observe it, such
+// metadata and which admits on each engine's own Active count, keeping no
+// count of its own, and decorators that wrap a shard's engine to observe it, such
 // as the benchmark's timing wrapper. The report types (RoundReport,
 // RunSummary) live here so the server and every layer above it speak the
 // same vocabulary; internal/server aliases them under its historical
@@ -86,9 +87,12 @@ type Engine interface {
 	// Recalibrate re-derives the admission limit from observed workload
 	// statistics (§5) and reports the old and new per-disk limits.
 	Recalibrate(minSamples int64) (oldLimit, newLimit int, err error)
+	// Active returns the number of open streams, read on the loop: the
+	// count a coordinator admits on (N in the §5 test N + 1 ≤ N_max).
+	Active() int
 	// Health returns a concurrent-safe load/limit snapshot for heartbeat
-	// collectors (read from atomic state, never the loop's own fields):
-	// the coordinator's only view of a shard's load.
+	// collectors and other readers off the loop (read from atomic state,
+	// never the loop's own fields).
 	Health() Health
 
 	// ExportStream captures a stream's resumable state and removes the

@@ -73,19 +73,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add moves the level by v (CAS loop), for gauges maintained by deltas
-// such as the coordinator's held tickets. Monotone float totals belong in
-// a FloatCounter.
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // SetMax raises the gauge to v if v exceeds the current value (running
 // maximum, e.g. peak per-round disk load).
 func (g *Gauge) SetMax(v float64) {
