@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"strconv"
 	"strings"
 	"testing"
@@ -34,6 +36,26 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				t.Error("render missing title")
 			}
 		})
+	}
+}
+
+// TestQuickOutputDigest pins what `mzexp -quick` prints, timing lines
+// aside: the FNV-1a digest of every experiment rendered at QuickOptions.
+// The simulated estimators split their trials into fixed seeded shares,
+// so the digest holds at any GOMAXPROCS; it moves only when a number does,
+// and then results_full_scale.txt and EXPERIMENTS.md are regenerated with
+// it (make repro holds the full-scale run).
+func TestQuickOutputDigest(t *testing.T) {
+	h := fnv.New64a()
+	for _, id := range All() {
+		tbl, err := Run(id, QuickOptions())
+		if err != nil {
+			t.Fatalf("Run(%q): %v", id, err)
+		}
+		tbl.Render(h)
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "ad2517fd927c3ab8"; got != want {
+		t.Errorf("quick output digest = %s, want %s", got, want)
 	}
 }
 

@@ -8,8 +8,10 @@
 // the geometry's seek curve, and records which requests finish within the
 // round. Monte-Carlo estimators aggregate rounds into p_late estimates
 // (Figure 1) and whole stream histories into p_error estimates (Table 2),
-// with Wilson confidence intervals and deterministic seeding for
-// reproducibility. Workers run in parallel and merge their tallies.
+// with Wilson confidence intervals and deterministic seeding: an
+// estimator splits its trials into a fixed number of seeded shares, runs
+// them on as many goroutines as there are Ps, and merges their tallies in
+// share order, so a result depends on the seed alone.
 package sim
 
 import (
@@ -17,6 +19,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"mzqos/internal/disk"
 	"mzqos/internal/dist"
@@ -40,7 +43,11 @@ type Config struct {
 	RoundLength float64
 	// N is the number of concurrent streams served by the disk per round.
 	N int
-	// Workers caps simulation parallelism; 0 means GOMAXPROCS.
+	// Workers is the number of shares an estimator splits its trials
+	// into: logical substreams, share w drawing from its own generator
+	// (stream w·φ+1 of the seed), merged in share order. The result
+	// depends on the seed and Workers, never on GOMAXPROCS; 0 means
+	// defaultShares. min(GOMAXPROCS, Workers) goroutines run the shares.
 	Workers int
 	// Access optionally replaces uniform-over-sectors placement with a
 	// zone-aware access profile (must match the geometry when set).
@@ -111,7 +118,7 @@ func (c Config) sampleLocation(rng *rand.Rand) disk.Location {
 	return c.Disk.SampleLocation(rng)
 }
 
-// roundScratch holds per-worker buffers so the hot loop does not allocate.
+// roundScratch holds per-goroutine buffers so the hot loop does not allocate.
 type roundScratch struct {
 	frags []sweep.Fragment
 	reqs  []sweep.Request
@@ -209,21 +216,24 @@ func newEstimate(hits, trials int64) Estimate {
 	return e
 }
 
-// workers resolves the worker count.
-func (c Config) workers() int {
+// defaultShares is the share count of a Config that leaves Workers zero.
+const defaultShares = 8
+
+// shares resolves the share count.
+func (c Config) shares() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
-	return runtime.GOMAXPROCS(0)
+	return defaultShares
 }
 
 // monteCarlo is the frame every estimator shares: check the configuration
 // (valid carries the estimator's own preconditions), resolve the
-// stationary fault effects, split n trials across the workers — the first
-// n mod workers take one more — and run share on each with its own
-// scratch and its own generator, stream w·φ+1 of seed. The per-worker
-// results come back in worker order, so merging them is reproducible for a
-// given worker count.
+// stationary fault effects, split n trials across the shares — the first
+// n mod shares take one more — and run share w with its own generator,
+// stream w·φ+1 of seed. min(GOMAXPROCS, shares) goroutines pull the shares
+// in turn, each with its own scratch. The results come back in share
+// order, so merging them is reproducible for a given seed at any width.
 func monteCarlo[T any](cfg Config, valid bool, n int, seed uint64, share func(n int, eff fault.Effects, rng *rand.Rand, sc *roundScratch) T) ([]T, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -235,18 +245,21 @@ func monteCarlo[T any](cfg Config, valid bool, n int, seed uint64, share func(n 
 	if err != nil {
 		return nil, err
 	}
-	out := make([]T, cfg.workers())
+	out := make([]T, cfg.shares())
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := range out {
-		k := n / len(out)
-		if w < n%len(out) {
-			k++
-		}
+	for range min(runtime.GOMAXPROCS(0), len(out)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var sc roundScratch
-			out[w] = share(k, eff, dist.NewRand(seed, uint64(w)*0x9e3779b97f4a7c15+1), &sc)
+			for w := int(next.Add(1)) - 1; w < len(out); w = int(next.Add(1)) - 1 {
+				k := n / len(out)
+				if w < n%len(out) {
+					k++
+				}
+				out[w] = share(k, eff, dist.NewRand(seed, uint64(w)*0x9e3779b97f4a7c15+1), &sc)
+			}
 		}()
 	}
 	wg.Wait()
@@ -262,8 +275,8 @@ func sum(xs []int64) (total int64) {
 
 // EstimatePLate estimates p_late(N, t): the probability that one round's
 // total service time exceeds the round length (the simulated curve of
-// Figure 1). trials rounds are split across parallel workers; seed makes
-// the result reproducible for a given worker count.
+// Figure 1). trials rounds are split across Config.Workers seeded shares,
+// so seed alone makes the result reproducible.
 func EstimatePLate(cfg Config, trials int, seed uint64) (Estimate, error) {
 	hits, err := monteCarlo(cfg, trials >= 1, trials, seed,
 		func(n int, eff fault.Effects, rng *rand.Rand, sc *roundScratch) (h int64) {

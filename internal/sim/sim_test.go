@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"mzqos/internal/disk"
@@ -271,5 +273,47 @@ func TestLowLoadNeverLate(t *testing.T) {
 	}
 	if e.Hits != 0 {
 		t.Errorf("p_late(1) hits = %d, expected 0", e.Hits)
+	}
+}
+
+// TestEstimatorsIdenticalAcrossProcs: an estimator's goroutine count is
+// min(GOMAXPROCS, shares), and what it returns must not depend on it — with
+// the default shares, every stationary estimator gives the same answer for
+// a seed at 1, 2 and 8 Ps.
+func TestEstimatorsIdenticalAcrossProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := paperConfig(t, 28)
+	run := func() []any {
+		plate, err := EstimatePLate(cfg, 3001, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perr, err := EstimatePError(cfg, 40, 1, 13, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds, err := MeasureRounds(cfg, 2001, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bias, err := PositionBias(cfg, 2001, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []any{plate, perr, rounds, bias}
+	}
+	var want []any
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		got := run()
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("GOMAXPROCS %d: estimate %d is %+v, at GOMAXPROCS 1 %+v", procs, i, got[i], want[i])
+			}
+		}
 	}
 }
