@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race journal-owners dead-exports mutants bench bench-system bench-pairs smoke faults loc loc-diff check clean
+.PHONY: all build vet test test-race journal-owners dead-exports repro mutants bench bench-system bench-pairs smoke faults loc loc-diff check clean
 
 all: build
 
@@ -46,6 +46,12 @@ journal-owners:
 # dead fails the run.
 dead-exports:
 	$(GO) run ./scripts/deadexports
+
+# The reproduction is a function of the seed alone: mzexp at full scale
+# prints results_full_scale.txt again, timing lines aside, at any
+# GOMAXPROCS. About 20 s at one P.
+repro:
+	sh scripts/repro.sh
 
 # Every testdata/mutants/*.patch, applied to a `git archive` of REV (default
 # HEAD), must build and be caught by the tests its header names; prints
@@ -103,7 +109,7 @@ loc:
 loc-diff:
 	sh scripts/loc-diff.sh $(BASE)
 
-check: build vet journal-owners dead-exports test test-race
+check: build vet journal-owners dead-exports repro test test-race
 
 clean:
 	$(GO) clean ./...

@@ -256,7 +256,8 @@ cexpect_absent() { # cexpect_absent <path> <grep-E-pattern> <label>
     fi
 }
 
-# Streams were failed over and re-admitted on siblings via the ticket path.
+# Streams were failed over and re-admitted on siblings through the
+# same room check as fresh opens.
 cexpect /metrics '^mzqos_cluster_failover_streams_total [1-9]' "failover-drained streams"
 cexpect /metrics '^mzqos_cluster_migrations_attempted_total [1-9]' "migration attempts"
 cexpect /metrics '^mzqos_cluster_migrations_succeeded_total [1-9]' "migration successes"
@@ -299,10 +300,11 @@ else
     fail=1
 fi
 
-# Every ticket belongs to a stream a shard serves: once the run has ended
-# (its "lingering" line), the cluster's ticket count equals the active
-# streams summed over the shards — the failover drain handed each drained
-# stream's ticket back to the failed shard.
+# The cluster's tickets gauge is derived, not kept: the loop sets it from
+# the shards' own counts of open streams after every Open, Close and view
+# refresh. Once the run has ended (its "lingering" line), it must equal the
+# active streams summed over the shards' own series, so a population change
+# that skips the republish shows here.
 i=0
 while [ "$i" -lt 50 ] && ! grep -q '^lingering' "$CLOG"; do
     sleep 0.2
