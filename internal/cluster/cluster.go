@@ -46,8 +46,8 @@ const (
 	// RouteRoundRobin spreads admissions over candidate shards with a
 	// cursor.
 	RouteRoundRobin = "round-robin"
-	// RouteLeastLoaded picks the candidate with the lowest ticket/capacity
-	// load factor in the current view.
+	// RouteLeastLoaded picks the candidate with the lowest
+	// open-streams/capacity load factor in the current view.
 	RouteLeastLoaded = "least-loaded"
 	// RouteAffinity hashes the object name to a sticky starting candidate,
 	// so repeat opens of one object land on the same shard while capacity
