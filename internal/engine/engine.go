@@ -6,12 +6,12 @@
 // There is one engine, the striped server (internal/server). The
 // interface exists for what sits around it: the cluster coordinator
 // (internal/cluster), to which a shard is an Engine plus placement
-// metadata and which admits on each engine's own Active count, keeping no
-// count of its own, and decorators that wrap a shard's engine to observe it, such
-// as the benchmark's timing wrapper. The report types (RoundReport,
-// RunSummary) live here so the server and every layer above it speak the
-// same vocabulary; internal/server aliases them under its historical
-// names.
+// metadata, and decorators that wrap a shard's engine to observe it, such
+// as the benchmark's timing wrapper. The coordinator admits on each
+// engine's own Active count and keeps no count of its own. The report
+// types (RoundReport, RunSummary) live here so the server and every layer
+// above it speak the same vocabulary; internal/server aliases them under
+// its historical names.
 package engine
 
 import "errors"
