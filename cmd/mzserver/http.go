@@ -183,17 +183,17 @@ type sweepEvent struct {
 	Total    float64 `json:"total_s"`
 }
 
-// recentSweeps projects the flight recorder's live spans onto /sweeps
-// rows, oldest first. It follows the recorder: -trace-spans sizes it and
-// -no-trace empties it.
+// recentSweeps projects the flight recorder's live span headers onto
+// /sweeps rows, oldest first. It follows the recorder: -trace-spans sizes
+// it and -no-trace empties it.
 func recentSweeps(trc *trace.Recorder) []sweepEvent {
-	spans := trc.Live()
+	spans := trc.Sweeps()
 	out := make([]sweepEvent, len(spans))
 	for i, sp := range spans {
 		out[i] = sweepEvent{
 			Round:    sp.Round,
 			Disk:     sp.Disk,
-			Requests: len(sp.Requests),
+			Requests: sp.Requests,
 			Late:     sp.Late,
 			Seek:     sp.Seek,
 			Rotation: sp.Rotation,

@@ -100,6 +100,13 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 // AllDisks as a Fault.Disk applies the fault to every disk in the array.
 const AllDisks = -1
 
+// MaxRetries is the most retries a ReadError fault may allow. Each retry
+// costs a full revolution, so a one-second round on the Viking holds
+// 1/0.00834 ≈ 120 of them: a larger count buys nothing a round can use and
+// lets one read spin without end. 255 also fits the flight recorder's
+// one-byte retries count.
+const MaxRetries = 255
+
 // Fault is one scheduled perturbation of the service path over a
 // half-open round interval [From, Until). Until == 0 means open-ended.
 type Fault struct {
@@ -116,7 +123,8 @@ type Fault struct {
 	Factor float64 `json:"factor,omitempty"`
 	// Prob is the per-read transient-error probability (ReadError).
 	Prob float64 `json:"prob,omitempty"`
-	// Retries bounds the in-round retries after a read error (ReadError).
+	// Retries bounds the in-round retries after a read error (ReadError),
+	// at most MaxRetries.
 	Retries int `json:"retries,omitempty"`
 }
 
@@ -148,8 +156,8 @@ func (f Fault) validate(disks int) error {
 		if f.Prob < 0 || f.Prob > 1 {
 			return fmt.Errorf("%w: error probability %g outside [0, 1]", ErrPlan, f.Prob)
 		}
-		if f.Retries < 0 {
-			return fmt.Errorf("%w: negative retries", ErrPlan)
+		if f.Retries < 0 || f.Retries > MaxRetries {
+			return fmt.Errorf("%w: retries %d outside [0, %d]", ErrPlan, f.Retries, MaxRetries)
 		}
 	case Failure:
 		// No parameters.
@@ -189,7 +197,8 @@ type Effects struct {
 	RateScale float64 `json:"rate_scale"`
 	// ErrorProb is the per-read transient-error probability.
 	ErrorProb float64 `json:"error_prob"`
-	// Retries bounds in-round retries after a read error.
+	// Retries bounds in-round retries after a read error: the largest of
+	// the active faults' validated Retries, so at most MaxRetries.
 	Retries int `json:"retries"`
 	// Failed marks the disk fully offline.
 	Failed bool `json:"failed"`

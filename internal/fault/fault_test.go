@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -217,6 +219,34 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	} {
 		if _, err := ParsePlan(bad, 0); err == nil {
 			t.Errorf("ParsePlan(%q) should fail", bad)
+		}
+	}
+}
+
+// TestRetriesCap: a read-error fault may allow MaxRetries retries and no
+// more, whichever way its plan comes in, and the effects of overlapping
+// faults at the cap stay at it.
+func TestRetriesCap(t *testing.T) {
+	for _, tc := range []struct {
+		retries int
+		ok      bool
+	}{{MaxRetries, true}, {MaxRetries + 1, false}} {
+		spec := fmt.Sprintf("errors:disk=all,prob=1,retries=%d;errors:disk=0,from=5,prob=0.5,retries=%d", tc.retries, tc.retries)
+		if _, err := ParsePlan(spec, 1); (err == nil) != tc.ok || (err != nil && !errors.Is(err, ErrPlan)) {
+			t.Errorf("ParsePlan with retries=%d: %v, want accepted %v", tc.retries, err, tc.ok)
+		}
+		plan := Plan{Faults: []Fault{
+			{Kind: ReadError, Disk: AllDisks, Prob: 1, Retries: tc.retries},
+			{Kind: ReadError, Disk: 0, From: 5, Prob: 0.5, Retries: tc.retries},
+		}}
+		inj, err := NewInjector(plan, 4)
+		if (err == nil) != tc.ok {
+			t.Errorf("NewInjector with retries=%d: %v, want accepted %v", tc.retries, err, tc.ok)
+		}
+		if err == nil {
+			if got := inj.EffectsAt(0, 7).Retries; got != tc.retries {
+				t.Errorf("overlapping faults at retries=%d compose to %d", tc.retries, got)
+			}
 		}
 	}
 }

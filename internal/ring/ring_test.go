@@ -44,9 +44,10 @@ func TestBufferMatchesSliceModel(t *testing.T) {
 	}
 }
 
-// TestNextHandsOutTheEvictedSlot is the contract trace.Record's buffer
-// swap relies on: the slot Next returns still holds the element it is
-// about to overwrite, which is the oldest one.
+// TestNextHandsOutTheEvictedSlot is the contract trace.Record relies on
+// to copy into the evicted span's record buffer: the slot Next returns
+// still holds the element it is about to overwrite, which is the oldest
+// one.
 func TestNextHandsOutTheEvictedSlot(t *testing.T) {
 	b := New[[]byte](3)
 	for i := 0; i < 3; i++ {

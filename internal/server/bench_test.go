@@ -216,8 +216,8 @@ func TestReportRowsNeverShared(t *testing.T) {
 
 // BenchmarkStep's trace-on/trace-off pair is the flight recorder's cost
 // on the round path. The traced variant warms one full lap of the span
-// ring (plus a little) so buffers shuttle between the scratch span and
-// ring slots without allocating.
+// ring (plus a little) so every slot already holds a record buffer to
+// copy into.
 func BenchmarkStep(b *testing.B) {
 	for _, v := range []struct {
 		name     string

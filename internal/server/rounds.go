@@ -92,8 +92,7 @@ func (s *Server) Step() RoundReport {
 		dr.Retries, dr.Lost = tot.Retries, tot.Lost
 
 		// The one place sweep outcomes become stream state and trace
-		// events, in service order.
-		s.trcSpan.Requests = s.trcSpan.Requests[:0]
+		// records, in service order.
 		var bytes float64
 		for i := range reqs {
 			r := &reqs[i]

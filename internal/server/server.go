@@ -30,7 +30,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -235,7 +234,7 @@ type Server struct {
 	// Step loop fills and commits once per loaded disk (the recorder
 	// deep-copies, so one scratch serves every sweep).
 	trc     *trace.Recorder // nil-safe: nil means tracing disabled
-	trcSpan trace.RoundSpan
+	trcSpan trace.Span
 
 	// SLO audit: sliding-window bound-vs-measured estimators plus
 	// burn-rate alerting (nil = disabled; see internal/slo).
@@ -295,9 +294,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("%w: shard %d is negative", ErrConfig, cfg.Shard)
 	}
 	for d, g := range geoms {
-		// The catalog stores each fragment's cylinder and zone as int32.
-		if g.Cylinders() > math.MaxInt32 || g.ZoneCount() > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: disk %d has %d cylinders in %d zones, more than the catalog can address",
+		// The catalog stores each fragment's cylinder as int32, and the
+		// flight recorder a request's zone in 16 bits.
+		if !trace.Addressable(g) {
+			return nil, fmt.Errorf("%w: disk %d has %d cylinders in %d zones, more than the catalog and the flight recorder can address",
 				ErrConfig, d, g.Cylinders(), g.ZoneCount())
 		}
 	}

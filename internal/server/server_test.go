@@ -10,6 +10,7 @@ import (
 
 	"mzqos/internal/disk"
 	"mzqos/internal/dist"
+	"mzqos/internal/fault"
 	"mzqos/internal/model"
 	"mzqos/internal/workload"
 )
@@ -47,15 +48,25 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestNewRejectsUnaddressableDisk: the catalog keeps a fragment's cylinder
-// and zone as int32, so a disk with more of either than that is turned
-// away at construction, never truncated at layout.
+// as int32 and the flight recorder a request's zone in 16 bits, so a disk
+// with more of either than that is turned away at construction, never
+// truncated at layout or in a trace.
 func TestNewRejectsUnaddressableDisk(t *testing.T) {
 	v := disk.QuantumViking21()
 	for _, tc := range []struct {
-		cylinders int
-		rejected  bool
-	}{{math.MaxInt32, false}, {math.MaxInt32 + 1, true}} {
-		wide, err := disk.New("wide", v.RotationTime, []disk.Zone{{Tracks: tc.cylinders, TrackCapacity: 1e5}}, v.Seek)
+		cylinders, zones int
+		rejected         bool
+	}{
+		{math.MaxInt32, 1, false},
+		{math.MaxInt32 + 1, 1, true},
+		{math.MaxUint16, math.MaxUint16, false},
+		{math.MaxUint16 + 1, math.MaxUint16 + 1, true},
+	} {
+		zones := make([]disk.Zone, tc.zones)
+		for z := range zones {
+			zones[z] = disk.Zone{Tracks: tc.cylinders / tc.zones, TrackCapacity: 1e5}
+		}
+		wide, err := disk.New("wide", v.RotationTime, zones, v.Seek)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,8 +74,25 @@ func TestNewRejectsUnaddressableDisk(t *testing.T) {
 			Disks: []*disk.Geometry{v, wide}, RoundLength: 1, Sizes: workload.PaperSizes(),
 			Guarantee: model.Guarantee{Threshold: 0.01},
 		})
-		if errors.Is(err, ErrConfig) != tc.rejected {
-			t.Errorf("%d cylinders: New returned %v, want ErrConfig: %v", tc.cylinders, err, tc.rejected)
+		if tc.rejected && !errors.Is(err, ErrConfig) || !tc.rejected && err != nil {
+			t.Errorf("%d cylinders in %d zones: New returned %v, want ErrConfig: %v", tc.cylinders, tc.zones, err, tc.rejected)
+		}
+	}
+}
+
+// TestNewRejectsRetriesPastTheCap: a fault plan handed to New is held to
+// fault.MaxRetries like one ParsePlan reads.
+func TestNewRejectsRetriesPastTheCap(t *testing.T) {
+	for _, retries := range []int{fault.MaxRetries, fault.MaxRetries + 1} {
+		_, err := New(Config{
+			Disk: disk.QuantumViking21(), NumDisks: 2, RoundLength: 1, Sizes: workload.PaperSizes(),
+			Guarantee: model.Guarantee{Threshold: 0.01},
+			Faults: &fault.Plan{Faults: []fault.Fault{
+				{Kind: fault.ReadError, Disk: fault.AllDisks, Prob: 1, Retries: retries},
+			}},
+		})
+		if retries > fault.MaxRetries && !errors.Is(err, fault.ErrPlan) || retries <= fault.MaxRetries && err != nil {
+			t.Errorf("retries=%d: New returned %v", retries, err)
 		}
 	}
 }

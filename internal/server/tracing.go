@@ -10,8 +10,8 @@ import "mzqos/internal/trace"
 func (s *Server) Trace() *trace.Recorder { return s.trc }
 
 // commitSpan finishes the scratch span with the sweep totals of dr and
-// commits it to the recorder. The Requests slice was filled by Step from
-// the sweep's outcomes; observed is what observeSweep recorded into the
+// commits it to the recorder. Its requests were appended by Step from the
+// sweep's outcomes; observed is what observeSweep recorded into the
 // round-time histogram for this sweep (Busy, or the down-round sentinel),
 // so summed span Observed reproduces the histogram sum exactly.
 func (s *Server) commitSpan(d int, dr *DiskRoundReport, observed float64) {

@@ -74,7 +74,8 @@ type Config struct {
 	// every span with FaultRound (EstimatePLate, MeasureRounds) or the
 	// history round (EstimatePError), while ReplayRounds — being
 	// single-threaded — emits a deterministic, gap-free stream suitable
-	// for byte-identical replay comparison. Nil disables sim tracing.
+	// for byte-identical replay comparison. Nil disables sim tracing; a
+	// traced Disk must be trace.Addressable.
 	Trace *trace.Recorder
 }
 
@@ -86,6 +87,9 @@ func (c Config) validate() error {
 		return ErrConfig
 	}
 	if c.Faults != nil && c.FaultDisk < 0 {
+		return ErrConfig
+	}
+	if c.Trace != nil && !trace.Addressable(c.Disk) {
 		return ErrConfig
 	}
 	return nil
@@ -122,7 +126,7 @@ func (c Config) sampleLocation(rng *rand.Rand) disk.Location {
 type roundScratch struct {
 	frags []sweep.Fragment
 	reqs  []sweep.Request
-	span  trace.RoundSpan // trace scratch, reused across rounds
+	span  trace.Span // trace scratch, reused across rounds
 }
 
 // serve draws the round's N fragments, Ref naming each one's stream, and
@@ -168,8 +172,8 @@ func simulateRound(cfg Config, eff fault.Effects, round int, readErr func(pos, a
 	tracing := cfg.Trace.Enabled()
 	sp := &sc.span
 	if tracing {
-		*sp = trace.RoundSpan{
-			Round: round, Disk: cfg.FaultDisk, Requests: sp.Requests[:0],
+		sp.Sweep = trace.Sweep{
+			Round: round, Disk: cfg.FaultDisk,
 			Seek: tot.Seek, Rotation: tot.Rotation, Transfer: tot.Transfer, Busy: tot.Busy,
 			Observed: total, Lost: tot.Lost, Retries: tot.Retries,
 			Faulty: eff.Active(), Down: eff.Failed,

@@ -4,27 +4,37 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+
+	"mzqos/internal/sweep"
 )
 
-func span(round, disk int, reqs int) *RoundSpan {
-	sp := &RoundSpan{Round: round, Disk: disk}
+// span builds a sweep of reqs requests through the write path.
+func span(round, disk int, reqs int) *Span { return fill(&Span{}, round, disk, reqs) }
+
+// fill writes a sweep of reqs requests into sp, as a server refills its
+// one Span after each Record: cylinders 10 apart in SCAN order, each
+// request starting where the last one ended.
+func fill(sp *Span, round, disk int, reqs int) *Span {
+	sp.Sweep = Sweep{Round: round, Disk: disk}
 	var clock float64
 	for i := 0; i < reqs; i++ {
-		ev := RequestEvent{
-			Stream:   int64(i + 1),
-			Cylinder: 10 * i,
-			Zone:     i % 3,
-			Bytes:    1000,
-			Start:    clock,
-			Seek:     0.001,
-			Rotation: 0.002,
-			Transfer: 0.003,
+		r := sweep.Request{
+			Fragment:      sweep.Fragment{Cylinder: 10 * i, Zone: i % 3, Size: 1000},
+			SeekCylinders: 10,
+			Start:         clock,
+			Seek:          0.001,
+			Rotation:      0.002,
+			Transfer:      0.003,
 		}
-		clock = ev.End()
-		sp.Requests = append(sp.Requests, ev)
-		sp.Seek += ev.Seek
-		sp.Rotation += ev.Rotation
-		sp.Transfer += ev.Transfer
+		if i == 0 {
+			r.SeekCylinders = 0
+		}
+		clock = r.Start + r.Seek + r.Rotation + r.Transfer
+		r.End = clock
+		sp.Append(int64(i+1), &r, false)
+		sp.Seek += r.Seek
+		sp.Rotation += r.Rotation
+		sp.Transfer += r.Transfer
 	}
 	sp.Busy = clock
 	sp.Observed = clock
@@ -77,6 +87,11 @@ func TestRecorderFreezeLatch(t *testing.T) {
 	if snap.Seq != 2 {
 		t.Errorf("snapshot seq = %d, want 2", snap.Seq)
 	}
+	// Each call expands its own copy.
+	snap.Spans[0].Requests[0].Stream = -1
+	if again, _ := r.Frozen(); again.Spans[0].Requests[0].Stream != 1 {
+		t.Error("Frozen() results share their requests")
+	}
 	// Later triggers must not replace the latched history.
 	r.Record(span(3, 0, 1))
 	r.Freeze("down_round", 3)
@@ -109,6 +124,9 @@ func TestNilRecorderIsInert(t *testing.T) {
 	r.Clear()
 	if got := r.Live(); len(got) != 0 {
 		t.Errorf("nil Live() = %v", got)
+	}
+	if got := r.Sweeps(); len(got) != 0 {
+		t.Errorf("nil Sweeps() = %v", got)
 	}
 	if _, ok := r.Frozen(); ok {
 		t.Error("nil recorder froze a snapshot")
@@ -151,6 +169,20 @@ func TestRecorderConcurrentStress(t *testing.T) {
 						return
 					}
 				}
+				for _, sp := range live {
+					for j, e := range sp.Requests {
+						if e.Stream != int64(j+1) || e.Cylinder != 10*j {
+							t.Errorf("span seq %d request %d torn: %+v", sp.Seq, j, e)
+							return
+						}
+					}
+				}
+				for _, h := range r.Sweeps() {
+					if h.Requests != 3 {
+						t.Errorf("span seq %d counts %d requests, want 3", h.Seq, h.Requests)
+						return
+					}
+				}
 				r.Freeze("stress", 0)
 				if snap, ok := r.Frozen(); ok {
 					for i := 1; i < len(snap.Spans); i++ {
@@ -171,8 +203,14 @@ func TestRecorderConcurrentStress(t *testing.T) {
 		ww.Add(1)
 		go func(w int) {
 			defer ww.Done()
+			sp := &Span{} // one per writer, refilled after each Record
 			for i := 0; i < perWriter; i++ {
-				r.Record(span(i, w, 3))
+				fill(sp, i, w, 3)
+				r.Record(sp)
+				if len(sp.reqs) != 0 {
+					t.Errorf("Record left %d requests in the writer's span", len(sp.reqs))
+					return
+				}
 			}
 		}(w)
 	}
@@ -205,7 +243,8 @@ func TestChromeTraceShapeAndDurations(t *testing.T) {
 		wantSum += sp.Observed
 		r.Record(sp)
 	}
-	down := &RoundSpan{Round: 5, Disk: 1, Down: true, Observed: 32} // 16·t sentinel
+	down := &Span{}                                                  // a failed disk with no requests due
+	down.Round, down.Disk, down.Down, down.Observed = 5, 1, true, 32 // 16·t sentinel
 	r.Record(down)
 
 	f := ChromeTrace(r.Live(), 2)
