@@ -5,16 +5,18 @@ import (
 	"testing"
 
 	"mzqos/internal/fault"
+	"mzqos/internal/journal"
 	"mzqos/internal/server"
 )
 
-// fullCoordinator builds a 4-shard server fleet, places one object on every
-// shard and opens streams of it until the fleet is full, so the next Open
-// is rejected. Migrate is on to pin that migration support adds nothing to
+// fullCoordinator builds a 4-shard server fleet with a journal, places one
+// object on every shard and opens streams of it until the fleet is full, so
+// the next Open is rejected (and journalled). Migrate is on to pin that migration support adds nothing to
 // admission: all of its work happens inside Step, never under Open.
 func fullCoordinator(tb testing.TB, route string) *Coordinator {
 	tb.Helper()
-	c := newCoordinator(tb, Config{Engines: fleet(tb, 4, 2, nil), Route: route, Replicas: 4, Migrate: true})
+	c := newCoordinator(tb, Config{Engines: fleet(tb, 4, 2, nil), Route: route, Replicas: 4, Migrate: true,
+		Journal: journal.New(journal.Config{})})
 	if err := c.AddObject("vod", unitClip(4)); err != nil {
 		tb.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"mzqos/internal/dist"
 	"mzqos/internal/engine"
 	"mzqos/internal/fault"
+	"mzqos/internal/journal"
 	"mzqos/internal/model"
 	"mzqos/internal/server"
 	"mzqos/internal/slo"
@@ -160,6 +161,35 @@ func TestOpenFillsExactCapacity(t *testing.T) {
 		if n := len(e.(*server.Server).Rejections()); n != 0 {
 			t.Fatalf("shard %d rejected %d opens over the fill, want 0", i, n)
 		}
+	}
+}
+
+// TestOpenRejectJournalled turns a stream away from a full shard: the
+// coordinator journals one reject event for it, naming the object and the
+// shard the route tried first, since no shard saw the stream to record it.
+func TestOpenRejectJournalled(t *testing.T) {
+	jnl := journal.New(journal.Config{})
+	c := newCoordinator(t, Config{Engines: fleet(t, 3, 2, nil), Journal: jnl})
+	for _, name := range []string{"a", "b", "c"} { // one object per shard
+		if err := c.AddObject(name, unitClip(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps(c, 2)
+	openN(t, c, "b", c.Status().Shards[1].Health.Capacity)
+	if _, _, err := c.Open("b"); !errors.Is(err, ErrRejected) {
+		t.Fatalf("open on a full shard: err = %v, want ErrRejected", err)
+	}
+	f := journal.MatchAll()
+	f.Kinds = []journal.Kind{journal.KindReject}
+	evs := jnl.Events(f)
+	if len(evs) != 1 {
+		t.Fatalf("%d reject events after one rejection, want 1", len(evs))
+	}
+	want := journal.Event{Seq: evs[0].Seq, Round: 2, Kind: journal.KindReject, Shard: 1, Disk: -1, From: -1, To: -1,
+		Object: "b", Detail: "every candidate shard full"}
+	if evs[0] != want {
+		t.Errorf("reject event = %+v, want %+v", evs[0], want)
 	}
 }
 
