@@ -31,7 +31,9 @@ func (s *Server) ObservedSizeStats() (mean, sd float64, n int64) {
 //
 // The refit size model becomes the server's configured model, so
 // SizeDrift subsequently measures drift against the recalibrated fit
-// rather than the stale original. If degraded fault limits were in force
+// rather than the stale original. A refit that moves the limit also starts
+// a new observation epoch: the statistics it was fitted on are cleared, so
+// the next refit sees only fragments served under the new limit. If degraded fault limits were in force
 // they are discarded (the refit is computed against healthy geometries);
 // the degraded-mode controller re-derives them against the new sizes on
 // the next faulty round.
@@ -66,6 +68,9 @@ func (s *Server) Recalibrate(minSamples int64) (oldLimit, newLimit int, err erro
 	// faulty round, or a restore, knows better.
 	next.failed = cur.failed
 	s.install(next)
+	if next.nmax != cur.nmax {
+		s.observed = dist.Welford{}
+	}
 	s.journalLimitChange(journal.KindRecalibrate, next.bindDisk, cur.nmax, next.nmax, "")
 	return cur.nmax, next.nmax, nil
 }
@@ -83,8 +88,3 @@ func (s *Server) SizeDrift() float64 {
 	}
 	return math.Abs(s.observed.Mean()-declared) / declared
 }
-
-// RestartObservation clears the observed fragment-size statistics so a
-// new observation epoch begins (after a recalibration, say, when drift
-// should be measured against the new fit).
-func (s *Server) RestartObservation() { s.observed = dist.Welford{} }
