@@ -22,39 +22,27 @@ import (
 	"mzqos/internal/workload"
 )
 
-// journaledServerMux builds a single-server mux with the journal and QoS
-// ledger wired (testServer wires neither: no journal, its own ledger).
+// journaledServerMux serves a one-shard stack with the journal wired
+// (testStack wires none).
 func journaledServerMux(t *testing.T) *http.ServeMux {
 	t.Helper()
-	reg := telemetry.NewRegistry()
-	jnl := journal.New(journal.Config{Registry: reg})
-	led := journal.NewLedger(journal.LedgerConfig{})
-	srv, err := server.New(server.Config{
-		Disk:        disk.QuantumViking21(),
-		NumDisks:    2,
-		RoundLength: 1,
-		Sizes:       workload.PaperSizes(),
-		Guarantee:   model.Guarantee{Threshold: 0.01},
-		Seed:        42,
-		Registry:    reg,
-		Journal:     jnl,
-		Ledger:      led,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := paperConfig(42)
+	cfg.Registry = telemetry.NewRegistry()
+	cfg.Journal = journal.New(journal.Config{Registry: cfg.Registry})
+	cfg.Ledger = journal.NewLedger(journal.LedgerConfig{})
+	coord, srv := oneShardStack(t, cfg, nil)
 	if err := srv.AddSyntheticObject("v", 100); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, _, err := srv.Open("v"); err != nil {
+		if _, _, err := coord.Open("v"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for r := 0; r < 20; r++ {
-		srv.Step()
+		coord.Step()
 	}
-	return newTelemetryMux(srv, nil, false)
+	return shardMux(coord, srv, nil)
 }
 
 func getJSON(t *testing.T, mux *http.ServeMux, path string, dst any) {
@@ -143,10 +131,10 @@ func TestTimelineEndpoint(t *testing.T) {
 }
 
 func TestTimelineDisabledAndOwnLedgerServedWithoutJournal(t *testing.T) {
-	// testServer wires no journal or ledger: /timeline must still serve
-	// (empty) rather than panic on the nil journal, and /streams and the
-	// bundle serve the ledger the server built for itself.
-	mux := newTelemetryMux(testServer(t), nil, false)
+	// testStack wires no journal: /timeline must still serve (empty)
+	// rather than panic on the nil journal, and /streams and the bundle
+	// serve the one ledger the stack's shard and coordinator share.
+	mux := testMux(t)
 
 	var rep timelineReport
 	getJSON(t, mux, "/timeline", &rep)
@@ -156,7 +144,7 @@ func TestTimelineDisabledAndOwnLedgerServedWithoutJournal(t *testing.T) {
 	var led journal.Report
 	getJSON(t, mux, "/streams", &led)
 	if led.ActiveStreams != 8 || len(led.Active) != 8 || led.RetiredTotal != 0 {
-		t.Fatalf("own ledger served %d active (%d records), %d retired; want 8, 8, 0",
+		t.Fatalf("the stack's ledger served %d active (%d records), %d retired; want 8, 8, 0",
 			led.ActiveStreams, len(led.Active), led.RetiredTotal)
 	}
 	var bundle struct {
@@ -168,7 +156,7 @@ func TestTimelineDisabledAndOwnLedgerServedWithoutJournal(t *testing.T) {
 		t.Fatal("nil-journal bundle lacks schema")
 	}
 	if bundle.Streams.ActiveStreams != 8 {
-		t.Fatalf("bundle streams has %d active, want the own ledger's 8", bundle.Streams.ActiveStreams)
+		t.Fatalf("bundle streams has %d active, want the stack ledger's 8", bundle.Streams.ActiveStreams)
 	}
 }
 
@@ -203,7 +191,7 @@ func TestServerDebugBundle(t *testing.T) {
 		Metrics   json.RawMessage `json:"metrics"`
 	}
 	getJSON(t, mux, "/debug/bundle", &b)
-	if b.Schema != bundleSchema || b.Kind != "server" {
+	if b.Schema != bundleSchema || b.Kind != "cluster" {
 		t.Fatalf("bundle header %q/%q", b.Schema, b.Kind)
 	}
 	if b.Round != 20 {
@@ -252,12 +240,13 @@ func bundleRounds(t *testing.T, metrics json.RawMessage) int64 {
 // ledger, with a latency fault pinned to shard 0, degraded mode, stream
 // migration, and fast SLO windows so a full incident arc fits in a short
 // test run.
-func journaledTestCluster(t *testing.T) (*cluster.Coordinator, *telemetry.Registry) {
+func journaledTestCluster(t *testing.T) (*cluster.Coordinator, []*server.Server) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	jnl := journal.New(journal.Config{Registry: reg})
 	led := journal.NewLedger(journal.LedgerConfig{})
 	const shards = 3
+	srvs := make([]*server.Server, shards)
 	engines := make([]engine.Engine, shards)
 	for i := range engines {
 		cfg := server.Config{
@@ -292,7 +281,7 @@ func journaledTestCluster(t *testing.T) (*cluster.Coordinator, *telemetry.Regist
 		if err != nil {
 			t.Fatal(err)
 		}
-		engines[i] = srv
+		srvs[i], engines[i] = srv, srv
 	}
 	coord, err := cluster.New(cluster.Config{
 		Engines:  engines,
@@ -305,7 +294,7 @@ func journaledTestCluster(t *testing.T) (*cluster.Coordinator, *telemetry.Regist
 	if err != nil {
 		t.Fatal(err)
 	}
-	return coord, reg
+	return coord, srvs
 }
 
 // TestClusterIncidentArcFromTimeline is the acceptance check on the
@@ -318,33 +307,23 @@ func journaledTestCluster(t *testing.T) (*cluster.Coordinator, *telemetry.Regist
 // for the mux's own writeJSON: one gauge at +Inf (which /metrics prints)
 // must not turn the incident bundle into 200 with an empty body.
 func TestBundleNonFiniteFailsClosed(t *testing.T) {
+	cfg := paperConfig(42)
 	reg := telemetry.NewRegistry()
+	cfg.Registry = reg
 	hist := history.New(history.Config{Registry: reg, Rounds: 64})
-	srv, err := server.New(server.Config{
-		Disk:        disk.QuantumViking21(),
-		NumDisks:    2,
-		RoundLength: 1,
-		Sizes:       workload.PaperSizes(),
-		Guarantee:   model.Guarantee{Threshold: 0.01},
-		Seed:        42,
-		Registry:    reg,
-		History:     hist,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := newTelemetryMux(srv, hist, false)
+	coord, srv := oneShardStack(t, cfg, hist)
+	mux := shardMux(coord, srv, hist)
 	get := func(path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		return rec
 	}
-	srv.Step()
+	coord.Step()
 	if rec := get("/debug/bundle"); rec.Code != 200 || !json.Valid(rec.Body.Bytes()) {
 		t.Fatalf("/debug/bundle of a finite registry: status %d, valid JSON %v", rec.Code, json.Valid(rec.Body.Bytes()))
 	}
 	reg.Gauge("mzqos_test_unbounded", "").Set(math.Inf(1))
-	srv.Step()
+	coord.Step()
 	if rec := get("/metrics"); rec.Code != 200 || !strings.Contains(rec.Body.String(), "mzqos_test_unbounded +Inf") {
 		t.Fatalf("/metrics does not print the +Inf gauge: status %d", rec.Code)
 	}
@@ -354,7 +333,7 @@ func TestBundleNonFiniteFailsClosed(t *testing.T) {
 }
 
 func TestClusterIncidentArcFromTimeline(t *testing.T) {
-	coord, reg := journaledTestCluster(t)
+	coord, srvs := journaledTestCluster(t)
 
 	// Fill the cluster to ~60% so shard 0's shed streams find room on
 	// the siblings (replicas=3 places every clip on all shards).
@@ -379,7 +358,7 @@ func TestClusterIncidentArcFromTimeline(t *testing.T) {
 		coord.Step()
 	}
 
-	mux := newClusterMux(coord, reg, nil, false)
+	mux := buildMux(coord, srvs, nil, false)
 	var rep timelineReport
 	getJSON(t, mux, "/timeline", &rep)
 	if !rep.Enabled || len(rep.Events) == 0 {
@@ -431,7 +410,7 @@ func TestClusterIncidentArcFromTimeline(t *testing.T) {
 	}
 
 	// Every migration names a valid source and destination shard.
-	shards := coord.NumShards()
+	shards := len(srvs)
 	for _, e := range rep.Events {
 		if e.Kind != journal.KindMigrate {
 			continue

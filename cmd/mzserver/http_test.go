@@ -3,7 +3,9 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,41 +14,88 @@ import (
 	"mzqos/internal/engine"
 	"mzqos/internal/fault"
 	"mzqos/internal/history"
+	"mzqos/internal/journal"
 	"mzqos/internal/model"
 	"mzqos/internal/server"
 	"mzqos/internal/telemetry"
 	"mzqos/internal/workload"
 )
 
-func testServer(t *testing.T) *server.Server {
+// oneShardStack builds a server from cfg as shard 0 of a one-shard
+// coordinator, as mzserver wires every shard: its series carry shard="0"
+// in cfg's registry (a new one when nil), the coordinator shares cfg's
+// journal and ledger (a new one when nil) and samples hist.
+func oneShardStack(t *testing.T, cfg server.Config, hist *history.Store) (*cluster.Coordinator, *server.Server) {
 	t.Helper()
-	srv, err := server.New(server.Config{
+	if cfg.Registry == nil {
+		cfg.Registry = telemetry.NewRegistry()
+	}
+	if cfg.Ledger == nil {
+		cfg.Ledger = journal.NewLedger(journal.LedgerConfig{})
+	}
+	cfg.InstanceLabels = []telemetry.Label{telemetry.L("shard", "0")}
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := cluster.New(cluster.Config{
+		Engines:  []engine.Engine{srv},
+		Registry: cfg.Registry,
+		Journal:  cfg.Journal,
+		Ledger:   cfg.Ledger,
+		History:  hist,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return coord, srv
+}
+
+// shardMux serves a one-shard stack.
+func shardMux(coord *cluster.Coordinator, srv *server.Server, hist *history.Store) *http.ServeMux {
+	return buildMux(coord, []*server.Server{srv}, hist, false)
+}
+
+// paperConfig is a 2-disk Viking server under the paper's workload.
+func paperConfig(seed uint64) server.Config {
+	return server.Config{
 		Disk:        disk.QuantumViking21(),
 		NumDisks:    2,
 		RoundLength: 1,
 		Sizes:       workload.PaperSizes(),
 		Guarantee:   model.Guarantee{Threshold: 0.01},
-		Seed:        42,
-	})
-	if err != nil {
-		t.Fatal(err)
+		Seed:        seed,
 	}
+}
+
+// testStack is a one-shard stack with 8 streams of one object open for
+// 20 rounds, and no journal.
+func testStack(t *testing.T) (*cluster.Coordinator, *server.Server) {
+	t.Helper()
+	coord, srv := oneShardStack(t, paperConfig(42), nil)
 	if err := srv.AddSyntheticObject("v", 100); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, _, err := srv.Open("v"); err != nil {
+		if _, _, err := coord.Open("v"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for r := 0; r < 20; r++ {
-		srv.Step()
+		coord.Step()
 	}
-	return srv
+	return coord, srv
+}
+
+// testMux serves testStack.
+func testMux(t *testing.T) *http.ServeMux {
+	t.Helper()
+	coord, srv := testStack(t)
+	return shardMux(coord, srv, nil)
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	mux := newTelemetryMux(testServer(t), nil, false)
+	mux := testMux(t)
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -60,19 +109,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The documented metric surface: server series, per-disk series, and
 	// the adopted model solver series must all appear.
 	for _, name := range []string{
-		"mzqos_server_rounds_total 20",
+		`mzqos_server_rounds_total{shard="0"} 20`,
 		"mzqos_server_fragments_total",
 		"mzqos_server_glitches_total",
-		"mzqos_server_streams_admitted_total 8",
-		"mzqos_server_streams_active 8",
-		"mzqos_server_nmax 26",
+		`mzqos_server_streams_admitted_total{shard="0"} 8`,
+		`mzqos_server_streams_active{shard="0"} 8`,
+		`mzqos_server_nmax{shard="0"} 26`,
 		"mzqos_server_bound_late",
 		"mzqos_server_bound_glitch",
-		`mzqos_server_round_time_seconds_bucket{disk="0",le="1"}`,
-		`mzqos_server_round_time_seconds_bucket{disk="1",le="+Inf"}`,
-		`mzqos_server_peak_round_load{disk="0"}`,
-		`mzqos_server_phase_seconds_total{disk="0",phase="seek"}`,
-		`mzqos_server_phase_seconds_total{disk="1",phase="transfer"}`,
+		`mzqos_server_round_time_seconds_bucket{shard="0",disk="0",le="1"}`,
+		`mzqos_server_round_time_seconds_bucket{shard="0",disk="1",le="+Inf"}`,
+		`mzqos_server_peak_round_load{shard="0",disk="0"}`,
+		`mzqos_server_phase_seconds_total{shard="0",disk="0",phase="seek"}`,
+		`mzqos_server_phase_seconds_total{shard="0",disk="1",phase="transfer"}`,
 		"mzqos_model_chain_hits_total",
 		`mzqos_model_chernoff_solves_total{mode="cold"}`,
 	} {
@@ -83,35 +132,35 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestReportAndSweepsEndpoints(t *testing.T) {
-	mux := newTelemetryMux(testServer(t), nil, false)
+	mux := testMux(t)
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/report", nil))
 	if rec.Code != 200 {
 		t.Fatalf("/report status %d", rec.Code)
 	}
-	var rep server.TightnessReport
-	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
-		t.Fatalf("/report is not a tightness report: %v", err)
+	var ct cluster.ClusterTightnessReport
+	if err := json.Unmarshal(rec.Body.Bytes(), &ct); err != nil || len(ct.Shards) != 1 {
+		t.Fatalf("/report is not a one-shard tightness report: %v", err)
 	}
-	if len(rep.Disks) != 2 || rep.PerDiskLimit != 26 {
+	if rep := ct.Shards[0].Report; len(rep.Disks) != 2 || rep.PerDiskLimit != 26 {
 		t.Errorf("report: %d disks, limit %d", len(rep.Disks), rep.PerDiskLimit)
 	}
 
 	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/sweeps", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/shard/0/sweeps", nil))
 	if rec.Code != 200 {
-		t.Fatalf("/sweeps status %d", rec.Code)
+		t.Fatalf("/shard/0/sweeps status %d", rec.Code)
 	}
 	var sweeps []struct {
 		Requests int     `json:"requests"`
 		Total    float64 `json:"total_s"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &sweeps); err != nil {
-		t.Fatalf("/sweeps is not an event list: %v", err)
+		t.Fatalf("/shard/0/sweeps is not an event list: %v", err)
 	}
 	if len(sweeps) == 0 {
-		t.Fatal("/sweeps is empty after 20 rounds")
+		t.Fatal("/shard/0/sweeps is empty after 20 rounds")
 	}
 	for _, ev := range sweeps {
 		if ev.Requests <= 0 || ev.Total <= 0 {
@@ -121,32 +170,23 @@ func TestReportAndSweepsEndpoints(t *testing.T) {
 }
 
 func TestFaultsEndpoint(t *testing.T) {
-	srv, err := server.New(server.Config{
-		Disk:        disk.QuantumViking21(),
-		NumDisks:    2,
-		RoundLength: 1,
-		Sizes:       workload.PaperSizes(),
-		Guarantee:   model.Guarantee{Threshold: 0.01},
-		Seed:        42,
-		Faults: &fault.Plan{Faults: []fault.Fault{
-			{Kind: fault.Latency, Disk: 1, From: 0, Factor: 2},
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := paperConfig(42)
+	cfg.Faults = &fault.Plan{Faults: []fault.Fault{
+		{Kind: fault.Latency, Disk: 1, From: 0, Factor: 2},
+	}}
+	coord, srv := oneShardStack(t, cfg, nil)
 	for r := 0; r < 5; r++ {
-		srv.Step()
+		coord.Step()
 	}
-	mux := newTelemetryMux(srv, nil, false)
+	mux := shardMux(coord, srv, nil)
 	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/faults", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/shard/0/faults", nil))
 	if rec.Code != 200 {
-		t.Fatalf("/faults status %d", rec.Code)
+		t.Fatalf("/shard/0/faults status %d", rec.Code)
 	}
 	var status faultStatusReport
 	if err := json.Unmarshal(rec.Body.Bytes(), &status); err != nil {
-		t.Fatalf("/faults is not JSON: %v", err)
+		t.Fatalf("/shard/0/faults is not JSON: %v", err)
 	}
 	if len(status.Plan.Faults) != 1 || status.Plan.Faults[0].Factor != 2 {
 		t.Errorf("plan = %+v", status.Plan)
@@ -163,14 +203,15 @@ func TestFaultsEndpoint(t *testing.T) {
 }
 
 func TestPprofGating(t *testing.T) {
-	bare := newTelemetryMux(testServer(t), nil, false)
+	bare := testMux(t)
 	rec := httptest.NewRecorder()
 	bare.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
 	if rec.Code == 200 {
 		t.Errorf("/debug/pprof served without the flag (status %d)", rec.Code)
 	}
 
-	profiled := newTelemetryMux(testServer(t), nil, true)
+	coord, srv := testStack(t)
+	profiled := buildMux(coord, []*server.Server{srv}, nil, true)
 	rec = httptest.NewRecorder()
 	profiled.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
 	if rec.Code != 200 {
@@ -179,7 +220,7 @@ func TestPprofGating(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	mux := newTelemetryMux(testServer(t), nil, false)
+	mux := testMux(t)
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "ok") {
@@ -188,27 +229,25 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestAdmissionEndpoint(t *testing.T) {
-	srv := testServer(t)
-	// Provoke one explained rejection so the endpoint shows a full story.
+	cfg := paperConfig(42)
+	cfg.Journal = journal.New(journal.Config{})
+	coord, srv := oneShardStack(t, cfg, nil)
+	if err := srv.AddSyntheticObject("v", 100); err != nil {
+		t.Fatal(err)
+	}
+	// Provoke one rejection so the endpoints show a full story.
 	for srv.Active() < srv.Capacity() {
-		if _, _, err := srv.Open("v"); err != nil {
+		if _, _, err := coord.Open("v"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := srv.Open("v"); err == nil {
+	if _, _, err := coord.Open("v"); err == nil {
 		t.Fatal("open past capacity succeeded")
 	}
 
-	mux := newTelemetryMux(srv, nil, false)
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/admission", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/admission status %d", rec.Code)
-	}
+	mux := shardMux(coord, srv, nil)
 	var st server.AdmissionStatus
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatalf("/admission is not an admission status: %v", err)
-	}
+	getJSON(t, mux, "/shard/0/admission", &st)
 	if st.NMax != 26 || st.Capacity != 52 || len(st.Explanations) != 2 {
 		t.Errorf("status nmax=%d capacity=%d explanations=%d", st.NMax, st.Capacity, len(st.Explanations))
 	}
@@ -217,23 +256,34 @@ func TestAdmissionEndpoint(t *testing.T) {
 			t.Errorf("disk %d explanation incomplete: %+v", d, exp)
 		}
 	}
-	if len(st.Rejections) != 1 || st.Rejections[0].Reason != server.RejectClassesFull {
-		t.Errorf("rejections = %+v", st.Rejections)
+	// The coordinator turned the stream away before its shard saw it: the
+	// shard's rejection list is empty and the journal holds the rejection.
+	if len(st.Rejections) != 0 {
+		t.Errorf("shard rejections = %+v, want none", st.Rejections)
+	}
+	var rejects timelineReport
+	getJSON(t, mux, "/timeline?kind=reject", &rejects)
+	if len(rejects.Events) != 1 || rejects.Events[0].Object != "v" || rejects.Events[0].Shard != 0 {
+		t.Errorf("reject events = %+v, want one for v on shard 0", rejects.Events)
+	}
+	var adm admissionReport
+	getJSON(t, mux, "/admission", &adm)
+	if len(adm.Admissions) != 52 || adm.Route != cluster.RouteRoundRobin {
+		t.Errorf("/admission: %d admissions by %q, want 52 by round-robin", len(adm.Admissions), adm.Route)
 	}
 }
 
 func TestTraceEndpoint(t *testing.T) {
-	srv := testServer(t)
-	mux := newTelemetryMux(srv, nil, false)
+	mux := testMux(t)
 
 	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/trace", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/shard/0/trace", nil))
 	if rec.Code != 200 {
-		t.Fatalf("/trace status %d", rec.Code)
+		t.Fatalf("/shard/0/trace status %d", rec.Code)
 	}
 	var rep traceReport
 	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
-		t.Fatalf("/trace is not a trace report: %v", err)
+		t.Fatalf("/shard/0/trace is not a trace report: %v", err)
 	}
 	if !rep.Enabled || rep.Stats.Capacity == 0 {
 		t.Errorf("report stats = %+v", rep.Stats)
@@ -253,9 +303,9 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/trace?format=chrome", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/shard/0/trace?format=chrome", nil))
 	if rec.Code != 200 {
-		t.Fatalf("/trace?format=chrome status %d", rec.Code)
+		t.Fatalf("/shard/0/trace?format=chrome status %d", rec.Code)
 	}
 	var chrome struct {
 		TraceEvents []struct {
@@ -280,9 +330,9 @@ func TestTraceEndpoint(t *testing.T) {
 	// No trigger fired in a healthy run: the frozen source is empty but
 	// still well-formed JSON.
 	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/trace?source=frozen", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/shard/0/trace?source=frozen", nil))
 	if rec.Code != 200 {
-		t.Fatalf("/trace?source=frozen status %d", rec.Code)
+		t.Fatalf("/shard/0/trace?source=frozen status %d", rec.Code)
 	}
 	var frozenRep traceReport
 	if err := json.Unmarshal(rec.Body.Bytes(), &frozenRep); err != nil {
@@ -294,12 +344,12 @@ func TestTraceEndpoint(t *testing.T) {
 }
 
 func TestSLOEndpoint(t *testing.T) {
-	mux := newTelemetryMux(testServer(t), nil, false)
+	mux := testMux(t)
 
 	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/slo", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/shard/0/slo", nil))
 	if rec.Code != 200 {
-		t.Fatalf("/slo status %d", rec.Code)
+		t.Fatalf("/shard/0/slo status %d", rec.Code)
 	}
 	var rep struct {
 		Enabled    bool `json:"enabled"`
@@ -319,7 +369,7 @@ func TestSLOEndpoint(t *testing.T) {
 		Hints []server.SLOHint `json:"hints"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
-		t.Fatalf("/slo is not a guarantee-audit report: %v", err)
+		t.Fatalf("/shard/0/slo is not a guarantee-audit report: %v", err)
 	}
 	if !rep.Enabled || rep.Round != 20 {
 		t.Errorf("enabled=%v round=%d, want true/20", rep.Enabled, rep.Round)
@@ -347,12 +397,12 @@ func TestSLOEndpoint(t *testing.T) {
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, name := range []string{
-		`mzqos_slo_budget{target="late"}`,
-		`mzqos_slo_budget{target="glitch"}`,
-		`mzqos_slo_alert_state{target="late"} 0`,
-		`mzqos_slo_alerts_fired_total{target="late"} 0`,
-		`mzqos_slo_measured{target="late",window="fast"}`,
-		`mzqos_slo_burn_rate{target="glitch",window="slow"}`,
+		`mzqos_slo_budget{shard="0",target="late"}`,
+		`mzqos_slo_budget{shard="0",target="glitch"}`,
+		`mzqos_slo_alert_state{shard="0",target="late"} 0`,
+		`mzqos_slo_alerts_fired_total{shard="0",target="late"} 0`,
+		`mzqos_slo_measured{shard="0",target="late",window="fast"}`,
+		`mzqos_slo_burn_rate{shard="0",target="glitch",window="slow"}`,
 	} {
 		if !strings.Contains(body, name) {
 			t.Errorf("/metrics missing %q", name)
@@ -360,11 +410,12 @@ func TestSLOEndpoint(t *testing.T) {
 	}
 }
 
-// testCluster assembles a small cluster-mode stack the way runCluster
-// does: server shards on a shared registry behind a coordinator.
-func testCluster(t *testing.T) (*cluster.Coordinator, *telemetry.Registry) {
+// testCluster assembles a small two-shard stack the way mzserver does:
+// server shards on a shared registry behind a coordinator.
+func testCluster(t *testing.T) (*cluster.Coordinator, []*server.Server) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
+	srvs := make([]*server.Server, 2)
 	engines := make([]engine.Engine, 2)
 	for i := range engines {
 		srv, err := server.New(server.Config{
@@ -382,7 +433,7 @@ func testCluster(t *testing.T) (*cluster.Coordinator, *telemetry.Registry) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engines[i] = srv
+		srvs[i], engines[i] = srv, srv
 	}
 	coord, err := cluster.New(cluster.Config{Engines: engines, Registry: reg})
 	if err != nil {
@@ -391,12 +442,12 @@ func testCluster(t *testing.T) (*cluster.Coordinator, *telemetry.Registry) {
 	for range 10 {
 		coord.Step()
 	}
-	return coord, reg
+	return coord, srvs
 }
 
 func TestClusterSLOAndReportEndpoints(t *testing.T) {
-	coord, reg := testCluster(t)
-	mux := newClusterMux(coord, reg, nil, false)
+	coord, srvs := testCluster(t)
+	mux := buildMux(coord, srvs, nil, false)
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/slo", nil))
@@ -441,38 +492,28 @@ func TestClusterSLOAndReportEndpoints(t *testing.T) {
 	}
 }
 
-// failedServer builds a server whose only disks fail at round 0 with
-// degradation enabled, steps it until admission fail-closes, and returns
-// it — the /healthz unavailable fixture.
-func failedServer(t *testing.T) *server.Server {
+// failedStack builds a one-shard stack whose only disks fail at round 0
+// with degradation enabled, steps it until admission fail-closes, and
+// serves it — the /healthz unavailable fixture.
+func failedStack(t *testing.T) *http.ServeMux {
 	t.Helper()
-	plan := &fault.Plan{Faults: []fault.Fault{
+	cfg := paperConfig(1)
+	cfg.Faults = &fault.Plan{Faults: []fault.Fault{
 		{Kind: fault.Failure, Disk: fault.AllDisks, From: 0},
 	}}
-	srv, err := server.New(server.Config{
-		Disk:        disk.QuantumViking21(),
-		NumDisks:    2,
-		RoundLength: 1,
-		Sizes:       workload.PaperSizes(),
-		Guarantee:   model.Guarantee{Threshold: 0.01},
-		Seed:        1,
-		Faults:      plan,
-		Degrade:     server.DegradeConfig{Enabled: true, After: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Degrade = server.DegradeConfig{Enabled: true, After: 1}
+	coord, srv := oneShardStack(t, cfg, nil)
 	for r := 0; r < 6; r++ {
-		srv.Step()
+		coord.Step()
 	}
 	if !srv.Health().Failed {
 		t.Fatal("fixture server did not fail-close")
 	}
-	return srv
+	return shardMux(coord, srv, nil)
 }
 
 func TestHealthzFailureClosed(t *testing.T) {
-	mux := newTelemetryMux(failedServer(t), nil, false)
+	mux := failedStack(t)
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 503 {
@@ -492,8 +533,8 @@ func TestHealthzFailureClosed(t *testing.T) {
 
 func TestClusterHealthz(t *testing.T) {
 	// Healthy cluster: 200 with status ok.
-	coord, reg := testCluster(t)
-	mux := newClusterMux(coord, reg, nil, false)
+	coord, srvs := testCluster(t)
+	mux := buildMux(coord, srvs, nil, false)
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"ok"`) {
@@ -505,6 +546,7 @@ func TestClusterHealthz(t *testing.T) {
 		{Kind: fault.Failure, Disk: fault.AllDisks, From: 0},
 	}}
 	reg2 := telemetry.NewRegistry()
+	srvs = make([]*server.Server, 2)
 	engines := make([]engine.Engine, 2)
 	for i := range engines {
 		srv, err := server.New(server.Config{
@@ -524,7 +566,7 @@ func TestClusterHealthz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engines[i] = srv
+		srvs[i], engines[i] = srv, srv
 	}
 	failed, err := cluster.New(cluster.Config{Engines: engines, Registry: reg2})
 	if err != nil {
@@ -533,7 +575,7 @@ func TestClusterHealthz(t *testing.T) {
 	for range 6 { // past the degrade threshold; the view refreshes every round
 		failed.Step()
 	}
-	mux = newClusterMux(failed, reg2, nil, false)
+	mux = buildMux(failed, srvs, nil, false)
 	rec = httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 503 {
@@ -552,33 +594,22 @@ func TestClusterHealthz(t *testing.T) {
 }
 
 func TestHistoryEndpoints(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	hist := history.New(history.Config{Registry: reg, Rounds: 128})
-	srv, err := server.New(server.Config{
-		Disk:        disk.QuantumViking21(),
-		NumDisks:    2,
-		RoundLength: 1,
-		Sizes:       workload.PaperSizes(),
-		Guarantee:   model.Guarantee{Threshold: 0.01},
-		Seed:        42,
-		Registry:    reg,
-		History:     hist,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := paperConfig(42)
+	cfg.Registry = telemetry.NewRegistry()
+	hist := history.New(history.Config{Registry: cfg.Registry, Rounds: 128})
+	coord, srv := oneShardStack(t, cfg, hist)
 	if err := srv.AddSyntheticObject("v", 100); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, _, err := srv.Open("v"); err != nil {
+		if _, _, err := coord.Open("v"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for r := 0; r < 20; r++ {
-		srv.Step()
+		coord.Step()
 	}
-	mux := newTelemetryMux(srv, hist, false)
+	mux := shardMux(coord, srv, hist)
 
 	// /query serves the per-round trajectory the Step loop recorded.
 	rec := httptest.NewRecorder()
@@ -640,10 +671,50 @@ func TestHistoryEndpoints(t *testing.T) {
 	}
 
 	// Without a store the endpoints are simply absent (404 from the mux).
-	bare := newTelemetryMux(testServer(t), nil, false)
+	bare := testMux(t)
 	rec = httptest.NewRecorder()
 	bare.ServeHTTP(rec, httptest.NewRequest("GET", "/query", nil))
 	if rec.Code != 404 {
 		t.Errorf("/query without history: status %d, want 404", rec.Code)
+	}
+}
+
+// TestShardRoutes serves every shard's own views on goldenCluster's
+// 3-shard stack: each /shard/{i}/ view answers the payload of shard i,
+// /shard/2/trace holds shard 2's flight recorder, and a path naming no
+// shard, or no view, answers 404.
+func TestShardRoutes(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	coord, srvs, _ := goldenCluster(t, reg, nil, nil)
+	mux := buildMux(coord, srvs, nil, false)
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec
+	}
+	for i, srv := range srvs {
+		for view, payload := range shardViews {
+			path := fmt.Sprintf("/shard/%d/%s", i, view)
+			want := httptest.NewRecorder()
+			writeJSON(want, payload(srv, nil))
+			if rec := get(path); rec.Code != 200 || rec.Body.String() != want.Body.String() {
+				t.Errorf("GET %s: status %d, body is shard %d's payload: %v", path, rec.Code, i, rec.Body.String() == want.Body.String())
+			}
+		}
+	}
+
+	var rep traceReport
+	getJSON(t, mux, "/shard/2/trace", &rep)
+	if !rep.Enabled || len(rep.Spans) == 0 {
+		t.Errorf("/shard/2/trace: enabled %v, %d spans; want shard 2's recorder on and holding spans", rep.Enabled, len(rep.Spans))
+	}
+	if live := srvs[2].Trace().Live(); !reflect.DeepEqual(rep.Spans, live) {
+		t.Errorf("/shard/2/trace serves %d spans that are not shard 2's %d", len(rep.Spans), len(live))
+	}
+
+	for _, path := range []string{"/shard/3/trace", "/shard/-1/admission", "/shard/x/slo", "/shard/0/bogus"} {
+		if rec := get(path); rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, rec.Code)
+		}
 	}
 }

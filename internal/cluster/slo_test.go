@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mzqos/internal/engine"
@@ -118,18 +119,18 @@ func TestClusterSLOStatusOverServerShards(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if v, ok := snap.Gauge("mzqos_cluster_slo_budget", telemetry.L("target", "late")); !ok || !(v > 0) {
+	if v, ok := gaugeValue(snap, "mzqos_cluster_slo_budget", telemetry.L("target", "late")); !ok || !(v > 0) {
 		t.Errorf("cluster budget gauge = %v (%v), want > 0", v, ok)
 	}
-	if _, ok := snap.Gauge("mzqos_cluster_slo_burn_rate",
+	if _, ok := gaugeValue(snap, "mzqos_cluster_slo_burn_rate",
 		telemetry.L("target", "late"), telemetry.L("window", "fast")); !ok {
 		t.Error("cluster burn-rate gauge missing")
 	}
-	if v, ok := snap.Gauge("mzqos_cluster_slo_firing_shards"); !ok || v != 0 {
+	if v, ok := gaugeValue(snap, "mzqos_cluster_slo_firing_shards"); !ok || v != 0 {
 		t.Errorf("firing-shards gauge = %v (%v), want 0", v, ok)
 	}
 	// The per-shard series carry the shard instance label.
-	if v, ok := snap.Gauge("mzqos_slo_budget",
+	if v, ok := gaugeValue(snap, "mzqos_slo_budget",
 		telemetry.L("shard", "0"), telemetry.L("target", "late")); !ok || !(v > 0) {
 		t.Errorf("shard-labeled slo budget = %v (%v), want > 0", v, ok)
 	}
@@ -177,4 +178,15 @@ func TestClusterTightnessReportMixedFleet(t *testing.T) {
 			t.Errorf("shard %d report has %d disks, want 2", row.Shard, len(row.Report.Disks))
 		}
 	}
+}
+
+// gaugeValue reads the gauge series name with exactly labels out of a
+// snapshot.
+func gaugeValue(s telemetry.Snapshot, name string, labels ...telemetry.Label) (float64, bool) {
+	for _, g := range s.Gauges {
+		if g.Name == name && slices.Equal(g.Labels, labels) {
+			return g.Value, true
+		}
+	}
+	return 0, false
 }

@@ -169,7 +169,7 @@ func runCluster(t *testing.T, faulty bool) loaded {
 func TestRoundTimeLogsKeepInitialSize(t *testing.T) {
 	t.Run("server", func(t *testing.T) {
 		run := runServer(t, true)
-		if tel := run.srv.Telemetry().Snapshot(); counter(t, tel, "mzqos_server_fault_retries_total") == 0 || counter(t, tel, "mzqos_server_down_rounds_total") == 0 {
+		if tel := run.srv.Telemetry().Registry().Snapshot(); counter(t, tel, "mzqos_server_fault_retries_total") == 0 || counter(t, tel, "mzqos_server_down_rounds_total") == 0 {
 			t.Fatal("the run saw no retry or no down round: the fault plan did not reach the histograms")
 		}
 		checkLogs(t, run.hist, 4)

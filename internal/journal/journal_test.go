@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"mzqos/internal/telemetry"
@@ -139,16 +140,16 @@ func TestJournalMetrics(t *testing.T) {
 	j.Append(Event{Kind: KindGlitch}) // overwrites the oldest
 
 	snap := reg.Snapshot()
-	if v, _ := snap.Counter("mzqos_journal_events_total", telemetry.L("kind", "admit")); v != 2 {
+	if v, _ := counterValue(snap, "mzqos_journal_events_total", telemetry.L("kind", "admit")); v != 2 {
 		t.Fatalf("admit counter: got %d, want 2", v)
 	}
-	if v, _ := snap.Counter("mzqos_journal_events_total", telemetry.L("kind", "glitch")); v != 1 {
+	if v, _ := counterValue(snap, "mzqos_journal_events_total", telemetry.L("kind", "glitch")); v != 1 {
 		t.Fatalf("glitch counter: got %d, want 1", v)
 	}
-	if v, _ := snap.Counter("mzqos_journal_dropped_total"); v != 1 {
+	if v, _ := counterValue(snap, "mzqos_journal_dropped_total"); v != 1 {
 		t.Fatalf("dropped counter: got %d, want 1", v)
 	}
-	if v, _ := snap.Gauge("mzqos_journal_head_seq"); v != 3 {
+	if v, _ := gaugeValue(snap, "mzqos_journal_head_seq"); v != 3 {
 		t.Fatalf("head seq gauge: got %v, want 3", v)
 	}
 }
@@ -175,4 +176,26 @@ func BenchmarkAppend(b *testing.B) {
 		e.Round = i
 		j.Append(e)
 	}
+}
+
+// counterValue reads the counter series name with exactly labels out of a
+// snapshot.
+func counterValue(s telemetry.Snapshot, name string, labels ...telemetry.Label) (int64, bool) {
+	for _, c := range s.Counters {
+		if c.Name == name && slices.Equal(c.Labels, labels) {
+			return c.Value, true
+		}
+	}
+	return 0, false
+}
+
+// gaugeValue reads the gauge series name with exactly labels out of a
+// snapshot.
+func gaugeValue(s telemetry.Snapshot, name string, labels ...telemetry.Label) (float64, bool) {
+	for _, g := range s.Gauges {
+		if g.Name == name && slices.Equal(g.Labels, labels) {
+			return g.Value, true
+		}
+	}
+	return 0, false
 }

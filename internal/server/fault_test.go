@@ -140,11 +140,11 @@ func TestFaultViolatesGuaranteeWithoutDegradation(t *testing.T) {
 	if s.PerDiskLimit() != 26 || s.Degraded() {
 		t.Errorf("limit = %d degraded = %v, want untouched 26/false", s.PerDiskLimit(), s.Degraded())
 	}
-	snap := s.Telemetry().Snapshot()
-	if v, ok := snap.Counter("mzqos_server_fault_rounds_total", telemetry.L("disk", "0")); !ok || v != 150 {
+	snap := s.Telemetry().Registry().Snapshot()
+	if v, ok := counterValue(snap, "mzqos_server_fault_rounds_total", telemetry.L("disk", "0")); !ok || v != 150 {
 		t.Errorf("fault rounds counter = %v (%v), want 150", v, ok)
 	}
-	if v, _ := snap.Gauge("mzqos_server_fault_active_disks"); v != 1 {
+	if v, _ := gaugeValue(snap, "mzqos_server_fault_active_disks"); v != 1 {
 		t.Errorf("fault active gauge = %v, want 1", v)
 	}
 }
@@ -185,11 +185,11 @@ func TestDegradationRestoresGuarantee(t *testing.T) {
 		t.Errorf("degraded guarantee not re-established:\n%+v", rep.Disks)
 	}
 
-	snap := s.Telemetry().Snapshot()
-	if v, _ := snap.Gauge("mzqos_server_degraded"); v != 1 {
+	snap := s.Telemetry().Registry().Snapshot()
+	if v, _ := gaugeValue(snap, "mzqos_server_degraded"); v != 1 {
 		t.Errorf("degraded gauge = %v, want 1", v)
 	}
-	if v, _ := snap.Counter("mzqos_server_fault_evictions_total"); v != int64(sum.Evicted) {
+	if v, _ := counterValue(snap, "mzqos_server_fault_evictions_total"); v != int64(sum.Evicted) {
 		t.Errorf("eviction counter = %d, want %d", v, sum.Evicted)
 	}
 
@@ -205,11 +205,11 @@ func TestDegradationRestoresGuarantee(t *testing.T) {
 	if _, _, err := s.Open("v1"); err != nil {
 		t.Errorf("open after recovery err = %v", err)
 	}
-	snap = s.Telemetry().Snapshot()
-	if v, _ := snap.Gauge("mzqos_server_degraded"); v != 0 {
+	snap = s.Telemetry().Registry().Snapshot()
+	if v, _ := gaugeValue(snap, "mzqos_server_degraded"); v != 0 {
 		t.Errorf("degraded gauge = %v after recovery, want 0", v)
 	}
-	if v, _ := snap.Counter("mzqos_server_degraded_transitions_total"); v != 2 {
+	if v, _ := counterValue(snap, "mzqos_server_degraded_transitions_total"); v != 2 {
 		t.Errorf("transitions = %d, want 2 (enter + exit)", v)
 	}
 }
@@ -263,8 +263,8 @@ func TestDiskFailureClosesAdmissionWithoutEviction(t *testing.T) {
 	if _, _, err := s.Open("v0"); !errors.Is(err, ErrRejected) {
 		t.Errorf("open during failure err = %v, want ErrRejected", err)
 	}
-	snap := s.Telemetry().Snapshot()
-	if v, ok := snap.Counter("mzqos_server_down_rounds_total", telemetry.L("disk", "0")); !ok || v == 0 {
+	snap := s.Telemetry().Registry().Snapshot()
+	if v, ok := counterValue(snap, "mzqos_server_down_rounds_total", telemetry.L("disk", "0")); !ok || v == 0 {
 		t.Errorf("down rounds counter = %v (%v), want > 0", v, ok)
 	}
 
@@ -286,11 +286,11 @@ func TestReadErrorsRetryAndLose(t *testing.T) {
 	if sum.Lost == 0 {
 		t.Error("no fragments lost at 30% error rate with 1 retry")
 	}
-	snap := s.Telemetry().Snapshot()
-	if v, _ := snap.Counter("mzqos_server_fault_retries_total", telemetry.L("disk", "0")); v == 0 {
+	snap := s.Telemetry().Registry().Snapshot()
+	if v, _ := counterValue(snap, "mzqos_server_fault_retries_total", telemetry.L("disk", "0")); v == 0 {
 		t.Error("no retries recorded")
 	}
-	if v, _ := snap.Counter("mzqos_server_lost_fragments_total", telemetry.L("disk", "0")); int(v) != sum.Lost {
+	if v, _ := counterValue(snap, "mzqos_server_lost_fragments_total", telemetry.L("disk", "0")); int(v) != sum.Lost {
 		t.Errorf("lost counter = %d, want %d", v, sum.Lost)
 	}
 }

@@ -13,14 +13,6 @@ import (
 // report a transition, a latch or an effect, and the round loop, which
 // knows the round, the shard and the limits in force, records it.
 
-// Journal returns the event journal this server emits to (nil when
-// journalling is disabled). In cluster mode every shard shares one.
-func (s *Server) Journal() *journal.Journal { return s.jnl }
-
-// QoSLedger returns the promised-vs-delivered stream ledger: the one the
-// server was handed, or its own.
-func (s *Server) QoSLedger() *journal.Ledger { return s.ledger }
-
 // event starts an event of this server's timeline: its round and shard
 // filled in, no disk and no transition pair.
 func (s *Server) event(kind journal.Kind) journal.Event {

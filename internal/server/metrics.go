@@ -195,9 +195,6 @@ func newTelemetry(reg *telemetry.Registry, instance []telemetry.Label, disks int
 // and for adopting further series, e.g. the model's solver counters).
 func (t *Telemetry) Registry() *telemetry.Registry { return t.reg }
 
-// Snapshot returns a typed copy of every server metric.
-func (t *Telemetry) Snapshot() telemetry.Snapshot { return t.reg.Snapshot() }
-
 // Telemetry returns the server's metrics surface. Safe to call and use
 // concurrently with the round loop.
 func (s *Server) Telemetry() *Telemetry { return s.tel }

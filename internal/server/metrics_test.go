@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,7 +132,7 @@ func TestTelemetryCountersMatchReports(t *testing.T) {
 			fragments += d.Requests
 		}
 	}
-	snap := s.Telemetry().Snapshot()
+	snap := s.Telemetry().Registry().Snapshot()
 	checks := []struct {
 		name string
 		want int64
@@ -142,14 +143,14 @@ func TestTelemetryCountersMatchReports(t *testing.T) {
 		{"mzqos_server_streams_admitted_total", 10},
 	}
 	for _, c := range checks {
-		if got, ok := snap.Counter(c.name); !ok || got != c.want {
+		if got, ok := counterValue(snap, c.name); !ok || got != c.want {
 			t.Errorf("%s = %d (ok=%v), want %d", c.name, got, ok, c.want)
 		}
 	}
-	if v, ok := snap.Gauge("mzqos_server_nmax"); !ok || int(v) != s.PerDiskLimit() {
+	if v, ok := gaugeValue(snap, "mzqos_server_nmax"); !ok || int(v) != s.PerDiskLimit() {
 		t.Errorf("nmax gauge = %v (ok=%v), want %d", v, ok, s.PerDiskLimit())
 	}
-	if v, ok := snap.Gauge("mzqos_server_streams_active"); !ok || int(v) != s.Active() {
+	if v, ok := gaugeValue(snap, "mzqos_server_streams_active"); !ok || int(v) != s.Active() {
 		t.Errorf("active gauge = %v (ok=%v), want %d", v, ok, s.Active())
 	}
 }
@@ -183,13 +184,13 @@ func TestSweepPhaseBreakdown(t *testing.T) {
 	}
 	// The same decomposition, accumulated: the phase-seconds series sum to
 	// the round-time histogram's sum, over 20 sweeps of 8 requests.
-	snap := s.Telemetry().Snapshot()
+	snap := s.Telemetry().Registry().Snapshot()
 	disk0 := telemetry.L("disk", "0")
 	hv, ok := snap.Histogram("mzqos_server_round_time_seconds", disk0)
 	if !ok || hv.Count != 20 {
 		t.Fatalf("round-time histogram holds %d sweeps (ok=%v), want 20", hv.Count, ok)
 	}
-	if got, _ := snap.Counter("mzqos_server_disk_fragments_total", disk0); got != 20*8 {
+	if got, _ := counterValue(snap, "mzqos_server_disk_fragments_total", disk0); got != 20*8 {
 		t.Fatalf("disk fragments = %d, want %d", got, 20*8)
 	}
 	var phases float64
@@ -255,8 +256,8 @@ func TestRetiredStreamStats(t *testing.T) {
 		}
 	}
 
-	snap := s.Telemetry().Snapshot()
-	if got, _ := snap.Counter("mzqos_server_streams_retired_total"); got != retired {
+	snap := s.Telemetry().Registry().Snapshot()
+	if got, _ := counterValue(snap, "mzqos_server_streams_retired_total"); got != retired {
 		t.Errorf("retired counter = %d, want %d", got, retired)
 	}
 }
@@ -342,8 +343,8 @@ func TestRecalibrateUpdatesPublishedLimits(t *testing.T) {
 	if now >= old {
 		t.Fatalf("heavier workload should shrink the limit: %d -> %d", old, now)
 	}
-	snap := s.Telemetry().Snapshot()
-	if v, _ := snap.Gauge("mzqos_server_nmax"); int(v) != now {
+	snap := s.Telemetry().Registry().Snapshot()
+	if v, _ := gaugeValue(snap, "mzqos_server_nmax"); int(v) != now {
 		t.Errorf("nmax gauge %v not updated to %d", v, now)
 	}
 	rep, err := s.BoundTightness()
@@ -375,7 +376,7 @@ func TestBoundTightnessConcurrentWithRounds(t *testing.T) {
 				t.Errorf("BoundTightness: %v", err)
 				return
 			}
-			s.Telemetry().Snapshot()
+			s.Telemetry().Registry().Snapshot()
 		}
 	}()
 	for r := 0; r < 50; r++ {
@@ -415,8 +416,8 @@ func TestSharedRegistryShardsDoNotCollide(t *testing.T) {
 	s1.Run(5)
 
 	snap := reg.Snapshot()
-	r0, ok0 := snap.Counter("mzqos_server_rounds_total", telemetry.L("shard", "0"))
-	r1, ok1 := snap.Counter("mzqos_server_rounds_total", telemetry.L("shard", "1"))
+	r0, ok0 := counterValue(snap, "mzqos_server_rounds_total", telemetry.L("shard", "0"))
+	r1, ok1 := counterValue(snap, "mzqos_server_rounds_total", telemetry.L("shard", "1"))
 	if !ok0 || !ok1 {
 		t.Fatal("per-shard rounds series missing from shared registry")
 	}
@@ -425,7 +426,7 @@ func TestSharedRegistryShardsDoNotCollide(t *testing.T) {
 	}
 
 	// The per-disk series carry the instance label too.
-	if _, ok := snap.Counter("mzqos_server_late_rounds_total",
+	if _, ok := counterValue(snap, "mzqos_server_late_rounds_total",
 		telemetry.L("shard", "1"), telemetry.L("disk", "0")); !ok {
 		t.Error("per-disk series missing the instance label")
 	}
@@ -444,4 +445,26 @@ func TestSharedRegistryShardsDoNotCollide(t *testing.T) {
 	if header := strings.Count(out, "# TYPE mzqos_server_rounds_total "); header != 1 {
 		t.Errorf("rounds header appears %d times, want 1", header)
 	}
+}
+
+// counterValue reads the counter series name with exactly labels out of a
+// snapshot.
+func counterValue(s telemetry.Snapshot, name string, labels ...telemetry.Label) (int64, bool) {
+	for _, c := range s.Counters {
+		if c.Name == name && slices.Equal(c.Labels, labels) {
+			return c.Value, true
+		}
+	}
+	return 0, false
+}
+
+// gaugeValue reads the gauge series name with exactly labels out of a
+// snapshot.
+func gaugeValue(s telemetry.Snapshot, name string, labels ...telemetry.Label) (float64, bool) {
+	for _, g := range s.Gauges {
+		if g.Name == name && slices.Equal(g.Labels, labels) {
+			return g.Value, true
+		}
+	}
+	return 0, false
 }

@@ -336,7 +336,7 @@ func TestStatsAnswersFromLedger(t *testing.T) {
 		}
 	})
 
-	// A server handed no ledger owns one, and it is what QoSLedger serves.
+	// A server handed no ledger owns one, and records its streams there.
 	t.Run("own-ledger", func(t *testing.T) {
 		s := paperServer(t, 2)
 		if err := s.AddSyntheticObject("v", 100); err != nil {
@@ -347,7 +347,7 @@ func TestStatsAnswersFromLedger(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if rep := s.QoSLedger().Report(); rep.ActiveStreams != 3 || len(rep.Active) != 3 {
+		if rep := s.ledger.Report(); rep.ActiveStreams != 3 || len(rep.Active) != 3 {
 			t.Errorf("own ledger lists %d active streams (%d records), want 3", rep.ActiveStreams, len(rep.Active))
 		}
 	})

@@ -142,14 +142,14 @@ func TestSLOAlertLifecycleUnderFault(t *testing.T) {
 	}
 
 	// The metric surface agrees.
-	snap := s.Telemetry().Snapshot()
-	if v, ok := snap.Counter("mzqos_slo_alerts_fired_total", telemetry.L("target", "late")); !ok || v != 1 {
+	snap := s.Telemetry().Registry().Snapshot()
+	if v, ok := counterValue(snap, "mzqos_slo_alerts_fired_total", telemetry.L("target", "late")); !ok || v != 1 {
 		t.Errorf("fired counter = %v (%v), want 1", v, ok)
 	}
-	if v, ok := snap.Counter("mzqos_slo_alerts_resolved_total", telemetry.L("target", "late")); !ok || v != 1 {
+	if v, ok := counterValue(snap, "mzqos_slo_alerts_resolved_total", telemetry.L("target", "late")); !ok || v != 1 {
 		t.Errorf("resolved counter = %v (%v), want 1", v, ok)
 	}
-	if v, ok := snap.Gauge("mzqos_slo_alert_state", telemetry.L("target", "late")); !ok || v != float64(slo.Inactive) {
+	if v, ok := gaugeValue(snap, "mzqos_slo_alert_state", telemetry.L("target", "late")); !ok || v != float64(slo.Inactive) {
 		t.Errorf("state gauge = %v (%v), want inactive (%d)", v, ok, slo.Inactive)
 	}
 }
@@ -247,8 +247,8 @@ func TestSLOBudgetsFollowRecalibration(t *testing.T) {
 	// The synthetic workload matches the declared one, so the recalibrated
 	// budget stays in the same regime (the point is republication, not a
 	// specific value).
-	snap := s.Telemetry().Snapshot()
-	if v, ok := snap.Gauge("mzqos_slo_budget", telemetry.L("target", "late")); !ok || v != after {
+	snap := s.Telemetry().Registry().Snapshot()
+	if v, ok := gaugeValue(snap, "mzqos_slo_budget", telemetry.L("target", "late")); !ok || v != after {
 		t.Errorf("budget gauge = %v (%v), want %v", v, ok, after)
 	}
 }

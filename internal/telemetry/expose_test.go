@@ -140,7 +140,7 @@ func TestSnapshotMarshals(t *testing.T) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := snap.Counter("c_total"); !ok || v != 7 {
+	if v, ok := counterValue(snap, "c_total"); !ok || v != 7 {
 		t.Fatalf("round-tripped snapshot wrong: %+v", snap)
 	}
 }

@@ -361,26 +361,6 @@ func matchLabels(got, want []Label) bool {
 	return true
 }
 
-// Counter returns the value of the named counter series.
-func (s Snapshot) Counter(name string, labels ...Label) (int64, bool) {
-	for _, c := range s.Counters {
-		if c.Name == name && matchLabels(c.Labels, labels) {
-			return c.Value, true
-		}
-	}
-	return 0, false
-}
-
-// Gauge returns the value of the named gauge series.
-func (s Snapshot) Gauge(name string, labels ...Label) (float64, bool) {
-	for _, g := range s.Gauges {
-		if g.Name == name && matchLabels(g.Labels, labels) {
-			return g.Value, true
-		}
-	}
-	return 0, false
-}
-
 // FloatCounter returns the value of the named float-counter series.
 func (s Snapshot) FloatCounter(name string, labels ...Label) (float64, bool) {
 	for _, c := range s.FloatCounters {

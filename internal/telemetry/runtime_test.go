@@ -21,10 +21,10 @@ func TestRegisterRuntimeMetrics(t *testing.T) {
 	runtime.KeepAlive(sink)
 
 	snap := reg.Snapshot()
-	if v, ok := snap.Gauge("mzqos_go_goroutines"); !ok || v < 1 {
+	if v, ok := gaugeValue(snap, "mzqos_go_goroutines"); !ok || v < 1 {
 		t.Fatalf("goroutines gauge: got %v (ok=%v), want >= 1", v, ok)
 	}
-	if v, ok := snap.Gauge("mzqos_go_heap_bytes"); !ok || v <= 0 {
+	if v, ok := gaugeValue(snap, "mzqos_go_heap_bytes"); !ok || v <= 0 {
 		t.Fatalf("heap gauge: got %v (ok=%v), want > 0", v, ok)
 	}
 	if _, ok := snap.Histogram("mzqos_go_gc_pause_seconds"); !ok {
@@ -113,7 +113,7 @@ func TestOnScrapeHooks(t *testing.T) {
 	reg.OnScrapeOnce("k", func() {})
 	reg.OnScrapeOnce("k", func() { t.Fatal("dedup key re-registered") })
 
-	if v, _ := reg.Snapshot().Gauge("hooked"); v != 1 {
+	if v, _ := gaugeValue(reg.Snapshot(), "hooked"); v != 1 {
 		t.Fatalf("first scrape: got %v, want 1", v)
 	}
 	var b strings.Builder

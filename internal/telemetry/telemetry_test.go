@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -250,7 +251,7 @@ func TestSnapshotImmutability(t *testing.T) {
 	// Later metric writes must not show up in the old snapshot.
 	c.Add(10)
 	h.Observe(0.5)
-	if got, _ := snap.Counter("c_total", L("k", "v")); got != 3 {
+	if got, _ := counterValue(snap, "c_total", L("k", "v")); got != 3 {
 		t.Fatalf("snapshot counter mutated: got %d, want 3", got)
 	}
 	hp, ok := snap.Histogram("h")
@@ -263,7 +264,7 @@ func TestSnapshotImmutability(t *testing.T) {
 	hp.Bounds[0] = -1
 	snap.Counters[0].Value = 999
 	fresh := reg.Snapshot()
-	if got, _ := fresh.Counter("c_total", L("k", "v")); got != 13 {
+	if got, _ := counterValue(fresh, "c_total", L("k", "v")); got != 13 {
 		t.Fatalf("live counter corrupted: got %d, want 13", got)
 	}
 	fh, _ := fresh.Histogram("h")
@@ -306,4 +307,26 @@ func TestRegistryReuseAndValidation(t *testing.T) {
 		}()
 		reg.Counter("ok", "", L("le", "1"))
 	}()
+}
+
+// counterValue reads the counter series name with exactly labels out of a
+// snapshot.
+func counterValue(s Snapshot, name string, labels ...Label) (int64, bool) {
+	for _, c := range s.Counters {
+		if c.Name == name && slices.Equal(c.Labels, labels) {
+			return c.Value, true
+		}
+	}
+	return 0, false
+}
+
+// gaugeValue reads the gauge series name with exactly labels out of a
+// snapshot.
+func gaugeValue(s Snapshot, name string, labels ...Label) (float64, bool) {
+	for _, g := range s.Gauges {
+		if g.Name == name && slices.Equal(g.Labels, labels) {
+			return g.Value, true
+		}
+	}
+	return 0, false
 }

@@ -38,25 +38,25 @@ expect() { # expect <path> <grep-pattern> <label>
     fi
 }
 
-expect /metrics '^mzqos_server_rounds_total ' "server round counter"
-expect /metrics '^mzqos_server_round_time_seconds_bucket{disk="0",le="1"}' "round-time histogram with t boundary"
-expect /metrics '^mzqos_server_phase_seconds_total{disk="0",phase="seek"}' "phase breakdown"
+expect /metrics '^mzqos_server_rounds_total{shard="0"} ' "server round counter"
+expect /metrics '^mzqos_server_round_time_seconds_bucket{shard="0",disk="0",le="1"}' "round-time histogram with t boundary"
+expect /metrics '^mzqos_server_phase_seconds_total{shard="0",disk="0",phase="seek"}' "phase breakdown"
 expect /metrics '^mzqos_model_chain_hits_total ' "model solver counters"
 expect /report '"bound_p_late"' "bound-tightness report"
-expect /sweeps '"rotation_s"' "sweep phase events"
-expect /admission '"explanations"' "admission explanation list"
-expect /admission '"binding_k"' "binding-constraint tuple"
-expect /admission '"theta"' "solved Chernoff parameter"
-expect /trace '"spans"' "flight-recorder span history"
-expect /trace '"capacity"' "recorder ring stats"
-expect '/trace?format=chrome' '"traceEvents"' "Chrome trace-event export"
-expect '/trace?format=chrome' '"sweep"' "sweep slices in the export"
-expect /slo '"burn_threshold"' "guarantee-audit configuration"
+expect /shard/0/sweeps '"rotation_s"' "sweep phase events"
+expect /shard/0/admission '"explanations"' "admission explanation list"
+expect /shard/0/admission '"binding_k"' "binding-constraint tuple"
+expect /shard/0/admission '"theta"' "solved Chernoff parameter"
+expect /shard/0/trace '"spans"' "flight-recorder span history"
+expect /shard/0/trace '"capacity"' "recorder ring stats"
+expect '/shard/0/trace?format=chrome' '"traceEvents"' "Chrome trace-event export"
+expect '/shard/0/trace?format=chrome' '"sweep"' "sweep slices in the export"
+expect /shard/0/slo '"burn_threshold"' "guarantee-audit configuration"
 expect /slo '"target": "late"' "late-target audit row"
 expect /slo '"target": "glitch"' "glitch-target audit row"
-expect /metrics '^mzqos_slo_budget{target="late"} ' "SLO budget gauge"
-expect /metrics '^mzqos_slo_alerts_fired_total{target="late"} 0$' "no alert fired on a clean run"
-expect /metrics '^mzqos_slo_burn_rate{target="late",window="fast"} ' "SLO burn-rate gauge"
+expect /metrics '^mzqos_slo_budget{shard="0",target="late"} ' "SLO budget gauge"
+expect /metrics '^mzqos_slo_alerts_fired_total{shard="0",target="late"} 0$' "no alert fired on a clean run"
+expect /metrics '^mzqos_slo_burn_rate{shard="0",target="late",window="fast"} ' "SLO burn-rate gauge"
 expect /timeline '"kind": "admit"' "journalled admissions"
 expect /timeline '"head_seq"' "journal ring stats"
 expect '/timeline?kind=admit' '"seq"' "kind-filtered timeline"
@@ -79,7 +79,7 @@ expect /dashboard '</html>' "complete dashboard document"
 # The JSON observability surfaces must parse, not merely contain the
 # expected keys.
 if command -v python3 >/dev/null 2>&1; then
-    for path in /admission /trace '/trace?format=chrome' /slo /timeline /streams /debug/bundle /query; do
+    for path in /shard/0/admission /shard/0/trace '/shard/0/trace?format=chrome' /slo /timeline /streams /debug/bundle /query; do
         if curl -sf "http://$ADDR$path" | python3 -m json.tool >/dev/null 2>&1; then
             echo "smoke: ok   $path is valid JSON"
         else
@@ -127,7 +127,7 @@ fi
 if [ "$fail" -ne 0 ]; then
     ARTDIR="${SMOKE_ARTIFACT_DIR:-${TMPDIR:-/tmp}}"
     mkdir -p "$ARTDIR"
-    curl -s "http://$ADDR/trace" >"$ARTDIR/flight-recorder.json" || true
+    curl -s "http://$ADDR/shard/0/trace" >"$ARTDIR/flight-recorder.json" || true
     curl -s "http://$ADDR/slo" >"$ARTDIR/slo.json" || true
     curl -s "http://$ADDR/debug/bundle" >"$ARTDIR/debug-bundle.json" || true
     echo "smoke: saved flight recorder, SLO snapshot, and debug bundle to $ARTDIR/" >&2
