@@ -27,3 +27,17 @@ func (st *Store) AtRest() map[string]bool {
 	}
 	return atRest
 }
+
+// CoarseBlocksHeld returns how many coarse blocks the ring of the series'
+// cohort has room for now: one tile at attach, doubled as blocks open on it
+// full, up to the configured retention.
+func (st *Store) CoarseBlocksHeld(id string) int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, rec := range st.series {
+		if rec.id == id {
+			return rec.co.coarse.size
+		}
+	}
+	return 0
+}

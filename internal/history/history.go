@@ -48,19 +48,28 @@
 // and coarseRun, which hand out a resting series' tile and a woken series'
 // column as the same plain slices.
 //
-// The shared columns and the marks are allocated when a cohort attaches,
+// The round column and the marks are allocated when a cohort attaches,
 // and a log starts at one entry per retained sample — what a histogram
 // observed once a round needs, recycled in place as samples leave the fine
-// ring. So the per-round Sample hot path allocates nothing: a read and a
-// compare per resting series, an atomic read, a tile store and an envelope
-// fold per woken one, then per histogram a compare of each live bucket with
-// the count last seen, under a single short mutex shared with queries. Two
-// things allocate, each only when it must: a series' first move, which
-// allocates its group's two blocks (56 KiB per series at the default
-// retention, once per series), and a log whose retained samples changed
-// more buckets than it has entries (bulk folds, every bucket moving every
-// sample): it doubles, never shrinks, and stops within the dense size of
-// one count per bucket per retained sample.
+// ring. The coarse ring starts at one tile of blocks (or the retention, if
+// that is smaller) and doubles, up to its retention, when a block opens on
+// it full, so a store younger than its coarse retention holds the envelopes
+// it has filled, not 24 B per series for every block it may ever keep. The
+// tiled layout is tile-row-major, so growth appends tile rows and no
+// retained block moves. So the per-round Sample hot path allocates nothing:
+// a read and a compare per resting series, an atomic read, a tile store and
+// an envelope fold per woken one, then per histogram a compare of each live
+// bucket with the count last seen, under a single short mutex shared with
+// queries. Three things allocate, each only when it must: a series' first
+// move, which allocates its group's two blocks (32 KiB plus 24 B per block
+// the coarse ring holds then, per series at the default retention, once
+// per series); the coarse ring's growth, which lengthens the cohort's block
+// starts and every group's envelopes, at most ⌈log₂(CoarseBlocks/16)⌉
+// times per group (6 at the defaults) and never once the ring has reached
+// its retention; and a log whose retained samples changed more buckets than
+// it has entries (bulk folds, every bucket moving every sample): it
+// doubles, never shrinks, and stops within the dense size of one count per
+// bucket per retained sample.
 package history
 
 import (
@@ -188,9 +197,11 @@ type cohort struct {
 	fine   cursor
 	rounds []int64
 
-	// Coarse ring: starts[b] is block b's first round.
+	// Coarse ring: starts[b] is block b's first round. The ring starts at
+	// one tile and grows as it fills, up to blocks, the store's retention.
 	coarse cursor
 	starts []int64
+	blocks int
 
 	// resting are the series that have read one value since they attached,
 	// in attach order; groups the blocks of those that have read a second,
@@ -319,9 +330,10 @@ func (st *Store) refreshLocked() {
 	co := &cohort{
 		srcs:    srcs,
 		fine:    cursor{size: st.capacity},
-		coarse:  cursor{size: st.blocks},
+		coarse:  cursor{size: min(tile, st.blocks)},
 		rounds:  make([]int64, st.capacity),
-		starts:  make([]int64, st.blocks),
+		starts:  make([]int64, min(tile, st.blocks)),
+		blocks:  st.blocks,
 		resting: make([]*rest, k),
 	}
 	for idx := range srcs {
@@ -346,8 +358,8 @@ func (st *Store) refreshLocked() {
 
 // Sample records one point per attached series at the given round.
 // Re-sampling the latest round overwrites its point in place. Steady
-// state (no new registrations, no series moving for the first time)
-// allocates nothing.
+// state (no new registrations, no series moving for the first time, the
+// coarse ring at its retention) allocates nothing.
 func (st *Store) Sample(round int) {
 	if st == nil {
 		return
@@ -438,8 +450,9 @@ func (rec *seriesRec) coarseAt(block int) envelope {
 // one pass, and the histograms their bucket counts. A repeat of the newest
 // round overwrites its fine row and folds into the open envelope, so
 // min/max keep the value the refresh replaced; a round whose block start
-// differs from the newest block's opens a block. Allocates only in a sample
-// some series first moves in.
+// differs from the newest block's opens a block, on a ring grown first if it
+// is full and has room to grow. Allocates only in a sample some series first
+// moves in or the coarse ring grows in.
 func (co *cohort) sample(r, start int64) {
 	slot := co.fine.newest()
 	if co.fine.n == 0 || co.rounds[slot] != r {
@@ -449,6 +462,9 @@ func (co *cohort) sample(r, start int64) {
 	block := co.coarse.newest()
 	opened := co.coarse.n == 0 || co.starts[block] != start
 	if opened {
+		if co.coarse.n == co.coarse.size && co.coarse.size < co.blocks {
+			co.grow()
+		}
 		block = co.coarse.push()
 		co.starts[block] = start
 	}
@@ -494,10 +510,12 @@ func (co *cohort) sample(r, start int64) {
 // the value its series rested at, which is what each retained sample read,
 // so the group then takes the sample that woke it like any other — a wake
 // on a re-sample folds into an open envelope that already holds the old
-// value. The one place value and envelope blocks are allocated: 56 KiB per
-// series at the default retention, once, and a series never goes back to
-// rest — a gauge that moved once is expected to move again, and a column
-// handed back would only be allocated a second time.
+// value. The one place value blocks are allocated, and envelope blocks at
+// the coarse ring's current size (grow lengthens them later): per series at
+// the default retention 32 KiB plus 24 B per block the coarse ring holds,
+// once, and a series never goes back to rest — a gauge that moved once is
+// expected to move again, and a column handed back would only be allocated
+// a second time.
 func (co *cohort) wake(k int) {
 	g := &group{
 		srcs: make([]*telemetry.Series, k),
@@ -523,6 +541,28 @@ func (co *cohort) wake(k int) {
 	clear(co.resting[len(still):])
 	co.resting = still
 	co.groups = append(co.groups, g)
+}
+
+// grow doubles the coarse ring, up to its retention, when a block opens on
+// it full. The ring has never wrapped, so its blocks sit oldest first in
+// slots 0 to size-1 and head is 0. The tiled layout is tile-row-major, so
+// the new slots are whole tile rows appended to starts and to every group's
+// envelopes, and head moves to the first of them: no retained block moves.
+// Called at most ⌈log₂(blocks/tile)⌉ times per cohort.
+func (co *cohort) grow() {
+	size := min(2*co.coarse.size, co.blocks)
+	co.starts = extend(co.starts, size)
+	for _, g := range co.groups {
+		g.env = extend(g.env, (size+tile-1)/tile*len(g.srcs)*tile)
+	}
+	co.coarse = cursor{head: co.coarse.size, n: co.coarse.n, size: size}
+}
+
+// extend returns s lengthened to n, in an allocation of exactly that size.
+func extend[T any](s []T, n int) []T {
+	t := make([]T, n)
+	copy(t, s)
+	return t
 }
 
 // at returns the entry at log position p.

@@ -320,8 +320,11 @@ func roundTimeHistograms(tb testing.TB, reg *telemetry.Registry, n int) []*telem
 	return hists
 }
 
+// TestSampleZeroAlloc holds Sample to 0 allocations once both rings have
+// wrapped: the coarse one at a retention it reaches by growing, 16 blocks
+// to 32 to 40, the last not a whole tile.
 func TestSampleZeroAlloc(t *testing.T) {
-	const rounds = 32
+	const rounds, block, blocks = 32, 8, 40
 	reg := telemetry.NewRegistry()
 	for i := 0; i < 24; i++ {
 		g := reg.Gauge("g", "", telemetry.Label{Key: "i", Value: string(rune('a' + i))})
@@ -341,7 +344,7 @@ func TestSampleZeroAlloc(t *testing.T) {
 	hists := roundTimeHistograms(t, reg, 2)
 	steady, burst := hists[0], hists[1]
 	bounds := burst.Bounds()
-	st := New(Config{Registry: reg, Rounds: rounds, CoarseBlock: 8, CoarseBlocks: 8})
+	st := New(Config{Registry: reg, Rounds: rounds, CoarseBlock: block, CoarseBlocks: blocks})
 	round := 0
 	sample := func() {
 		steady.Observe(float64(round%7) / 4)
@@ -352,9 +355,12 @@ func TestSampleZeroAlloc(t *testing.T) {
 		st.Sample(round)
 		round++
 	}
-	// Warm past the ring wrap so steady state is measured.
-	for round < 80 {
+	// Warm past the coarse ring's wrap so steady state is measured.
+	for round < (blocks+2)*block {
 		sample()
+	}
+	if size := st.cohorts[0].coarse.size; size != blocks {
+		t.Fatalf("the coarse ring holds %d blocks after the warm-up, want its retention %d", size, blocks)
 	}
 	if allocs := testing.AllocsPerRun(3*rounds, sample); allocs != 0 {
 		t.Fatalf("Sample allocates %v per run, want 0", allocs)
@@ -558,13 +564,16 @@ func TestDump(t *testing.T) {
 }
 
 func TestQueryHandler(t *testing.T) {
-	st, reg := testStore(t, 16, 4, 8)
+	st, reg := testStore(t, 16, 4, 40)
 	g := reg.Gauge("mz_g", "")
 	for r := 0; r < 6; r++ {
 		g.Set(float64(r))
 		st.Sample(r)
 	}
 	h := st.QueryHandler()
+	if size := st.cohorts[0].coarse.size; size >= 40 {
+		t.Fatalf("the coarse ring holds %d blocks, want it still growing toward 40", size)
+	}
 
 	// Discovery index.
 	rec := httptest.NewRecorder()
@@ -578,6 +587,10 @@ func TestQueryHandler(t *testing.T) {
 	}
 	if len(idx.Series) != 1 || idx.Series[0] != "mz_g" || idx.LastRound != 5 {
 		t.Fatalf("index = %+v", idx)
+	}
+	// The configured geometry, not the coarse ring's current size.
+	if idx.Rounds != 16 || idx.Block != 4 || idx.Blocks != 40 {
+		t.Fatalf("index retention = %d rounds, %d-round blocks, %d blocks; want 16, 4, 40", idx.Rounds, idx.Block, idx.Blocks)
 	}
 
 	// JSON query.
