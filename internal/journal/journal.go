@@ -36,8 +36,9 @@ type Kind uint8
 
 // Event kinds, grouped by emitter.
 const (
-	// KindAdmit records a stream admitted (Open or ImportStream); Detail
-	// is "import" for migration re-admissions.
+	// KindAdmit records a stream admitted (Open or ImportStream); Value is
+	// the slotting delay in rounds the admitting engine charged, Detail
+	// "import" for migration re-admissions.
 	KindAdmit Kind = iota
 	// KindReject records a stream turned away; Detail is the rejection
 	// reason (overload, classes_full), Value the N_max in force.

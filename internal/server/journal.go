@@ -19,13 +19,14 @@ func (s *Server) event(kind journal.Kind) journal.Event {
 	return journal.Event{Round: s.round, Kind: kind, Shard: s.shard, Disk: -1, From: -1, To: -1}
 }
 
-// journalAdmit records an admission on the timeline and opens the
-// stream's ledger record with the guarantee quoted right now: the
-// analytic bounds of the limits in force plus the binding constraint from
-// the admission explanation of the disk that set N_max.
+// journalAdmit records an admission on the timeline, with the slotting
+// delay charged here, and opens the stream's ledger record with the
+// guarantee quoted right now: the analytic bounds of the limits in force
+// plus the binding constraint from the admission explanation of the disk
+// that set N_max.
 func (s *Server) journalAdmit(st *stream, imported bool, lim *limits) {
 	e := s.event(journal.KindAdmit)
-	e.Stream, e.Object = int64(st.id), st.obj.name
+	e.Stream, e.Object, e.Value = int64(st.id), st.obj.name, float64(st.start-s.round)
 	if imported {
 		e.Detail = "import"
 	}
