@@ -61,11 +61,8 @@ type StreamState struct {
 	Glitches int `json:"glitches"`
 }
 
-// RetainedStreams bounds, per engine, how many recently shed streams stay
-// exportable after the round that evicted them. An eviction wave can never
-// outrun it by more than the coordinator's own per-round migration budget.
-// It also sizes the ledger a standalone server builds when handed none,
-// and so how many retired streams keep their stats queryable there.
+// RetainedStreams sizes the ledger a standalone server builds when handed
+// none, and so how many retired streams keep their stats queryable there.
 const RetainedStreams = 1024
 
 // Engine is one admission-controlled round engine. Mutating operations
@@ -95,12 +92,12 @@ type Engine interface {
 	// never the loop's own fields).
 	Health() Health
 
-	// ExportStream captures a stream's resumable state and removes the
-	// stream from this engine: an active stream is withdrawn (its slot
-	// freed, nothing recorded as finished — it continues elsewhere), and a
-	// recently evicted stream's buffered state is surrendered. Engines
-	// retain evicted-stream state in a bounded buffer precisely so a
-	// coordinator can turn the eviction into a migration one round later.
+	// ExportStream captures an active stream's resumable state and
+	// withdraws the stream from this engine: its slot is freed and nothing
+	// is recorded as finished — it continues elsewhere. A stream the engine
+	// sheds itself is no longer active: its state leaves in the round
+	// report's Evicted, which is where a coordinator takes it from to turn
+	// the eviction into a migration.
 	ExportStream(id StreamID) (StreamState, error)
 	// ImportStream re-admits a stream mid-playback: admission control
 	// applies as in Open, but playback resumes at state.Position and the
@@ -205,9 +202,17 @@ type RoundReport struct {
 	// ascending StreamID order.
 	Completed []StreamID
 	// Evicted lists streams shed by the degraded-mode controller this
-	// round (ascending StreamID order, empty unless degradation is
-	// enabled and the admission limit shrank below a class's occupancy).
-	Evicted []StreamID
+	// round, each with the resumable state it left with (ascending
+	// StreamID order, empty unless degradation is enabled and the
+	// admission limit shrank below a class's occupancy).
+	Evicted []Eviction
+}
+
+// Eviction is one stream a round shed: its id on the shedding engine and
+// its resumable state, which a sibling replica's ImportStream takes.
+type Eviction struct {
+	ID    StreamID
+	State StreamState
 }
 
 // RunSummary aggregates a multi-round execution.

@@ -1,16 +1,14 @@
 // Package ring is the one bounded retention buffer of the repository:
 // "keep the last K of something, overwrite the oldest". Every observability
 // store that answers a question about a recent interval — trace spans,
-// journal events, retired ledger records, SLO transitions, rejections,
-// admissions, evicted streams — holds its elements in a Buffer, so "oldest
-// first after the buffer has wrapped" and "how many were dropped" are
-// decided here once. A store read by key only on a cold path (the ledger's
-// retired records, which a server's Stats looks up by shard and id) scans
-// its Buffer, so a push hashes nothing; Keyed, a FIFO built on a Buffer,
-// is for entries taken out by key (the server's evicted-stream states).
+// journal events, retired ledger records, SLO transitions — holds its
+// elements in a Buffer, so "oldest first after the buffer has wrapped" and
+// "how many were dropped" are decided here once. A store read by key only
+// on a cold path (the ledger's retired records, which a server's Stats
+// looks up by shard and id) scans its Buffer, so a push hashes nothing.
 //
-// Neither type is synchronized: each owner guards its buffer with the lock
-// it already holds around the write. Nothing allocates after construction.
+// A Buffer is not synchronized: each owner guards it with the lock it
+// already holds around the write. Nothing allocates after construction.
 package ring
 
 // Buffer is a fixed-capacity ring that overwrites its oldest element once
@@ -76,39 +74,4 @@ func (b *Buffer[T]) AppendTo(dst []T) []T {
 	}
 	dst = append(dst, b.buf[b.next:]...)
 	return append(dst, b.buf[:b.next]...)
-}
-
-// Keyed is a bounded FIFO of key→value entries, for entries taken out by
-// key: the capacity+1-th Put drops the oldest key's entry. Keys must not
-// repeat while an earlier Put of the same key is within the last capacity
-// Puts (stream ids never do).
-type Keyed[K comparable, V any] struct {
-	order Buffer[K]
-	vals  map[K]V
-}
-
-// NewKeyed returns a Keyed retaining the last capacity keys (minimum 1).
-func NewKeyed[K comparable, V any](capacity int) Keyed[K, V] {
-	return Keyed[K, V]{order: New[K](capacity), vals: make(map[K]V)}
-}
-
-// Put stores v under key, dropping the entry put capacity Puts ago if it
-// is still there. An entry already removed by Take frees nothing early:
-// eviction goes by age alone, so no newer entry leaves in its place.
-func (k *Keyed[K, V]) Put(key K, v V) {
-	slot := k.order.Next()
-	if k.order.Pushed() > uint64(k.order.Cap()) {
-		delete(k.vals, *slot)
-	}
-	*slot = key
-	k.vals[key] = v
-}
-
-// Take returns the value stored under key and removes it.
-func (k *Keyed[K, V]) Take(key K) (V, bool) {
-	v, ok := k.vals[key]
-	if ok {
-		delete(k.vals, key)
-	}
-	return v, ok
 }

@@ -75,76 +75,6 @@ func TestCapacityClampsToOne(t *testing.T) {
 		if b.Cap() != 1 || b.Len() != 1 || *b.At(0) != 2 || b.Pushed() != 2 {
 			t.Fatalf("New(%d): Cap %d Len %d At(0) %d Pushed %d", c, b.Cap(), b.Len(), *b.At(0), b.Pushed())
 		}
-		k := NewKeyed[int, int](c)
-		k.Put(1, 10)
-		k.Put(2, 20)
-		if _, ok := k.vals[1]; ok || len(k.vals) != 1 {
-			t.Fatalf("NewKeyed(%d) kept more than one entry", c)
-		}
-	}
-}
-
-func TestKeyedFIFO(t *testing.T) {
-	k := NewKeyed[int, string](3)
-	for i := 1; i <= 3; i++ {
-		k.Put(i, "v")
-	}
-	// A taken entry frees no slot early and costs no live entry later:
-	// the next Put overwrites the taken key's own position.
-	if v, ok := k.Take(1); !ok || v != "v" {
-		t.Fatalf("Take(1) = %q, %v", v, ok)
-	}
-	if _, ok := k.Take(1); ok {
-		t.Fatal("Take(1) succeeded twice")
-	}
-	if len(k.vals) != 2 {
-		t.Fatalf("Len after Take = %d, want 2 live keys", len(k.vals))
-	}
-	k.Put(4, "v")
-	for _, key := range []int{2, 3, 4} {
-		if _, ok := k.vals[key]; !ok {
-			t.Fatalf("key %d evicted by a Put that only overflowed a taken key", key)
-		}
-	}
-	k.Put(5, "v") // now 2 is the oldest and goes
-	if _, ok := k.vals[2]; ok {
-		t.Fatal("oldest key 2 survived overflow")
-	}
-	if _, ok := k.vals[3]; !ok || len(k.vals) != 3 {
-		t.Fatalf("after overflow: key 3 present %v, Len %d, want true and 3", ok, len(k.vals))
-	}
-}
-
-// TestKeyedMatchesModel drives random Put/Take against a slice of the last
-// capacity keys plus a taken set.
-func TestKeyedMatchesModel(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	const capacity = 5
-	k := NewKeyed[int, int](capacity)
-	var order []int
-	taken := map[int]bool{}
-	for next := 0; next < 400; {
-		if rng.IntN(3) == 0 && next > 0 {
-			key := rng.IntN(next)
-			live := slices.Contains(order[max(0, len(order)-capacity):], key) && !taken[key]
-			if v, ok := k.Take(key); ok != live || (ok && v != key*10) {
-				t.Fatalf("Take(%d) = %d, %v; model says live=%v", key, v, ok, live)
-			}
-			taken[key] = true
-			continue
-		}
-		k.Put(next, next*10)
-		order = append(order, next)
-		next++
-		want := 0
-		for _, key := range order[max(0, len(order)-capacity):] {
-			if !taken[key] {
-				want++
-			}
-		}
-		if len(k.vals) != want {
-			t.Fatalf("after Put(%d): Len %d, model %d", next-1, len(k.vals), want)
-		}
 	}
 }
 
@@ -152,13 +82,5 @@ func TestNoAllocs(t *testing.T) {
 	b := New[[4]int](8)
 	if n := testing.AllocsPerRun(100, func() { b.Next()[0]++ }); n != 0 {
 		t.Errorf("Buffer.Next allocates %v per call", n)
-	}
-	k := NewKeyed[int, int](8)
-	key := 0
-	for ; key < 8; key++ {
-		k.Put(key, key)
-	}
-	if n := testing.AllocsPerRun(1000, func() { k.Put(key, key); key++ }); n != 0 {
-		t.Errorf("Keyed.Put at capacity allocates %v per call", n)
 	}
 }

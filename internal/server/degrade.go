@@ -1,9 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"slices"
 
 	"mzqos/internal/disk"
+	"mzqos/internal/engine"
 	"mzqos/internal/fault"
 	"mzqos/internal/journal"
 )
@@ -71,7 +73,7 @@ func (s *Server) FaultEffectsAt(round int) []fault.Effects {
 // class's newest streams to the new limit, and restores the healthy
 // limits once the faults have cleared. Returns the evicted
 // streams, ascending.
-func (s *Server) adaptToFaults(effs []fault.Effects) []StreamID {
+func (s *Server) adaptToFaults(effs []fault.Effects) []engine.Eviction {
 	if !s.deg.enabled || s.inj == nil {
 		return nil
 	}
@@ -106,7 +108,7 @@ func (s *Server) adaptToFaults(effs []fault.Effects) []StreamID {
 // degraded geometries (inflated service-time moments) and sheds to the
 // new limit. On a modeling error the current limits are kept and the
 // controller retries next round.
-func (s *Server) applyDegraded(effs []fault.Effects) []StreamID {
+func (s *Server) applyDegraded(effs []fault.Effects) []engine.Eviction {
 	geoms := make([]*disk.Geometry, len(s.geoms))
 	failed := false
 	for i, g := range s.geoms {
@@ -158,10 +160,11 @@ func (s *Server) applyDegraded(effs []fault.Effects) []StreamID {
 }
 
 // shedToLimit evicts the newest streams of every offset class whose
-// occupancy exceeds the current limit, oldest of them first. Evicted
-// streams retire un-done (their stats remain queryable like any close).
-func (s *Server) shedToLimit() []StreamID {
-	var evicted []StreamID
+// occupancy exceeds the current limit, oldest of them first, and returns
+// them with their resumable state, ascending. Evicted streams retire
+// un-done (their stats remain queryable like any close).
+func (s *Server) shedToLimit() []engine.Eviction {
+	var evicted []engine.Eviction
 	nmax := s.lim.Load().nmax
 	for class := range s.classes {
 		// active is id-ascending: walk back over the class's excess
@@ -180,13 +183,12 @@ func (s *Server) shedToLimit() []StreamID {
 				continue
 			}
 			s.journalEvict(st)
-			s.rememberEvicted(st)
+			evicted = append(evicted, s.suspendEvicted(st))
 			s.retire(i)
 			s.tel.evictions.Inc()
-			evicted = append(evicted, st.id)
 		}
 	}
-	slices.Sort(evicted)
+	slices.SortFunc(evicted, func(a, b engine.Eviction) int { return cmp.Compare(a.ID, b.ID) })
 	return evicted
 }
 

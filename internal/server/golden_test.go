@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mzqos/internal/disk"
+	"mzqos/internal/engine"
 	"mzqos/internal/fault"
 	"mzqos/internal/model"
 	"mzqos/internal/trace"
@@ -56,8 +57,8 @@ func (d digest) report(rep RoundReport) {
 		d.int(int(id))
 	}
 	d.int(len(rep.Evicted))
-	for _, id := range rep.Evicted {
-		d.int(int(id))
+	for _, ev := range rep.Evicted {
+		d.int(int(ev.ID))
 	}
 }
 
@@ -299,15 +300,24 @@ func (lc *lifecycle) migrate(id StreamID) {
 	lc.note(nid, delay, err)
 }
 
+// resume imports a shed stream's state from its round report back into
+// the same server, as a coordinator would onto a sibling; the digest
+// reads as it does for an export.
+func (lc *lifecycle) resume(ev engine.Eviction) {
+	lc.note(ev.ID, ev.State.Position, nil)
+	nid, delay, err := lc.s.ImportStream(ev.State)
+	lc.note(nid, delay, err)
+}
+
 // step runs one round and folds in everything observable afterwards: the
 // report, the active set, and the stats of every id ever issued.
 func (lc *lifecycle) step() RoundReport {
 	rep := lc.s.Step()
 	lc.d.report(rep)
 	// A coordinator turns evictions into migrations: the first shed
-	// stream of the round is still exportable.
+	// stream of the round resumes from the state its report carries.
 	if len(rep.Evicted) > 0 {
-		lc.migrate(rep.Evicted[0])
+		lc.resume(rep.Evicted[0])
 		lc.reimported++
 	}
 	lc.d.int(lc.s.Active())

@@ -89,7 +89,7 @@ func TestActiveSetInvariants(t *testing.T) {
 					rep := lc.s.Step()
 					evicted += len(rep.Evicted)
 					if len(rep.Evicted) > 0 {
-						lc.migrate(rep.Evicted[0])
+						lc.resume(rep.Evicted[0])
 					}
 				}
 				if err := checkActiveSet(lc); err != nil {
@@ -119,7 +119,7 @@ func TestHealthMirrorsTheLoop(t *testing.T) {
 			lc.do(opOpen)
 		default:
 			if rep := lc.s.Step(); len(rep.Evicted) > 0 {
-				lc.migrate(rep.Evicted[0])
+				lc.resume(rep.Evicted[0])
 			}
 		}
 		s, h := lc.s, lc.s.Health()

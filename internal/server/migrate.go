@@ -10,23 +10,23 @@ import (
 // Stream migration: the server side of the cluster's evict-to-migrate
 // contract (engine.Engine's ExportStream/ImportStream/ActiveStreams).
 // Eviction and failure no longer have to end a playback — the coordinator
-// exports the stream's resumable state and re-admits it on a sibling
-// replica, so the viewer pays at most the importing shard's slotting
+// takes the stream's resumable state (from the round report for a shed
+// stream, from ExportStream for a drained one) and re-admits it on a
+// sibling replica, so the viewer pays at most the importing shard's slotting
 // delay instead of losing the stream.
 
-// rememberEvicted buffers a shed stream's resumable state (bounded FIFO,
-// oldest dropped) so a coordinator can still export it after eviction.
-func (s *Server) rememberEvicted(st *stream) {
-	s.evictedStates.Put(st.id, streamState(st))
-	// Detach the stream's ledger record with its delivered stats so far;
-	// with migration enabled it waits inflight for re-admission, otherwise
-	// the eviction finalizes it.
+// suspendEvicted detaches a shed stream's ledger record with its
+// delivered stats so far and returns the stream's eviction for the round
+// report. With migration enabled the record waits inflight for
+// re-admission, otherwise the eviction finalizes it.
+func (s *Server) suspendEvicted(st *stream) engine.Eviction {
 	s.ledger.Suspend(s.shard, int64(st.id), journal.Delivered{
 		StartupDelay: st.delay,
 		Served:       st.served,
 		Glitches:     st.glitches,
 		Evicted:      true,
 	}, s.round)
+	return engine.Eviction{ID: st.id, State: streamState(st)}
 }
 
 // streamState captures a stream's resumable state.
@@ -40,26 +40,24 @@ func streamState(st *stream) engine.StreamState {
 	}
 }
 
-// ExportStream captures and removes a stream's resumable state: an active
-// stream is withdrawn from the server (slot freed, nothing recorded as
-// finished — it continues on another shard), and a recently evicted
-// stream's buffered state is surrendered.
+// ExportStream captures and removes an active stream's resumable state:
+// the stream is withdrawn from the server (slot freed, nothing recorded as
+// finished — it continues on another shard). A shed stream's state left
+// in its round's report instead.
 func (s *Server) ExportStream(id StreamID) (engine.StreamState, error) {
-	if i, ok := s.find(id); ok {
-		st := s.active[i]
-		state := streamState(st)
-		s.deactivate(i)
-		s.ledger.Suspend(s.shard, int64(id), journal.Delivered{
-			StartupDelay: st.delay,
-			Served:       st.served,
-			Glitches:     st.glitches,
-		}, s.round)
-		return state, nil
+	i, ok := s.find(id)
+	if !ok {
+		return engine.StreamState{}, fmt.Errorf("%w: %d", ErrUnknownStream, id)
 	}
-	if state, ok := s.evictedStates.Take(id); ok {
-		return state, nil
-	}
-	return engine.StreamState{}, fmt.Errorf("%w: %d", ErrUnknownStream, id)
+	st := s.active[i]
+	state := streamState(st)
+	s.deactivate(i)
+	s.ledger.Suspend(s.shard, int64(id), journal.Delivered{
+		StartupDelay: st.delay,
+		Served:       st.served,
+		Glitches:     st.glitches,
+	}, s.round)
+	return state, nil
 }
 
 // ImportStream re-admits a stream mid-playback under Open's admission

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mzqos/internal/disk"
+	"mzqos/internal/engine"
 	"mzqos/internal/fault"
 	"mzqos/internal/journal"
 	"mzqos/internal/model"
@@ -163,11 +164,12 @@ func TestExportImportValidation(t *testing.T) {
 }
 
 // TestEvictedStreamStaysExportable: a stream shed by degraded mode is not
-// lost — its resumable state stays buffered for exactly one export (the
-// coordinator's migration pickup), then is surrendered.
+// lost — its round report carries its resumable state (the coordinator's
+// migration pickup), the stats it was shed with, and the server keeps no
+// second copy to export.
 func TestEvictedStreamStaysExportable(t *testing.T) {
 	s := faultServer(t, 1, latencyPlan(50, 250), DegradeConfig{Enabled: true})
-	var evicted []StreamID
+	var evicted []engine.Eviction
 	for r := 0; r < 100 && len(evicted) == 0; r++ {
 		rep := s.Step()
 		evicted = append(evicted, rep.Evicted...)
@@ -175,16 +177,17 @@ func TestEvictedStreamStaysExportable(t *testing.T) {
 	if len(evicted) == 0 {
 		t.Fatal("degraded mode shed no streams inside the horizon")
 	}
-	for _, id := range evicted {
-		state, err := s.ExportStream(id)
-		if err != nil {
-			t.Fatalf("export evicted %d: %v", id, err)
-		}
+	for _, ev := range evicted {
+		state := ev.State
 		if state.Object == "" || state.Position <= 0 {
 			t.Errorf("evicted state %+v, want mid-playback position", state)
 		}
-		if _, err := s.ExportStream(id); !errors.Is(err, ErrUnknownStream) {
-			t.Errorf("second export of %d err = %v, want ErrUnknownStream (state surrendered)", id, err)
+		st, err := s.Stats(ev.ID)
+		if err != nil || st.Served != state.Served || st.Glitches != state.Glitches || st.StartupDelay != state.Delay {
+			t.Errorf("evicted %d: state %+v, stats %+v (%v): want the stats it was shed with", ev.ID, state, st, err)
+		}
+		if _, err := s.ExportStream(ev.ID); !errors.Is(err, ErrUnknownStream) {
+			t.Errorf("export of evicted %d err = %v, want ErrUnknownStream (its state left in the report)", ev.ID, err)
 		}
 	}
 }
@@ -305,11 +308,7 @@ func TestStatsAnswersFromLedger(t *testing.T) {
 			}
 			rep = a.Step()
 		}
-		old := rep.Evicted[0]
-		state, err := a.ExportStream(old)
-		if err != nil {
-			t.Fatal(err)
-		}
+		old, state := rep.Evicted[0].ID, rep.Evicted[0].State
 		nid, _, err := b.ImportStream(state)
 		if err != nil {
 			t.Fatal(err)
