@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -257,9 +259,10 @@ func TestAdmissionEndpoint(t *testing.T) {
 		}
 	}
 	// The coordinator turned the stream away before its shard saw it: the
-	// shard's rejection list is empty and the journal holds the rejection.
-	if len(st.Rejections) != 0 {
-		t.Errorf("shard rejections = %+v, want none", st.Rejections)
+	// shard counts no rejection of its own and the journal holds the
+	// coordinator's.
+	if n := shardRejected(t, srv, 0); n != 0 {
+		t.Errorf("shard rejected %d opens, want none", n)
 	}
 	var rejects timelineReport
 	getJSON(t, mux, "/timeline?kind=reject", &rejects)
@@ -717,4 +720,18 @@ func TestShardRoutes(t *testing.T) {
 			t.Errorf("GET %s: status %d, want 404", path, rec.Code)
 		}
 	}
+}
+
+// shardRejected reads shard i's mzqos_server_streams_rejected_total: the
+// opens its own admission control turned away.
+func shardRejected(t *testing.T, srv *server.Server, i int) int64 {
+	t.Helper()
+	shard := []telemetry.Label{telemetry.L("shard", strconv.Itoa(i))}
+	for _, c := range srv.Telemetry().Registry().Snapshot().Counters {
+		if c.Name == "mzqos_server_streams_rejected_total" && slices.Equal(c.Labels, shard) {
+			return c.Value
+		}
+	}
+	t.Fatalf("shard %d exports no mzqos_server_streams_rejected_total", i)
+	return 0
 }

@@ -102,10 +102,10 @@ func churnRound(tb testing.TB) func() int {
 		s.Step()
 		return opened - from
 	}
-	// One rejection and a span per disk a round: the warm-up also laps the
-	// rejection ring and the flight recorder's span ring.
+	// A span per disk a round: the warm-up also laps the flight
+	// recorder's span ring.
 	for s.tel.retired.Value() <= journal.DefaultRetired ||
-		s.Round() < max(rejectionRingCap, trace.DefaultSpans/s.NumDisks()) {
+		s.Round() < trace.DefaultSpans/s.NumDisks() {
 		round()
 	}
 	return round
@@ -134,9 +134,10 @@ func TestChurnAllocs(t *testing.T) {
 
 // TestOpenRejectedAllocsZero: at twice the admissible load more than half
 // of all opens are rejections, so turning a stream away on a full,
-// journaled, ledgered server allocates nothing once the rejection ring has
-// lapped — the ring slot is filled in place and its Classes array reused —
-// while what the ring retains stays what Open saw.
+// journaled, ledgered server allocates nothing — the reject event goes by
+// value into the journal's ring — while what the journal retains is what
+// Open saw: one event per rejection, naming the object, the reason and the
+// limit every class sat at.
 func TestOpenRejectedAllocsZero(t *testing.T) {
 	s, jnl, _ := journaledServer(t, 4, nil, DegradeConfig{})
 	if err := s.AddSyntheticObject("v", 600); err != nil {
@@ -152,23 +153,26 @@ func TestOpenRejectedAllocsZero(t *testing.T) {
 			t.Fatalf("open on a full server: %v", err)
 		}
 	}
-	for i := 0; i < rejectionRingCap; i++ {
-		reject()
-	}
 	if allocs := testing.AllocsPerRun(200, reject); allocs != 0 {
 		t.Errorf("a rejected Open allocates %v objects, want 0", allocs)
 	}
-	rejs := s.Rejections()
+	rejs := jnl.Events(rejectEvents())
+	if int64(len(rejs)) != s.tel.rejected.Value() {
+		t.Fatalf("journal holds %d reject events for %d rejections", len(rejs), s.tel.rejected.Value())
+	}
 	full := make([]int, s.NumDisks())
 	for c := range full {
 		full[c] = s.PerDiskLimit()
 	}
+	if classes := s.AdmissionStatus().Classes; !slices.Equal(classes, full) {
+		t.Fatalf("classes %v on a full server, want %v", classes, full)
+	}
 	for i, r := range rejs {
-		if want := int64(s.tel.rejected.Value()) - int64(len(rejs)) + int64(i); r.Seq != want {
+		if want := uint64(s.tel.admitted.Value()) + uint64(i) + 1; r.Seq != want {
 			t.Fatalf("rejection %d has seq %d, want %d", i, r.Seq, want)
 		}
-		if r.Reason != RejectClassesFull || r.NMax != s.PerDiskLimit() || !slices.Equal(r.Classes, full) {
-			t.Fatalf("rejection %d = %+v, want classes_full at %v", i, r, full)
+		if r.Object != "v" || r.Detail != RejectClassesFull || r.Value != float64(s.PerDiskLimit()) {
+			t.Fatalf("rejection %d = %+v, want classes_full of v at N_max %d", i, r, s.PerDiskLimit())
 		}
 	}
 	if got, want := jnl.Stats().HeadSeq, uint64(s.tel.admitted.Value()+s.tel.rejected.Value()); got != want {

@@ -5,7 +5,8 @@ import (
 	"mzqos/internal/model"
 )
 
-// Rejection reasons recorded by admission control.
+// Rejection reasons: the Detail of the reject event admission control
+// records on the journal.
 const (
 	// RejectOverload marks rejections issued because N_max is zero: the
 	// guarantee is unattainable for even one stream on the binding disk
@@ -17,49 +18,12 @@ const (
 	RejectClassesFull = "classes_full"
 )
 
-// rejectionRingCap bounds the admission-rejection history retained for
-// the explanation surface. Older rejections age out of the ring but
-// survive in the mzqos_server_streams_rejected_total counter.
-const rejectionRingCap = 256
-
-// RejectionEvent records one stream turned away by admission control,
-// with enough state captured at the moment of rejection to explain it
-// after the fact: the limit in force and the per-class occupancy that
-// left no admissible start slot. Paired with the per-disk
-// AdmissionExplanation (which says why N_max is what it is), every
-// rejection traces back to a binding (k, bound, θ, slack) tuple.
-type RejectionEvent struct {
-	// Seq numbers rejections in admission order, gap-free from 0.
-	Seq int64 `json:"seq"`
-	// Round is the round index at which the open was attempted.
-	Round int `json:"round"`
-	// Object names the catalog entry the client asked for.
-	Object string `json:"object"`
-	// Reason is RejectOverload or RejectClassesFull.
-	Reason string `json:"reason"`
-	// NMax is the per-disk admission limit in force at rejection time;
-	// Classes the per-offset-class occupancy (length D). For a
-	// classes_full rejection every admissible class sits at NMax.
-	NMax    int   `json:"nmax"`
-	Classes []int `json:"classes"`
-}
-
-// recordRejection captures a rejection into the bounded ring, filling the
-// slot the ring hands out in place: its Classes array is the lapped
-// entry's, reused, so a rejected Open allocates nothing (Rejections copies
-// on read). Runs on the loop thread (admit); the ring mutex only orders
-// it against concurrent AdmissionStatus readers.
+// recordRejection counts a rejection and records it on the timeline: a
+// reject event naming the object, with the reason in Detail and the N_max
+// in force in Value. The journal is the one record of rejections; the
+// counter keeps counting once their events age out of it.
 func (s *Server) recordRejection(object, reason string, nmax int) {
-	s.admMu.Lock()
-	seq := s.rejections.Pushed()
-	ev := s.rejections.Next()
-	ev.Seq = int64(seq)
-	ev.Round = s.round
-	ev.Object = object
-	ev.Reason = reason
-	ev.NMax = nmax
-	ev.Classes = s.occupancy(ev.Classes[:0])
-	s.admMu.Unlock()
+	s.tel.rejected.Inc()
 	if s.jnl != nil {
 		e := s.event(journal.KindReject)
 		e.Object, e.Value, e.Detail = object, float64(nmax), reason
@@ -67,24 +31,13 @@ func (s *Server) recordRejection(object, reason string, nmax int) {
 	}
 }
 
-// Rejections returns the retained rejection history, oldest first. Safe
-// for concurrent use with the round loop.
-func (s *Server) Rejections() []RejectionEvent {
-	s.admMu.Lock()
-	defer s.admMu.Unlock()
-	out := s.rejections.AppendTo(make([]RejectionEvent, 0, s.rejections.Len()))
-	for i := range out {
-		out[i].Classes = append([]int(nil), out[i].Classes...)
-	}
-	return out
-}
-
 // AdmissionStatus is the server's admission-explanation surface: the
 // limits in force, the per-disk decision traces that derived them (which
 // constraint k, which bound family, the solved θ, and the slack left
-// under the guarantee's threshold), the live per-class occupancy, and the
-// recent rejections — everything needed to answer "why was this stream
-// turned away" or "why is N_max exactly this".
+// under the guarantee's threshold) and the live per-class occupancy.
+// Beside the journal's reject events, which name the object, the reason
+// and the N_max each rejection ran into, it answers "why was this stream
+// turned away" and "why is N_max exactly this".
 type AdmissionStatus struct {
 	// Round is the number of rounds executed; Active the open streams.
 	Round  int `json:"round"`
@@ -103,20 +56,12 @@ type AdmissionStatus struct {
 	Explanations []model.AdmissionExplanation `json:"explanations"`
 	// Classes is the live per-offset-class occupancy (length D).
 	Classes []int `json:"classes"`
-	// Rejections is the retained rejection history, oldest first.
-	Rejections []RejectionEvent `json:"rejections"`
-	// SLOHints lists the active recalibration hints: one per SLO target
-	// currently Firing, naming the violated bound, the measured-vs-
-	// analytic numbers, and the binding admission constraint. Empty when
-	// the measured behaviour respects the quoted guarantee.
-	SLOHints []SLOHint `json:"slo_hints,omitempty"`
 }
 
 // AdmissionStatus assembles the admission-explanation report. Safe to
 // call concurrently with the round loop: the limit, its explanations and
-// its degraded flag come from one load of the limits in force, counters,
-// gauges and class occupancy are atomic, and the rejection and hint
-// state is read under the admission mutex.
+// its degraded flag come from one load of the limits in force, and
+// counters, gauges and class occupancy are atomic.
 func (s *Server) AdmissionStatus() AdmissionStatus {
 	lim := s.lim.Load()
 	return AdmissionStatus{
@@ -129,7 +74,5 @@ func (s *Server) AdmissionStatus() AdmissionStatus {
 		BindingDisk:  lim.bindDisk,
 		Explanations: append([]model.AdmissionExplanation(nil), lim.explains...),
 		Classes:      s.occupancy(make([]int, 0, len(s.classes))),
-		Rejections:   s.Rejections(),
-		SLOHints:     s.SLOHints(),
 	}
 }

@@ -6,17 +6,19 @@ import (
 	"testing"
 
 	"mzqos/internal/disk"
+	"mzqos/internal/journal"
 	"mzqos/internal/model"
 	"mzqos/internal/workload"
 )
 
 // TestEveryRejectionIsExplained is the acceptance criterion for admission
 // explainability: fill a server to capacity, provoke rejections, and
-// check that each one is recorded with the occupancy state that caused it
-// AND that the per-disk explanation carries the binding (k, bound, θ,
-// slack) tuple deriving the limit the rejection ran into.
+// check that each one is recorded on the journal with the reason and the
+// limit that caused it, beside the full occupancy, AND that the per-disk
+// explanation carries the binding (k, bound, θ, slack) tuple deriving the
+// limit the rejection ran into.
 func TestEveryRejectionIsExplained(t *testing.T) {
-	s := paperServer(t, 2)
+	s, jnl, _ := journaledServer(t, 2, nil, DegradeConfig{})
 	cap := s.Capacity()
 	for i := 0; i < cap+3; i++ {
 		if err := s.AddSyntheticObject(fmt.Sprintf("v%d", i), 50); err != nil {
@@ -37,25 +39,22 @@ func TestEveryRejectionIsExplained(t *testing.T) {
 	}
 
 	st := s.AdmissionStatus()
-	if len(st.Rejections) != rejected {
-		t.Fatalf("status records %d rejections, want %d", len(st.Rejections), rejected)
+	rejs := jnl.Events(rejectEvents())
+	if len(rejs) != rejected {
+		t.Fatalf("journal records %d rejections, want %d", len(rejs), rejected)
 	}
-	for i, ev := range st.Rejections {
-		if ev.Seq != int64(i) {
-			t.Errorf("rejection %d has seq %d (gap)", i, ev.Seq)
+	for i, ev := range rejs {
+		if ev.Seq != rejs[0].Seq+uint64(i) {
+			t.Errorf("rejection %d has seq %d after %d (gap)", i, ev.Seq, rejs[0].Seq)
 		}
-		if ev.Reason != RejectClassesFull {
-			t.Errorf("rejection %d reason = %q, want %q", i, ev.Reason, RejectClassesFull)
+		if want := fmt.Sprintf("v%d", cap+i); ev.Object != want || ev.Round != 0 || ev.Stream != 0 {
+			t.Errorf("rejection %d = %+v, want %s turned away at round 0", i, ev, want)
 		}
-		if ev.NMax != s.PerDiskLimit() {
-			t.Errorf("rejection %d nmax = %d, want %d", i, ev.NMax, s.PerDiskLimit())
+		if ev.Detail != RejectClassesFull {
+			t.Errorf("rejection %d reason = %q, want %q", i, ev.Detail, RejectClassesFull)
 		}
-		// classes_full means every class the open could start in sat at
-		// N_max; with a full server that is every class.
-		for c, occ := range ev.Classes {
-			if occ != ev.NMax {
-				t.Errorf("rejection %d: class %d at %d, want %d", i, c, occ, ev.NMax)
-			}
+		if ev.Value != float64(s.PerDiskLimit()) {
+			t.Errorf("rejection %d nmax = %v, want %d", i, ev.Value, s.PerDiskLimit())
 		}
 	}
 
@@ -91,6 +90,8 @@ func TestEveryRejectionIsExplained(t *testing.T) {
 	if st.Capacity != cap || st.NMax != s.PerDiskLimit() {
 		t.Errorf("status limits (%d, %d) != server (%d, %d)", st.NMax, st.Capacity, s.PerDiskLimit(), cap)
 	}
+	// classes_full means every class the open could start in sat at
+	// N_max; with a full server that is every class.
 	for c, occ := range st.Classes {
 		if occ != st.NMax {
 			t.Errorf("live class %d occupancy %d, want %d (full server)", c, occ, st.NMax)
@@ -98,10 +99,18 @@ func TestEveryRejectionIsExplained(t *testing.T) {
 	}
 }
 
+// rejectEvents filters a journal for reject events.
+func rejectEvents() journal.Filter {
+	f := journal.MatchAll()
+	f.Kinds = []journal.Kind{journal.KindReject}
+	return f
+}
+
 // TestOverloadRejectionExplained covers the N_max = 0 path: the rejection
 // reason is overload and the explanation says why even one stream is
 // inadmissible.
 func TestOverloadRejectionExplained(t *testing.T) {
+	jnl := journal.New(journal.Config{})
 	s, err := New(Config{
 		Disk:        disk.QuantumViking21(),
 		NumDisks:    1,
@@ -109,6 +118,7 @@ func TestOverloadRejectionExplained(t *testing.T) {
 		Sizes:       workload.PaperSizes(),
 		Guarantee:   model.Guarantee{Threshold: 0.01},
 		Seed:        1,
+		Journal:     jnl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,11 +129,11 @@ func TestOverloadRejectionExplained(t *testing.T) {
 	if _, _, err := s.Open("v"); !errors.Is(err, ErrRejected) {
 		t.Fatalf("Open err = %v, want ErrRejected", err)
 	}
-	st := s.AdmissionStatus()
-	if len(st.Rejections) != 1 || st.Rejections[0].Reason != RejectOverload {
-		t.Fatalf("rejections = %+v, want one overload", st.Rejections)
+	rejs := jnl.Events(rejectEvents())
+	if len(rejs) != 1 || rejs[0].Detail != RejectOverload || rejs[0].Value != 0 || rejs[0].Object != "v" {
+		t.Fatalf("rejections = %+v, want one overload of v at N_max 0", rejs)
 	}
-	exp := st.Explanations[0]
+	exp := s.AdmissionStatus().Explanations[0]
 	if !exp.Overload || exp.NMax != 0 || exp.BindingK != 1 {
 		t.Errorf("explanation = %+v, want overload with binding k=1", exp)
 	}
@@ -132,11 +142,25 @@ func TestOverloadRejectionExplained(t *testing.T) {
 	}
 }
 
-// TestRejectionRingBounded proves the rejection history cannot grow
-// without bound: past the ring capacity the oldest events age out while
-// sequence numbers stay gap-free within the retained window.
+// TestRejectionRingBounded proves the rejection record cannot grow without
+// bound: it is the journal's ring, so past the journal's capacity the
+// oldest reject events age out, the retained ones stay the newest and
+// gap-free, and the counter keeps the total.
 func TestRejectionRingBounded(t *testing.T) {
-	s := paperServer(t, 1)
+	const capacity = 64
+	jnl := journal.New(journal.Config{Capacity: capacity})
+	s, err := New(Config{
+		Disk:        disk.QuantumViking21(),
+		NumDisks:    1,
+		RoundLength: 1,
+		Sizes:       workload.PaperSizes(),
+		Guarantee:   model.Guarantee{Threshold: 0.01},
+		Seed:        42,
+		Journal:     jnl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.AddSyntheticObject("v", 5); err != nil {
 		t.Fatal(err)
 	}
@@ -146,22 +170,25 @@ func TestRejectionRingBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	total := rejectionRingCap + 17
+	total := capacity + 17
 	for i := 0; i < total; i++ {
 		if _, _, err := s.Open("v"); !errors.Is(err, ErrRejected) {
 			t.Fatalf("open %d: %v", i, err)
 		}
 	}
-	got := s.Rejections()
-	if len(got) != rejectionRingCap {
-		t.Fatalf("retained %d rejections, want %d", len(got), rejectionRingCap)
+	got := jnl.Events(rejectEvents())
+	if len(got) != capacity {
+		t.Fatalf("retained %d rejections, want %d", len(got), capacity)
 	}
-	if got[0].Seq != int64(total-rejectionRingCap) {
-		t.Errorf("oldest retained seq = %d, want %d", got[0].Seq, total-rejectionRingCap)
+	if want := uint64(s.Capacity() + total - capacity + 1); got[0].Seq != want {
+		t.Errorf("oldest retained seq = %d, want %d", got[0].Seq, want)
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i].Seq != got[i-1].Seq+1 {
 			t.Fatalf("gap: seq %d follows %d", got[i].Seq, got[i-1].Seq)
 		}
+	}
+	if n := s.tel.rejected.Value(); n != int64(total) {
+		t.Errorf("rejection counter = %d, want %d", n, total)
 	}
 }

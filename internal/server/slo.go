@@ -56,8 +56,8 @@ func (s *Server) SLOAuditor() *slo.Auditor { return s.sloAud }
 // SLOHints returns the active recalibration hints, one per target whose
 // alert is currently Firing. Safe for concurrent use with the round loop.
 func (s *Server) SLOHints() []SLOHint {
-	s.admMu.Lock()
-	defer s.admMu.Unlock()
+	s.hintMu.Lock()
+	defer s.hintMu.Unlock()
 	return append([]SLOHint(nil), s.sloHints...)
 }
 
@@ -137,10 +137,10 @@ func (s *Server) buildSLOHint(target string, te *slo.TargetEval) SLOHint {
 }
 
 // setSLOHint publishes a hint for its target (replacing any previous
-// one), under the admission mutex so /admission readers never race.
+// one), under the hint mutex so SLOHints readers never race.
 func (s *Server) setSLOHint(h SLOHint) {
-	s.admMu.Lock()
-	defer s.admMu.Unlock()
+	s.hintMu.Lock()
+	defer s.hintMu.Unlock()
 	for i := range s.sloHints {
 		if s.sloHints[i].Target == h.Target {
 			s.sloHints[i] = h
@@ -152,8 +152,8 @@ func (s *Server) setSLOHint(h SLOHint) {
 
 // clearSLOHint withdraws a target's hint once its alert resolves.
 func (s *Server) clearSLOHint(target string) {
-	s.admMu.Lock()
-	defer s.admMu.Unlock()
+	s.hintMu.Lock()
+	defer s.hintMu.Unlock()
 	for i := range s.sloHints {
 		if s.sloHints[i].Target == target {
 			s.sloHints = append(s.sloHints[:i], s.sloHints[i+1:]...)
