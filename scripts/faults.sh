@@ -216,15 +216,16 @@ if [ "$up" -ne 1 ]; then
     exit 1
 fi
 
-# The admission ring is bounded (256 records), so the failover records
-# from the failure round get recycled by the steady admissions that
-# follow — catch them mid-run while waiting for the scenario to finish.
+# /admission serves the journal's newest 256 admit and migrate events, so
+# the failover migrations of the failure rounds leave it behind the
+# steady admissions that follow — catch them mid-run while waiting for
+# the scenario to finish.
 done=0
 failover_ring=0
 i=0
 while [ "$i" -lt 300 ]; do
     if [ "$failover_ring" -eq 0 ] &&
-        curl -sf "http://$CADDR/admission" | grep -Eq '"kind":[[:space:]]*"failover"'; then
+        curl -sf "http://$CADDR/admission" | grep -Eq '"detail":[[:space:]]*"failover"'; then
         failover_ring=1
     fi
     if curl -sf "http://$CADDR/metrics" | grep -q '^mzqos_server_rounds_total{shard="1"} 400$'; then
@@ -266,17 +267,16 @@ cexpect /metrics '^mzqos_cluster_migrations_succeeded_total [1-9]' "migration su
 # (false again after restore) and the gauge is back to 0.
 cexpect /cluster '"failed":[[:space:]]*false' "the health failed bit after restore"
 cexpect /metrics '^mzqos_server_failed\{shard="0"\} 0$' "failed gauge cleared after restore"
-# The admission ring explained the migrations while they were in the
-# retention window: failover records carrying their kind were observed
-# mid-run before steady admissions recycled the ring.
+# /admission explained the migrations while they were in its window:
+# migrate events of kind failover were observed mid-run before steady
+# admissions pushed them out of it.
 if [ "$failover_ring" -eq 1 ]; then
     echo "faults: ok   cluster /admission served failover records mid-run"
 elif curl -sf "http://$CADDR/timeline?kind=failover" | grep -Eq '"kind":[[:space:]]*"failover"'; then
     # On fast machines the scenario outruns the poller and steady
-    # admissions recycle the bounded ring before a poll catches the
-    # failover records. The journal retains them durably — catching
-    # exactly this recycling window is what it exists for.
-    echo "faults: ok   cluster failover records retained on /timeline after the ring recycled"
+    # admissions push the failover migrations out of /admission's window
+    # before a poll catches them. The journal retains them beyond it.
+    echo "faults: ok   cluster failover records retained on /timeline after /admission's window moved on"
 else
     echo "faults: FAIL cluster shows no failover records on /admission or /timeline" >&2
     fail=1
