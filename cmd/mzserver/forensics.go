@@ -106,7 +106,7 @@ func timelineHandler(jnl *journal.Journal) http.HandlerFunc {
 			}
 			return
 		}
-		writeJSON(w, timelineReport{
+		telemetry.WriteJSON(w, timelineReport{
 			Enabled: jnl != nil,
 			Stats:   jnl.Stats(),
 			Kinds:   journal.Kinds(),
@@ -119,7 +119,7 @@ func timelineHandler(jnl *journal.Journal) http.HandlerFunc {
 // per stream plus the fleet-level delivered-tail summaries.
 func streamsHandler(ledger *journal.Ledger) http.HandlerFunc {
 	return func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, ledger.Report())
+		telemetry.WriteJSON(w, ledger.Report())
 	}
 }
 
@@ -203,6 +203,6 @@ func bundleHandler(coord *cluster.Coordinator, srvs []*server.Server, reg *telem
 		if hist != nil {
 			b.History = hist.Dump(bundleHistoryPoints)
 		}
-		writeJSON(w, b)
+		telemetry.WriteJSON(w, b)
 	}
 }

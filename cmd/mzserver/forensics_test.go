@@ -297,15 +297,10 @@ func journaledTestCluster(t *testing.T) (*cluster.Coordinator, []*server.Server)
 	return coord, srvs
 }
 
-// TestClusterIncidentArcFromTimeline is the acceptance check on the
-// journal: a latency fault on shard 0 must leave a reconstructable arc —
-// fault_inject, SLO firing, evictions, migrations to sibling shards,
-// fault_clear, restore, SLO resolution — purely from /timeline, in strict
-// sequence order, with valid migration endpoints and the binding bound
-// quoted on every firing.
 // TestBundleNonFiniteFailsClosed is TestQueryNonFiniteFailsClosed's twin
-// for the mux's own writeJSON: one gauge at +Inf (which /metrics prints)
-// must not turn the incident bundle into 200 with an empty body.
+// for the mux's endpoints, which answer through the same
+// telemetry.WriteJSON: one gauge at +Inf (which /metrics prints) must not
+// turn the incident bundle into 200 with an empty body.
 func TestBundleNonFiniteFailsClosed(t *testing.T) {
 	cfg := paperConfig(42)
 	reg := telemetry.NewRegistry()
@@ -332,6 +327,12 @@ func TestBundleNonFiniteFailsClosed(t *testing.T) {
 	}
 }
 
+// TestClusterIncidentArcFromTimeline is the acceptance check on the
+// journal: a latency fault on shard 0 must leave a reconstructable arc —
+// fault_inject, SLO firing, evictions, migrations to sibling shards,
+// fault_clear, restore, SLO resolution — purely from /timeline, in strict
+// sequence order, with valid migration endpoints and the binding bound
+// quoted on every firing.
 func TestClusterIncidentArcFromTimeline(t *testing.T) {
 	coord, srvs := journaledTestCluster(t)
 

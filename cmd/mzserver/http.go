@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -103,7 +102,7 @@ func buildMux(coord *cluster.Coordinator, srvs []*server.Server, hist *history.S
 
 // jsonHandler serves whatever payload returns as indented JSON.
 func jsonHandler(payload func() any) http.HandlerFunc {
-	return func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, payload()) }
+	return func(w http.ResponseWriter, _ *http.Request) { telemetry.WriteJSON(w, payload()) }
 }
 
 // admissionsShown is how many of the journal's newest admit and migrate
@@ -146,7 +145,7 @@ func shardHandler(srvs []*server.Server, payload func(*server.Server, url.Values
 			http.Error(w, fmt.Sprintf("no shard %q: shards are 0..%d", r.PathValue("i"), len(srvs)-1), http.StatusNotFound)
 			return
 		}
-		writeJSON(w, payload(srvs[i], r.URL.Query()))
+		telemetry.WriteJSON(w, payload(srvs[i], r.URL.Query()))
 	}
 }
 
@@ -327,21 +326,4 @@ func traceStatus(srv *server.Server, q url.Values) any {
 type sloReport struct {
 	slo.Status
 	Hints []server.SLOHint `json:"hints,omitempty"`
-}
-
-// writeJSON answers with v, or with 500 and the encoder's message when v
-// has no JSON rendering (a gauge at NaN or ±Inf in a snapshot or a history
-// dump): the body is encoded before the status goes out, so no answer is
-// ever 200 with part of one. internal/history's /query follows the same
-// rule.
-func writeJSON(w http.ResponseWriter, v any) {
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_, _ = w.Write(body.Bytes()) // the client hanging up is its own report
 }

@@ -699,7 +699,7 @@ func TestShardRoutes(t *testing.T) {
 		for view, payload := range shardViews {
 			path := fmt.Sprintf("/shard/%d/%s", i, view)
 			want := httptest.NewRecorder()
-			writeJSON(want, payload(srv, nil))
+			telemetry.WriteJSON(want, payload(srv, nil))
 			if rec := get(path); rec.Code != 200 || rec.Body.String() != want.Body.String() {
 				t.Errorf("GET %s: status %d, body is shard %d's payload: %v", path, rec.Code, i, rec.Body.String() == want.Body.String())
 			}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
+
+	"mzqos/internal/telemetry"
 )
 
 // indexReport is the /query discovery payload served when no series is
@@ -39,7 +41,7 @@ func (st *Store) QueryHandler() http.HandlerFunc {
 		sel := qs.Get("series")
 		if sel == "" {
 			rounds, block, blocks := st.Retention()
-			writeJSON(w, indexReport{
+			telemetry.WriteJSON(w, indexReport{
 				Series:    st.SeriesIDs(),
 				LastRound: st.LastRound(),
 				Samples:   st.Samples(),
@@ -95,21 +97,6 @@ func (st *Store) QueryHandler() http.HandlerFunc {
 			_, _ = w.Write(body.Bytes()) // the client hanging up is its own report
 			return
 		}
-		writeJSON(w, res)
+		telemetry.WriteJSON(w, res)
 	}
-}
-
-// writeJSON answers with v, or with 500 and the encoder's message when v
-// has no JSON rendering (a NaN or ±Inf point): the body is encoded before
-// the status goes out, so no answer is ever 200 with part of one.
-func writeJSON(w http.ResponseWriter, v any) {
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_, _ = w.Write(body.Bytes()) // the client hanging up is its own report
 }

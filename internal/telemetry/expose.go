@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -140,4 +142,20 @@ func (r *Registry) MetricsHandler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
+}
+
+// WriteJSON answers with v, indented, or with 500 and the encoder's message
+// when v has no JSON rendering (a NaN or ±Inf gauge or history point): the
+// body is encoded before the status goes out, so no answer is ever 200 with
+// part of one. Every JSON endpoint of the program answers through it.
+func WriteJSON(w http.ResponseWriter, v any) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	_, _ = w.Write(body.Bytes()) // the client hanging up is its own report
 }
