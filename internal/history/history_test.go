@@ -107,9 +107,10 @@ func TestCoarseFallbackPastFineRetention(t *testing.T) {
 	if sr.CoarsePoints == 0 {
 		t.Fatalf("expected coarse points past fine retention, got none: %+v", sr)
 	}
-	// The first point is a coarse block (start round 0, max = 3).
-	if sr.Points[0].Round != 0 || sr.Points[0].Value != 3 {
-		t.Fatalf("first coarse point = %+v, want round=0 max=3", sr.Points[0])
+	// The first point is a coarse block (rounds 0..3, stamped at its last
+	// round, max = 3).
+	if sr.Points[0].Round != 3 || sr.Points[0].Value != 3 {
+		t.Fatalf("first coarse point = %+v, want round=3 max=3", sr.Points[0])
 	}
 	// The last point is fine (round 31, value 31).
 	last := sr.Points[len(sr.Points)-1]
@@ -120,6 +121,51 @@ func TestCoarseFallbackPastFineRetention(t *testing.T) {
 	minPts := points(t, st, Query{Series: "g", Agg: AggMin})
 	if minPts[0].Value != 0 {
 		t.Fatalf("coarse min = %v, want 0", minPts[0].Value)
+	}
+}
+
+// TestCoarsePointStampedAtLastRound: a coarse block's point carries the
+// value read at the block's last round, so it is stamped there — at its
+// start round, agg=last placed a counter's value a block early and agg=rate
+// across the coarse→fine boundary divided a block's growth by a block and
+// a half. A counter that grows by one a round must read exactly one per
+// round at every step, coarse points included, and since_round filters on
+// the stamp.
+func TestCoarsePointStampedAtLastRound(t *testing.T) {
+	st, reg := testStore(t, 64, 8, 64)
+	c := reg.Counter("c", "")
+	for r := 0; r < 200; r++ {
+		c.Add(1)
+		st.Sample(r)
+	}
+	res, err := st.Query(Query{Series: "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr := res.Series[0]; sr.CoarsePoints == 0 {
+		t.Fatalf("no coarse points over 200 rounds at a 64-round fine ring: %+v", sr)
+	}
+	for _, p := range res.Series[0].Points {
+		if p.Value != float64(p.Round+1) {
+			t.Fatalf("last at round %d = %v, want %d (the value read at that round)", p.Round, p.Value, p.Round+1)
+		}
+	}
+	for _, step := range []int{1, 8, 16} {
+		pts := points(t, st, Query{Series: "c", Agg: AggRate, Step: step})
+		if len(pts) == 0 {
+			t.Fatalf("step %d: rate produced no points", step)
+		}
+		for _, p := range pts {
+			if p.Value != 1 {
+				t.Fatalf("step %d: rate at round %d = %v, want 1", step, p.Round, p.Value)
+			}
+		}
+	}
+	if pts := points(t, st, Query{Series: "c", SinceRound: 7}); pts[0].Round != 7 {
+		t.Fatalf("since_round 7 starts at round %d, want 7 (block 0's stamp)", pts[0].Round)
+	}
+	if pts := points(t, st, Query{Series: "c", SinceRound: 8}); pts[0].Round != 15 {
+		t.Fatalf("since_round 8 starts at round %d, want 15 (block 1's stamp)", pts[0].Round)
 	}
 }
 

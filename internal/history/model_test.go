@@ -90,8 +90,8 @@ type refWindow struct {
 }
 
 // windows coalesces the retained samples at or after since into step
-// windows: coarse blocks wholly older than the fine retention first, then
-// the fine points. withCoarse false leaves the blocks out (tail
+// windows: coarse blocks wholly older than the fine retention first, each
+// at its last round, then the fine points. withCoarse false leaves the blocks out (tail
 // trajectories are fine-only).
 func (m *refSeries) windows(since, step, block int64, withCoarse bool) []refWindow {
 	var in []refWindow
@@ -101,8 +101,8 @@ func (m *refSeries) windows(since, step, block int64, withCoarse bool) []refWind
 			fineStart = m.fine[0].round
 		}
 		for _, b := range m.coarse {
-			if b.start >= since && b.start+block <= fineStart {
-				in = append(in, refWindow{b.start, b.last, b.min, b.max, nil, true})
+			if end := b.start + block - 1; end >= since && end < fineStart {
+				in = append(in, refWindow{end, b.last, b.min, b.max, nil, true})
 			}
 		}
 	}
