@@ -9,7 +9,9 @@ BIN="${TMPDIR:-/tmp}/mzserver-smoke"
 
 go build -o "$BIN" ./cmd/mzserver
 
-"$BIN" -rounds 120 -report 0 -listen "$ADDR" -linger 120s >/dev/null &
+# A 32-round history retention, so the 120 rounds lap the fine ring and the
+# oldest rounds are served from coarse blocks.
+"$BIN" -rounds 120 -history-rounds 32 -report 0 -listen "$ADDR" -linger 120s >/dev/null &
 PID=$!
 trap 'kill "$PID" 2>/dev/null || true' EXIT INT TERM
 
@@ -117,6 +119,26 @@ print(f"smoke: ok   /query serves {len(pts)} points, all 0, for a gauge that nev
         :
     else
         echo "smoke: FAIL /query does not serve the degraded gauge at rest as a full trajectory" >&2
+        fail=1
+    fi
+    # The round counter grows by one a round, so its rate is exactly 1 at
+    # every point, across the boundary from the coarse blocks into the fine
+    # ring too: a coarse point is stamped at its block's last round, where
+    # its value was read.
+    coarse=$(curl -sf "http://$ADDR/query?series=mzqos_server_rounds_total&agg=last" |
+        python3 -c 'import json, sys; print(json.load(sys.stdin)["series"][0].get("coarse_points", 0))' || echo 0)
+    if curl -sf "http://$ADDR/query?series=mzqos_server_rounds_total&agg=rate" | python3 -c '
+import json, sys
+pts = json.load(sys.stdin)["series"][0]["points"]
+assert int(sys.argv[1]) > 0, "no coarse points: the run did not lap the fine ring"
+assert pts, "no rate points"
+bad = [p for p in pts if p["value"] != 1]
+assert not bad, f"round-counter rate is not 1 at {bad[:3]}"
+print(f"smoke: ok   /query rate of the round counter reads 1 at all {len(pts)} points past {sys.argv[1]} coarse ones")
+' "$coarse"; then
+        :
+    else
+        echo "smoke: FAIL /query rate of the round counter is not 1 per round across the coarse/fine boundary" >&2
         fail=1
     fi
 fi
