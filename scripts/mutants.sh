@@ -16,8 +16,10 @@
 #
 #   diff --git a/... b/...
 #
-# Each patch is applied to a fresh copy of REV, the copy must still build,
-# and `go test -count=1 -run <Run> <Package>` must fail. Per mutant the
+# Package may name several packages, separated by spaces, when the tests
+# that must catch a mutant live in more than one. Each patch is applied to
+# a fresh copy of REV, the copy must still build, and `go test -count=1
+# -run <Run> <Package>` must fail. Per mutant the
 # script prints the tests that failed, or SURVIVED. It exits non-zero if a
 # patch does not apply, a mutant does not build, or one survives.
 #
@@ -49,13 +51,14 @@ for p in $mutants; do
 		status=1
 		continue
 	fi
-	if ! (cd "$tmp/src" && go build ./... && go vet "$pkg") >"$tmp/build.out" 2>&1; then
+	# $pkg unquoted: a header may name several packages.
+	if ! (cd "$tmp/src" && go build ./... && go vet $pkg) >"$tmp/build.out" 2>&1; then
 		echo "$name: does not build" >&2
 		cat "$tmp/build.out" >&2
 		status=1
 		continue
 	fi
-	if (cd "$tmp/src" && go test -count=1 -run "$run" "$pkg") >"$tmp/test.out" 2>&1; then
+	if (cd "$tmp/src" && go test -count=1 -run "$run" $pkg) >"$tmp/test.out" 2>&1; then
 		echo "$name: SURVIVED $pkg -run '$run'"
 		status=1
 		continue
