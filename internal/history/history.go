@@ -44,8 +44,10 @@
 //     two samples' marks, so a histogram costs what it changed, not a copy
 //     of every bucket per sample.
 //
-// Reads have one path: every walk over a series goes through its fineRun
-// and coarseRun, which hand out a resting series' tile and a woken series'
+// Reads have one path: Query, Dump and TailTrajectory all read through
+// evaluate, the one walk over a series, which folds its samples into step
+// windows and reduces them; it goes through the series' fineRun and
+// coarseRun, which hand out a resting series' tile and a woken series'
 // column as the same plain slices.
 //
 // The round column and the marks are allocated when a cohort attaches,
