@@ -241,8 +241,14 @@ const (
 	kindCounter
 	histSmall
 	histRoundTime
+	kindBits
 	numKinds
 )
+
+// boundary is the fine-ring slot spacing the schedule aims first moves and
+// re-samples at: the store seals its fine values in chunks of that many
+// slots, so a slot index that is a multiple of it opens a chunk.
+const boundary = 64
 
 // register adds one series of the given kind to the registry and the
 // reference. Registered after New, it joins the store in a later cohort —
@@ -262,6 +268,12 @@ func (m *modelRun) register(kind int) {
 		c := m.reg.Counter(id, "")
 		rs.read = func() float64 { return float64(c.Value()) }
 		bump = func() { c.Add(int64(m.rng.IntN(5))) }
+	case kindBits:
+		// Values whose bits share nothing with the one before: any 64 bits
+		// (NaN payloads among them), signed zeros, infinities, subnormals.
+		g := m.reg.Gauge(id, "")
+		rs.read = g.Value
+		bump = func() { g.Set(m.anyBits()) }
 	case histSmall:
 		h = m.histogram(id, []float64{1, 2, 4, 8})
 		bump = func() { h.Observe(m.rng.Float64() * 12) }
@@ -358,6 +370,31 @@ func (m *modelRun) onResample(lo, spread int) func(bool) bool {
 	return func(current bool) bool { return current && m.prev >= 0 && m.prev == m.last && after(current) }
 }
 
+// nextSlot returns the fine slot the sample about to be taken writes and
+// whether it is a new one rather than a re-sample of the newest.
+func (m *modelRun) nextSlot(current bool) (slot int, fresh bool) {
+	r := m.round
+	if current {
+		r = max(m.last, 0)
+	}
+	if r != m.prev {
+		return m.slots % m.cfg.Rounds, true
+	}
+	return (m.slots - 1) % m.cfg.Rounds, false
+}
+
+// atBoundary is due, once the fine ring has taken at least lo more slots,
+// in a sample that writes a chunk's first slot: a new slot that opens the
+// chunk (resample false), or a SampleCurrent overwriting that slot in place
+// (resample true).
+func (m *modelRun) atBoundary(lo int, resample bool) func(bool) bool {
+	at := m.slots + lo
+	return func(current bool) bool {
+		slot, fresh := m.nextSlot(current)
+		return m.slots >= at && slot%boundary == 0 && fresh != resample && (current || !resample)
+	}
+}
+
 // stir makes the first move of every resting gauge that is due and reports
 // whether there was one.
 func (m *modelRun) stir(current bool) (moved bool) {
@@ -375,6 +412,24 @@ func (m *modelRun) stir(current bool) (moved bool) {
 	}
 	m.resting = still
 	return moved
+}
+
+// anyBits draws a float64 that an XOR against its neighbours cannot
+// predict.
+func (m *modelRun) anyBits() float64 {
+	switch m.rng.IntN(8) {
+	case 0:
+		return math.Copysign(0, -1)
+	case 1:
+		return 0
+	case 2:
+		return math.Inf(1 - 2*m.rng.IntN(2))
+	case 3:
+		return math.Float64frombits(0x7ff0000000000001 | m.rng.Uint64()&0x800fffffffffffff) // a NaN with a payload
+	case 4:
+		return math.Float64frombits(m.rng.Uint64() & 0x800fffffffffffff) // subnormal
+	}
+	return math.Float64frombits(m.rng.Uint64())
 }
 
 func (m *modelRun) histogram(id string, bounds []float64) *telemetry.Histogram {
@@ -500,6 +555,12 @@ func newModelRun(t *testing.T, cfg Config, seed uint64) *modelRun {
 	// store that missed it.
 	m.rest(negZero, sleeper{due: m.afterSlots(1, cfg.Rounds+2), first: 0})
 	m.rest(0, sleeper{due: m.afterSlots(1, cfg.Rounds+2), first: negZero})
+	// First moves in the sample that opens a chunk — before and after the
+	// fine ring wraps — and in a re-sample of a chunk's first slot.
+	m.rest(23, sleeper{due: m.atBoundary(1, false), first: 29, keepsMoving: true})
+	m.rest(37, sleeper{due: m.atBoundary(cfg.Rounds+1, false), first: 41, keepsMoving: true})
+	m.rest(43, sleeper{due: m.atBoundary(1, true), first: 47, keepsMoving: true})
+	m.rest(53, sleeper{due: m.atBoundary(cfg.Rounds+1, true), first: math.NaN(), keepsMoving: true})
 	// The ring holds size blocks from the (size/2+1)-th block on, until the
 	// (size+1)-th.
 	for size := 2 * tile; size < cfg.CoarseBlocks; size *= 2 {
@@ -530,6 +591,10 @@ func (m *modelRun) run(batches int) {
 			}
 			p := m.rng.IntN(100)
 			current := p < 10
+			// Every other sample that opens a chunk is re-sampled at once.
+			if slot, fresh := m.nextSlot(true); !fresh && slot%boundary == 0 && p%2 == 0 {
+				current = true
+			}
 			switch {
 			case p < 20: // the newest round again, or the same round again
 			case p < 25:
@@ -557,26 +622,34 @@ func (m *modelRun) run(batches int) {
 // TestStoreMatchesPerSeriesModel runs random schedules — Sample with
 // repeats, gaps and the odd step backwards, SampleCurrent, registrations
 // that open new cohorts, metrics moving in between, histograms moving one
-// observation, one bulk fold or every bucket at a time, gauges that never
-// move or first move many samples in — at retentions that are not tile
+// observation, one bulk fold or every bucket at a time, gauges set to bits
+// that share nothing with the value before (NaN payloads, ±0, ±Inf,
+// subnormals), gauges that never move or first move many samples in — at retentions that are not tile
 // multiples (and at a retention of one sample) under coarse rings small
 // enough to wrap, at one whose coarse ring outlasts the fine ring by many
 // batches, so a block written around a first move is read back from the
 // coarse tier, and at one whose coarse ring grows three times, with first
-// moves between the growths, to a retention that is not a tile multiple;
+// moves between the growths, to a retention that is not a tile multiple,
+// and at retentions of one whole 64-slot chunk and of several ending on a
+// partial one, with first moves and re-samples on the chunk boundaries;
 // and checks every read against the reference after every batch.
 func TestStoreMatchesPerSeriesModel(t *testing.T) {
-	for _, cfg := range []Config{
-		{Rounds: 1, CoarseBlock: 2, CoarseBlocks: 3},
-		{Rounds: 5, CoarseBlock: 2, CoarseBlocks: 4},
-		{Rounds: 7, CoarseBlock: 3, CoarseBlocks: 64},
-		{Rounds: 13, CoarseBlock: 4, CoarseBlocks: 6},
-		{Rounds: 100, CoarseBlock: 8, CoarseBlocks: 16},
-		{Rounds: 9, CoarseBlock: 2, CoarseBlocks: 70},
+	for _, c := range []struct {
+		Config
+		seeds uint64
+	}{
+		{Config{Rounds: 1, CoarseBlock: 2, CoarseBlocks: 3}, 3},
+		{Config{Rounds: 5, CoarseBlock: 2, CoarseBlocks: 4}, 3},
+		{Config{Rounds: 7, CoarseBlock: 3, CoarseBlocks: 64}, 3},
+		{Config{Rounds: 13, CoarseBlock: 4, CoarseBlocks: 6}, 3},
+		{Config{Rounds: 100, CoarseBlock: 8, CoarseBlocks: 16}, 3},
+		{Config{Rounds: 9, CoarseBlock: 2, CoarseBlocks: 70}, 3},
+		{Config{Rounds: 150, CoarseBlock: 8, CoarseBlocks: 16}, 2},
+		{Config{Rounds: 64, CoarseBlock: 4, CoarseBlocks: 8}, 2},
 	} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("rounds %d seed %d", cfg.Rounds, seed), func(t *testing.T) {
-				m := newModelRun(t, cfg, seed)
+		for seed := uint64(1); seed <= c.seeds; seed++ {
+			t.Run(fmt.Sprintf("rounds %d seed %d", c.Rounds, seed), func(t *testing.T) {
+				m := newModelRun(t, c.Config, seed)
 				m.run(48)
 				if n := len(m.resting); n > 0 {
 					t.Fatalf("%d first moves were never due: the schedule is too short for the cases it draws", n)
