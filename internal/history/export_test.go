@@ -41,3 +41,19 @@ func (st *Store) CoarseBlocksHeld(id string) int {
 	}
 	return 0
 }
+
+// FineBytes returns, per woken series id, the bytes its fine values take:
+// its share of its group's open chunk, its ring of sealed chunks and its
+// chunk marks. A series at rest holds no fine bytes of its own.
+func (st *Store) FineBytes() map[string]int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	fine := make(map[string]int)
+	for _, rec := range st.series {
+		if g := rec.grp; g != nil {
+			r := &g.sealed[rec.col]
+			fine[rec.id] = len(g.vals)/len(g.srcs)*8 + len(r.words)*8 + len(r.ends)*4
+		}
+	}
+	return fine
+}

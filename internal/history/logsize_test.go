@@ -204,9 +204,10 @@ var restingNames = []string{
 
 // checkResting fails for every series of restingNames that has a column,
 // then holds Sample to its allocation contract: nothing once the run's
-// movers have woken, and one series' pair of blocks — 8 B per fine slot,
-// 24 B per coarse block the ring holds at that round — in the sample a
-// resting gauge first moves in.
+// movers have woken, and one series' blocks — its fine bytes (its open
+// chunk, its ring of sealed chunks and their marks) and 24 B per coarse
+// block the ring holds at that round — in the sample a resting gauge first
+// moves in.
 func checkResting(t *testing.T, run loaded, perName int) {
 	t.Helper()
 	atRest := run.hist.AtRest()
@@ -243,7 +244,7 @@ func checkResting(t *testing.T, run loaded, perName int) {
 	runtime.ReadMemStats(&before)
 	sample()
 	runtime.ReadMemStats(&after)
-	pair := uint64(history.DefaultRounds*8 + run.hist.CoarseBlocksHeld("test_spare")*24)
+	pair := uint64(run.hist.FineBytes()["test_spare"] + run.hist.CoarseBlocksHeld("test_spare")*24)
 	if got := after.TotalAlloc - before.TotalAlloc; got < pair || got > pair+512 {
 		t.Errorf("the sample a resting gauge first moved in allocated %d B, want one series' blocks (%d B) and their group", got, pair)
 	}
