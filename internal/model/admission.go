@@ -2,13 +2,8 @@ package model
 
 import (
 	"cmp"
-	"context"
 	"fmt"
-	"runtime"
-	"runtime/pprof"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // Guarantee is a stochastic service-quality target.
@@ -72,31 +67,17 @@ type Table struct {
 }
 
 // BuildTable evaluates the model once per guarantee and returns the table.
-// Guarantees that are unattainable even at N=1 get NMax = 0. The specs are
-// fanned out over GOMAXPROCS workers: the bound chain they share is
-// extended once (single-flight) and every search after that is a lock-free
-// read, so the build scales with cores and the result is identical to a
-// serial build.
+// Guarantees that are unattainable even at N=1 get NMax = 0. The specs
+// share the model's bound chain, so each walk after the first reads what
+// an earlier one solved.
 func BuildTable(m *Model, specs []Guarantee) (*Table, error) {
 	entries := make([]TableEntry, len(specs))
-	errs := make([]error, len(specs))
-	parallelEach("table-build", len(specs), func(i int) {
-		g := specs[i]
+	for i, g := range specs {
 		n, err := m.NMaxFor(g)
-		if err != nil {
-			if err == ErrOverload {
-				n = 0
-			} else {
-				errs[i] = err
-				return
-			}
-		}
-		entries[i] = TableEntry{Guarantee: g, NMax: n}
-	})
-	for _, err := range errs {
-		if err != nil {
+		if err != nil && err != ErrOverload {
 			return nil, err
 		}
+		entries[i] = TableEntry{Guarantee: g, NMax: n}
 	}
 	return newTable(entries), nil
 }
@@ -121,42 +102,6 @@ func newTable(entries []TableEntry) *Table {
 		return cmp.Compare(a.Threshold, b.Threshold)
 	})
 	return t
-}
-
-// parallelEach runs fn(i) for i in [0, n) on up to GOMAXPROCS goroutines.
-// Workers carry a pprof goroutine label ("mzqos_worker" = label), so a
-// goroutine or CPU profile of a busy table build or sweep attributes the
-// solver time to the fan-out that spent it.
-func parallelEach(label string, n int, fn func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	labels := pprof.Labels("mzqos_worker", label)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			pprof.Do(context.Background(), labels, func(context.Context) {
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					fn(i)
-				}
-			})
-		}()
-	}
-	wg.Wait()
 }
 
 // Lookup returns the precomputed N_max for g.

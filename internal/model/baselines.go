@@ -142,7 +142,7 @@ func (m *Model) NMaxWith(bound func(int) (float64, error), delta float64) (int, 
 	if !(delta > 0 && delta < 1) {
 		return 0, fmt.Errorf("%w: delta must be in (0,1)", ErrConfig)
 	}
-	limit := m.maxSearchN()
+	limit := m.maxSearchN
 	for n := 1; n <= limit; n++ {
 		b, err := bound(n)
 		if err != nil {

@@ -2,8 +2,10 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -185,5 +187,63 @@ func TestConcurrentBoundsConsistent(t *testing.T) {
 		if got[n] != want[n] {
 			t.Errorf("N=%d: concurrent %v != serial %v", n, got[n], want[n])
 		}
+	}
+}
+
+// TestChainExtensionKeepsSnapshots: a reader holding a chain snapshot sees
+// every entry below its length stay bit-identical while another goroutine
+// extends the chain — once within the backing arrays' capacity, where the
+// extension writes into the very arrays the reader holds, and once across
+// a reallocation. Run with -race: the writer only appends past the
+// published length, which no holder of an older snapshot indexes.
+func TestChainExtensionKeepsSnapshots(t *testing.T) {
+	m := paperMultiZoneModel(t)
+	held, err := m.ensureChain(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		target func(c *lateChain) int
+		shared bool
+	}{
+		{"within capacity", func(c *lateChain) int { return min(cap(c.res), cap(c.prefix)) - 1 }, true},
+		{"across a reallocation", func(c *lateChain) int { return max(cap(c.res), cap(c.prefix)) + 8 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.target(held)
+			if n < len(held.res) {
+				t.Fatalf("snapshot of length %d has no spare capacity", len(held.res))
+			}
+			wantRes := slices.Clone(held.res)
+			wantPrefix := slices.Clone(held.prefix)
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					for k := range wantRes {
+						if held.res[k] != wantRes[k] || math.Float64bits(held.prefix[k]) != math.Float64bits(wantPrefix[k]) {
+							t.Errorf("entry %d moved under its reader: %+v, %v -> %+v, %v", k, wantRes[k], wantPrefix[k], held.res[k], held.prefix[k])
+							return
+						}
+					}
+				}
+			}()
+			next, err := m.ensureChain(n)
+			stop.Store(true)
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(next.res) != n+1 {
+				t.Fatalf("extended chain has length %d, want %d", len(next.res), n+1)
+			}
+			if shared := &next.res[0] == &held.res[0] && &next.prefix[0] == &held.prefix[0]; shared != tc.shared {
+				t.Errorf("extension shares the held arrays: %v, want %v", shared, tc.shared)
+			}
+			held = next
+		})
 	}
 }

@@ -1,9 +1,6 @@
 package model
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // GSSResult describes one Group Sweeping Scheduling configuration.
 //
@@ -58,11 +55,11 @@ func (m *Model) GSS(n, groups int) (GSSResult, error) {
 }
 
 // GSSNMax returns the largest stream count admissible with G groups at a
-// subperiod-lateness threshold delta: the GSS analogue of eq. (3.1.7).
-// The subperiod bound is non-decreasing in n (the per-sweep request count
-// ⌈n/G⌉ only grows), so the scan is the same probe-plus-bisection search
-// as NMaxLate, with solves memoized per group size and warm-started from
-// the previous solve's θ.
+// subperiod-lateness threshold delta: the GSS analogue of eq. (3.1.7). The
+// subperiod bound depends on n only through the group size k = ⌈n/G⌉, so
+// the walk steps k = 1, 2, … — each solve warm-started from the previous
+// θ — and stops at the first k whose bound violates delta, admitting
+// (k−1)·G, or where k·G reaches the search cap.
 func (m *Model) GSSNMax(groups int, delta float64) (int, error) {
 	if groups < 1 {
 		return 0, fmt.Errorf("%w: groups must be positive", ErrConfig)
@@ -70,71 +67,48 @@ func (m *Model) GSSNMax(groups int, delta float64) (int, error) {
 	if !(delta > 0 && delta < 1) {
 		return 0, fmt.Errorf("%w: delta must be in (0,1)", ErrConfig)
 	}
-	limit := m.maxSearchN()
-	if limit < groups {
+	if m.maxSearchN < groups {
 		return 0, ErrOverload
 	}
 	sub := m.cfg.RoundLength / float64(groups)
-	cache := make(map[int]float64) // group size k -> subperiod bound
-	var hint float64
-	exceeds := func(i int) (bool, error) {
-		n := groups + i - 1 // candidate stream counts start at n = G
-		k := (n + groups - 1) / groups
-		b, ok := cache[k]
-		if !ok {
-			res, err := m.lateResultAt(k, sub, hint)
-			if err != nil {
-				return false, err
-			}
-			b = res.Bound
-			cache[k] = b
-			if res.Theta > 0 {
-				hint = res.Theta
-			}
+	var theta float64
+	for k := 1; ; k++ {
+		res, err := m.lateResultAt(k, sub, theta)
+		if err != nil {
+			return 0, err
 		}
-		return b > delta, nil
+		if res.Bound > delta {
+			if k == 1 {
+				return 0, ErrOverload
+			}
+			return (k - 1) * groups, nil
+		}
+		if k*groups >= m.maxSearchN {
+			return m.maxSearchN, nil
+		}
+		theta = res.Theta
 	}
-	best, err := searchMax(limit-groups+1, exceeds)
-	if err != nil {
-		return 0, err
-	}
-	return groups + best - 1, nil
 }
 
 // GSSSweep evaluates a set of group counts at a fixed lateness threshold,
 // returning for each the admission limit and the buffer requirement — the
-// classic GSS throughput-vs-memory trade-off curve. Each group count is an
-// independent admission search (its own subperiod deadline, so no shared
-// chain), so the sweep fans the groups out over GOMAXPROCS workers.
+// classic GSS throughput-vs-memory trade-off curve. An unattainable group
+// count reports a zero entry.
 func (m *Model) GSSSweep(groups []int, delta float64) ([]GSSResult, error) {
 	out := make([]GSSResult, len(groups))
-	errs := make([]error, len(groups))
-	parallelEach("gss-sweep", len(groups), func(i int) {
-		g := groups[i]
+	for i, g := range groups {
 		n, err := m.GSSNMax(g, delta)
-		if err != nil {
-			if err == ErrOverload {
-				out[i] = GSSResult{Groups: g}
-			} else {
-				errs[i] = err
-			}
-			return
+		if err == ErrOverload {
+			out[i] = GSSResult{Groups: g}
+			continue
 		}
-		r, err := m.GSS(n, g)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		// Report the admitted N, not the per-group size alone.
-		r.GroupSize = (n + g - 1) / g
-		r.LateBound = math.Min(r.LateBound, 1)
-		r.AdmittedN = n
-		out[i] = r
-	})
-	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+		if out[i], err = m.GSS(n, g); err != nil {
+			return nil, err
+		}
+		out[i].AdmittedN = n
 	}
 	return out, nil
 }

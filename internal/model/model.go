@@ -98,13 +98,18 @@ type Config struct {
 	TransferVar  float64
 }
 
+// maxStreamsPerDisk bounds the admission search cap: a configuration
+// whose cap would pass it (rounds of many minutes on the paper's disk, or
+// transfers of nanoseconds) is refused by New rather than walked.
+const maxStreamsPerDisk = 1 << 16
+
 // Model computes the paper's service-quality bounds for one disk.
 //
 // Concurrency: a Model is safe for any number of concurrent callers.
 // Per-N lateness results (Chernoff bound plus its optimizing θ) and their
 // glitch prefix sums live in an immutable chain snapshot published through
 // an atomic pointer, so the read path — every memoized bound, glitch sum,
-// and admission search — is lock-free. Extending the chain to a new N is
+// and admission walk — is lock-free. Extending the chain to a new N is
 // serialized by a mutex (single-flight), and each extension is computed
 // warm-started from its predecessor's θ, so a given Model returns
 // bit-identical values no matter how calls interleave.
@@ -115,6 +120,9 @@ type Model struct {
 	transMean float64
 	transVar  float64
 	hasSizes  bool
+	// maxSearchN caps admission searches at 4t/E[T_trans] + 64: a round
+	// never holds more requests than t/E[T_trans], so the cap is generous.
+	maxSearchN int
 
 	mu    sync.Mutex // serializes chain extension; readers never take it
 	chain atomic.Pointer[lateChain]
@@ -123,14 +131,11 @@ type Model struct {
 // lateChain is an immutable snapshot of the memoized per-round lateness
 // results: res[n] holds the Chernoff result for b_late(n, t) (index 0 is a
 // zero placeholder) and prefix[n] = Σ_{k=1..n} b_late(k, t), the numerator
-// of the glitch bound (3.3.3). Snapshots are extended copy-on-write and
-// published atomically; monotone records whether any decreasing step
-// b_late(k) < b_late(k-1) has ever been observed, which the bisection
-// admission searches consult before trusting binary search.
+// of the glitch bound (3.3.3). A newer snapshot extends an older one in
+// place past its length, so entries below a snapshot's length never change.
 type lateChain struct {
-	res      []chernoff.Result
-	prefix   []float64
-	monotone bool
+	res    []chernoff.Result
+	prefix []float64
 }
 
 // New validates cfg and precomputes the transfer-time Gamma matching.
@@ -138,14 +143,13 @@ func New(cfg Config) (*Model, error) {
 	if cfg.Disk == nil {
 		return nil, fmt.Errorf("%w: nil disk geometry", ErrConfig)
 	}
-	if !(cfg.RoundLength > 0) {
-		return nil, fmt.Errorf("%w: round length must be positive", ErrConfig)
+	if !(cfg.RoundLength > 0) || math.IsInf(cfg.RoundLength, 1) {
+		return nil, fmt.Errorf("%w: round length must be positive and finite", ErrConfig)
 	}
 	m := &Model{cfg: cfg}
 	m.chain.Store(&lateChain{
-		res:      make([]chernoff.Result, 1),
-		prefix:   make([]float64, 1),
-		monotone: true,
+		res:    make([]chernoff.Result, 1),
+		prefix: make([]float64, 1),
 	})
 	switch {
 	case cfg.TransferMean > 0 && cfg.TransferVar > 0:
@@ -161,6 +165,14 @@ func New(cfg Config) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("%w: need a size model or explicit transfer moments", ErrConfig)
 	}
+	// The cap is computed in float, so a huge t/E[T_trans] is refused here
+	// instead of overflowing int.
+	perRound := 4 * cfg.RoundLength / m.transMean
+	if !(perRound <= maxStreamsPerDisk-64) {
+		return nil, fmt.Errorf("%w: round length %g s over %g s transfers caps admission past %d streams per disk",
+			ErrConfig, cfg.RoundLength, m.transMean, maxStreamsPerDisk)
+	}
+	m.maxSearchN = int(perRound) + 64
 	g, err := dist.GammaFromMeanVar(m.transMean, m.transVar)
 	if err != nil {
 		return nil, fmt.Errorf("%w: transfer moments not matchable: %v", ErrConfig, err)

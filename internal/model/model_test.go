@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -388,6 +389,26 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Disk: disk.QuantumViking21(), RoundLength: 1}); err == nil {
 		t.Error("missing workload should error")
+	}
+}
+
+// TestNewRejectsUnboundedSearchCap: admission reads the bound chain up to
+// a cap of 4t/E[T_trans] + 64 streams, so a round length that is not
+// finite, or a cap past maxStreamsPerDisk, is a configuration error — not a
+// cap that overflows int and answers every search with "negative stream
+// count", nor a chain solved 10⁸ deep.
+func TestNewRejectsUnboundedSearchCap(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"infinite round", Config{Disk: disk.QuantumViking21(), Sizes: workload.PaperSizes(), RoundLength: math.Inf(1)}},
+		{"1e300 s round", Config{Disk: disk.QuantumViking21(), Sizes: workload.PaperSizes(), RoundLength: 1e300}},
+		{"nanosecond transfers", Config{Disk: singleZoneViking(t), RoundLength: 1, TransferMean: 1e-9, TransferVar: 1e-20}},
+	} {
+		if _, err := New(tc.cfg); !errors.Is(err, ErrConfig) {
+			t.Errorf("%s: New returned %v, want ErrConfig", tc.name, err)
+		}
 	}
 }
 

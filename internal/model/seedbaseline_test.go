@@ -78,7 +78,7 @@ func (s *seedScan) nMaxFor(g Guarantee) (int, error) {
 	if err := g.validate(); err != nil {
 		return 0, err
 	}
-	exceeds := func(n int) (bool, error) {
+	for n := 1; n <= s.m.maxSearchN; n++ {
 		var b float64
 		var err error
 		if g.Rounds == 0 {
@@ -87,11 +87,16 @@ func (s *seedScan) nMaxFor(g Guarantee) (int, error) {
 			b, err = s.streamErrorBound(n, g.Rounds, g.Glitches)
 		}
 		if err != nil {
-			return false, err
+			return 0, err
 		}
-		return b > g.Threshold, nil
+		if b > g.Threshold {
+			if n == 1 {
+				return 0, ErrOverload
+			}
+			return n - 1, nil
+		}
 	}
-	return linearMax(s.m.maxSearchN(), exceeds)
+	return s.m.maxSearchN, nil
 }
 
 // SeedNMaxFor answers NMaxFor with the seed algorithm and a cold cache:

@@ -6,8 +6,8 @@ import "mzqos/internal/telemetry"
 // repository keeps per process rather than per server. The counters are
 // summed over every Model instance because what they answer — how often
 // the admission path hits the memoized bound chain, how many Chernoff
-// solves ran warm-started versus cold, how many probes the bisection
-// searches spent — is a property of the running process, and both readers
+// solves ran warm-started versus cold, how many chain reads the admission
+// walks spent — is a property of the running process, and both readers
 // mean exactly that: benchmark/ brackets its traced run with Telemetry()
 // and every registry (mzserver's, the benchmark's) adopts the same
 // counters with RegisterTelemetry. Counting is a single atomic add per
@@ -17,8 +17,7 @@ var tel struct {
 	chainExtensions telemetry.Counter // reads that had to extend the chain
 	warmSolves      telemetry.Counter // Chernoff solves warm-started from a θ hint
 	coldSolves      telemetry.Counter // Chernoff solves from a full-interval search
-	searchProbes    telemetry.Counter // exceeds() evaluations in N_max searches
-	linearFallbacks telemetry.Counter // searches re-run by the linear-scan fallback
+	searchProbes    telemetry.Counter // chain reads in N_max walks
 
 	admissionDecisions telemetry.Counter // N_max evaluations explained (ExplainNMax calls)
 }
@@ -31,14 +30,11 @@ type TelemetrySnapshot struct {
 	// WarmSolves and ColdSolves split the Chernoff minimizations by
 	// whether they were warm-started from a neighbouring θ.
 	WarmSolves, ColdSolves int64
-	// SearchProbes counts bound evaluations spent inside N_max searches
-	// (exponential probe + bisection, or the linear fallback).
+	// SearchProbes counts the stream counts N_max walks read off the
+	// chain: one per n from 1 to the binding k.
 	SearchProbes int64
-	// LinearFallbacks counts searches that re-ran as a linear scan after
-	// a non-monotone bound step was recorded.
-	LinearFallbacks int64
 	// AdmissionDecisions counts the N_max evaluations explained: every
-	// ExplainNMax call, NMaxFor's included.
+	// ExplainNMax call, NMaxFor's, NMaxLate's and NMaxError's included.
 	AdmissionDecisions int64
 }
 
@@ -61,7 +57,6 @@ func Telemetry() TelemetrySnapshot {
 		WarmSolves:      tel.warmSolves.Value(),
 		ColdSolves:      tel.coldSolves.Value(),
 		SearchProbes:    tel.searchProbes.Value(),
-		LinearFallbacks: tel.linearFallbacks.Value(),
 
 		AdmissionDecisions: tel.admissionDecisions.Value(),
 	}
@@ -80,9 +75,7 @@ func RegisterTelemetry(reg *telemetry.Registry) {
 	reg.AdoptCounter("mzqos_model_chernoff_solves_total",
 		"Chernoff minimizations by start mode.", &tel.coldSolves, telemetry.L("mode", "cold"))
 	reg.AdoptCounter("mzqos_model_search_probes_total",
-		"Bound evaluations spent inside N_max admission searches.", &tel.searchProbes)
-	reg.AdoptCounter("mzqos_model_search_linear_fallbacks_total",
-		"N_max searches re-run by the linear-scan fallback.", &tel.linearFallbacks)
+		"Bound reads spent inside N_max admission walks.", &tel.searchProbes)
 	reg.AdoptCounter("mzqos_model_admission_decisions_total",
 		"N_max evaluations explained.", &tel.admissionDecisions)
 }

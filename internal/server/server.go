@@ -391,7 +391,7 @@ func evaluateDisks(geoms []*disk.Geometry, sizes workload.SizeModel, roundLength
 				RoundLength: roundLength,
 			})
 			if err != nil {
-				return nil, fmt.Errorf("server: building admission model: %w", err)
+				return nil, fmt.Errorf("%w: building admission model: %w", ErrConfig, err)
 			}
 			e.exp, err = e.mdl.ExplainNMax(g)
 			if err != nil {

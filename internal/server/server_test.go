@@ -47,6 +47,18 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnboundedRoundLength: a round length the admission model
+// cannot bound its search for is a configuration error of the server's,
+// whichever layer spots it.
+func TestNewRejectsUnboundedRoundLength(t *testing.T) {
+	for _, rl := range []float64{math.Inf(1), 1e300} {
+		_, err := New(Config{Disk: disk.QuantumViking21(), NumDisks: 1, RoundLength: rl, Sizes: workload.PaperSizes(), Guarantee: model.Guarantee{Threshold: 0.01}})
+		if !errors.Is(err, ErrConfig) {
+			t.Errorf("round length %g: New returned %v, want ErrConfig", rl, err)
+		}
+	}
+}
+
 // TestNewRejectsUnaddressableDisk: the catalog keeps a fragment's cylinder
 // as int32 and the flight recorder a request's zone in 16 bits, so a disk
 // with more of either than that is turned away at construction, never
