@@ -56,7 +56,7 @@ const KB = workload.KB
 type (
 	// Model is the paper's analytic service-quality model (§3). It is
 	// safe for unlimited concurrent use: memoized bound reads are
-	// lock-free snapshots and admission searches on a shared Model return
+	// lock-free snapshots and admission walks on a shared Model return
 	// values bit-identical to a serial run.
 	Model = model.Model
 	// ModelConfig configures a Model.
