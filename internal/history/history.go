@@ -40,9 +40,8 @@
 //     reaching past the fine retention still resolve envelope and level at
 //     block granularity. Both tiers are filled with the value the series
 //     rested at, which is what every retained sample read, and then the
-//     group takes the sample that woke it like any other. The newest slot,
-//     always raw, is overwritten in place when its round is re-sampled (the
-//     on-scrape refresh path). A series never goes back to rest;
+//     group takes the sample that woke it like any other. A series never
+//     goes back to rest;
 //   - per histogram series, a log of bucket increments: one entry per
 //     bucket that moved between two consecutive samples, and per fine slot
 //     the log position its sample's entries end at. Every read of a
@@ -126,9 +125,9 @@ type Config struct {
 	CoarseBlocks int
 }
 
-// Store records per-round samples of every registered series. Sample is
-// driven by the round loop (Server.Step or Coordinator.Step) and by the
-// registry's scrape hook; queries are safe from any goroutine. A nil
+// Store records per-round samples of every registered series. The round
+// loop (Server.Step or Coordinator.Step) is its one writer, through Sample;
+// every other call only reads, and is safe from any goroutine. A nil
 // *Store is valid and inert, so callers thread one through without
 // guards.
 type Store struct {
@@ -303,12 +302,8 @@ type seriesRec struct {
 	head   uint32
 }
 
-// New builds a store over cfg.Registry, attaches every currently
-// registered series, and installs the on-scrape refresh hook so a
-// /metrics or snapshot scrape between rounds re-samples the latest
-// round before exposition — after the hooks that refresh pull-model
-// series (runtime metrics), whenever those were installed, so the
-// re-sample records what the scrape exposes.
+// New builds a store over cfg.Registry and attaches every currently
+// registered series.
 func New(cfg Config) *Store {
 	st := &Store{
 		reg:       cfg.Registry,
@@ -331,7 +326,6 @@ func New(cfg Config) *Store {
 		st.mu.Lock()
 		st.refreshLocked()
 		st.mu.Unlock()
-		st.reg.OnScrapeLastOnce("mzqos_history_sample", st.SampleCurrent)
 	}
 	return st
 }
@@ -385,35 +379,22 @@ func (st *Store) refreshLocked() {
 	st.cohorts = append(st.cohorts, co)
 }
 
-// Sample records one point per attached series at the given round.
-// Re-sampling the latest round overwrites its point in place. Steady
-// state (no new registrations, no series moving for the first time, the
-// coarse ring at its retention, no ring of sealed chunks growing)
-// allocates nothing.
+// Sample records one point per attached series at the given round, the
+// registry's state at the end of that round. A round at or below the
+// newest sampled one is ignored: each point is recorded once. Steady state
+// (no new registrations, no series moving for the first time, the coarse
+// ring at its retention, no ring of sealed chunks growing) allocates
+// nothing.
 func (st *Store) Sample(round int) {
 	if st == nil {
 		return
 	}
+	r := int64(round)
 	st.mu.Lock()
-	st.sampleLocked(int64(round))
-	st.mu.Unlock()
-}
-
-// SampleCurrent re-samples at the most recent sampled round (round 0
-// before any) — the on-scrape refresh path, so a mid-round /metrics
-// scrape reads history that includes the moment of the scrape. The round
-// is read and sampled under one lock acquisition: a round-loop Sample
-// slipping in between would leave this round stored after its successor.
-func (st *Store) SampleCurrent() {
-	if st == nil {
+	defer st.mu.Unlock()
+	if r <= st.lastRound {
 		return
 	}
-	st.mu.Lock()
-	st.sampleLocked(max(st.lastRound, 0))
-	st.mu.Unlock()
-}
-
-func (st *Store) sampleLocked(r int64) {
 	st.maybeRefreshLocked()
 	// The coarse block start depends only on the round, so the division
 	// happens once here rather than once per cohort.
@@ -421,9 +402,7 @@ func (st *Store) sampleLocked(r int64) {
 	for _, co := range st.cohorts {
 		co.sample(r, start)
 	}
-	if r > st.lastRound {
-		st.lastRound = r
-	}
+	st.lastRound = r
 	st.samples++
 }
 
@@ -488,21 +467,16 @@ func (rec *seriesRec) coarseRun(k int) (starts []int64, env []envelope) {
 // coarse block start). A resting series is read and compared with the value
 // it holds; those that differ wake into one new group. Then every group
 // takes the fine row of r's slot and the newest coarse block's envelopes in
-// one pass, and the histograms their bucket counts. A repeat of the newest
-// round overwrites its fine row and folds into the open envelope, so
-// min/max keep the value the refresh replaced; a round whose block start
-// differs from the newest block's opens a block, on a ring grown first if it
-// is full and has room to grow. Allocates only in a sample some series first
-// moves in or the coarse ring grows in.
+// one pass, and the histograms their bucket counts. A round whose block
+// start differs from the newest block's opens a block, on a ring grown first
+// if it is full and has room to grow. Allocates only in a sample some series
+// first moves in or the coarse ring grows in.
 func (co *cohort) sample(r, start int64) {
-	slot := co.fine.newest()
-	if co.fine.n == 0 || co.rounds[slot] != r {
-		if co.fine.n > 0 && co.fine.head%chunk == 0 {
-			co.seal(slot / chunk)
-		}
-		slot = co.fine.push()
-		co.rounds[slot] = r
+	if co.fine.n > 0 && co.fine.head%chunk == 0 {
+		co.seal(co.fine.newest() / chunk)
 	}
+	slot := co.fine.push()
+	co.rounds[slot] = r
 	block := co.coarse.newest()
 	opened := co.coarse.n == 0 || co.starts[block] != start
 	if opened {
@@ -554,8 +528,7 @@ func (co *cohort) sample(r, start int64) {
 // column is filled with the value its series rested at, which is what each
 // retained sample read, and its ring gets a sealed copy of that value for
 // each chunk the cohort has sealed and retains, so the group then takes the
-// sample that woke it like any other — a wake on a re-sample folds into an
-// open envelope that already holds the old value. The one place value
+// sample that woke it like any other. The one place value
 // blocks are allocated, and envelope blocks at the coarse ring's current
 // size (grow lengthens them later): per series at the default retention
 // the open chunk's 512 B, a ring of 2 KiB and 256 B of chunk marks, plus
@@ -646,9 +619,8 @@ func extend[T any](s []T, n int) []T {
 func (rec *seriesRec) at(p uint32) *logEntry { return &rec.log[p&uint32(len(rec.log)-1)] }
 
 // sample marks the end of fine slot's entries in the log after appending
-// what each bucket gained since the newest sample: a new slot closes a new
-// segment, a re-sample of the newest extends its segment. oldest is the
-// slot of the oldest retained sample; entries before its mark are released,
+// what each bucket gained since the newest sample. oldest is the slot of
+// the oldest retained sample; entries before its mark are released,
 // and when it is slot itself no retained sample precedes this one, so
 // nothing is logged. Allocates only when the log must grow.
 func (rec *seriesRec) sample(slot, oldest int) {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"net/http/httptest"
@@ -71,22 +70,25 @@ func TestFineRingWraps(t *testing.T) {
 	}
 }
 
-func TestSameRoundOverwrites(t *testing.T) {
+// TestSampleIgnoresPastRounds: a point is recorded once. A second Sample
+// of the newest round and one of a round below it are ignored — the point
+// keeps the value it was taken with, and neither counts as a sample.
+func TestSampleIgnoresPastRounds(t *testing.T) {
 	st, reg := testStore(t, 8, 4, 4)
 	g := reg.Gauge("g", "")
 	g.Set(1)
-	st.Sample(3)
+	st.Sample(2)
 	g.Set(2)
-	st.Sample(3) // on-scrape refresh path
+	st.Sample(3)
+	g.Set(9)
+	st.Sample(3)
+	st.Sample(1)
 	pts := points(t, st, Query{Series: "g"})
-	if len(pts) != 1 {
-		t.Fatalf("got %d points, want 1 (same-round overwrite)", len(pts))
+	if len(pts) != 2 || pts[0] != (Point{Round: 2, Value: 1}) || pts[1] != (Point{Round: 3, Value: 2}) {
+		t.Fatalf("points %+v, want round 2 at 1 and round 3 at 2", pts)
 	}
-	if pts[0].Value != 2 {
-		t.Fatalf("value = %v, want 2 (refreshed)", pts[0].Value)
-	}
-	if st.Samples() != 2 {
-		t.Fatalf("Samples = %d, want 2", st.Samples())
+	if st.Samples() != 2 || st.LastRound() != 3 {
+		t.Fatalf("Samples = %d, LastRound = %d; want 2 and 3", st.Samples(), st.LastRound())
 	}
 }
 
@@ -300,54 +302,6 @@ func TestLateRegistrationAttaches(t *testing.T) {
 	pts := points(t, st, Query{Series: "late"})
 	if len(pts) != 1 || pts[0].Value != 7 {
 		t.Fatalf("late series = %+v, want one point of 7", pts)
-	}
-}
-
-func TestScrapeHookRefreshes(t *testing.T) {
-	st, reg := testStore(t, 8, 4, 4)
-	g := reg.Gauge("g", "")
-	g.Set(1)
-	st.Sample(2)
-	g.Set(9)
-	reg.Snapshot() // fires scrape hooks → SampleCurrent → re-sample round 2
-	pts := points(t, st, Query{Series: "g"})
-	if len(pts) != 1 || pts[0].Value != 9 {
-		t.Fatalf("after scrape refresh got %+v, want one point of 9", pts)
-	}
-	_ = st // New registered the hook; a second New must not double-register
-	st2 := New(Config{Registry: reg, Rounds: 8})
-	_ = st2
-}
-
-// TestScrapeSamplesAfterSources: the store's scrape hook is installed by
-// New, the runtime metrics' refresh hook by whoever builds the mux later,
-// and a scrape must still run them source first — or the history of the
-// one bulk-fed histogram trails /metrics by a scrape (for ever, once the
-// round loop has stopped and only scrapes sample).
-func TestScrapeSamplesAfterSources(t *testing.T) {
-	const pauses = "mzqos_go_gc_pause_seconds"
-	reg := telemetry.NewRegistry()
-	st := New(Config{Registry: reg, Rounds: 8})
-	telemetry.RegisterRuntimeMetrics(reg)
-	st.Sample(0)
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-	}
-	if err := reg.WritePrometheus(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	var live float64
-	for _, s := range reg.Series() {
-		if s.Name == pauses {
-			live = s.Read()
-		}
-	}
-	if live == 0 {
-		t.Fatal("three GC cycles folded no pause into the live histogram")
-	}
-	pts := points(t, st, Query{Series: pauses})
-	if got := pts[len(pts)-1].Value; got != live {
-		t.Fatalf("newest history point of %s counts %v pauses, the scrape exposed %v: the store re-sampled before the runtime metrics refreshed", pauses, got, live)
 	}
 }
 
@@ -641,7 +595,6 @@ func BenchmarkSample(b *testing.B) {
 func TestNilStoreInert(t *testing.T) {
 	var st *Store
 	st.Sample(1)
-	st.SampleCurrent()
 	if st.LastRound() != -1 || st.NumSeries() != 0 || st.Samples() != 0 {
 		t.Fatal("nil store should report empty state")
 	}

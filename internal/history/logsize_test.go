@@ -23,14 +23,14 @@ import (
 // bucket moves between two samples. That is a property of the servers, so
 // it is checked on them — at full load for three fine retentions, through
 // a latency fault, a read-error window (retries) and a disk failure (the
-// down-round sentinel), with a SampleCurrent every 53 rounds as a scrape
-// would — and a second Observe per sweep fails here instead of silently
-// doubling every log.
+// down-round sentinel) — and a second Observe per sweep fails here instead
+// of silently doubling every log.
 
 const (
 	logRounds       = 3 * history.DefaultRounds
-	resampleEvery   = 53
 	roundTimeSeries = "mzqos_server_round_time_seconds"
+	// allocRuns is how many samples an allocation check averages over.
+	allocRuns = 53
 )
 
 // newServer builds a 4-disk server on reg: a healthy one, or a faulty one
@@ -85,8 +85,7 @@ func checkLogs(t *testing.T, hist *history.Store, want int) {
 	}
 }
 
-// loaded is one full-load run of logRounds rounds, with a SampleCurrent
-// every resampleEvery as a scrape would.
+// loaded is one full-load run of logRounds rounds.
 type loaded struct {
 	hist *history.Store
 	// spare is a gauge of the test's own, registered before the store was
@@ -120,9 +119,6 @@ func runServer(t *testing.T, faulty bool) loaded {
 			next++
 		}
 		srv.Step()
-		if r%resampleEvery == 0 {
-			hist.SampleCurrent()
-		}
 	}
 	return loaded{hist: hist, spare: spare, srv: srv}
 }
@@ -159,9 +155,6 @@ func runCluster(t *testing.T, faulty bool) loaded {
 			next++
 		}
 		coord.Step()
-		if r%resampleEvery == 0 {
-			hist.SampleCurrent()
-		}
 	}
 	return loaded{hist: hist, spare: spare}
 }
@@ -236,7 +229,7 @@ func checkResting(t *testing.T, run loaded, perName int) {
 		round++
 		run.hist.Sample(round)
 	}
-	if allocs := testing.AllocsPerRun(2*resampleEvery, sample); allocs != 0 {
+	if allocs := testing.AllocsPerRun(2*allocRuns, sample); allocs != 0 {
 		t.Errorf("Sample allocates %v per run after %d rounds, want 0: a series is still waking", allocs, logRounds)
 	}
 	run.spare.Set(1)
@@ -251,7 +244,7 @@ func checkResting(t *testing.T, run loaded, perName int) {
 	if run.hist.AtRest()["test_spare"] {
 		t.Error("test_spare moved and is still at rest")
 	}
-	if allocs := testing.AllocsPerRun(resampleEvery, sample); allocs != 0 {
+	if allocs := testing.AllocsPerRun(allocRuns, sample); allocs != 0 {
 		t.Errorf("Sample allocates %v per run after the wake, want 0", allocs)
 	}
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,26 +50,8 @@ func TestOnScrapeOnceConcurrentDedup(t *testing.T) {
 	}
 }
 
-// TestOnScrapeLastOnceRunsLast: a hook that reads the registry runs after
-// every hook that refreshes series, registered before it or after, and
-// shares their dedup keys.
-func TestOnScrapeLastOnceRunsLast(t *testing.T) {
-	reg := NewRegistry()
-	var order []string
-	record := func(name string) func() { return func() { order = append(order, name) } }
-	reg.OnScrapeOnce("a", record("a"))
-	reg.OnScrapeLastOnce("reader", record("reader"))
-	reg.OnScrapeOnce("b", record("b"))
-	reg.OnScrapeOnce("reader", record("reader again"))
-	reg.Snapshot()
-	if got := strings.Join(order, ", "); got != "a, b, reader" {
-		t.Fatalf("hooks ran as %q, want a, b, reader", got)
-	}
-}
-
 // TestScrapeHookOrderStable asserts hooks run in registration order and
-// that the order is stable from scrape to scrape — samplers that fold
-// runtime state before a history refresh rely on it.
+// that the order is stable from scrape to scrape.
 func TestScrapeHookOrderStable(t *testing.T) {
 	reg := NewRegistry()
 	var mu sync.Mutex
@@ -105,7 +86,8 @@ func TestScrapeHookOrderStable(t *testing.T) {
 	check("second scrape")
 
 	// Registration while a scrape runs must not corrupt the order of the
-	// already-installed prefix (the hook slice is copied under the lock).
+	// already-installed prefix (a scrape takes the installed hooks under the
+	// lock, and registration only appends).
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,15 +57,13 @@ type Registry struct {
 	count atomic.Int64
 
 	// Scrape hooks run before every Snapshot/WritePrometheus so
-	// pull-model sources (runtime stats) can refresh their series, and
-	// after all of them the hooks that read the registry itself (the
-	// history store's re-sample). Guarded by their own mutex and invoked
-	// outside both locks: a hook is free to touch registered metrics,
-	// never the registry itself.
-	hookMu    sync.Mutex
-	hooks     []func()
-	lastHooks []func()
-	hookKeys  map[string]bool
+	// pull-model sources (runtime stats) can refresh their series. A
+	// scrape only reads: no hook records what the registry holds.
+	// Guarded by their own mutex and invoked outside both locks: a hook
+	// is free to touch registered metrics, never the registry itself.
+	hookMu   sync.Mutex
+	hooks    []func()
+	hookKeys map[string]bool
 }
 
 // NewRegistry returns an empty registry.
@@ -78,28 +75,20 @@ func NewRegistry() *Registry {
 // under a dedup key: re-registering the same key is a no-op, so
 // idempotent setup paths (every mux construction calling
 // RegisterRuntimeMetrics) install one hook, not many.
-func (r *Registry) OnScrapeOnce(key string, fn func()) { r.addHook(&r.hooks, key, fn) }
-
-// OnScrapeLastOnce is OnScrapeOnce for a hook that reads the registry's
-// series rather than refreshing some: fn runs after every OnScrapeOnce
-// hook, whichever was registered first, so what it reads is what the
-// scrape is about to expose. The two share one key space.
-func (r *Registry) OnScrapeLastOnce(key string, fn func()) { r.addHook(&r.lastHooks, key, fn) }
-
-func (r *Registry) addHook(hooks *[]func(), key string, fn func()) {
+func (r *Registry) OnScrapeOnce(key string, fn func()) {
 	r.hookMu.Lock()
 	defer r.hookMu.Unlock()
 	if r.hookKeys[key] {
 		return
 	}
 	r.hookKeys[key] = true
-	*hooks = append(*hooks, fn)
+	r.hooks = append(r.hooks, fn)
 }
 
 // runScrapeHooks invokes the registered hooks outside every lock.
 func (r *Registry) runScrapeHooks() {
 	r.hookMu.Lock()
-	hooks := slices.Concat(r.hooks, r.lastHooks)
+	hooks := r.hooks
 	r.hookMu.Unlock()
 	for _, fn := range hooks {
 		fn()
