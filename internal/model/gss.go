@@ -1,6 +1,10 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+
+	"mzqos/internal/chernoff"
+)
 
 // GSSResult describes one Group Sweeping Scheduling configuration.
 //
@@ -37,21 +41,26 @@ func (m *Model) GSS(n, groups int) (GSSResult, error) {
 		return GSSResult{}, fmt.Errorf("%w: need 1 <= groups <= n", ErrConfig)
 	}
 	k := (n + groups - 1) / groups
-	sub := m.cfg.RoundLength / float64(groups)
-	b, err := m.LateBoundAt(k, sub)
+	b, err := m.LateBoundAt(k, m.cfg.RoundLength/float64(groups))
 	if err != nil {
 		return GSSResult{}, err
 	}
+	return m.gssResult(groups, k, b), nil
+}
+
+// gssResult fills a GSSResult for G groups of k requests whose subperiod
+// bound is b.
+func (m *Model) gssResult(groups, k int, b float64) GSSResult {
 	res := GSSResult{
 		Groups:    groups,
 		GroupSize: k,
-		SubPeriod: sub,
+		SubPeriod: m.cfg.RoundLength / float64(groups),
 		LateBound: b,
 	}
 	if m.hasSizes {
 		res.BufferPerStream = (1 + 1/float64(groups)) * m.cfg.Sizes.Mean()
 	}
-	return res, nil
+	return res
 }
 
 // GSSNMax returns the largest stream count admissible with G groups at a
@@ -61,43 +70,52 @@ func (m *Model) GSS(n, groups int) (GSSResult, error) {
 // θ — and stops at the first k whose bound violates delta, admitting
 // (k−1)·G, or where k·G reaches the search cap.
 func (m *Model) GSSNMax(groups int, delta float64) (int, error) {
+	n, _, err := m.gssWalk(groups, delta)
+	return n, err
+}
+
+// gssWalk is GSSNMax's walk. It also returns the subperiod bound it solved
+// at the admitted group size ⌈n/G⌉: k−1 after a violation, the k that
+// reached the cap otherwise.
+func (m *Model) gssWalk(groups int, delta float64) (n int, bound float64, err error) {
 	if groups < 1 {
-		return 0, fmt.Errorf("%w: groups must be positive", ErrConfig)
+		return 0, 0, fmt.Errorf("%w: groups must be positive", ErrConfig)
 	}
 	if !(delta > 0 && delta < 1) {
-		return 0, fmt.Errorf("%w: delta must be in (0,1)", ErrConfig)
+		return 0, 0, fmt.Errorf("%w: delta must be in (0,1)", ErrConfig)
 	}
 	if m.maxSearchN < groups {
-		return 0, ErrOverload
+		return 0, 0, ErrOverload
 	}
 	sub := m.cfg.RoundLength / float64(groups)
-	var theta float64
+	var prev chernoff.Result
 	for k := 1; ; k++ {
-		res, err := m.lateResultAt(k, sub, theta)
+		res, err := m.lateResultAt(k, sub, prev.Theta)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if res.Bound > delta {
 			if k == 1 {
-				return 0, ErrOverload
+				return 0, 0, ErrOverload
 			}
-			return (k - 1) * groups, nil
+			return (k - 1) * groups, prev.Bound, nil
 		}
 		if k*groups >= m.maxSearchN {
-			return m.maxSearchN, nil
+			return m.maxSearchN, res.Bound, nil
 		}
-		theta = res.Theta
+		prev = res
 	}
 }
 
 // GSSSweep evaluates a set of group counts at a fixed lateness threshold,
 // returning for each the admission limit and the buffer requirement — the
 // classic GSS throughput-vs-memory trade-off curve. An unattainable group
-// count reports a zero entry.
+// count reports a zero entry. Each entry's LateBound is the one its walk
+// solved at the admitted group size.
 func (m *Model) GSSSweep(groups []int, delta float64) ([]GSSResult, error) {
 	out := make([]GSSResult, len(groups))
 	for i, g := range groups {
-		n, err := m.GSSNMax(g, delta)
+		n, b, err := m.gssWalk(g, delta)
 		if err == ErrOverload {
 			out[i] = GSSResult{Groups: g}
 			continue
@@ -105,9 +123,7 @@ func (m *Model) GSSSweep(groups []int, delta float64) ([]GSSResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if out[i], err = m.GSS(n, g); err != nil {
-			return nil, err
-		}
+		out[i] = m.gssResult(g, (n+g-1)/g, b)
 		out[i].AdmittedN = n
 	}
 	return out, nil
