@@ -102,8 +102,15 @@ func New(name string, rot float64, zones []Zone, seek SeekCurve) (*Geometry, err
 	return g, nil
 }
 
-// Cylinders returns the total number of cylinders (CYL).
-func (g *Geometry) Cylinders() int { return g.cumCyl[len(g.cumCyl)-1] }
+// Cylinders returns the total number of cylinders (CYL): 0 for a Geometry
+// New did not build (the zero value, a struct literal), which has no
+// address map.
+func (g *Geometry) Cylinders() int {
+	if len(g.cumCyl) == 0 {
+		return 0
+	}
+	return g.cumCyl[len(g.cumCyl)-1]
+}
 
 // Capacity returns the total usable capacity in bytes.
 func (g *Geometry) Capacity() float64 { return g.cumBytes[len(g.cumBytes)-1] }

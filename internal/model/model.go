@@ -143,6 +143,10 @@ func New(cfg Config) (*Model, error) {
 	if cfg.Disk == nil {
 		return nil, fmt.Errorf("%w: nil disk geometry", ErrConfig)
 	}
+	// The one check that a geometry is usable: server.New reaches it too.
+	if cfg.Disk.Cylinders() == 0 {
+		return nil, fmt.Errorf("%w: disk geometry %q has no cylinders: build it with disk.New", ErrConfig, cfg.Disk.Name)
+	}
 	if !(cfg.RoundLength > 0) || math.IsInf(cfg.RoundLength, 1) {
 		return nil, fmt.Errorf("%w: round length must be positive and finite", ErrConfig)
 	}

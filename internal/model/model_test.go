@@ -390,6 +390,19 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Disk: disk.QuantumViking21(), RoundLength: 1}); err == nil {
 		t.Error("missing workload should error")
 	}
+	// A geometry disk.New did not build has no address map, however its
+	// fields are set.
+	v := disk.QuantumViking21()
+	for _, g := range []*disk.Geometry{{}, {Name: "literal", RotationTime: v.RotationTime, Zones: v.Zones, Seek: v.Seek}} {
+		for _, cfg := range []Config{
+			{Disk: g, Sizes: workload.PaperSizes(), RoundLength: 1},
+			{Disk: g, RoundLength: 1, TransferMean: 0.01, TransferVar: 1e-5},
+		} {
+			if _, err := New(cfg); !errors.Is(err, ErrConfig) {
+				t.Errorf("geometry %q: New returned %v, want ErrConfig", g.Name, err)
+			}
+		}
+	}
 }
 
 // TestNewRejectsUnboundedSearchCap: admission reads the bound chain up to

@@ -59,6 +59,40 @@ func TestNewRejectsUnboundedRoundLength(t *testing.T) {
 	}
 }
 
+// TestNewRefusesHostileConfigs: a config New cannot serve is an ErrConfig,
+// never a panic. A geometry disk.New did not build — the zero value or a
+// struct literal, as the Disk or as one of the Disks — has no address map.
+func TestNewRefusesHostileConfigs(t *testing.T) {
+	v := disk.QuantumViking21()
+	literal := &disk.Geometry{Name: "literal", RotationTime: v.RotationTime, Zones: v.Zones, Seek: v.Seek}
+	good := Config{Disk: v, NumDisks: 2, RoundLength: 1, Sizes: workload.PaperSizes(), Guarantee: model.Guarantee{Threshold: 0.01}}
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"zero-value Disk", func(c *Config) { c.Disk = &disk.Geometry{} }},
+		{"struct-literal Disk", func(c *Config) { c.Disk = literal }},
+		{"zero-value Disks entry", func(c *Config) { c.Disks = []*disk.Geometry{v, {}} }},
+		{"struct-literal Disks entry", func(c *Config) { c.Disks = []*disk.Geometry{literal, v} }},
+		{"nil Sizes", func(c *Config) { c.Sizes = workload.SizeModel{} }},
+		{"zero NumDisks", func(c *Config) { c.NumDisks = 0 }},
+		{"negative NumDisks", func(c *Config) { c.NumDisks = -1 }},
+		{"NaN round length", func(c *Config) { c.RoundLength = math.NaN() }},
+		{"infinite round length", func(c *Config) { c.RoundLength = math.Inf(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := good
+			tc.edit(&cfg)
+			if _, err := New(cfg); !errors.Is(err, ErrConfig) {
+				t.Errorf("New returned %v, want ErrConfig", err)
+			}
+		})
+	}
+	if _, err := New(good); err != nil {
+		t.Fatalf("the unedited config: %v", err)
+	}
+}
+
 // TestNewRejectsUnaddressableDisk: the catalog keeps a fragment's cylinder
 // as int32 and the flight recorder a request's zone in 16 bits, so a disk
 // with more of either than that is turned away at construction, never
