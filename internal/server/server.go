@@ -525,12 +525,15 @@ func (s *Server) AddObject(name string, sizes []float64) error {
 	}
 	base := s.nextBase
 	frags := make([]fragment, len(sizes))
+	// Fragment i lives on disk d = (base+i) mod D; place it uniformly
+	// within that disk's own geometry.
+	d := base
 	for i, sz := range sizes {
-		// Fragment i lives on disk (base+i) mod D; place it uniformly
-		// within that disk's own geometry.
-		g := s.geoms[mod(base+i, len(s.geoms))]
-		loc := g.SampleLocation(s.rng)
+		loc := s.geoms[d].SampleLocation(s.rng)
 		frags[i] = fragment{size: sz, cyl: int32(loc.Cylinder), zone: int32(loc.Zone)}
+		if d++; d == len(s.geoms) {
+			d = 0
+		}
 	}
 	s.catalog[name] = &object{name: name, base: base, frags: frags}
 	s.nextBase = (s.nextBase + 1) % len(s.geoms)
