@@ -108,8 +108,10 @@ type SimResult struct {
 // completion when work-conserving), and the fragment of stream i in round
 // r must complete by (r+1+s)·t to be displayed seamlessly.
 func Simulate(cfg SimConfig, rounds int, seed uint64) (SimResult, error) {
-	if cfg.Sim.Disk == nil || cfg.Sim.Sizes.Dist == nil || !(cfg.Sim.RoundLength > 0) ||
-		cfg.Sim.N < 1 || cfg.SlackRounds < 0 || rounds < 1 {
+	// A geometry disk.New did not build (Cylinders 0) has no address map
+	// to draw from.
+	if cfg.Sim.Disk == nil || cfg.Sim.Disk.Cylinders() == 0 || cfg.Sim.Sizes.Dist == nil ||
+		!(cfg.Sim.RoundLength > 0) || cfg.Sim.N < 1 || cfg.SlackRounds < 0 || rounds < 1 {
 		return SimResult{}, ErrConfig
 	}
 	rng := dist.NewRand(seed, seed^0x62756666)

@@ -178,6 +178,20 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
+// TestSimulateRefusesUnbuiltGeometry: a geometry disk.New did not build
+// (the zero value, a struct literal) has no address map; Simulate refuses
+// it as ErrConfig before the first draw.
+func TestSimulateRefusesUnbuiltGeometry(t *testing.T) {
+	v := disk.QuantumViking21()
+	for _, g := range []*disk.Geometry{{}, {Name: "literal", RotationTime: v.RotationTime, Zones: v.Zones, Seek: v.Seek}} {
+		cfg := SimConfig{Sim: simCfg(5)}
+		cfg.Sim.Disk = g
+		if _, err := Simulate(cfg, 10, 1); err != ErrConfig {
+			t.Errorf("geometry %q: Simulate err = %v, want ErrConfig", g.Name, err)
+		}
+	}
+}
+
 func TestClientBufferBytes(t *testing.T) {
 	// Minimum double buffer at s=0, one extra fragment per slack round.
 	if ClientBufferBytes(200, 0) != 400 {

@@ -55,6 +55,9 @@ func (c Config) validate() error {
 	if c.Disk == nil || !(c.RoundLength > 0) {
 		return ErrConfig
 	}
+	if c.Disk.Cylinders() == 0 {
+		return fmt.Errorf("%w: disk geometry %q has no cylinders: build it with disk.New", ErrConfig, c.Disk.Name)
+	}
 	if !(c.Reserve >= 0 && c.Reserve < 1) {
 		return fmt.Errorf("%w: reserve must be in [0,1)", ErrConfig)
 	}

@@ -155,6 +155,23 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
+// TestRefusesUnbuiltGeometry: a geometry disk.New did not build (the zero
+// value, a struct literal) has no address map; New and Simulate refuse it
+// as this package's ErrConfig.
+func TestRefusesUnbuiltGeometry(t *testing.T) {
+	v := disk.QuantumViking21()
+	for _, g := range []*disk.Geometry{{}, {Name: "literal", RotationTime: v.RotationTime, Zones: v.Zones, Seek: v.Seek}} {
+		cfg := testConfig(t)
+		cfg.Disk = g
+		if _, err := New(cfg); !errors.Is(err, ErrConfig) {
+			t.Errorf("geometry %q: New err = %v, want ErrConfig", g.Name, err)
+		}
+		if _, err := Simulate(cfg, 5, 10, 1); !errors.Is(err, ErrConfig) {
+			t.Errorf("geometry %q: Simulate err = %v, want ErrConfig", g.Name, err)
+		}
+	}
+}
+
 func TestSimulateMatchesModel(t *testing.T) {
 	cfg := testConfig(t)
 	m, err := New(cfg)

@@ -83,6 +83,10 @@ func (c Config) validate() error {
 	if c.Disk == nil || c.Sizes.Dist == nil || !(c.RoundLength > 0) || c.N < 1 {
 		return ErrConfig
 	}
+	// A geometry disk.New did not build has no address map to draw from.
+	if c.Disk.Cylinders() == 0 {
+		return ErrConfig
+	}
 	if c.Access != nil && !c.Access.Valid(c.Disk) {
 		return ErrConfig
 	}

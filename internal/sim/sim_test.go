@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
@@ -33,6 +34,23 @@ func TestEstimatePLateValidation(t *testing.T) {
 	bad.N = 0
 	if _, err := EstimatePLate(bad, 10, 1); err != ErrConfig {
 		t.Errorf("N=0 err = %v", err)
+	}
+}
+
+// TestRefusesUnbuiltGeometry: a geometry disk.New did not build (the zero
+// value, a struct literal) has no address map, so the estimators refuse it
+// as ErrConfig before a worker draws a location from it.
+func TestRefusesUnbuiltGeometry(t *testing.T) {
+	v := disk.QuantumViking21()
+	for _, g := range []*disk.Geometry{{}, {Name: "literal", RotationTime: v.RotationTime, Zones: v.Zones, Seek: v.Seek}} {
+		cfg := paperConfig(t, 26)
+		cfg.Disk = g
+		if _, err := EstimatePLate(cfg, 10, 1); !errors.Is(err, ErrConfig) {
+			t.Errorf("geometry %q: EstimatePLate err = %v, want ErrConfig", g.Name, err)
+		}
+		if _, err := ReplayRounds(cfg, 10, 1); !errors.Is(err, ErrConfig) {
+			t.Errorf("geometry %q: ReplayRounds err = %v, want ErrConfig", g.Name, err)
+		}
 	}
 }
 
