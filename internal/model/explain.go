@@ -88,18 +88,29 @@ func (m *Model) ExplainNMax(g Guarantee) (AdmissionExplanation, error) {
 // one warm solve at a time, and stops at the first n that violates g or at
 // the search cap. The bounds are non-decreasing in n
 // (TestBoundsNonDecreasingInN), so the n before the first violation is
-// max{N : bound(N) ≤ target} (eqs. 3.1.7, 3.3.6).
+// max{N : bound(N) ≤ target} (eqs. 3.1.7, 3.3.6). It reads the published
+// chain once and enters ensureChain only past that snapshot's end; probes
+// and chain hits are counted locally and added to the shared counters once
+// per walk, so concurrent walks do not contend on them.
 func (m *Model) walk(g Guarantee) (AdmissionExplanation, error) {
 	exp := AdmissionExplanation{Guarantee: g, Threshold: g.Threshold, Bound: "b_late"}
 	if g.Rounds > 0 {
 		exp.Bound = "b_glitch"
 	}
+	var probes, hits int64
+	defer func() {
+		tel.searchProbes.Add(probes)
+		tel.chainHits.Add(hits)
+	}()
+	c := m.chain.Load()
+	var err error
 	for n := 1; n <= m.maxSearchN; n++ {
-		c, err := m.ensureChain(n)
-		if err != nil {
+		if len(c.res) > n {
+			hits++
+		} else if c, err = m.ensureChain(n); err != nil {
 			return AdmissionExplanation{}, err
 		}
-		tel.searchProbes.Inc()
+		probes++
 		v := c.res[n].Bound
 		if g.Rounds > 0 {
 			if v, err = chernoff.BinomialUpperTail(g.Rounds, c.glitch(n), g.Glitches); err != nil {
