@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"mzqos/internal/disk"
@@ -210,5 +211,127 @@ func TestJournalDegradeEvictArc(t *testing.T) {
 	deg := jnl.Events(journal.Filter{Shard: -1, Disk: -1, Kinds: []journal.Kind{journal.KindDegrade}})[0]
 	if deg.From <= deg.To {
 		t.Fatalf("degrade should shrink N_max: from %d to %d", deg.From, deg.To)
+	}
+}
+
+// tail folds every field of a delivered-tail summary, Mean's bits included.
+func (d digest) tail(ts journal.TailSummary) {
+	d.u64(uint64(ts.Count))
+	d.f64(ts.Mean)
+	d.f64(ts.P50)
+	d.f64(ts.P90)
+	d.f64(ts.P99)
+	d.f64(ts.P999)
+}
+
+// record folds every field of a ledger record, promise and lineage included.
+func (d digest) record(rec journal.Record) {
+	d.u64(uint64(rec.Stream))
+	d.int(rec.Shard)
+	d.str(rec.Object)
+	p := rec.Promised
+	d.str(p.Object)
+	d.int(p.Shard)
+	d.int(p.Round)
+	d.int(p.SlotDelay)
+	d.f64(p.BoundLate)
+	d.f64(p.BoundGlitch)
+	d.int(p.BindingDisk)
+	d.int(p.BindingK)
+	d.str(p.BindingBound)
+	d.f64(p.Theta)
+	v := rec.Delivered
+	d.int(v.StartupDelay)
+	d.int(v.Served)
+	d.int(v.Glitches)
+	d.bool(v.Done)
+	d.bool(v.Evicted)
+	d.bool(v.Abandoned)
+	d.int(rec.Migrations)
+	d.int(len(rec.ShardsVisited))
+	for _, sh := range rec.ShardsVisited {
+		d.int(sh)
+	}
+	d.u64(rec.AdmitSeq)
+	d.int(rec.RetiredRound)
+}
+
+// TestChurnJournalGolden pins what a churning, journaled server records, bit
+// for bit: the ledger's report — both delivered tails (Mean included), the
+// stage counts, every retired and active record with its promise — and every
+// journal event the ring retains. Clips of one to eight fragments on four
+// disks open until the first rejection each round; read errors glitch
+// fragments, so the glitch tail has mass above zero; every fifth round
+// closes the oldest stream and every seventh exports the newest and imports
+// it back. The ledger's retired ring and the journal both wrap.
+func TestChurnJournalGolden(t *testing.T) {
+	const want uint64 = 0x9915c1f13519a1c5
+	plan := &fault.Plan{
+		Seed:   13,
+		Faults: []fault.Fault{{Kind: fault.ReadError, Disk: fault.AllDisks, From: 0, Until: 1 << 20, Prob: 0.2}},
+	}
+	s, jnl, led := journaledServer(t, 4, plan, DegradeConfig{})
+	var names []string
+	for n := 1; n <= 8; n++ {
+		name := fmt.Sprintf("c%d", n)
+		if err := s.AddSyntheticObject(name, n); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+	}
+	opened, glitches := 0, 0
+	for r := 0; r < 400; r++ {
+		for {
+			if _, _, err := s.Open(names[opened%len(names)]); err != nil {
+				break
+			}
+			opened++
+		}
+		ids := s.ActiveStreams()
+		if r%5 == 0 && len(ids) > 0 {
+			if err := s.Close(ids[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r%7 == 0 && len(ids) > 1 {
+			state, err := s.ExportStream(ids[len(ids)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.ImportStream(state); err != nil {
+				t.Fatal(err)
+			}
+		}
+		glitches += s.Step().Glitches
+	}
+	rep := led.Report()
+	if glitches == 0 || rep.GlitchesPerStream.P999 == 0 || rep.RetiredTotal <= int64(rep.Retained) {
+		t.Fatalf("schedule missed a path: %d glitches, glitch tail %+v, %d retired for %d retained",
+			glitches, rep.GlitchesPerStream, rep.RetiredTotal, rep.Retained)
+	}
+	if st := jnl.Stats(); st.Dropped == 0 {
+		t.Fatalf("the journal never wrapped: %+v", st)
+	}
+	d := digest{fnv.New64a()}
+	d.tail(rep.StartupDelayRounds)
+	d.tail(rep.GlitchesPerStream)
+	d.int(rep.ActiveStreams)
+	d.int(rep.InflightMigrations)
+	d.u64(uint64(rep.RetiredTotal))
+	d.int(rep.Retained)
+	for _, recs := range [][]journal.Record{rep.Retired, rep.Active} {
+		d.int(len(recs))
+		for _, rec := range recs {
+			d.record(rec)
+		}
+	}
+	evs := jnl.Events(journal.MatchAll())
+	d.int(len(evs))
+	for _, e := range evs {
+		d.event(e)
+	}
+	if got := d.h.Sum64(); got != want {
+		t.Errorf("churn digest = %#x, want %#x (startup %+v, glitches %+v)",
+			got, want, rep.StartupDelayRounds, rep.GlitchesPerStream)
 	}
 }
