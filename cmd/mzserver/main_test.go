@@ -20,7 +20,7 @@ func TestLogJournal(t *testing.T) {
 	log := slog.New(slog.NewJSONHandler(&buf, nil))
 	appendN := func(n int) {
 		for i := 0; i < n; i++ {
-			jnl.Append(journal.Event{Kind: journal.KindReject, Round: i, Disk: -1, From: -1, To: -1, Object: "clip", Detail: "capacity"})
+			jnl.Append(&journal.Event{Kind: journal.KindReject, Round: i, Disk: -1, From: -1, To: -1, Object: "clip", Detail: "capacity"})
 		}
 	}
 	render := func(after uint64) (uint64, []map[string]any) {

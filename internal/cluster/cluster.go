@@ -448,7 +448,7 @@ func (c *Coordinator) Open(object string) (Handle, int, error) {
 	}
 	c.tel.rejected.Inc()
 	if c.jnl != nil {
-		c.jnl.Append(journal.Event{
+		c.jnl.Append(&journal.Event{
 			Round:  int(c.round.Load()),
 			Kind:   journal.KindReject,
 			Shard:  cands[start],

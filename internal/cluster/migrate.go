@@ -54,7 +54,7 @@ func (c *Coordinator) migrateRound(rep *RoundReport, round int) (migrated, faile
 			room--
 			failedOver++
 			if c.jnl != nil {
-				c.jnl.Append(journal.Event{
+				c.jnl.Append(&journal.Event{
 					Round:  round,
 					Kind:   journal.KindFailover,
 					Shard:  s.id,
@@ -123,7 +123,7 @@ func (c *Coordinator) importOne(m *migration, v *view, round int) bool {
 			continue // class slots fuller than the view knew
 		}
 		if c.jnl != nil {
-			c.jnl.Append(journal.Event{
+			c.jnl.Append(&journal.Event{
 				Round:  round,
 				Kind:   journal.KindMigrate,
 				Shard:  id,

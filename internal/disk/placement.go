@@ -120,8 +120,8 @@ func (g *Geometry) SampleLocationUnder(p AccessProfile, rng *rand.Rand) Location
 		}
 	}
 	var firstCyl int
-	for i := 0; i < zone; i++ {
-		firstCyl += g.Zones[i].Tracks
+	if zone > 0 {
+		firstCyl = g.cumCyl[zone-1]
 	}
 	return Location{Zone: zone, Cylinder: firstCyl + rng.IntN(g.Zones[zone].Tracks)}
 }

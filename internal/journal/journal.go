@@ -14,8 +14,9 @@
 // ordered narrative (served by mzserver's /timeline) instead of four
 // disjoint endpoints.
 //
-// Append is zero-allocation in steady state: the Event is passed by
-// value into a preallocated ring under one short mutex, and the metric
+// Append is zero-allocation in steady state: the emitter fills an Event
+// in place and hands Append a pointer to it, and Append copies it once,
+// into its slot of a preallocated ring, under one short mutex. The metric
 // updates (mzqos_journal_events_total{kind}, mzqos_journal_dropped_total,
 // mzqos_journal_head_seq) hit pre-captured atomic series. A nil *Journal
 // is a disabled journal: every method is a no-op, so emitters need no
@@ -211,18 +212,25 @@ func New(cfg Config) *Journal {
 	return j
 }
 
-// Append assigns the next sequence number to e, stores it in the ring,
-// and returns the assigned sequence. Zero allocations in steady state;
-// a nil journal returns 0 and records nothing.
-func (j *Journal) Append(e Event) uint64 {
+// Append copies *e into the ring under the next sequence number and
+// returns that number; *e itself is left as it was, so an emitter may
+// reuse it. Zero allocations in steady state; a nil journal returns 0 and
+// records nothing. The head-seq gauge is set under the ring's lock, so
+// appenders racing from parallel shards publish their seqs in order and
+// the gauge never goes backwards.
+func (j *Journal) Append(e *Event) uint64 {
 	if j == nil {
 		return 0
 	}
 	j.mu.Lock()
 	overwrote := j.events.Len() == j.events.Cap()
 	slot := j.events.Next()
-	e.Seq = j.events.Pushed()
-	*slot = e
+	*slot = *e
+	seq := j.events.Pushed()
+	slot.Seq = seq
+	if j.headSeq != nil {
+		j.headSeq.Set(float64(seq))
+	}
 	j.mu.Unlock()
 	if int(e.Kind) < len(j.kindTotal) {
 		if c := j.kindTotal[e.Kind]; c != nil {
@@ -232,10 +240,7 @@ func (j *Journal) Append(e Event) uint64 {
 	if overwrote && j.dropTotal != nil {
 		j.dropTotal.Inc()
 	}
-	if j.headSeq != nil {
-		j.headSeq.Set(float64(e.Seq))
-	}
-	return e.Seq
+	return seq
 }
 
 // Filter selects events for Events. The zero value of Shard and Disk is

@@ -2,7 +2,9 @@ package journal
 
 import (
 	"encoding/json"
+	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"mzqos/internal/telemetry"
@@ -11,7 +13,7 @@ import (
 func TestAppendSequencesAndWraps(t *testing.T) {
 	j := New(Config{Capacity: 4})
 	for i := 0; i < 6; i++ {
-		seq := j.Append(Event{Round: i, Kind: KindAdmit, Disk: -1, From: -1, To: -1})
+		seq := j.Append(&Event{Round: i, Kind: KindAdmit, Disk: -1, From: -1, To: -1})
 		if seq != uint64(i+1) {
 			t.Fatalf("append %d: seq %d, want %d", i, seq, i+1)
 		}
@@ -33,7 +35,7 @@ func TestAppendSequencesAndWraps(t *testing.T) {
 
 func TestNilJournalIsDisabled(t *testing.T) {
 	var j *Journal
-	if seq := j.Append(Event{Kind: KindGlitch}); seq != 0 {
+	if seq := j.Append(&Event{Kind: KindGlitch}); seq != 0 {
 		t.Fatalf("nil append returned seq %d", seq)
 	}
 	if evs := j.Events(MatchAll()); evs != nil {
@@ -46,10 +48,10 @@ func TestNilJournalIsDisabled(t *testing.T) {
 
 func TestFilterDimensions(t *testing.T) {
 	j := New(Config{Capacity: 32})
-	j.Append(Event{Kind: KindAdmit, Shard: 0, Disk: -1, Stream: 1, Object: "a", From: -1, To: -1})
-	j.Append(Event{Kind: KindAdmit, Shard: 1, Disk: -1, Stream: 2, Object: "b", From: -1, To: -1})
-	j.Append(Event{Kind: KindEvict, Shard: 1, Disk: -1, Stream: 2, Object: "b", From: -1, To: -1})
-	j.Append(Event{Kind: KindDegrade, Shard: 0, Disk: 2, From: 5, To: 3})
+	j.Append(&Event{Kind: KindAdmit, Shard: 0, Disk: -1, Stream: 1, Object: "a", From: -1, To: -1})
+	j.Append(&Event{Kind: KindAdmit, Shard: 1, Disk: -1, Stream: 2, Object: "b", From: -1, To: -1})
+	j.Append(&Event{Kind: KindEvict, Shard: 1, Disk: -1, Stream: 2, Object: "b", From: -1, To: -1})
+	j.Append(&Event{Kind: KindDegrade, Shard: 0, Disk: 2, From: 5, To: 3})
 
 	cases := []struct {
 		name string
@@ -135,9 +137,9 @@ func TestEventJSONShape(t *testing.T) {
 func TestJournalMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	j := New(Config{Capacity: 2, Registry: reg})
-	j.Append(Event{Kind: KindAdmit})
-	j.Append(Event{Kind: KindAdmit})
-	j.Append(Event{Kind: KindGlitch}) // overwrites the oldest
+	j.Append(&Event{Kind: KindAdmit})
+	j.Append(&Event{Kind: KindAdmit})
+	j.Append(&Event{Kind: KindGlitch}) // overwrites the oldest
 
 	snap := reg.Snapshot()
 	if v, _ := counterValue(snap, "mzqos_journal_events_total", telemetry.L("kind", "admit")); v != 2 {
@@ -154,11 +156,61 @@ func TestJournalMetrics(t *testing.T) {
 	}
 }
 
+// TestHeadSeqGaugeNeverDecreases: shards append in parallel, so the
+// head-seq gauge must be published in seq order — a scraper that sees it
+// fall reads a timeline moving backwards. A reader watches it while four
+// appenders race; it never decreases and ends at the journal's head.
+func TestHeadSeqGaugeNeverDecreases(t *testing.T) {
+	const appenders, each = 4, 20000
+	reg := telemetry.NewRegistry()
+	j := New(Config{Capacity: 64, Registry: reg})
+	head := reg.Gauge("mzqos_journal_head_seq", "")
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	fell := make(chan string, 1)
+	go func() {
+		defer close(fell)
+		last := 0.0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := head.Value()
+			if v < last {
+				fell <- fmt.Sprintf("head seq gauge fell from %v to %v", last, v)
+				return
+			}
+			last = v
+		}
+	}()
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func(shard int) {
+			defer wg.Done()
+			e := Event{Kind: KindGlitch, Shard: shard, Disk: -1, From: -1, To: -1}
+			for i := 0; i < each; i++ {
+				e.Round = i
+				j.Append(&e)
+			}
+		}(a)
+	}
+	wg.Wait()
+	close(stop)
+	if msg, ok := <-fell; ok {
+		t.Fatal(msg)
+	}
+	if got, want := head.Value(), float64(j.Stats().HeadSeq); got != want || want != appenders*each {
+		t.Fatalf("head seq gauge ends at %v, journal head %v, want both %d", got, want, appenders*each)
+	}
+}
+
 func TestAppendAllocsZero(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	j := New(Config{Capacity: 1024, Registry: reg})
 	e := Event{Round: 1, Kind: KindGlitch, Shard: 0, Disk: -1, From: -1, To: -1, Value: 3}
-	if allocs := testing.AllocsPerRun(1000, func() { j.Append(e) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, func() { j.Append(&e) }); allocs != 0 {
 		t.Fatalf("Append allocates %v times per call, want 0", allocs)
 	}
 }
@@ -174,7 +226,7 @@ func BenchmarkAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Round = i
-		j.Append(e)
+		j.Append(&e)
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"mzqos/internal/telemetry"
 )
 
-func promiseFor(object string, shard int) Promise {
-	return Promise{
+func promiseFor(object string, shard int) *Promise {
+	return &Promise{
 		Object: object, Shard: shard, Round: 0, SlotDelay: 1,
 		BoundLate: 1e-3, BoundGlitch: 1e-4,
 		BindingDisk: 0, BindingK: 5, BindingBound: "b_late", Theta: 0.7,
@@ -213,7 +215,7 @@ func TestLedgerRetiredRingBounds(t *testing.T) {
 	if rep.Retired[0].Stream != 2 || rep.Retired[1].Stream != 3 {
 		t.Fatalf("oldest-first order: %+v", rep.Retired)
 	}
-	// Histograms keep counting past the ring.
+	// The tallies keep counting past the ring.
 	if rep.GlitchesPerStream.Count != 3 {
 		t.Fatalf("tail count: got %d, want 3", rep.GlitchesPerStream.Count)
 	}
@@ -275,5 +277,49 @@ func TestLedgerRecycledRecordsStayPut(t *testing.T) {
 	want := append(snap[1:len(snap):len(snap)], rec)
 	if got := l.Report().Retired; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after one more retirement:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestLedgerTalliesMatchHistogram holds the delivered-tail tallies to the
+// telemetry histogram's "le" buckets over values on, just below and just
+// above every bound, and past the last: the same bucket counts, count and
+// sum, so the same report.
+func TestLedgerTalliesMatchHistogram(t *testing.T) {
+	l := NewLedger(LedgerConfig{Retired: 4})
+	delays, _ := telemetry.NewHistogram(l.delays.bounds)
+	glitches, _ := telemetry.NewHistogram(l.glitches.bounds)
+	var values []int
+	for _, b := range l.glitches.bounds {
+		values = append(values, int(b)-1, int(b), int(b)+1, int(b)) // a bound twice
+	}
+	values = append(values, 5000)
+	for i, v := range values {
+		id := int64(i + 1)
+		delay := v % 200 // on and around the delay bounds too, and past 128
+		l.Admit(0, id, promiseFor("clip", 0), uint64(id))
+		l.Retire(0, i, []Retirement{{ID: id, Delivered: Delivered{StartupDelay: delay, Glitches: v}}})
+		delays.Observe(float64(delay))
+		glitches.Observe(float64(v))
+	}
+	rep := l.Report()
+	for _, c := range []struct {
+		name string
+		ta   *tally
+		h    *telemetry.Histogram
+		got  TailSummary
+	}{
+		{"startup delay", &l.delays, delays, rep.StartupDelayRounds},
+		{"glitches", &l.glitches, glitches, rep.GlitchesPerStream},
+	} {
+		want := c.h.SnapshotValues()
+		if !reflect.DeepEqual(c.ta.counts, want.Counts) || c.ta.count != want.Count || c.ta.sum != want.Sum {
+			t.Errorf("%s tally: counts %v count %d sum %v; histogram: counts %v count %d sum %v",
+				c.name, c.ta.counts, c.ta.count, c.ta.sum, want.Counts, want.Count, want.Sum)
+		}
+		wantTail := TailSummary{Count: want.Count, Mean: want.Sum / float64(want.Count),
+			P50: want.Quantile(0.5), P90: want.Quantile(0.9), P99: want.Quantile(0.99), P999: want.Quantile(0.999)}
+		if c.got != wantTail {
+			t.Errorf("%s tail %+v, want %+v", c.name, c.got, wantTail)
+		}
 	}
 }

@@ -177,7 +177,7 @@ func (s *Server) shedToLimit() []engine.Eviction {
 			}
 		}
 		for i < len(s.active) {
-			st := s.active[i]
+			st := &s.active[i]
 			if st.offset != class {
 				i++
 				continue

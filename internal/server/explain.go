@@ -25,9 +25,10 @@ const (
 func (s *Server) recordRejection(object, reason string, nmax int) {
 	s.tel.rejected.Inc()
 	if s.jnl != nil {
-		e := s.event(journal.KindReject)
+		var e journal.Event
+		s.event(&e, journal.KindReject)
 		e.Object, e.Value, e.Detail = object, float64(nmax), reason
-		s.jnl.Append(e)
+		s.jnl.Append(&e)
 	}
 }
 

@@ -35,7 +35,8 @@ func invariantsPlan() *fault.Plan {
 func checkActiveSet(lc *lifecycle) error {
 	s := lc.s
 	perClass := make([]int, len(s.classes))
-	for i, st := range s.active {
+	for i := range s.active {
+		st := &s.active[i]
 		if i > 0 && s.active[i-1].id >= st.id {
 			return fmt.Errorf("active[%d].id = %d after %d: not strictly ascending", i, st.id, s.active[i-1].id)
 		}
@@ -54,7 +55,7 @@ func checkActiveSet(lc *lifecycle) error {
 		return fmt.Errorf("len(active) = %d, Active() = %d, streams_active gauge = %v", n, s.Active(), s.tel.active.Value())
 	}
 	ids := s.ActiveStreams()
-	if !slices.EqualFunc(ids, s.active, func(id StreamID, st *stream) bool { return id == st.id }) {
+	if !slices.EqualFunc(ids, s.active, func(id StreamID, st stream) bool { return id == st.id }) {
 		return fmt.Errorf("ActiveStreams() = %v is not the active slice's ids", ids)
 	}
 	return nil

@@ -13,53 +13,47 @@ import (
 // report a transition, a latch or an effect, and the round loop, which
 // knows the round, the shard and the limits in force, records it.
 
-// event starts an event of this server's timeline: its round and shard
-// filled in, no disk and no transition pair.
-func (s *Server) event(kind journal.Kind) journal.Event {
-	return journal.Event{Round: s.round, Kind: kind, Shard: s.shard, Disk: -1, From: -1, To: -1}
+// event starts e, the caller's zero Event, as an event of this server's
+// timeline: its round and shard filled in, no disk and no transition
+// pair. The caller fills in the rest and hands e to Append, which copies
+// it once, into the journal's ring.
+func (s *Server) event(e *journal.Event, kind journal.Kind) {
+	e.Round, e.Kind, e.Shard, e.Disk, e.From, e.To = s.round, kind, s.shard, -1, -1, -1
 }
 
 // journalAdmit records an admission on the timeline, with the slotting
 // delay charged here, and opens the stream's ledger record with the
-// guarantee quoted right now: the analytic bounds of the limits in force
-// plus the binding constraint from the admission explanation of the disk
-// that set N_max.
+// guarantee quoted right now: the limits' quote (the analytic bounds in
+// force and the binding constraint) plus the stream's own four fields.
 func (s *Server) journalAdmit(st *stream, imported bool, lim *limits) {
-	e := s.event(journal.KindAdmit)
+	var e journal.Event
+	s.event(&e, journal.KindAdmit)
 	e.Stream, e.Object, e.Value = int64(st.id), st.obj.name, float64(st.start-s.round)
 	if imported {
 		e.Detail = "import"
 	}
-	seq := s.jnl.Append(e)
-	exp := &lim.explains[lim.bindDisk]
-	s.ledger.Admit(s.shard, int64(st.id), journal.Promise{
-		Object:       st.obj.name,
-		Shard:        s.shard,
-		Round:        s.round,
-		SlotDelay:    st.delay,
-		BoundLate:    lim.boundLate,
-		BoundGlitch:  lim.boundGlitch,
-		BindingDisk:  lim.bindDisk,
-		BindingK:     exp.BindingK,
-		BindingBound: exp.Bound,
-		Theta:        exp.Theta,
-	}, seq)
+	seq := s.jnl.Append(&e)
+	p := lim.quote
+	p.Object, p.Shard, p.Round, p.SlotDelay = st.obj.name, s.shard, s.round, st.delay
+	s.ledger.Admit(s.shard, int64(st.id), &p, seq)
 }
 
 // journalEvict records a degraded-mode shed on the timeline. The ledger
 // side happens in rememberEvicted (the suspend carries delivered stats).
 func (s *Server) journalEvict(st *stream) {
-	e := s.event(journal.KindEvict)
+	var e journal.Event
+	s.event(&e, journal.KindEvict)
 	e.Stream, e.Object = int64(st.id), st.obj.name
-	s.jnl.Append(e)
+	s.jnl.Append(&e)
 }
 
 // journalLimitChange records a degrade/restore/recalibrate transition of
 // the admission limit: From/To are the old and new N_max.
 func (s *Server) journalLimitChange(kind journal.Kind, disk, oldLimit, newLimit int, detail string) {
-	e := s.event(kind)
+	var e journal.Event
+	s.event(&e, kind)
 	e.Disk, e.From, e.To, e.Detail = disk, oldLimit, newLimit, detail
-	s.jnl.Append(e)
+	s.jnl.Append(&e)
 }
 
 // sloKinds maps the alert states that are incidents to their event kinds.
@@ -79,14 +73,15 @@ func (s *Server) journalSLO(idx int, te *slo.TargetEval) {
 		return
 	}
 	lim := s.lim.Load()
-	e := s.event(kind)
+	var e journal.Event
+	s.event(&e, kind)
 	e.Disk, e.From, e.To = lim.bindDisk, int(te.From), int(te.State)
 	e.Target, e.Value, e.Budget = slo.TargetName(idx), te.MeasuredFast, te.Budget
 	if te.State == slo.Firing {
 		exp := &lim.explains[lim.bindDisk]
 		e.Detail = fmt.Sprintf("binding k=%d %s disk=%d", exp.BindingK, exp.Bound, lim.bindDisk)
 	}
-	s.jnl.Append(e)
+	s.jnl.Append(&e)
 }
 
 // freeze triggers the flight recorder and records the trigger that
@@ -97,9 +92,10 @@ func (s *Server) freeze(reason string) {
 	if !latched {
 		return
 	}
-	e := s.event(journal.KindFreeze)
+	var e journal.Event
+	s.event(&e, journal.KindFreeze)
 	e.TraceSeq, e.Detail = seq, reason
-	s.jnl.Append(e)
+	s.jnl.Append(&e)
 }
 
 // journalFaultEdges records a fault_inject or fault_clear for every disk
@@ -121,8 +117,9 @@ func (s *Server) journalFaultEdges(effs []fault.Effects) {
 		if was.Active() {
 			kind, shown = journal.KindFaultClear, was
 		}
-		e := s.event(kind)
+		var e journal.Event
+		s.event(&e, kind)
 		e.Disk, e.Detail = d, shown.String()
-		s.jnl.Append(e)
+		s.jnl.Append(&e)
 	}
 }

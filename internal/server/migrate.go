@@ -49,14 +49,11 @@ func (s *Server) ExportStream(id StreamID) (engine.StreamState, error) {
 	if !ok {
 		return engine.StreamState{}, fmt.Errorf("%w: %d", ErrUnknownStream, id)
 	}
-	st := s.active[i]
+	st := &s.active[i]
 	state := streamState(st)
+	delivered := journal.Delivered{StartupDelay: st.delay, Served: st.served, Glitches: st.glitches}
 	s.deactivate(i)
-	s.ledger.Suspend(s.shard, int64(id), journal.Delivered{
-		StartupDelay: st.delay,
-		Served:       st.served,
-		Glitches:     st.glitches,
-	}, s.round)
+	s.ledger.Suspend(s.shard, int64(id), delivered, s.round)
 	return state, nil
 }
 
@@ -73,8 +70,8 @@ func (s *Server) ImportStream(state engine.StreamState) (StreamID, int, error) {
 // sibling replicas.
 func (s *Server) ActiveStreams() []StreamID {
 	ids := make([]StreamID, len(s.active))
-	for i, st := range s.active {
-		ids[i] = st.id
+	for i := range s.active {
+		ids[i] = s.active[i].id
 	}
 	return ids
 }

@@ -172,14 +172,17 @@ type object struct {
 	frags []fragment
 }
 
-// stream is one active playback.
+// stream is one active playback. The active set holds streams by value,
+// so each carries its object's fragments for Step's gather to read in
+// place.
 type stream struct {
 	id       StreamID
 	obj      *object
-	offset   int // offset class: disk in round r is (offset+r) mod D
-	next     int // next fragment index to read
-	start    int // first round in which the stream reads
-	delay    int // startup delay in rounds (admission-time slotting)
+	frags    []fragment // obj.frags
+	offset   int        // offset class: disk in round r is (offset+r) mod D
+	next     int        // next fragment index to read
+	start    int        // first round in which the stream reads
+	delay    int        // startup delay in rounds (admission-time slotting)
 	glitches int
 	served   int
 }
@@ -211,7 +214,7 @@ type Server struct {
 	nextID   StreamID
 	nextBase int
 	catalog  map[string]*object
-	active   []*stream      // ascending StreamID, the order Step gathers in
+	active   []stream       // ascending StreamID, the order Step gathers in
 	classes  []atomic.Int64 // active streams per offset class; written by the loop, read by anyone
 	tel      *Telemetry
 	inj      *fault.Injector // nil-safe: a nil injector is a healthy array
@@ -219,9 +222,10 @@ type Server struct {
 
 	// Step scratch, reused across rounds: the per-disk fault effects, the
 	// fragments gathered for each disk (Ref indexes active), the requests
-	// its sweep served and the streams that completed, in service order
-	// (cleared once retired). rows is the unspent rest of the current
-	// block of report rows (see diskRows).
+	// its sweep served and the streams that completed, in service order.
+	// done points into active, so it lives only until active next
+	// changes: retireDone consumes it before it compacts. rows is the
+	// unspent rest of the current block of report rows (see diskRows).
 	effs     []fault.Effects
 	frags    [][]sweep.Fragment
 	reqs     [][]sweep.Request
@@ -359,7 +363,11 @@ type limits struct {
 	explains []model.AdmissionExplanation // per-disk decision traces
 	bindDisk int                          // disk whose model binds nmax
 
-	boundLate, boundGlitch float64 // b_late and b_glitch at nmax, quoted by install
+	// quote is the half of every admission's promise that the limits set:
+	// b_late and b_glitch at nmax and the binding constraint (bindDisk
+	// and its explanation's k, bound family and θ), built by install.
+	// The bounds are also the SLO audit's budgets.
+	quote journal.Promise
 
 	degraded bool // derived against faulty disks; degradeState.base holds the way back
 	failed   bool // a failed disk holds admission closed
@@ -411,32 +419,36 @@ func evaluateDisks(geoms []*disk.Geometry, sizes workload.SizeModel, roundLength
 }
 
 // install puts next in force — the single choke point every limit change
-// (New, Recalibrate, degrade, restore) flows through. It quotes the two
-// analytic bounds at next's N_max from its binding model, publishes the
-// value, and refreshes the limit gauges and the SLO audit's error budgets
-// from it, so the ledger, the audit and every report read the same quote.
-// next must not have been published before: install completes it.
+// (New, Recalibrate, degrade, restore) flows through. It builds next's
+// quote — the two analytic bounds at its N_max from its binding model and
+// the binding constraint — publishes the value, and refreshes the limit
+// gauges and the SLO audit's error budgets from it, so the ledger, the
+// audit and every report read the same quote. next must not have been
+// published before: install completes it.
 func (s *Server) install(next *limits) {
+	exp := &next.explains[next.bindDisk]
+	q := journal.Promise{BindingDisk: next.bindDisk, BindingK: exp.BindingK, BindingBound: exp.Bound, Theta: exp.Theta}
 	if next.nmax > 0 {
 		if bl, err := next.binding.LateBound(next.nmax); err == nil {
-			next.boundLate = bl
+			q.BoundLate = bl
 		}
 		if bg, err := next.binding.GlitchBound(next.nmax); err == nil {
-			next.boundGlitch = bg
+			q.BoundGlitch = bg
 		}
 	}
+	next.quote = q
 	s.lim.Store(next)
 	s.tel.nmax.Set(float64(next.nmax))
-	s.tel.boundLate.Set(next.boundLate)
-	s.tel.boundGlitch.Set(next.boundGlitch)
+	s.tel.boundLate.Set(q.BoundLate)
+	s.tel.boundGlitch.Set(q.BoundGlitch)
 	s.tel.degraded.Set(gaugeBool(next.degraded))
 	s.tel.failed.Set(gaugeBool(next.failed))
-	s.sloAud.SetBudgets(next.boundLate, next.boundGlitch)
+	s.sloAud.SetBudgets(q.BoundLate, q.BoundGlitch)
 	if next.nmax > 0 {
 		// With admission closed the budget gauges keep the round's values
 		// until auditSLO republishes them at its end.
-		s.tel.slo.budget[0].Set(next.boundLate)
-		s.tel.slo.budget[1].Set(next.boundGlitch)
+		s.tel.slo.budget[0].Set(q.BoundLate)
+		s.tel.slo.budget[1].Set(q.BoundGlitch)
 	}
 }
 
@@ -585,17 +597,10 @@ func (s *Server) admit(state engine.StreamState, imported bool) (StreamID, int, 
 		return 0, 0, ErrRejected
 	}
 	s.nextID++
-	st := &stream{
-		id:       s.nextID,
-		obj:      obj,
-		offset:   class,
-		next:     state.Position,
-		start:    s.round + delay,
-		delay:    state.Delay + delay,
-		served:   state.Served,
-		glitches: state.Glitches,
-	}
-	s.activate(st)
+	st := s.activate(class)
+	st.id, st.obj, st.frags = s.nextID, obj, obj.frags
+	st.next, st.start, st.delay = state.Position, s.round+delay, state.Delay+delay
+	st.served, st.glitches = state.Served, state.Glitches
 	s.tel.admitted.Inc()
 	s.journalAdmit(st, imported, lim)
 	return st.id, delay, nil
@@ -606,20 +611,25 @@ func (s *Server) admit(state engine.StreamState, imported bool) (StreamID, int, 
 // s.round+delay puts the stream in offset class (first − (round+delay))
 // mod D; the least-loaded class within the next D rounds wins (smallest
 // delay on ties) so load stays balanced across disks, and ok is false
-// when even the emptiest class is at nmax — always, when nmax is 0.
+// when even the emptiest class is at nmax — always, when nmax is 0. Each
+// round of delay steps the class down by one, wrapping below 0 to D−1.
 func (s *Server) slot(nmax, first int) (delay, class int, ok bool) {
 	d := len(s.geoms)
-	bestDelay := -1
+	bestDelay, bestClass := -1, 0
 	bestCount := nmax
+	c := mod(first-s.round, d)
 	for k := 0; k < d; k++ {
-		if n := int(s.classes[mod(first-(s.round+k), d)].Load()); n < bestCount {
-			bestCount, bestDelay = n, k
+		if n := int(s.classes[c].Load()); n < bestCount {
+			bestCount, bestDelay, bestClass = n, k, c
+		}
+		if c--; c < 0 {
+			c = d - 1
 		}
 	}
 	if bestDelay < 0 {
 		return 0, 0, false
 	}
-	return bestDelay, mod(first-(s.round+bestDelay), d), true
+	return bestDelay, bestClass, true
 }
 
 // occupancy appends the per-class stream counts to dst: the one read of
@@ -633,18 +643,23 @@ func (s *Server) occupancy(dst []int) []int {
 
 // find binary-searches the active slice for id.
 func (s *Server) find(id StreamID) (int, bool) {
-	return slices.BinarySearchFunc(s.active, id, func(st *stream, id StreamID) int {
+	return slices.BinarySearchFunc(s.active, id, func(st stream, id StreamID) int {
 		return cmp.Compare(st.id, id)
 	})
 }
 
-// activate enters st into the active set and its offset class. Every
-// stream it is handed has a fresh id, above every active one (Open and
-// ImportStream both issue the next), so appending keeps active ascending.
-func (s *Server) activate(st *stream) {
-	s.active = append(s.active, st)
-	s.classes[st.offset].Add(1)
+// activate enters a stream of offset class into the active set and its
+// class, and returns it for the caller to fill in place. The caller gives
+// it a fresh id, above every active one (Open and ImportStream both issue
+// the next), so appending keeps active ascending.
+func (s *Server) activate(class int) *stream {
+	n := len(s.active)
+	s.active = slices.Grow(s.active, 1)[:n+1]
+	st := &s.active[n]
+	*st = stream{offset: class}
+	s.classes[class].Add(1)
 	s.tel.active.Set(float64(len(s.active)))
+	return st
 }
 
 // deactivate removes active[i] from the active set and its offset class.
@@ -665,12 +680,13 @@ func (s *Server) Close(id StreamID) error {
 }
 
 // retire deactivates active[i], which stopped before its last fragment,
-// and closes its ledger record. Step retires
-// its completions itself, all at once (see retireDone).
+// counts it retired and closes its ledger record. Step retires its
+// completions itself, all at once (see retireDone).
 func (s *Server) retire(i int) {
-	st := s.active[i]
+	r := s.active[i].retirement(false)
 	s.deactivate(i)
-	s.ledger.Retire(s.shard, s.round, []journal.Retirement{s.rememberFinished(st, false)})
+	s.tel.retired.Inc()
+	s.ledger.Retire(s.shard, s.round, []journal.Retirement{r})
 }
 
 // stats reports the service active stream st has had so far.
@@ -683,15 +699,11 @@ func (st *stream) stats() StreamStats {
 	}
 }
 
-// rememberFinished counts a retirement (completion, Close or eviction;
-// the telemetry counters keep the totals the ledger's ring drops) and
-// returns the delivered totals that close the stream's QoS ledger record,
-// for the caller to hand to Ledger.Retire with the rest of its batch.
-func (s *Server) rememberFinished(st *stream, done bool) journal.Retirement {
-	s.tel.retired.Inc()
-	if done {
-		s.tel.completed.Inc()
-	}
+// retirement returns the delivered totals that close the stream's QoS
+// ledger record (completion, Close or eviction), for the caller to hand
+// to Ledger.Retire with the rest of its batch. The caller counts it in
+// the telemetry counters, which keep the totals the ledger's ring drops.
+func (st *stream) retirement(done bool) journal.Retirement {
 	return journal.Retirement{ID: int64(st.id), Delivered: journal.Delivered{
 		StartupDelay: st.delay,
 		Served:       st.served,

@@ -27,6 +27,9 @@
 #                 than the bound
 #   within bound  none of the above; per-layer metrics fix no bound and
 #                 read "better" or "-"
+# With fewer than 10 pairs a "better" or "WORSE" is a screen, not a
+# verdict, and prints as "... (screen: re-run at PAIRS=10)"; the exit
+# status is the same.
 # Exits non-zero on a sim_digest mismatch, a run that reports
 # correct:false, or an end-to-end metric that is WORSE.
 #
@@ -145,6 +148,8 @@ awk -F '\t' '
 			else if (iqr > bound[f[3]] * pm && !apart) verdict = "unresolved"
 			else if (worse > bound[f[3]] * pm) { verdict = "WORSE"; failed++ }
 			else verdict = "within bound"
+			# fewer than ten pairs screen for a move, they do not judge one
+			if (m < 10 && (verdict == "better" || verdict == "WORSE")) verdict = verdict " (screen: re-run at PAIRS=10)"
 			printf "   %-12s seed %-3s %-22s parent %-12.6g change %-12.6g ratio %.3f  iqr %-10.4g wins %d/%d  %s\n",
 				f[1], f[2], f[3], pm, cm, quantile(r, m, 0.5), iqr, wins[key], m, verdict
 		}
