@@ -112,25 +112,48 @@ func TestBoundTightnessWithinBounds(t *testing.T) {
 }
 
 // TestTelemetryCountersMatchReports cross-checks the metric surface
-// against the per-round reports the Step API already returns.
+// against the per-round reports the Step API already returns. Short clips
+// complete several to a round, beside one Close, so the retirement
+// counters are checked against both ways a stream retires.
 func TestTelemetryCountersMatchReports(t *testing.T) {
 	s := paperServer(t, 2)
 	if err := s.AddSyntheticObject("v", 50); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if _, _, err := s.Open("v"); err != nil {
+	if err := s.AddSyntheticObject("short", 3); err != nil {
+		t.Fatal(err)
+	}
+	var first StreamID
+	for i := 0; i < 16; i++ {
+		name := "v"
+		if i >= 10 {
+			name = "short"
+		}
+		id, _, err := s.Open(name)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			first = id
+		}
 	}
-	var fragments, glitches int
+	var fragments, glitches, completed int
 	const rounds = 40
 	for r := 0; r < rounds; r++ {
+		if r == 10 {
+			if err := s.Close(first); err != nil {
+				t.Fatal(err)
+			}
+		}
 		rep := s.Step()
 		glitches += rep.Glitches
+		completed += len(rep.Completed)
 		for _, d := range rep.Disks {
 			fragments += d.Requests
 		}
+	}
+	if completed != 6 {
+		t.Fatalf("%d streams completed, want the 6 short clips", completed)
 	}
 	snap := s.Telemetry().Registry().Snapshot()
 	checks := []struct {
@@ -140,7 +163,9 @@ func TestTelemetryCountersMatchReports(t *testing.T) {
 		{"mzqos_server_rounds_total", rounds},
 		{"mzqos_server_fragments_total", int64(fragments)},
 		{"mzqos_server_glitches_total", int64(glitches)},
-		{"mzqos_server_streams_admitted_total", 10},
+		{"mzqos_server_streams_admitted_total", 16},
+		{"mzqos_server_streams_completed_total", int64(completed)},
+		{"mzqos_server_streams_retired_total", int64(completed) + 1},
 	}
 	for _, c := range checks {
 		if got, ok := counterValue(snap, c.name); !ok || got != c.want {
