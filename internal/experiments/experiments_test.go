@@ -59,6 +59,28 @@ func TestQuickOutputDigest(t *testing.T) {
 	}
 }
 
+// TestAblationNMaxGolden pins the admission limits the A1 and A2
+// ablations print for each tail functional at δ = 1 %, the values
+// results_full_scale.txt records.
+func TestAblationNMaxGolden(t *testing.T) {
+	a1, err := AblationBounds(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := AblationScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ got, want string }{
+		{a1.Notes[0], "admitted streams at delta=1%: Chernoff 26, Chebyshev 17, CLT 28"},
+		{a2.Notes[0], "admitted streams at delta=1%: SCAN+Chernoff 26, indep+CLT 25, indep+Chebyshev 15"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("note %q, want %q", tc.got, tc.want)
+		}
+	}
+}
+
 func TestRunUnknown(t *testing.T) {
 	if _, err := Run("nope", QuickOptions()); !errors.Is(err, ErrUnknown) {
 		t.Errorf("err = %v, want ErrUnknown", err)
