@@ -51,20 +51,20 @@ func AblationBounds(opts Options) (Table, error) {
 			f("%d", n), f("%.5f", est.P), f("%.5f", ch), f("%.5f", cb), f("%.5f", clt),
 		})
 	}
-	nCh, err := m.NMaxWith(func(n int) (float64, error) { return m.LateBound(n) }, 0.01)
+	nCh, err := m.NMaxLate(0.01)
 	if err != nil {
 		return Table{}, err
 	}
-	nCb, err := m.NMaxWith(m.LateBoundChebyshev, 0.01)
+	cb, err := m.ExplainNMaxWith(m.LateBoundChebyshev, 0.01)
 	if err != nil {
 		return Table{}, err
 	}
-	nClt, err := m.NMaxWith(m.LateEstimateCLT, 0.01)
+	clt, err := m.ExplainNMaxWith(m.LateEstimateCLT, 0.01)
 	if err != nil {
 		return Table{}, err
 	}
 	t.Notes = append(t.Notes,
-		f("admitted streams at delta=1%%: Chernoff %d, Chebyshev %d, CLT %d", nCh, nCb, nClt),
+		f("admitted streams at delta=1%%: Chernoff %d, Chebyshev %d, CLT %d", nCh, cb.NMax, clt.NMax),
 		"Chebyshev is a valid bound but admits far fewer streams; the CLT estimate is not a bound and can cross below the simulated tail")
 	return t, nil
 }
@@ -108,16 +108,16 @@ func AblationScan() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	nIndCLT, err := m.NMaxWith(m.LateEstimateIndependentCLT, 0.01)
+	indCLT, err := m.ExplainNMaxWith(m.LateEstimateIndependentCLT, 0.01)
 	if err != nil {
 		return Table{}, err
 	}
-	nIndCb, err := m.NMaxWith(m.LateBoundIndependentChebyshev, 0.01)
+	indCb, err := m.ExplainNMaxWith(m.LateBoundIndependentChebyshev, 0.01)
 	if err != nil {
 		return Table{}, err
 	}
 	t.Notes = append(t.Notes,
-		f("admitted streams at delta=1%%: SCAN+Chernoff %d, indep+CLT %d, indep+Chebyshev %d", nScan, nIndCLT, nIndCb),
+		f("admitted streams at delta=1%%: SCAN+Chernoff %d, indep+CLT %d, indep+Chebyshev %d", nScan, indCLT.NMax, indCb.NMax),
 		"even the worst-case SCAN constant beats the expected cost of independent seeks at realistic N")
 	return t, nil
 }

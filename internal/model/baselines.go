@@ -135,25 +135,3 @@ func (m *Model) LateBoundIndependentChebyshev(n int) (float64, error) {
 	}
 	return chernoff.Chebyshev(mean, variance, m.cfg.RoundLength), nil
 }
-
-// NMaxWith returns max{N : bound(N) <= delta} for an arbitrary per-N
-// lateness functional, so baselines plug into the same admission logic.
-func (m *Model) NMaxWith(bound func(int) (float64, error), delta float64) (int, error) {
-	if !(delta > 0 && delta < 1) {
-		return 0, fmt.Errorf("%w: delta must be in (0,1)", ErrConfig)
-	}
-	limit := m.maxSearchN
-	for n := 1; n <= limit; n++ {
-		b, err := bound(n)
-		if err != nil {
-			return 0, err
-		}
-		if b > delta || math.IsNaN(b) {
-			if n == 1 {
-				return 0, ErrOverload
-			}
-			return n - 1, nil
-		}
-	}
-	return limit, nil
-}

@@ -73,52 +73,61 @@ func (e AdmissionExplanation) String() string {
 // unattainable guarantee is not an error here: it returns Overload=true
 // with NMax 0, since "why zero" is exactly what an explanation is for.
 func (m *Model) ExplainNMax(g Guarantee) (AdmissionExplanation, error) {
-	if err := g.validate(); err != nil {
+	r := m.chainAt(m.cfg.RoundLength)
+	defer r.flush()
+	exp, err := m.walk(g, func(n int) (float64, error) {
+		c, err := r.at(n)
+		if err != nil {
+			return 0, err
+		}
+		if g.Rounds == 0 {
+			return c.res[n].Bound, nil
+		}
+		return chernoff.BinomialUpperTail(g.Rounds, c.glitch(n), g.Glitches)
+	})
+	if err != nil {
 		return AdmissionExplanation{}, err
 	}
-	exp, err := m.walk(g)
-	if err == nil {
-		tel.admissionDecisions.Inc()
-	}
-	return exp, err
-}
-
-// walk reads g's governing quantity — b_late(n), or p_error(n) from the
-// glitch prefix sums — for n = 1, 2, … up the memoized chain, extending it
-// one warm solve at a time, and stops at the first n that violates g or at
-// the search cap. The bounds are non-decreasing in n
-// (TestBoundsNonDecreasingInN), so the n before the first violation is
-// max{N : bound(N) ≤ target} (eqs. 3.1.7, 3.3.6). It reads the published
-// chain once and enters ensureChain only past that snapshot's end; probes
-// and chain hits are counted locally and added to the shared counters once
-// per walk, so concurrent walks do not contend on them.
-func (m *Model) walk(g Guarantee) (AdmissionExplanation, error) {
-	exp := AdmissionExplanation{Guarantee: g, Threshold: g.Threshold, Bound: "b_late"}
+	exp.Bound = "b_late"
 	if g.Rounds > 0 {
 		exp.Bound = "b_glitch"
 	}
-	var probes, hits int64
-	defer func() {
-		tel.searchProbes.Add(probes)
-		tel.chainHits.Add(hits)
-	}()
-	c := m.chain.Load()
-	var err error
+	if exp.BindingK > 0 {
+		exp.Theta = r.c.res[exp.BindingK].Theta
+	}
+	return exp, nil
+}
+
+// ExplainNMaxWith is ExplainNMax for an arbitrary per-n quantity q — a
+// baseline tail functional, a buffered bound — held to threshold by the
+// same walk. Bound and Theta are left empty: the quantity is the caller's.
+func (m *Model) ExplainNMaxWith(q func(n int) (float64, error), threshold float64) (AdmissionExplanation, error) {
+	return m.walk(Guarantee{Threshold: threshold}, q)
+}
+
+// walk is the one loop that answers "the largest n whose quantity is at
+// most the threshold": it validates g, reads q(n) for n = 1, 2, … and stops
+// at the first n whose quantity exceeds g.Threshold or is NaN, or at the
+// search cap. The quantities the model walks are non-decreasing in n
+// (TestBoundsNonDecreasingInN), so the n before the first violation is
+// max{N : q(N) ≤ target} (eqs. 3.1.7, 3.3.6). It fills every field of the
+// explanation but Bound and Theta, which depend on the quantity. Probes
+// are counted locally and added to the shared counter once per walk.
+func (m *Model) walk(g Guarantee, q func(n int) (float64, error)) (AdmissionExplanation, error) {
+	if err := g.validate(); err != nil {
+		return AdmissionExplanation{}, err
+	}
+	exp := AdmissionExplanation{Guarantee: g, Threshold: g.Threshold}
+	var probes int64
+	defer func() { tel.searchProbes.Add(probes) }()
 	for n := 1; n <= m.maxSearchN; n++ {
-		if len(c.res) > n {
-			hits++
-		} else if c, err = m.ensureChain(n); err != nil {
+		probes++
+		v, err := q(n)
+		if err != nil {
 			return AdmissionExplanation{}, err
 		}
-		probes++
-		v := c.res[n].Bound
-		if g.Rounds > 0 {
-			if v, err = chernoff.BinomialUpperTail(g.Rounds, c.glitch(n), g.Glitches); err != nil {
-				return AdmissionExplanation{}, err
-			}
-		}
-		if v > g.Threshold {
-			exp.BindingK, exp.ValueAtBindingK, exp.Theta = n, v, c.res[n].Theta
+		if !(v <= g.Threshold) {
+			exp.BindingK, exp.ValueAtBindingK = n, v
 			exp.Overload = n == 1
 			break
 		}
@@ -126,5 +135,6 @@ func (m *Model) walk(g Guarantee) (AdmissionExplanation, error) {
 	}
 	exp.Capped = exp.BindingK == 0
 	exp.Slack = g.Threshold - exp.ValueAtNMax
+	tel.admissionDecisions.Inc()
 	return exp, nil
 }

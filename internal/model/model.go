@@ -112,7 +112,9 @@ const maxStreamsPerDisk = 1 << 16
 // and admission walk — is lock-free. Extending the chain to a new N is
 // serialized by a mutex (single-flight), and each extension is computed
 // warm-started from its predecessor's θ, so a given Model returns
-// bit-identical values no matter how calls interleave.
+// bit-identical values no matter how calls interleave. Bounds at any other
+// deadline — a buffered client's (1+s)·t, a GSS subperiod's t/G — are read
+// off a chain of the caller's own, grown the same way and then dropped.
 type Model struct {
 	cfg       Config
 	transGam  lst.Gamma     // moment-matched transfer-time transform (3.2.10)
@@ -128,14 +130,21 @@ type Model struct {
 	chain atomic.Pointer[lateChain]
 }
 
-// lateChain is an immutable snapshot of the memoized per-round lateness
-// results: res[n] holds the Chernoff result for b_late(n, t) (index 0 is a
-// zero placeholder) and prefix[n] = Σ_{k=1..n} b_late(k, t), the numerator
-// of the glitch bound (3.3.3). A newer snapshot extends an older one in
-// place past its length, so entries below a snapshot's length never change.
+// lateChain holds the Chernoff results at one deadline d: res[n] is the
+// result for P[T_n ≥ d] (index 0 is a zero placeholder) and prefix[n] =
+// Σ_{k=1..n} res[k].Bound, the numerator of the glitch bound (3.3.3). The
+// model's chain at d = t is published as immutable snapshots: a newer one
+// extends an older one in place past its length, so entries below a
+// snapshot's length never change.
 type lateChain struct {
-	res    []chernoff.Result
-	prefix []float64
+	deadline float64
+	res      []chernoff.Result
+	prefix   []float64
+}
+
+// newChain returns an empty chain at deadline d.
+func newChain(d float64) *lateChain {
+	return &lateChain{deadline: d, res: make([]chernoff.Result, 1), prefix: make([]float64, 1)}
 }
 
 // New validates cfg and precomputes the transfer-time Gamma matching.
@@ -151,10 +160,7 @@ func New(cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("%w: round length must be positive and finite", ErrConfig)
 	}
 	m := &Model{cfg: cfg}
-	m.chain.Store(&lateChain{
-		res:    make([]chernoff.Result, 1),
-		prefix: make([]float64, 1),
-	})
+	m.chain.Store(newChain(cfg.RoundLength))
 	switch {
 	case cfg.TransferMean > 0 && cfg.TransferVar > 0:
 		m.transMean, m.transVar = cfg.TransferMean, cfg.TransferVar

@@ -17,9 +17,9 @@ var tel struct {
 	chainExtensions telemetry.Counter // reads that had to extend the chain
 	warmSolves      telemetry.Counter // Chernoff solves warm-started from a θ hint
 	coldSolves      telemetry.Counter // Chernoff solves from a full-interval search
-	searchProbes    telemetry.Counter // chain reads in N_max walks
+	searchProbes    telemetry.Counter // quantities read in N_max walks
 
-	admissionDecisions telemetry.Counter // N_max evaluations explained (ExplainNMax calls)
+	admissionDecisions telemetry.Counter // N_max walks completed
 }
 
 // TelemetrySnapshot reports the process-wide solver counters.
@@ -30,11 +30,12 @@ type TelemetrySnapshot struct {
 	// WarmSolves and ColdSolves split the Chernoff minimizations by
 	// whether they were warm-started from a neighbouring θ.
 	WarmSolves, ColdSolves int64
-	// SearchProbes counts the stream counts N_max walks read off the
-	// chain: one per n from 1 to the binding k.
+	// SearchProbes counts the stream counts N_max walks read: one per n
+	// from 1 to the binding k.
 	SearchProbes int64
-	// AdmissionDecisions counts the N_max evaluations explained: every
-	// ExplainNMax call, NMaxFor's, NMaxLate's and NMaxError's included.
+	// AdmissionDecisions counts the N_max walks completed: every
+	// ExplainNMax call (NMaxFor's, NMaxLate's and NMaxError's included),
+	// every ExplainNMaxWith call and every GSS group count.
 	AdmissionDecisions int64
 }
 
