@@ -56,9 +56,9 @@ func ExampleBuildTable() {
 	// N_max=28  P[>=12 glitches in 1200 rounds] <= 0.01
 }
 
-// ExampleModel_GSS evaluates Group Sweeping Scheduling's buffer/throughput
-// trade-off.
-func ExampleModel_GSS() {
+// ExampleModel_GSSSweep evaluates Group Sweeping Scheduling's
+// buffer/throughput trade-off.
+func ExampleModel_GSSSweep() {
 	m, err := mzqos.NewModel(mzqos.ModelConfig{
 		Disk:        mzqos.QuantumViking21(),
 		Sizes:       mzqos.PaperSizes(),
@@ -67,11 +67,13 @@ func ExampleModel_GSS() {
 	if err != nil {
 		panic(err)
 	}
-	for _, g := range []int{1, 2, 4} {
-		n, _ := m.GSSNMax(g, 0.01)
-		r, _ := m.GSS(n, g)
+	rs, err := m.GSSSweep([]int{1, 2, 4}, 0.01)
+	if err != nil {
+		panic(err)
+	}
+	for _, r := range rs {
 		fmt.Printf("G=%d: admit %d streams, %.0f KB buffer per stream\n",
-			g, n, r.BufferPerStream/mzqos.KB)
+			r.Groups, r.AdmittedN, r.BufferPerStream/mzqos.KB)
 	}
 	// Output:
 	// G=1: admit 26 streams, 400 KB buffer per stream

@@ -10,18 +10,19 @@ import (
 
 func TestGSSOneGroupMatchesBase(t *testing.T) {
 	m := paperMultiZoneModel(t)
-	r, err := m.GSS(26, 1)
+	rs, err := m.GSSSweep([]int{1}, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	base, err := m.LateBound(26)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(r.LateBound-base) > 1e-12 {
+	if math.Float64bits(r.LateBound) != math.Float64bits(base) {
 		t.Errorf("G=1 GSS bound %v != base bound %v", r.LateBound, base)
 	}
-	if r.GroupSize != 26 || math.Abs(r.SubPeriod-1) > 1e-15 {
+	if r.GroupSize != 26 || r.SubPeriod != 1 {
 		t.Errorf("G=1 shape: %+v", r)
 	}
 	// Double buffering at G=1.
@@ -32,14 +33,14 @@ func TestGSSOneGroupMatchesBase(t *testing.T) {
 
 func TestGSSBufferShrinksWithGroups(t *testing.T) {
 	m := paperMultiZoneModel(t)
+	rs, err := m.GSSSweep([]int{1, 2, 4, 8}, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prev := math.Inf(1)
-	for _, g := range []int{1, 2, 4, 8} {
-		r, err := m.GSS(24, g)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, r := range rs {
 		if !(r.BufferPerStream < prev) {
-			t.Errorf("G=%d: buffer %v not below previous %v", g, r.BufferPerStream, prev)
+			t.Errorf("G=%d: buffer %v not below previous %v", r.Groups, r.BufferPerStream, prev)
 		}
 		prev = r.BufferPerStream
 	}
@@ -49,21 +50,18 @@ func TestGSSAdmissionShrinksWithGroups(t *testing.T) {
 	// More groups → shorter sweeps → more seek overhead per request →
 	// fewer admissible streams: the GSS trade-off.
 	m := paperMultiZoneModel(t)
-	prev := math.MaxInt
-	for _, g := range []int{1, 2, 4} {
-		n, err := m.GSSNMax(g, 0.01)
-		if err != nil {
-			t.Fatal(err)
+	rs, err := m.GSSSweep([]int{1, 2, 4}, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(rs); i++ {
+		if rs[i].AdmittedN > rs[i-1].AdmittedN {
+			t.Errorf("G=%d admits %d > previous %d", rs[i].Groups, rs[i].AdmittedN, rs[i-1].AdmittedN)
 		}
-		if n > prev {
-			t.Errorf("G=%d admits %d > previous %d", g, n, prev)
-		}
-		prev = n
 	}
 	// G=1 must reproduce the paper's 26.
-	n1, _ := m.GSSNMax(1, 0.01)
-	if n1 != 26 {
-		t.Errorf("GSSNMax(1) = %d, want 26", n1)
+	if rs[0].AdmittedN != 26 {
+		t.Errorf("G=1 admits %d, want 26", rs[0].AdmittedN)
 	}
 }
 
@@ -91,52 +89,58 @@ func TestGSSSweep(t *testing.T) {
 
 func TestGSSValidation(t *testing.T) {
 	m := paperMultiZoneModel(t)
-	if _, err := m.GSS(0, 1); err == nil {
-		t.Error("n=0 should error")
-	}
-	if _, err := m.GSS(5, 6); err == nil {
-		t.Error("groups > n should error")
-	}
-	if _, err := m.GSSNMax(0, 0.01); err == nil {
+	if _, err := m.GSSSweep([]int{1, 0}, 0.01); err == nil {
 		t.Error("groups=0 should error")
 	}
-	if _, err := m.GSSNMax(1, 0); err == nil {
+	if _, err := m.GSSSweep([]int{1}, 0); err == nil {
 		t.Error("delta=0 should error")
 	}
 }
 
 func TestGSSOverload(t *testing.T) {
 	// Absurdly many groups: even one stream per group cannot meet the
-	// subperiod deadline.
+	// subperiod deadline, and more groups than the search cap have a
+	// subperiod shorter than a transfer's mean. The sweep reports such
+	// entries as zero rather than failing.
 	m := paperMultiZoneModel(t)
-	if _, err := m.GSSNMax(200, 0.01); err != ErrOverload {
-		t.Errorf("err = %v, want ErrOverload", err)
-	}
-	// The sweep reports unattainable entries as zero rather than failing.
-	rs, err := m.GSSSweep([]int{1, 200}, 0.01)
+	rs, err := m.GSSSweep([]int{1, 200, m.maxSearchN + 1}, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs[1].AdmittedN != 0 {
-		t.Errorf("unattainable sweep entry = %+v", rs[1])
+	for _, r := range rs[1:] {
+		if r != (GSSResult{Groups: r.Groups}) {
+			t.Errorf("unattainable sweep entry = %+v", r)
+		}
 	}
+}
+
+// quarterRoundBound is b_late(k) of the paper's disk with rounds of t/4:
+// the chain a four-group subperiod's bound is read off.
+func quarterRoundBound(t *testing.T, k int) float64 {
+	t.Helper()
+	q, err := New(Config{Disk: disk.QuantumViking21(), Sizes: workload.PaperSizes(), RoundLength: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := q.LateBound(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestGSSSimConsistency(t *testing.T) {
 	// A GSS subperiod is exactly a shorter round with fewer requests, so
-	// the existing round machinery can validate it: the subperiod bound
-	// must sit at/above the equivalent round-model bound by construction.
+	// the round machinery of a model with rounds of t/G gives the same
+	// bits as the sweep's chain at t/G.
 	m := paperMultiZoneModel(t)
-	r, err := m.GSS(24, 4) // 6 requests per t/4 subperiod
+	rs, err := m.GSSSweep([]int{4}, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := m.LateBoundAt(6, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.LateBound-direct) > 1e-12 {
-		t.Errorf("GSS bound %v != direct subperiod bound %v", r.LateBound, direct)
+	r := rs[0]
+	if direct := quarterRoundBound(t, r.GroupSize); math.Float64bits(r.LateBound) != math.Float64bits(direct) {
+		t.Errorf("GSS bound %v != quarter-round b_late(%d) %v", r.LateBound, r.GroupSize, direct)
 	}
 }
 
@@ -196,23 +200,16 @@ func TestGSSSweepGolden(t *testing.T) {
 // TestGSSNMaxStopsAtSearchCap: a group count whose walk passes the search
 // cap without a violation admits exactly the cap, as N_max does. The cap
 // is lowered so the paper's disk reaches it: G = 4 admits 16 uncapped,
-// and its walk crosses a cap of 10 at k = 3, k·G = 12.
+// and its walk reaches a cap of 10 at k = ⌈10/4⌉ = 3.
 func TestGSSNMaxStopsAtSearchCap(t *testing.T) {
 	m := paperMultiZoneModel(t)
 	m.maxSearchN = 10
-	if n, err := m.GSSNMax(4, 0.01); err != nil || n != 10 {
-		t.Errorf("GSSNMax(4) under a cap of 10 = %d, %v; want 10", n, err)
-	}
-	// GSSSweep's entry is at the group size the cap admits, ⌈10/4⌉ = 3.
 	got, err := m.GSSSweep([]int{4}, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.GSS(10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := got[0]; g.AdmittedN != 10 || g.GroupSize != 3 || math.Abs(g.LateBound-want.LateBound) > 1e-6*want.LateBound {
-		t.Errorf("GSSSweep(4) under a cap of 10 = %+v; want 10 admitted in groups of 3, LateBound ≈ %v", g, want.LateBound)
+	want := quarterRoundBound(t, 3)
+	if g := got[0]; g.AdmittedN != 10 || g.GroupSize != 3 || math.Float64bits(g.LateBound) != math.Float64bits(want) {
+		t.Errorf("GSSSweep(4) under a cap of 10 = %+v; want 10 admitted in groups of 3, LateBound %v", g, want)
 	}
 }

@@ -312,7 +312,7 @@ func PlanRoundLength(g *Geometry, meanRate, cv, delta float64, targetN int, tLo,
 }
 
 // GSSResult describes a Group Sweeping Scheduling configuration (see
-// Model.GSS, Model.GSSNMax, Model.GSSSweep).
+// Model.GSSNMax, Model.GSSSweep).
 type GSSResult = model.GSSResult
 
 // SimulatePLate estimates p_late by detailed simulation (Figure 1).
