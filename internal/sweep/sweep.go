@@ -56,8 +56,11 @@ type Fragment struct {
 type Request struct {
 	Fragment
 
-	// SeekCylinders is the arm travel from the previous request.
-	SeekCylinders int
+	// Drawn is the rotational latency the sweep drew for the request,
+	// before any retry revolutions. With the Fragment, Retries and the
+	// sweep's geometry and fault scales it is all Advance reads, so the
+	// times below can be rebuilt from it.
+	Drawn float64
 	// Start and End are the service start and completion offsets from the
 	// sweep start in seconds; Seek, Rotation, and Transfer the three
 	// service phases between them. Rotation includes retry revolutions.
@@ -102,13 +105,11 @@ func Serve(g *disk.Geometry, eff fault.Effects, rng *rand.Rand, readErr func(pos
 	if len(out) != len(in) {
 		panic("sweep: Serve needs len(out) == len(in)")
 	}
-	var tot Totals
 	if eff.Failed {
 		for i := range out {
 			out[i] = Request{Fragment: in[i], Lost: true}
 		}
-		tot.Lost = len(in)
-		return tot
+		return Totals{Lost: len(in)}
 	}
 	var keys [insertionMax]uint64
 	keyed := orderKeys(&keys, in, g.Cylinders())
@@ -118,27 +119,13 @@ func Serve(g *disk.Geometry, eff fault.Effects, rng *rand.Rand, readErr func(pos
 		}
 		scanOrder(out)
 	}
-	arm := 0
-	var clock float64
+	var cur Cursor
 	for i := range out {
 		r := &out[i]
 		if keyed {
 			r.Fragment = in[uint32(keys[i])]
 		}
-		seekCyl := r.Cylinder - arm
-		if seekCyl < 0 {
-			seekCyl = -seekCyl
-		}
-		seek := g.Seek.Time(float64(seekCyl)) * eff.LatencyScale
-		rot := rng.Float64() * g.RotationTime * eff.LatencyScale
-		trans := g.TransferTime(r.Size, r.Zone) * eff.LatencyScale / eff.RateScale
-		r.Start = clock
-		clock += seek + rot + trans
-		tot.Seek += seek
-		tot.Rotation += rot
-		tot.Transfer += trans
-		arm = r.Cylinder
-
+		r.Drawn = rng.Float64() * g.RotationTime * eff.LatencyScale
 		r.Retries, r.Lost = 0, false
 		if eff.ErrorProb > 0 {
 			for attempt := 0; ; attempt++ {
@@ -153,24 +140,60 @@ func Serve(g *disk.Geometry, eff fault.Effects, rng *rand.Rand, readErr func(pos
 				}
 				if attempt >= eff.Retries {
 					r.Lost = true // retries exhausted: the fragment is lost
-					tot.Lost++
 					break
 				}
-				// Each retry re-reads after one full (inflated) revolution.
-				penalty := g.RotationTime * eff.LatencyScale
-				clock += penalty
-				tot.Rotation += penalty
-				rot += penalty
 				r.Retries++
 			}
-			tot.Retries += r.Retries
 		}
-		r.SeekCylinders = seekCyl
-		r.Seek, r.Rotation, r.Transfer = seek, rot, trans
-		r.End = clock
+		cur.Advance(g, eff.LatencyScale, eff.RateScale, r)
 	}
-	tot.Busy = clock
-	return tot
+	return cur.tot
+}
+
+// Cursor is a SCAN sweep between two requests: where the arm stands and
+// the sweep's running totals, whose Busy is the clock. The zero Cursor is
+// a sweep's start, the arm parked at cylinder 0.
+type Cursor struct {
+	arm int
+	tot Totals
+}
+
+// Advance serves r next: from its Fragment, Drawn and Retries, the disk g
+// and the round's latency and rate scales, it writes r's Start, Seek,
+// Rotation, Transfer and End (eq. 3.1.1, each retry one more full
+// revolution) and moves the cursor past it. It is the whole of a served
+// request's arithmetic: Serve calls it once per request in SCAN order,
+// and a reader that kept those inputs rebuilds the same times, bit for
+// bit, by calling it in the same order.
+func (c *Cursor) Advance(g *disk.Geometry, latency, rate float64, r *Request) {
+	travel := r.Cylinder - c.arm
+	if travel < 0 {
+		travel = -travel
+	}
+	seek := g.Seek.Time(float64(travel)) * latency
+	rot := r.Drawn
+	trans := g.TransferTime(r.Size, r.Zone) * latency / rate
+	r.Start = c.tot.Busy
+	c.tot.Busy += seek + rot + trans
+	c.tot.Seek += seek
+	c.tot.Rotation += rot
+	c.tot.Transfer += trans
+	c.arm = r.Cylinder
+	if r.Retries > 0 {
+		// Each retry re-reads after one full (inflated) revolution.
+		penalty := g.RotationTime * latency
+		for range r.Retries {
+			c.tot.Busy += penalty
+			c.tot.Rotation += penalty
+			rot += penalty
+		}
+		c.tot.Retries += r.Retries
+	}
+	if r.Lost {
+		c.tot.Lost++
+	}
+	r.Seek, r.Rotation, r.Transfer = seek, rot, trans
+	r.End = c.tot.Busy
 }
 
 // orderKeys is the ordering step of a sweep of admitted size. The

@@ -57,7 +57,7 @@ func TestServe(t *testing.T) {
 				r := reqs[0]
 				seek := g.Seek.Time(1000)
 				trans := 200e3 / g.TransferRate(r.Zone)
-				if r.SeekCylinders != 1000 || r.Start != 0 || r.Seek != seek ||
+				if r.Drawn != u[0]*rot || r.Start != 0 || r.Seek != seek ||
 					r.Rotation != u[0]*rot || r.Transfer != trans {
 					t.Errorf("request = %+v", r)
 				}
@@ -76,11 +76,11 @@ func TestServe(t *testing.T) {
 			draws: 4,
 			check: func(t *testing.T, u []float64, reqs []Request, tot Totals) {
 				wantRef := []int{9, 5, 2, 7} // ascending cylinder, tie by Ref
-				wantCyl := []int{90, 410, 3500, 0}
+				wantTravel := []float64{90, 410, 3500, 0}
 				prevEnd := 0.0
 				for i, r := range reqs {
-					if r.Ref != wantRef[i] || r.SeekCylinders != wantCyl[i] {
-						t.Errorf("position %d: ref %d travel %d, want %d/%d", i, r.Ref, r.SeekCylinders, wantRef[i], wantCyl[i])
+					if r.Ref != wantRef[i] || r.Seek != g.Seek.Time(wantTravel[i]) {
+						t.Errorf("position %d: ref %d seek %v, want ref %d and a seek of %v cylinders", i, r.Ref, r.Seek, wantRef[i], wantTravel[i])
 					}
 					if r.Start != prevEnd {
 						t.Errorf("position %d starts at %v, previous ended at %v", i, r.Start, prevEnd)
@@ -109,8 +109,8 @@ func TestServe(t *testing.T) {
 					if !r.Lost || r.Retries != 2 {
 						t.Errorf("request %d: lost=%v retries=%d, want lost after 2", i, r.Lost, r.Retries)
 					}
-					if want := u[i]*rot + rot + rot; r.Rotation != want {
-						t.Errorf("request %d rotation %v, want draw plus two revolutions %v", i, r.Rotation, want)
+					if want := u[i]*rot + rot + rot; r.Rotation != want || r.Drawn != u[i]*rot {
+						t.Errorf("request %d rotation %v drawn %v, want draw %v plus two revolutions %v", i, r.Rotation, r.Drawn, u[i]*rot, want)
 					}
 				}
 				if tot.Lost != 2 || tot.Retries != 4 {
@@ -171,7 +171,7 @@ func TestServe(t *testing.T) {
 					t.Error("a failed disk must leave the given order alone")
 				}
 				for i, r := range reqs {
-					if !r.Lost || r.Retries != 0 || r.SeekCylinders != 0 ||
+					if !r.Lost || r.Retries != 0 || r.Drawn != 0 ||
 						r.Start != 0 || r.End != 0 || r.Seek != 0 || r.Rotation != 0 || r.Transfer != 0 {
 						t.Errorf("request %d was served on a failed disk: %+v", i, r)
 					}
@@ -199,7 +199,7 @@ func TestServe(t *testing.T) {
 			in := slices.Clone(tc.in)
 			reqs := make([]Request, len(in))
 			for i := range reqs {
-				reqs[i] = Request{Fragment: Fragment{Cylinder: -1, Ref: -1}, SeekCylinders: 7, Start: 1, End: 4, Seek: 1, Rotation: 1, Transfer: 1, Retries: 9, Lost: true}
+				reqs[i] = Request{Fragment: Fragment{Cylinder: -1, Ref: -1}, Drawn: 7, Start: 1, End: 4, Seek: 1, Rotation: 1, Transfer: 1, Retries: 9, Lost: true}
 			}
 			tot := Serve(g, tc.eff, rng, tc.readErr, in, reqs)
 			if !slices.Equal(in, tc.in) {
@@ -283,6 +283,7 @@ func referenceServe(g *disk.Geometry, eff fault.Effects, rng *rand.Rand, readErr
 		}
 		seek := g.Seek.Time(float64(seekCyl)) * eff.LatencyScale
 		rot := rng.Float64() * g.RotationTime * eff.LatencyScale
+		r.Drawn = rot
 		trans := g.TransferTime(r.Size, r.Zone) * eff.LatencyScale / eff.RateScale
 		r.Start = clock
 		clock += seek + rot + trans
@@ -314,7 +315,6 @@ func referenceServe(g *disk.Geometry, eff fault.Effects, rng *rand.Rand, readErr
 			}
 			tot.Retries += r.Retries
 		}
-		r.SeekCylinders = seekCyl
 		r.Seek, r.Rotation, r.Transfer = seek, rot, trans
 		r.End = clock
 	}
