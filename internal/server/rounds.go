@@ -121,7 +121,7 @@ func (s *Server) Step() RoundReport {
 		}
 		observed := s.observeSweep(d, dr)
 		if tracing {
-			s.commitSpan(d, dr, observed)
+			s.commitSpan(d, eff, dr, observed)
 			if dr.Down {
 				s.freeze("down_round")
 			}

@@ -182,6 +182,7 @@ func simulateRound(cfg Config, eff fault.Effects, round int, readErr func(pos, a
 			Observed: total, Lost: tot.Lost, Retries: tot.Retries,
 			Faulty: eff.Active(), Down: eff.Failed,
 		}
+		sp.Served(cfg.Disk, eff)
 	}
 	for i := range reqs {
 		r := &reqs[i]

@@ -15,11 +15,11 @@ import (
 )
 
 // recordBytes is what the recorder may keep of one request.
-const recordBytes = 56
+const recordBytes = 32
 
 // TestRetainedBytesPerRequest holds the flight recorder of a loaded 4-disk
 // server — filled to 26 streams a disk over its first laps, its 1024-span
-// ring full and one snapshot latched by a down round — to one 56-byte
+// ring full and one snapshot latched by a down round — to one 32-byte
 // record per retained request.
 // What it retains is read off the heap: live bytes with the recorder
 // reachable, less live bytes once it is not. Each span's header is counted

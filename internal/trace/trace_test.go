@@ -5,39 +5,37 @@ import (
 	"sync"
 	"testing"
 
+	"mzqos/internal/disk"
+	"mzqos/internal/fault"
 	"mzqos/internal/sweep"
 )
 
 // span builds a sweep of reqs requests through the write path.
 func span(round, disk int, reqs int) *Span { return fill(&Span{}, round, disk, reqs) }
 
+// testDisk is the disk the write-path helpers serve on.
+var testDisk = disk.QuantumViking21()
+
 // fill writes a sweep of reqs requests into sp, as a server refills its
-// one Span after each Record: cylinders 10 apart in SCAN order, each
-// request starting where the last one ended.
-func fill(sp *Span, round, disk int, reqs int) *Span {
-	sp.Sweep = Sweep{Round: round, Disk: disk}
-	var clock float64
+// one Span after each Record: cylinders 10 apart in SCAN order on
+// testDisk, each served by the kernel's per-request arithmetic.
+func fill(sp *Span, round, d int, reqs int) *Span {
+	sp.Sweep = Sweep{Round: round, Disk: d}
+	sp.Served(testDisk, fault.Identity())
+	var cur sweep.Cursor
 	for i := 0; i < reqs; i++ {
 		r := sweep.Request{
-			Fragment:      sweep.Fragment{Cylinder: 10 * i, Zone: i % 3, Size: 1000},
-			SeekCylinders: 10,
-			Start:         clock,
-			Seek:          0.001,
-			Rotation:      0.002,
-			Transfer:      0.003,
+			Fragment: sweep.Fragment{Cylinder: 10 * i, Zone: testDisk.ZoneOfCylinder(10 * i), Size: 1000},
+			Drawn:    0.002,
 		}
-		if i == 0 {
-			r.SeekCylinders = 0
-		}
-		clock = r.Start + r.Seek + r.Rotation + r.Transfer
-		r.End = clock
+		cur.Advance(testDisk, 1, 1, &r)
 		sp.Append(int64(i+1), &r, false)
 		sp.Seek += r.Seek
 		sp.Rotation += r.Rotation
 		sp.Transfer += r.Transfer
+		sp.Busy = r.End
 	}
-	sp.Busy = clock
-	sp.Observed = clock
+	sp.Observed = sp.Busy
 	return sp
 }
 
