@@ -112,11 +112,17 @@ func (r *chainReader) flush() {
 	r.hits = 0
 }
 
-// glitch returns b_glitch(n) at the chain's deadline, prefix[n]/n clamped
-// to 1 (eq. 3.3.3).
-func (c *lateChain) glitch(n int) float64 {
-	return min(c.prefix[n]/float64(n), 1)
+// glitch returns b_glitch(n) at the chain's deadline from its entries
+// through k ≤ n, every later b_late taken as 1: (prefix[k] + n − k)/n
+// clamped to 1 (eq. 3.3.3). At k = n that is prefix[n]/n bit for bit.
+func (c *lateChain) glitch(n, k int) float64 {
+	return min((c.prefix[k]+float64(n-k))/float64(n), 1)
 }
+
+// glitchReach is how far the chain at the round length must reach to
+// answer b_glitch(n): n itself up to the search cap, the cap past it,
+// where every b_late(k) is 1.
+func (m *Model) glitchReach(n int) int { return min(n, m.maxSearchN) }
 
 // LateBound returns b_late(n, t): the Chernoff upper bound on the
 // probability that the n requests of one round are not all served within
@@ -175,23 +181,27 @@ func (m *Model) LateProbInversion(n, nodes int) (float64, error) {
 // where T_k is the service time of the first k requests of the sweep. The
 // sum is read from the chain's prefix sums, so after the O(n) first-touch
 // cost every call is O(1) — the admission walk over n no longer pays a
-// quadratic re-summation.
+// quadratic re-summation. Past the search cap every b_late(k) is 1, so
+// the chain is read through the cap and the rest is counted, with no
+// solve and no growth.
 func (m *Model) GlitchBound(n int) (float64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("%w: stream count must be positive", ErrConfig)
 	}
-	c, err := m.ensureChain(n)
+	k := m.glitchReach(n)
+	c, err := m.ensureChain(k)
 	if err != nil {
 		return 0, err
 	}
-	return c.glitch(n), nil
+	return c.glitch(n, k), nil
 }
 
 // GlitchBoundsAt returns b_glitch at an arbitrary deadline d as a reader:
 // asked for n, it answers (1/n) Σ_{k=1..n} P[T_k ≥ d], clamped to 1 —
 // eq. 3.3.3 with d in place of t — from a chain of warm-started solves at
 // d that it grows as it is asked for larger n and that goes with it. At
-// d = t it reads the model's own chain, so it answers GlitchBound. The
+// d = t it reads the model's own chain, through the search cap at most,
+// so it answers GlitchBound. The
 // buffered-client extension reads it at (1+s)·t. A reader belongs to one
 // goroutine.
 func (m *Model) GlitchBoundsAt(d float64) func(n int) (float64, error) {
@@ -201,11 +211,15 @@ func (m *Model) GlitchBoundsAt(d float64) func(n int) (float64, error) {
 			return 0, fmt.Errorf("%w: need n > 0 and a positive, finite deadline", ErrConfig)
 		}
 		defer r.flush()
-		c, err := r.at(n)
+		k := n
+		if !r.own {
+			k = m.glitchReach(n)
+		}
+		c, err := r.at(k)
 		if err != nil {
 			return 0, err
 		}
-		return c.glitch(n), nil
+		return c.glitch(n, k), nil
 	}
 }
 

@@ -1,6 +1,9 @@
 package model
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // The §5 claim as counts, which hold on any host: N_max on a fresh model
 // costs exactly one Chernoff solve per stream count the walk reads, up to
@@ -54,5 +57,53 @@ func TestNMaxForSolverWork(t *testing.T) {
 				t.Errorf("repeat evaluation allocates %v per call, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestGlitchBoundPastSearchCap: past the search cap b_glitch(n) is counted,
+// not solved. Once the chain at the round length reaches the cap (248 on
+// the paper's disk), GlitchBound(100000) and GlitchBoundsAt(t) run no
+// solve and grow no chain, and both equal, to 1e-12 relative, what a chain
+// grown through n says, whose every entry past the cap is 1: the chain's
+// prefix sum adds those ones one at a time, the count adds n − cap at once.
+func TestGlitchBoundPastSearchCap(t *testing.T) {
+	const n = 100000
+	m := paperModel(t)
+	if _, err := m.GlitchBound(m.maxSearchN); err != nil {
+		t.Fatal(err)
+	}
+	held := len(m.chain.Load().res)
+	before := Telemetry()
+	got, err := m.GlitchBound(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at, err := m.GlitchBoundsAt(m.cfg.RoundLength)(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := Telemetry()
+	if d := (after.ColdSolves - before.ColdSolves) + (after.WarmSolves - before.WarmSolves); d != 0 {
+		t.Errorf("GlitchBound(%d) past the cap %d ran %d Chernoff solves, want 0", n, m.maxSearchN, d)
+	}
+	if d, l := after.ChainExtensions-before.ChainExtensions, len(m.chain.Load().res); d != 0 || l != held {
+		t.Errorf("GlitchBound(%d) extended the chain %d times, %d -> %d entries", n, d, held, l)
+	}
+	if math.Float64bits(at) != math.Float64bits(got) {
+		t.Errorf("GlitchBoundsAt(t)(%d) = %v, GlitchBound = %v", n, at, got)
+	}
+
+	c := newChain(m.cfg.RoundLength)
+	if err := m.grow(c, n); err != nil {
+		t.Fatal(err)
+	}
+	for k := m.maxSearchN + 1; k <= n; k++ {
+		if c.res[k].Bound != 1 {
+			t.Fatalf("b_late(%d) past the cap = %v, want 1", k, c.res[k].Bound)
+		}
+	}
+	want := c.glitch(n, n)
+	if rel := math.Abs(got-want) / want; rel > 1e-12 {
+		t.Errorf("GlitchBound(%d) = %v, the chain through n says %v (relative %.3g)", n, got, want, rel)
 	}
 }
