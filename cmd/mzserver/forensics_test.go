@@ -264,10 +264,7 @@ func journaledTestCluster(t *testing.T) (*cluster.Coordinator, []*server.Server)
 			Ledger:  led,
 			Shard:   i,
 			Degrade: server.DegradeConfig{Enabled: true},
-			SLO: slo.Config{
-				FastWindow: 8, SlowWindow: 16,
-				Burn: 1.5, Hold: 2, ResolvedFor: 8,
-			},
+			SLO:     slo.Config{FastWindow: 8, SlowWindow: 16, ResolvedFor: 8},
 		}
 		if i == 0 {
 			cfg.Faults = &fault.Plan{

@@ -35,8 +35,8 @@
 // /shard/{i}/: admission explanations, the audit with its hints and
 // transitions, sweeps, faults and the flight recorder (see buildMux).
 // With -pprof the runtime profiler is served under /debug/pprof.
-// -slo-fast/-slo-slow/-slo-burn tune the audit's windows and alert
-// threshold; -no-slo disables it. -trace-spans sizes each shard's flight
+// -slo-fast/-slo-slow size the audit's windows, each tested against the
+// quoted bound at slo.Alpha; -no-slo disables it. -trace-spans sizes each shard's flight
 // recorder and -no-trace turns it off. -linger keeps the endpoint up
 // after the last round so scrapers and smoke tests can read the final
 // state.
@@ -112,8 +112,7 @@ func main() {
 		noTrace     = flag.Bool("no-trace", false, "disable round-level tracing and the flight recorder")
 		sloFast     = flag.Int("slo-fast", 0, "SLO audit fast window in rounds (0 = default)")
 		sloSlow     = flag.Int("slo-slow", 0, "SLO audit slow window in rounds (0 = default)")
-		sloBurn     = flag.Float64("slo-burn", 0, "SLO burn-rate alert threshold (0 = default)")
-		noSLO       = flag.Bool("no-slo", false, "disable the SLO audit (windowed bound-vs-measured burn-rate alerting)")
+		noSLO       = flag.Bool("no-slo", false, "disable the SLO audit (windowed bound-vs-measured alerting)")
 		histRounds  = flag.Int("history-rounds", 0, "embedded metrics-history retention in rounds (0 = default 4096)")
 		noHistory   = flag.Bool("no-history", false, "disable the embedded metrics history (/query, /dashboard)")
 	)
@@ -170,7 +169,7 @@ func main() {
 			Faults:         shardPlan,
 			Degrade:        server.DegradeConfig{Enabled: *degrade, After: *degradeWait},
 			Trace:          trace.Config{Disabled: *noTrace, Spans: *traceSpans},
-			SLO:            slo.Config{Disabled: *noSLO, FastWindow: *sloFast, SlowWindow: *sloSlow, Burn: *sloBurn},
+			SLO:            slo.Config{Disabled: *noSLO, FastWindow: *sloFast, SlowWindow: *sloSlow},
 			Registry:       reg,
 			Journal:        jnl,
 			Ledger:         ledger,

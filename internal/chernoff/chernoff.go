@@ -224,6 +224,52 @@ func BinomialTailExact(m int, p float64, g int) (float64, error) {
 	return v, nil
 }
 
+// BinomialCritical returns the critical count of the level-alpha test of
+// a Bin(n, p) count against its upper tail: the least k with
+// P[Bin(n, p) ≥ k] ≤ alpha, so a count k rejects "the rate is at most p"
+// exactly when k ≥ the result. It is non-decreasing in n. It walks the
+// pmf up from its mode until a term falls below alpha·1e-17, then sums
+// back down until the tail passes alpha, so it costs O(√(np)) terms and
+// three Lgamma calls, allocates nothing and never sums a population's
+// worth of terms; BinomialTailExact is its test oracle. An empty
+// population or p ≤ 0 gives 1 (any count rejects), p ≥ 1 gives n+1 (none
+// can), alpha ≥ 1 gives 0.
+func BinomialCritical(n int64, p, alpha float64) int64 {
+	switch {
+	case alpha >= 1:
+		return 0
+	case n <= 0 || p <= 0:
+		return 1
+	case !(p < 1) || !(alpha > 0):
+		return n + 1
+	}
+	nf := float64(n)
+	odds := p / (1 - p)
+	k := int64((nf + 1) * p) // the mode
+	if k > n {
+		k = n
+	}
+	lgn, _ := math.Lgamma(nf + 1)
+	lgk, _ := math.Lgamma(float64(k) + 1)
+	lgnk, _ := math.Lgamma(nf - float64(k) + 1)
+	term := math.Exp(lgn - lgk - lgnk + float64(k)*math.Log(p) + (nf-float64(k))*math.Log1p(-p))
+	// Up to where the rest of the tail is negligible against alpha.
+	for tiny := alpha * 1e-17; k < n && term >= tiny; k++ {
+		term *= float64(n-k) / float64(k+1) * odds
+	}
+	// Down, accumulating tail = P[X ≥ k], to the first k it exceeds alpha.
+	for tail := term; ; tail += term {
+		if tail > alpha {
+			return k + 1
+		}
+		if k == 0 {
+			return 0
+		}
+		term *= float64(k) / float64(n-k+1) / odds
+		k--
+	}
+}
+
 // Chebyshev returns the one-sided Chebyshev (Cantelli) bound on
 // P[X ≥ t]: Var/(Var + (t-mean)²) for t > mean, 1 otherwise. This is the
 // style of bound used by [CL96] ("a relatively coarse bound based on the

@@ -352,3 +352,95 @@ func TestBoundWarmAgreementProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// exactCritical checks c against the exact tail: c is the critical count
+// of Bin(n, p) at level alpha when P[X ≥ c] ≤ alpha < P[X ≥ c−1].
+func exactCritical(t *testing.T, n int64, p, alpha float64, c int64) {
+	t.Helper()
+	tail := func(k int64) float64 {
+		if k > n {
+			return 0
+		}
+		v, err := BinomialTailExact(int(n), p, int(k))
+		if err != nil {
+			t.Fatalf("BinomialTailExact(%d, %v, %d): %v", n, p, k, err)
+		}
+		return v
+	}
+	if c < 1 || c > n+1 {
+		t.Fatalf("n=%d p=%v alpha=%v: critical count %d outside [1, n+1]", n, p, alpha, c)
+	}
+	if at, below := tail(c), tail(c-1); !(at <= alpha && below > alpha) {
+		t.Errorf("n=%d p=%v alpha=%v: critical count %d, but P[X ≥ %d] = %v and P[X ≥ %d] = %v",
+			n, p, alpha, c, c, at, c-1, below)
+	}
+}
+
+// TestBinomialCriticalMatchesExactTail holds the critical count to the
+// one BinomialTailExact defines, on a grid of populations up to 60 000
+// and rates from 1e-5 to 0.05 (np up to 3000) at the SLO audit's level
+// 1e-3 and two others, and densely over small populations.
+func TestBinomialCriticalMatchesExactTail(t *testing.T) {
+	ns := []int64{1, 4, 7, 64, 256, 1000, 2048, 6592, 20000, 53248, 60000}
+	// No rate equals a level: at n = 1, p = alpha is an exact tie that
+	// rounding decides either way.
+	ps := []float64{1e-5, 1e-4, 1.72e-4, 9.7e-4, 3.61e-3, 0.0138, 0.05}
+	for _, alpha := range []float64{1e-3, 1e-6, 0.05} {
+		for _, n := range ns {
+			for _, p := range ps {
+				exactCritical(t, n, p, alpha, BinomialCritical(n, p, alpha))
+			}
+		}
+	}
+	for n := int64(1); n <= 300; n++ {
+		for _, p := range []float64{3.61e-3, 0.05, 0.3} {
+			exactCritical(t, n, p, 1e-3, BinomialCritical(n, p, 1e-3))
+		}
+	}
+}
+
+// TestBinomialCriticalMonotoneInN: a larger population never lowers the
+// critical count (the SLO audit caches it over a population range on
+// that premise), and it stays above the mean np.
+func TestBinomialCriticalMonotoneInN(t *testing.T) {
+	for _, p := range []float64{1.72e-4, 3.61e-3, 0.05} {
+		prev := BinomialCritical(0, p, 1e-3)
+		for n := int64(1); n <= 8000; n++ {
+			c := BinomialCritical(n, p, 1e-3)
+			if c < prev {
+				t.Fatalf("p=%v: critical count falls from %d to %d at n=%d", p, prev, c, n)
+			}
+			if float64(c) <= float64(n)*p {
+				t.Fatalf("p=%v n=%d: critical count %d at or below the mean", p, n, c)
+			}
+			prev = c
+		}
+	}
+}
+
+func TestBinomialCriticalEdges(t *testing.T) {
+	for _, tc := range []struct {
+		n        int64
+		p, alpha float64
+		want     int64
+	}{
+		{0, 0.01, 1e-3, 1},  // an empty window: any violation rejects
+		{100, 0, 1e-3, 1},   // a zero budget: likewise
+		{100, 1, 1e-3, 101}, // every trial a violation: none rejects
+		{100, 0.01, 1, 0},
+		{100, 0.01, 0, 101},
+	} {
+		if got := BinomialCritical(tc.n, tc.p, tc.alpha); got != tc.want {
+			t.Errorf("BinomialCritical(%d, %v, %v) = %d, want %d", tc.n, tc.p, tc.alpha, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkBinomialCritical is one critical count for a slow glitch
+// window of a steady 4-disk server: 512 rounds of ~104 fragments.
+func BenchmarkBinomialCritical(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		BinomialCritical(53248, 1.72e-4, 1e-3)
+	}
+}

@@ -8,8 +8,9 @@
 # telemetry and /faults endpoint expose the schedule. -log json renders
 # the journal to stderr, which must carry one degrade and one restore
 # record. The SLO audit rides the same scenario: the late rounds before
-# shedding kicks in must push the b_late burn rate over threshold (alert
-# fires), and the clean tail of the run must resolve it. -degrade-after 8
+# shedding kicks in must push the late count past its critical count in
+# both windows (alert fires), and the clean tail of the run must resolve
+# it. -degrade-after 8
 # holds shedding off long enough for the fast window to see the violation.
 #
 # Phase 2 (cluster failover): run a 3-shard cluster with -migrate, fail

@@ -53,7 +53,7 @@ expect /shard/0/trace '"spans"' "flight-recorder span history"
 expect /shard/0/trace '"capacity"' "recorder ring stats"
 expect '/shard/0/trace?format=chrome' '"traceEvents"' "Chrome trace-event export"
 expect '/shard/0/trace?format=chrome' '"sweep"' "sweep slices in the export"
-expect /shard/0/slo '"burn_threshold"' "guarantee-audit configuration"
+expect /shard/0/slo '"alpha"' "guarantee-audit configuration"
 expect /slo '"target": "late"' "late-target audit row"
 expect /slo '"target": "glitch"' "glitch-target audit row"
 expect /metrics '^mzqos_slo_budget{shard="0",target="late"} ' "SLO budget gauge"
