@@ -111,7 +111,7 @@ type Config struct {
 	Trace trace.Config
 	// SLO configures the live guarantee audit (see internal/slo): the
 	// analytic bounds become error budgets tracked over sliding windows,
-	// with burn-rate alerting that freezes the flight recorder and emits
+	// with alerting that freezes the flight recorder and emits
 	// recalibration hints. The zero value enables the audit at the
 	// package defaults; set SLO.Disabled to run without one.
 	SLO slo.Config
@@ -240,7 +240,7 @@ type Server struct {
 	trcSpan trace.Span
 
 	// SLO audit: sliding-window bound-vs-measured estimators plus
-	// burn-rate alerting (nil = disabled; see internal/slo).
+	// their alert machines (nil = disabled; see internal/slo).
 	sloAud *slo.Auditor
 
 	// Event journal (nil-safe) and QoS ledger (never nil; both shared
