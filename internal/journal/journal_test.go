@@ -3,6 +3,8 @@ package journal
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -79,6 +81,72 @@ func TestFilterDimensions(t *testing.T) {
 	evs := j.Events(Filter{Shard: -1, Disk: -1, Limit: 2})
 	if evs[0].Seq != 3 || evs[1].Seq != 4 {
 		t.Fatalf("limit kept seqs %d,%d; want 3,4", evs[0].Seq, evs[1].Seq)
+	}
+}
+
+// eventsReference is Events as it read a ring of whole Events: every
+// match copied out oldest first, then the newest Limit of them kept.
+func eventsReference(retained []Event, f Filter) []Event {
+	var out []Event
+	for _, e := range retained {
+		if e.Seq <= f.SinceSeq || f.Shard >= 0 && e.Shard != f.Shard || f.Disk >= 0 && e.Disk != f.Disk ||
+			f.Stream != 0 && e.Stream != f.Stream || f.Object != "" && e.Object != f.Object ||
+			len(f.Kinds) > 0 && !slices.Contains(f.Kinds, e.Kind) {
+			continue
+		}
+		out = append(out, e)
+	}
+	if f.Limit > 0 && len(out) > f.Limit {
+		out = out[len(out)-f.Limit:]
+	}
+	return out
+}
+
+// TestEventsMatchesReference reads random filters off random rings,
+// lapped or not, and holds every result to eventsReference, and a read
+// that matches anything to one allocation.
+func TestEventsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	objects := []string{"", "a", "b"}
+	for trial := 0; trial < 300; trial++ {
+		capacity := 1 + rng.IntN(40)
+		j := New(Config{Capacity: capacity})
+		var all []Event
+		for n := rng.IntN(3 * capacity); len(all) < n; {
+			e := Event{Round: len(all), Kind: Kind(rng.IntN(int(numKinds))), Shard: rng.IntN(3),
+				Disk: rng.IntN(4) - 1, From: -1, To: -1, Stream: int64(rng.IntN(4)), Value: float64(rng.IntN(9))}
+			switch {
+			case e.Kind.slo():
+				e.Target, e.Budget = objects[rng.IntN(3)], rng.Float64()
+			case e.Kind == KindFreeze:
+				e.TraceSeq = rng.Uint64()
+			default:
+				e.Object = objects[rng.IntN(3)]
+			}
+			e.Seq = j.Append(&e)
+			all = append(all, e)
+		}
+		retained := all[max(0, len(all)-capacity):]
+		for q := 0; q < 20; q++ {
+			f := Filter{Shard: rng.IntN(4) - 1, Disk: rng.IntN(5) - 1, Stream: int64(rng.IntN(4)),
+				Object: objects[rng.IntN(3)], Limit: rng.IntN(6), SinceSeq: uint64(rng.IntN(len(all) + 2))}
+			if rng.IntN(2) == 0 {
+				f = MatchAll()
+				f.Limit = rng.IntN(3) * rng.IntN(capacity+2)
+			}
+			for k := rng.IntN(3); k > 0; k-- {
+				f.Kinds = append(f.Kinds, Kind(rng.IntN(int(numKinds))))
+			}
+			got, want := j.Events(f), eventsReference(retained, f)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("capacity %d, %d appended, filter %+v:\n got %+v\nwant %+v", capacity, len(all), f, got, want)
+			}
+			if len(want) > 0 {
+				if allocs := testing.AllocsPerRun(10, func() { j.Events(f) }); allocs != 1 {
+					t.Fatalf("filter %+v: Events allocates %v times, want 1", f, allocs)
+				}
+			}
+		}
 	}
 }
 

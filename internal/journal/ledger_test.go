@@ -8,17 +8,13 @@ import (
 	"mzqos/internal/telemetry"
 )
 
-func promiseFor(object string, shard int) *Promise {
-	return &Promise{
-		Object: object, Shard: shard, Round: 0, SlotDelay: 1,
-		BoundLate: 1e-3, BoundGlitch: 1e-4,
-		BindingDisk: 0, BindingK: 5, BindingBound: "b_late", Theta: 0.7,
-	}
-}
+// quote is the limits' half of every promise these tests admit under;
+// admissions are at round 0 with one round of slotting delay.
+var quote = &Quote{BoundLate: 1e-3, BoundGlitch: 1e-4, BindingDisk: 0, BindingK: 5, BindingBound: "b_late", Theta: 0.7}
 
 func TestLedgerAdmitRetire(t *testing.T) {
 	l := NewLedger(LedgerConfig{})
-	l.Admit(0, 1, promiseFor("clip-a", 0), 11)
+	l.Admit(0, 1, "clip-a", 0, 1, quote, 11)
 	rep := l.Report()
 	if len(rep.Active) != 1 || rep.Active[0].Stream != 1 || rep.Active[0].RetiredRound != -1 || rep.Active[0].AdmitSeq != 11 {
 		t.Fatalf("active records: %+v", rep.Active)
@@ -45,7 +41,7 @@ func TestLedgerAdmitRetire(t *testing.T) {
 
 func TestLedgerSuspendWithoutInflightFinalizes(t *testing.T) {
 	l := NewLedger(LedgerConfig{})
-	l.Admit(0, 1, promiseFor("clip-a", 0), 1)
+	l.Admit(0, 1, "clip-a", 0, 1, quote, 1)
 	l.Suspend(0, 1, Delivered{Served: 10, Glitches: 1, Evicted: true}, 20)
 	rep := l.Report()
 	if rep.RetiredTotal != 1 || rep.InflightMigrations != 0 {
@@ -66,7 +62,7 @@ func TestLedgerSuspendWithoutInflightFinalizes(t *testing.T) {
 func TestLedgerRetireBatch(t *testing.T) {
 	l := NewLedger(LedgerConfig{})
 	for id := int64(1); id <= 4; id++ {
-		l.Admit(0, id, promiseFor("clip", 0), uint64(id))
+		l.Admit(0, id, "clip", 0, 1, quote, uint64(id))
 	}
 	l.Suspend(0, 2, Delivered{Served: 1, Evicted: true}, 8)
 	l.Retire(0, 9, []Retirement{
@@ -90,7 +86,7 @@ func TestLedgerRetireBatch(t *testing.T) {
 func TestLedgerMigrationMerge(t *testing.T) {
 	l := NewLedger(LedgerConfig{})
 	l.EnableInflight()
-	l.Admit(0, 1, promiseFor("clip-a", 0), 7)
+	l.Admit(0, 1, "clip-a", 0, 1, quote, 7)
 
 	// Shard 0 exports the stream mid-flight.
 	l.Suspend(0, 1, Delivered{StartupDelay: 1, Served: 15, Glitches: 2}, 30)
@@ -99,7 +95,7 @@ func TestLedgerMigrationMerge(t *testing.T) {
 	}
 
 	// Shard 2 re-admits it under a fresh id; the coordinator merges.
-	l.Admit(2, 9, promiseFor("clip-a", 2), 8)
+	l.Admit(2, 9, "clip-a", 0, 1, quote, 8)
 	l.Migrated(0, 1, 2, 9)
 	active := l.Report().Active
 	if len(active) != 1 || active[0].Shard != 2 || active[0].Stream != 9 {
@@ -135,7 +131,7 @@ func TestLedgerMigrationMerge(t *testing.T) {
 func TestLedgerAbandon(t *testing.T) {
 	l := NewLedger(LedgerConfig{})
 	l.EnableInflight()
-	l.Admit(0, 1, promiseFor("clip-a", 0), 1)
+	l.Admit(0, 1, "clip-a", 0, 1, quote, 1)
 	l.Suspend(0, 1, Delivered{Served: 5, Glitches: 1, Evicted: true}, 10)
 	l.Abandon(0, 1, 13)
 	rep := l.Report()
@@ -148,7 +144,7 @@ func TestLedgerAbandon(t *testing.T) {
 	}
 
 	// Abandon of a still-active record (export failed before Suspend).
-	l.Admit(1, 2, promiseFor("clip-b", 1), 2)
+	l.Admit(1, 2, "clip-b", 0, 1, quote, 2)
 	l.Abandon(1, 2, 14)
 	if rep := l.Report(); rep.RetiredTotal != 2 || rep.ActiveStreams != 0 {
 		t.Fatalf("active abandon: %+v", rep)
@@ -163,7 +159,7 @@ func TestLedgerKeysByShardAndID(t *testing.T) {
 	l := NewLedger(LedgerConfig{})
 	l.EnableInflight()
 	for shard, object := range []string{"clip-a", "clip-b", "clip-c"} {
-		l.Admit(shard, 5, promiseFor(object, shard), uint64(shard+1))
+		l.Admit(shard, 5, object, 0, 1, quote, uint64(shard+1))
 	}
 	l.Retire(2, 10, []Retirement{{ID: 5, Delivered: Delivered{Served: 4, Done: true}}})
 
@@ -191,7 +187,7 @@ func TestLedgerKeysByShardAndID(t *testing.T) {
 
 	// (0, 5) moves to shard 1, where id 5 is already taken, as id 7.
 	l.Suspend(0, 5, Delivered{Served: 2}, 11)
-	l.Admit(1, 7, promiseFor("clip-a", 1), 4)
+	l.Admit(1, 7, "clip-a", 0, 1, quote, 4)
 	l.Migrated(0, 5, 1, 7)
 	rep = l.Report()
 	if got, want := summary(rep.Active), []attached{{1, 5, "clip-b", 2, "[1]"}, {1, 7, "clip-a", 1, "[0 1]"}}; !reflect.DeepEqual(got, want) {
@@ -205,7 +201,7 @@ func TestLedgerKeysByShardAndID(t *testing.T) {
 func TestLedgerRetiredRingBounds(t *testing.T) {
 	l := NewLedger(LedgerConfig{Retired: 2})
 	for i := int64(1); i <= 3; i++ {
-		l.Admit(0, i, promiseFor("clip", 0), uint64(i))
+		l.Admit(0, i, "clip", 0, 1, quote, uint64(i))
 		l.Retire(0, int(i)*10, []Retirement{{ID: i, Delivered: Delivered{Done: true}}})
 	}
 	rep := l.Report()
@@ -231,7 +227,7 @@ func TestLedgerRecycledRecordsStayPut(t *testing.T) {
 	var next int64
 	admit := func(shard int) int64 {
 		next++
-		l.Admit(shard, next, promiseFor("clip", shard), uint64(next))
+		l.Admit(shard, next, "clip", 0, 1, quote, uint64(next))
 		return next
 	}
 	// open admits a stream on the first shard of lineage and migrates it
@@ -296,7 +292,7 @@ func TestLedgerTalliesMatchHistogram(t *testing.T) {
 	for i, v := range values {
 		id := int64(i + 1)
 		delay := v % 200 // on and around the delay bounds too, and past 128
-		l.Admit(0, id, promiseFor("clip", 0), uint64(id))
+		l.Admit(0, id, "clip", 0, 1, quote, uint64(id))
 		l.Retire(0, i, []Retirement{{ID: id, Delivered: Delivered{StartupDelay: delay, Glitches: v}}})
 		delays.Observe(float64(delay))
 		glitches.Observe(float64(v))

@@ -23,8 +23,9 @@ func (s *Server) event(e *journal.Event, kind journal.Kind) {
 
 // journalAdmit records an admission on the timeline, with the slotting
 // delay charged here, and opens the stream's ledger record with the
-// guarantee quoted right now: the limits' quote (the analytic bounds in
-// force and the binding constraint) plus the stream's own four fields.
+// guarantee quoted right now: the stream's own fields and the limits'
+// quote (the analytic bounds in force and the binding constraint), which
+// the record points to.
 func (s *Server) journalAdmit(st *stream, imported bool, lim *limits) {
 	var e journal.Event
 	s.event(&e, journal.KindAdmit)
@@ -33,9 +34,7 @@ func (s *Server) journalAdmit(st *stream, imported bool, lim *limits) {
 		e.Detail = "import"
 	}
 	seq := s.jnl.Append(&e)
-	p := lim.quote
-	p.Object, p.Shard, p.Round, p.SlotDelay = st.obj.name, s.shard, s.round, st.delay
-	s.ledger.Admit(s.shard, int64(st.id), &p, seq)
+	s.ledger.Admit(s.shard, int64(st.id), st.obj.name, s.round, st.delay, lim.quote, seq)
 }
 
 // journalEvict records a degraded-mode shed on the timeline. The ledger

@@ -30,6 +30,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -288,6 +289,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Shard < 0 {
 		return nil, fmt.Errorf("%w: shard %d is negative", ErrConfig, cfg.Shard)
 	}
+	// A journal event labels its shard in 32 bits and its disk in 16.
+	if cfg.Shard > math.MaxInt32 || len(geoms) > journal.MaxDisks {
+		return nil, fmt.Errorf("%w: shard %d of %d disks is past what the journal labels (%d disks)",
+			ErrConfig, cfg.Shard, len(geoms), journal.MaxDisks)
+	}
 	for d, g := range geoms {
 		// The catalog stores each fragment's cylinder as int32, and the
 		// flight recorder a request's zone in 16 bits.
@@ -366,8 +372,9 @@ type limits struct {
 	// quote is the half of every admission's promise that the limits set:
 	// b_late and b_glitch at nmax and the binding constraint (bindDisk
 	// and its explanation's k, bound family and θ), built by install.
-	// The bounds are also the SLO audit's budgets.
-	quote journal.Promise
+	// The bounds are also the SLO audit's budgets. It is an object of its
+	// own, which the ledger's records point to without keeping the models.
+	quote *journal.Quote
 
 	degraded bool // derived against faulty disks; degradeState.base holds the way back
 	failed   bool // a failed disk holds admission closed
@@ -427,7 +434,7 @@ func evaluateDisks(geoms []*disk.Geometry, sizes workload.SizeModel, roundLength
 // published before: install completes it.
 func (s *Server) install(next *limits) {
 	exp := &next.explains[next.bindDisk]
-	q := journal.Promise{BindingDisk: next.bindDisk, BindingK: exp.BindingK, BindingBound: exp.Bound, Theta: exp.Theta}
+	q := &journal.Quote{BindingDisk: next.bindDisk, BindingK: exp.BindingK, BindingBound: exp.Bound, Theta: exp.Theta}
 	if next.nmax > 0 {
 		if bl, err := next.binding.LateBound(next.nmax); err == nil {
 			q.BoundLate = bl

@@ -11,6 +11,7 @@ import (
 	"mzqos/internal/disk"
 	"mzqos/internal/dist"
 	"mzqos/internal/fault"
+	"mzqos/internal/journal"
 	"mzqos/internal/model"
 	"mzqos/internal/slo"
 	"mzqos/internal/workload"
@@ -80,6 +81,8 @@ func TestNewRefusesHostileConfigs(t *testing.T) {
 		{"negative NumDisks", func(c *Config) { c.NumDisks = -1 }},
 		{"NaN round length", func(c *Config) { c.RoundLength = math.NaN() }},
 		{"infinite round length", func(c *Config) { c.RoundLength = math.Inf(1) }},
+		{"more disks than the journal labels", func(c *Config) { c.NumDisks = journal.MaxDisks + 1 }},
+		{"a shard past int32", func(c *Config) { c.Shard = math.MaxInt32 + 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := good
