@@ -156,7 +156,7 @@ func TestStepAllocsOnlyReportSlice(t *testing.T) {
 	// The shards' own cost: the same fleet, the same streams, stepped bare.
 	bare := fleet(t, shards, disks, nil)
 	for i, e := range bare {
-		if err := e.AddObject("vod", sizes); err != nil {
+		if err := e.(*server.Server).AddObject("vod", sizes); err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k < perShard; k++ {

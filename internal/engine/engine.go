@@ -36,10 +36,46 @@ var (
 // to the engine: a cluster-wide stream is the (shard, StreamID) pair.
 type StreamID int64
 
+// Fragment is one display round of a clip as the catalog keeps it,
+// 16 bytes: its size, and for each of two replicas the cylinder and zone
+// that replica placed it at. Fragment k is the same display round on
+// every replica, so the size is one fact the pair shares, and only the
+// placement is per replica: a clip on R replicas keeps ⌈R/2⌉ tables
+// (Tables), and a standalone server fills slot 0 of one. Cylinder and
+// zone stay unpacked: Step's gather reads them once per due stream per
+// round, mostly from cold memory, and a shift-and-mask decode there costs
+// more than the bytes it saves.
+type Fragment struct {
+	Size float64
+	Cyl  [2]uint16
+	Zone [2]uint8
+}
+
+// MaxCylinders and MaxZones are the largest disk a Fragment addresses:
+// an engine turns away a disk with more cylinders or zones than these.
+const (
+	MaxCylinders = 1 << 16
+	MaxZones     = 1 << 8
+)
+
+// Tables returns the fragment tables of a clip with the given sizes on
+// replicas engines: ⌈replicas/2⌉ tables, every size filled in, nothing
+// placed. Replica i places into slot i%2 of table i/2 (PlaceObject).
+func Tables(sizes []float64, replicas int) [][]Fragment {
+	tables := make([][]Fragment, (replicas+1)/2)
+	for t := range tables {
+		tables[t] = make([]Fragment, len(sizes))
+		for k, sz := range sizes {
+			tables[t][k].Size = sz
+		}
+	}
+	return tables
+}
+
 // StreamState is the resumable state of one stream: everything a sibling
 // replica needs to continue playback where the exporting engine left off.
 // Fragment k of an object denotes the same display round on every replica
-// (replicas are placed from identical size vectors), so Position is
+// (replicas share one size per fragment, see Fragment), so Position is
 // portable across engines even though each replica stripes and places its
 // fragments independently.
 type StreamState struct {
@@ -66,14 +102,21 @@ type StreamState struct {
 const RetainedStreams = 1024
 
 // Engine is one admission-controlled round engine. Mutating operations
-// (AddObject, Open, Close, Step, Recalibrate) are not safe for concurrent
-// use; drive them from one goroutine per engine — the shard loop. The
-// Health snapshot is the exception: it reads atomic state only, so
-// heartbeat collectors may call it concurrently with the loop.
+// (PlaceObject, Open, Close, Step, Recalibrate) are not safe for
+// concurrent use; drive them from one goroutine per engine — the shard
+// loop. The Health snapshot is the exception: it reads atomic state only,
+// so heartbeat collectors may call it concurrently with the loop.
 type Engine interface {
-	// AddObject stores a continuous object with the given per-round
-	// fragment sizes (bytes).
-	AddObject(name string, sizes []float64) error
+	// CheckObject returns the error PlaceObject would refuse the object
+	// with (a bad name or size, a name the catalog holds), placing
+	// nothing, so a caller can check every replica before any places.
+	CheckObject(name string, frags []Fragment) error
+	// PlaceObject stores a continuous object whose per-round fragments
+	// frags holds (sizes in bytes), drawing this engine's placement of
+	// each into its slot (0 or 1) of the record. The engine keeps frags:
+	// the replica placing into the other slot shares it, and neither
+	// writes it again. A refused object draws nothing.
+	PlaceObject(name string, frags []Fragment, slot int) error
 	// Open admits a new stream on the named object or rejects it, and
 	// reports the startup delay in rounds.
 	Open(name string) (id StreamID, startupDelay int, err error)

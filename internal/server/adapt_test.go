@@ -321,9 +321,9 @@ func TestObservedSizesMatchPerFragment(t *testing.T) {
 	var want dist.Welford
 	for r := 0; r < 2000; r++ {
 		for _, st := range s.active {
-			d := mod(st.offset+s.round, len(s.geoms))
+			d := mod(int(st.offset)+s.round, len(s.geoms))
 			if s.round >= st.start && !s.inj.EffectsAt(d, s.round).Failed {
-				want.Add(st.obj.frags[st.next].size)
+				want.Add(st.obj.frags[st.next].Size)
 			}
 		}
 		s.Step()

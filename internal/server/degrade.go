@@ -172,13 +172,13 @@ func (s *Server) shedToLimit() []engine.Eviction {
 		i := len(s.active)
 		for excess := int(s.classes[class].Load()) - nmax; excess > 0; {
 			i--
-			if s.active[i].offset == class {
+			if int(s.active[i].offset) == class {
 				excess--
 			}
 		}
 		for i < len(s.active) {
 			st := &s.active[i]
-			if st.offset != class {
+			if int(st.offset) != class {
 				i++
 				continue
 			}

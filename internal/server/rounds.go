@@ -69,9 +69,9 @@ func (s *Server) Step() RoundReport {
 		if s.round < st.start {
 			continue
 		}
-		d := mod(st.offset+s.round, len(s.geoms))
+		d := mod(int(st.offset)+s.round, len(s.geoms))
 		frag := &st.frags[st.next]
-		s.frags[d] = append(s.frags[d], sweep.Fragment{Cylinder: int(frag.cyl), Zone: int(frag.zone), Size: frag.size, Ref: i})
+		s.frags[d] = append(s.frags[d], sweep.Fragment{Cylinder: int(frag.Cyl[st.slot]), Zone: int(frag.Zone[st.slot]), Size: frag.Size, Ref: i})
 	}
 
 	for d, frags := range s.frags {
