@@ -60,30 +60,32 @@ func bernoulliModel(t *testing.T, disks, rounds int, q float64, seed uint64) mod
 
 // TestBernoulliModelAlertRates states the late alert's firing rates on a
 // server whose disk-rounds are late exactly as often as the budget allows
-// (every firing is a false alarm) and on one late 3.8 times as often.
-// The burn-rate rule this test replaced (both windows at ≥ 2× the budget,
-// resolved after 8 rounds below it) fired falsely 168 and 23 times at
-// this seed, 8.40 and 1.15 per 10 000 rounds on one disk and four: a rate
-// that depended on the disk count. The level-Alpha test must fire less at
-// both, and on four disks at 3.8× the budget within the first fast window.
+// (every firing is a false alarm) and on one late 3.8 times as often,
+// which is one incident lasting the whole run and so must fire about
+// once. The burn-rate rule this test replaced (both windows at ≥ 2× the
+// budget, resolved after 8 rounds below it) fired falsely 168 and 23
+// times at this seed, 8.40 and 1.15 per 10 000 rounds on one disk and
+// four: a rate that depended on the disk count. The level-Alpha test must
+// fire less at both, and on four disks at 3.8× the budget within the
+// first fast window, and then hold the incident as one firing.
 func TestBernoulliModelAlertRates(t *testing.T) {
 	const rounds = 200_000
 	for _, tc := range []struct {
 		disks     int
 		q         float64
-		fired     int64 // at this seed
+		maxFired  int64 // at this seed
 		burnFired int64 // the burn-rate rule's, at this seed
 	}{
 		{1, bLate26, 0, 168},
 		{4, bLate26, 0, 23},
-		{4, qFigure1, 264, 218},
+		{4, qFigure1, 2, 218},
 	} {
 		run := bernoulliModel(t, tc.disks, rounds, tc.q, 42)
-		t.Logf("D=%d q=%v: %.2f fires per 10 000 rounds, firing %.1f%% of rounds, first at round %d",
-			tc.disks, tc.q, run.firesPer10k(rounds), 100*run.firing, run.firstFire)
-		if run.fired != tc.fired {
-			t.Errorf("D=%d q=%v: fired %d times in %d rounds, want %d",
-				tc.disks, tc.q, run.fired, rounds, tc.fired)
+		t.Logf("D=%d q=%v: %d fires, %.2f per 10 000 rounds, firing %.1f%% of rounds, first at round %d",
+			tc.disks, tc.q, run.fired, run.firesPer10k(rounds), 100*run.firing, run.firstFire)
+		if run.fired > tc.maxFired {
+			t.Errorf("D=%d q=%v: fired %d times in %d rounds, want at most %d",
+				tc.disks, tc.q, run.fired, rounds, tc.maxFired)
 		}
 		if tc.q == bLate26 && run.fired >= tc.burnFired {
 			t.Errorf("D=%d at the budget: %d false fires, not below the burn-rate rule's %d",
