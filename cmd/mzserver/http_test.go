@@ -364,9 +364,11 @@ func TestSLOEndpoint(t *testing.T) {
 			Budget  float64 `json:"budget"`
 			State   string  `json:"state"`
 			Windows []struct {
-				Window   string  `json:"window"`
-				Measured float64 `json:"measured"`
-				Burn     float64 `json:"burn"`
+				Window     string  `json:"window"`
+				Violations int64   `json:"violations"`
+				Population int64   `json:"population"`
+				Critical   int64   `json:"critical"`
+				Measured   float64 `json:"measured"`
 			} `json:"windows"`
 		} `json:"targets"`
 		Hints []server.SLOHint `json:"hints"`
@@ -390,6 +392,12 @@ func TestSLOEndpoint(t *testing.T) {
 		if !(tgt.Budget > 0) || tgt.State == "" || len(tgt.Windows) != 2 {
 			t.Errorf("target %s incomplete: %+v", tgt.Target, tgt)
 		}
+		for _, w := range tgt.Windows {
+			if w.Population <= 0 || w.Critical < 1 || w.Violations >= w.Critical {
+				t.Errorf("target %s %s window: %d of %d against critical %d on a healthy run",
+					tgt.Target, w.Window, w.Violations, w.Population, w.Critical)
+			}
+		}
 	}
 	if len(rep.Hints) != 0 {
 		t.Errorf("healthy run published hints: %+v", rep.Hints)
@@ -405,7 +413,7 @@ func TestSLOEndpoint(t *testing.T) {
 		`mzqos_slo_alert_state{shard="0",target="late"} 0`,
 		`mzqos_slo_alerts_fired_total{shard="0",target="late"} 0`,
 		`mzqos_slo_measured{shard="0",target="late",window="fast"}`,
-		`mzqos_slo_burn_rate{shard="0",target="glitch",window="slow"}`,
+		`mzqos_slo_measured{shard="0",target="glitch",window="slow"}`,
 	} {
 		if !strings.Contains(body, name) {
 			t.Errorf("/metrics missing %q", name)
@@ -485,7 +493,7 @@ func TestClusterSLOAndReportEndpoints(t *testing.T) {
 	body := rec.Body.String()
 	for _, name := range []string{
 		`mzqos_cluster_slo_budget{target="late"}`,
-		`mzqos_cluster_slo_burn_rate{target="late",window="fast"}`,
+		`mzqos_cluster_slo_measured{target="late",window="fast"}`,
 		"mzqos_cluster_slo_firing_shards 0",
 		`mzqos_slo_budget{shard="0",target="late"}`,
 	} {

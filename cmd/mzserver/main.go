@@ -384,16 +384,19 @@ loop:
 			}
 		}
 	}
-	// The SLO audit's verdict: the capacity-weighted error budget across
-	// the audited shards and each target's burn rate at exit.
+	// The SLO audit's verdict: the cluster's test at exit, each window's
+	// violations of its population pooled over the audited shards against
+	// the critical count at the largest shard budget.
 	if cs := coord.SLOStatus(); cs.AuditedShards > 0 {
 		fmt.Println()
 		fmt.Printf("slo audit: %d/%d shards audited, %d firing\n",
 			cs.AuditedShards, len(cs.Shards), cs.FiringShards)
 		for _, t := range cs.Targets {
-			fmt.Printf("  %-7s budget %10.3e  fast %.3e (burn %.2fx)  slow %.3e (burn %.2fx)  firing %d  pending %d\n",
-				t.Target, t.Budget, t.MeasuredFast, t.BurnFast, t.MeasuredSlow, t.BurnSlow,
-				t.FiringShards, t.PendingShards)
+			fmt.Printf("  %-7s budget %10.3e  %-8s", t.Target, t.Budget, t.State)
+			for _, w := range t.Windows {
+				fmt.Printf("  %s %d/%d (critical %d)", w.Window, w.Violations, w.Population, w.Critical)
+			}
+			fmt.Printf("  shards firing %d  pending %d\n", t.FiringShards, t.PendingShards)
 		}
 	}
 	mt := model.Telemetry()

@@ -173,6 +173,10 @@ type Coordinator struct {
 	ledger *journal.Ledger
 	hist   *history.Store // nil-safe: nil means no embedded history
 
+	// audit is the cluster's SLO alert per target, stepped by Step's view
+	// refresh.
+	audit sloAudit
+
 	// stepWG joins the workers of one round's shard fan-out. A field, not
 	// a local the worker closures would move to the heap every round;
 	// Step-owned like pending.
@@ -222,9 +226,9 @@ type clusterTelemetry struct {
 	// Cluster SLO roll-up series, indexed [target][window] like the
 	// per-shard mzqos_slo_* set (target 0 late / 1 glitch, window 0 fast
 	// / 1 slow).
-	sloBudget [2]*telemetry.Gauge
-	sloBurn   [2][2]*telemetry.Gauge
-	sloFiring *telemetry.Gauge
+	sloBudget   [2]*telemetry.Gauge
+	sloMeasured [2][2]*telemetry.Gauge
+	sloFiring   *telemetry.Gauge
 }
 
 func newClusterTelemetry(reg *telemetry.Registry) *clusterTelemetry {
@@ -259,11 +263,11 @@ func newClusterTelemetry(reg *telemetry.Registry) *clusterTelemetry {
 	for i := 0; i < 2; i++ {
 		target := telemetry.L("target", slo.TargetName(i))
 		tel.sloBudget[i] = reg.Gauge("mzqos_cluster_slo_budget",
-			"Capacity-weighted cluster error budget per target (Σ cap·bound / Σ cap over audited shards).",
+			"Cluster error budget per target: the largest audited shard's bound, which the pooled counts are tested against.",
 			target)
 		for w := 0; w < 2; w++ {
-			tel.sloBurn[i][w] = reg.Gauge("mzqos_cluster_slo_burn_rate",
-				"Cluster burn rate per target and window: capacity-weighted measured over capacity-weighted budget.",
+			tel.sloMeasured[i][w] = reg.Gauge("mzqos_cluster_slo_measured",
+				"Cluster windowed measured rate per target: violations over population pooled across audited shards.",
 				target, telemetry.L("window", windows[w]))
 		}
 	}
@@ -272,11 +276,10 @@ func newClusterTelemetry(reg *telemetry.Registry) *clusterTelemetry {
 
 // publishSLO pushes a roll-up into the cluster SLO gauges.
 func (t *clusterTelemetry) publishSLO(r *clusterSLORollup) {
-	for i := range r.Targets {
-		tgt := &r.Targets[i]
-		t.sloBudget[i].Set(tgt.Budget)
-		t.sloBurn[i][0].Set(tgt.BurnFast)
-		t.sloBurn[i][1].Set(tgt.BurnSlow)
+	for i := range r.budgets {
+		t.sloBudget[i].Set(r.budgets[i])
+		t.sloMeasured[i][0].Set(r.windows[i][0].Rate())
+		t.sloMeasured[i][1].Set(r.windows[i][1].Rate())
 	}
 	t.sloFiring.Set(float64(r.FiringShards))
 }
@@ -341,7 +344,7 @@ func New(cfg Config) (*Coordinator, error) {
 		c.shards = append(c.shards, &shard{id: i, eng: eng})
 		c.all = append(c.all, i)
 	}
-	c.refreshView()
+	c.refreshView(false)
 	return c, nil
 }
 
@@ -552,7 +555,7 @@ func (c *Coordinator) Step() RoundReport {
 	if c.migrate {
 		rep.Migrated, rep.MigrationFailed, rep.FailedOver = c.migrateRound(&rep, round)
 	}
-	c.refreshView()
+	c.refreshView(true)
 	// Record the round into the embedded history after every gauge of
 	// this round (shard steps, migration, view refresh) has settled.
 	c.hist.Sample(round)
@@ -586,7 +589,7 @@ func (c *Coordinator) Recalibrate(minSamples int64) int {
 			moved++
 		}
 	}
-	c.refreshView()
+	c.refreshView(false)
 	return moved
 }
 

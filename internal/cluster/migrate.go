@@ -77,7 +77,7 @@ func (c *Coordinator) migrateRound(rep *RoundReport, round int) (migrated, faile
 	// Re-admission works against a fresh view: the evicting shard's
 	// shrunken capacity (and the failed shard's zero) must be visible so
 	// re-admissions land on siblings that can actually hold them.
-	c.refreshView()
+	c.refreshView(false)
 	v := c.view.Load()
 
 	var deferred []migration

@@ -7,109 +7,98 @@ import (
 	"mzqos/internal/slo"
 )
 
-// Cluster-level guarantee auditing: per-shard SLO snapshots ride the
-// heartbeat (engine.Health.SLO), and the coordinator rolls them up to a
-// cluster error budget weighted by shard capacity — a shard serving
-// twice the streams contributes twice the weight to the cluster's
-// measured tail, matching how the cluster-wide guarantee composes from
-// per-shard ones. The roll-up is computed once per heartbeat and stored
-// in the copy-on-write view, so readers (the /slo endpoint, the cluster
-// gauges) share one precomputed snapshot.
+// Cluster-level guarantee auditing runs the shards' own test on their
+// pooled counts. Each shard's heartbeat (engine.Health.SLO) carries its
+// fast and slow windows' violations and populations per target; the
+// coordinator sums them, and its own slo.Alert per target tests Σk
+// against Bin(Σn, the largest shard budget) at slo.Alpha — conservative at
+// that level, since under every shard's promise Σk is at most such a draw
+// — stepping once per coordinator round. Pooling dilutes one bad shard
+// among healthy ones: a shard's own alert stays the fast detector, and the
+// cluster's says whether the fleet as a whole keeps the promise. The
+// roll-up is computed once per heartbeat and stored in the copy-on-write
+// view, so readers (the /slo endpoint, the cluster gauges) share one
+// precomputed snapshot.
 
 // ClusterSLOTarget is one audited target's cluster-wide roll-up.
 type ClusterSLOTarget struct {
-	// Target is slo.TargetLate or slo.TargetGlitch.
-	Target string `json:"target"`
-	// Budget is the capacity-weighted analytic bound across audited
-	// shards; MeasuredFast/Slow the capacity-weighted window estimates.
-	Budget       float64 `json:"budget"`
-	MeasuredFast float64 `json:"measured_fast"`
-	MeasuredSlow float64 `json:"measured_slow"`
-	// BurnFast/Slow are the cluster burn rates: weighted measured over
-	// weighted budget, capped at slo.MaxBurn.
-	BurnFast float64 `json:"burn_fast"`
-	BurnSlow float64 `json:"burn_slow"`
+	// TargetStatus is the cluster's own test: the largest shard budget,
+	// the pooled windows' counts against their critical counts, and the
+	// cluster alert's state.
+	slo.TargetStatus
 	// FiringShards and PendingShards count shards whose own alert for
 	// this target is in that state.
 	FiringShards  int `json:"firing_shards"`
 	PendingShards int `json:"pending_shards"`
 }
 
-// clusterSLORollup is the precomputed roll-up stored in the view.
+// clusterSLORollup is the precomputed roll-up stored in the view, in the
+// fixed-size form SLOStatus expands, so publishing it allocates nothing.
 type clusterSLORollup struct {
-	Targets [2]ClusterSLOTarget
+	cfg             slo.Config      // the audited shards' window spans
+	budgets         [2]float64      // per target, the largest shard budget
+	windows         [2][2]slo.Count // per target, the pooled fast and slow counts
+	alerts          [2]slo.Alert    // the cluster's alerts as of this view
+	firing, pending [2]int          // per target, shards in that state
 	// AuditedShards counts shards reporting an enabled audit;
 	// FiringShards those with at least one target Firing.
 	AuditedShards int
 	FiringShards  int
 }
 
-// rollupSLO computes the capacity-weighted cluster roll-up over shard
-// health snapshots. Shards without an enabled audit (SLO.Disabled) or
-// with zero capacity contribute nothing.
-func rollupSLO(shards []engine.Health) clusterSLORollup {
+// sloAudit is the cluster's alert per target, owned by the loop.
+type sloAudit [2]slo.Alert
+
+// rollup pools the audited shards' heartbeat counts per target and window
+// under the largest budget among them, and when step is set advances the
+// cluster's alerts one round on the pool. Shards without an enabled audit
+// contribute nothing.
+func (a *sloAudit) rollup(shards []engine.Health, round int, step bool) clusterSLORollup {
 	var r clusterSLORollup
-	r.Targets[0].Target = slo.TargetLate
-	r.Targets[1].Target = slo.TargetGlitch
-	var wTotal float64
-	var wBudget, wMeasF, wMeasS [2]float64
-	for _, h := range shards {
-		if !h.SLO.Enabled {
+	for j := range shards {
+		h := &shards[j].SLO
+		if !h.Enabled {
 			continue
 		}
 		r.AuditedShards++
+		r.cfg.FastWindow = max(r.cfg.FastWindow, h.FastWindow)
+		r.cfg.SlowWindow = max(r.cfg.SlowWindow, h.SlowWindow)
 		firing := false
-		states := [2]int{h.SLO.LateState, h.SLO.GlitchState}
-		for i, st := range states {
-			switch slo.State(st) {
+		for i, st := range h.States {
+			r.budgets[i] = max(r.budgets[i], h.Budgets[i])
+			r.windows[i][0].Add(h.Windows[i][0])
+			r.windows[i][1].Add(h.Windows[i][1])
+			switch st {
 			case slo.Firing:
-				r.Targets[i].FiringShards++
+				r.firing[i]++
 				firing = true
 			case slo.Pending:
-				r.Targets[i].PendingShards++
+				r.pending[i]++
 			}
 		}
 		if firing {
 			r.FiringShards++
 		}
-		w := float64(h.Capacity)
-		if w <= 0 {
-			continue
-		}
-		wTotal += w
-		wBudget[0] += w * h.SLO.BudgetLate
-		wBudget[1] += w * h.SLO.BudgetGlitch
-		wMeasF[0] += w * h.SLO.LateFast
-		wMeasF[1] += w * h.SLO.GlitchFast
-		wMeasS[0] += w * h.SLO.LateSlow
-		wMeasS[1] += w * h.SLO.GlitchSlow
 	}
-	if wTotal > 0 {
-		for i := range r.Targets {
-			t := &r.Targets[i]
-			t.Budget = wBudget[i] / wTotal
-			t.MeasuredFast = wMeasF[i] / wTotal
-			t.MeasuredSlow = wMeasS[i] / wTotal
-			t.BurnFast = slo.BurnRate(t.MeasuredFast, t.Budget)
-			t.BurnSlow = slo.BurnRate(t.MeasuredSlow, t.Budget)
+	if step {
+		for i := range a {
+			a[i].Step(round, r.windows[i][0], r.windows[i][1], r.budgets[i], slo.DefaultResolvedFor)
 		}
 	}
+	r.alerts = *a
 	return r
 }
 
 // ShardSLO is one shard's audit snapshot in the cluster SLO report.
 type ShardSLO struct {
 	// Shard is the shard id; SLO the heartbeat snapshot from the view.
-	Shard int              `json:"shard"`
-	SLO   engine.SLOHealth `json:"slo"`
-	// LateState/GlitchState name the alert-state ordinals for readers.
-	LateState   string `json:"late_state"`
-	GlitchState string `json:"glitch_state"`
+	Shard int        `json:"shard"`
+	SLO   slo.Health `json:"slo"`
 }
 
 // ClusterSLO is the cluster guarantee-audit report (the cluster /slo
-// payload): the capacity-weighted roll-up plus each shard's snapshot,
-// all from the current heartbeat view.
+// payload): the cluster's own test of the pooled counts plus each shard's
+// snapshot, all from the current heartbeat view.
 type ClusterSLO struct {
 	// AuditedShards counts shards running an audit; FiringShards those
 	// with at least one alert Firing.
@@ -130,17 +119,20 @@ func (c *Coordinator) SLOStatus() ClusterSLO {
 	if v == nil {
 		return st
 	}
-	st.AuditedShards = v.slo.AuditedShards
-	st.FiringShards = v.slo.FiringShards
-	st.Targets = append(st.Targets, v.slo.Targets[:]...)
+	r := &v.slo
+	st.AuditedShards = r.AuditedShards
+	st.FiringShards = r.FiringShards
+	st.Targets = make([]ClusterSLOTarget, len(r.alerts))
+	for i := range st.Targets {
+		st.Targets[i] = ClusterSLOTarget{
+			TargetStatus:  r.alerts[i].Status(slo.TargetName(i), r.budgets[i], r.windows[i][0], r.windows[i][1], r.cfg),
+			FiringShards:  r.firing[i],
+			PendingShards: r.pending[i],
+		}
+	}
 	st.Shards = make([]ShardSLO, len(v.shards))
 	for i, h := range v.shards {
-		st.Shards[i] = ShardSLO{
-			Shard:       i,
-			SLO:         h.SLO,
-			LateState:   slo.State(h.SLO.LateState).String(),
-			GlitchState: slo.State(h.SLO.GlitchState).String(),
-		}
+		st.Shards[i] = ShardSLO{Shard: i, SLO: h.SLO}
 	}
 	return st
 }

@@ -8,8 +8,8 @@ import "mzqos/internal/engine"
 // (Status, SLOStatus, TightnessReport) load it without blocking the loop.
 type view struct {
 	shards []engine.Health
-	// slo is the capacity-weighted cluster SLO roll-up over the shard
-	// snapshots, precomputed at publish time so readers share one copy.
+	// slo is the cluster SLO roll-up over the shard snapshots,
+	// precomputed at publish time so readers share one copy.
 	slo clusterSLORollup
 }
 
@@ -45,8 +45,10 @@ func (v *view) leastLoaded(shards []*shard, cands []int) int {
 }
 
 // refreshView collects every shard's Health snapshot into a fresh view
-// (with the capacity-weighted SLO roll-up over them) and publishes it.
-func (c *Coordinator) refreshView() {
+// (with the SLO roll-up over them) and publishes it. auditSLO steps the
+// cluster's SLO alerts on the fresh counts: Step's refresh sets it, once
+// per coordinator round.
+func (c *Coordinator) refreshView(auditSLO bool) {
 	v := &view{shards: make([]engine.Health, len(c.shards))}
 	capacity, degraded := 0, 0
 	for i, s := range c.shards {
@@ -57,7 +59,7 @@ func (c *Coordinator) refreshView() {
 			degraded++
 		}
 	}
-	v.slo = rollupSLO(v.shards)
+	v.slo = c.audit.rollup(v.shards, int(c.round.Load()), auditSLO)
 	c.view.Store(v)
 	c.publishTickets()
 	c.tel.heartbeats.Inc()

@@ -14,7 +14,11 @@
 // its historical names.
 package engine
 
-import "errors"
+import (
+	"errors"
+
+	"mzqos/internal/slo"
+)
 
 // Shared error conditions. Engine implementations wrap these with their
 // own package prefix, so callers (the cluster coordinator in particular)
@@ -174,38 +178,10 @@ type Health struct {
 	// are shed to siblings.
 	Failed bool `json:"failed"`
 	// SLO is the engine's windowed guarantee-audit snapshot, piggybacked
-	// on the heartbeat so a cluster coordinator can roll per-shard error
-	// budgets up to a cluster SLO without extra collection machinery.
+	// on the heartbeat so a cluster coordinator can pool the shards'
+	// window counts and test the pool without extra collection machinery.
 	// Zero (Enabled false) when the engine runs no audit.
-	SLO SLOHealth `json:"slo"`
-}
-
-// SLOHealth is the heartbeat-sized SLO audit snapshot: the analytic
-// budgets in force, the windowed measured tails, the burn rates, and the
-// alert states — every field mirrored from atomic state so collecting it
-// never races the engine loop. State ordinals follow internal/slo.State
-// (0 inactive, 1 pending, 2 firing, 3 resolved).
-type SLOHealth struct {
-	// Enabled is false when the engine runs no audit (all else zero).
-	Enabled bool `json:"enabled"`
-	// BudgetLate/BudgetGlitch are the analytic bounds used as error
-	// budgets: b_late(N_max, t) and b_glitch(N_max, t).
-	BudgetLate   float64 `json:"budget_late"`
-	BudgetGlitch float64 `json:"budget_glitch"`
-	// LateFast/Slow are the windowed measured P[T_N > t] estimates;
-	// GlitchFast/Slow the windowed glitch rates.
-	LateFast   float64 `json:"late_fast"`
-	LateSlow   float64 `json:"late_slow"`
-	GlitchFast float64 `json:"glitch_fast"`
-	GlitchSlow float64 `json:"glitch_slow"`
-	// Burn rates: measured/budget per target and window.
-	BurnLateFast   float64 `json:"burn_late_fast"`
-	BurnLateSlow   float64 `json:"burn_late_slow"`
-	BurnGlitchFast float64 `json:"burn_glitch_fast"`
-	BurnGlitchSlow float64 `json:"burn_glitch_slow"`
-	// LateState/GlitchState are the alert-state ordinals.
-	LateState   int `json:"late_state"`
-	GlitchState int `json:"glitch_state"`
+	SLO slo.Health `json:"slo"`
 }
 
 // DiskRoundReport is the outcome of one disk's sweep in one round.

@@ -16,13 +16,14 @@ import (
 const (
 	seriesRoundTime   = "mzqos_server_round_time_seconds"
 	seriesBoundLate   = "mzqos_server_bound_late"
-	seriesBurn        = "mzqos_slo_burn_rate"
+	seriesMeasured    = "mzqos_slo_measured"
+	seriesBudget      = "mzqos_slo_budget"
 	seriesAlertState  = "mzqos_slo_alert_state"
 	seriesActive      = "mzqos_server_streams_active"
 	seriesNMax        = "mzqos_server_nmax"
 	seriesAdmitted    = "mzqos_server_streams_admitted_total"
 	seriesRejected    = "mzqos_server_streams_rejected_total"
-	seriesClusterBurn = "mzqos_cluster_slo_burn_rate"
+	seriesClusterRate = "mzqos_cluster_slo_measured"
 	seriesTickets     = "mzqos_cluster_tickets"
 	seriesCapacity    = "mzqos_cluster_capacity"
 	seriesDegraded    = "mzqos_cluster_degraded_shards"
@@ -274,8 +275,8 @@ func stateBands(pts []Point) []band {
 
 // DashboardHandler serves the self-contained /dashboard page: inline
 // SVG sparklines of the measured tail vs analytic bound per disk (the
-// paper's §4 bound-tightness figures, live), SLO burn rates with alert
-// state bands, admission load, and — when the cluster series exist —
+// paper's §4 bound-tightness figures, live), SLO measured rates against
+// their budgets with alert state bands, admission load, and — when the cluster series exist —
 // tickets against capacity and migration flow. No scripts, no external
 // assets: one HTML document renders everything.
 func (st *Store) DashboardHandler(cfg DashboardConfig) http.HandlerFunc {
@@ -369,42 +370,24 @@ func (st *Store) renderTailSection(b *strings.Builder, t float64, window int) {
 	}
 }
 
-// renderSLOSection plots each target's burn rates (fast/slow, per shard
-// when labelled) under its alert-state bands.
+// renderSLOSection plots each target's windowed measured rates (fast and
+// slow, per shard when labelled, the cluster's pooled rates dashed)
+// against the budgets the audit tests them against, under the alert-state
+// bands.
 func (st *Store) renderSLOSection(b *strings.Builder, window int) {
-	burns := st.query(Query{Series: seriesBurn, Agg: AggMax, Step: max(window/8, 1)})
-	if len(burns.Series) == 0 {
+	step := max(window/8, 1)
+	measured := st.query(Query{Series: seriesMeasured, Agg: AggMax, Step: step})
+	if len(measured.Series) == 0 {
 		return
 	}
+	budgets := st.query(Query{Series: seriesBudget, Agg: AggMax, Step: step})
+	cluster := st.query(Query{Series: seriesClusterRate, Agg: AggMax, Step: step})
 	states := st.query(Query{Series: seriesAlertState, Agg: AggMax, Step: 1})
-	cluster := st.query(Query{Series: seriesClusterBurn, Agg: AggMax, Step: max(window/8, 1)})
-	b.WriteString("<h2>SLO burn rate &amp; alert state</h2>\n")
+	b.WriteString("<h2>SLO measured rate vs budget &amp; alert state</h2>\n")
 	for _, target := range []string{"late", "glitch"} {
-		var lines []line
-		ci := 0
-		for i := range burns.Series {
-			sr := &burns.Series[i]
-			if sr.labelValue("target") != target {
-				continue
-			}
-			label := sr.labelValue("window")
-			if shard := sr.labelValue("shard"); shard != "" {
-				label = "shard " + shard + " " + label
-			}
-			lines = append(lines, line{label: label, color: palette[ci%len(palette)], pts: sr.Points})
-			ci++
-		}
-		for i := range cluster.Series {
-			sr := &cluster.Series[i]
-			if sr.labelValue("target") != target {
-				continue
-			}
-			lines = append(lines, line{
-				label: "cluster " + sr.labelValue("window"),
-				color: palette[ci%len(palette)], dash: true, pts: sr.Points,
-			})
-			ci++
-		}
+		lines := targetLines(nil, measured, target, "", false)
+		lines = targetLines(lines, cluster, target, "cluster ", true)
+		lines = targetLines(lines, budgets, target, "", true)
 		var bands []band
 		for i := range states.Series {
 			sr := &states.Series[i]
@@ -413,8 +396,29 @@ func (st *Store) renderSLOSection(b *strings.Builder, window int) {
 				break
 			}
 		}
-		renderPanel(b, "burn rate — target "+target+" (bands: amber pending, red firing, blue resolved)", lines, bands)
+		renderPanel(b, "measured rate vs budget — target "+target+" (bands: amber pending, red firing, blue resolved)", lines, bands)
 	}
+}
+
+// targetLines appends a line per series of res for target, labelled
+// behind prefix by the series' shard, when it has one, and its window, or
+// "budget" for a series without one ("shard 1 fast", "cluster slow").
+func targetLines(lines []line, res Result, target, prefix string, dash bool) []line {
+	for i := range res.Series {
+		sr := &res.Series[i]
+		if sr.labelValue("target") != target {
+			continue
+		}
+		label := sr.labelValue("window")
+		if label == "" {
+			label = "budget"
+		}
+		if shard := sr.labelValue("shard"); shard != "" {
+			label = "shard " + shard + " " + label
+		}
+		lines = append(lines, line{label: prefix + label, color: palette[len(lines)%len(palette)], dash: dash, pts: sr.Points})
+	}
+	return lines
 }
 
 // renderAdmissionSection plots active streams against the admission

@@ -27,7 +27,7 @@ type indexReport struct {
 //	      [&agg=last|rate|min|max|p50|p99|p999][&format=ndjson]
 //
 // series selects by metric name, or by id / id prefix when it contains
-// '{' (e.g. mzqos_slo_burn_rate{target=late}). Unknown series and
+// '{' (e.g. mzqos_slo_measured{target=late}). Unknown series and
 // malformed parameters answer 400. Without a series parameter the
 // handler lists the known series ids. format=ndjson streams one
 // {"id","round","value"} object per line for jq/grep pipelines.

@@ -38,7 +38,7 @@ var (
 type Query struct {
 	// Series selects by metric name (matching every label set of that
 	// name), or — when it contains '{' — by full series id or id prefix,
-	// e.g. "mzqos_slo_burn_rate{target=late}" matches both windows of the
+	// e.g. "mzqos_slo_measured{target=late}" matches both windows of the
 	// late target.
 	Series string
 	// SinceRound drops samples before this round (0 keeps everything

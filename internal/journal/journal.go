@@ -70,8 +70,9 @@ const (
 	KindFaultClear
 	// SLO alert transitions; Target names the audited bound, Value the
 	// fast-window measurement, Budget the analytic bound, From/To the
-	// state ordinals. A firing's Detail carries the binding admission
-	// constraint (k, bound family, disk).
+	// state ordinals, Detail each window's violations of its population
+	// against its critical count. A firing's Detail adds the binding
+	// admission constraint (k, bound family, disk).
 	KindSLOPending
 	KindSLOFiring
 	KindSLOResolved

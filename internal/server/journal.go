@@ -63,9 +63,10 @@ var sloKinds = map[slo.State]journal.Kind{
 	slo.Resolved: journal.KindSLOResolved,
 }
 
-// journalSLO records one target's alert transition. A firing names the
-// binding admission constraint in force: the quantity the measured tail
-// just violated.
+// journalSLO records one target's alert transition with each window's
+// violations of its population against its critical count. A firing
+// also names the binding admission constraint in force: the quantity the
+// measured tail just violated.
 func (s *Server) journalSLO(idx int, te *slo.TargetEval) {
 	kind, incident := sloKinds[te.State]
 	if !incident {
@@ -75,10 +76,13 @@ func (s *Server) journalSLO(idx int, te *slo.TargetEval) {
 	var e journal.Event
 	s.event(&e, kind)
 	e.Disk, e.From, e.To = lim.bindDisk, int(te.From), int(te.State)
-	e.Target, e.Value, e.Budget = slo.TargetName(idx), te.MeasuredFast, te.Budget
+	e.Target, e.Value, e.Budget = slo.TargetName(idx), te.Fast.Rate(), te.Budget
+	e.Detail = fmt.Sprintf("fast %d/%d critical %d, slow %d/%d critical %d",
+		te.Fast.Violations, te.Fast.Population, slo.Critical(te.Fast.Population, te.Budget),
+		te.Slow.Violations, te.Slow.Population, slo.Critical(te.Slow.Population, te.Budget))
 	if te.State == slo.Firing {
 		exp := &lim.explains[lim.bindDisk]
-		e.Detail = fmt.Sprintf("binding k=%d %s disk=%d", exp.BindingK, exp.Bound, lim.bindDisk)
+		e.Detail += fmt.Sprintf("; binding k=%d %s disk=%d", exp.BindingK, exp.Bound, lim.bindDisk)
 	}
 	s.jnl.Append(&e)
 }

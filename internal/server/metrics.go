@@ -46,7 +46,6 @@ type Telemetry struct {
 type sloTelemetry struct {
 	budget   [2]*telemetry.Gauge
 	measured [2][2]*telemetry.Gauge
-	burn     [2][2]*telemetry.Gauge
 	state    [2]*telemetry.Gauge
 	fired    [2]*telemetry.Counter
 	resolved [2]*telemetry.Counter
@@ -137,15 +136,12 @@ func newTelemetry(reg *telemetry.Registry, instance []telemetry.Label, disks int
 			"Alerts that reached Firing (both windows rejecting the budget at slo.Alpha).",
 			labels(target)...)
 		tl.slo.resolved[i] = reg.Counter("mzqos_slo_alerts_resolved_total",
-			"Fired alerts that resolved once the fast window's rate fell below the budget.",
+			"Fired alerts that resolved once both windows' rates fell below the budget.",
 			labels(target)...)
 		for w := 0; w < 2; w++ {
 			wl := telemetry.L("window", windows[w])
 			tl.slo.measured[i][w] = reg.Gauge("mzqos_slo_measured",
 				"Windowed measured rate per target: P[T_N > t] over loaded rounds (late) or glitches per fragment (glitch).",
-				labels(target, wl)...)
-			tl.slo.burn[i][w] = reg.Gauge("mzqos_slo_burn_rate",
-				"Error-budget burn rate per target and window: measured/budget, 1.0 = consuming exactly the quoted bound.",
 				labels(target, wl)...)
 		}
 	}

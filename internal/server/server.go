@@ -485,10 +485,10 @@ func (s *Server) Round() int { return s.round }
 func (s *Server) RoundLength() float64 { return s.cfg.RoundLength }
 
 // Health returns the heartbeat snapshot a cluster coordinator caches:
-// load, limits, and degrade state. It reads the limits in force once and
-// otherwise only atomic telemetry state, so it is safe to call
-// concurrently with the round loop — which is exactly what a heartbeat
-// collector does.
+// load, limits, degrade state and the SLO audit's window counts. It reads
+// the limits in force once, atomic telemetry state and the audit's
+// snapshot, so it is safe to call concurrently with the round loop —
+// which is exactly what a heartbeat collector does.
 func (s *Server) Health() engine.Health {
 	lim := s.lim.Load()
 	h := engine.Health{
@@ -499,27 +499,9 @@ func (s *Server) Health() engine.Health {
 		Degraded:     lim.degraded,
 		Failed:       lim.failed,
 	}
-	if s.sloAud != nil {
-		// The SLO snapshot is mirrored from the audit's atomic gauges —
-		// the round loop publishes them in auditSLO — so piggybacking it
-		// on the heartbeat keeps Health race-free.
-		st := &s.tel.slo
-		h.SLO = engine.SLOHealth{
-			Enabled:        true,
-			BudgetLate:     st.budget[0].Value(),
-			BudgetGlitch:   st.budget[1].Value(),
-			LateFast:       st.measured[0][0].Value(),
-			LateSlow:       st.measured[0][1].Value(),
-			GlitchFast:     st.measured[1][0].Value(),
-			GlitchSlow:     st.measured[1][1].Value(),
-			BurnLateFast:   st.burn[0][0].Value(),
-			BurnLateSlow:   st.burn[0][1].Value(),
-			BurnGlitchFast: st.burn[1][0].Value(),
-			BurnGlitchSlow: st.burn[1][1].Value(),
-			LateState:      int(st.state[0].Value()),
-			GlitchState:    int(st.state[1].Value()),
-		}
-	}
+	// The audit's snapshot takes its own short lock, so piggybacking it
+	// on the heartbeat keeps Health race-free.
+	h.SLO = s.sloAud.Health()
 	return h
 }
 

@@ -27,13 +27,15 @@ type SLOHint struct {
 	// Round the round the alert fired in.
 	Target string `json:"target"`
 	Round  int    `json:"round"`
-	// WindowRounds is the fast window the measurement comes from.
+	// WindowRounds is the fast window the measurement comes from; Count
+	// its violations of its population, which reached Critical, the
+	// count at which the window rejects Budget, the analytic bound, at
+	// slo.Alpha. Measured is the windowed estimate, Violations/Population.
 	WindowRounds int `json:"window_rounds"`
-	// Measured is the windowed estimate; Budget the analytic bound it
-	// exceeded; Burn their ratio.
+	slo.Count
+	Critical int64   `json:"critical"`
 	Measured float64 `json:"measured"`
 	Budget   float64 `json:"budget"`
-	Burn     float64 `json:"burn"`
 	// BindingDisk and BindingK locate the admission constraint the limit
 	// came from (k = N_max+1 on the binding disk); BindingBound names the
 	// bound ("late" or "glitch") that capped it.
@@ -62,7 +64,7 @@ func (s *Server) SLOHints() []SLOHint {
 }
 
 // auditSLO closes the round for the audit: finalize every disk's window,
-// evaluate burn rates, update the mzqos_slo_* series, and record and
+// test both targets, update the mzqos_slo_* series, and record and
 // react to alert transitions. Every slo event of the round reaches the
 // journal before any reaction to one does (a firing's freeze). Runs on
 // the loop thread at the end of Step; steady state allocates nothing
@@ -76,10 +78,8 @@ func (s *Server) auditSLO() {
 	for i, te := range targets {
 		st := &s.tel.slo
 		st.budget[i].Set(te.Budget)
-		st.measured[i][0].Set(te.MeasuredFast)
-		st.measured[i][1].Set(te.MeasuredSlow)
-		st.burn[i][0].Set(te.BurnFast)
-		st.burn[i][1].Set(te.BurnSlow)
+		st.measured[i][0].Set(te.Fast.Rate())
+		st.measured[i][1].Set(te.Slow.Rate())
 		st.state[i].Set(float64(te.State))
 	}
 	if !ev.Late.Transition && !ev.Glitch.Transition {
@@ -123,16 +123,17 @@ func (s *Server) buildSLOHint(target string, te *slo.TargetEval) SLOHint {
 		Target:       target,
 		Round:        s.round,
 		WindowRounds: s.sloAud.Config().FastWindow,
-		Measured:     te.MeasuredFast,
+		Count:        te.Fast,
+		Critical:     slo.Critical(te.Fast.Population, te.Budget),
+		Measured:     te.Fast.Rate(),
 		Budget:       te.Budget,
-		Burn:         te.BurnFast,
 		BindingDisk:  lim.bindDisk,
 		BindingK:     exp.BindingK,
 		BindingBound: exp.Bound,
 	}
 	h.Message = fmt.Sprintf(
-		"measured %s rate %.3g exceeds analytic bound %.3g (burn %.3gx) over the last %d rounds; binding k=%d (%s bound, disk %d) — model may be miscalibrated, consider Recalibrate",
-		target, h.Measured, h.Budget, h.Burn, h.WindowRounds, h.BindingK, h.BindingBound, h.BindingDisk)
+		"%s: %d violations of %d over the last %d rounds reach the critical count %d of analytic bound %.3g at alpha %g (measured %.3g); binding k=%d (%s bound, disk %d) — model may be miscalibrated, consider Recalibrate",
+		target, h.Violations, h.Population, h.WindowRounds, h.Critical, h.Budget, slo.Alpha, h.Measured, h.BindingK, h.BindingBound, h.BindingDisk)
 	return h
 }
 

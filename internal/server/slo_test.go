@@ -91,7 +91,7 @@ func TestSLOAlertLifecycleUnderFault(t *testing.T) {
 					continue
 				}
 				hintSeen = true
-				if h.Burn <= 1 || h.Measured <= h.Budget || h.Budget <= 0 {
+				if h.Violations < h.Critical || h.Critical < 1 || h.Measured != h.Rate() || h.Measured <= h.Budget || h.Budget <= 0 {
 					t.Errorf("hint numbers inconsistent: %+v", h)
 				}
 				if h.BindingK != 27 || h.BindingBound != "b_late" {
@@ -156,7 +156,7 @@ func TestSLOAlertLifecycleUnderFault(t *testing.T) {
 
 // TestSLONoFalseAlertsAtFullLoad is the false-positive guard: at full
 // admitted load with no faults, the default audit must not fire over 500+
-// rounds — the loose Chernoff budgets leave ample burn headroom for the
+// rounds — the loose Chernoff budgets leave ample headroom for the
 // empirical tails the admitted load actually produces.
 func TestSLONoFalseAlertsAtFullLoad(t *testing.T) {
 	s := sloServer(t, 2, nil, slo.Config{})
@@ -183,8 +183,9 @@ func TestSLONoFalseAlertsAtFullLoad(t *testing.T) {
 	}
 }
 
-// TestSLOHealthSnapshot: the engine Health contract carries the audit
-// state for heartbeat piggybacking, read from atomic gauges only.
+// TestSLOHealthSnapshot: the engine Health contract carries the audit's
+// budgets, window counts and states for heartbeat piggybacking, the same
+// the shard's own /slo reports.
 func TestSLOHealthSnapshot(t *testing.T) {
 	s := sloServer(t, 2, nil, slo.Config{})
 	for r := 0; r < 30; r++ {
@@ -194,15 +195,24 @@ func TestSLOHealthSnapshot(t *testing.T) {
 	if !h.SLO.Enabled {
 		t.Fatal("health SLO snapshot not enabled")
 	}
-	if !(h.SLO.BudgetLate > 0) || !(h.SLO.BudgetGlitch > 0) {
-		t.Errorf("health budgets = %v/%v, want > 0", h.SLO.BudgetLate, h.SLO.BudgetGlitch)
+	if !(h.SLO.Budgets[0] > 0) || !(h.SLO.Budgets[1] > 0) {
+		t.Errorf("health budgets = %v, want > 0", h.SLO.Budgets)
 	}
-	if h.SLO.LateState != int(slo.Inactive) && h.SLO.LateState != int(slo.Pending) {
-		t.Errorf("late state ordinal = %d on a clean run", h.SLO.LateState)
+	if h.SLO.States[0] != slo.Inactive && h.SLO.States[0] != slo.Pending {
+		t.Errorf("late state = %v on a clean run", h.SLO.States[0])
 	}
-	st := targetStatus(t, s.SLOStatus(), slo.TargetLate)
-	if h.SLO.BudgetLate != st.Budget {
-		t.Errorf("health budget %v != status budget %v", h.SLO.BudgetLate, st.Budget)
+	for i, ts := range s.SLOStatus().Targets {
+		if h.SLO.Budgets[i] != ts.Budget || h.SLO.States[i] != ts.State {
+			t.Errorf("%s: health budget %v state %v, status %v %v", ts.Target, h.SLO.Budgets[i], h.SLO.States[i], ts.Budget, ts.State)
+		}
+		for w, win := range ts.Windows {
+			if h.SLO.Windows[i][w] != win.Count {
+				t.Errorf("%s %s window: health %+v, status %+v", ts.Target, win.Window, h.SLO.Windows[i][w], win.Count)
+			}
+		}
+	}
+	if h.SLO.Windows[0][0].Population != 30*2 {
+		t.Errorf("late fast population %d, want one per loaded disk-round", h.SLO.Windows[0][0].Population)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // roundFunc is one full audited round: four disk observations plus the
-// end-of-round evaluation (window rotation, burn rates, the windows'
-// tests and the alert state machines for both targets).
+// end-of-round evaluation (window rotation, the windows' tests and the
+// alert state machines for both targets).
 type roundFunc func(aud *Auditor)
 
 // healthyRound: every disk on time with 26 fragments and no glitch.
@@ -97,7 +97,7 @@ func TestCritCacheMatchesDirect(t *testing.T) {
 		if k < 0 {
 			k = 0
 		}
-		if got, want := c.rejects(k, n, budget), k >= crit; got != want {
+		if got, want := c.rejects(Count{k, n}, budget), k >= crit; got != want {
 			t.Fatalf("step %d: n=%d k=%d budget=%v: cache says %v, crit %d says %v (cache %+v)",
 				i, n, k, budget, got, crit, want, c)
 		}

@@ -24,14 +24,18 @@
 // budget) ≥ k] ≤ Alpha}, so a server that keeps its promise sees a false
 // rejection in at most an Alpha share of a window's evaluations, at any
 // disk count, window or budget. An alert is Pending when the fast window
-// rejects and Firing when both do, which suppresses one-off noise. It
-// resolves (and a Pending one stands down) once the fast window's
-// measured rate falls below the budget: the gap between the mean n·budget
-// and crit(n) is the hysteresis that keeps it from flapping.
+// rejects and Firing when both do, which suppresses one-off noise. A
+// Pending alert stands down once the fast window's measured rate falls
+// below the budget; a Firing one resolves only once both windows' rates
+// have, so each direction needs both windows, and one incident that
+// persists fires once however often its fast window happens to see no
+// late round. The gap between the mean n·budget and crit(n) is the
+// hysteresis that keeps an alert from flapping.
 //
-// The burn rate of a target is measured/budget — the rate at which the
-// quoted error budget is being consumed, 1.0 meaning exactly at the
-// bound. It is reported beside the test, not tested.
+// The test and the machine are one type, Alert, so the same rule runs
+// wherever counts are: a shard's Auditor steps one Alert per target over
+// its disks' pooled windows, and a cluster coordinator steps one per
+// target over its shards' pooled windows (the heartbeat's Health).
 //
 // The observe path (ObserveDisk + EndRound) is zero-allocation in steady
 // state: every window is a preallocated ring of per-round slots with
@@ -67,10 +71,6 @@ const (
 	// DefaultHistory bounds the violation-history transition ring.
 	DefaultHistory = 128
 )
-
-// MaxBurn caps reported burn rates: a measured violation against a zero
-// budget would otherwise be +Inf, which encoding/json cannot marshal.
-const MaxBurn = 1e6
 
 // Audited targets. Each maps one analytic bound of the guarantee to an
 // error budget.
@@ -189,6 +189,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Count is one window's test input for one target: Violations of the
+// budgeted event out of a Population of trials — late disk-rounds of
+// loaded disk-rounds, or glitched fragments of served fragments.
+type Count struct {
+	Violations int64 `json:"violations"`
+	Population int64 `json:"population"`
+}
+
+// Rate is the window's measured rate, Violations/Population; 0 for an
+// empty window.
+func (c Count) Rate() float64 {
+	if c.Population <= 0 {
+		return 0
+	}
+	return float64(c.Violations) / float64(c.Population)
+}
+
+// Add pools another window's counts into c.
+func (c *Count) Add(o Count) {
+	c.Violations += o.Violations
+	c.Population += o.Population
+}
+
 // slot is one round's observation on one disk: the late-round indicator
 // that b_late bounds and the fragment-level glitch count that b_glitch
 // bounds. The same struct doubles as a running window sum.
@@ -211,6 +234,15 @@ func (s *slot) sub(o slot) {
 	s.late -= o.late
 	s.requests -= o.requests
 	s.glitches -= o.glitches
+}
+
+// count returns target i's counts in a window sum: late over loaded
+// disk-rounds, or glitched over served fragments.
+func (s *slot) count(i int) Count {
+	if i == idxLate {
+		return Count{s.late, s.loaded}
+	}
+	return Count{s.glitches, s.requests}
 }
 
 // diskWindows is one disk's sliding-window state: a ring of the last
@@ -256,10 +288,11 @@ type critCache struct {
 	lo, hi, crit int64
 }
 
-// rejects reports whether k violations in a population of n reject the
-// budget at level Alpha, recomputing crit only when n leaves the cached
+// rejects reports whether a window's counts reject the budget at level
+// Alpha, recomputing crit only when the population leaves the cached
 // range. crit ≥ 1, so a window without violations never rejects.
-func (c *critCache) rejects(k, n int64, budget float64) bool {
+func (c *critCache) rejects(w Count, budget float64) bool {
+	k, n := w.Violations, w.Population
 	if k == 0 {
 		return false
 	}
@@ -277,55 +310,91 @@ func (c *critCache) rejects(k, n int64, budget float64) bool {
 	return k >= c.crit
 }
 
-// machine is one target's alert state machine, with the critical-count
-// caches of its fast and slow windows.
-type machine struct {
+// Critical is the count at which a window of n trials rejects budget:
+// the least k with P[Bin(n, budget) ≥ k] ≤ Alpha.
+func Critical(n int64, budget float64) int64 {
+	return chernoff.BinomialCritical(n, budget, Alpha)
+}
+
+// Alert is one target's alert: the level-Alpha test of a fast and a slow
+// window's counts, the Pending→Firing→Resolved machine it drives, and the
+// critical-count caches of both windows. A shard's Auditor keeps one per
+// target; a cluster coordinator keeps one per target over its shards'
+// pooled counts. Step it from one goroutine; a copy is a snapshot.
+type Alert struct {
 	state      State
 	since      int // round of the last transition
 	fired      int64
 	resolved   int64
+	budget     float64 // the budget the caches hold crit for
 	fast, slow critCache
 }
 
-func (m *machine) to(s State, round int) {
+func (m *Alert) to(s State, round int) {
 	m.state = s
 	m.since = round
 }
 
-// step advances the machine one round given whether each window rejects
-// the budget and whether the fast window's rate is below it, and reports
-// whether a transition happened.
-func (m *machine) step(round int, fastRejects, slowRejects, fastBelow bool, cfg Config) (from State, transitioned bool) {
+// Step tests the fast and slow windows' counts against budget and
+// advances the machine one round: Pending when the fast window rejects,
+// Firing when both do, Resolved once both windows' rates are below the
+// budget, Inactive resolvedFor rounds after that. It reports the state
+// before the round and whether it changed. Allocation-free.
+func (m *Alert) Step(round int, fast, slow Count, budget float64, resolvedFor int) (from State, changed bool) {
+	if budget != m.budget {
+		m.budget, m.fast, m.slow = budget, critCache{}, critCache{}
+	}
+	fastRejects := m.fast.rejects(fast, budget)
+	bothReject := fastRejects && m.slow.rejects(slow, budget)
+	fastBelow := fast.Rate() < budget
 	from = m.state
 	switch m.state {
 	case Inactive, Resolved:
 		switch {
-		case fastRejects && slowRejects:
+		case bothReject:
 			m.to(Firing, round)
 			m.fired++
 		case fastRejects:
 			m.to(Pending, round)
-		case m.state == Resolved && round-m.since >= cfg.ResolvedFor:
+		case m.state == Resolved && round-m.since >= resolvedFor:
 			m.to(Inactive, round)
 		}
 	case Pending:
 		switch {
-		case fastRejects && slowRejects:
+		case bothReject:
 			m.to(Firing, round)
 			m.fired++
 		case fastBelow:
 			m.to(Inactive, round)
 		}
 	case Firing:
-		// Multi-window resolution: the fast window alone decides recovery,
-		// so an alert clears within ~FastWindow of the cause clearing even
-		// while the slow window still remembers the incident.
-		if fastBelow {
+		// Both windows decide recovery, as both decided firing: the
+		// alert clears once the slow window has seen the incident end
+		// too, not whenever the fast window dips below the budget.
+		if fastBelow && slow.Rate() < budget {
 			m.to(Resolved, round)
 			m.resolved++
 		}
 	}
 	return from, m.state != from
+}
+
+// Status is the alert's exposition row for target: budget, state and
+// lifecycle counts, and each window's counts against its critical count,
+// with the windows' spans taken from cfg.
+func (m *Alert) Status(target string, budget float64, fast, slow Count, cfg Config) TargetStatus {
+	return TargetStatus{
+		Target:        target,
+		Budget:        budget,
+		State:         m.state,
+		SinceRound:    m.since,
+		FiredTotal:    m.fired,
+		ResolvedTotal: m.resolved,
+		Windows: []WindowEstimate{
+			{Window: "fast", Rounds: cfg.FastWindow, Count: fast, Critical: Critical(fast.Population, budget), Measured: fast.Rate()},
+			{Window: "slow", Rounds: cfg.SlowWindow, Count: slow, Critical: Critical(slow.Population, budget), Measured: slow.Rate()},
+		},
+	}
 }
 
 // Transition is one alert state change, retained in the violation
@@ -338,25 +407,22 @@ type Transition struct {
 	// From and To are the states on either side of the transition.
 	From State `json:"from"`
 	To   State `json:"to"`
-	// BurnFast and BurnSlow are the window burn rates at transition time.
-	BurnFast float64 `json:"burn_fast"`
-	BurnSlow float64 `json:"burn_slow"`
-	// Measured is the fast-window estimate; Budget the analytic bound it
-	// is compared against.
-	Measured float64 `json:"measured"`
-	Budget   float64 `json:"budget"`
+	// Budget is the analytic bound tested; Fast and Slow the windows'
+	// counts it was tested on.
+	Budget float64 `json:"budget"`
+	Fast   Count   `json:"fast"`
+	Slow   Count   `json:"slow"`
 }
 
-// TargetEval is one target's evaluation after a round: window estimates,
-// burn rates, alert state, and whether this round transitioned.
+// TargetEval is one target's evaluation after a round: the windows'
+// counts, the alert state, and whether this round transitioned.
 type TargetEval struct {
 	// Budget is the analytic bound in force (b_late or b_glitch at the
 	// current N_max).
 	Budget float64
-	// MeasuredFast/Slow are the windowed estimates (late-round tail or
-	// glitch rate); BurnFast/Slow the corresponding burn rates.
-	MeasuredFast, MeasuredSlow float64
-	BurnFast, BurnSlow         float64
+	// Fast and Slow are the windows' counts the test ran on; their Rate
+	// is the windowed estimate (late-round tail or glitch rate).
+	Fast, Slow Count
 	// State is the alert state after this round; when Transition is set,
 	// From is the state before it.
 	State      State
@@ -379,12 +445,14 @@ type Evaluation struct {
 // Status may be called concurrently (it takes the same short mutex).
 // A nil *Auditor is a disabled audit: every method is a no-op.
 type Auditor struct {
-	mu       sync.Mutex
-	cfg      Config
-	disks    []diskWindows
-	budgets  [numTargets]float64
-	machines [numTargets]machine
-	round    int // rounds observed (EndRound calls)
+	mu      sync.Mutex
+	cfg     Config
+	disks   []diskWindows
+	budgets [numTargets]float64
+	alerts  [numTargets]Alert
+	round   int  // rounds observed (EndRound calls)
+	fast    slot // the fast windows' sums over every disk, as of the last EndRound
+	slow    slot // the slow windows' sums
 
 	history ring.Buffer[Transition] // last cfg.History alert transitions
 }
@@ -429,9 +497,6 @@ func (a *Auditor) SetBudgets(bLate, bGlitch float64) {
 	a.mu.Lock()
 	a.budgets[idxLate] = bLate
 	a.budgets[idxGlitch] = bGlitch
-	for i := range a.machines {
-		a.machines[i].fast, a.machines[i].slow = critCache{}, critCache{}
-	}
 	a.mu.Unlock()
 }
 
@@ -455,41 +520,6 @@ func (a *Auditor) ObserveDisk(disk int, late bool, requests, glitches int) {
 	a.mu.Unlock()
 }
 
-// counts returns target i's violations and population over the fast and
-// slow windows: late over loaded disk-rounds, or glitched over served
-// fragments.
-func counts(i int, fast, slow *slot) (vF, pF, vS, pS int64) {
-	if i == idxLate {
-		return fast.late, fast.loaded, slow.late, slow.loaded
-	}
-	return fast.glitches, fast.requests, slow.glitches, slow.requests
-}
-
-// ratio returns num/den, 0 when the denominator is empty.
-func ratio(num, den int64) float64 {
-	if den <= 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
-}
-
-// BurnRate converts a measured rate and its budget into a burn rate,
-// capped at MaxBurn (a violation against a zero budget is "infinitely"
-// over budget, but JSON needs a finite number).
-func BurnRate(measured, budget float64) float64 {
-	if budget > 0 {
-		r := measured / budget
-		if r > MaxBurn {
-			return MaxBurn
-		}
-		return r
-	}
-	if measured > 0 {
-		return MaxBurn
-	}
-	return 0
-}
-
 // EndRound finalizes the current round across every disk, tests both
 // targets' fast and slow windows against their budgets, and advances the
 // alert machines. Returns the evaluation by value — the caller (the round
@@ -499,12 +529,12 @@ func (a *Auditor) EndRound() Evaluation {
 		return Evaluation{Round: -1}
 	}
 	a.mu.Lock()
-	var aggF, aggS slot
+	a.fast, a.slow = slot{}, slot{}
 	for d := range a.disks {
 		dw := &a.disks[d]
 		dw.rotate(a.cfg.FastWindow)
-		aggF.add(dw.fast)
-		aggS.add(dw.slow)
+		a.fast.add(dw.fast)
+		a.slow.add(dw.slow)
 	}
 	round := a.round
 	a.round++
@@ -512,29 +542,20 @@ func (a *Auditor) EndRound() Evaluation {
 	ev := Evaluation{Round: round}
 	evals := [numTargets]*TargetEval{&ev.Late, &ev.Glitch}
 	for i, te := range evals {
-		m := &a.machines[i]
+		m := &a.alerts[i]
 		te.Budget = a.budgets[i]
-		vF, pF, vS, pS := counts(i, &aggF, &aggS)
-		te.MeasuredFast = ratio(vF, pF)
-		te.MeasuredSlow = ratio(vS, pS)
-		te.BurnFast = BurnRate(te.MeasuredFast, te.Budget)
-		te.BurnSlow = BurnRate(te.MeasuredSlow, te.Budget)
-		from, changed := m.step(round,
-			m.fast.rejects(vF, pF, te.Budget), m.slow.rejects(vS, pS, te.Budget),
-			te.BurnFast < 1, a.cfg)
+		te.Fast, te.Slow = a.fast.count(i), a.slow.count(i)
+		te.From, te.Transition = m.Step(round, te.Fast, te.Slow, te.Budget, a.cfg.ResolvedFor)
 		te.State = m.state
-		te.Transition = changed
-		te.From = from
-		if changed {
+		if te.Transition {
 			*a.history.Next() = Transition{
-				Round:    round,
-				Target:   TargetName(i),
-				From:     from,
-				To:       te.State,
-				BurnFast: te.BurnFast,
-				BurnSlow: te.BurnSlow,
-				Measured: te.MeasuredFast,
-				Budget:   te.Budget,
+				Round:  round,
+				Target: TargetName(i),
+				From:   te.From,
+				To:     te.State,
+				Budget: te.Budget,
+				Fast:   te.Fast,
+				Slow:   te.Slow,
 			}
 		}
 	}
@@ -547,17 +568,13 @@ type WindowEstimate struct {
 	// Window names the window ("fast" or "slow"); Rounds is its span.
 	Window string `json:"window"`
 	Rounds int    `json:"rounds"`
-	// Violations and Population are the estimate's numerator and
-	// denominator: late disk-rounds over loaded disk-rounds for the late
-	// target, glitched fragments over served fragments for glitch.
-	Violations int64 `json:"violations"`
-	Population int64 `json:"population"`
+	// Count is what the window tested: its violations of its population.
+	Count
 	// Critical is the count at which the window rejects the budget:
 	// the least k with P[Bin(Population, budget) ≥ k] ≤ Alpha.
 	Critical int64 `json:"critical"`
-	// Measured is Violations/Population; Burn is Measured/budget.
+	// Measured is Violations/Population.
 	Measured float64 `json:"measured"`
-	Burn     float64 `json:"burn"`
 }
 
 // TargetStatus is one audited target's full exposition row.
@@ -623,41 +640,51 @@ func (a *Auditor) Status() Status {
 		Targets:    make([]TargetStatus, numTargets),
 		Disks:      make([]DiskEstimate, len(a.disks)),
 	}
-	var aggF, aggS slot
 	for d := range a.disks {
 		dw := &a.disks[d]
-		aggF.add(dw.fast)
-		aggS.add(dw.slow)
 		st.Disks[d] = DiskEstimate{
 			Disk:       d,
-			PLateFast:  ratio(dw.fast.late, dw.fast.loaded),
-			PLateSlow:  ratio(dw.slow.late, dw.slow.loaded),
-			GlitchFast: ratio(dw.fast.glitches, dw.fast.requests),
-			GlitchSlow: ratio(dw.slow.glitches, dw.slow.requests),
+			PLateFast:  dw.fast.count(idxLate).Rate(),
+			PLateSlow:  dw.slow.count(idxLate).Rate(),
+			GlitchFast: dw.fast.count(idxGlitch).Rate(),
+			GlitchSlow: dw.slow.count(idxGlitch).Rate(),
 		}
 	}
 	for i := range st.Targets {
-		m := &a.machines[i]
-		ts := TargetStatus{
-			Target:        TargetName(i),
-			Budget:        a.budgets[i],
-			State:         m.state,
-			SinceRound:    m.since,
-			FiredTotal:    m.fired,
-			ResolvedTotal: m.resolved,
-		}
-		vF, pF, vS, pS := counts(i, &aggF, &aggS)
-		mF, mS := ratio(vF, pF), ratio(vS, pS)
-		ts.Windows = []WindowEstimate{
-			{Window: "fast", Rounds: a.cfg.FastWindow, Violations: vF, Population: pF,
-				Critical: chernoff.BinomialCritical(pF, ts.Budget, Alpha),
-				Measured: mF, Burn: BurnRate(mF, ts.Budget)},
-			{Window: "slow", Rounds: a.cfg.SlowWindow, Violations: vS, Population: pS,
-				Critical: chernoff.BinomialCritical(pS, ts.Budget, Alpha),
-				Measured: mS, Burn: BurnRate(mS, ts.Budget)},
-		}
-		st.Targets[i] = ts
+		st.Targets[i] = a.alerts[i].Status(TargetName(i), a.budgets[i], a.fast.count(i), a.slow.count(i), a.cfg)
 	}
 	st.History = a.history.AppendTo(make([]Transition, 0, a.history.Len()))
 	return st
+}
+
+// Health is the heartbeat-sized audit snapshot a shard hands its
+// coordinator: per target (late, then glitch) the budget in force, the
+// fast and slow windows' counts its own test ran on, and the alert state.
+// The coordinator pools the counts and tests the pool the same way. Zero
+// (Enabled false) when the shard runs no audit.
+type Health struct {
+	Enabled bool `json:"enabled"`
+	// FastWindow and SlowWindow are the window spans in rounds.
+	FastWindow int `json:"fast_window_rounds"`
+	SlowWindow int `json:"slow_window_rounds"`
+	// Budgets, Windows ([target][fast, slow]) and States are per target.
+	Budgets [numTargets]float64  `json:"budgets"`
+	Windows [numTargets][2]Count `json:"windows"`
+	States  [numTargets]State    `json:"states"`
+}
+
+// Health snapshots the counts and states as of the last EndRound. Safe to
+// call concurrently with the observe path; allocation-free.
+func (a *Auditor) Health() Health {
+	if a == nil {
+		return Health{}
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	h := Health{Enabled: true, FastWindow: a.cfg.FastWindow, SlowWindow: a.cfg.SlowWindow, Budgets: a.budgets}
+	for i := range h.Windows {
+		h.Windows[i] = [2]Count{a.fast.count(i), a.slow.count(i)}
+		h.States[i] = a.alerts[i].state
+	}
+	return h
 }
