@@ -10,7 +10,9 @@
 # record. The SLO audit rides the same scenario: the late rounds before
 # shedding kicks in must push the late count past its critical count in
 # both windows (alert fires), and the clean tail of the run must resolve
-# it. -degrade-after 8
+# it: the run goes on until the late rounds have left the slow window
+# (512 rounds), since a firing alert resolves only once both windows'
+# rates are below the budget. -degrade-after 8
 # holds shedding off long enough for the fast window to see the violation.
 #
 # Phase 2 (cluster failover): run a 3-shard cluster with -migrate, fail
@@ -33,7 +35,7 @@ CJLOG="${TMPDIR:-/tmp}/mzserver-faults-cluster-journal.log"
 
 go build -o "$BIN" ./cmd/mzserver
 
-"$BIN" -disks 2 -rounds 400 -arrivals 2 -report 0 \
+"$BIN" -disks 2 -rounds 700 -arrivals 2 -report 0 \
     -faults "latency:disk=0,from=100,until=300,factor=2" -degrade \
     -degrade-after 8 -log json \
     -listen "$ADDR" -linger 120s >"$LOG" 2>"$JLOG" &
@@ -56,11 +58,11 @@ if [ "$up" -ne 1 ]; then
     exit 1
 fi
 
-# Wait for the scenario to complete all 400 rounds.
+# Wait for the scenario to complete all 700 rounds.
 done=0
 i=0
 while [ "$i" -lt 300 ]; do
-    if curl -sf "http://$ADDR/metrics" | grep -q '^mzqos_server_rounds_total{shard="0"} 400$'; then
+    if curl -sf "http://$ADDR/metrics" | grep -q '^mzqos_server_rounds_total{shard="0"} 700$'; then
         done=1
         break
     fi
@@ -68,7 +70,7 @@ while [ "$i" -lt 300 ]; do
     i=$((i + 1))
 done
 if [ "$done" -ne 1 ]; then
-    echo "faults: FAIL scenario never reached round 400" >&2
+    echo "faults: FAIL scenario never reached round 700" >&2
     exit 1
 fi
 
@@ -156,19 +158,19 @@ print(f"faults: ok   /query alert-state history replays the fire->resolve arc ov
         echo "faults: FAIL /query alert-state history does not replay the fire->resolve arc" >&2
         fail=1
     fi
-    if curl -sfg "http://$ADDR/query?series=mzqos_slo_burn_rate{shard=0}{target=late}&agg=max&step=4" | python3 -c '
+    if curl -sfg "http://$ADDR/query?series=mzqos_slo_measured{shard=0}{target=late}&agg=max&step=4" | python3 -c '
 import json, sys
 res = json.load(sys.stdin)
 fast = [s for s in res["series"] if "{window=fast}" in s["id"]]
-assert fast, f"no fast-window burn-rate history in {[s['id'] for s in res['series']]}"
+assert fast, f"no fast-window measured-rate history in {[s['id'] for s in res['series']]}"
 pts = fast[0]["points"]
 peak = max(p["value"] for p in pts)
-assert peak > pts[-1]["value"], f"burn rate never decayed from its peak: peak {peak}, final {pts[-1]}"
-print(f"faults: ok   /query burn-rate history peaks at {peak:.1f} and decays by scenario end")
+assert peak > pts[-1]["value"], f"measured rate never decayed from its peak: peak {peak}, final {pts[-1]}"
+print(f"faults: ok   /query measured-rate history peaks at {peak:.3g} and decays by scenario end")
 '; then
         :
     else
-        echo "faults: FAIL /query burn-rate history lacks the fault arc" >&2
+        echo "faults: FAIL /query measured-rate history lacks the fault arc" >&2
         fail=1
     fi
 fi
@@ -177,11 +179,11 @@ if [ "$fail" -ne 0 ]; then
     ARTDIR="${SMOKE_ARTIFACT_DIR:-${TMPDIR:-/tmp}}"
     mkdir -p "$ARTDIR"
     curl -s "http://$ADDR/debug/bundle" >"$ARTDIR/faults-bundle.json" || true
-    # The burn-rate trajectory is the artifact an SLO postmortem starts
-    # from: the full windowed history of both targets, not just the final
-    # gauge values.
-    curl -sg "http://$ADDR/query?series=mzqos_slo_burn_rate&agg=last" >"$ARTDIR/faults-burn-rate.json" || true
-    echo "faults: saved debug bundle and burn-rate trajectory to $ARTDIR/" >&2
+    # The measured-rate trajectory is the artifact an SLO postmortem
+    # starts from: the full windowed history of both targets, not just the
+    # final gauge values.
+    curl -sg "http://$ADDR/query?series=mzqos_slo_measured&agg=last" >"$ARTDIR/faults-measured-rate.json" || true
+    echo "faults: saved debug bundle and measured-rate trajectory to $ARTDIR/" >&2
 fi
 
 kill "$PID" 2>/dev/null || true

@@ -58,7 +58,7 @@ expect /slo '"target": "late"' "late-target audit row"
 expect /slo '"target": "glitch"' "glitch-target audit row"
 expect /metrics '^mzqos_slo_budget{shard="0",target="late"} ' "SLO budget gauge"
 expect /metrics '^mzqos_slo_alerts_fired_total{shard="0",target="late"} 0$' "no alert fired on a clean run"
-expect /metrics '^mzqos_slo_burn_rate{shard="0",target="late",window="fast"} ' "SLO burn-rate gauge"
+expect /metrics '^mzqos_slo_measured{shard="0",target="late",window="fast"} ' "SLO measured-rate gauge"
 expect /timeline '"kind": "admit"' "journalled admissions"
 expect /timeline '"head_seq"' "journal ring stats"
 expect '/timeline?kind=admit' '"seq"' "kind-filtered timeline"
