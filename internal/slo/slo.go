@@ -236,6 +236,29 @@ func (s *slot) sub(o slot) {
 	s.glitches -= o.glitches
 }
 
+// maxCount is the most requests, and the most glitches, one disk-round
+// counts: a ring slot keeps each in 31 bits. A disk serves one offset class
+// a round, at most N_max streams, and model.New refuses a search cap past
+// 2^16 streams per disk, so no server reaches it; ObserveDisk clamps to it.
+const maxCount = 1<<31 - 1
+
+// pack returns a finalized round's slot as a ring entry: loaded in bit 63,
+// late in bit 62, requests in bits 31 to 61 and glitches in bits 0 to 30.
+// ObserveDisk keeps loaded and late to 0 or 1 and the counts to maxCount.
+func (s slot) pack() uint64 {
+	return uint64(s.loaded)<<63 | uint64(s.late)<<62 | uint64(s.requests)<<31 | uint64(s.glitches)
+}
+
+// unpack returns the slot a ring entry holds.
+func unpack(p uint64) slot {
+	return slot{
+		loaded:   int64(p >> 63),
+		late:     int64(p >> 62 & 1),
+		requests: int64(p >> 31 & maxCount),
+		glitches: int64(p & maxCount),
+	}
+}
+
 // count returns target i's counts in a window sum: late over loaded
 // disk-rounds, or glitched over served fragments.
 func (s *slot) count(i int) Count {
@@ -246,14 +269,15 @@ func (s *slot) count(i int) Count {
 }
 
 // diskWindows is one disk's sliding-window state: a ring of the last
-// SlowWindow finalized round slots plus incrementally maintained sums
-// over the fast and slow windows. Rotation is O(1) and allocation-free.
+// SlowWindow finalized round slots, packed into 8 bytes each, plus
+// incrementally maintained sums over the fast and slow windows. Rotation
+// is O(1) and allocation-free.
 type diskWindows struct {
-	ring []slot // last len(ring) finalized rounds; ring[pos] is the oldest
-	pos  int    // next write position
-	cur  slot   // the round being accumulated (ObserveDisk writes here)
-	fast slot   // running sum over the last FastWindow finalized rounds
-	slow slot   // running sum over the whole ring
+	ring []uint64 // last len(ring) finalized rounds, packed; ring[pos] is the oldest
+	pos  int      // next write position
+	cur  slot     // the round being accumulated (ObserveDisk writes here)
+	fast slot     // running sum over the last FastWindow finalized rounds
+	slow slot     // running sum over the whole ring
 }
 
 // rotate finalizes the current round's slot into the ring, evicting the
@@ -266,12 +290,12 @@ func (d *diskWindows) rotate(fastW int) {
 		fi += w
 	}
 	d.fast.add(d.cur)
-	d.fast.sub(d.ring[fi])
+	d.fast.sub(unpack(d.ring[fi]))
 	// The slot being overwritten leaves the slow window. Ring slots start
 	// zeroed, so the subtraction is a no-op until the ring has wrapped.
 	d.slow.add(d.cur)
-	d.slow.sub(d.ring[d.pos])
-	d.ring[d.pos] = d.cur
+	d.slow.sub(unpack(d.ring[d.pos]))
+	d.ring[d.pos] = d.cur.pack()
 	d.pos++
 	if d.pos == w {
 		d.pos = 0
@@ -473,7 +497,7 @@ func New(cfg Config, disks int) (*Auditor, error) {
 		history: ring.New[Transition](cfg.History),
 	}
 	for d := range a.disks {
-		a.disks[d].ring = make([]slot, cfg.SlowWindow)
+		a.disks[d].ring = make([]uint64, cfg.SlowWindow)
 	}
 	return a, nil
 }
@@ -500,23 +524,26 @@ func (a *Auditor) SetBudgets(bLate, bGlitch float64) {
 	a.mu.Unlock()
 }
 
-// ObserveDisk folds one loaded disk's sweep outcome for the current round
-// into its window: whether the sweep was late (overran the round length,
-// or the disk was down), and the fragment counts b_glitch is measured
-// against. Call at most once per disk per round, from the round loop;
-// zero allocations.
+// ObserveDisk records one loaded disk's sweep outcome for the current
+// round in its window: whether the sweep was late (overran the round
+// length, or the disk was down), and the fragment counts b_glitch is
+// measured against, each clamped to 0 through maxCount. Call once per
+// loaded disk per round, from the round loop: a second call in the same
+// round replaces the first. Zero allocations.
 func (a *Auditor) ObserveDisk(disk int, late bool, requests, glitches int) {
 	if a == nil || disk < 0 || disk >= len(a.disks) {
 		return
 	}
-	a.mu.Lock()
-	cur := &a.disks[disk].cur
-	cur.loaded++
-	if late {
-		cur.late++
+	cur := slot{
+		loaded:   1,
+		requests: int64(min(max(requests, 0), maxCount)),
+		glitches: int64(min(max(glitches, 0), maxCount)),
 	}
-	cur.requests += int64(requests)
-	cur.glitches += int64(glitches)
+	if late {
+		cur.late = 1
+	}
+	a.mu.Lock()
+	a.disks[disk].cur = cur
 	a.mu.Unlock()
 }
 

@@ -114,6 +114,58 @@ func TestWindowRotationMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestObserveDiskCountsFitTheirSlot: a finalized round keeps its counts
+// in 31 bits each, so ObserveDisk clamps them there, and a round read
+// back out of the ring as it leaves each window must take exactly its own
+// counts with it. Rows: a server's round, the most one offset class can
+// bring a disk (N_max at model.New's cap of 2^16 streams), the slot's
+// limit, past it, and below zero.
+func TestObserveDiskCountsFitTheirSlot(t *testing.T) {
+	for _, tc := range []struct {
+		name                       string
+		requests, glitches         int
+		wantRequests, wantGlitches int64
+	}{
+		{"server round", 26, 3, 26, 3},
+		{"one class at the search cap", 1 << 16, 1 << 16, 1 << 16, 1 << 16},
+		{"slot limit", maxCount, maxCount, maxCount, maxCount},
+		{"past the limit", maxCount + 1, 1 << 40, maxCount, maxCount},
+		{"negative", -5, -1, 0, 0},
+	} {
+		aud, err := New(Config{FastWindow: 1, SlowWindow: 2}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aud.SetBudgets(0.5, 0.5)
+		aud.ObserveDisk(0, true, tc.requests, tc.glitches)
+		aud.ObserveDisk(0, true, tc.requests, tc.glitches) // replaces, not adds
+		aud.EndRound()
+		aud.ObserveDisk(0, false, 7, 1)
+		aud.EndRound()
+		aud.ObserveDisk(0, false, 9, 2)
+		aud.EndRound()
+		// Round 1 has left both windows: the fast one after round 2, the
+		// slow one after round 3.
+		h := aud.Health()
+		want := [numTargets][2]Count{
+			idxLate:   {{0, 1}, {0, 2}},
+			idxGlitch: {{2, 9}, {3, 16}},
+		}
+		if h.Windows != want {
+			t.Errorf("%s: windows %+v after round 1 left them, want %+v", tc.name, h.Windows, want)
+		}
+		// Round 1 alone, in the slow window of a fresh auditor.
+		aud, _ = New(Config{FastWindow: 1, SlowWindow: 2}, 1)
+		aud.ObserveDisk(0, true, tc.requests, tc.glitches)
+		aud.EndRound()
+		aud.ObserveDisk(0, false, 0, 0)
+		aud.EndRound()
+		if got := aud.Health().Windows[idxGlitch][1]; got != (Count{tc.wantGlitches, tc.wantRequests}) {
+			t.Errorf("%s: the slow window holds %+v of round 1, want %d of %d", tc.name, got, tc.wantGlitches, tc.wantRequests)
+		}
+	}
+}
+
 // TestWindowForgetsOutOfWindowRounds: after SlowWindow clean rounds, a
 // violent past must have aged out of both windows entirely. Against a
 // zero budget too, where every violation rejects, the status must
