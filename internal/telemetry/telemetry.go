@@ -102,11 +102,19 @@ type Histogram struct {
 	sumBits atomic.Uint64
 }
 
+// MaxBuckets is the most buckets a histogram may have, the overflow
+// bucket included: the history store logs a bucket's growth under a 16-bit
+// bucket index.
+const MaxBuckets = math.MaxUint16
+
 // NewHistogram builds a histogram over the given strictly increasing,
-// finite upper bounds.
+// finite upper bounds, at most MaxBuckets-1 of them.
 func NewHistogram(bounds []float64) (*Histogram, error) {
 	if len(bounds) == 0 {
 		return nil, fmt.Errorf("telemetry: histogram needs at least one bucket bound")
+	}
+	if len(bounds) >= MaxBuckets {
+		return nil, fmt.Errorf("telemetry: %d bucket bounds make %d buckets, more than %d", len(bounds), len(bounds)+1, MaxBuckets)
 	}
 	for i, b := range bounds {
 		if math.IsNaN(b) || math.IsInf(b, 0) {

@@ -95,6 +95,17 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if _, err := NewHistogram([]float64{1, math.Inf(1)}); err == nil {
 		t.Fatal("infinite bound should fail")
 	}
+	// MaxBuckets buckets, overflow included, and no more.
+	bounds := make([]float64, MaxBuckets)
+	for i := range bounds {
+		bounds[i] = float64(i)
+	}
+	if h, err := NewHistogram(bounds[:MaxBuckets-1]); err != nil || h.NumBuckets() != MaxBuckets {
+		t.Fatalf("%d bounds: %v, want a histogram of %d buckets", MaxBuckets-1, err, MaxBuckets)
+	}
+	if _, err := NewHistogram(bounds); err == nil {
+		t.Fatalf("%d bounds, %d buckets, should fail", MaxBuckets, MaxBuckets+1)
+	}
 }
 
 func TestHistogramMeanQuantile(t *testing.T) {
