@@ -373,7 +373,7 @@ func (st *Store) renderTailSection(b *strings.Builder, t float64, window int) {
 // renderSLOSection plots each target's windowed measured rates (fast and
 // slow, per shard when labelled, the cluster's pooled rates dashed)
 // against the budgets the audit tests them against, under the alert-state
-// bands.
+// bands of every shard's state series for the target.
 func (st *Store) renderSLOSection(b *strings.Builder, window int) {
 	step := max(window/8, 1)
 	measured := st.query(Query{Series: seriesMeasured, Agg: AggMax, Step: step})
@@ -390,10 +390,8 @@ func (st *Store) renderSLOSection(b *strings.Builder, window int) {
 		lines = targetLines(lines, budgets, target, "", true)
 		var bands []band
 		for i := range states.Series {
-			sr := &states.Series[i]
-			if sr.labelValue("target") == target && sr.labelValue("shard") == "" {
-				bands = stateBands(sr.Points)
-				break
+			if sr := &states.Series[i]; sr.labelValue("target") == target {
+				bands = append(bands, stateBands(sr.Points)...)
 			}
 		}
 		renderPanel(b, "measured rate vs budget — target "+target+" (bands: amber pending, red firing, blue resolved)", lines, bands)
