@@ -58,8 +58,9 @@ import (
 //	             N_max evaluations. The rejections are the journal's, on
 //	             /timeline?kind=reject (the coordinator never asks a full
 //	             shard to admit, so they name the shard tried first)
-//	slo          the shard's audit status, its active recalibration hints
-//	             and its alert transition history
+//	slo          the shard's audit status and its newest 128 incidents:
+//	             its slo_pending, slo_firing and slo_resolved events on
+//	             the journal, a firing naming the binding constraint
 //	sweeps       recent per-sweep phase breakdowns as JSON: the flight
 //	             recorder's spans without their requests
 //	faults       the fault plan and the latest round's per-disk effects
@@ -92,8 +93,11 @@ func buildMux(coord *cluster.Coordinator, srvs []*server.Server, hist *history.S
 	}
 	mux.HandleFunc("/healthz", healthzHandler(coord))
 	for view, payload := range shardViews {
-		mux.HandleFunc("/shard/{i}/"+view, shardHandler(srvs, payload))
+		mux.HandleFunc("/shard/{i}/"+view, shardHandler(len(srvs), func(i int, q url.Values) any { return payload(srvs[i], q) }))
 	}
+	mux.HandleFunc("/shard/{i}/slo", shardHandler(len(srvs), func(i int, _ url.Values) any {
+		return shardSLO(srvs[i], coord.Journal(), i)
+	}))
 	if withPprof {
 		registerPprof(mux)
 	}
@@ -125,27 +129,25 @@ func admissions(coord *cluster.Coordinator) admissionReport {
 	return admissionReport{Route: coord.Route(), Admissions: coord.Journal().Events(f)}
 }
 
-// shardViews are the payloads served under /shard/{i}/, by view name.
+// shardViews are the payloads served under /shard/{i}/ that read the
+// shard alone, by view name; slo reads the journal too (shardSLO).
 var shardViews = map[string]func(srv *server.Server, q url.Values) any{
 	"admission": func(srv *server.Server, _ url.Values) any { return srv.AdmissionStatus() },
-	"slo": func(srv *server.Server, _ url.Values) any {
-		return sloReport{Status: srv.SLOStatus(), Hints: srv.SLOHints()}
-	},
-	"sweeps": func(srv *server.Server, _ url.Values) any { return recentSweeps(srv.Trace()) },
-	"faults": func(srv *server.Server, _ url.Values) any { return faultStatus(srv) },
-	"trace":  traceStatus,
+	"sweeps":    func(srv *server.Server, _ url.Values) any { return recentSweeps(srv.Trace()) },
+	"faults":    func(srv *server.Server, _ url.Values) any { return faultStatus(srv) },
+	"trace":     traceStatus,
 }
 
-// shardHandler serves one view of the shard the path names, or 404 for a
-// path value that names no shard.
-func shardHandler(srvs []*server.Server, payload func(*server.Server, url.Values) any) http.HandlerFunc {
+// shardHandler serves one view of the shard the path names, one of
+// shards, or 404 for a path value that names no shard.
+func shardHandler(shards int, payload func(i int, q url.Values) any) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		i, err := strconv.Atoi(r.PathValue("i"))
-		if err != nil || i < 0 || i >= len(srvs) {
-			http.Error(w, fmt.Sprintf("no shard %q: shards are 0..%d", r.PathValue("i"), len(srvs)-1), http.StatusNotFound)
+		if err != nil || i < 0 || i >= shards {
+			http.Error(w, fmt.Sprintf("no shard %q: shards are 0..%d", r.PathValue("i"), shards-1), http.StatusNotFound)
 			return
 		}
-		telemetry.WriteJSON(w, payload(srvs[i], r.URL.Query()))
+		telemetry.WriteJSON(w, payload(i, r.URL.Query()))
 	}
 }
 
@@ -320,10 +322,24 @@ func traceStatus(srv *server.Server, q url.Values) any {
 	return rep
 }
 
-// sloReport is the /shard/{i}/slo payload: the audit status (embedded, so its
-// fields serve flat) plus the active recalibration hints — one per
-// target currently Firing, empty while the guarantee holds.
+// incidentsShown is how many of a shard's newest slo_* events
+// /shard/{i}/slo serves.
+const incidentsShown = 128
+
+// sloReport is the /shard/{i}/slo payload: the audit status (embedded, so
+// its fields serve flat) plus the shard's newest incidents on the
+// journal, oldest first. A firing target's recalibration hint is its
+// newest slo_firing incident, which names the binding constraint. A
+// server without a journal serves the status and no incidents.
 type sloReport struct {
 	slo.Status
-	Hints []server.SLOHint `json:"hints,omitempty"`
+	Incidents []journal.Event `json:"incidents"`
+}
+
+// shardSLO is shard i's /shard/{i}/slo payload.
+func shardSLO(srv *server.Server, jnl *journal.Journal, i int) sloReport {
+	f := journal.MatchAll()
+	f.Kinds = []journal.Kind{journal.KindSLOPending, journal.KindSLOFiring, journal.KindSLOResolved}
+	f.Shard, f.Limit = i, incidentsShown
+	return sloReport{Status: srv.SLOStatus(), Incidents: jnl.Events(f)}
 }

@@ -32,8 +32,8 @@
 // every shard on /report, shard health on /cluster, recent admissions on
 // /admission, the guarantee audit rolled up across shards on /slo, the
 // event journal on /timeline, and each shard's own views under
-// /shard/{i}/: admission explanations, the audit with its hints and
-// transitions, sweeps, faults and the flight recorder (see buildMux).
+// /shard/{i}/: admission explanations, the audit with its incidents,
+// sweeps, faults and the flight recorder (see buildMux).
 // With -pprof the runtime profiler is served under /debug/pprof.
 // -slo-fast/-slo-slow size the audit's windows, each tested against the
 // quoted bound at slo.Alpha; -no-slo disables it. -trace-spans sizes each shard's flight

@@ -1,9 +1,9 @@
 // Package ring is the one bounded retention buffer of the repository:
 // "keep the last K of something, overwrite the oldest". Every observability
 // store that answers a question about a recent interval — trace spans,
-// journal events, retired ledger records, SLO transitions — holds its
-// elements in a Buffer, so "oldest first after the buffer has wrapped" and
-// "how many were dropped" are decided here once. A store read by key only
+// journal events, retired ledger records — holds its elements in a Buffer,
+// so "oldest first after the buffer has wrapped" and "how many were
+// dropped" are decided here once. A store read by key only
 // on a cold path (the ledger's retired records, which a server's Stats
 // looks up by shard and id) scans its Buffer, so a push hashes nothing.
 //
@@ -65,13 +65,4 @@ func (b *Buffer[T]) At(i int) *T {
 		}
 	}
 	return &b.buf[i]
-}
-
-// AppendTo appends the retained elements to dst, oldest first.
-func (b *Buffer[T]) AppendTo(dst []T) []T {
-	if b.pushed < uint64(len(b.buf)) {
-		return append(dst, b.buf[:b.next]...)
-	}
-	dst = append(dst, b.buf[b.next:]...)
-	return append(dst, b.buf[:b.next]...)
 }

@@ -2,7 +2,6 @@ package ring
 
 import (
 	"math/rand/v2"
-	"slices"
 	"testing"
 )
 
@@ -35,10 +34,6 @@ func TestBufferMatchesSliceModel(t *testing.T) {
 				if got := *b.At(i); got != w {
 					t.Fatalf("cap %d after %d pushes: At(%d) = %d, want %d", capacity, n, i, got, w)
 				}
-			}
-			prefix := []int{-1}
-			if got := b.AppendTo(prefix); !slices.Equal(got[1:], want) || got[0] != -1 {
-				t.Fatalf("cap %d after %d pushes: AppendTo = %v, want -1 then %v", capacity, n, got, want)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"mzqos/internal/disk"
 	"mzqos/internal/fault"
+	"mzqos/internal/journal"
 	"mzqos/internal/model"
 	"mzqos/internal/slo"
 	"mzqos/internal/telemetry"
@@ -14,7 +15,8 @@ import (
 )
 
 // sloServer builds a paper-parameter server with the given fault plan and
-// audit config, loaded to capacity with independent streams.
+// audit config, on a journal of its own, loaded to capacity with
+// independent streams.
 func sloServer(t testing.TB, disks int, plan *fault.Plan, cfg slo.Config) *Server {
 	t.Helper()
 	s, err := New(Config{
@@ -26,6 +28,7 @@ func sloServer(t testing.TB, disks int, plan *fault.Plan, cfg slo.Config) *Serve
 		Seed:        42,
 		Faults:      plan,
 		SLO:         cfg,
+		Journal:     journal.New(journal.Config{}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,12 +58,12 @@ func targetStatus(t *testing.T, st slo.Status, name string) slo.TargetStatus {
 	return slo.TargetStatus{}
 }
 
-// TestSLOAlertLifecycleUnderFault is the PR's acceptance scenario: a
+// TestSLOAlertLifecycleUnderFault is the audit's acceptance scenario: a
 // zone-degrading fault plan drives the measured late tail past the
 // analytic bound, the b_late alert reaches Firing within the fast
-// window, firing freezes the flight recorder and publishes a
-// recalibration hint, and after the fault clears the alert resolves and
-// the hint is withdrawn.
+// window, firing freezes the flight recorder and journals the incident
+// with the binding admission constraint, and after the fault clears the
+// alert resolves and ages back to Inactive.
 func TestSLOAlertLifecycleUnderFault(t *testing.T) {
 	const faultFrom, faultUntil = 50, 90
 	plan := &fault.Plan{Faults: []fault.Fault{
@@ -71,7 +74,6 @@ func TestSLOAlertLifecycleUnderFault(t *testing.T) {
 
 	triggersBefore := s.Trace().Stats().Triggers
 	firedAt := -1
-	hintSeen := false
 	for r := 0; r < 250; r++ {
 		s.Step()
 		ts := targetStatus(t, s.SLOStatus(), slo.TargetLate)
@@ -83,27 +85,6 @@ func TestSLOAlertLifecycleUnderFault(t *testing.T) {
 			if !st.Frozen || st.Triggers <= triggersBefore {
 				t.Errorf("round %d: recorder not frozen on firing (stats %+v)", r, st)
 			}
-			// The recalibration hint names the violated quantity and the
-			// binding admission constraint.
-			hints := s.SLOHints()
-			for _, h := range hints {
-				if h.Target != slo.TargetLate {
-					continue
-				}
-				hintSeen = true
-				if h.Violations < h.Critical || h.Critical < 1 || h.Measured != h.Rate() || h.Measured <= h.Budget || h.Budget <= 0 {
-					t.Errorf("hint numbers inconsistent: %+v", h)
-				}
-				if h.BindingK != 27 || h.BindingBound != "b_late" {
-					t.Errorf("hint binding = k=%d bound=%q, want 27/b_late", h.BindingK, h.BindingBound)
-				}
-				if !strings.Contains(h.Message, "Recalibrate") {
-					t.Errorf("hint message lacks the recalibration pointer: %q", h.Message)
-				}
-			}
-			if !hintSeen {
-				t.Errorf("no late hint while firing: %+v", hints)
-			}
 		}
 	}
 	if firedAt < 0 {
@@ -114,31 +95,42 @@ func TestSLOAlertLifecycleUnderFault(t *testing.T) {
 		t.Errorf("fired at round %d, want within (%d, %d]", firedAt, faultFrom, faultFrom+cfg.FastWindow)
 	}
 
-	// After 160 clean rounds the alert has resolved and aged to Inactive,
-	// and the hint is withdrawn.
+	// The journal holds the incident: the late alert's arc ends firing,
+	// resolved, and the firing event is the recalibration hint, naming
+	// the violated quantity and the binding admission constraint.
+	f := journal.MatchAll()
+	f.Kinds = []journal.Kind{journal.KindSLOPending, journal.KindSLOFiring, journal.KindSLOResolved}
+	var arc []string
+	for _, e := range s.jnl.Events(f) {
+		if e.Target != slo.TargetLate {
+			continue
+		}
+		arc = append(arc, slo.State(e.To).String())
+		if e.Kind != journal.KindSLOFiring {
+			continue
+		}
+		var k, n, crit int64
+		if _, err := fmt.Sscanf(e.Detail, "fast %d/%d critical %d", &k, &n, &crit); err != nil {
+			t.Fatalf("firing detail %q: %v", e.Detail, err)
+		}
+		if k < crit || crit < 1 || e.Value != float64(k)/float64(n) || e.Value <= e.Budget || e.Budget <= 0 {
+			t.Errorf("firing numbers inconsistent: %+v", e)
+		}
+		if e.Round != firedAt || !strings.HasSuffix(e.Detail, "; binding k=27 b_late disk=0") {
+			t.Errorf("firing at round %d with detail %q, want round %d and binding k=27 b_late disk=0", e.Round, e.Detail, firedAt)
+		}
+	}
+	if joined := strings.Join(arc, ","); !strings.HasSuffix(joined, "firing,resolved") {
+		t.Errorf("late incident arc = %q, want suffix firing,resolved", joined)
+	}
+
+	// After 160 clean rounds the alert has resolved and aged to Inactive.
 	final := targetStatus(t, s.SLOStatus(), slo.TargetLate)
 	if final.State != slo.Inactive {
 		t.Errorf("final late state = %v, want inactive", final.State)
 	}
 	if final.FiredTotal != 1 || final.ResolvedTotal != 1 {
 		t.Errorf("fired=%d resolved=%d, want 1/1", final.FiredTotal, final.ResolvedTotal)
-	}
-	for _, h := range s.SLOHints() {
-		if h.Target == slo.TargetLate {
-			t.Errorf("late hint still published after resolution: %+v", h)
-		}
-	}
-	// The transition history recorded the full firing → resolved →
-	// inactive arc.
-	var arc []string
-	for _, tr := range s.SLOStatus().History {
-		if tr.Target == slo.TargetLate {
-			arc = append(arc, tr.To.String())
-		}
-	}
-	joined := strings.Join(arc, ",")
-	if !strings.HasSuffix(joined, "firing,resolved,inactive") {
-		t.Errorf("late transition arc = %q, want suffix firing,resolved,inactive", joined)
 	}
 
 	// The metric surface agrees.
@@ -177,9 +169,6 @@ func TestSLONoFalseAlertsAtFullLoad(t *testing.T) {
 		if !(ts.Budget > 0) {
 			t.Errorf("target %s budget = %v, want > 0", ts.Target, ts.Budget)
 		}
-	}
-	if len(s.SLOHints()) != 0 {
-		t.Errorf("hints published with no violation: %+v", s.SLOHints())
 	}
 }
 
@@ -231,9 +220,6 @@ func TestSLODisabled(t *testing.T) {
 	}
 	if h := s.Health(); h.SLO.Enabled {
 		t.Error("disabled audit enabled in health")
-	}
-	if hints := s.SLOHints(); len(hints) != 0 {
-		t.Errorf("disabled audit published hints: %+v", hints)
 	}
 }
 

@@ -48,7 +48,6 @@ import (
 	"sync"
 
 	"mzqos/internal/chernoff"
-	"mzqos/internal/ring"
 )
 
 // Alpha is the level of the audit's test: the largest probability with
@@ -68,8 +67,6 @@ const (
 	// DefaultResolvedFor is how many rounds a Resolved alert remains
 	// visible before returning to Inactive.
 	DefaultResolvedFor = 32
-	// DefaultHistory bounds the violation-history transition ring.
-	DefaultHistory = 128
 )
 
 // Audited targets. Each maps one analytic bound of the guarantee to an
@@ -165,8 +162,6 @@ type Config struct {
 	// ResolvedFor is how many rounds a Resolved alert stays visible
 	// before returning to Inactive.
 	ResolvedFor int
-	// History bounds the retained transition ring.
-	History int
 }
 
 // withDefaults fills zero fields with the package defaults.
@@ -182,9 +177,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ResolvedFor <= 0 {
 		c.ResolvedFor = DefaultResolvedFor
-	}
-	if c.History <= 0 {
-		c.History = DefaultHistory
 	}
 	return c
 }
@@ -421,23 +413,6 @@ func (m *Alert) Status(target string, budget float64, fast, slow Count, cfg Conf
 	}
 }
 
-// Transition is one alert state change, retained in the violation
-// history ring and surfaced through /slo.
-type Transition struct {
-	// Round is the round the transition happened in.
-	Round int `json:"round"`
-	// Target is the audited target (TargetLate or TargetGlitch).
-	Target string `json:"target"`
-	// From and To are the states on either side of the transition.
-	From State `json:"from"`
-	To   State `json:"to"`
-	// Budget is the analytic bound tested; Fast and Slow the windows'
-	// counts it was tested on.
-	Budget float64 `json:"budget"`
-	Fast   Count   `json:"fast"`
-	Slow   Count   `json:"slow"`
-}
-
 // TargetEval is one target's evaluation after a round: the windows'
 // counts, the alert state, and whether this round transitioned.
 type TargetEval struct {
@@ -477,8 +452,6 @@ type Auditor struct {
 	round   int  // rounds observed (EndRound calls)
 	fast    slot // the fast windows' sums over every disk, as of the last EndRound
 	slow    slot // the slow windows' sums
-
-	history ring.Buffer[Transition] // last cfg.History alert transitions
 }
 
 // New builds an Auditor for a `disks`-wide array. Zero Config fields take
@@ -491,23 +464,11 @@ func New(cfg Config, disks int) (*Auditor, error) {
 		return nil, fmt.Errorf("slo: need at least one disk, got %d", disks)
 	}
 	cfg = cfg.withDefaults()
-	a := &Auditor{
-		cfg:     cfg,
-		disks:   make([]diskWindows, disks),
-		history: ring.New[Transition](cfg.History),
-	}
+	a := &Auditor{cfg: cfg, disks: make([]diskWindows, disks)}
 	for d := range a.disks {
 		a.disks[d].ring = make([]uint64, cfg.SlowWindow)
 	}
 	return a, nil
-}
-
-// Config returns the effective (defaulted) configuration.
-func (a *Auditor) Config() Config {
-	if a == nil {
-		return Config{Disabled: true}
-	}
-	return a.cfg
 }
 
 // SetBudgets installs the analytic bounds currently in force as the
@@ -574,17 +535,6 @@ func (a *Auditor) EndRound() Evaluation {
 		te.Fast, te.Slow = a.fast.count(i), a.slow.count(i)
 		te.From, te.Transition = m.Step(round, te.Fast, te.Slow, te.Budget, a.cfg.ResolvedFor)
 		te.State = m.state
-		if te.Transition {
-			*a.history.Next() = Transition{
-				Round:  round,
-				Target: TargetName(i),
-				From:   te.From,
-				To:     te.State,
-				Budget: te.Budget,
-				Fast:   te.Fast,
-				Slow:   te.Slow,
-			}
-		}
 	}
 	a.mu.Unlock()
 	return ev
@@ -643,10 +593,9 @@ type Status struct {
 	SlowWindow int     `json:"slow_window_rounds"`
 	Alpha      float64 `json:"alpha"`
 	// Targets holds one row per audited bound; Disks the per-disk
-	// estimates; History the retained transitions, oldest first.
+	// estimates.
 	Targets []TargetStatus `json:"targets"`
 	Disks   []DiskEstimate `json:"disks"`
-	History []Transition   `json:"history"`
 }
 
 // Status snapshots the audit for exposition. Safe to call concurrently
@@ -680,7 +629,6 @@ func (a *Auditor) Status() Status {
 	for i := range st.Targets {
 		st.Targets[i] = a.alerts[i].Status(TargetName(i), a.budgets[i], a.fast.count(i), a.slow.count(i), a.cfg)
 	}
-	st.History = a.history.AppendTo(make([]Transition, 0, a.history.Len()))
 	return st
 }
 

@@ -239,8 +239,8 @@ func TestMeasuredMonotoneInViolationRate(t *testing.T) {
 }
 
 // TestAlertLifecycle walks the machine through its full path: clean →
-// violation (Firing) → recovery (Resolved) → Inactive, and checks the
-// transition history records each leg.
+// violation (Firing) → recovery (Resolved) → Inactive, and checks that
+// EndRound flags each leg as a transition.
 func TestAlertLifecycle(t *testing.T) {
 	aud, err := New(Config{FastWindow: 8, SlowWindow: 24, ResolvedFor: 5}, 1)
 	if err != nil {
@@ -248,13 +248,18 @@ func TestAlertLifecycle(t *testing.T) {
 	}
 	aud.SetBudgets(0.01, 0.001)
 
+	var path []string
 	step := func(late bool) Evaluation {
 		gl := 0
 		if late {
 			gl = 3
 		}
 		aud.ObserveDisk(0, late, 10, gl)
-		return aud.EndRound()
+		ev := aud.EndRound()
+		if ev.Late.Transition {
+			path = append(path, ev.Late.State.String())
+		}
+		return ev
 	}
 
 	for r := 0; r < 30; r++ { // clean warm-up
@@ -298,12 +303,6 @@ func TestAlertLifecycle(t *testing.T) {
 	ts := targetByName(t, st, TargetLate)
 	if ts.FiredTotal != 1 || ts.ResolvedTotal != 1 {
 		t.Fatalf("fired=%d resolved=%d, want 1 and 1", ts.FiredTotal, ts.ResolvedTotal)
-	}
-	var path []string
-	for _, tr := range st.History {
-		if tr.Target == TargetLate {
-			path = append(path, tr.To.String())
-		}
 	}
 	want := "firing,resolved,inactive"
 	if got := strings.Join(path, ","); !strings.HasSuffix(got, want) {
@@ -460,36 +459,6 @@ func TestStateTextRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHistoryRingBounded: the transition ring keeps only the most
-// recent History entries, oldest first.
-func TestHistoryRingBounded(t *testing.T) {
-	aud, err := New(Config{FastWindow: 2, SlowWindow: 4, ResolvedFor: 1, History: 6}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aud.SetBudgets(0.01, 0.01)
-	// Flip between violation and recovery to generate many transitions.
-	for cycle := 0; cycle < 10; cycle++ {
-		for r := 0; r < 6; r++ {
-			aud.ObserveDisk(0, true, 2, 2)
-			aud.EndRound()
-		}
-		for r := 0; r < 8; r++ {
-			aud.ObserveDisk(0, false, 2, 0)
-			aud.EndRound()
-		}
-	}
-	st := aud.Status()
-	if len(st.History) != 6 {
-		t.Fatalf("history holds %d entries, want the cap 6", len(st.History))
-	}
-	for i := 1; i < len(st.History); i++ {
-		if st.History[i].Round < st.History[i-1].Round {
-			t.Fatalf("history out of order: %+v", st.History)
-		}
-	}
-}
-
 // TestConfigDefaults: zero fields take the documented defaults and fast
 // is clamped to slow.
 func TestConfigDefaults(t *testing.T) {
@@ -497,16 +466,16 @@ func TestConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := aud.Config()
+	cfg := aud.cfg
 	if cfg.FastWindow != DefaultFastWindow || cfg.SlowWindow != DefaultSlowWindow ||
-		cfg.ResolvedFor != DefaultResolvedFor || cfg.History != DefaultHistory {
+		cfg.ResolvedFor != DefaultResolvedFor {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	aud, err = New(Config{FastWindow: 100, SlowWindow: 10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := aud.Config().FastWindow; got != 10 {
+	if got := aud.cfg.FastWindow; got != 10 {
 		t.Fatalf("fast window not clamped to slow: %d", got)
 	}
 	if _, err := New(Config{}, 0); err == nil {

@@ -114,10 +114,10 @@ for kind in degrade restore; do
 done
 
 # The guarantee audit saw the violation: the b_late alert fired while the
-# fault outran the bound, resolved on the clean tail, and the transition
-# history on /slo records the full arc.
-expect /shard/0/slo '"to": "firing"' "a firing transition in the audit history"
-expect /shard/0/slo '"to": "resolved"' "a resolved transition in the audit history"
+# fault outran the bound, resolved on the clean tail, and the shard's
+# incidents on /slo record the full arc.
+expect /shard/0/slo '"kind": "slo_firing"' "a firing incident on the shard's audit"
+expect /shard/0/slo '"kind": "slo_resolved"' "a resolved incident on the shard's audit"
 expect /metrics '^mzqos_slo_alerts_fired_total{shard="0",target="late"} [1-9]' "late alert fired under fault"
 expect /metrics '^mzqos_slo_alerts_resolved_total{shard="0",target="late"} [1-9]' "late alert resolved after recovery"
 expect /metrics '^mzqos_slo_alert_state{shard="0",target="late"} 0$' "late alert back to inactive by scenario end"
