@@ -240,6 +240,27 @@ func TestDegradeRederivesOnShapeChange(t *testing.T) {
 	}
 }
 
+// TestDegradedLimitIsBindingDisk: degrading one disk of three gives the
+// array per-disk geometries, and the slowest disk's N_max binds the whole
+// array, since round-robin striping routes every stream over every disk.
+// Its model is the one the limits, their quote and the reports name.
+func TestDegradedLimitIsBindingDisk(t *testing.T) {
+	plan := &fault.Plan{Faults: []fault.Fault{
+		{Kind: fault.Latency, Disk: 1, From: 5, Until: 100, Factor: 1.5},
+	}}
+	s := faultServer(t, 3, plan, DegradeConfig{Enabled: true})
+	s.Run(20)
+	a := s.AdmissionStatus()
+	if !a.Degraded || a.BindingDisk != 1 {
+		t.Fatalf("degraded=%v binding disk %d, want the slowed disk 1", a.Degraded, a.BindingDisk)
+	}
+	if healthy, slowed := a.Explanations[0].NMax, a.Explanations[1].NMax; healthy != 26 || slowed >= healthy ||
+		a.NMax != slowed || s.PerDiskLimit() != slowed || s.Capacity() != 3*slowed {
+		t.Errorf("disk N_max healthy %d slowed %d; limit %d, capacity %d: want 26, the slowed disk's below it binding all three disks",
+			healthy, slowed, s.PerDiskLimit(), s.Capacity())
+	}
+}
+
 // TestDiskFailureClosesAdmissionWithoutEviction: a full disk failure zeroes
 // the admission limit while it lasts, but by default running streams ride
 // out the outage (taking glitches) instead of being evicted.

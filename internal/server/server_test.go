@@ -65,7 +65,7 @@ func TestNewRejectsUnboundedRoundLength(t *testing.T) {
 
 // TestNewRefusesHostileConfigs: a config New cannot serve is an ErrConfig,
 // never a panic. A geometry disk.New did not build — the zero value or a
-// struct literal, as the Disk or as one of the Disks — has no address map.
+// struct literal — has no address map.
 func TestNewRefusesHostileConfigs(t *testing.T) {
 	v := disk.QuantumViking21()
 	literal := &disk.Geometry{Name: "literal", RotationTime: v.RotationTime, Zones: v.Zones, Seek: v.Seek}
@@ -76,8 +76,6 @@ func TestNewRefusesHostileConfigs(t *testing.T) {
 	}{
 		{"zero-value Disk", func(c *Config) { c.Disk = &disk.Geometry{} }},
 		{"struct-literal Disk", func(c *Config) { c.Disk = literal }},
-		{"zero-value Disks entry", func(c *Config) { c.Disks = []*disk.Geometry{v, {}} }},
-		{"struct-literal Disks entry", func(c *Config) { c.Disks = []*disk.Geometry{literal, v} }},
 		{"nil Sizes", func(c *Config) { c.Sizes = workload.SizeModel{} }},
 		{"zero NumDisks", func(c *Config) { c.NumDisks = 0 }},
 		{"negative NumDisks", func(c *Config) { c.NumDisks = -1 }},
@@ -124,7 +122,7 @@ func TestNewRejectsUnaddressableDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = New(Config{
-			Disks: []*disk.Geometry{v, wide}, RoundLength: 1, Sizes: workload.PaperSizes(),
+			Disk: wide, NumDisks: 2, RoundLength: 1, Sizes: workload.PaperSizes(),
 			Guarantee: model.Guarantee{Threshold: 0.01},
 		})
 		if tc.rejected && !errors.Is(err, ErrConfig) || !tc.rejected && err != nil {
