@@ -41,11 +41,13 @@ type sealedRing struct {
 // eighth, and the one word that is always free.
 func room(n int) int { return n + n/8 + 1 }
 
-// newSealedRing returns an empty ring for a fine ring of chunks chunks, with
-// room for one lap of chunks that hold still, two words each at most.
-func newSealedRing(chunks int) sealedRing {
+// newSealedRing returns an empty ring for a tier of chunks chunks, with room
+// for the copies of held chunks that hold still, two words each, and the
+// next one's: a series that wakes young starts with a small ring, which
+// regrows as its chunks seal.
+func newSealedRing(chunks, held int) sealedRing {
 	return sealedRing{
-		words: make([]uint64, room(2*chunks)),
+		words: make([]uint64, room(2*min(held+1, chunks))),
 		ends:  make([]uint32, chunks),
 	}
 }

@@ -28,39 +28,26 @@ func (st *Store) AtRest() map[string]bool {
 	return atRest
 }
 
-// CoarseBlocksHeld returns how many coarse blocks the ring of the series'
-// cohort has room for now: one tile at attach, grown by an eighth in whole
-// tile rows as blocks open on it full, up to the configured retention.
-func (st *Store) CoarseBlocksHeld(id string) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, rec := range st.series {
-		if rec.id == id {
-			return rec.co.coarse.size
-		}
-	}
-	return 0
-}
-
 // WakeBlocks returns the bytes of each block a woken series' first move
-// allocated for it: its share of its group's open chunk, its ring of
-// sealed chunks, its chunk marks and its share of the group's envelopes,
-// 24 B each.
-// Nil for a series at rest.
+// allocated for it: its share of its group's open fine chunk, its fine ring
+// of sealed chunks and that ring's chunk marks, its share of the open
+// coarse chunk (a tile of 24-byte envelopes), and its coarse ring and
+// marks. Nil for a series at rest.
 func (st *Store) WakeBlocks(id string) []int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for _, rec := range st.series {
 		if g := rec.grp; rec.id == id && g != nil {
-			r, k := &g.sealed[rec.col], len(g.srcs)
-			return []int{len(g.vals) / k * 8, len(r.words) * 8, len(r.ends) * 4, len(g.env) / k * 24}
+			f, c := &g.fine[rec.col], &g.coarse[rec.col]
+			return []int{len(g.vals) / len(g.srcs) * 8, len(f.words) * 8, len(f.ends) * 4,
+				tile * 24, len(c.words) * 8, len(c.ends) * 4}
 		}
 	}
 	return nil
 }
 
 // FineBytes returns, per woken series id, the bytes its fine values take:
-// its share of its group's open chunk, its ring of sealed chunks and its
+// its share of its group's open chunk, its ring of sealed chunks and their
 // chunk marks. A series at rest holds no fine bytes of its own.
 func (st *Store) FineBytes() map[string]int {
 	st.mu.Lock()
@@ -68,9 +55,25 @@ func (st *Store) FineBytes() map[string]int {
 	fine := make(map[string]int)
 	for _, rec := range st.series {
 		if g := rec.grp; g != nil {
-			r := &g.sealed[rec.col]
+			r := &g.fine[rec.col]
 			fine[rec.id] = len(g.vals)/len(g.srcs)*8 + len(r.words)*8 + len(r.ends)*4
 		}
 	}
 	return fine
+}
+
+// CoarseBytes returns, per woken series id, the bytes its envelopes take:
+// its share of its group's open coarse chunk, its ring of sealed chunks and
+// their chunk marks. A series at rest holds no coarse bytes of its own.
+func (st *Store) CoarseBytes() map[string]int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	coarse := make(map[string]int)
+	for _, rec := range st.series {
+		if g := rec.grp; g != nil {
+			r := &g.coarse[rec.col]
+			coarse[rec.id] = tile*24 + len(r.words)*8 + len(r.ends)*4
+		}
+	}
+	return coarse
 }
