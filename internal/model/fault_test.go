@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -27,17 +28,11 @@ func healthyModel(t testing.TB, g *disk.Geometry) *Model {
 // underFault returns m's model of the same disk under the effects e.
 func underFault(t testing.TB, m *Model, e fault.Effects) *Model {
 	t.Helper()
-	g, err := fault.DegradeGeometry(m.cfg.Disk, e)
+	u, err := m.Under(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := m.cfg
-	cfg.Disk = g
-	dm, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dm
+	return u
 }
 
 // sameBounds holds got to want: equal N_max at faultDelta, and b_late(n)
@@ -107,6 +102,38 @@ func TestFaultEquivalences(t *testing.T) {
 	}
 }
 
+// TestExactMixtureUnderFaults holds the exact zone mixture to the same
+// equivalences: a latency fault to the healthy mixture at t/L, a rate
+// fault to the mixture of a disk whose every track holds R times as much.
+func TestExactMixtureUnderFaults(t *testing.T) {
+	exact := func(g *disk.Geometry, roundLength float64) *Model {
+		m, err := New(Config{Disk: g, Sizes: workload.PaperSizes(), RoundLength: roundLength, Mode: TransferExactMixture})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, g := range []*disk.Geometry{disk.QuantumViking21(), disk.Synthetic2000()} {
+		healthy := exact(g, 1)
+		for _, l := range []float64{1.3, 2.5} {
+			sameBounds(t, fmt.Sprintf("%s exact latency x%g", g.Name, l),
+				underFault(t, healthy, fault.Effects{LatencyScale: l, RateScale: 1}), exact(g, 1/l))
+		}
+		for _, r := range []float64{0.4, 0.7} {
+			zones := make([]disk.Zone, len(g.Zones))
+			for i, z := range g.Zones {
+				zones[i] = disk.Zone{Tracks: z.Tracks, TrackCapacity: z.TrackCapacity * r}
+			}
+			slow, err := disk.New(g.Name, g.RotationTime, zones, g.Seek)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBounds(t, fmt.Sprintf("%s exact rate x%g", g.Name, r),
+				underFault(t, healthy, fault.Effects{LatencyScale: 1, RateScale: r}), exact(slow, 1))
+		}
+	}
+}
+
 // TestReadErrorBoundCoversSim holds the degraded promise under transient
 // read errors to the simulated disk: at the degraded N_max, b_late must
 // reach at least the lower end of sim's 95 % interval for the late
@@ -141,6 +168,58 @@ func TestReadErrorBoundCoversSim(t *testing.T) {
 		}
 		if est.P > faultDelta {
 			t.Errorf("(%g, %d): sim at N_max %d reads %.5f, past δ = %g", c.p, c.r, n, est.P, faultDelta)
+		}
+	}
+}
+
+// TestUnderEdges: effects that leave T_N as it is return the model itself,
+// a failed disk and a model already under faults are refused, and the
+// retry law's mean is the expected retry revolutions.
+func TestUnderEdges(t *testing.T) {
+	m := healthyModel(t, disk.QuantumViking21())
+	for _, e := range []fault.Effects{
+		fault.Identity(),
+		{LatencyScale: 1, RateScale: 1, ErrorProb: 0.3},           // no retries: losses, no time
+		{LatencyScale: 1, RateScale: 1, ErrorProb: 0, Retries: 4}, // no errors
+		{LatencyScale: 1, RateScale: 1, ErrorProb: 1, Retries: 0}, // every read lost at once
+	} {
+		if u, err := m.Under(e); err != nil || u != m {
+			t.Errorf("Under(%+v) = %p, %v; want the model itself", e, u, err)
+		}
+	}
+	faulted := underFault(t, m, fault.Effects{LatencyScale: 2, RateScale: 1})
+	for _, c := range []struct {
+		m *Model
+		e fault.Effects
+	}{
+		{m, fault.Effects{LatencyScale: 1, RateScale: 1, Failed: true}},
+		{m, fault.Effects{LatencyScale: math.Inf(1), RateScale: 1}},
+		{m, fault.Effects{LatencyScale: 1, RateScale: 0}},
+		{m, fault.Effects{LatencyScale: 1, RateScale: 1, ErrorProb: math.NaN(), Retries: 1}},
+		{m, fault.Effects{LatencyScale: 1, RateScale: 1, ErrorProb: 0.5, Retries: fault.MaxRetries + 1}},
+		{faulted, fault.Effects{LatencyScale: 2, RateScale: 1}},
+	} {
+		if _, err := c.m.Under(c.e); !errors.Is(err, ErrConfig) {
+			t.Errorf("Under(%+v) = %v, want ErrConfig", c.e, err)
+		}
+	}
+	rev := disk.QuantumViking21().RotationTime * 1.5
+	for _, c := range []struct {
+		p float64
+		r int
+	}{{0.5, 3}, {1, 4}, {0.95, 255}} {
+		law, err := retryLaw(c.p, c.r, rev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Attempt k is retried when attempts 1..k fail: E[R] = Σ_{k=1..r} p^k.
+		want, pk := 0.0, 1.0
+		for range c.r {
+			pk *= c.p
+			want += pk * rev
+		}
+		if got := law.Mean(); math.Abs(got-want) > 1e-12*want {
+			t.Errorf("(%g, %d): mean retry delay %g, want %g", c.p, c.r, got, want)
 		}
 	}
 }

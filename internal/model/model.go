@@ -26,6 +26,7 @@ import (
 	"mzqos/internal/chernoff"
 	"mzqos/internal/disk"
 	"mzqos/internal/dist"
+	"mzqos/internal/fault"
 	"mzqos/internal/lst"
 	"mzqos/internal/workload"
 )
@@ -117,6 +118,8 @@ const maxStreamsPerDisk = 1 << 16
 // off a chain of the caller's own, grown the same way and then dropped.
 type Model struct {
 	cfg       Config
+	eff       fault.Effects // the fault effects T_N is taken under; Identity when healthy
+	rotLST    lst.Transform // one request's rotational delay, retry revolutions included
 	transGam  lst.Gamma     // moment-matched transfer-time transform (3.2.10)
 	transLST  lst.Transform // transform actually used by the bounds
 	transMean float64
@@ -159,7 +162,7 @@ func New(cfg Config) (*Model, error) {
 	if !(cfg.RoundLength > 0) || math.IsInf(cfg.RoundLength, 1) {
 		return nil, fmt.Errorf("%w: round length must be positive and finite", ErrConfig)
 	}
-	m := &Model{cfg: cfg}
+	m := &Model{cfg: cfg, eff: fault.Identity(), rotLST: lst.Uniform{B: cfg.Disk.RotationTime}}
 	m.chain.Store(newChain(cfg.RoundLength))
 	switch {
 	case cfg.TransferMean > 0 && cfg.TransferVar > 0:
@@ -175,14 +178,9 @@ func New(cfg Config) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("%w: need a size model or explicit transfer moments", ErrConfig)
 	}
-	// The cap is computed in float, so a huge t/E[T_trans] is refused here
-	// instead of overflowing int.
-	perRound := 4 * cfg.RoundLength / m.transMean
-	if !(perRound <= maxStreamsPerDisk-64) {
-		return nil, fmt.Errorf("%w: round length %g s over %g s transfers caps admission past %d streams per disk",
-			ErrConfig, cfg.RoundLength, m.transMean, maxStreamsPerDisk)
+	if err := m.setSearchCap(); err != nil {
+		return nil, err
 	}
-	m.maxSearchN = int(perRound) + 64
 	g, err := dist.GammaFromMeanVar(m.transMean, m.transVar)
 	if err != nil {
 		return nil, fmt.Errorf("%w: transfer moments not matchable: %v", ErrConfig, err)
@@ -190,7 +188,7 @@ func New(cfg Config) (*Model, error) {
 	m.transGam = lst.Gamma{Shape: g.Shape, Rate: g.Rate}
 	m.transLST = m.transGam
 	if cfg.Mode == TransferExactMixture {
-		mix, err := exactMixtureTransform(cfg)
+		mix, err := exactMixtureTransform(cfg, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -199,11 +197,112 @@ func New(cfg Config) (*Model, error) {
 	return m, nil
 }
 
+// setSearchCap sets the admission search cap from the round length and the
+// mean transfer time. The cap is computed in float, so a huge t/E[T_trans]
+// is refused here instead of overflowing int.
+func (m *Model) setSearchCap() error {
+	perRound := 4 * m.cfg.RoundLength / m.transMean
+	if !(perRound <= maxStreamsPerDisk-64) {
+		return fmt.Errorf("%w: round length %g s over %g s transfers caps admission past %d streams per disk",
+			ErrConfig, m.cfg.RoundLength, m.transMean, maxStreamsPerDisk)
+	}
+	m.maxSearchN = int(perRound) + 64
+	return nil
+}
+
+// Under returns the model of the same disk under the fault effects e: every
+// fault the injector describes is a transform of the round time T_N of
+// eq. 3.1.1, so the model keeps its geometry and transforms T_N instead.
+//
+//   - A latency factor L scales SEEK(n), the rotational delay and the
+//     transfer time, so T_N' = L·T_N.
+//   - A rate factor R divides the transfer time by R: the matched Gamma's
+//     scale, or every zone's rate in the exact mixture.
+//   - Read errors add R·L·ROT to a request's rotational delay, R the
+//     retries it pays: P[R = k] = p^k(1−p) for k < r and P[R = r] = p^r,
+//     with p the error probability and r the retry budget. A read that
+//     exhausts its budget still paid r revolutions.
+//
+// Effects that leave T_N as it is — a healthy disk, or errors with no
+// retries, which lose fragments but cost no time — return m itself. A
+// failed disk has no round time, and m must be healthy: both are errors.
+// Every bound, chain and walk reads T_N through RoundTransform, so they all
+// follow; the baselines, the worst-case limit and the density read the
+// geometry and describe the healthy disk.
+func (m *Model) Under(e fault.Effects) (*Model, error) {
+	l, r := e.LatencyScale, e.RateScale
+	switch {
+	case m.eff != fault.Identity():
+		return nil, fmt.Errorf("%w: the model is already under faults (%s)", ErrConfig, m.eff)
+	case e.Failed:
+		return nil, fmt.Errorf("%w: a failed disk has no round time", ErrConfig)
+	case !(l > 0) || !(r > 0) || math.IsInf(l, 1) || math.IsInf(r, 1):
+		return nil, fmt.Errorf("%w: fault scales must be positive and finite (%s)", ErrConfig, e)
+	case !(e.ErrorProb >= 0 && e.ErrorProb <= 1) || e.Retries < 0 || e.Retries > fault.MaxRetries:
+		return nil, fmt.Errorf("%w: read errors p=%g with %d retries", ErrConfig, e.ErrorProb, e.Retries)
+	}
+	retries := e.ErrorProb > 0 && e.Retries > 0
+	if l == 1 && r == 1 && !retries {
+		return m, nil
+	}
+	scale := l / r // of the transfer time
+	u := &Model{
+		cfg:       m.cfg,
+		eff:       e,
+		transMean: m.transMean * scale,
+		transVar:  m.transVar * scale * scale,
+		transGam:  lst.Gamma{Shape: m.transGam.Shape, Rate: m.transGam.Rate / scale},
+		hasSizes:  m.hasSizes,
+	}
+	u.chain.Store(newChain(m.cfg.RoundLength))
+	if err := u.setSearchCap(); err != nil {
+		return nil, err
+	}
+	u.transLST = u.transGam
+	if m.cfg.Mode == TransferExactMixture {
+		mix, err := exactMixtureTransform(m.cfg, scale)
+		if err != nil {
+			return nil, err
+		}
+		u.transLST = mix
+	}
+	rev := m.cfg.Disk.RotationTime * l
+	rot, err := lst.NewUniform(0, rev)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+	}
+	u.rotLST = rot
+	if retries {
+		law, err := retryLaw(e.ErrorProb, e.Retries, rev)
+		if err != nil {
+			return nil, err
+		}
+		u.rotLST = lst.NewSum(rot, law)
+	}
+	return u, nil
+}
+
+// retryLaw is the transform of R·rev, R the retries one read pays when
+// each attempt fails with probability p and at most r retries are made: a
+// truncated geometric, P[R = k] = p^k(1−p) for k < r and P[R = r] = p^r.
+func retryLaw(p float64, r int, rev float64) (lst.Transform, error) {
+	weights := make([]float64, r+1)
+	atoms := make([]lst.Transform, r+1)
+	pk := 1.0
+	for k := 0; k < r; k++ {
+		weights[k], atoms[k] = pk*(1-p), lst.PointMass{C: float64(k) * rev}
+		pk *= p
+	}
+	weights[r], atoms[r] = pk, lst.PointMass{C: float64(r) * rev}
+	return lst.NewMixture(weights, atoms)
+}
+
 // exactMixtureTransform builds the exact transfer-time transform for Gamma
 // fragment sizes on a zoned disk: hitting zone i (probability C_i·tracks_i
 // divided by capacity) turns a size Gamma(β, α_S) into a time
-// Gamma(β, α_S·R_i), so the transform is a finite Gamma mixture.
-func exactMixtureTransform(cfg Config) (lst.Transform, error) {
+// Gamma(β, α_S·R_i), so the transform is a finite Gamma mixture. Every
+// time is scaled by scale (1 on a healthy disk).
+func exactMixtureTransform(cfg Config, scale float64) (lst.Transform, error) {
 	sg, ok := cfg.Sizes.Dist.(dist.Gamma)
 	if !ok {
 		return nil, fmt.Errorf("%w: TransferExactMixture requires a Gamma fragment-size model", ErrConfig)
@@ -222,7 +321,7 @@ func exactMixtureTransform(cfg Config) (lst.Transform, error) {
 	parts := make([]lst.Transform, g.ZoneCount())
 	for i := range parts {
 		weights[i] = access[i]
-		zt, err := lst.NewGamma(sg.Shape, sg.Rate*g.TransferRate(i))
+		zt, err := lst.NewGamma(sg.Shape, sg.Rate*g.TransferRate(i)/scale)
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +377,7 @@ func (m *Model) TransferMoments() (mean, variance float64) {
 }
 
 // SeekBound returns SEEK(n), the Oyang worst-case total SCAN seek time.
-func (m *Model) SeekBound(n int) float64 { return m.cfg.Disk.SeekBound(n) }
+func (m *Model) SeekBound(n int) float64 { return m.cfg.Disk.SeekBound(n) * m.eff.LatencyScale }
 
 // RoundTransform returns the LST of T_N for n concurrent requests
 // (eq. 3.1.4 / 3.2.11).
@@ -286,11 +385,7 @@ func (m *Model) RoundTransform(n int) (lst.Transform, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: negative stream count", ErrConfig)
 	}
-	rot, err := lst.NewUniform(0, m.cfg.Disk.RotationTime)
-	if err != nil {
-		return nil, err
-	}
-	rotN, err := lst.NewIID(rot, n)
+	rotN, err := lst.NewIID(m.rotLST, n)
 	if err != nil {
 		return nil, err
 	}

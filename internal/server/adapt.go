@@ -34,8 +34,8 @@ func (s *Server) ObservedSizeStats() (mean, sd float64, n int64) {
 // rather than the stale original. A refit that moves the limit also starts
 // a new observation epoch: the statistics it was fitted on are cleared, so
 // the next refit sees only fragments served under the new limit. If degraded fault limits were in force
-// they are discarded (the refit is computed against healthy geometries);
-// the degraded-mode controller re-derives them against the new sizes on
+// they are discarded (the refit is computed for a healthy array); the
+// degraded-mode controller re-derives them from the new healthy model on
 // the next faulty round.
 func (s *Server) Recalibrate(minSamples int64) (oldLimit, newLimit int, err error) {
 	if minSamples < 2 {
@@ -54,12 +54,15 @@ func (s *Server) Recalibrate(minSamples int64) (oldLimit, newLimit int, err erro
 	if err != nil {
 		return cur.nmax, cur.nmax, err
 	}
-	// Refit per distinct disk; the binding constraint is the minimum.
-	next, err := evaluateDisks(s.geoms, sizes, s.cfg.RoundLength, s.cfg.Guarantee)
+	healthy, err := healthyModel(s.cfg.Disk, sizes, s.cfg.RoundLength)
 	if err != nil {
 		return cur.nmax, cur.nmax, err
 	}
-	s.cfg.Sizes = sizes
+	next, err := evaluateDisks(healthy, healthyArray(s.cfg.NumDisks), s.cfg.Guarantee)
+	if err != nil {
+		return cur.nmax, cur.nmax, err
+	}
+	s.cfg.Sizes, s.healthy = sizes, healthy
 	if cur.degraded {
 		s.deg.base, s.deg.applied = nil, nil
 		s.tel.degradeTransitions.Inc()

@@ -321,7 +321,7 @@ func TestObservedSizesMatchPerFragment(t *testing.T) {
 	var want dist.Welford
 	for r := 0; r < 2000; r++ {
 		for _, st := range s.active {
-			d := mod(int(st.offset)+s.round, len(s.geoms))
+			d := mod(int(st.offset)+s.round, s.cfg.NumDisks)
 			if s.round >= st.start && !s.inj.EffectsAt(d, s.round).Failed {
 				want.Add(st.obj.frags[st.next].Size)
 			}

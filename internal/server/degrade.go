@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"mzqos/internal/disk"
 	"mzqos/internal/engine"
 	"mzqos/internal/fault"
 	"mzqos/internal/journal"
@@ -59,7 +58,7 @@ func (s *Server) FaultPlan() fault.Plan { return s.inj.Plan() }
 // under the configured plan. Safe for concurrent use (the injector is
 // immutable), which is what the mzserver /faults endpoint relies on.
 func (s *Server) FaultEffectsAt(round int) []fault.Effects {
-	effs := make([]fault.Effects, len(s.geoms))
+	effs := make([]fault.Effects, s.cfg.NumDisks)
 	for d := range effs {
 		effs[d] = s.inj.EffectsAt(d, round)
 	}
@@ -104,31 +103,16 @@ func (s *Server) adaptToFaults(effs []fault.Effects) []engine.Eviction {
 	return nil
 }
 
-// applyDegraded re-derives the per-disk admission models against the
-// degraded geometries (inflated service-time moments) and sheds to the
-// new limit. On a modeling error the current limits are kept and the
+// applyDegraded re-derives the admission limits with each disk's model
+// under its effects (the healthy model's transform of T_N) and sheds to
+// the new limit. On a modeling error the current limits are kept and the
 // controller retries next round.
 func (s *Server) applyDegraded(effs []fault.Effects) []engine.Eviction {
-	geoms := make([]*disk.Geometry, len(s.geoms))
-	failed := false
-	for i, g := range s.geoms {
-		if effs[i].Failed {
-			// A failed disk has no finite service model; evaluate the rest
-			// of the array and force the limit to zero below.
-			failed = true
-			geoms[i] = g
-			continue
-		}
-		dg, err := fault.DegradeGeometry(g, effs[i])
-		if err != nil {
-			return nil
-		}
-		geoms[i] = dg
-	}
-	next, err := evaluateDisks(geoms, s.cfg.Sizes, s.cfg.RoundLength, s.cfg.Guarantee)
+	next, err := evaluateDisks(s.healthy, effs, s.cfg.Guarantee)
 	if err != nil {
 		return nil
 	}
+	failed := slices.ContainsFunc(effs, func(e fault.Effects) bool { return e.Failed })
 	next.degraded, next.failed = true, failed
 	if failed {
 		// Round-robin striping routes every stream over every disk, so a

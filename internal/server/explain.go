@@ -69,7 +69,7 @@ func (s *Server) AdmissionStatus() AdmissionStatus {
 		Round:        int(s.tel.rounds.Value()),
 		Active:       int(s.tel.active.Value()),
 		NMax:         lim.nmax,
-		Capacity:     lim.nmax * len(s.geoms),
+		Capacity:     lim.nmax * s.cfg.NumDisks,
 		Degraded:     lim.degraded,
 		Guarantee:    s.cfg.Guarantee,
 		BindingDisk:  lim.bindDisk,

@@ -250,7 +250,7 @@ func (s *Server) BoundTightness() (TightnessReport, error) {
 		hv := dt.roundTime.SnapshotValues()
 		row := DiskTightness{
 			Disk:     d,
-			Geometry: s.geoms[d].Name,
+			Geometry: s.cfg.Disk.Name,
 			Sweeps:   hv.Count,
 			Requests: dt.fragments.Value(),
 			Glitches: dt.glitches.Value(),

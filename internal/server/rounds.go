@@ -69,7 +69,7 @@ func (s *Server) Step() RoundReport {
 		if s.round < st.start {
 			continue
 		}
-		d := mod(int(st.offset)+s.round, len(s.geoms))
+		d := mod(int(st.offset)+s.round, s.cfg.NumDisks)
 		frag := &st.frags[st.next]
 		s.frags[d] = append(s.frags[d], sweep.Fragment{Cylinder: int(frag.Cyl[st.slot]), Zone: int(frag.Zone[st.slot]), Size: frag.Size, Ref: i})
 	}
@@ -86,7 +86,7 @@ func (s *Server) Step() RoundReport {
 		// Full disk failure: nothing is served, every due fragment is
 		// lost — a glitch for its stream (playback skips it, §2.3).
 		dr.Down = eff.Failed
-		tot := sweep.Serve(s.geoms[d], eff, s.rng, func(pos, attempt int) bool {
+		tot := sweep.Serve(s.cfg.Disk, eff, s.rng, func(pos, attempt int) bool {
 			return s.inj.ReadError(d, s.round, pos, attempt)
 		}, frags, reqs)
 		dr.Seek, dr.Rotation, dr.Transfer, dr.Busy = tot.Seek, tot.Rotation, tot.Transfer, tot.Busy
@@ -206,7 +206,7 @@ const reportBlock = 32
 // reportBlock rounds' worth, so the allocator runs once per block. The cap
 // is clipped, so an append to one report's Disks cannot reach the next's.
 func (s *Server) diskRows() []DiskRoundReport {
-	d := len(s.geoms)
+	d := s.cfg.NumDisks
 	if len(s.rows) < d {
 		s.rows = make([]DiskRoundReport, reportBlock*d)
 	}
@@ -235,6 +235,6 @@ func (s *Server) Run(n int) RunSummary {
 	for i := 0; i < n; i++ {
 		sum.Observe(s.Step())
 	}
-	sum.DiskTime = float64(n) * s.cfg.RoundLength * float64(len(s.geoms))
+	sum.DiskTime = float64(n) * s.cfg.RoundLength * float64(s.cfg.NumDisks)
 	return sum
 }

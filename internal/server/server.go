@@ -197,7 +197,7 @@ type StreamStats struct {
 // endpoint does.
 type Server struct {
 	cfg      Config
-	geoms    []*disk.Geometry       // one per disk (repeated for homogeneous arrays)
+	healthy  *model.Model           // cfg.Disk's model at cfg.Sizes: every disk's, before its faults
 	lim      atomic.Pointer[limits] // the limits in force; replaced whole by install, never edited
 	rng      *rand.Rand
 	round    int
@@ -267,18 +267,17 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("%w: disk %s has %d cylinders in %d zones, more than the catalog can address",
 			ErrConfig, g.Name, g.Cylinders(), g.ZoneCount())
 	}
-	geoms := make([]*disk.Geometry, cfg.NumDisks)
-	for d := range geoms {
-		geoms[d] = cfg.Disk
+	healthy, err := healthyModel(cfg.Disk, cfg.Sizes, cfg.RoundLength)
+	if err != nil {
+		return nil, err
 	}
-
-	lim, err := evaluateDisks(geoms, cfg.Sizes, cfg.RoundLength, cfg.Guarantee)
+	lim, err := evaluateDisks(healthy, healthyArray(cfg.NumDisks), cfg.Guarantee)
 	if err != nil {
 		return nil, err
 	}
 	var inj *fault.Injector
 	if cfg.Faults != nil {
-		inj, err = fault.NewInjector(*cfg.Faults, len(geoms))
+		inj, err = fault.NewInjector(*cfg.Faults, cfg.NumDisks)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
@@ -287,19 +286,19 @@ func New(cfg Config) (*Server, error) {
 	if ledger == nil {
 		ledger = journal.NewLedger(journal.LedgerConfig{Retired: engine.RetainedStreams})
 	}
-	tel, err := newTelemetry(cfg.Registry, cfg.InstanceLabels, len(geoms), cfg.RoundLength)
+	tel, err := newTelemetry(cfg.Registry, cfg.InstanceLabels, cfg.NumDisks, cfg.RoundLength)
 	if err != nil {
 		return nil, fmt.Errorf("server: building telemetry: %w", err)
 	}
 	s := &Server{
 		cfg:     cfg,
-		geoms:   geoms,
+		healthy: healthy,
 		rng:     dist.NewRand(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15),
 		catalog: make(map[string]*object),
-		classes: make([]atomic.Int64, len(geoms)),
-		effs:    make([]fault.Effects, len(geoms)),
-		frags:   make([][]sweep.Fragment, len(geoms)),
-		reqs:    make([][]sweep.Request, len(geoms)),
+		classes: make([]atomic.Int64, cfg.NumDisks),
+		effs:    make([]fault.Effects, cfg.NumDisks),
+		frags:   make([][]sweep.Fragment, cfg.NumDisks),
+		reqs:    make([][]sweep.Request, cfg.NumDisks),
 		tel:     tel,
 		inj:     inj,
 		jnl:     cfg.Journal,
@@ -312,7 +311,7 @@ func New(cfg Config) (*Server, error) {
 		tcfg.RoundLength = cfg.RoundLength
 		s.trc = trace.NewRecorder(tcfg)
 	}
-	s.sloAud, err = slo.New(cfg.SLO, len(geoms))
+	s.sloAud, err = slo.New(cfg.SLO, cfg.NumDisks)
 	if err != nil {
 		return nil, fmt.Errorf("server: building slo audit: %w", err)
 	}
@@ -333,7 +332,7 @@ func New(cfg Config) (*Server, error) {
 // once holds one consistent quote however the loop moves on.
 type limits struct {
 	binding  *model.Model   // model of the binding (slowest) disk
-	mdls     []*model.Model // one model per disk, index-aligned with geoms
+	mdls     []*model.Model // one model per disk, under that disk's effects
 	nmax     int
 	explains []model.AdmissionExplanation // per-disk decision traces
 	bindDisk int                          // disk whose model binds nmax
@@ -349,39 +348,54 @@ type limits struct {
 	failed   bool // a failed disk holds admission closed
 }
 
-// evaluateDisks builds one admission model per disk (sharing instances
-// across repeated geometries so homogeneous arrays evaluate once) and
-// returns the limits they set: the binding model, the minimum N_max, and
-// the per-disk admission explanations recording which constraint produced
-// each limit.
-func evaluateDisks(geoms []*disk.Geometry, sizes workload.SizeModel, roundLength float64, g model.Guarantee) (*limits, error) {
+// healthyModel is the admission model of one healthy disk of the array.
+func healthyModel(g *disk.Geometry, sizes workload.SizeModel, roundLength float64) (*model.Model, error) {
+	m, err := model.New(model.Config{Disk: g, Sizes: sizes, RoundLength: roundLength})
+	if err != nil {
+		return nil, fmt.Errorf("%w: building admission model: %w", ErrConfig, err)
+	}
+	return m, nil
+}
+
+// healthyArray is the effects of an array of disks disks with no fault.
+func healthyArray(disks int) []fault.Effects {
+	effs := make([]fault.Effects, disks)
+	for d := range effs {
+		effs[d] = fault.Identity()
+	}
+	return effs
+}
+
+// evaluateDisks returns the limits the healthy model sets when disk d runs
+// under effs[d]: each distinct effect is one model, healthy.Under(e), and
+// one explanation, and the binding disk is the first whose effects give
+// the lowest N_max. A failed disk has no round time, so it is evaluated
+// healthy; the caller closes admission for it.
+func evaluateDisks(healthy *model.Model, effs []fault.Effects, g model.Guarantee) (*limits, error) {
 	lim := &limits{
 		nmax:     -1,
-		mdls:     make([]*model.Model, 0, len(geoms)),
-		explains: make([]model.AdmissionExplanation, 0, len(geoms)),
+		mdls:     make([]*model.Model, 0, len(effs)),
+		explains: make([]model.AdmissionExplanation, 0, len(effs)),
 	}
 	type entry struct {
 		mdl *model.Model
 		exp model.AdmissionExplanation
 	}
-	cache := make(map[*disk.Geometry]entry)
-	for i, geom := range geoms {
-		e, ok := cache[geom]
+	cache := make(map[fault.Effects]entry)
+	for i, eff := range effs {
+		if eff.Failed {
+			eff = fault.Identity()
+		}
+		e, ok := cache[eff]
 		if !ok {
 			var err error
-			e.mdl, err = model.New(model.Config{
-				Disk:        geom,
-				Sizes:       sizes,
-				RoundLength: roundLength,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%w: building admission model: %w", ErrConfig, err)
+			if e.mdl, err = healthy.Under(eff); err != nil {
+				return nil, fmt.Errorf("server: modelling disk %d's faults: %w", i, err)
 			}
-			e.exp, err = e.mdl.ExplainNMax(g)
-			if err != nil {
+			if e.exp, err = e.mdl.ExplainNMax(g); err != nil {
 				return nil, fmt.Errorf("server: evaluating guarantee: %w", err)
 			}
-			cache[geom] = e
+			cache[eff] = e
 		}
 		lim.mdls = append(lim.mdls, e.mdl)
 		lim.explains = append(lim.explains, e.exp)
@@ -436,7 +450,7 @@ func gaugeBool(b bool) float64 {
 }
 
 // NumDisks returns the array width D.
-func (s *Server) NumDisks() int { return len(s.geoms) }
+func (s *Server) NumDisks() int { return s.cfg.NumDisks }
 
 // Model exposes the admission model (for reporting).
 func (s *Server) Model() *model.Model { return s.lim.Load().binding }
@@ -445,7 +459,7 @@ func (s *Server) Model() *model.Model { return s.lim.Load().binding }
 func (s *Server) PerDiskLimit() int { return s.lim.Load().nmax }
 
 // Capacity returns the server-wide stream limit D·N_max.
-func (s *Server) Capacity() int { return s.lim.Load().nmax * len(s.geoms) }
+func (s *Server) Capacity() int { return s.lim.Load().nmax * s.cfg.NumDisks }
 
 // Active returns the number of open streams.
 func (s *Server) Active() int { return len(s.active) }
@@ -467,7 +481,7 @@ func (s *Server) Health() engine.Health {
 	h := engine.Health{
 		Active:       int(s.tel.active.Value()),
 		PerDiskLimit: lim.nmax,
-		Capacity:     lim.nmax * len(s.geoms),
+		Capacity:     lim.nmax * s.cfg.NumDisks,
 		Round:        int(s.tel.rounds.Value()),
 		Degraded:     lim.degraded,
 		Failed:       lim.failed,
@@ -510,18 +524,13 @@ func (s *Server) PlaceObject(name string, frags []engine.Fragment, slot int) err
 		return err
 	}
 	base := s.nextBase
-	// Fragment i lives on disk d = (base+i) mod D; place it uniformly
-	// within that disk's own geometry.
-	d := base
+	// Fragment i lives on disk (base+i) mod D; every disk is cfg.Disk.
 	for i := range frags {
-		loc := s.geoms[d].SampleLocation(s.rng)
+		loc := s.cfg.Disk.SampleLocation(s.rng)
 		frags[i].Cyl[slot], frags[i].Zone[slot] = uint16(loc.Cylinder), uint8(loc.Zone)
-		if d++; d == len(s.geoms) {
-			d = 0
-		}
 	}
 	s.catalog[name] = &object{name: name, base: int32(base), slot: uint8(slot), frags: frags}
-	s.nextBase = (s.nextBase + 1) % len(s.geoms)
+	s.nextBase = (s.nextBase + 1) % s.cfg.NumDisks
 	return nil
 }
 
@@ -587,7 +596,7 @@ func (s *Server) admit(state engine.StreamState, imported bool) (StreamID, int, 
 // when even the emptiest class is at nmax — always, when nmax is 0. Each
 // round of delay steps the class down by one, wrapping below 0 to D−1.
 func (s *Server) slot(nmax, first int) (delay, class int, ok bool) {
-	d := len(s.geoms)
+	d := s.cfg.NumDisks
 	bestDelay, bestClass := -1, 0
 	bestCount := nmax
 	c := mod(first-s.round, d)

@@ -20,7 +20,7 @@ func (s *Server) Trace() *trace.Recorder { return s.trc }
 // reproduces the histogram sum exactly.
 func (s *Server) commitSpan(d int, eff fault.Effects, dr *DiskRoundReport, observed float64) {
 	sp := &s.trcSpan
-	sp.Served(s.geoms[d], eff)
+	sp.Served(s.cfg.Disk, eff)
 	sp.Round = s.round
 	sp.Disk = d
 	sp.Seek = dr.Seek
