@@ -187,9 +187,9 @@ func TestServerEndpointGolden(t *testing.T) {
 	checkGolden(t, got, map[string]string{
 		"/shard/0/sweeps":      "3e6504f91364721d",
 		"/shard/0/admission":   "c9fdbf5bbf8531ff",
-		"/shard/0/slo":         "b67849179ac26750",
-		"/timeline":            "4711413f5766e98d",
-		"/streams":             "85d1c2b4f563408a",
+		"/shard/0/slo":         "d4c236384e2c1e26",
+		"/timeline":            "930a3b54bcf14199",
+		"/streams":             "07f1ca234d489ec2",
 		"/shard/0/trace":       "9771e82b2947c4f3",
 		"/shard/0/faults":      "b9d3b256b3614e69",
 		"/cluster":             "9619ca5cc1ed181d",
@@ -197,8 +197,8 @@ func TestServerEndpointGolden(t *testing.T) {
 		"/slo":                 "60d70f1f19e3ab03",
 		"/report":              "f3ceba6e75b3729f",
 		goldenQuery:            "f770e9fa9b1a1b26",
-		"/dashboard":           "bde29f60ff3e825b",
-		"/dashboard?window=16": "893342ad42b708d7",
+		"/dashboard":           "c072cdbcd9a3ec2b",
+		"/dashboard?window=16": "b4b9313fc00219c7",
 	})
 }
 
@@ -369,7 +369,7 @@ func TestClusterEndpointGolden(t *testing.T) {
 		"/slo":                 "715824b5797ebd37",
 		"/report":              "8ec5f1faec3322e6",
 		"/timeline":            "846d5c71bd4bdfc4",
-		"/streams":             "09f59380a057c3eb",
+		"/streams":             "ae665b35eeb8238b",
 		goldenQuery:            "73d2c5306a5f4863",
 		"/dashboard":           "0948452b536fb050",
 		"/dashboard?window=16": "dfe0a87e7eeb64f1",
