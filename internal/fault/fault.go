@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -145,15 +146,15 @@ func (f Fault) validate(disks int) error {
 	}
 	switch f.Kind {
 	case Latency:
-		if !(f.Factor > 0) {
-			return fmt.Errorf("%w: latency factor %g must be positive", ErrPlan, f.Factor)
+		if !(f.Factor > 0) || math.IsInf(f.Factor, 1) {
+			return fmt.Errorf("%w: latency factor %g must be positive and finite", ErrPlan, f.Factor)
 		}
 	case ZoneRate:
-		if !(f.Factor > 0) {
-			return fmt.Errorf("%w: rate factor %g must be positive", ErrPlan, f.Factor)
+		if !(f.Factor > 0) || math.IsInf(f.Factor, 1) {
+			return fmt.Errorf("%w: rate factor %g must be positive and finite", ErrPlan, f.Factor)
 		}
 	case ReadError:
-		if f.Prob < 0 || f.Prob > 1 {
+		if !(f.Prob >= 0 && f.Prob <= 1) {
 			return fmt.Errorf("%w: error probability %g outside [0, 1]", ErrPlan, f.Prob)
 		}
 		if f.Retries < 0 || f.Retries > MaxRetries {

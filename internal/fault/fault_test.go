@@ -20,6 +20,9 @@ func TestValidate(t *testing.T) {
 		{Kind: ReadError, Disk: 0, From: 0, Until: 10, Retries: -1}, // negative retries
 		{Kind: Kind(99), Disk: 0, From: 0, Until: 10},               // unknown kind
 		{Kind: ZoneRate, Disk: 0, From: 0, Until: 10, Factor: -0.5}, // negative factor
+		{Kind: ZoneRate, Disk: 0, Factor: math.Inf(1)},              // infinite factor
+		{Kind: Latency, Disk: 0, Factor: math.NaN()},                // NaN factor
+		{Kind: ReadError, Disk: 0, Prob: math.NaN(), Retries: 1},    // NaN prob
 	}
 	for i, f := range bad {
 		if err := (Plan{Faults: []Fault{f}}).Validate(4); err == nil {
@@ -216,6 +219,11 @@ func TestParsePlanRoundTrip(t *testing.T) {
 		"latency:disk=0,factor=2,color=red",      // unknown key
 		"latency:disk=x,factor=2",                // bad int
 		"latency:disk=0,from=5,until=2,factor=2", // invalid interval
+		"latency:disk=0,factor=2,retries=3",      // a key the kind does not read
+		"errors:disk=0,prob=0.5,factor=2",        // likewise
+		"fail:disk=0,prob=0.5",                   // likewise
+		"errors:prob=nan,retries=1",              // NaN probability
+		"latency:factor=inf",                     // infinite factor
 	} {
 		if _, err := ParsePlan(bad, 0); err == nil {
 			t.Errorf("ParsePlan(%q) should fail", bad)

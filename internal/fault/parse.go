@@ -92,18 +92,27 @@ func setField(f *Fault, key, val string) error {
 		}
 		f.Until = n
 	case "factor":
+		if f.Kind != Latency && f.Kind != ZoneRate {
+			return errKey(f.Kind)
+		}
 		x, err := strconv.ParseFloat(val, 64)
 		if err != nil {
 			return err
 		}
 		f.Factor = x
 	case "prob":
+		if f.Kind != ReadError {
+			return errKey(f.Kind)
+		}
 		x, err := strconv.ParseFloat(val, 64)
 		if err != nil {
 			return err
 		}
 		f.Prob = x
 	case "retries":
+		if f.Kind != ReadError {
+			return errKey(f.Kind)
+		}
 		n, err := strconv.Atoi(val)
 		if err != nil {
 			return err
@@ -114,6 +123,10 @@ func setField(f *Fault, key, val string) error {
 	}
 	return nil
 }
+
+// errKey refuses a key the kind does not read: String would drop it, so
+// the plan would not read back as itself.
+func errKey(k Kind) error { return fmt.Errorf("not a key of %s", k) }
 
 // String renders the plan back into ParsePlan syntax (lossless for the
 // fields ParsePlan reads; Seed is carried separately).
