@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race journal-owners dead-exports repro mutants bench bench-system bench-pairs smoke faults loc loc-diff check clean
+.PHONY: all build vet test test-race journal-owners dead-exports repro mutants fuzz bench bench-system bench-pairs smoke faults loc loc-diff check clean
 
 all: build
 
@@ -60,6 +60,14 @@ repro:
 #   make mutants [REV=HEAD~1] [RUN=.]
 mutants:
 	RUN="$(RUN)" sh scripts/mutants.sh $(REV)
+
+# Every Fuzz* function in the module fuzzes for FUZZTIME (default 10s)
+# past its seed corpus, which tier-1 `go test` replays; one go test per
+# function. Outside check, like mutants.
+#   make fuzz [FUZZTIME=1m]
+FUZZTIME ?= 10s
+fuzz:
+	FUZZTIME="$(FUZZTIME)" sh scripts/fuzz.sh
 
 # Every go-test benchmark in the repo, for a look at one host; add
 # -cpuprofile per package to see where an op spends its time. The

@@ -20,6 +20,11 @@ func FuzzGammaPInvRoundTrip(f *testing.F) {
 		if p <= 1e-12 || p >= 1-1e-12 {
 			return
 		}
+		// For a small shape the quantile of a small p can lie below the
+		// smallest normal float64, where no x reads back as p.
+		if low, err := GammaP(a, 0x1p-1022); err != nil || low >= p {
+			return
+		}
 		x, err := GammaPInv(a, p)
 		if err != nil {
 			t.Fatalf("GammaPInv(%v,%v): %v", a, p, err)

@@ -116,7 +116,12 @@ func GammaPInv(a, p float64) (float64, error) {
 		}
 	}
 
-	for i := 0; i < 60; i++ {
+	// P(a, ·) increases, so each iterate bounds the root from one side. A
+	// Halley step that leaves the bracket — from deep in a tail, where the
+	// density underflows or the step overshoots by orders of magnitude —
+	// is replaced by a bisection of the bracket in log space.
+	lo, hi := 0.0, math.Inf(1)
+	for i := 0; i < 200; i++ {
 		if x <= 0 {
 			x = 1e-300
 		}
@@ -125,16 +130,28 @@ func GammaPInv(a, p float64) (float64, error) {
 			return 0, err
 		}
 		f := pv - p
+		if f < 0 {
+			lo = x
+		} else {
+			hi = x
+		}
 		// dP/dx = x^(a-1) e^{-x} / Γ(a)
 		dp := math.Exp((a-1)*math.Log(x) - x - lg)
-		if dp == 0 {
-			break
+		x2 := math.NaN()
+		if dp > 0 {
+			u := f / dp
+			// Halley correction using d²P/dx² = dp * ((a-1)/x - 1).
+			x2 = x - u/(1-math.Min(1, math.Max(-1, u*((a-1)/x-1)/2)))
 		}
-		u := f / dp
-		// Halley correction using d²P/dx² = dp * ((a-1)/x - 1).
-		x2 := x - u/(1-math.Min(1, math.Max(-1, u*((a-1)/x-1)/2)))
-		if x2 <= 0 {
-			x2 = x / 2
+		if !(x2 > lo && x2 < hi) {
+			switch {
+			case math.IsInf(hi, 1):
+				x2 = 2 * x
+			case lo == 0:
+				x2 = hi / 2
+			default:
+				x2 = math.Sqrt(lo) * math.Sqrt(hi)
+			}
 		}
 		if math.Abs(x2-x) < 1e-14*math.Max(x, 1e-300) {
 			x = x2
