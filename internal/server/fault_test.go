@@ -214,6 +214,45 @@ func TestDegradationRestoresGuarantee(t *testing.T) {
 	}
 }
 
+// TestRetryLawDegradesToZero: read errors alone can close admission. At
+// p = 0.95 with 255 retries a request pays 19 revolutions on average, so
+// b_late(1) ≈ 0.038 > δ and the degraded limit is 0: every stream is shed,
+// the binding disk's explanation reads Overload, no disk is failed, and
+// the healthy limit returns once the fault clears.
+func TestRetryLawDegradesToZero(t *testing.T) {
+	plan, err := fault.ParsePlan("errors:disk=all,from=20,until=120,prob=0.95,retries=255", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := faultServer(t, 2, &plan, DegradeConfig{Enabled: true})
+	open := s.Active()
+	if s.PerDiskLimit() != 26 || open != 2*26 {
+		t.Fatalf("healthy limit %d with %d open, want 26 and 52", s.PerDiskLimit(), open)
+	}
+	sum := s.Run(40)
+	if !s.Degraded() || s.PerDiskLimit() != 0 {
+		t.Fatalf("degraded %v with limit %d, want degraded to 0", s.Degraded(), s.PerDiskLimit())
+	}
+	if s.Active() != 0 || sum.Evicted != open {
+		t.Errorf("%d streams open, %d evicted: want every one of %d shed", s.Active(), sum.Evicted, open)
+	}
+	if s.Health().Failed {
+		t.Error("reported failed: no disk is down")
+	}
+	st := s.AdmissionStatus()
+	exp := st.Explanations[st.BindingDisk]
+	if !exp.Overload || exp.NMax != 0 || exp.Bound != "b_late" || !(exp.ValueAtBindingK > 0.01) {
+		t.Errorf("binding explanation %+v, want Overload with b_late(1) > δ", exp)
+	}
+	if _, _, err := s.Open("v0"); !errors.Is(err, ErrRejected) {
+		t.Errorf("open at limit 0: %v, want ErrRejected", err)
+	}
+	s.Run(120) // the fault ends at round 120, then the debounce window
+	if s.Degraded() || s.PerDiskLimit() != 26 {
+		t.Errorf("after the fault: degraded %v with limit %d, want the healthy 26", s.Degraded(), s.PerDiskLimit())
+	}
+}
+
 // TestDegradeRederivesOnShapeChange: a second fault joining inside an
 // already degraded window changes the effects the limits must model, so
 // the controller re-derives them. The applied effects are compared by
