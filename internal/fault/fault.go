@@ -6,10 +6,11 @@
 // analytic-vs-simulated comparisons run under identical fault schedules.
 //
 // Stochastic network calculus treats an impaired disk as a service-curve
-// degradation whose tail bound must be re-derived against the degraded
-// server; DegradeGeometry produces exactly that impaired hardware
-// description, so the existing admission model (internal/model) computes
-// the degraded N_max with no new math.
+// degradation whose tail bound follows from the scaled service process.
+// Effects is that scaling as a value: the admission model takes it through
+// model.Model.Under, which transforms the healthy round time. The one
+// other reader of Effects in a model's terms is DegradeGeometry, which
+// prices the benchmark's model.degrade_solve_ms and nothing else.
 //
 // Determinism: every quantity an injector produces is a pure function of
 // (Plan, disk, round, request, attempt). Transient read-error draws use a
@@ -335,9 +336,12 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// DegradeGeometry derives the impaired hardware description the admission
-// model should be re-evaluated against, mapping each fault effect onto the
-// model quantity it perturbs:
+// DegradeGeometry derives an impaired hardware description from the
+// effects. Its one caller is benchmark/layers.go, which prices
+// model.degrade_solve_ms with it; the server takes a fault through
+// model.Model.Under, whose retry law is exact where the stretch below
+// matches only the retries' mean. It maps each fault effect onto the model
+// quantity it perturbs:
 //
 //   - LatencyScale L multiplies the seek curve and the rotation time
 //     (which also slows every zone's rate R_i = C_i/ROT by 1/L, i.e. all

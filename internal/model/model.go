@@ -13,7 +13,9 @@
 // unchanged. Chernoff bounds on T_N yield the round-lateness bound
 // b_late(N, t) (3.2.12), per-stream glitch probability bounds (3.3.3), the
 // M-round glitch-count bound p_error (3.3.5), and the admission limits
-// N_max (3.1.7, 3.3.6).
+// N_max (3.1.7, 3.3.6). A fault's effects are a transform of T_N
+// (Model.Under), so a degraded disk is the same machinery on the
+// transformed round time.
 package model
 
 import (
