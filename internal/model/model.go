@@ -220,8 +220,8 @@ func (m *Model) setSearchCap() error {
 //     transfer time, so T_N' = L·T_N.
 //   - A rate factor R divides the transfer time by R: the matched Gamma's
 //     scale, or every zone's rate in the exact mixture.
-//   - Read errors add R·L·ROT to a request's rotational delay, R the
-//     retries it pays: P[R = k] = p^k(1−p) for k < r and P[R = r] = p^r,
+//   - Read errors add K·L·ROT to a request's rotational delay, K the
+//     retries it pays: P[K = k] = p^k(1−p) for k < r and P[K = r] = p^r,
 //     with p the error probability and r the retry budget. A read that
 //     exhausts its budget still paid r revolutions.
 //
@@ -284,9 +284,9 @@ func (m *Model) Under(e fault.Effects) (*Model, error) {
 	return u, nil
 }
 
-// retryLaw is the transform of R·rev, R the retries one read pays when
+// retryLaw is the transform of K·rev, K the retries one read pays when
 // each attempt fails with probability p and at most r retries are made: a
-// truncated geometric, P[R = k] = p^k(1−p) for k < r and P[R = r] = p^r.
+// truncated geometric, P[K = k] = p^k(1−p) for k < r and P[K = r] = p^r.
 func retryLaw(p float64, r int, rev float64) (lst.Transform, error) {
 	weights := make([]float64, r+1)
 	atoms := make([]lst.Transform, r+1)
