@@ -339,6 +339,39 @@ func TestAffinityStickyAcrossRecalibrate(t *testing.T) {
 	}
 }
 
+// TestRecalibrateKeepsFailedShardClosed: a refit of a shard with a disk
+// down is evaluated under the failure, so the coordinator's view keeps the
+// shard at capacity 0 and least-loaded routes every new stream past it.
+func TestRecalibrateKeepsFailedShardClosed(t *testing.T) {
+	plan := &fault.Plan{Faults: []fault.Fault{{Kind: fault.Failure, Disk: 1, From: 10}}}
+	engines := fleet(t, 2, 2, onShard(0, plan))
+	c := newCoordinator(t, Config{Engines: engines, Route: RouteLeastLoaded, Replicas: 2})
+	rng := dist.NewRand(3, 4)
+	sizes := make([]float64, 200)
+	for i := range sizes {
+		sizes[i] = workload.PaperSizes().Sample(rng)
+	}
+	if err := c.AddObject("clip", sizes); err != nil {
+		t.Fatal(err)
+	}
+	openN(t, c, "clip", 10)
+	steps(c, 20) // both disks serve rounds 0–9; disk 1 is down from round 10
+	c.Recalibrate(2)
+	if h := c.Status().Shards[0].Health; h.Capacity != 0 || !h.Failed || !h.Degraded {
+		t.Errorf("view of the failed shard after the refit: capacity %d, failed %v, degraded %v; want 0, true, true",
+			h.Capacity, h.Failed, h.Degraded)
+	}
+	onFailed := 0
+	for _, h := range openN(t, c, "clip", 40) {
+		if h.Shard == 0 {
+			onFailed++
+		}
+	}
+	if onFailed != 0 {
+		t.Errorf("%d of 40 Opens routed to the failed shard", onFailed)
+	}
+}
+
 // TestRecalibrateCountsShardsThatMoved: Recalibrate returns how many
 // shards' limits it moved. A fleet with nothing observed moves none; once
 // the shard holding an object of fragments twice the declared size has

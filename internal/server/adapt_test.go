@@ -339,3 +339,52 @@ func TestObservedSizesMatchPerFragment(t *testing.T) {
 		t.Errorf("std %v vs per-fragment %v: relative error %g", sd, want.Std(), rel)
 	}
 }
+
+// TestRecalibrateKeepsStandingFault: a refit under a standing fault is
+// evaluated under the effects the degrade controller applied, so the
+// fault stays in force: a failed disk keeps admission closed and reported
+// failed, and a slowdown keeps its lower limit. Classes full at that limit
+// admit no Open, and the next Step has nothing to shed.
+func TestRecalibrateKeepsStandingFault(t *testing.T) {
+	for _, c := range []struct {
+		spec   string
+		limit  int
+		failed bool
+	}{
+		{"fail:disk=1,from=5", 0, true},
+		{"latency:disk=all,from=5,factor=1.6", 15, false},
+	} {
+		t.Run(c.spec, func(t *testing.T) {
+			plan, err := fault.ParsePlan(c.spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := faultServer(t, 2, &plan, DegradeConfig{Enabled: true})
+			s.Run(20)
+			if !s.Degraded() || s.PerDiskLimit() != c.limit {
+				t.Fatalf("before the refit: degraded %v at limit %d, want degraded at %d", s.Degraded(), s.PerDiskLimit(), c.limit)
+			}
+			old, now, err := s.Recalibrate(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h := s.Health(); old != c.limit || now != c.limit || h.PerDiskLimit != c.limit || !h.Degraded || h.Failed != c.failed {
+				t.Errorf("refit moved the limit %d -> %d, health %+v; want %d kept, degraded, failed=%v",
+					old, now, h, c.limit, c.failed)
+			}
+			active, admitted := s.Active(), 0
+			for i := 0; i < 2*30; i++ {
+				if _, _, err := s.Open(fmt.Sprintf("v%d", i)); err == nil {
+					admitted++
+				}
+			}
+			if admitted != 0 {
+				t.Errorf("%d Opens admitted beside %d streams at limit %d", admitted, active, c.limit)
+			}
+			if rep := s.Step(); len(rep.Evicted) != 0 || !s.Degraded() || s.PerDiskLimit() != c.limit {
+				t.Errorf("the next Step shed %d streams, degraded %v at limit %d; want none shed at %d",
+					len(rep.Evicted), s.Degraded(), s.PerDiskLimit(), c.limit)
+			}
+		})
+	}
+}

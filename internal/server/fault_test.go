@@ -417,3 +417,38 @@ func TestShedsNewestFirst(t *testing.T) {
 		t.Fatalf("survivors %v, want each class's oldest %d: %v", got, limit, want)
 	}
 }
+
+// TestGlitchBoundCoversReadErrorLoss: under read errors on every disk a
+// fragment glitches when it is late or lost, and a read is lost with
+// probability p^(r+1), when every one of its attempts fails. The glitch
+// bound each disk quotes at its peak load must cover the glitch rate it
+// measured, losses included, once the controller has degraded to the
+// errors.
+func TestGlitchBoundCoversReadErrorLoss(t *testing.T) {
+	for _, c := range []struct {
+		p float64
+		r int
+	}{{0.5, 1}, {0.5, 0}, {0.2, 1}, {0.02, 2}} {
+		t.Run(fmt.Sprintf("p=%g,r=%d", c.p, c.r), func(t *testing.T) {
+			plan, err := fault.ParsePlan(fmt.Sprintf("errors:disk=all,prob=%g,retries=%d", c.p, c.r), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := faultServer(t, 2, &plan, DegradeConfig{Enabled: true})
+			s.Run(200)
+			if !s.Degraded() {
+				t.Fatal("not degraded under standing read errors")
+			}
+			rep, err := s.BoundTightness()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range rep.Disks {
+				if !(row.EmpiricalGlitchRate <= row.BoundGlitch) {
+					t.Errorf("disk %d: measured glitch rate %.4g over %d fragments, bound %.4g at peak load %d",
+						row.Disk, row.EmpiricalGlitchRate, row.Requests, row.BoundGlitch, row.PeakLoad)
+				}
+			}
+		})
+	}
+}
