@@ -33,10 +33,11 @@ func (s *Server) ObservedSizeStats() (mean, sd float64, n int64) {
 // SizeDrift subsequently measures drift against the recalibrated fit
 // rather than the stale original. A refit that moves the limit also starts
 // a new observation epoch: the statistics it was fitted on are cleared, so
-// the next refit sees only fragments served under the new limit. If degraded fault limits were in force
-// they are discarded (the refit is computed for a healthy array); the
-// degraded-mode controller re-derives them from the new healthy model on
-// the next faulty round.
+// the next refit sees only fragments served under the new limit. The refit
+// is evaluated under the fault effects the degrade controller applied, so
+// a standing fault stays in force — a slowdown keeps its degraded limit,
+// a failed disk keeps admission closed — and a restore later evaluates the
+// refit healthy.
 func (s *Server) Recalibrate(minSamples int64) (oldLimit, newLimit int, err error) {
 	if minSamples < 2 {
 		minSamples = 2
@@ -58,18 +59,11 @@ func (s *Server) Recalibrate(minSamples int64) (oldLimit, newLimit int, err erro
 	if err != nil {
 		return cur.nmax, cur.nmax, err
 	}
-	next, err := evaluateDisks(healthy, healthyArray(s.cfg.NumDisks), s.cfg.Guarantee)
+	next, err := evaluateDisks(healthy, s.deg.applied, s.cfg.Guarantee)
 	if err != nil {
 		return cur.nmax, cur.nmax, err
 	}
 	s.cfg.Sizes, s.healthy = sizes, healthy
-	if cur.degraded {
-		s.deg.base, s.deg.applied = nil, nil
-		s.tel.degradeTransitions.Inc()
-	}
-	// A disk that is down stays reported down: only the controller's next
-	// faulty round, or a restore, knows better.
-	next.failed = cur.failed
 	s.install(next)
 	if next.nmax != cur.nmax {
 		s.observed = dist.Welford{}

@@ -41,9 +41,8 @@ type degradeState struct {
 	enabled bool
 	after   int
 
-	dirty, clean int             // consecutive faulty / healthy rounds seen
-	applied      []fault.Effects // the effects the current limits model (a copy: Step reuses its own)
-	base         *limits         // healthy limits saved at the first degradation, installed again on recovery
+	streak  int             // consecutive rounds on this round's side: faulty ones positive, healthy ones negative
+	applied []fault.Effects // the effects the limits in force answer, the healthy array until a fault is sustained (a copy: Step reuses its own)
 }
 
 // Degraded reports whether degraded admission limits are currently in
@@ -66,78 +65,63 @@ func (s *Server) FaultEffectsAt(round int) []fault.Effects {
 }
 
 // adaptToFaults is the per-round degraded-mode controller, run after the
-// sweeps of Step. It debounces the fault timeline (After consecutive
-// rounds), re-derives the admission limits against the degraded hardware
-// description when a sustained fault appears or changes shape, sheds each
-// class's newest streams to the new limit, and restores the healthy
-// limits once the faults have cleared. Returns the evicted
-// streams, ascending.
-func (s *Server) adaptToFaults(effs []fault.Effects) []engine.Eviction {
+// sweeps of Step, of whose disks faulty showed a fault. It debounces the
+// fault timeline (After consecutive faulty or healthy rounds) and, once
+// the effects it would answer differ from the ones applied — a sustained
+// fault appears or changes shape, or the array has been healthy long
+// enough to restore — puts the limits the healthy model sets under them
+// in force. Returns the streams shed to a degraded limit, ascending.
+func (s *Server) adaptToFaults(effs []fault.Effects, faulty int) []engine.Eviction {
 	if !s.deg.enabled || s.inj == nil {
 		return nil
 	}
-	any := false
-	for _, e := range effs {
-		if e.Active() {
-			any = true
-			break
-		}
-	}
-	if any {
-		s.deg.dirty++
-		s.deg.clean = 0
+	if faulty > 0 {
+		s.deg.streak = max(s.deg.streak, 0) + 1
 	} else {
-		s.deg.clean++
-		s.deg.dirty = 0
+		s.deg.streak = min(s.deg.streak, 0) - 1
 	}
-
 	switch {
-	case any && s.deg.dirty >= s.deg.after:
-		if slices.Equal(effs, s.deg.applied) {
+	case max(s.deg.streak, -s.deg.streak) < s.deg.after:
+		return nil
+	case faulty == 0:
+		if !s.lim.Load().degraded {
 			return nil
 		}
-		return s.applyDegraded(effs)
-	case !any && s.lim.Load().degraded && s.deg.clean >= s.deg.after:
-		s.restoreHealthy()
+		effs = healthyArray(len(effs))
+	case slices.Equal(effs, s.deg.applied):
+		return nil
 	}
-	return nil
+	return s.apply(effs)
 }
 
-// applyDegraded re-derives the admission limits with each disk's model
-// under its effects (the healthy model's transform of T_N) and sheds to
-// the new limit. On a modeling error the current limits are kept and the
-// controller retries next round.
-func (s *Server) applyDegraded(effs []fault.Effects) []engine.Eviction {
+// apply puts in force the limits the healthy model sets under effs. A
+// degrade freezes the flight recorder before it journals the new limit
+// and sheds each class's newest streams to it, unless a disk is down; a
+// restore journals the limit, then freezes. On a modeling error the
+// current limits are kept and the controller retries next round.
+func (s *Server) apply(effs []fault.Effects) []engine.Eviction {
 	next, err := evaluateDisks(s.healthy, effs, s.cfg.Guarantee)
 	if err != nil {
 		return nil
 	}
-	failed := slices.ContainsFunc(effs, func(e fault.Effects) bool { return e.Failed })
-	next.degraded, next.failed = true, failed
-	if failed {
-		// Round-robin striping routes every stream over every disk, so a
-		// failed disk leaves no admissible load.
-		next.nmax = 0
-	}
 	cur := s.lim.Load()
-	if !cur.degraded {
-		// A copy, both because install completes the value it is handed and
-		// because a Recalibrate under a standing failure leaves failed set.
-		base := *cur
-		base.failed = false
-		s.deg.base = &base
+	if next.degraded != cur.degraded {
 		s.tel.degradeTransitions.Inc()
 	}
 	s.deg.applied = append(s.deg.applied[:0], effs...)
 	s.install(next)
+	if !next.degraded {
+		s.journalLimitChange(journal.KindRestore, next.bindDisk, cur.nmax, next.nmax, "")
+		s.freeze("restore")
+		return nil
+	}
 	s.freeze("degrade")
 	detail := ""
-	if failed {
+	if next.failed {
 		detail = "disk_failed"
 	}
 	s.journalLimitChange(journal.KindDegrade, next.bindDisk, cur.nmax, next.nmax, detail)
-
-	if failed {
+	if next.failed {
 		return nil
 	}
 	return s.shedToLimit()
@@ -174,16 +158,4 @@ func (s *Server) shedToLimit() []engine.Eviction {
 	}
 	slices.SortFunc(evicted, func(a, b engine.Eviction) int { return cmp.Compare(a.ID, b.ID) })
 	return evicted
-}
-
-// restoreHealthy reinstates the limits saved at the first degradation
-// once the fault timeline has been clean for the debounce window.
-func (s *Server) restoreHealthy() {
-	oldLimit := s.lim.Load().nmax
-	next := s.deg.base
-	s.deg.base, s.deg.applied = nil, nil
-	s.install(next)
-	s.journalLimitChange(journal.KindRestore, next.bindDisk, oldLimit, next.nmax, "")
-	s.tel.degradeTransitions.Inc()
-	s.freeze("restore")
 }

@@ -144,7 +144,7 @@ func (s *Server) Step() RoundReport {
 	}
 
 	rep.Completed = s.retireDone()
-	rep.Evicted = s.adaptToFaults(effs)
+	rep.Evicted = s.adaptToFaults(effs, faulty)
 	// Close the round for the SLO audit after fault adaptation so a
 	// degraded round is already measured against its re-derived budgets,
 	// then record the round into the embedded history while the round

@@ -271,7 +271,8 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	lim, err := evaluateDisks(healthy, healthyArray(cfg.NumDisks), cfg.Guarantee)
+	applied := healthyArray(cfg.NumDisks)
+	lim, err := evaluateDisks(healthy, applied, cfg.Guarantee)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +316,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: building slo audit: %w", err)
 	}
-	s.deg = degradeState{enabled: cfg.Degrade.Enabled, after: cfg.Degrade.After}
+	s.deg = degradeState{enabled: cfg.Degrade.Enabled, after: cfg.Degrade.After, applied: applied}
 	if s.deg.after <= 0 {
 		s.deg.after = DefaultDegradeAfter
 	}
@@ -344,8 +345,8 @@ type limits struct {
 	// own, which the ledger's records point to without keeping the models.
 	quote *journal.Quote
 
-	degraded bool // derived against faulty disks; degradeState.base holds the way back
-	failed   bool // a failed disk holds admission closed
+	degraded bool // derived against faulty disks
+	failed   bool // a disk is down, which holds admission closed (nmax 0)
 }
 
 // healthyModel is the admission model of one healthy disk of the array.
@@ -367,15 +368,22 @@ func healthyArray(disks int) []fault.Effects {
 }
 
 // evaluateDisks returns the limits the healthy model sets when disk d runs
-// under effs[d]: each distinct effect is one model, healthy.Under(e), and
-// one explanation, and the binding disk is the first whose effects give
-// the lowest N_max. A failed disk has no round time, so it is evaluated
-// healthy; the caller closes admission for it.
+// under effs[d] — the one way the limits in force are made: New and
+// Recalibrate evaluate their model under the effects the degrade
+// controller applied, and the controller evaluates the one it holds under
+// the effects it debounced. Each distinct effect is one model,
+// healthy.Under(e), and one explanation, and the binding disk is the first
+// whose effects give the lowest N_max. The limits are degraded when any
+// disk has a fault. A failed disk has no round time, so it is explained
+// healthy, but round-robin striping routes every stream over every disk,
+// so it leaves no admissible load: N_max is 0 and the limits are failed.
 func evaluateDisks(healthy *model.Model, effs []fault.Effects, g model.Guarantee) (*limits, error) {
 	lim := &limits{
 		nmax:     -1,
 		mdls:     make([]*model.Model, 0, len(effs)),
 		explains: make([]model.AdmissionExplanation, 0, len(effs)),
+		degraded: slices.ContainsFunc(effs, fault.Effects.Active),
+		failed:   slices.ContainsFunc(effs, func(e fault.Effects) bool { return e.Failed }),
 	}
 	type entry struct {
 		mdl *model.Model
@@ -404,6 +412,9 @@ func evaluateDisks(healthy *model.Model, effs []fault.Effects, g model.Guarantee
 			lim.binding = e.mdl
 			lim.bindDisk = i
 		}
+	}
+	if lim.failed {
+		lim.nmax = 0
 	}
 	return lim, nil
 }
