@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"mzqos/internal/disk"
@@ -40,7 +41,7 @@ const (
 	tlDegrade     = 12 // third round of the mild slowdown: a quiet degrade
 	tlRestore     = 22 // third clean round after it
 	tlFailFrom    = 40 // disk 1 fails: down rounds, both alerts fire on budgets of 0
-	tlRecalibrate = 44 // refit under the standing failure, re-degraded the same round
+	tlRecalibrate = 44 // refit under the standing failure, which it keeps
 	tlFailUntil   = 46 // disk 1 returns
 	tlBlip        = 60 // one down round, alerts held quiet by a budget of 1
 	tlQuietFire   = 61 // budgets drop to 0 in a round with nothing else to freeze on
@@ -76,9 +77,12 @@ func timelinePlan() *fault.Plan {
 // firing alert came to resolve only on both windows and slo events came
 // to carry their windows' counts: three resolutions moved (rounds 8 and
 // 53 to 32 and 60; the one at 68 went, its alert still firing at the
-// end), every other event kept its round and order.
+// end), every other event kept its round and order. It moved again when
+// a refit came to be evaluated under the applied fault effects: the
+// recalibrate of round 44 reads 0 → 0 under the standing failure, and the
+// degrade that re-closed admission after it in the same round went.
 func TestTimelineOrderGolden(t *testing.T) {
-	const want = 0x652ba43793a44ce0
+	const want = 0xfc9be0e03810eb9
 	jnl := journal.New(journal.Config{})
 	s, err := New(Config{
 		Disk:        disk.QuantumViking21(),
@@ -172,7 +176,7 @@ func TestTimelineOrderGolden(t *testing.T) {
 		{"both alerts fire beside the down round's freeze", tlFailFrom,
 			[]string{"fault_inject:1", "freeze:down_round", "glitch", "slo_firing:late", "slo_firing:glitch"}},
 		{"a failure degrade", tlFailFrom + 2, []string{"degrade"}},
-		{"recalibrate under a standing failure, degraded again the same round", tlRecalibrate, []string{"recalibrate", "degrade"}},
+		{"recalibrate under a standing failure keeps it", tlRecalibrate, []string{"recalibrate", "glitch"}},
 		{"the disk returns", tlFailUntil, []string{"fault_clear:1"}},
 		{"both slo events precede the firing's freeze", tlQuietFire,
 			[]string{"fault_clear:0", "slo_firing:late", "slo_firing:glitch", "freeze:slo_late"}},
@@ -181,6 +185,9 @@ func TestTimelineOrderGolden(t *testing.T) {
 		if !inOrder(c.round, c.names...) {
 			t.Errorf("%s: round %d has %v, want %v in that order", c.what, c.round, byRound[c.round], c.names)
 		}
+	}
+	if slices.Contains(byRound[tlRecalibrate], "degrade") {
+		t.Errorf("round %d has %v: the refit dropped the standing failure and the controller re-degraded", tlRecalibrate, byRound[tlRecalibrate])
 	}
 	if got := d.h.Sum64(); got != want {
 		t.Errorf("timeline digest = %#x over %d events, want %#x", got, len(events), uint64(want))
