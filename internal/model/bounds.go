@@ -112,11 +112,13 @@ func (r *chainReader) flush() {
 	r.hits = 0
 }
 
-// glitch returns b_glitch(n) at the chain's deadline from its entries
-// through k ≤ n, every later b_late taken as 1: (prefix[k] + n − k)/n
-// clamped to 1 (eq. 3.3.3). At k = n that is prefix[n]/n bit for bit.
-func (c *lateChain) glitch(n, k int) float64 {
-	return min((c.prefix[k]+float64(n-k))/float64(n), 1)
+// glitch returns b_glitch(n) at chain c's deadline from its entries
+// through k ≤ n, every later b_late taken as 1, plus the probability that
+// the read is lost: (prefix[k] + n − k)/n + loss clamped to 1 (eq. 3.3.3,
+// a fragment glitching when it is late or lost). On a disk with no read
+// errors, at k = n, that is prefix[n]/n bit for bit.
+func (m *Model) glitch(c *lateChain, n, k int) float64 {
+	return min((c.prefix[k]+float64(n-k))/float64(n)+m.loss, 1)
 }
 
 // glitchReach is how far the chain at the round length must reach to
@@ -177,6 +179,8 @@ func (m *Model) LateProbInversion(n, nodes int) (float64, error) {
 //
 //	b_glitch(n, t) = (1/n) Σ_{k=1..n} b_late(k, t)
 //
+// plus, under read errors with probability p and r retries, p^(r+1) for a
+// read lost outright (see Under), clamped to 1.
 // Each term uses its own SEEK(k), matching the derivation in eq. 3.3.2
 // where T_k is the service time of the first k requests of the sweep. The
 // sum is read from the chain's prefix sums, so after the O(n) first-touch
@@ -193,12 +197,12 @@ func (m *Model) GlitchBound(n int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return c.glitch(n, k), nil
+	return m.glitch(c, n, k), nil
 }
 
 // GlitchBoundsAt returns b_glitch at an arbitrary deadline d as a reader:
-// asked for n, it answers (1/n) Σ_{k=1..n} P[T_k ≥ d], clamped to 1 —
-// eq. 3.3.3 with d in place of t — from a chain of warm-started solves at
+// asked for n, it answers (1/n) Σ_{k=1..n} P[T_k ≥ d] plus the loss term,
+// clamped to 1 — eq. 3.3.3 with d in place of t — from a chain of warm-started solves at
 // d that it grows as it is asked for larger n and that goes with it. At
 // d = t it reads the model's own chain, through the search cap at most,
 // so it answers GlitchBound. The
@@ -219,7 +223,7 @@ func (m *Model) GlitchBoundsAt(d float64) func(n int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return c.glitch(n, k), nil
+		return m.glitch(c, n, k), nil
 	}
 }
 

@@ -83,7 +83,7 @@ func (m *Model) ExplainNMax(g Guarantee) (AdmissionExplanation, error) {
 		if g.Rounds == 0 {
 			return c.res[n].Bound, nil
 		}
-		return chernoff.BinomialUpperTail(g.Rounds, c.glitch(n, n), g.Glitches)
+		return chernoff.BinomialUpperTail(g.Rounds, m.glitch(c, n, n), g.Glitches)
 	})
 	if err != nil {
 		return AdmissionExplanation{}, err

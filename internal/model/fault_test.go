@@ -179,12 +179,28 @@ func TestUnderEdges(t *testing.T) {
 	m := healthyModel(t, disk.QuantumViking21())
 	for _, e := range []fault.Effects{
 		fault.Identity(),
-		{LatencyScale: 1, RateScale: 1, ErrorProb: 0.3},           // no retries: losses, no time
 		{LatencyScale: 1, RateScale: 1, ErrorProb: 0, Retries: 4}, // no errors
-		{LatencyScale: 1, RateScale: 1, ErrorProb: 1, Retries: 0}, // every read lost at once
 	} {
 		if u, err := m.Under(e); err != nil || u != m {
 			t.Errorf("Under(%+v) = %p, %v; want the model itself", e, u, err)
+		}
+	}
+	// Errors with no retries cost no time but lose every read that fails:
+	// the same round transform, every glitch bound p higher.
+	for _, e := range []fault.Effects{
+		{LatencyScale: 1, RateScale: 1, ErrorProb: 0.3},
+		{LatencyScale: 1, RateScale: 1, ErrorProb: 1, Retries: 0}, // every read lost at once
+	} {
+		u := underFault(t, m, e)
+		for _, n := range []int{1, 26, 40} {
+			bl, _ := m.LateBound(n)
+			ul, _ := u.LateBound(n)
+			bg, _ := m.GlitchBound(n)
+			ug, _ := u.GlitchBound(n)
+			if math.Float64bits(ul) != math.Float64bits(bl) || ug != min(bg+e.ErrorProb, 1) {
+				t.Errorf("under %+v at n=%d: b_late %v, b_glitch %v; want the healthy %v and %v + p",
+					e, n, ul, ug, bl, bg)
+			}
 		}
 	}
 	faulted := underFault(t, m, fault.Effects{LatencyScale: 2, RateScale: 1})

@@ -121,6 +121,7 @@ const maxStreamsPerDisk = 1 << 16
 type Model struct {
 	cfg       Config
 	eff       fault.Effects // the fault effects T_N is taken under; Identity when healthy
+	loss      float64       // P[a read is lost]: p^(r+1) under read errors, every attempt failing; else 0
 	rotLST    lst.Transform // one request's rotational delay, retry revolutions included
 	transGam  lst.Gamma     // moment-matched transfer-time transform (3.2.10)
 	transLST  lst.Transform // transform actually used by the bounds
@@ -225,12 +226,15 @@ func (m *Model) setSearchCap() error {
 //     with p the error probability and r the retry budget. A read that
 //     exhausts its budget still paid r revolutions.
 //
-// Effects that leave T_N as it is — a healthy disk, or errors with no
-// retries, which lose fragments but cost no time — return m itself. A
-// failed disk has no round time, and m must be healthy: both are errors.
-// Every bound, chain and walk reads T_N through RoundTransform, so they all
-// follow; the baselines, the worst-case limit and the density read the
-// geometry and describe the healthy disk.
+// A read is lost when all r+1 of its attempts fail, with probability
+// p^(r+1): a glitch that T_N does not see, which every glitch bound adds to
+// its late term. Effects that change neither — a healthy disk, or scales
+// of 1 with no read errors — return m itself; errors with no retries lose
+// reads but cost no time, so they keep m's round transform. A failed disk
+// has no round time, and m must be healthy: both are errors. Every bound,
+// chain and walk reads T_N through RoundTransform, so they all follow; the
+// baselines, the worst-case limit and the density read the geometry and
+// describe the healthy disk.
 func (m *Model) Under(e fault.Effects) (*Model, error) {
 	l, r := e.LatencyScale, e.RateScale
 	switch {
@@ -243,14 +247,14 @@ func (m *Model) Under(e fault.Effects) (*Model, error) {
 	case !(e.ErrorProb >= 0 && e.ErrorProb <= 1) || e.Retries < 0 || e.Retries > fault.MaxRetries:
 		return nil, fmt.Errorf("%w: read errors p=%g with %d retries", ErrConfig, e.ErrorProb, e.Retries)
 	}
-	retries := e.ErrorProb > 0 && e.Retries > 0
-	if l == 1 && r == 1 && !retries {
+	if l == 1 && r == 1 && e.ErrorProb == 0 {
 		return m, nil
 	}
 	scale := l / r // of the transfer time
 	u := &Model{
 		cfg:       m.cfg,
 		eff:       e,
+		loss:      math.Pow(e.ErrorProb, float64(e.Retries+1)),
 		transMean: m.transMean * scale,
 		transVar:  m.transVar * scale * scale,
 		transGam:  lst.Gamma{Shape: m.transGam.Shape, Rate: m.transGam.Rate / scale},
@@ -274,7 +278,7 @@ func (m *Model) Under(e fault.Effects) (*Model, error) {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	u.rotLST = rot
-	if retries {
+	if e.ErrorProb > 0 && e.Retries > 0 {
 		law, err := retryLaw(e.ErrorProb, e.Retries, rev)
 		if err != nil {
 			return nil, err

@@ -102,7 +102,7 @@ func TestGlitchBoundPastSearchCap(t *testing.T) {
 			t.Fatalf("b_late(%d) past the cap = %v, want 1", k, c.res[k].Bound)
 		}
 	}
-	want := c.glitch(n, n)
+	want := m.glitch(c, n, n)
 	if rel := math.Abs(got-want) / want; rel > 1e-12 {
 		t.Errorf("GlitchBound(%d) = %v, the chain through n says %v (relative %.3g)", n, got, want, rel)
 	}
