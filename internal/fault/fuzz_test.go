@@ -78,7 +78,8 @@ func FuzzParsePlan(f *testing.F) {
 }
 
 // checkUnder: m under e is refused, or admits with every bound a
-// probability.
+// probability, and a one-stream glitch bound no lower than the chance a
+// read is lost, p^(r+1).
 func checkUnder(t *testing.T, m *model.Model, e fault.Effects) {
 	t.Helper()
 	u, err := m.Under(e)
@@ -97,5 +98,12 @@ func checkUnder(t *testing.T, m *model.Model, e fault.Effects) {
 		if !(b >= 0 && b <= 1) || math.IsNaN(b) {
 			t.Fatalf("under %+v: b_late(%d) = %v, not a probability", e, n, b)
 		}
+	}
+	g, err := u.GlitchBound(1)
+	if err != nil {
+		t.Fatalf("under %+v: b_glitch(1): %v", e, err)
+	}
+	if lost := math.Pow(e.ErrorProb, float64(e.Retries+1)); !(g >= lost && g <= 1) {
+		t.Fatalf("under %+v: b_glitch(1) = %v, want within [p^(r+1), 1] = [%v, 1]", e, g, lost)
 	}
 }
