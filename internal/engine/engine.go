@@ -172,10 +172,11 @@ type Health struct {
 	Degraded bool `json:"degraded"`
 	// Failed marks admission closed by disk failure: the engine cannot
 	// serve its streams at all, so a coordinator should fail its active
-	// set over to sibling replicas. Distinct from a capacity that merely
-	// degraded to zero (Capacity 0, Failed false), where existing streams
-	// still ride out the fault on their own shard and only new admissions
-	// are shed to siblings.
+	// set over to sibling replicas. Failed implies Degraded and Capacity
+	// 0, whatever refit the engine has made since. Distinct from a
+	// capacity that merely degraded to zero (Capacity 0, Failed false),
+	// where existing streams still ride out the fault on their own shard
+	// and only new admissions are shed to siblings.
 	Failed bool `json:"failed"`
 	// SLO is the engine's windowed guarantee-audit snapshot, piggybacked
 	// on the heartbeat so a cluster coordinator can pool the shards'

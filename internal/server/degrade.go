@@ -26,7 +26,10 @@ const DefaultDegradeAfter = 3
 // literature's "last in, first shed"), while a failed disk only closes
 // admission (limit 0) and running streams ride out the outage, since
 // evicting every client for a transient failure is usually worse than the
-// glitches.
+// glitches. The limits in force are always the healthy model evaluated
+// under the effects the controller applied, so a Recalibrate during a
+// standing fault keeps it in force, and a restore evaluates the healthy
+// model as it then stands.
 type DegradeConfig struct {
 	// Enabled turns the degraded-mode controller on.
 	Enabled bool
@@ -91,15 +94,15 @@ func (s *Server) adaptToFaults(effs []fault.Effects, faulty int) []engine.Evicti
 	case slices.Equal(effs, s.deg.applied):
 		return nil
 	}
-	return s.apply(effs)
+	return s.applyEffects(effs)
 }
 
-// apply puts in force the limits the healthy model sets under effs. A
-// degrade freezes the flight recorder before it journals the new limit
-// and sheds each class's newest streams to it, unless a disk is down; a
-// restore journals the limit, then freezes. On a modeling error the
-// current limits are kept and the controller retries next round.
-func (s *Server) apply(effs []fault.Effects) []engine.Eviction {
+// applyEffects puts in force the limits the healthy model sets under
+// effs. A degrade freezes the flight recorder before it journals the new
+// limit and sheds each class's newest streams to it, unless a disk is
+// down; a restore journals the limit, then freezes. On a modeling error
+// the current limits are kept and the controller retries next round.
+func (s *Server) applyEffects(effs []fault.Effects) []engine.Eviction {
 	next, err := evaluateDisks(s.healthy, effs, s.cfg.Guarantee)
 	if err != nil {
 		return nil
