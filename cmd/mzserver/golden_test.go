@@ -147,12 +147,7 @@ func goldenServer(t *testing.T, reg *telemetry.Registry, hist *history.Store, be
 }
 
 // TestServerEndpointGolden pins every JSON surface and the dashboard of a
-// one-shard mux after goldenServer's run. Five digests moved when glitch
-// bounds came to carry read-error loss: the limits quoted under the
-// errors (p = 0.02, 1 retry) promise b_glitch ≈ 0.000734 where they
-// promised ≈ 0.000334 (+p²), which /streams' promises, the SLO incident's
-// budget and critical counts on /shard/0/slo and /timeline, and the
-// dashboard's budget panels read.
+// one-shard mux after goldenServer's run.
 func TestServerEndpointGolden(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	hist := history.New(history.Config{Registry: reg})
