@@ -16,8 +16,9 @@
 // Two facts have one owner each. The limit in force — N_max, the per-disk
 // models and explanations behind it, the two bounds quoted at it, whether
 // it answers a fault — is one immutable limits value behind an atomic
-// pointer: New, Recalibrate and the degrade controller build or pick a
-// value and hand it to install, the only writer, and every reader (admit,
+// pointer: New, Recalibrate and the degrade controller build it with
+// evaluateDisks, from the healthy model and the fault effects applied, and
+// hand it to install, the only writer, and every reader (admit,
 // the ledger's promise, the SLO budgets, Health, AdmissionStatus,
 // BoundTightness) loads it once and so holds one consistent quote. The
 // timeline of what happened inside this server is written here and only
