@@ -179,15 +179,15 @@ func (m *Model) LateProbInversion(n, nodes int) (float64, error) {
 //
 //	b_glitch(n, t) = (1/n) Σ_{k=1..n} b_late(k, t)
 //
-// plus, under read errors with probability p and r retries, p^(r+1) for a
-// read lost outright (see Under), clamped to 1.
 // Each term uses its own SEEK(k), matching the derivation in eq. 3.3.2
 // where T_k is the service time of the first k requests of the sweep. The
 // sum is read from the chain's prefix sums, so after the O(n) first-touch
 // cost every call is O(1) — the admission walk over n no longer pays a
 // quadratic re-summation. Past the search cap every b_late(k) is 1, so
 // the chain is read through the cap and the rest is counted, with no
-// solve and no growth.
+// solve and no growth. Under read errors with probability p and r retries
+// it adds p^(r+1), the chance a read is lost outright (see Under), and
+// clamps the sum to 1.
 func (m *Model) GlitchBound(n int) (float64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("%w: stream count must be positive", ErrConfig)
@@ -202,8 +202,9 @@ func (m *Model) GlitchBound(n int) (float64, error) {
 
 // GlitchBoundsAt returns b_glitch at an arbitrary deadline d as a reader:
 // asked for n, it answers (1/n) Σ_{k=1..n} P[T_k ≥ d] plus the loss term,
-// clamped to 1 — eq. 3.3.3 with d in place of t — from a chain of warm-started solves at
-// d that it grows as it is asked for larger n and that goes with it. At
+// clamped to 1 — eq. 3.3.3 with d in place of t — from a chain of
+// warm-started solves at d that it grows as it is asked for larger n and
+// that goes with it. At
 // d = t it reads the model's own chain, through the search cap at most,
 // so it answers GlitchBound. The
 // buffered-client extension reads it at (1+s)·t. A reader belongs to one
